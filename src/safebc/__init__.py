@@ -22,7 +22,6 @@ from .pde_sim import (  # noqa: F401
     SmoothRandom,
     TimeGrid,
     rollout,
-    rollout_inputs,
     stabilization_reward,
     step_hyperbolic,
     step_parabolic,

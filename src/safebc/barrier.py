@@ -81,13 +81,13 @@ class BarrierFunction:
     def partials(self, t, Y):
         """(dphi_dt, dphi_dY); dphi_dt is exactly 0 in time-independent mode."""
         x, shape = self._inputs(t, Y)
-        J = self.net.input_jacobian(x)
+        _, dx = self.net.backprop(x, np.ones((x.shape[0], 1)))
         if self.time_dependent:
-            dt_ = J[:, 0, 0].reshape(shape)
-            dY_ = J[:, 0, 1].reshape(shape)
+            dt_ = dx[:, 0].reshape(shape)
+            dY_ = dx[:, 1].reshape(shape)
         else:
             dt_ = np.zeros(shape)
-            dY_ = J[:, 0, 0].reshape(shape)
+            dY_ = dx[:, 0].reshape(shape)
         if shape:
             return dt_, dY_
         return float(dt_), float(dY_)

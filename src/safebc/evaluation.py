@@ -2,10 +2,10 @@
 
 Each episode draws an initial condition, runs the nominal controller closed
 loop on the simulator, optionally rewrites the recorded input through the
-safety filter, and then replays the final input open loop on the simulator
-for scoring.  Replaying the unmodified input reproduces the closed-loop
-states bitwise, so a disabled filter and a threshold of zero give identical
-metrics.
+safety filter, and then replays the final input open loop for scoring: a
+second rollout driven by a FromFile controller over that input.  Replaying
+the unmodified input reproduces the closed-loop states bitwise, so a
+disabled filter and a threshold of zero give identical metrics.
 """
 
 import os
@@ -17,8 +17,8 @@ from .barrier import BarrierFunction
 from .checkpoint import fmt
 from .nets import subseed
 from .neural_operator import BoundaryOperator
-from .pde_sim import (ConfigurationError, SimulationDivergedError, rollout,
-                      rollout_inputs, stabilization_reward)
+from .pde_sim import (ConfigurationError, FromFile, SimulationDivergedError,
+                      rollout, stabilization_reward)
 from .safety_filter import FilterConfig, filter_trajectory
 from .trajectories import label_safety
 
@@ -138,7 +138,7 @@ def run_episodes(spec):
             if spec.filter_on:
                 U_final = filter_trajectory(op, bar, nominal.U,
                                             spec.filter).U_safe
-            played = rollout_inputs(spec.env, U_final)
+            played = rollout(spec.env, FromFile(U_final), U_final[0])
             reward = stabilization_reward(played.states)
             steps = feasible_steps(label_safety(played.Y, spec.safe_set))
         except SimulationDivergedError:

@@ -1,6 +1,11 @@
-"""Minimal neural substrate: ReLU/linear MLPs with exact input Jacobians,
-reverse-mode parameter gradients, and an Adam optimizer with stepped
-learning-rate decay.
+"""Minimal neural substrate: ReLU/linear MLPs with two derivative passes, and
+an Adam optimizer with stepped learning-rate decay.
+
+The tangent pass carries a direction d forward with the activation pattern
+frozen at x, giving J(x) . d (and, through one more reverse sweep, parameter
+gradients of that product). The reverse pass gives parameter gradients of
+upstream . f(x) together with upstream . J(x); a one-hot upstream yields one
+row of the input Jacobian.
 
 Everything is float64 numpy. Reductions run in fixed index order so repeated
 runs with the same seed are bitwise identical on the same machine.
@@ -96,79 +101,66 @@ class Mlp:
             a = np.maximum(z, 0.0) if act == "relu" else z
         return a[0] if squeeze else a
 
-    def _forward_trace(self, a):
-        # a is already a (B, d_in) batch; returns post-activations per layer
-        # (inputs[0] is the batch itself) and relu masks (None for linear).
-        inputs = [a]
-        masks = []
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ W.T + b
-            if act == "relu":
-                mask = (z > 0.0).astype(np.float64)
-                a = z * mask
-            else:
-                mask = None
-                a = z
-            masks.append(mask)
-            inputs.append(a)
-        return inputs, masks
+    def _trace(self, x, d=None):
+        """Forward pass over x, (d_in,) or (B, d_in), carrying the tangent d
+        (same shape as x) when given, with the activation pattern frozen at x.
 
-    def input_jacobian(self, x):
-        """Exact Jacobian dy/dx: (d_out, d_in) for a single x, (B, d_out, d_in)
-        for a batch. At a ReLU kink the inactive subgradient (0) is used."""
+        Returns (inputs, tangents, masks, squeeze): per-layer inputs as
+        (B, .) batches (inputs[0] is x itself, the last entry the output),
+        per-layer tangents on the same layout (empty without d), relu masks
+        (None for linear layers), and whether x was a single sample. At a
+        ReLU kink the inactive subgradient (0) is used.
+        """
         a, squeeze = _as_batch(x, self.in_dim)
-        B = a.shape[0]
-        J = np.broadcast_to(np.eye(self.in_dim), (B, self.in_dim, self.in_dim))
+        inputs, tangents, masks = [a], [], []
+        u = None
+        if d is not None:
+            u, _ = _as_batch(d, self.in_dim, "d")
+            if u.shape[0] != a.shape[0]:
+                raise ValueError("direction batch size does not match x")
+            tangents.append(u)
         for W, b, act in zip(self.weights, self.biases, self.activations):
             z = a @ W.T + b
-            J = np.einsum("oi,bij->boj", W, J)
-            if act == "relu":
-                mask = (z > 0.0).astype(np.float64)
-                J = J * mask[:, :, None]
-                a = z * mask
-            else:
-                a = z
-        return J[0] if squeeze else J
+            mask = (z > 0.0).astype(np.float64) if act == "relu" else None
+            a = z if mask is None else z * mask
+            inputs.append(a)
+            masks.append(mask)
+            if u is not None:
+                u = u @ W.T
+                u = u if mask is None else u * mask
+                tangents.append(u)
+        return inputs, tangents, masks, squeeze
+
+    def _upstream(self, upstream, batch):
+        up, _ = _as_batch(upstream, self.out_dim, "upstream")
+        if up.shape[0] != batch:
+            raise ValueError("upstream batch size does not match x")
+        return up
 
     def backprop(self, x, upstream):
         """Reverse pass for the scalar sum_b upstream[b] . f(x[b]).
 
         Returns (grads, dx): grads in params() order summed over the batch,
-        dx = d/dx with the same leading shape as x.
+        dx = d/dx with the same leading shape as x. With a one-hot upstream,
+        dx holds that output's row of the input Jacobian.
         """
-        a, squeeze = _as_batch(x, self.in_dim)
-        up, up_squeeze = _as_batch(upstream, self.out_dim, "upstream")
-        if up.shape[0] != a.shape[0]:
-            raise ValueError("upstream batch size does not match x")
-        inputs, masks = self._forward_trace(a)
+        inputs, _, masks, squeeze = self._trace(x)
+        # final layer is linear: dL/dz = upstream
+        delta = self._upstream(upstream, inputs[0].shape[0])
         n = len(self.weights)
         grads = [None] * (2 * n)
-        delta = up  # final layer is linear: dL/dz = upstream
         for k in range(n - 1, -1, -1):
             grads[2 * k] = delta.T @ inputs[k]
             grads[2 * k + 1] = delta.sum(axis=0)
             delta = delta @ self.weights[k]
             if k > 0 and masks[k - 1] is not None:
                 delta = delta * masks[k - 1]
-        dx = delta
-        return grads, (dx[0] if squeeze else dx)
+        return grads, (delta[0] if squeeze else delta)
 
     def directional_derivative(self, x, d):
         """J(x) . d via a tangent pass with the activation pattern frozen at x."""
-        a, squeeze = _as_batch(x, self.in_dim)
-        u, _ = _as_batch(d, self.in_dim, "d")
-        if u.shape[0] != a.shape[0]:
-            raise ValueError("direction batch size does not match x")
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ W.T + b
-            u = u @ W.T
-            if act == "relu":
-                mask = (z > 0.0).astype(np.float64)
-                a = z * mask
-                u = u * mask
-            else:
-                a = z
-        return u[0] if squeeze else u
+        _, tangents, _, squeeze = self._trace(x, d)
+        return tangents[-1][0] if squeeze else tangents[-1]
 
     def directional_param_backprop(self, x, d, upstream):
         """Parameter gradients of sum_b upstream[b] . (J(x[b]) . d[b]).
@@ -176,30 +168,14 @@ class Mlp:
         The activation masks are treated as locally constant (exact away from
         kinks), so bias gradients are exactly zero.
         """
-        a, squeeze = _as_batch(x, self.in_dim)
-        u, _ = _as_batch(d, self.in_dim, "d")
-        up, _ = _as_batch(upstream, self.out_dim, "upstream")
-        tangent_in = [u]
-        masks = []
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ W.T + b
-            u = u @ W.T
-            if act == "relu":
-                mask = (z > 0.0).astype(np.float64)
-                a = z * mask
-                u = u * mask
-            else:
-                mask = None
-                a = z
-            masks.append(mask)
-            tangent_in.append(u)
+        _, tangents, masks, _ = self._trace(x, d)
+        g = self._upstream(upstream, tangents[0].shape[0])
         n = len(self.weights)
         grads = [None] * (2 * n)
-        g = up
         for k in range(n - 1, -1, -1):
             if masks[k] is not None:
                 g = g * masks[k]
-            grads[2 * k] = g.T @ tangent_in[k]
+            grads[2 * k] = g.T @ tangents[k]
             grads[2 * k + 1] = np.zeros_like(self.biases[k])
             g = g @ self.weights[k]
         return grads

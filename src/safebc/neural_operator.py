@@ -170,7 +170,8 @@ class BoundaryOperator:
         return tables
 
     def _build_dt_tables(self):
-        """Time derivatives of the kernel (in its first slot) and bias."""
+        """Time derivatives of the kernel (in its first slot) and bias: one
+        tangent pass of each table network along its time input."""
         fp = self.fingerprint()
         if self._dt_tables is not None and self._dt_table_fp == fp:
             return self._dt_tables
@@ -178,13 +179,14 @@ class BoundaryOperator:
         t = self.grid.times()
         pairs = self._pair_inputs()
         tables = []
+        e_t = np.zeros_like(pairs)
+        e_t[:, 0] = 1.0
         for layer in self.layers:
             do, di = layer.dim_out, layer.dim_in
-            JK = layer.kappa.input_jacobian(pairs)           # (n*n, do*di, 2)
-            dK = JK[:, :, 0].reshape(n, n, do, di)
-            dK2 = dK.transpose(0, 2, 1, 3).reshape(n * do, n * di)
-            Jb = layer.b.input_jacobian(t[:, None])          # (n, do, 1)
-            db_tab = Jb[:, :, 0]
+            dK = layer.kappa.directional_derivative(pairs, e_t)
+            dK2 = dK.reshape(n, n, do, di).transpose(0, 2, 1, 3) \
+                .reshape(n * do, n * di)
+            db_tab = layer.b.directional_derivative(t[:, None], np.ones((n, 1)))
             tables.append((dK2, db_tab))
         self._dt_tables = tables
         self._dt_table_fp = fp

@@ -16,13 +16,16 @@ at x = 1, and are observed at a single output location:
   unconditionally stable in dt.
 
 Rollouts start from the constant profile u(x, 0) = U0 and are pure functions
-of (config, controller, U0, grid, episode_seed).
+of (config, controller, U0, grid, episode_seed). A recorded input is replayed
+by a rollout with a FromFile controller, which reproduces the recorded run's
+states bitwise.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,27 +316,37 @@ class SmoothRandom(Controller):
 
 
 class FromFile(Controller):
-    """Replays the U column of a boundary trajectory CSV (step,t,U[,Y])."""
+    """Replays a fixed boundary input: the U column of a trajectory CSV
+    (step,t,U[,Y]) given by path, or an array of U values.
 
-    def __init__(self, path):
-        self.path = str(path)
-        self._U = read_trajectory_csv(self.path)
+    Replaying the U recorded by a closed-loop rollout, from its U[0],
+    reproduces that rollout's states bitwise: rollout applies the same
+    values through the same step arithmetic.
+    """
+
+    def __init__(self, source):
+        if isinstance(source, (str, os.PathLike)):
+            self.path = str(source)
+            self._U = read_trajectory_csv(self.path)
+        else:
+            self.path = None
+            self._U = np.array(source, dtype=np.float64)
 
     @property
     def U(self):
         return self._U.copy()
 
     def reset(self, U0, grid, episode_seed=None):
-        if self._U.size != grid.M + 1:
+        if self._U.shape != (grid.M + 1,):
             raise ConfigurationError(
-                f"{self.path}: trajectory has {self._U.size} samples, "
-                f"grid wants {grid.M + 1}")
+                f"{self.path or 'replayed input'}: trajectory has shape "
+                f"{self._U.shape}, grid wants {(grid.M + 1,)}")
 
     def control(self, m, t, y_prev):
         return self._U[m]
 
     def describe(self):
-        return f"file:{self.path}"
+        return f"file:{self.path}" if self.path else "replay"
 
 
 class RolloutResult:
@@ -343,9 +356,6 @@ class RolloutResult:
         self.U = U
         self.Y = Y
         self.states = states
-
-    def __iter__(self):  # allow U, Y, states = rollout(...)
-        return iter((self.U, self.Y, self.states))
 
 
 def rollout(env_cfg, controller, U0, grid=None, episode_seed=None):
@@ -378,36 +388,6 @@ def rollout(env_cfg, controller, U0, grid=None, episode_seed=None):
         Y[m] = state.values[out]
         states.append(state)
     return RolloutResult(U, Y, states)
-
-
-def rollout_inputs(env_cfg, U, grid=None):
-    """Run one episode applying a precomputed boundary input sequence.
-
-    Replaying the U recorded by a closed-loop rollout reproduces its states
-    bitwise (the step arithmetic is identical).
-    """
-    grid = grid if grid is not None else env_cfg.grid
-    U = np.asarray(U, dtype=np.float64)
-    if U.shape != (grid.M + 1,):
-        raise ConfigurationError(
-            f"input trajectory has shape {U.shape}, grid wants {(grid.M + 1,)}")
-    if grid != env_cfg.grid:
-        env_cfg = _with_grid(env_cfg, grid)
-    step = _stepper(env_cfg)
-    out = env_cfg.output_index
-    state = PdeState1D(np.full(env_cfg.n_points, float(U[0])))
-    Y = np.empty(grid.M + 1)
-    states = [state]
-    Y[0] = state.values[out]
-    for m in range(1, grid.M + 1):
-        try:
-            state = step(state, U[m], env_cfg)
-        except SimulationDivergedError as exc:
-            exc.step = m
-            raise
-        Y[m] = state.values[out]
-        states.append(state)
-    return RolloutResult(U.copy(), Y, states)
 
 
 def _with_grid(cfg, grid):

@@ -1,17 +1,19 @@
-"""Training loops for the boundary operator and the barrier function.
+"""The training loop for the boundary operator and the barrier function.
 
-Two-phase mode (default) fits the operator first, then shapes the barrier on
-the labeled dataset with the operator frozen.  Joint mode interleaves both
-updates against the weighted objective
+`train_joint` is the one epoch loop. Each epoch updates whichever parts
+train against the weighted objective
 
     lambda_G * L_G + lambda_S * L_S + lambda_BF * L_BF + reg
 
-Each concern draws from its own seeded random stream, so two-phase and joint
-runs with matching weights reduce to each other exactly.
+and each part draws from its own seeded random stream. Two-phase training
+(the default) fits the operator first with `train_operator`, then shapes
+the barrier with `train_bcbf` on the labeled dataset with that operator
+frozen. Both are presets of the loop that set the other part's epochs to 0,
+so they reduce to it by construction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -197,47 +199,21 @@ def _restore(params, snap):
         p[...] = s
 
 
-def train_operator(dataset, config, seed=0):
-    """Fit the operator on the dataset's train split. Returns (op, history)."""
-    train_ds, val_ds = split(dataset, config.train_fraction,
-                             seed=subseed(seed, 10))
-    sched = config.operator
-    UU, YY, mask = _operator_arrays(train_ds.pairs, sched)
-    op = BoundaryOperator(dataset.grid, d_v=sched.d_v,
-                          n_layers=sched.n_layers,
-                          activations=sched.activations,
-                          table_hidden=sched.table_hidden,
-                          seed=subseed(seed, 13))
-    adam = Adam(op.params(), lr=sched.lr, decay_factor=sched.decay_factor,
-                decay_every=sched.decay_every)
-    rng = np.random.default_rng(subseed(seed, 11))
-    history = TrainHistory(weights=_weight_record(config))
-    good = _snapshot(op.params())
-    for epoch in range(sched.epochs):
-        try:
-            adam.start_epoch(epoch)
-            train_loss = _operator_epoch(op, adam, UU, YY, mask, sched, rng)
-            if not math.isfinite(train_loss):
-                raise FloatingPointError("non-finite loss")
-        except (FloatingPointError, ValueError):
-            _restore(op.params(), good)
-            break
-        good = _snapshot(op.params())
-        val_loss = _operator_validation(op, val_ds.pairs, sched)
-        history.add(epoch=epoch, L_G=train_loss, val_LG=val_loss)
-    return op, history
-
-
 # -- barrier phase ---------------------------------------------------------
 
 
 class _BarrierSamples:
-    """Flat sample arrays extracted from labeled trajectory pairs."""
+    """Flat sample arrays extracted from labeled trajectory pairs.
 
-    def __init__(self, pairs, grid, y_clip, dy_source, operator):
+    The rates bf_dY are filled by set_rates, because with operator-supplied
+    rates they change whenever the operator does.
+    """
+
+    def __init__(self, pairs, grid, y_clip):
         times = grid.times()
+        self._pairs, self._dt, self._retained = pairs, grid.dt, []
         cls_t, cls_Y, cls_safe, cls_unsafe = [], [], [], []
-        bf_t, bf_Y, bf_dY, bf_Y0 = [], [], [], []
+        bf_t, bf_Y, bf_Y0 = [], [], []
         for pair in pairs:
             suffix = suffix_safe_mask(pair.safe)
             keep = np.ones(times.size, dtype=bool)
@@ -248,19 +224,12 @@ class _BarrierSamples:
             cls_safe.append(suffix[keep])
             cls_unsafe.append(~pair.safe[keep])
 
-            if dy_source == "operator":
-                Yhat, cache = operator.forward(pair.U)
-                lam, mu = operator.decomposition(cache)
-                dY = lam * u_dot_forward(pair.U, grid.dt) + mu
-                dY = dY[:-1]
-            else:
-                dY = np.diff(pair.Y) / grid.dt
             retained = keep[:-1] & keep[1:]
             if pair.bf_mask is not None:
                 retained = retained & pair.bf_mask[:-1]
+            self._retained.append(retained)
             bf_t.append(times[:-1][retained])
             bf_Y.append(pair.Y[:-1][retained])
-            bf_dY.append(dY[retained])
             bf_Y0.append(np.full(int(retained.sum()), pair.U0))
         self.cls_t = np.concatenate(cls_t)
         self.cls_Y = np.concatenate(cls_Y)
@@ -268,10 +237,25 @@ class _BarrierSamples:
         self.cls_unsafe = np.concatenate(cls_unsafe)
         self.bf_t = np.concatenate(bf_t)
         self.bf_Y = np.concatenate(bf_Y)
-        self.bf_dY = np.concatenate(bf_dY)
         self.bf_Y0 = np.concatenate(bf_Y0)
+        self.bf_dY = None
         self.safe_idx = np.flatnonzero(self.cls_safe)
         self.unsafe_idx = np.flatnonzero(self.cls_unsafe)
+
+    def set_rates(self, dy_source, operator):
+        """dY/dt at the retained steps: trajectory finite differences, or
+        the operator's rate split Lambda * U_dot + mu."""
+        bf_dY = []
+        for pair, retained in zip(self._pairs, self._retained):
+            if dy_source == "operator":
+                _, cache = operator.forward(pair.U)
+                lam, mu = operator.decomposition(cache)
+                dY = lam * u_dot_forward(pair.U, self._dt) + mu
+                dY = dY[:-1]
+            else:
+                dY = np.diff(pair.Y) / self._dt
+            bf_dY.append(dY[retained])
+        self.bf_dY = np.concatenate(bf_dY)
 
 
 def _cyclic_chunk(order, start, size):
@@ -342,107 +326,87 @@ def _sign_error(bar, samples):
     return wrong / n
 
 
+def train_operator(dataset, config, seed=0):
+    """Fit the operator on the dataset's train split. Returns (op, history)."""
+    config = replace(config, bcbf=replace(config.bcbf, epochs=0))
+    op, _, history = train_joint(dataset, None, config, seed)
+    return op, history
+
+
 def train_bcbf(dataset, operator, constants, config, seed=0):
     """Shape the barrier on the labeled dataset. Returns (bar, history).
 
     The operator argument is consulted only when config.dy_dt_source is
     "operator"; the default uses trajectory finite differences.
     """
-    balanced = balance_near_zero(dataset, band=config.balance_band,
-                                 keep_fraction=config.balance_keep,
-                                 seed=subseed(seed, 15))
-    train_ds, val_ds = split(balanced, config.train_fraction,
-                             seed=subseed(seed, 10))
     if config.dy_dt_source == "operator" and operator is None:
         raise ValueError("operator dY/dt source requires an operator")
-    samples = _BarrierSamples(train_ds.pairs, dataset.grid, config.y_clip,
-                              config.dy_dt_source, operator)
-    val_samples = _BarrierSamples(val_ds.pairs, dataset.grid, config.y_clip,
-                                  config.dy_dt_source, operator)
-    if samples.safe_idx.size == 0 or samples.unsafe_idx.size == 0:
-        raise ValueError("barrier training needs both safe and unsafe samples")
-    sched = config.bcbf
-    bar = BarrierFunction(time_dependent=sched.time_dependent,
-                          seed=subseed(seed, 14))
-    adam = Adam(bar.params(), lr=sched.lr, decay_factor=sched.decay_factor,
-                decay_every=sched.decay_every)
-    rng = np.random.default_rng(subseed(seed, 12))
-    history = TrainHistory(weights=_weight_record(config))
-    good = _snapshot(bar.params())
-    for epoch in range(sched.epochs):
-        adam.start_epoch(epoch)
-        try:
-            means = _barrier_epoch(bar, adam, samples, constants, config, rng)
-            if not all(math.isfinite(v) for v in means.values()):
-                raise FloatingPointError("non-finite loss")
-        except (FloatingPointError, ValueError):
-            _restore(bar.params(), good)
-            break
-        good = _snapshot(bar.params())
-        history.add(epoch=epoch, L_S=means["L_S"], L_BF=means["L_BF"],
-                    reg=means["reg"],
-                    val_sign_err=_sign_error(bar, val_samples))
+    config = replace(config, operator=replace(config.operator, epochs=0))
+    _, bar, history = train_joint(dataset, constants, config, seed,
+                                  operator=operator)
     return bar, history
 
 
-def train_joint(dataset, constants, config, seed=0):
+def train_joint(dataset, constants, config, seed=0, operator=None):
     """Single loop over both parameter sets against the weighted objective.
 
-    Uses the same per-concern random streams as the two-phase functions, so
-    zeroing one set of weights reproduces the corresponding single-model
-    trainer exactly.
+    Returns (op, bar, history). A given operator is returned as is and used
+    frozen for dY/dt; otherwise one is built and trained for
+    config.operator.epochs. A part with zero epochs or zero loss weights
+    is neither prepared nor checked.
     """
-    train_ds, val_ds = split(dataset, config.train_fraction,
-                             seed=subseed(seed, 10))
     sched_op = config.operator
     sched_bf = config.bcbf
-
-    run_op = config.lambda_G > 0 and not config.freeze_operator
-    op = BoundaryOperator(dataset.grid, d_v=sched_op.d_v,
-                          n_layers=sched_op.n_layers,
-                          activations=sched_op.activations,
-                          table_hidden=sched_op.table_hidden,
-                          seed=subseed(seed, 13))
+    op = operator
+    if op is None:
+        op = BoundaryOperator(dataset.grid, d_v=sched_op.d_v,
+                              n_layers=sched_op.n_layers,
+                              activations=sched_op.activations,
+                              table_hidden=sched_op.table_hidden,
+                              seed=subseed(seed, 13))
+    run_op = operator is None and sched_op.epochs > 0 \
+        and config.lambda_G > 0 and not config.freeze_operator
     if run_op:
+        train_ds, val_ds = split(dataset, config.train_fraction,
+                                 seed=subseed(seed, 10))
         UU, YY, mask = _operator_arrays(train_ds.pairs, sched_op)
         adam_op = Adam(op.params(), lr=sched_op.lr,
                        decay_factor=sched_op.decay_factor,
                        decay_every=sched_op.decay_every)
         rng_op = np.random.default_rng(subseed(seed, 11))
 
-    run_bar = config.lambda_S > 0 or config.lambda_BF > 0 \
-        or sched_bf.reg_weight > 0
-    balanced = balance_near_zero(dataset, band=config.balance_band,
-                                 keep_fraction=config.balance_keep,
-                                 seed=subseed(seed, 15))
-    btrain, bval = split(balanced, config.train_fraction,
-                         seed=subseed(seed, 10))
+    run_bar = sched_bf.epochs > 0 and (config.lambda_S > 0
+                                       or config.lambda_BF > 0
+                                       or sched_bf.reg_weight > 0)
     bar = BarrierFunction(time_dependent=sched_bf.time_dependent,
                           seed=subseed(seed, 14))
     if run_bar:
+        balanced = balance_near_zero(dataset, band=config.balance_band,
+                                     keep_fraction=config.balance_keep,
+                                     seed=subseed(seed, 15))
+        btrain, bval = split(balanced, config.train_fraction,
+                             seed=subseed(seed, 10))
+        samples, vsamples = [_BarrierSamples(part.pairs, dataset.grid,
+                                             config.y_clip)
+                             for part in (btrain, bval)]
+        if samples.safe_idx.size == 0 or samples.unsafe_idx.size == 0:
+            raise ValueError(
+                "barrier training needs both safe and unsafe samples")
         adam_bar = Adam(bar.params(), lr=sched_bf.lr,
                         decay_factor=sched_bf.decay_factor,
                         decay_every=sched_bf.decay_every)
         rng_bar = np.random.default_rng(subseed(seed, 12))
-        has_safe = has_unsafe = False
-        for pair in btrain.pairs:
-            keep = np.abs(pair.Y) <= config.y_clip \
-                if config.y_clip is not None else np.ones(pair.Y.size, bool)
-            has_safe |= bool(np.any(suffix_safe_mask(pair.safe) & keep))
-            has_unsafe |= bool(np.any(~pair.safe & keep))
-        if not (has_safe and has_unsafe):
-            raise ValueError(
-                "barrier training needs both safe and unsafe samples")
 
     history = TrainHistory(weights=_weight_record(config))
     n_epochs = max(sched_op.epochs if run_op else 0,
                    sched_bf.epochs if run_bar else 0)
     good_op = _snapshot(op.params())
     good_bar = _snapshot(bar.params())
-    # samples only change between epochs when the operator supplies dY/dt
-    # and is itself still updating
-    rebuild = config.dy_dt_source == "operator" and run_op
-    samples = vsamples = None
+    # operator-supplied rates follow the operator while it trains; all
+    # other rates are fixed and set once
+    moving_rates = run_op and config.dy_dt_source == "operator"
+    if run_bar and not moving_rates:
+        samples.set_rates(config.dy_dt_source, op)
     for epoch in range(n_epochs):
         row = {"epoch": epoch}
         try:
@@ -453,13 +417,8 @@ def train_joint(dataset, constants, config, seed=0):
                 row["val_LG"] = _operator_validation(op, val_ds.pairs,
                                                      sched_op)
             if run_bar and epoch < sched_bf.epochs:
-                if rebuild or samples is None:
-                    samples = _BarrierSamples(btrain.pairs, dataset.grid,
-                                              config.y_clip,
-                                              config.dy_dt_source, op)
-                    vsamples = _BarrierSamples(bval.pairs, dataset.grid,
-                                               config.y_clip,
-                                               config.dy_dt_source, op)
+                if moving_rates and epoch < sched_op.epochs:
+                    samples.set_rates(config.dy_dt_source, op)
                 adam_bar.start_epoch(epoch)
                 means = _barrier_epoch(bar, adam_bar, samples, constants,
                                        config, rng_bar)

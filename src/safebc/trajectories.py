@@ -149,11 +149,12 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
         U0 = rng.uniform(lo, hi)
         controller = controllers[k % len(controllers)]
         try:
-            U, Y, _ = rollout(env_cfg, controller, U0, episode_seed=k)
+            run = rollout(env_cfg, controller, U0, episode_seed=k)
         except SimulationDivergedError:
             skipped += 1
             continue
-        pairs.append(LabeledTrajectoryPair(U, Y, U0, label_safety(Y, safe_set)))
+        pairs.append(LabeledTrajectoryPair(run.U, run.Y, U0,
+                                           label_safety(run.Y, safe_set)))
     if 2 * skipped > K:
         raise CollectionError(f"{skipped} of {K} rollouts diverged")
     meta = {

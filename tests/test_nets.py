@@ -1,4 +1,5 @@
-"""Tests for the MLP substrate: forward, Jacobians, gradients, Adam."""
+"""Tests for the MLP substrate: forward, the reverse and tangent passes,
+Adam."""
 
 import numpy as np
 import pytest
@@ -68,18 +69,31 @@ class TestForward:
             alpha * mlp.forward(x), rel=1e-12)
 
 
+def jacobian(mlp, x):
+    """Input Jacobian at each row of x, (B, d_out, d_in), built one output
+    row at a time from backprop's dx with a one-hot upstream."""
+    x = np.atleast_2d(x)
+    rows = []
+    for k in range(mlp.out_dim):
+        upstream = np.zeros((x.shape[0], mlp.out_dim))
+        upstream[:, k] = 1.0
+        rows.append(mlp.backprop(x, upstream)[1])
+    return np.stack(rows, axis=1)
+
+
 class TestInputJacobian:
     def test_linear_net_jacobian_is_the_weight_row(self):
         # f(t, Y) = 3t + 2Y built by hand.
         mlp = Mlp([2, 1], activations=("linear",), seed=0)
         mlp.weights[0][...] = [[3.0, 2.0]]
         mlp.biases[0][...] = [0.0]
-        assert np.array_equal(mlp.input_jacobian([0.5, 0.5]), [[3.0, 2.0]])
+        _, dx = mlp.backprop([0.5, 0.5], [1.0])
+        assert np.array_equal(dx, [3.0, 2.0])
 
     def test_zero_weights_give_zero_jacobian(self):
         mlp = zeroed(Mlp([4, 6, 3], seed=0))
-        assert np.array_equal(mlp.input_jacobian([1.0, 2.0, 3.0, 4.0]),
-                              np.zeros((3, 4)))
+        assert np.array_equal(jacobian(mlp, [1.0, 2.0, 3.0, 4.0]),
+                              np.zeros((1, 3, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_jacobian_matches_central_differences(self, seed):
@@ -88,7 +102,7 @@ class TestInputJacobian:
         h = 1e-5
         for _ in range(5):
             x = rng.normal(size=3)
-            J = mlp.input_jacobian(x)
+            J = jacobian(mlp, x)[0]
             fd = np.empty_like(J)
             for j in range(3):
                 e = np.zeros(3)
@@ -99,10 +113,12 @@ class TestInputJacobian:
     def test_batched_jacobian_matches_per_sample(self):
         mlp = Mlp([2, 8, 1], seed=9)
         xs = np.random.default_rng(5).normal(size=(6, 2))
-        J = mlp.input_jacobian(xs)
-        assert J.shape == (6, 1, 2)
+        _, dx = mlp.backprop(xs, np.ones((6, 1)))
+        assert dx.shape == (6, 2)
         for k, x in enumerate(xs):
-            assert np.array_equal(J[k], mlp.input_jacobian(x))
+            _, row = mlp.backprop(x, [1.0])
+            # BLAS may reorder the inner sums between the two shapes
+            assert np.allclose(dx[k], row, rtol=1e-14, atol=1e-15)
 
 
 class TestParamGradients:
@@ -153,7 +169,7 @@ class TestParamGradients:
         rng = np.random.default_rng(11)
         x = rng.normal(size=3)
         d = rng.normal(size=3)
-        expect = mlp.input_jacobian(x) @ d
+        expect = jacobian(mlp, x)[0] @ d
         assert np.allclose(mlp.directional_derivative(x, d), expect,
                            rtol=1e-13, atol=0)
 
@@ -184,6 +200,25 @@ class TestParamGradients:
             fd = (up_val - down_val) / (2 * h)
             assert grads[pi].reshape(-1)[ci] == pytest.approx(
                 fd, rel=1e-4, abs=1e-8)
+
+
+    @pytest.mark.parametrize("bad", ["d", "upstream"])
+    def test_directional_param_backprop_checks_batch_sizes(self, bad):
+        # a 1-row d or upstream would otherwise broadcast against 4 rows of x
+        mlp = Mlp([2, 6, 1], seed=2)
+        x = np.random.default_rng(1).normal(size=(4, 2))
+        d, up = np.ones((4, 2)), np.ones((4, 1))
+        if bad == "d":
+            d = d[:1]
+        else:
+            up = up[:1]
+        with pytest.raises(ValueError, match="batch size"):
+            mlp.directional_param_backprop(x, d, up)
+
+    def test_directional_derivative_checks_batch_size(self):
+        mlp = Mlp([2, 6, 1], seed=2)
+        with pytest.raises(ValueError, match="batch size"):
+            mlp.directional_derivative(np.ones((4, 2)), np.ones((1, 2)))
 
 
 class TestAdam:

@@ -197,6 +197,42 @@ class TestDecomposition:
             assert n_off >= 0.8 * n_total
             assert n_pass >= 0.95 * n_off
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dt_tables_match_central_differences(self, seed):
+        """The kernel and bias time-derivative tables equal central
+        differences of the kappa and b networks in the output time (the
+        kernel's first slot), at entries whose ReLU pattern does not change
+        across the difference."""
+        grid = TimeGrid(2.0, 12)
+        op = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=8,
+                              b_hidden=4, seed=seed)
+        n, h = grid.M + 1, 1e-6
+        pairs = op._pair_inputs()
+        shift = np.zeros_like(pairs)
+        shift[:, 0] = h
+        t = grid.times()[:, None]
+
+        def fd_and_smooth(net, x, dx):
+            W0, b0 = net.params()[0], net.params()[1]
+            signs = [(y @ W0.T + b0 > 0.0) for y in (x - dx, x, x + dx)]
+            smooth = np.all((signs[0] == signs[1]) & (signs[1] == signs[2]),
+                            axis=1)
+            fd = (net.forward(x + dx) - net.forward(x - dx)) / (2.0 * h)
+            return fd, smooth
+
+        n_checked = 0
+        for layer, (dK2, db_tab) in zip(op.layers, op._build_dt_tables()):
+            do, di = layer.dim_out, layer.dim_in
+            fd, smooth = fd_and_smooth(layer.kappa, pairs, shift)
+            dK = dK2.reshape(n, do, n, di).transpose(0, 2, 1, 3)
+            dK = dK.reshape(n * n, do * di)
+            assert np.allclose(dK[smooth], fd[smooth], rtol=1e-6, atol=1e-8)
+            fd, smooth = fd_and_smooth(layer.b, t, np.full_like(t, h))
+            assert np.allclose(db_tab[smooth], fd[smooth], rtol=1e-6,
+                               atol=1e-8)
+            n_checked += int(smooth.sum())
+        assert n_checked >= 0.9 * 2 * n
+
     def test_affine_in_udot(self):
         """The rate is affine in U_dot; a zero rate input recovers mu."""
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=1,

@@ -6,7 +6,7 @@ import pytest
 from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
                             HyperbolicConfig, ParabolicConfig, PdeState1D,
                             Proportional, SmoothRandom, TimeGrid,
-                            read_trajectory_csv, rollout, rollout_inputs,
+                            read_trajectory_csv, rollout,
                             stabilization_reward, step_hyperbolic,
                             step_parabolic, write_states_csv,
                             write_trajectory_csv)
@@ -184,15 +184,21 @@ class TestRollout:
         assert np.array_equal(res.Y, Y)
 
     def test_replaying_recorded_inputs_reproduces_outputs_bitwise(self):
-        cfg = HyperbolicConfig()
-        closed = rollout(cfg, Proportional(0.5), 2.0)
-        replay = rollout_inputs(cfg, closed.U)
-        assert np.array_equal(replay.Y, closed.Y)
+        for cfg in (HyperbolicConfig(),
+                    ParabolicConfig(grid=TimeGrid(1.0, 40))):
+            closed = rollout(cfg, Proportional(0.5), 2.0)
+            replay = rollout(cfg, FromFile(closed.U), closed.U[0])
+            assert np.array_equal(replay.U, closed.U)
+            assert np.array_equal(replay.Y, closed.Y)
+            for a, b in zip(replay.states, closed.states, strict=True):
+                assert np.array_equal(a.values, b.values)
 
     def test_replay_checks_input_length(self):
         cfg = HyperbolicConfig()
         with pytest.raises(ConfigurationError):
-            rollout_inputs(cfg, np.zeros(7))
+            rollout(cfg, FromFile(np.zeros(7)), 0.0)
+        with pytest.raises(ConfigurationError):
+            rollout(cfg, FromFile(np.zeros((1, 51))), 0.0)
 
     def test_nonfinite_initial_condition_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -239,10 +245,19 @@ class TestControllers:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, U, grid)
         c = FromFile(path)
+        assert c.describe() == f"file:{path}"
         c.reset(U[0], grid)
         assert c.control(7, 0.7, 0.0) == U[7]
         with pytest.raises(ConfigurationError):
             c.reset(U[0], TimeGrid(5.0, 10))
+
+    def test_array_replay_copies_its_input(self):
+        U = np.linspace(0.0, 2.0, 51)
+        c = FromFile(U)
+        U[7] = 99.0
+        c.reset(0.0, TimeGrid(5.0, 50))
+        assert c.control(7, 0.7, 0.0) == np.linspace(0.0, 2.0, 51)[7]
+        assert c.describe() == "replay"
 
     def test_describe_round_trips_key_settings(self):
         assert "gain=2" in Proportional(2.0).describe()
