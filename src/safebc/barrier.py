@@ -79,9 +79,11 @@ class BarrierFunction:
         return out if shape else float(out)
 
     def partials(self, t, Y):
-        """(dphi_dt, dphi_dY); dphi_dt is exactly 0 in time-independent mode."""
+        """(phi, dphi_dt, dphi_dY) at (t, Y) from one forward and reverse
+        pass; dphi_dt is exactly 0 in time-independent mode."""
         x, shape = self._inputs(t, Y)
-        _, dx = self.net.backprop(x, np.ones((x.shape[0], 1)))
+        _, dx, out = self.net.backprop(x, np.ones((x.shape[0], 1)))
+        phi = out[:, 0].reshape(shape)
         if self.time_dependent:
             dt_ = dx[:, 0].reshape(shape)
             dY_ = dx[:, 1].reshape(shape)
@@ -89,8 +91,8 @@ class BarrierFunction:
             dt_ = np.zeros(shape)
             dY_ = dx[:, 0].reshape(shape)
         if shape:
-            return dt_, dY_
-        return float(dt_), float(dY_)
+            return phi, dt_, dY_
+        return float(phi), float(dt_), float(dY_)
 
     def save(self, path):
         meta = {"time_dependent": "1" if self.time_dependent else "0"}
@@ -141,14 +143,14 @@ def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel):
         phi = bar.net.forward(xs)[:, 0]
         loss += float(np.sum(np.maximum(phi, 0.0))) / n_s
         up = (phi > 0.0).astype(float)[:, None] / n_s
-        gs, _ = bar.net.backprop(xs, up)
+        gs, _, _ = bar.net.backprop(xs, up)
         _accumulate(grads, gs)
     if n_u:
         xu, _ = bar._inputs(t[unsafe_sel], Y[unsafe_sel])
         phi = bar.net.forward(xu)[:, 0]
         loss += float(np.sum(np.maximum(-phi, 0.0))) / n_u
         up = -(phi < 0.0).astype(float)[:, None] / n_u
-        gu, _ = bar.net.backprop(xu, up)
+        gu, _, _ = bar.net.backprop(xu, up)
         _accumulate(grads, gu)
     return loss, grads
 
@@ -183,9 +185,9 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
     up = (resid > 0.0).astype(float)[:, None] / n
     grads = _zero_grads(bar)
     _accumulate(grads, bar.net.directional_param_backprop(x, d, up))
-    ga, _ = bar.net.backprop(x, constants.alpha * up)
+    ga, _, _ = bar.net.backprop(x, constants.alpha * up)
     _accumulate(grads, ga)
-    gc, _ = bar.net.backprop(x0, constants.C * up)
+    gc, _, _ = bar.net.backprop(x0, constants.C * up)
     _accumulate(grads, gc)
     return loss, grads
 
@@ -205,7 +207,7 @@ def loss_sublevel_margin(bar, t, Y, margin=0.1):
     phi = bar.net.forward(x)[:, 0]
     loss = float(np.sum(np.maximum(phi + margin, 0.0))) / n
     up = (phi + margin > 0.0).astype(float)[:, None] / n
-    grads, _ = bar.net.backprop(x, up)
+    grads, _, _ = bar.net.backprop(x, up)
     return loss, grads
 
 

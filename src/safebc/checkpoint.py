@@ -1,6 +1,10 @@
-"""Plain-text checkpoint format shared by every model kind.
+"""The plain-text file formats: model checkpoints and tables.
 
-Layout::
+Every file the pipeline writes is decimal text with 17 significant digits,
+which round-trips float64 exactly, written atomically (temp file + rename)
+with LF line endings.
+
+Checkpoints hold the tensors of every model kind. Layout::
 
     CKPT v1 kind=<mlp|operator|bcbf>
     meta <key> <value>          # zero or more
@@ -8,15 +12,27 @@ Layout::
     <row of `cols` decimal values>
     ...
 
-Values use 17 significant digits, which round-trips float64 exactly. 1-D
-tensors are stored as a single row; loaders reshape from their known model
-structure. Writes are atomic (temp file + rename).
+1-D tensors are stored as a single row; loaders reshape from their known
+model structure.
+
+Tables hold everything else: datasets, state snapshots, boundary
+trajectories, training histories, filter reports, per-episode results,
+metrics and sweeps. Layout::
+
+    # <comment>                 # zero or more, free text
+    <column>,<column>,...
+    <cell>,<cell>,...           # one line per row
+
+Integer and boolean cells are written as integers, every other cell with
+`fmt`. Readers check the header and convert each cell with one callable per
+column; any malformed line raises DatasetFormatError with its line number.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import uuid
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +44,38 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
+class ConfigurationError(ValueError):
+    """Raised for invalid configuration, including malformed input files."""
+
+
 class CheckpointError(ValueError):
     pass
+
+
+class DatasetFormatError(ConfigurationError):
+    """Raised for a malformed table file; carries the line number."""
+
+    def __init__(self, path, message, line=None):
+        where = path if line is None else f"{path}:{line}"
+        super().__init__(f"{where}: {message}")
+        self.line = line
+
+
+def _write_text(path, text):
+    """Write text to path atomically: a fresh temp file in the same
+    directory, then a rename over the target. The temp file is created like
+    any new file, so the result has the usual permissions (0666 less the
+    umask) rather than mkstemp's 0600."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-{uuid.uuid4().hex}")
+    fh = open(tmp, "x", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_checkpoint(path, kind, tensors, meta=None):
@@ -53,17 +99,7 @@ def write_checkpoint(path, kind, tensors, meta=None):
         lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
         for row in a:
             lines.append(" ".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_checkpoint(path):
@@ -113,3 +149,61 @@ def read_checkpoint(path):
             i += 1
         tensors[name] = data
     return kind, tensors, meta
+
+
+def _cell(value):
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return fmt(value)
+
+
+def write_table(path, columns, rows, comments=()):
+    """Write rows (sequences of cells, one per column) under a header line,
+    after one '# <comment>' line per comment."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+class Table(NamedTuple):
+    columns: tuple
+    rows: list
+    comments: list
+
+
+def read_table(path, columns=None, types=None):
+    """Read a table back as (columns, rows, comments).
+
+    The header must equal `columns` when given. `types` holds one callable
+    per column that converts its cells (default float). Blank lines are
+    skipped; comments come back without the '#' and surrounding blanks.
+    Files with CRLF line endings read the same as LF ones.
+    """
+    header, rows, comments = None, [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+                continue
+            cells = line.split(",")
+            if header is None:
+                header = tuple(cells)
+                if columns is not None and header != tuple(columns):
+                    raise DatasetFormatError(
+                        path, f"header {line!r}, expected "
+                        f"{','.join(columns)!r}", lineno)
+                convert = types if types is not None else [float] * len(header)
+                continue
+            try:
+                rows.append(tuple([f(c) for f, c in zip(convert, cells,
+                                                        strict=True)]))
+            except ValueError:
+                raise DatasetFormatError(path, f"bad row {line!r}",
+                                         lineno) from None
+    if header is None:
+        raise DatasetFormatError(path, "missing header")
+    return Table(header, rows, comments)

@@ -10,13 +10,12 @@ every run's randomness hangs off one --seed flag.
 import argparse
 import json
 import sys
-
-import numpy as np
+from dataclasses import astuple, fields
 
 from .barrier import BarrierFunction, FeasibilityConstants
-from .checkpoint import fmt
+from .checkpoint import DatasetFormatError, read_table, write_table
 from .evaluation import (ExperimentSpec, Metrics, evaluate, report,
-                         threshold_sweep, write_episode_csv)
+                         threshold_sweep)
 from .neural_operator import BoundaryOperator
 from .pde_sim import (ConfigurationError, Constant, FromFile,
                       HyperbolicConfig, ParabolicConfig, Proportional,
@@ -28,7 +27,7 @@ from .trajectories import (collect_dataset, parse_safe_set, read_dataset,
 from .training import (BarrierSchedule, OperatorSchedule, TrainConfig,
                        train_bcbf, train_joint, train_operator)
 
-METRICS_HEADER = "reward_mean,reward_std,feasible_rate,avg_feasible_steps,episodes"
+METRICS_COLUMNS = tuple(f.name for f in fields(Metrics))
 
 
 def parse_controller(text):
@@ -142,22 +141,14 @@ def _load_json(path):
 
 
 def write_metrics_csv(path, metrics):
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        fh.write(",".join([fmt(metrics.reward_mean), fmt(metrics.reward_std),
-                           fmt(metrics.feasible_rate),
-                           fmt(metrics.avg_feasible_steps),
-                           str(metrics.episodes)]) + "\n")
+    write_table(path, METRICS_COLUMNS, [astuple(metrics)])
 
 
 def read_metrics_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != METRICS_HEADER:
-            raise ConfigurationError(f"{path}: unexpected header {header!r}")
-        vals = fh.readline().strip().split(",")
-    return Metrics(float(vals[0]), float(vals[1]), float(vals[2]),
-                   float(vals[3]), int(vals[4]))
+    rows = read_table(path, METRICS_COLUMNS, (float,) * 4 + (int,)).rows
+    if len(rows) != 1:
+        raise DatasetFormatError(path, f"{len(rows)} metrics rows, expected 1")
+    return Metrics(*rows[0])
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -261,13 +252,8 @@ def _cmd_sweep(args):
     spec = experiment_from_dict(_load_json(args.spec), seed=args.seed)
     etas = [float(x) for x in args.etas.split(",")]
     results = threshold_sweep(spec, etas)
-    with open(args.out, "w") as fh:
-        fh.write("eta," + METRICS_HEADER + "\n")
-        for eta, m in results:
-            fh.write(",".join([fmt(eta), fmt(m.reward_mean),
-                               fmt(m.reward_std), fmt(m.feasible_rate),
-                               fmt(m.avg_feasible_steps),
-                               str(m.episodes)]) + "\n")
+    write_table(args.out, ("eta",) + METRICS_COLUMNS,
+                [(eta,) + astuple(m) for eta, m in results])
     print(report([(f"eta={eta:g}", m) for eta, m in results]))
 
 

@@ -1,20 +1,22 @@
 """End-to-end evaluation of nominal versus filtered boundary control.
 
 Each episode draws an initial condition, runs the nominal controller closed
-loop on the simulator, optionally rewrites the recorded input through the
-safety filter, and then replays the final input open loop for scoring: a
-second rollout driven by a FromFile controller over that input.  Replaying
-the unmodified input reproduces the closed-loop states bitwise, so a
-disabled filter and a threshold of zero give identical metrics.
+loop on the simulator, and optionally rewrites the recorded input through the
+safety filter.  When the filter changed the input, the final input is
+replayed open loop for scoring: a second rollout driven by a FromFile
+controller over that input.  When the input is bitwise unchanged (filter off,
+or no step modified) the closed-loop run is scored directly, since replaying
+it would reproduce its states bitwise; so a disabled filter and a threshold
+of zero give identical metrics.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .barrier import BarrierFunction
-from .checkpoint import fmt
+from .checkpoint import read_table, write_table
 from .nets import subseed
 from .neural_operator import BoundaryOperator
 from .pde_sim import (ConfigurationError, FromFile, SimulationDivergedError,
@@ -67,26 +69,17 @@ def metrics_from_records(records):
                    float(feasible.mean()), avg, len(records))
 
 
+EPISODE_COLUMNS = tuple(f.name for f in fields(EpisodeRecord))
+
+
 def write_episode_csv(path, records):
-    lines = ["episode,U0,reward,feasible,feasible_steps"]
-    for r in records:
-        lines.append(",".join([str(r.episode), fmt(r.U0), fmt(r.reward),
-                               str(int(r.feasible)), str(r.feasible_steps)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, EPISODE_COLUMNS, map(astuple, records))
 
 
 def read_episode_csv(path):
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "episode,U0,reward,feasible,feasible_steps":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            ep, u0, rew, feas, steps = line.strip().split(",")
-            records.append(EpisodeRecord(int(ep), float(u0), float(rew),
-                                         bool(int(feas)), int(steps)))
-    return records
+    table = read_table(path, EPISODE_COLUMNS,
+                       (int, float, float, lambda s: bool(int(s)), int))
+    return [EpisodeRecord(*row) for row in table.rows]
 
 
 @dataclass
@@ -122,7 +115,8 @@ def run_episodes(spec):
     Episode e draws U0 from a stream keyed by (seed, e) and seeds the
     controller with e, so arms sharing a spec seed see identical nominal
     trajectories.  Model checkpoints are only loaded when the filter is on.
-    A diverged simulation counts as infeasible with reward -inf.
+    Only an input the filter changed is replayed.  A diverged simulation
+    counts as infeasible with reward -inf.
     """
     op = bar = None
     if spec.filter_on:
@@ -133,12 +127,12 @@ def run_episodes(spec):
         rng = np.random.default_rng(subseed(spec.seed, e))
         U0 = float(rng.uniform(lo, hi))
         try:
-            nominal = rollout(spec.env, spec.controller, U0, episode_seed=e)
-            U_final = nominal.U
+            played = rollout(spec.env, spec.controller, U0, episode_seed=e)
             if spec.filter_on:
-                U_final = filter_trajectory(op, bar, nominal.U,
-                                            spec.filter).U_safe
-            played = rollout(spec.env, FromFile(U_final), U_final[0])
+                U_safe = filter_trajectory(op, bar, played.U,
+                                           spec.filter).U_safe
+                if U_safe.tobytes() != played.U.tobytes():
+                    played = rollout(spec.env, FromFile(U_safe), U_safe[0])
             reward = stabilization_reward(played.states)
             steps = feasible_steps(label_safety(played.Y, spec.safe_set))
         except SimulationDivergedError:

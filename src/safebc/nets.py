@@ -140,9 +140,10 @@ class Mlp:
     def backprop(self, x, upstream):
         """Reverse pass for the scalar sum_b upstream[b] . f(x[b]).
 
-        Returns (grads, dx): grads in params() order summed over the batch,
-        dx = d/dx with the same leading shape as x. With a one-hot upstream,
-        dx holds that output's row of the input Jacobian.
+        Returns (grads, dx, out): grads in params() order summed over the
+        batch, dx = d/dx with the same leading shape as x, and out = f(x) from
+        the same forward pass. With a one-hot upstream, dx holds that
+        output's row of the input Jacobian.
         """
         inputs, _, masks, squeeze = self._trace(x)
         # final layer is linear: dL/dz = upstream
@@ -155,7 +156,8 @@ class Mlp:
             delta = delta @ self.weights[k]
             if k > 0 and masks[k - 1] is not None:
                 delta = delta * masks[k - 1]
-        return grads, (delta[0] if squeeze else delta)
+        out = inputs[-1]
+        return (grads, delta[0], out[0]) if squeeze else (grads, delta, out)
 
     def directional_derivative(self, x, d):
         """J(x) . d via a tangent pass with the activation pattern frozen at x."""

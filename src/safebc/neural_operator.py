@@ -323,7 +323,7 @@ class BoundaryOperator:
         pairs = self._pair_inputs()
 
         vL = cache.vs[-1].reshape(-1, self.d_v)
-        q_grads, dvL = self.Q.backprop(vL, dY.reshape(-1, 1))
+        q_grads, dvL, _ = self.Q.backprop(vL, dY.reshape(-1, 1))
         dv = dvL.reshape(B, n, self.d_v)
 
         layer_grads = []
@@ -338,19 +338,19 @@ class BoundaryOperator:
                 dz = dv
             dW = dz.reshape(-1, layer.dim_out).T @ v_in.reshape(-1, layer.dim_in)
             db_rows = dz.sum(axis=0)
-            b_grads, _ = layer.b.backprop(t[:, None], db_rows)
+            b_grads, _, _ = layer.b.backprop(t[:, None], db_rows)
             vw = v_in * w[None, :, None]
             dK2 = dz.reshape(B, -1).T @ vw.reshape(B, -1)
             dK = dK2.reshape(n, layer.dim_out, n, layer.dim_in)
             up_kappa = dK.transpose(0, 2, 1, 3).reshape(n * n, -1)
-            kappa_grads, _ = layer.kappa.backprop(pairs, up_kappa)
+            kappa_grads, _, _ = layer.kappa.backprop(pairs, up_kappa)
             dv = dz @ layer.W
             dv += (dz.reshape(B, -1) @ K2).reshape(B, n, layer.dim_in) \
                 * w[None, :, None]
             layer_grads.append([dW] + kappa_grads + b_grads)
 
         v0_up = dv.reshape(-1, self.d_v)
-        p_grads, _ = self.P.backprop(cache.U.reshape(-1, 1), v0_up)
+        p_grads, _, _ = self.P.backprop(cache.U.reshape(-1, 1), v0_up)
 
         grads = list(p_grads)
         for lg in reversed(layer_grads):

@@ -23,7 +23,6 @@ states bitwise.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
@@ -31,11 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .checkpoint import fmt
-
-
-class ConfigurationError(ValueError):
-    """Raised for invalid simulator or controller configuration."""
+from .checkpoint import (ConfigurationError, DatasetFormatError, read_table,
+                         write_table)
 
 
 class SimulationDivergedError(RuntimeError):
@@ -412,46 +408,27 @@ def stabilization_reward(states):
 
 def write_states_csv(path, states, grid):
     """State-snapshot CSV: header step,t,x,u; one row per (step, spatial point)."""
-    dt = grid.dt
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "x", "u"])
-        for m, s in enumerate(states):
-            values = s.values if isinstance(s, PdeState1D) else np.asarray(s, float)
-            dx = 1.0 / (values.size - 1)
-            t = fmt(m * dt)
-            for i, v in enumerate(values):
-                writer.writerow([m, t, fmt(i * dx), fmt(v)])
+    rows = []
+    for m, s in enumerate(states):
+        values = s.values if isinstance(s, PdeState1D) else np.asarray(s, float)
+        dx = 1.0 / (values.size - 1)
+        rows.extend((m, m * grid.dt, i * dx, v) for i, v in enumerate(values))
+    write_table(path, ("step", "t", "x", "u"), rows)
 
 
 def write_trajectory_csv(path, U, grid, Y=None):
     """Boundary trajectory CSV: step,t,U[,Y]."""
     U = np.asarray(U, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["step", "t", "U"] + (["Y"] if Y is not None else [])
-        writer.writerow(header)
-        for m in range(U.size):
-            row = [m, fmt(m * grid.dt), fmt(U[m])]
-            if Y is not None:
-                row.append(fmt(Y[m]))
-            writer.writerow(row)
+    columns = ("step", "t", "U") + (("Y",) if Y is not None else ())
+    write_table(path, columns,
+                ((m, m * grid.dt, U[m]) + ((Y[m],) if Y is not None else ())
+                 for m in range(U.size)))
 
 
 def read_trajectory_csv(path):
     """Read back the U column of a boundary trajectory CSV."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "U" not in header:
-            raise ConfigurationError(f"{path}: missing U column")
-        u_col = header.index("U")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out.append(float(row[u_col]))
-            except (ValueError, IndexError) as exc:
-                raise ConfigurationError(f"{path}:{lineno}: bad row") from exc
-    return np.asarray(out, dtype=np.float64)
+    table = read_table(path)
+    if "U" not in table.columns:
+        raise DatasetFormatError(path, "missing U column")
+    u_col = table.columns.index("U")
+    return np.array([row[u_col] for row in table.rows], dtype=np.float64)

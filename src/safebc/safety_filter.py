@@ -16,12 +16,13 @@ Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .barrier import FeasibilityConstants
-from .checkpoint import fmt
+from .checkpoint import write_table
 
 
 class FilterInfeasibleError(RuntimeError):
@@ -71,15 +72,9 @@ class FilterReport:
     Y_predicted: np.ndarray
 
     def write_csv(self, path):
-        lines = ["step,udot_nom,udot_qp,accepted,active,infeasible"]
-        for r in self.records:
-            lines.append(",".join([
-                str(r.step), fmt(r.du_nom), fmt(r.du_qp),
-                str(int(r.accepted)), str(int(r.active)),
-                str(int(r.infeasible)),
-            ]))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        """One row per step, columns as the StepRecord fields."""
+        write_table(path, [f.name for f in fields(StepRecord)],
+                    map(astuple, self.records))
 
     @property
     def n_modified(self):
@@ -95,14 +90,20 @@ def qp_filter_step(dphi_dt, dphi_dY, phi, phi0, decomp, constants,
     step under consideration.  Returns the projected rate plus flags; when
     the constraint cannot be satisfied (a == 0, c > 0) the nominal rate is
     returned with the infeasible flag set and the caller applies its policy.
+    A boundary -c/a that is not finite (a subnormal, or non-finite inputs)
+    counts as unsatisfiable too, so the returned rate is always the nominal
+    one or finite.
     """
     Lambda, mu = decomp
-    a = dphi_dY * Lambda
-    c = dphi_dY * mu + dphi_dt + constants.alpha * phi + constants.C * phi0
+    # Python floats: the division below overflows to inf without a warning
+    a = float(dphi_dY * Lambda)
+    c = float(dphi_dY * mu + dphi_dt + constants.alpha * phi
+              + constants.C * phi0)
     if a * u_dot_nominal + c <= 0.0:
         return QpStep(float(u_dot_nominal), False, False)
-    if a != 0.0:
-        return QpStep(float(-c / a), True, False)
+    u_dot_safe = -c / a if a != 0.0 else math.inf
+    if math.isfinite(u_dot_safe):
+        return QpStep(u_dot_safe, True, False)
     return QpStep(float(u_dot_nominal), True, True)
 
 
@@ -123,10 +124,11 @@ def rate_to_trajectory(values, U0, dt=None):
 def filter_trajectory(operator, bcbf, U_nominal, config):
     """Filter a whole nominal input trajectory through the barrier QP.
 
-    Walks steps m = 1..M.  Each step evaluates the barrier at the current
-    predicted output, solves the scalar QP for the step's rate, accepts the
-    result only if |dU_qp - dU_nominal| <= eta, rebuilds the input prefix,
-    and re-predicts the output trajectory.  Prediction is only recomputed
+    Walks steps m = 1..M.  Each step evaluates the barrier and its partials
+    at the current predicted output in one network pass, solves the scalar
+    QP for the step's rate, accepts the result only if
+    |dU_qp - dU_nominal| <= eta, rebuilds the input prefix, and re-predicts
+    the output trajectory.  Prediction is only recomputed
     after a step actually changed, which leaves accepted-nothing runs
     (eta = 0 in particular) bitwise equal to the nominal input.
     """
@@ -154,8 +156,7 @@ def filter_trajectory(operator, bcbf, U_nominal, config):
             Y_pred, cache = operator.forward(U_safe)
             Lambda, mu = operator.decomposition(cache)
             stale = False
-        phi = float(bcbf.value(times[m], Y_pred[m]))
-        dphi_dt, dphi_dY = bcbf.partials(times[m], Y_pred[m])
+        phi, dphi_dt, dphi_dY = bcbf.partials(times[m], Y_pred[m])
         step = qp_filter_step(dphi_dt, dphi_dY, phi, phi0,
                               (Lambda[m], mu[m]), config.constants,
                               du_nom[m - 1] / dt)

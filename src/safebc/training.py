@@ -19,7 +19,7 @@ import numpy as np
 
 from .barrier import (BarrierFunction, loss_decrease_condition, loss_safe_set,
                       loss_sublevel_margin)
-from .checkpoint import fmt
+from .checkpoint import fmt, read_table, write_table
 from .nets import Adam, subseed
 from .neural_operator import BoundaryOperator, u_dot_forward
 from .trajectories import balance_near_zero, split, suffix_safe_mask
@@ -91,41 +91,24 @@ class TrainHistory:
         self.rows.append(row)
 
     def save(self, path):
-        lines = []
+        comments = []
         if self.weights:
-            pairs = " ".join(f"{k}={fmt(v)}"
-                             for k, v in sorted(self.weights.items()))
-            lines.append(f"# {pairs}")
-        lines.append(",".join(HISTORY_COLUMNS))
-        for row in self.rows:
-            parts = [str(int(row["epoch"]))]
-            parts += [fmt(row[k]) for k in HISTORY_COLUMNS[1:]]
-            lines.append(",".join(parts))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            comments.append(" ".join(f"{k}={fmt(v)}"
+                                     for k, v in sorted(self.weights.items())))
+        write_table(path, HISTORY_COLUMNS,
+                    ([row[k] for k in HISTORY_COLUMNS] for row in self.rows),
+                    comments)
 
     @staticmethod
     def read(path):
-        hist = TrainHistory()
-        with open(path) as fh:
-            header = None
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for item in line[1:].split():
-                        key, _, val = item.partition("=")
-                        hist.weights[key] = float(val)
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    continue
-                row = dict(zip(header, line.split(",")))
-                hist.rows.append({
-                    "epoch": int(row["epoch"]),
-                    **{k: float(row[k]) for k in HISTORY_COLUMNS[1:]},
-                })
+        table = read_table(path, HISTORY_COLUMNS,
+                           (int,) + (float,) * (len(HISTORY_COLUMNS) - 1))
+        hist = TrainHistory([dict(zip(HISTORY_COLUMNS, row))
+                             for row in table.rows])
+        for comment in table.comments:
+            for item in comment.split():
+                key, _, val = item.partition("=")
+                hist.weights[key] = float(val)
         return hist
 
 

@@ -1,33 +1,28 @@
 """Trajectory dataset collection, safety labeling, balancing, splitting, and
-CSV serialization.
+serialization.
 
 A dataset is a list of labeled boundary input/output trajectory pairs sharing
-one time grid. Serialization is decimal text at 17 significant digits, so a
-write/read round trip is value-exact.
+one time grid. On disk it is a table (see `checkpoint`) with columns
+traj_id,step,t,U,Y,safe, preceded by one '# key=value' comment per metadata
+entry and the grid_T / grid_M comments that fix the time grid. A write/read
+round trip is value-exact.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import fmt
+from .checkpoint import DatasetFormatError, fmt, read_table, write_table
 from .nets import subseed
-from .pde_sim import ConfigurationError, SimulationDivergedError, TimeGrid, rollout
+from .pde_sim import SimulationDivergedError, TimeGrid, rollout
+
+DATASET_COLUMNS = ("traj_id", "step", "t", "U", "Y", "safe")
 
 
 class CollectionError(RuntimeError):
     """Raised when too many rollouts diverge during collection."""
-
-
-class DatasetFormatError(ValueError):
-    """Raised for malformed dataset files; carries the line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -209,81 +204,45 @@ def split(dataset, train_fraction, seed=0):
 
 
 def write_dataset(path, dataset):
-    """Dataset CSV: '#'-prefixed metadata, then traj_id,step,t,U,Y,safe rows."""
-    with open(path, "w", newline="") as fh:
-        for key, value in dataset.meta.items():
-            fh.write(f"# {key}={value}\n")
-        if dataset.grid is not None:
-            fh.write(f"# grid_T={fmt(dataset.grid.T)}\n")
-            fh.write(f"# grid_M={dataset.grid.M}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["traj_id", "step", "t", "U", "Y", "safe"])
-        if dataset.grid is None:
-            return
+    """Dataset table: '# key=value' metadata and grid comments, then one
+    traj_id,step,t,U,Y,safe row per step of every trajectory."""
+    comments = [f"{key}={value}" for key, value in dataset.meta.items()]
+    rows = []
+    if dataset.grid is not None:
+        comments += [f"grid_T={fmt(dataset.grid.T)}",
+                     f"grid_M={dataset.grid.M}"]
         dt = dataset.grid.dt
-        for traj_id, pair in enumerate(dataset.pairs):
-            for m in range(pair.U.size):
-                writer.writerow([traj_id, m, fmt(m * dt), fmt(pair.U[m]),
-                                 fmt(pair.Y[m]), int(pair.safe[m])])
+        rows = ((traj_id, m, m * dt, pair.U[m], pair.Y[m], pair.safe[m])
+                for traj_id, pair in enumerate(dataset.pairs)
+                for m in range(pair.U.size))
+    write_table(path, DATASET_COLUMNS, rows, comments)
 
 
 def read_dataset(path):
-    """Read a dataset CSV back; value-exact for finite inputs."""
+    """Read a dataset table back; value-exact for finite inputs."""
+    table = read_table(path, DATASET_COLUMNS,
+                       (int, int, float, float, float, int))
     meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        lineno = 0
-        header_seen = False
-        for raw in fh:
-            lineno += 1
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value
-                continue
-            parts = next(csv.reader([line]))
-            if not header_seen:
-                if parts != ["traj_id", "step", "t", "U", "Y", "safe"]:
-                    raise DatasetFormatError(f"bad header {parts}", lineno)
-                header_seen = True
-                continue
-            try:
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
-                             float(parts[3]), float(parts[4]), int(parts[5])))
-            except (ValueError, IndexError):
-                raise DatasetFormatError(f"bad row {line!r}", lineno) from None
-        if not header_seen:
-            raise DatasetFormatError("missing header", lineno)
-
+    for comment in table.comments:
+        key, sep, value = comment.partition("=")
+        if sep:
+            meta[key.strip()] = value
     grid = None
     if "grid_T" in meta and "grid_M" in meta:
         grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
+    elif table.rows:
+        raise DatasetFormatError(path, "rows without grid_T/grid_M comments")
+    by_traj = {}
+    for traj_id, step, _, U, Y, safe in table.rows:
+        by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
     pairs = []
-    if rows:
-        by_traj = {}
-        for traj_id, step, t, U, Y, safe in rows:
-            by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
-        if grid is None:
-            # fall back to inferring the grid from the step/t columns
-            M = max(r[1] for r in rows)
-            T = max(r[2] for r in rows)
-            if M >= 2 and T > 0:
-                grid = TimeGrid(T, M)
-        for traj_id in sorted(by_traj):
-            entries = sorted(by_traj[traj_id])
-            steps = [e[0] for e in entries]
-            if grid is not None and steps != list(range(grid.M + 1)):
-                raise DatasetFormatError(
-                    f"trajectory {traj_id} has steps {steps[:3]}..., "
-                    f"expected 0..{grid.M}")
-            U = np.array([e[1] for e in entries])
-            Y = np.array([e[2] for e in entries])
-            safe = np.array([bool(e[3]) for e in entries])
-            pairs.append(LabeledTrajectoryPair(U, Y, U[0], safe))
+    for traj_id in sorted(by_traj):
+        steps, U, Y, safe = map(np.array, zip(*sorted(by_traj[traj_id])))
+        if not np.array_equal(steps, np.arange(grid.M + 1)):
+            raise DatasetFormatError(
+                path, f"trajectory {traj_id} has steps {steps[:3]}..., "
+                f"expected 0..{grid.M}")
+        pairs.append(LabeledTrajectoryPair(U, Y, U[0], safe))
     return Dataset(grid, pairs, meta)
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from safebc import evaluation
 from safebc.barrier import BarrierFunction
 from safebc.evaluation import (ExperimentSpec, evaluate, feasible_steps,
                                metrics_from_records, read_episode_csv,
@@ -48,6 +49,21 @@ def test_filter_off_scores_the_closed_loop_run_bitwise(spec):
         assert r.reward == stabilization_reward(closed.states)
         assert r.feasible_steps == (
             feasible_steps(label_safety(closed.Y, spec.safe_set)) or 0)
+
+
+@pytest.mark.parametrize("filter_on, eta", [(False, 1e9), (True, 0.0)])
+def test_unchanged_input_is_scored_without_a_replay(spec, monkeypatch,
+                                                    filter_on, eta):
+    calls = []
+
+    def counting_rollout(*args, **kwargs):
+        calls.append(args)
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "rollout", counting_rollout)
+    run_episodes(dataclasses.replace(spec, filter_on=filter_on,
+                                     filter=FilterConfig(eta=eta)))
+    assert len(calls) == spec.episodes
 
 
 def test_filter_off_metrics_equal_zero_threshold_metrics(spec):

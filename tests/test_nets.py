@@ -87,7 +87,7 @@ class TestInputJacobian:
         mlp = Mlp([2, 1], activations=("linear",), seed=0)
         mlp.weights[0][...] = [[3.0, 2.0]]
         mlp.biases[0][...] = [0.0]
-        _, dx = mlp.backprop([0.5, 0.5], [1.0])
+        _, dx, _ = mlp.backprop([0.5, 0.5], [1.0])
         assert np.array_equal(dx, [3.0, 2.0])
 
     def test_zero_weights_give_zero_jacobian(self):
@@ -113,10 +113,10 @@ class TestInputJacobian:
     def test_batched_jacobian_matches_per_sample(self):
         mlp = Mlp([2, 8, 1], seed=9)
         xs = np.random.default_rng(5).normal(size=(6, 2))
-        _, dx = mlp.backprop(xs, np.ones((6, 1)))
+        _, dx, _ = mlp.backprop(xs, np.ones((6, 1)))
         assert dx.shape == (6, 2)
         for k, x in enumerate(xs):
-            _, row = mlp.backprop(x, [1.0])
+            _, row, _ = mlp.backprop(x, [1.0])
             # BLAS may reorder the inner sums between the two shapes
             assert np.allclose(dx[k], row, rtol=1e-14, atol=1e-15)
 
@@ -124,7 +124,7 @@ class TestInputJacobian:
 class TestParamGradients:
     def test_zero_upstream_gives_zero_gradients(self):
         mlp = Mlp([2, 4, 1], seed=0)
-        grads, dx = mlp.backprop([0.3, 0.4], [0.0])
+        grads, dx, _ = mlp.backprop([0.3, 0.4], [0.0])
         assert all(np.all(g == 0.0) for g in grads)
         assert np.array_equal(dx, [0.0, 0.0])
 
@@ -132,7 +132,7 @@ class TestParamGradients:
         mlp = Mlp([1, 1], activations=("linear",), seed=0)
         mlp.weights[0][...] = [[2.0]]
         mlp.biases[0][...] = [0.5]
-        grads, dx = mlp.backprop([1.0], [1.0])
+        grads, dx, _ = mlp.backprop([1.0], [1.0])
         assert np.array_equal(grads[0], [[1.0]])
         assert np.array_equal(grads[1], [1.0])
         assert np.array_equal(dx, [2.0])
@@ -147,7 +147,7 @@ class TestParamGradients:
         def loss():
             return float(np.sum(up * mlp.forward(x)))
 
-        grads, _ = mlp.backprop(x, up)
+        grads, _, _ = mlp.backprop(x, up)
         h = 1e-6
         params = mlp.params()
         for _ in range(5):

@@ -1,5 +1,7 @@
 """Tests for the scalar QP step and the trajectory-level safety filter."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,10 +15,7 @@ from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
 
 GRID = TimeGrid(5.0, 20)
 CONSTANTS = FeasibilityConstants(alpha=1e-5, T=5.0)
-# magnitudes below 1e-6 (other than 0) are left out: a product of two of
-# them can be subnormal, and -c/a then overflows
-finite = st.floats(min_value=-1e3, max_value=1e3).filter(
-    lambda v: v == 0.0 or abs(v) > 1e-6)
+finite = st.floats(min_value=-1e3, max_value=1e3)
 
 
 def nominal(seed):
@@ -49,6 +48,15 @@ class TestQpStep:
         step = qp_filter_step(1.0, 0.0, 0.0, 0.0, (2.0, 0.0), CONSTANTS, 3.0)
         assert step.constraint_active and step.infeasible
         assert step.u_dot_safe == 3.0
+
+    def test_subnormal_gain_is_infeasible_not_infinite(self):
+        # a = 1e-160 * 1e-160 is subnormal, and -c/a = -1/a overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = qp_filter_step(1.0, 1e-160, 0.0, 0.0,
+                                  (np.float64(1e-160), 0.0), CONSTANTS, 0.0)
+        assert step.constraint_active and step.infeasible
+        assert step.u_dot_safe == 0.0
 
     def test_satisfied_constraint_keeps_the_nominal_rate(self):
         step = qp_filter_step(-1.0, 1.0, 0.0, 0.0, (1.0, 0.0), CONSTANTS, 0.5)
