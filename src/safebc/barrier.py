@@ -8,10 +8,13 @@ condition enforced along trajectories is
     dphi_dY * dY/dt + dphi_dt + alpha * phi + C * phi(0, Y_0) <= 0
 
 where C = alpha / (e^{alpha T} - 1) for finite-horizon convergence and C = 0
-for the asymptotic variant.  A trajectory of residuals satisfying the
-condition at every step drives phi below zero by the horizon; the
-`decrease_condition_oracle` checks that implication on explicit sequences.
+for the asymptotic variant.  A trajectory satisfying the condition at every
+time drives phi to zero or below by the horizon; the
+`decrease_condition_oracle` checks the discrete form of that implication on
+explicit sequences, where it holds only for some of them.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,18 +32,19 @@ def finite_time_constant(alpha, T, asymptotic=False):
     return alpha / np.expm1(alpha * T)
 
 
+@dataclass(frozen=True)
 class FeasibilityConstants:
-    """Bundle of (alpha, T, C) fixing the decrease condition."""
+    """Bundle of (alpha, T, C) fixing the decrease condition; C follows
+    from the other fields."""
 
-    def __init__(self, alpha=1e-5, T=5.0, asymptotic=False):
-        self.alpha = float(alpha)
-        self.T = float(T)
-        self.asymptotic = bool(asymptotic)
-        self.C = finite_time_constant(self.alpha, self.T, self.asymptotic)
+    alpha: float = 1e-5
+    T: float = 5.0
+    asymptotic: bool = False
+    C: float = field(init=False, repr=False)
 
-    def __repr__(self):
-        return ("FeasibilityConstants(alpha=%g, T=%g, asymptotic=%s)"
-                % (self.alpha, self.T, self.asymptotic))
+    def __post_init__(self):
+        object.__setattr__(self, "C", finite_time_constant(
+            self.alpha, self.T, self.asymptotic))
 
 
 class BarrierFunction:
@@ -218,8 +222,18 @@ def decrease_condition_oracle(psi, dt, constants, premise_tol=0.0,
     psi[m] is the barrier value along a trajectory at times m*dt.  The premise
     is the discrete residual (psi[m+1] - psi[m])/dt + alpha*psi[m] +
     C*psi[0] <= premise_tol at every step.  When the premise holds, the
-    auxiliary function g(t) = e^{alpha t} psi(t) + (C/alpha) e^{alpha t}
-    psi(0) must be non-increasing (within slack) and psi must end negative.
+    checks are that the auxiliary function g(t) = e^{alpha t} psi(t) +
+    (C/alpha) e^{alpha t} psi(0) is non-increasing (within slack) and that
+    psi ends negative.
+
+    The premise is a forward-Euler step of the continuous condition, so it
+    does not imply the checks for every sequence.  For alpha*dt < 1, C > 0
+    and premise_tol = 0 it bounds psi[M] by psi[0] * ((1 + C/alpha) q -
+    C/alpha) with q = (1 - alpha*dt)^M, and q < e^{-alpha T} makes that
+    factor negative.  For psi[0] > 0 the bound is negative; for psi[0] < 0
+    it is positive, and psi can end positive: alpha=0.5, T=5, M=5,
+    psi[0]=-10 with every residual -0.01 ends at psi[M] = +0.53.  When
+    alpha*dt is small the bound is close to 0.
 
     Returns a dict with fields premise_holds, g_nonincreasing, final_negative.
     """

@@ -3,29 +3,28 @@
 Subcommands cover the full workflow: simulate a plant, collect a labeled
 dataset, fit the operator and the barrier, filter a nominal input
 trajectory, and evaluate or sweep the closed-loop safety metrics.
-Structured configuration is plain JSON whose keys mirror the dataclasses;
-every run's randomness hangs off one --seed flag.
+Structured configuration is plain JSON whose keys are the field names of
+the config dataclasses (see `load_config`); every run's randomness hangs off
+one --seed flag.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, is_dataclass, replace
 
 from .barrier import BarrierFunction, FeasibilityConstants
 from .checkpoint import DatasetFormatError, read_table, write_table
 from .evaluation import (ExperimentSpec, Metrics, evaluate, report,
                          threshold_sweep)
 from .neural_operator import BoundaryOperator
-from .pde_sim import (ConfigurationError, Constant, FromFile,
-                      HyperbolicConfig, ParabolicConfig, Proportional,
-                      SmoothRandom, TimeGrid, read_trajectory_csv, rollout,
-                      write_states_csv, write_trajectory_csv)
-from .safety_filter import FilterConfig, filter_trajectory
+from .pde_sim import (ENVIRONMENTS, ConfigurationError, Constant, FromFile,
+                      Proportional, SmoothRandom, read_trajectory_csv,
+                      rollout, write_states_csv, write_trajectory_csv)
+from .safety_filter import INFEASIBLE_POLICIES, FilterConfig, filter_trajectory
 from .trajectories import (collect_dataset, parse_safe_set, read_dataset,
                            write_dataset)
-from .training import (BarrierSchedule, OperatorSchedule, TrainConfig,
-                       train_bcbf, train_joint, train_operator)
+from .training import TrainConfig, train_bcbf, train_joint, train_operator
 
 METRICS_COLUMNS = tuple(f.name for f in fields(Metrics))
 
@@ -69,70 +68,70 @@ def parse_controller(text):
     raise ConfigurationError(f"unknown controller {text!r}")
 
 
-def build_env(name, grid_T=None, grid_M=None, **overrides):
-    """Environment config by name with optional field overrides."""
-    if name == "hyperbolic":
-        cls, default_grid = HyperbolicConfig, TimeGrid(5.0, 50)
-        allowed = ("beta", "n_points", "substeps")
-    elif name == "parabolic":
-        cls, default_grid = ParabolicConfig, TimeGrid(1.0, 1000)
-        allowed = ("eps", "lam", "n_points", "x_out")
-    else:
-        raise ConfigurationError(f"unknown environment {name!r}")
-    bad = set(overrides) - set(allowed)
-    if bad:
-        raise ConfigurationError(f"unknown {name} fields {sorted(bad)}")
-    grid = TimeGrid(default_grid.T if grid_T is None else float(grid_T),
-                    default_grid.M if grid_M is None else int(grid_M))
-    return cls(grid=grid, **overrides)
+def load_config(base, values, path=""):
+    """The config dataclass instance base with the values of a JSON object.
+
+    Each key must name a field of base; any other key raises
+    ConfigurationError naming its path (e.g. 'filter.constants.alhpa').
+    A nested config loads from its own object, starting from its value in
+    base, so keys left out keep their values in base.  A value whose field
+    holds a bool, int, float or tuple in base is converted to that type.
+    """
+    if not isinstance(values, dict):
+        raise ConfigurationError(
+            f"{path or 'config'}: expected a JSON object, got {values!r}")
+    names = {f.name for f in fields(base) if f.init}
+    changes = {}
+    for key, value in values.items():
+        where = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ConfigurationError(f"unknown key {where!r}")
+        current = getattr(base, key)
+        if is_dataclass(current):
+            value = load_config(current, value, where)
+        elif isinstance(current, (bool, int, float, tuple)):
+            try:
+                value = type(current)(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{where}: {exc}") from exc
+        changes[key] = value
+    return replace(base, **changes)
 
 
-def env_from_dict(d):
-    d = dict(d)
-    name = d.pop("name")
-    grid = d.pop("grid", {})
-    return build_env(name, grid_T=grid.get("T"), grid_M=grid.get("M"), **d)
+def load_env(values, path="env"):
+    """Environment config from {"name": ..., <fields of its class>}."""
+    values = dict(values)
+    name = values.pop("name", None)
+    if name not in ENVIRONMENTS:
+        raise ConfigurationError(f"{path}.name: unknown environment {name!r}")
+    return load_config(ENVIRONMENTS[name](), values, path)
 
 
-def constants_from_dict(d):
-    return FeasibilityConstants(alpha=d.get("alpha", 1e-5),
-                                T=d.get("T", 5.0),
-                                asymptotic=d.get("asymptotic", False))
+def load_experiment(values, seed=None):
+    """ExperimentSpec from a JSON spec; seed, when given, overrides its seed.
+
+    env, controller and safe_set are required: env as for `load_env`, the
+    other two as strings for `parse_controller` and `parse_safe_set`.
+    """
+    values = dict(values)
+    missing = [k for k in ("env", "controller", "safe_set") if k not in values]
+    if missing:
+        raise ConfigurationError(f"experiment spec misses keys {missing}")
+    env = load_env(values.pop("env"))
+    controller = parse_controller(values.pop("controller"))
+    safe_set = parse_safe_set(values.pop("safe_set"))
+    spec = load_config(ExperimentSpec(env, controller, safe_set), values)
+    return spec if seed is None else replace(spec, seed=seed)
 
 
-def filter_config_from_dict(d):
-    return FilterConfig(constants=constants_from_dict(d.get("constants", {})),
-                        eta=d.get("eta", 2.0),
-                        infeasible_policy=d.get("infeasible_policy",
-                                                "fallback-nominal"))
-
-
-def train_config_from_dict(d):
-    op = OperatorSchedule(**d.get("operator", {}))
-    bf = BarrierSchedule(**d.get("bcbf", {}))
-    kwargs = {k: v for k, v in d.items()
-              if k not in ("operator", "bcbf", "constants")}
-    if "balance_band" in kwargs:
-        kwargs["balance_band"] = tuple(kwargs["balance_band"])
-    return TrainConfig(operator=op, bcbf=bf, **kwargs)
-
-
-def experiment_from_dict(d, seed=None):
-    spec = ExperimentSpec(
-        env=env_from_dict(d["env"]),
-        controller=parse_controller(d["controller"]),
-        safe_set=parse_safe_set(d["safe_set"]),
-        filter_on=bool(d.get("filter_on", False)),
-        filter=filter_config_from_dict(d.get("filter", {})),
-        operator_path=d.get("operator_path"),
-        bcbf_path=d.get("bcbf_path"),
-        episodes=int(d.get("episodes", 100)),
-        U0_range=tuple(d.get("U0_range", (1.0, 10.0))),
-        seed=int(d.get("seed", 0)),
-    )
-    if seed is not None:
-        spec.seed = int(seed)
-    return spec
+def load_train_config(values):
+    """(TrainConfig, FeasibilityConstants) from a JSON train config.  The
+    constants come from its "constants" object; every other key belongs to
+    TrainConfig."""
+    values = dict(values)
+    constants = load_config(FeasibilityConstants(),
+                            values.pop("constants", {}), "constants")
+    return load_config(TrainConfig(), values), constants
 
 
 def _load_json(path):
@@ -154,9 +153,17 @@ def read_metrics_csv(path):
 # -- subcommand bodies -----------------------------------------------------
 
 
+def _given(**values):
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _env_from_flags(args):
+    return load_env(dict(_given(name=args.env, beta=args.beta),
+                         grid=_given(T=args.grid_T, M=args.grid_M)))
+
+
 def _cmd_simulate(args):
-    env = build_env(args.env, grid_T=args.grid_T, grid_M=args.grid_M,
-                    **({"beta": args.beta} if args.beta is not None else {}))
+    env = _env_from_flags(args)
     controller = parse_controller(args.controller)
     result = rollout(env, controller, args.U0, episode_seed=args.seed)
     write_states_csv(args.out, result.states, env.grid)
@@ -167,8 +174,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_collect(args):
-    env = build_env(args.env, grid_T=args.grid_T, grid_M=args.grid_M,
-                    **({"beta": args.beta} if args.beta is not None else {}))
+    env = _env_from_flags(args)
     controllers = [parse_controller(c) for c in args.controller]
     ds = collect_dataset(env, controllers, args.episodes,
                          (args.u0_min, args.u0_max),
@@ -178,8 +184,8 @@ def _cmd_collect(args):
 
 
 def _cmd_train_operator(args):
-    cfg = train_config_from_dict(_load_json(args.config) if args.config
-                                 else {})
+    cfg, _ = load_train_config(_load_json(args.config) if args.config
+                               else {})
     ds = read_dataset(args.dataset)
     op, history = train_operator(ds, cfg, seed=args.seed)
     op.save(args.out)
@@ -191,11 +197,16 @@ def _cmd_train_operator(args):
 
 
 def _cmd_train_bcbf(args):
-    raw = _load_json(args.config) if args.config else {}
-    cfg = train_config_from_dict(raw)
-    constants = constants_from_dict(raw.get("constants", {}))
+    cfg, constants = load_train_config(_load_json(args.config)
+                                       if args.config else {})
+    joint = cfg.mode == "joint"
+    if joint and args.operator:
+        raise ConfigurationError(
+            "--operator is for two-phase mode; joint mode trains its own")
+    if not joint and args.operator_out:
+        raise ConfigurationError("--operator-out is for joint mode")
     ds = read_dataset(args.dataset)
-    if cfg.mode == "joint":
+    if joint:
         op, bar, history = train_joint(ds, constants, cfg, seed=args.seed)
         if args.operator_out:
             op.save(args.operator_out)
@@ -227,7 +238,7 @@ def _cmd_filter(args):
 
 
 def _cmd_evaluate(args):
-    spec = experiment_from_dict(_load_json(args.spec), seed=args.seed)
+    spec = load_experiment(_load_json(args.spec), seed=args.seed)
     metrics = evaluate(spec, episodes_csv=args.episodes_out)
     write_metrics_csv(args.out, metrics)
     print(report([(args.name, metrics)]))
@@ -249,7 +260,7 @@ def _cmd_report(args):
 
 
 def _cmd_sweep(args):
-    spec = experiment_from_dict(_load_json(args.spec), seed=args.seed)
+    spec = load_experiment(_load_json(args.spec), seed=args.seed)
     etas = [float(x) for x in args.etas.split(",")]
     results = threshold_sweep(spec, etas)
     write_table(args.out, ("eta",) + METRICS_COLUMNS,
@@ -258,8 +269,7 @@ def _cmd_sweep(args):
 
 
 def _add_env_flags(p):
-    p.add_argument("--env", default="hyperbolic",
-                   choices=["hyperbolic", "parabolic"])
+    p.add_argument("--env", default="hyperbolic", choices=list(ENVIRONMENTS))
     p.add_argument("--beta", type=float, default=None,
                    help="hyperbolic recirculation gain")
     p.add_argument("--grid-T", type=float, default=None, dest="grid_T")
@@ -320,12 +330,13 @@ def build_parser():
     p.add_argument("--bcbf", required=True)
     p.add_argument("--nominal", required=True,
                    help="nominal boundary trajectory CSV")
-    p.add_argument("--eta", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=1e-5)
-    p.add_argument("--T", type=float, default=5.0)
+    defaults = FilterConfig()
+    p.add_argument("--eta", type=float, default=defaults.eta)
+    p.add_argument("--alpha", type=float, default=defaults.constants.alpha)
+    p.add_argument("--T", type=float, default=defaults.constants.T)
     p.add_argument("--asymptotic", action="store_true")
-    p.add_argument("--policy", default="fallback-nominal",
-                   choices=["fallback-nominal", "abort"])
+    p.add_argument("--policy", default=defaults.infeasible_policy,
+                   choices=INFEASIBLE_POLICIES)
     p.add_argument("--out", required=True, help="filtered trajectory CSV")
     p.add_argument("--report", default=None, help="per-step report CSV")
     p.set_defaults(func=_cmd_filter)

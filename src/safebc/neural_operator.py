@@ -278,26 +278,13 @@ class BoundaryOperator:
 
     # -- training loss -----------------------------------------------------
 
-    def loss_and_grads(self, UU, YY, l2=0.0, sample_mask=None):
-        """Mean squared trajectory error with l2 weight penalty.
-
-        sample_mask, when given, selects which (trajectory, step) entries
-        contribute to the data term; the mean is over selected entries.
-        """
+    def loss_and_grads(self, UU, YY, l2=0.0):
+        """Mean squared trajectory error with l2 weight penalty."""
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         YY = np.atleast_2d(np.asarray(YY, dtype=float))
         Yhat, cache = self.forward_batch(UU)
         diff = Yhat - YY
-        if sample_mask is None:
-            n_eff = diff.size
-            masked = diff
-        else:
-            sample_mask = np.atleast_2d(sample_mask).astype(float)
-            masked = diff * sample_mask
-            n_eff = int(sample_mask.sum())
-            if n_eff == 0:
-                raise ValueError("sample mask excludes every entry")
-        loss = float(np.sum(masked * masked)) / n_eff
+        loss = float(np.sum(diff * diff)) / diff.size
 
         params = self.params()
         is_weight = self.param_is_weight()
@@ -305,8 +292,7 @@ class BoundaryOperator:
             loss += l2 * sum(float(np.sum(p * p))
                              for p, wgt in zip(params, is_weight) if wgt)
 
-        B, n = UU.shape
-        dY = (2.0 / n_eff) * masked
+        dY = (2.0 / diff.size) * diff
         grads = self._backward(cache, dY)
         if l2:
             for g, p, wgt in zip(grads, params, is_weight):

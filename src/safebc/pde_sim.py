@@ -153,6 +153,9 @@ class ParabolicConfig:
         return int(round(self.x_out * (self.n_points - 1)))
 
 
+ENVIRONMENTS = {"hyperbolic": HyperbolicConfig, "parabolic": ParabolicConfig}
+
+
 def step_hyperbolic(state, u_boundary, cfg):
     """Advance the transport plant by one grid step dt.
 
@@ -354,13 +357,11 @@ class RolloutResult:
         self.states = states
 
 
-def rollout(env_cfg, controller, U0, grid=None, episode_seed=None):
+def rollout(env_cfg, controller, U0, episode_seed=None):
     """Run one closed-loop episode from the constant profile u(x,0) = U0."""
     if not np.isfinite(U0):
         raise ConfigurationError("U0 must be finite")
-    grid = grid if grid is not None else env_cfg.grid
-    if grid != env_cfg.grid:
-        env_cfg = _with_grid(env_cfg, grid)
+    grid = env_cfg.grid
     step = _stepper(env_cfg)
     out = env_cfg.output_index
     dt = grid.dt
@@ -384,12 +385,6 @@ def rollout(env_cfg, controller, U0, grid=None, episode_seed=None):
         Y[m] = state.values[out]
         states.append(state)
     return RolloutResult(U, Y, states)
-
-
-def _with_grid(cfg, grid):
-    if isinstance(cfg, HyperbolicConfig):
-        return HyperbolicConfig(cfg.beta, cfg.n_points, grid, cfg.substeps)
-    return ParabolicConfig(cfg.eps, cfg.lam, cfg.n_points, grid, cfg.x_out)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz

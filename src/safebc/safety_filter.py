@@ -22,7 +22,9 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .barrier import FeasibilityConstants
-from .checkpoint import write_table
+from .checkpoint import ConfigurationError, write_table
+
+INFEASIBLE_POLICIES = ("fallback-nominal", "abort")
 
 
 class FilterInfeasibleError(RuntimeError):
@@ -41,9 +43,9 @@ class FilterConfig:
 
     def __post_init__(self):
         if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.infeasible_policy not in ("fallback-nominal", "abort"):
-            raise ValueError(
+            raise ConfigurationError("eta must be >= 0")
+        if self.infeasible_policy not in INFEASIBLE_POLICIES:
+            raise ConfigurationError(
                 f"unknown infeasible policy {self.infeasible_policy!r}")
 
 
@@ -107,15 +109,9 @@ def qp_filter_step(dphi_dt, dphi_dY, phi, phi0, decomp, constants,
     return QpStep(float(u_dot_nominal), True, True)
 
 
-def rate_to_trajectory(values, U0, dt=None):
-    """Cumulative trajectory from per-step values.
-
-    values are per-step increments dU (one per step, M entries); pass dt to
-    interpret them as rates u_dot instead, in which case dU = u_dot * dt.
-    """
+def rate_to_trajectory(values, U0):
+    """Cumulative trajectory from per-step increments dU (M entries)."""
     values = np.asarray(values, dtype=float)
-    if dt is not None:
-        values = values * dt
     # strictly sequential accumulation starting at U0, so rebuilding from
     # np.diff of the result reproduces it bitwise
     return np.cumsum(np.concatenate([[float(U0)], values]))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .barrier import (BarrierFunction, loss_decrease_condition, loss_safe_set,
                       loss_sublevel_margin)
-from .checkpoint import fmt, read_table, write_table
+from .checkpoint import ConfigurationError, fmt, read_table, write_table
 from .nets import Adam, subseed
 from .neural_operator import BoundaryOperator, u_dot_forward
 from .trajectories import balance_near_zero, split, suffix_safe_mask
@@ -40,9 +40,6 @@ class OperatorSchedule:
     d_v: int = 16
     n_layers: int = 2
     activations: tuple = None
-    table_hidden: str = "relu"
-    max_input: float = None
-    target_clip: float = None
 
 
 @dataclass
@@ -70,8 +67,13 @@ class TrainConfig:
     train_fraction: float = 0.9
     balance_band: tuple = (-0.1, 0.1)
     balance_keep: float = 0.2
-    y_clip: float = None
-    freeze_operator: bool = False
+
+    def __post_init__(self):
+        if self.mode not in ("two-phase", "joint"):
+            raise ConfigurationError(f"unknown training mode {self.mode!r}")
+        if self.dy_dt_source not in ("data-fd", "operator"):
+            raise ConfigurationError(
+                f"unknown dY/dt source {self.dy_dt_source!r}")
 
 
 class TrainHistory:
@@ -115,33 +117,11 @@ class TrainHistory:
 # -- operator phase --------------------------------------------------------
 
 
-def _operator_arrays(pairs, schedule):
-    """Stack trajectories, applying input-magnitude and target-clip curation.
-
-    Trajectories whose input exceeds max_input are excluded entirely (their
-    scale would dominate the regression); targets beyond target_clip are
-    masked out of the data term sample-by-sample.
-    """
-    keep = []
-    for pair in pairs:
-        if schedule.max_input is not None \
-                and np.max(np.abs(pair.U)) > schedule.max_input:
-            continue
-        keep.append(pair)
-    if schedule.target_clip is not None:
-        keep = [p for p in keep
-                if np.any(np.abs(p.Y) <= schedule.target_clip)]
-    if not keep:
-        raise ValueError("no trajectories left after operator curation")
-    UU = np.stack([p.U for p in keep])
-    YY = np.stack([p.Y for p in keep])
-    mask = None
-    if schedule.target_clip is not None:
-        mask = np.abs(YY) <= schedule.target_clip
-    return UU, YY, mask
+def _operator_arrays(pairs):
+    return np.stack([p.U for p in pairs]), np.stack([p.Y for p in pairs])
 
 
-def _operator_epoch(op, adam, UU, YY, mask, schedule, rng):
+def _operator_epoch(op, adam, UU, YY, schedule, rng):
     order = rng.permutation(UU.shape[0])
     bs = schedule.batch_trajectories
     total, n_eff = 0.0, 0
@@ -149,23 +129,12 @@ def _operator_epoch(op, adam, UU, YY, mask, schedule, rng):
         # the permutation decides batch membership; within a batch the
         # compute order is canonical
         idx = np.sort(order[start:start + bs])
-        m = None if mask is None else mask[idx]
-        loss, grads = op.loss_and_grads(UU[idx], YY[idx], l2=schedule.l2,
-                                        sample_mask=m)
+        loss, grads = op.loss_and_grads(UU[idx], YY[idx], l2=schedule.l2)
         adam.step(op.params(), grads)
-        k = idx.size * (YY.shape[1]) if m is None else int(m.sum())
+        k = idx.size * YY.shape[1]
         total += loss * k
         n_eff += k
     return total / max(n_eff, 1)
-
-
-def _operator_validation(op, pairs, schedule):
-    try:
-        UU, YY, mask = _operator_arrays(pairs, schedule)
-    except ValueError:
-        return 0.0
-    loss, _ = op.loss_and_grads(UU, YY, l2=0.0, sample_mask=mask)
-    return loss
 
 
 def _weight_record(config):
@@ -192,24 +161,19 @@ class _BarrierSamples:
     rates they change whenever the operator does.
     """
 
-    def __init__(self, pairs, grid, y_clip):
+    def __init__(self, pairs, grid):
         times = grid.times()
         self._pairs, self._dt, self._retained = pairs, grid.dt, []
         cls_t, cls_Y, cls_safe, cls_unsafe = [], [], [], []
         bf_t, bf_Y, bf_Y0 = [], [], []
         for pair in pairs:
-            suffix = suffix_safe_mask(pair.safe)
-            keep = np.ones(times.size, dtype=bool)
-            if y_clip is not None:
-                keep = np.abs(pair.Y) <= y_clip
-            cls_t.append(times[keep])
-            cls_Y.append(pair.Y[keep])
-            cls_safe.append(suffix[keep])
-            cls_unsafe.append(~pair.safe[keep])
+            cls_t.append(times)
+            cls_Y.append(pair.Y)
+            cls_safe.append(suffix_safe_mask(pair.safe))
+            cls_unsafe.append(~pair.safe)
 
-            retained = keep[:-1] & keep[1:]
-            if pair.bf_mask is not None:
-                retained = retained & pair.bf_mask[:-1]
+            retained = np.ones(times.size - 1, dtype=bool) \
+                if pair.bf_mask is None else pair.bf_mask[:-1]
             self._retained.append(retained)
             bf_t.append(times[:-1][retained])
             bf_Y.append(pair.Y[:-1][retained])
@@ -345,14 +309,14 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
         op = BoundaryOperator(dataset.grid, d_v=sched_op.d_v,
                               n_layers=sched_op.n_layers,
                               activations=sched_op.activations,
-                              table_hidden=sched_op.table_hidden,
                               seed=subseed(seed, 13))
     run_op = operator is None and sched_op.epochs > 0 \
-        and config.lambda_G > 0 and not config.freeze_operator
+        and config.lambda_G > 0
     if run_op:
         train_ds, val_ds = split(dataset, config.train_fraction,
                                  seed=subseed(seed, 10))
-        UU, YY, mask = _operator_arrays(train_ds.pairs, sched_op)
+        UU, YY = _operator_arrays(train_ds.pairs)
+        val_UU, val_YY = _operator_arrays(val_ds.pairs)
         adam_op = Adam(op.params(), lr=sched_op.lr,
                        decay_factor=sched_op.decay_factor,
                        decay_every=sched_op.decay_every)
@@ -369,8 +333,7 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
                                      seed=subseed(seed, 15))
         btrain, bval = split(balanced, config.train_fraction,
                              seed=subseed(seed, 10))
-        samples, vsamples = [_BarrierSamples(part.pairs, dataset.grid,
-                                             config.y_clip)
+        samples, vsamples = [_BarrierSamples(part.pairs, dataset.grid)
                              for part in (btrain, bval)]
         if samples.safe_idx.size == 0 or samples.unsafe_idx.size == 0:
             raise ValueError(
@@ -395,10 +358,9 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
         try:
             if run_op and epoch < sched_op.epochs:
                 adam_op.start_epoch(epoch)
-                row["L_G"] = _operator_epoch(op, adam_op, UU, YY, mask,
-                                             sched_op, rng_op)
-                row["val_LG"] = _operator_validation(op, val_ds.pairs,
-                                                     sched_op)
+                row["L_G"] = _operator_epoch(op, adam_op, UU, YY, sched_op,
+                                             rng_op)
+                row["val_LG"], _ = op.loss_and_grads(val_UU, val_YY)
             if run_bar and epoch < sched_bf.epochs:
                 if moving_rates and epoch < sched_op.epochs:
                     samples.set_rates(config.dy_dt_source, op)

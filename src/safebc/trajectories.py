@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import DatasetFormatError, fmt, read_table, write_table
+from .checkpoint import (ConfigurationError, DatasetFormatError, fmt,
+                         read_table, write_table)
 from .nets import subseed
 from .pde_sim import SimulationDivergedError, TimeGrid, rollout
 
@@ -34,9 +35,9 @@ class OneSidedSet:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise ConfigurationError("sign must be +1 or -1")
         if not np.isfinite(self.bound):
-            raise ValueError("bound must be finite")
+            raise ConfigurationError("bound must be finite")
 
     def contains(self, Y):
         return self.sign * np.asarray(Y, dtype=np.float64) < self.bound
@@ -55,7 +56,7 @@ class TwoSidedSet:
 
     def __post_init__(self):
         if not self.halfwidth > 0:
-            raise ValueError("halfwidth must be positive")
+            raise ConfigurationError("halfwidth must be positive")
 
     def contains(self, Y):
         return np.abs(np.asarray(Y, dtype=np.float64) - self.center) < self.halfwidth
@@ -65,17 +66,22 @@ class TwoSidedSet:
 
 
 def parse_safe_set(text):
-    """Parse 'Y<b' / 'Y>b' / 'abs:center=c,halfwidth=h' safe-set specs."""
+    """Parse 'Y<b' / 'Y>b' / 'abs:center=c,halfwidth=h' safe-set specs;
+    keys left out of an 'abs:' spec keep the TwoSidedSet defaults."""
     text = text.strip()
-    if text.startswith("abs:"):
-        kv = dict(part.split("=", 1) for part in text[4:].split(",") if part)
-        return TwoSidedSet(center=float(kv.get("center", 0.0)),
-                           halfwidth=float(kv["halfwidth"]))
-    if text.startswith("Y<"):
-        return OneSidedSet(sign=1, bound=float(text[2:]))
-    if text.startswith("Y>"):
-        return OneSidedSet(sign=-1, bound=-float(text[2:]))
-    raise ValueError(f"cannot parse safe set {text!r}")
+    try:
+        if text.startswith("abs:"):
+            kv = dict(part.split("=", 1) for part in text[4:].split(",")
+                      if part)
+            return TwoSidedSet(**{k: float(v) for k, v in kv.items()})
+        if text.startswith("Y<"):
+            return OneSidedSet(sign=1, bound=float(text[2:]))
+        if text.startswith("Y>"):
+            return OneSidedSet(sign=-1, bound=-float(text[2:]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"cannot parse safe set {text!r}: {exc}") \
+            from exc
+    raise ConfigurationError(f"cannot parse safe set {text!r}")
 
 
 def label_safety(Y, safe_set):
@@ -205,7 +211,11 @@ def split(dataset, train_fraction, seed=0):
 
 def write_dataset(path, dataset):
     """Dataset table: '# key=value' metadata and grid comments, then one
-    traj_id,step,t,U,Y,safe row per step of every trajectory."""
+    traj_id,step,t,U,Y,safe row per step of every trajectory.  Trajectories
+    need a grid: without one the rows could not be read back."""
+    if dataset.grid is None and dataset.pairs:
+        raise ConfigurationError(
+            f"{path}: a dataset with trajectories needs a grid")
     comments = [f"{key}={value}" for key, value in dataset.meta.items()]
     rows = []
     if dataset.grid is not None:

@@ -1,13 +1,16 @@
 """Tests for the barrier network's values and partial derivatives, the
 gradients of its training losses, and the decrease-condition oracle."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
-                            decrease_condition_oracle, loss_decrease_condition,
-                            loss_safe_set, loss_sublevel_margin)
+                            decrease_condition_oracle, finite_time_constant,
+                            loss_decrease_condition, loss_safe_set,
+                            loss_sublevel_margin)
 
 
 def pre_activations(net, x):
@@ -166,3 +169,26 @@ def test_oracle_premise_implies_convergence(alpha, T, psi0, slack):
     assert out["premise_holds"]
     assert out["g_nonincreasing"]
     assert out["final_negative"]
+
+
+def test_oracle_premise_allows_a_positive_end_for_coarse_steps():
+    """The premise is a forward-Euler step: with alpha*dt = 0.5 and
+    psi(0) < 0 it holds along a sequence that ends positive."""
+    constants = FeasibilityConstants(alpha=0.5, T=5.0)
+    M, dt = 5, 1.0
+    psi = [-10.0]
+    for _ in range(M):
+        psi.append(psi[-1] + dt * (-0.01 - constants.alpha * psi[-1]
+                                   - constants.C * psi[0]))
+    out = decrease_condition_oracle(psi, dt, constants)
+    assert out["premise_holds"]
+    assert not out["final_negative"]
+    assert psi[-1] == pytest.approx(0.53, abs=0.005)
+
+
+def test_feasibility_constants_derive_C_and_are_frozen():
+    constants = replace(FeasibilityConstants(), alpha=0.5)
+    assert constants.C == finite_time_constant(0.5, 5.0)
+    assert replace(constants, asymptotic=True).C == 0.0
+    with pytest.raises(FrozenInstanceError):
+        constants.alpha = 1.0

@@ -1,12 +1,23 @@
-"""Round trip through the command-line pipeline on a small transport plant."""
+"""Round trip through the command-line pipeline on a small transport plant,
+and the loading of JSON configs into the config dataclasses."""
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from safebc.cli import main, read_metrics_csv
-from safebc.pde_sim import read_trajectory_csv
+from safebc.barrier import FeasibilityConstants
+from safebc.cli import (build_parser, load_experiment, load_train_config,
+                        main, read_metrics_csv)
+from safebc.evaluation import ExperimentSpec
+from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
+                            ParabolicConfig, Proportional, SmoothRandom,
+                            TimeGrid, read_trajectory_csv)
+from safebc.safety_filter import FilterConfig
+from safebc.training import BarrierSchedule, OperatorSchedule, TrainConfig
+from safebc.trajectories import OneSidedSet, TwoSidedSet
 
 ENV = ["--env", "hyperbolic", "--beta", "0.5", "--grid-T", "5",
        "--grid-M", "20"]
@@ -72,3 +83,203 @@ def test_errors_exit_nonzero(tmp_path, capsys):
                "--out", str(tmp_path / "op.ckpt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_bcbf_rejects_the_operator_flag_of_the_other_mode(
+        run, tmp_path, capsys):
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({"mode": "joint"}))
+    argv = ["train-bcbf", "--dataset", str(run / "data.csv"),
+            "--out", str(tmp_path / "bar.ckpt")]
+    assert main(argv + ["--config", str(joint),
+                        "--operator", str(run / "op.ckpt")]) == 2
+    assert "--operator is for two-phase mode" in capsys.readouterr().err
+    assert main(argv + ["--operator-out", str(tmp_path / "op.ckpt")]) == 2
+    assert "--operator-out is for joint mode" in capsys.readouterr().err
+    assert not (tmp_path / "bar.ckpt").exists()
+
+
+def test_filter_flag_defaults_are_the_filter_config_defaults():
+    args = build_parser().parse_args(
+        ["filter", "--operator", "o", "--bcbf", "b", "--nominal", "n",
+         "--out", "f"])
+    config = FilterConfig(FeasibilityConstants(args.alpha, args.T,
+                                               args.asymptotic),
+                          args.eta, args.policy)
+    assert config == FilterConfig()
+
+
+# -- JSON configs ------------------------------------------------------------
+
+# (JSON, the TrainConfig and FeasibilityConstants it stands for)
+TRAIN_CONFIGS = [
+    # README, and perfbench/pipeline.py's train.json with other epochs
+    ({"operator": {"epochs": 2}, "bcbf": {"epochs": 2}},
+     TrainConfig(operator=OperatorSchedule(epochs=2),
+                 bcbf=BarrierSchedule(epochs=2)),
+     FeasibilityConstants()),
+    # the round trip above
+    ({"operator": {"epochs": 2, "d_v": 4, "batch_trajectories": 4},
+      "bcbf": {"epochs": 2, "batch_samples": 64}},
+     TrainConfig(operator=OperatorSchedule(epochs=2, d_v=4,
+                                           batch_trajectories=4),
+                 bcbf=BarrierSchedule(epochs=2, batch_samples=64)),
+     FeasibilityConstants()),
+    # every key
+    ({"lambda_G": 0.5, "lambda_S": 2, "lambda_BF": 0.25, "mode": "joint",
+      "dy_dt_source": "operator", "train_fraction": 0.8,
+      "balance_band": [-0.2, 0.3], "balance_keep": 0.5,
+      "operator": {"epochs": 3, "lr": 0.01, "l2": 0, "decay_factor": 0.5,
+                   "decay_every": 2, "batch_trajectories": 8, "d_v": 4,
+                   "n_layers": 1, "activations": ["linear"]},
+      "bcbf": {"epochs": 5, "lr": 0.1, "decay_factor": 0.5,
+               "decay_every": 3, "batch_samples": 32,
+               "time_dependent": False, "margin": 0.2, "reg_weight": 0},
+      "constants": {"alpha": 0.1, "T": 2, "asymptotic": True}},
+     TrainConfig(lambda_G=0.5, lambda_S=2.0, lambda_BF=0.25, mode="joint",
+                 dy_dt_source="operator", train_fraction=0.8,
+                 balance_band=(-0.2, 0.3), balance_keep=0.5,
+                 operator=OperatorSchedule(
+                     epochs=3, lr=0.01, l2=0.0, decay_factor=0.5,
+                     decay_every=2, batch_trajectories=8, d_v=4, n_layers=1,
+                     activations=["linear"]),
+                 bcbf=BarrierSchedule(
+                     epochs=5, lr=0.1, decay_factor=0.5, decay_every=3,
+                     batch_samples=32, time_dependent=False, margin=0.2,
+                     reg_weight=0.0)),
+     FeasibilityConstants(alpha=0.1, T=2.0, asymptotic=True)),
+    ({}, TrainConfig(), FeasibilityConstants()),
+]
+
+
+@pytest.mark.parametrize("values, config, constants", TRAIN_CONFIGS)
+def test_train_config_loads_to_the_config_it_names(values, config,
+                                                   constants):
+    assert load_train_config(values) == (config, constants)
+
+
+SPEC = {"env": {"name": "hyperbolic"}, "controller": "constant",
+        "safe_set": "Y<1"}
+BASE = ExperimentSpec(HyperbolicConfig(), Constant(), OneSidedSet(1, 1.0))
+
+# (JSON, the ExperimentSpec it stands for)
+SPECS = [
+    # README
+    ({"env": {"name": "hyperbolic", "beta": 0.5, "grid": {"T": 5, "M": 20}},
+      "controller": "smooth", "safe_set": "Y<1", "filter_on": True,
+      "filter": {"eta": 2.0}, "operator_path": "op.ckpt",
+      "bcbf_path": "bar.ckpt", "episodes": 20, "U0_range": [0.1, 2.0]},
+     ExperimentSpec(HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 20)),
+                    SmoothRandom(), OneSidedSet(1, 1.0), filter_on=True,
+                    filter=FilterConfig(eta=2.0), operator_path="op.ckpt",
+                    bcbf_path="bar.ckpt", episodes=20, U0_range=(0.1, 2.0))),
+    # the round trip above
+    ({"env": {"name": "hyperbolic", "beta": 0.5, "grid": {"T": 5, "M": 20}},
+      "controller": "smooth", "safe_set": "Y<1", "operator_path": "op.ckpt",
+      "bcbf_path": "bar.ckpt", "episodes": 4, "U0_range": [0.1, 2.0]},
+     ExperimentSpec(HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 20)),
+                    SmoothRandom(), OneSidedSet(1, 1.0),
+                    operator_path="op.ckpt", bcbf_path="bar.ckpt",
+                    episodes=4, U0_range=(0.1, 2.0))),
+    # perfbench/pipeline.py, diffusion-long
+    ({"env": {"name": "parabolic", "grid": {"T": 1.0, "M": 80}},
+      "controller": "constant", "safe_set": "Y<1", "filter_on": True,
+      "filter": {"eta": 2.0, "constants": {"alpha": 1e-5, "T": 5.0}},
+      "operator_path": "op.ckpt", "bcbf_path": "bar.ckpt", "episodes": 2,
+      "U0_range": [0.1, 1.0], "seed": 12345},
+     ExperimentSpec(ParabolicConfig(grid=TimeGrid(1.0, 80)), Constant(),
+                    OneSidedSet(1, 1.0), filter_on=True,
+                    filter=FilterConfig(FeasibilityConstants(1e-5, 5.0), 2.0),
+                    operator_path="op.ckpt", bcbf_path="bar.ckpt",
+                    episodes=2, U0_range=(0.1, 1.0), seed=12345)),
+    # a partial grid keeps the environment's other grid value
+    ({**SPEC, "env": {"name": "hyperbolic", "grid": {"M": 20}}},
+     replace(BASE, env=HyperbolicConfig(grid=TimeGrid(5.0, 20)))),
+    ({**SPEC, "env": {"name": "parabolic", "grid": {"T": 2}}},
+     replace(BASE, env=ParabolicConfig(grid=TimeGrid(2.0, 1000)))),
+    # every key
+    ({"env": {"name": "hyperbolic", "beta": 1, "n_points": 51,
+              "substeps": 2, "grid": {"T": 4, "M": 40}},
+      "controller": "proportional:gain=0.5",
+      "safe_set": "abs:center=0,halfwidth=0.2", "filter_on": 1,
+      "filter": {"constants": {"alpha": 0.01, "T": 3, "asymptotic": False},
+                 "eta": 1e9, "infeasible_policy": "abort"},
+      "operator_path": "a", "bcbf_path": "b", "episodes": 3.0,
+      "U0_range": [0, 1], "seed": "4"},
+     ExperimentSpec(HyperbolicConfig(beta=1.0, n_points=51, substeps=2,
+                                     grid=TimeGrid(4.0, 40)),
+                    Proportional(0.5), TwoSidedSet(0.0, 0.2), filter_on=True,
+                    filter=FilterConfig(FeasibilityConstants(0.01, 3.0),
+                                        1e9, "abort"),
+                    operator_path="a", bcbf_path="b", episodes=3,
+                    U0_range=(0.0, 1.0), seed=4)),
+    ({**SPEC, "env": {"name": "parabolic", "eps": 0.1, "lam": 2,
+                      "n_points": 21, "x_out": 0.25}},
+     replace(BASE, env=ParabolicConfig(eps=0.1, lam=2.0, n_points=21,
+                                       x_out=0.25))),
+]
+
+
+@pytest.mark.parametrize("values, spec", SPECS)
+def test_experiment_spec_loads_to_the_spec_it_names(values, spec):
+    loaded = load_experiment(values)
+    # controllers have no equality; their description names every setting
+    assert loaded.controller.describe() == spec.controller.describe()
+    assert replace(loaded, controller=None) == replace(spec, controller=None)
+
+
+def test_the_seed_argument_overrides_the_spec_seed():
+    assert load_experiment({**SPEC, "seed": 3}, seed=9).seed == 9
+
+
+@pytest.mark.parametrize("values, path", [
+    ({"episode": 20}, "episode"),
+    ({"filter": {"etaa": 0.5}}, "filter.etaa"),
+    ({"filter": {"constants": {"alhpa": 3}}}, "filter.constants.alhpa"),
+    ({"filter": {"constants": {"C": 0.0}}}, "filter.constants.C"),
+    ({"env": {"name": "hyperbolic", "grid": {"N": 3}}}, "env.grid.N"),
+    ({"env": {"name": "parabolic", "beta": 1.0}}, "env.beta"),
+])
+def test_unknown_spec_key_is_an_error_naming_its_path(values, path):
+    with pytest.raises(ConfigurationError, match=re.escape(repr(path))):
+        load_experiment({**SPEC, **values})
+
+
+@pytest.mark.parametrize("values, path", [
+    ({"freeze_operator": True}, "freeze_operator"),
+    ({"y_clip": 5.0}, "y_clip"),
+    ({"operator": {"max_input": 5.0}}, "operator.max_input"),
+    ({"operator": {"target_clip": 5.0}}, "operator.target_clip"),
+    ({"operator": {"table_hidden": "linear"}}, "operator.table_hidden"),
+    ({"bcbf": {"epoch": 2}}, "bcbf.epoch"),
+    ({"constants": {"alpah": 0.1}}, "constants.alpah"),
+])
+def test_unknown_train_key_is_an_error_naming_its_path(values, path):
+    with pytest.raises(ConfigurationError, match=re.escape(repr(path))):
+        load_train_config(values)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"mode": "jiont"}, "unknown training mode"),
+    ({"operator": {"epochs": "many"}}, "operator.epochs"),
+    ({"operator": []}, "operator: expected a JSON object"),
+])
+def test_bad_train_value_is_an_error(values, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_train_config(values)
+
+
+def test_unknown_key_exits_2_with_its_path(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "episode": 20, "filter": {
+        "etaa": 0.5, "constants": {"alhpa": 3}}}))
+    rc = main(["evaluate", "--spec", str(spec), "--out",
+               str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert "'episode'" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+    rc = main(["simulate", "--env", "parabolic", "--beta", "1",
+               "--controller", "constant", "--U0", "1",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "'env.beta'" in capsys.readouterr().err

@@ -287,18 +287,6 @@ class TestLossAndGradients:
         loss, _ = op.loss_and_grads(UU, np.ones((2, 5)))
         assert loss == 1.0
 
-    def test_sample_mask_selects_entries(self):
-        op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
-                              kappa_hidden=4, b_hidden=3, seed=15)
-        zero_all(op.params())
-        UU = np.zeros((1, 5))
-        YY = np.array([[3.0, 0.0, 0.0, 0.0, 1.0]])
-        mask = np.array([[True, False, False, False, True]])
-        loss, _ = op.loss_and_grads(UU, YY, sample_mask=mask)
-        assert loss == (9.0 + 1.0) / 2.0
-        with pytest.raises(ValueError):
-            op.loss_and_grads(UU, YY, sample_mask=np.zeros((1, 5), bool))
-
     def test_gradients_match_finite_differences(self):
         grid = TimeGrid(1.0, 5)
         op = BoundaryOperator(grid, d_v=3, n_layers=1, kappa_hidden=4,

@@ -1,5 +1,7 @@
 """Tests for the two finite-difference plants, controllers, and rollouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ class TestReactionDiffusionPlant:
         # With no reaction the steady state is u(x) = U0 * x, so the midpoint
         # output approaches U0 / 2.
         cfg = ParabolicConfig(lam=0.0)
-        res = rollout(cfg, Constant(), 2.0, grid=TimeGrid(15.0, 600))
+        res = rollout(replace(cfg, grid=TimeGrid(15.0, 600)), Constant(), 2.0)
         assert res.Y[-1] == pytest.approx(1.0, abs=1e-2)
 
     def test_single_mode_decays_at_the_exact_rate(self):
@@ -151,7 +153,8 @@ class TestRollout:
 
     def test_initial_state_is_the_constant_profile(self):
         cfg = ParabolicConfig()
-        res = rollout(cfg, Constant(0.0), 3.0, grid=TimeGrid(0.01, 10))
+        res = rollout(replace(cfg, grid=TimeGrid(0.01, 10)), Constant(0.0),
+                      3.0)
         assert np.all(res.states[0].values == 3.0)
 
     def test_proportional_feedback_matches_hand_stepped_trace(self):

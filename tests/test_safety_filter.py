@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from safebc.barrier import BarrierFunction, FeasibilityConstants
 from safebc.neural_operator import BoundaryOperator
-from safebc.pde_sim import HyperbolicConfig, SmoothRandom, TimeGrid, rollout
+from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
+                            SmoothRandom, TimeGrid, rollout)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
                                   filter_trajectory, qp_filter_step,
                                   rate_to_trajectory)
@@ -69,10 +70,6 @@ class TestRateToTrajectory:
         U = nominal(0)
         assert np.array_equal(rate_to_trajectory(np.diff(U), U[0]), U)
 
-    def test_rates_scale_by_dt(self):
-        U = rate_to_trajectory([1.0, 2.0], 0.5, dt=0.25)
-        assert np.array_equal(U, [0.5, 0.75, 1.25])
-
 
 class TestFilterTrajectory:
     @pytest.mark.parametrize("seed", range(4))
@@ -113,3 +110,10 @@ class TestFilterTrajectory:
         op, bar = models(0)
         with pytest.raises(ValueError):
             filter_trajectory(op, bar, np.zeros(7), FilterConfig())
+
+
+@pytest.mark.parametrize("kwargs", [{"eta": -1.0},
+                                    {"infeasible_policy": "ignore"}])
+def test_bad_filter_config_raises_a_configuration_error(kwargs):
+    with pytest.raises(ConfigurationError):
+        FilterConfig(**kwargs)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from safebc.barrier import FeasibilityConstants
-from safebc.pde_sim import Constant, HyperbolicConfig, Proportional, \
-    SmoothRandom, TimeGrid
+from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
+    Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, TrainConfig,
                              TrainHistory, train_bcbf, train_joint,
                              train_operator)
@@ -120,6 +120,13 @@ def test_barrier_training_rejects_an_all_safe_dataset():
     data = small_dataset(OneSidedSet(1, 1e6))
     with pytest.raises(ValueError, match="safe and unsafe"):
         train_bcbf(data, None, CONSTANTS, small_config(), seed=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"mode": "jiont"},
+                                    {"dy_dt_source": "operatr"}])
+def test_unknown_mode_or_rate_source_is_rejected(kwargs):
+    with pytest.raises(ConfigurationError, match="unknown"):
+        TrainConfig(**kwargs)
 
 
 def test_operator_rates_need_an_operator(dataset):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safebc.pde_sim import Constant, HyperbolicConfig, TimeGrid
+from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
+                            TimeGrid)
 from safebc.trajectories import (Dataset, DatasetFormatError,
                                  LabeledTrajectoryPair, OneSidedSet,
                                  TwoSidedSet, balance_near_zero,
@@ -53,6 +54,22 @@ class TestSafeSets:
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
             parse_safe_set("Z<1")
+
+    @pytest.mark.parametrize("text", ["Z<1", "Y<one", "abs:halfwidth=-1",
+                                      "abs:width=1", "abs:halfwidth"])
+    def test_bad_spec_raises_a_configuration_error(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_safe_set(text)
+
+    def test_abs_spec_keeps_the_default_center(self):
+        assert parse_safe_set("abs:halfwidth=0.5") == TwoSidedSet(0.0, 0.5)
+
+    @pytest.mark.parametrize("make", [lambda: OneSidedSet(sign=2),
+                                      lambda: OneSidedSet(bound=np.inf),
+                                      lambda: TwoSidedSet(halfwidth=0.0)])
+    def test_bad_set_raises_a_configuration_error(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
 
     def test_relabeling_is_idempotent(self):
         s = parse_safe_set("Y<1")
@@ -225,6 +242,14 @@ class TestDatasetCsv:
         path.write_text("traj_id,step,t,U,Y,safe\n")
         ds = read_dataset(path)
         assert len(ds) == 0
+
+    def test_trajectories_without_a_grid_are_not_written(self, tmp_path):
+        path = tmp_path / "nogrid.csv"
+        with pytest.raises(ConfigurationError, match="grid"):
+            write_dataset(path, Dataset(None, make_dataset(1).pairs))
+        assert not path.exists()
+        write_dataset(path, Dataset(None))
+        assert len(read_dataset(path)) == 0
 
     def test_hand_written_two_row_fixture(self, tmp_path):
         path = tmp_path / "tiny.csv"
