@@ -54,7 +54,7 @@ class BarrierFunction:
     is (t, Y) when time_dependent else just Y.
     """
 
-    def __init__(self, time_dependent=True, hidden=(16, 64, 16), seed=0):
+    def __init__(self, time_dependent, hidden=(16, 64, 16), seed=0):
         self.time_dependent = bool(time_dependent)
         in_dim = 2 if self.time_dependent else 1
         dims = [in_dim] + list(hidden) + [1]
@@ -62,9 +62,6 @@ class BarrierFunction:
 
     def params(self):
         return self.net.params()
-
-    def param_is_weight(self):
-        return self.net.param_is_weight()
 
     def _inputs(self, t, Y):
         Y = np.asarray(Y, dtype=float)
@@ -86,8 +83,9 @@ class BarrierFunction:
         """(phi, dphi_dt, dphi_dY) at (t, Y) from one forward and reverse
         pass; dphi_dt is exactly 0 in time-independent mode."""
         x, shape = self._inputs(t, Y)
-        _, dx, out = self.net.backprop(x, np.ones((x.shape[0], 1)))
-        phi = out[:, 0].reshape(shape)
+        tr = self.net.trace(x)
+        _, dx = self.net.reverse(tr, np.ones((x.shape[0], 1)))
+        phi = tr.output[:, 0].reshape(shape)
         if self.time_dependent:
             dt_ = dx[:, 0].reshape(shape)
             dY_ = dx[:, 1].reshape(shape)
@@ -142,20 +140,16 @@ def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel):
         raise ValueError("safe-set loss needs at least one labeled sample")
     loss = 0.0
     grads = _zero_grads(bar)
-    if n_s:
-        xs, _ = bar._inputs(t[suffix_safe_sel], Y[suffix_safe_sel])
-        phi = bar.net.forward(xs)[:, 0]
-        loss += float(np.sum(np.maximum(phi, 0.0))) / n_s
-        up = (phi > 0.0).astype(float)[:, None] / n_s
-        gs, _, _ = bar.net.backprop(xs, up)
-        _accumulate(grads, gs)
-    if n_u:
-        xu, _ = bar._inputs(t[unsafe_sel], Y[unsafe_sel])
-        phi = bar.net.forward(xu)[:, 0]
-        loss += float(np.sum(np.maximum(-phi, 0.0))) / n_u
-        up = -(phi < 0.0).astype(float)[:, None] / n_u
-        gu, _, _ = bar.net.backprop(xu, up)
-        _accumulate(grads, gu)
+    # hinge of sign * phi per class: +1 for trailing-safe, -1 for unsafe
+    for sel, n_c, sign in ((suffix_safe_sel, n_s, 1.0),
+                           (unsafe_sel, n_u, -1.0)):
+        if n_c:
+            x, _ = bar._inputs(t[sel], Y[sel])
+            tr = bar.net.trace(x)
+            phi = sign * tr.output[:, 0]
+            loss += float(np.sum(np.maximum(phi, 0.0))) / n_c
+            up = sign * (phi > 0.0).astype(float)[:, None] / n_c
+            _accumulate(grads, bar.net.reverse(tr, up)[0])
     return loss, grads
 
 
@@ -176,22 +170,23 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
 
     x, _ = bar._inputs(t, Y)
     x0, _ = bar._inputs(np.zeros(n), Y0)
-    phi = bar.net.forward(x)[:, 0]
-    phi0 = bar.net.forward(x0)[:, 0]
     if bar.time_dependent:
         d = np.stack([np.ones(n), dY_dt], axis=1)
     else:
         d = dY_dt[:, None]
-    directional = bar.net.directional_derivative(x, d)[:, 0]
-    resid = directional + constants.alpha * phi + constants.C * phi0
+    tr = bar.net.trace(x, d)
+    tr0 = bar.net.trace(x0)
+    resid = tr.tangents[-1][:, 0] + constants.alpha * tr.output[:, 0] \
+        + constants.C * tr0.output[:, 0]
     loss = float(np.sum(np.maximum(resid, 0.0))) / n
 
     up = (resid > 0.0).astype(float)[:, None] / n
     grads = _zero_grads(bar)
-    _accumulate(grads, bar.net.directional_param_backprop(x, d, up))
-    ga, _, _ = bar.net.backprop(x, constants.alpha * up)
+    # the directional and alpha terms share one sweep of x; the C term of
+    # x0 is added to their sum
+    ga, _ = bar.net.reverse(tr, constants.alpha * up, up)
     _accumulate(grads, ga)
-    gc, _, _ = bar.net.backprop(x0, constants.C * up)
+    gc, _ = bar.net.reverse(tr0, constants.C * up)
     _accumulate(grads, gc)
     return loss, grads
 
@@ -208,10 +203,11 @@ def loss_sublevel_margin(bar, t, Y, margin=0.1):
     if n == 0:
         return 0.0, _zero_grads(bar)
     x, _ = bar._inputs(t, Y)
-    phi = bar.net.forward(x)[:, 0]
+    tr = bar.net.trace(x)
+    phi = tr.output[:, 0]
     loss = float(np.sum(np.maximum(phi + margin, 0.0))) / n
     up = (phi + margin > 0.0).astype(float)[:, None] / n
-    grads, _, _ = bar.net.backprop(x, up)
+    grads, _ = bar.net.reverse(tr, up)
     return loss, grads
 
 

@@ -11,6 +11,7 @@ one --seed flag.
 import argparse
 import json
 import sys
+import typing
 from dataclasses import astuple, fields, is_dataclass, replace
 
 from .barrier import BarrierFunction, FeasibilityConstants
@@ -18,9 +19,9 @@ from .checkpoint import DatasetFormatError, read_table, write_table
 from .evaluation import (ExperimentSpec, Metrics, evaluate, report,
                          threshold_sweep)
 from .neural_operator import BoundaryOperator
-from .pde_sim import (ENVIRONMENTS, ConfigurationError, Constant, FromFile,
-                      Proportional, SmoothRandom, read_trajectory_csv,
-                      rollout, write_states_csv, write_trajectory_csv)
+from .pde_sim import (ENVIRONMENTS, ConfigurationError, parse_controller,
+                      read_trajectory_csv, rollout, write_states_csv,
+                      write_trajectory_csv)
 from .safety_filter import INFEASIBLE_POLICIES, FilterConfig, filter_trajectory
 from .trajectories import (collect_dataset, parse_safe_set, read_dataset,
                            write_dataset)
@@ -29,43 +30,9 @@ from .training import TrainConfig, train_bcbf, train_joint, train_operator
 METRICS_COLUMNS = tuple(f.name for f in fields(Metrics))
 
 
-def parse_controller(text):
-    """Controller from a compact spec string.
-
-    Formats: constant | constant:value=V | proportional:gain=K |
-    smooth[:seed=S,modes=N,amplitude=A,min_frequency=F,max_frequency=F] |
-    file:PATH
-    """
-    name, _, rest = text.partition(":")
-    if name == "constant":
-        if rest in ("", "hold-U0"):
-            return Constant()
-        key, _, val = rest.partition("=")
-        if key != "value":
-            raise ConfigurationError(f"bad constant spec {text!r}")
-        return Constant(float(val))
-    if name == "proportional":
-        key, _, val = rest.partition("=")
-        if key != "gain":
-            raise ConfigurationError(f"bad proportional spec {text!r}")
-        return Proportional(float(val))
-    if name == "smooth":
-        kwargs = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if key not in ("seed", "modes", "amplitude", "min_frequency",
-                               "max_frequency"):
-                    raise ConfigurationError(f"bad smooth spec {text!r}")
-                key = {"modes": "num_modes"}.get(key, key)
-                kwargs[key] = int(val) if key in ("seed", "num_modes") \
-                    else float(val)
-        return SmoothRandom(**kwargs)
-    if name == "file":
-        if not rest:
-            raise ConfigurationError("file controller needs a path")
-        return FromFile(rest)
-    raise ConfigurationError(f"unknown controller {text!r}")
+# the JSON types a field of each declared type takes; a bool is no number
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+               tuple: (list,)}
 
 
 def load_config(base, values, path=""):
@@ -74,26 +41,31 @@ def load_config(base, values, path=""):
     Each key must name a field of base; any other key raises
     ConfigurationError naming its path (e.g. 'filter.constants.alhpa').
     A nested config loads from its own object, starting from its value in
-    base, so keys left out keep their values in base.  A value whose field
-    holds a bool, int, float or tuple in base is converted to that type.
+    base, so keys left out keep their values in base.  Other values take
+    the JSON type of their field's declared type, or raise: true or false
+    for bool, an integer for int, any number for float (loaded as a float),
+    a string for str, a list for tuple (loaded as a tuple), and also null
+    where the default is None.
     """
     if not isinstance(values, dict):
         raise ConfigurationError(
             f"{path or 'config'}: expected a JSON object, got {values!r}")
-    names = {f.name for f in fields(base) if f.init}
+    declared = typing.get_type_hints(type(base))
+    defaults = {f.name: f.default for f in fields(base) if f.init}
     changes = {}
     for key, value in values.items():
         where = f"{path}.{key}" if path else key
-        if key not in names:
+        if key not in defaults:
             raise ConfigurationError(f"unknown key {where!r}")
-        current = getattr(base, key)
+        current, kind = getattr(base, key), declared[key]
         if is_dataclass(current):
             value = load_config(current, value, where)
-        elif isinstance(current, (bool, int, float, tuple)):
-            try:
-                value = type(current)(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"{where}: {exc}") from exc
+        elif value is not None or defaults[key] is not None:
+            if not isinstance(value, _JSON_TYPES.get(kind, object)) or \
+                    (isinstance(value, bool) and kind is not bool):
+                raise ConfigurationError(
+                    f"{where}: expected {kind.__name__}, got {value!r}")
+            value = kind(value) if kind in (float, tuple) else value
         changes[key] = value
     return replace(base, **changes)
 

@@ -1,11 +1,13 @@
-"""Minimal neural substrate: ReLU/linear MLPs with two derivative passes, and
-an Adam optimizer with stepped learning-rate decay.
+"""Minimal neural substrate: ReLU/linear MLPs with one forward pass and one
+reverse sweep, and an Adam optimizer with stepped learning-rate decay.
 
-The tangent pass carries a direction d forward with the activation pattern
-frozen at x, giving J(x) . d (and, through one more reverse sweep, parameter
-gradients of that product). The reverse pass gives parameter gradients of
-upstream . f(x) together with upstream . J(x); a one-hot upstream yields one
-row of the input Jacobian.
+`Mlp.trace` is the one forward pass. It stores every layer input and ReLU
+mask and, given a direction d, carries the tangent J(x) . d along with the
+activation pattern frozen at x. `Mlp.reverse` is the one reverse sweep over
+a stored trace. It gives the parameter gradients of upstream . f(x) +
+tangent_upstream . (J(x) . d) and the input gradient upstream . J(x); a
+one-hot upstream yields one row of the input Jacobian. A caller that needs
+several derivatives of one batch traces it once and sweeps it once.
 
 Everything is float64 numpy. Reductions run in fixed index order so repeated
 runs with the same seed are bitwise identical on the same machine.
@@ -33,6 +35,28 @@ def _as_batch(x, dim, name="x"):
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{name} must have {dim} features, got shape {x.shape}")
     return x, squeeze
+
+
+class Trace:
+    """One forward pass of an Mlp over a batch.
+
+    inputs holds the per-layer inputs as (B, .) batches: inputs[0] is x and
+    the last entry the output. masks holds each layer's ReLU pattern as a
+    bool array (None for linear layers). When the pass carried a direction
+    d, tangents holds the tangent of each entry of inputs (tangents[-1] is
+    J(x) . d); else it is empty. squeeze says whether x was one sample.
+    """
+
+    def __init__(self, inputs, masks, tangents, squeeze):
+        self.inputs = inputs
+        self.masks = masks
+        self.tangents = tangents
+        self.squeeze = squeeze
+
+    @property
+    def output(self):
+        """f(x), shaped like x."""
+        return self.inputs[-1][0] if self.squeeze else self.inputs[-1]
 
 
 class Mlp:
@@ -95,41 +119,32 @@ class Mlp:
 
     def forward(self, x):
         """Evaluate the network; x is (d_in,) or (B, d_in)."""
-        a, squeeze = _as_batch(x, self.in_dim)
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            z = a @ W.T + b
-            a = np.maximum(z, 0.0) if act == "relu" else z
-        return a[0] if squeeze else a
+        return self.trace(x).output
 
-    def _trace(self, x, d=None):
-        """Forward pass over x, (d_in,) or (B, d_in), carrying the tangent d
-        (same shape as x) when given, with the activation pattern frozen at x.
-
-        Returns (inputs, tangents, masks, squeeze): per-layer inputs as
-        (B, .) batches (inputs[0] is x itself, the last entry the output),
-        per-layer tangents on the same layout (empty without d), relu masks
-        (None for linear layers), and whether x was a single sample. At a
-        ReLU kink the inactive subgradient (0) is used.
+    def trace(self, x, d=None):
+        """The one forward pass over x, (d_in,) or (B, d_in), carrying the
+        tangent d (same shape as x) when given, with the activation pattern
+        frozen at x. At a ReLU kink the inactive subgradient (0) is used.
         """
         a, squeeze = _as_batch(x, self.in_dim)
-        inputs, tangents, masks = [a], [], []
+        tr = Trace([a], [], [], squeeze)
         u = None
         if d is not None:
             u, _ = _as_batch(d, self.in_dim, "d")
             if u.shape[0] != a.shape[0]:
                 raise ValueError("direction batch size does not match x")
-            tangents.append(u)
+            tr.tangents.append(u)
         for W, b, act in zip(self.weights, self.biases, self.activations):
             z = a @ W.T + b
-            mask = (z > 0.0).astype(np.float64) if act == "relu" else None
-            a = z if mask is None else z * mask
-            inputs.append(a)
-            masks.append(mask)
+            mask = z > 0.0 if act == "relu" else None
+            a = z if mask is None else np.maximum(z, 0.0)
+            tr.inputs.append(a)
+            tr.masks.append(mask)
             if u is not None:
                 u = u @ W.T
                 u = u if mask is None else u * mask
-                tangents.append(u)
-        return inputs, tangents, masks, squeeze
+                tr.tangents.append(u)
+        return tr
 
     def _upstream(self, upstream, batch):
         up, _ = _as_batch(upstream, self.out_dim, "upstream")
@@ -137,50 +152,40 @@ class Mlp:
             raise ValueError("upstream batch size does not match x")
         return up
 
-    def backprop(self, x, upstream):
-        """Reverse pass for the scalar sum_b upstream[b] . f(x[b]).
+    def reverse(self, trace, upstream=None, tangent_upstream=None):
+        """The one reverse sweep over a trace of this network.
 
-        Returns (grads, dx, out): grads in params() order summed over the
-        batch, dx = d/dx with the same leading shape as x, and out = f(x) from
-        the same forward pass. With a one-hot upstream, dx holds that
-        output's row of the input Jacobian.
+        Returns (grads, dx): the parameter gradients, in params() order and
+        summed over the batch b, of
+            upstream[b] . f(x[b]) + tangent_upstream[b] . (J(x[b]) . d[b])
+        and dx = d/dx of the first term, shaped like x; a missing upstream
+        is zero. With a one-hot upstream, dx holds that output's row of the
+        input Jacobian. The second term holds the activation masks locally
+        constant (exact away from kinks), so it adds nothing to the bias
+        gradients. The trace's output entry is not read.
         """
-        inputs, _, masks, squeeze = self._trace(x)
-        # final layer is linear: dL/dz = upstream
-        delta = self._upstream(upstream, inputs[0].shape[0])
+        batch = trace.inputs[0].shape[0]
+        delta = np.zeros((batch, self.out_dim)) if upstream is None \
+            else self._upstream(upstream, batch)
+        g = None
+        if tangent_upstream is not None:
+            if not trace.tangents:
+                raise ValueError("tangent upstream needs a traced direction")
+            g = self._upstream(tangent_upstream, batch)
         n = len(self.weights)
         grads = [None] * (2 * n)
         for k in range(n - 1, -1, -1):
-            grads[2 * k] = delta.T @ inputs[k]
+            # the final layer is linear, so the upstreams are dL/dz there
+            grads[2 * k] = delta.T @ trace.inputs[k]
             grads[2 * k + 1] = delta.sum(axis=0)
             delta = delta @ self.weights[k]
-            if k > 0 and masks[k - 1] is not None:
-                delta = delta * masks[k - 1]
-        out = inputs[-1]
-        return (grads, delta[0], out[0]) if squeeze else (grads, delta, out)
-
-    def directional_derivative(self, x, d):
-        """J(x) . d via a tangent pass with the activation pattern frozen at x."""
-        _, tangents, _, squeeze = self._trace(x, d)
-        return tangents[-1][0] if squeeze else tangents[-1]
-
-    def directional_param_backprop(self, x, d, upstream):
-        """Parameter gradients of sum_b upstream[b] . (J(x[b]) . d[b]).
-
-        The activation masks are treated as locally constant (exact away from
-        kinks), so bias gradients are exactly zero.
-        """
-        _, tangents, masks, _ = self._trace(x, d)
-        g = self._upstream(upstream, tangents[0].shape[0])
-        n = len(self.weights)
-        grads = [None] * (2 * n)
-        for k in range(n - 1, -1, -1):
-            if masks[k] is not None:
-                g = g * masks[k]
-            grads[2 * k] = g.T @ tangents[k]
-            grads[2 * k + 1] = np.zeros_like(self.biases[k])
-            g = g @ self.weights[k]
-        return grads
+            if g is not None:
+                grads[2 * k] += g.T @ trace.tangents[k]
+                g = g @ self.weights[k]
+            if k > 0 and trace.masks[k - 1] is not None:
+                delta = delta * trace.masks[k - 1]
+                g = None if g is None else g * trace.masks[k - 1]
+        return grads, delta[0] if trace.squeeze else delta
 
     def tensors(self, prefix=""):
         out = {}

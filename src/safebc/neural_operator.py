@@ -45,6 +45,11 @@ def u_dot_forward(U, dt):
     return ud
 
 
+def mean_square(diff):
+    """Mean of the squared entries of a trajectory error, the L_G loss."""
+    return float(np.sum(diff * diff)) / diff.size
+
+
 class KernelLayer:
     """One integral layer: local matrix W, kernel MLP, bias MLP, activation."""
 
@@ -72,17 +77,18 @@ class KernelLayer:
 class OperatorCache:
     """Activations of one forward pass, tied to a parameter fingerprint."""
 
-    def __init__(self, fingerprint, U, vs, zs):
+    def __init__(self, fingerprint, vs, masks, p_trace, q_trace):
         self.fingerprint = fingerprint
-        self.U = U
         self.vs = vs    # layer inputs: vs[0] lifted, ..., vs[L] input to Q
-        self.zs = zs    # pre-activations per kernel layer
+        self.masks = masks  # per kernel layer: bool ReLU pattern, or None
+        self.p_trace = p_trace  # traces of the lift P and the readout Q
+        self.q_trace = q_trace
 
 
 class BoundaryOperator:
     """Trajectory-to-trajectory map built from kernel integral layers."""
 
-    def __init__(self, grid, d_v=16, n_layers=2, activations=None, seed=0,
+    def __init__(self, grid, d_v, n_layers, activations=None, seed=0,
                  kappa_hidden=32, b_hidden=16, table_hidden="relu"):
         if n_layers < 1:
             raise ConfigurationError("n_layers must be >= 1")
@@ -129,18 +135,6 @@ class BoundaryOperator:
             crc = zlib.crc32(p.tobytes(), crc)
         return crc
 
-    def with_grid(self, grid):
-        """Same parameters evaluated on a different time grid."""
-        other = object.__new__(BoundaryOperator)
-        other.__dict__.update(self.__dict__)
-        other.grid = grid
-        other._weights = trapezoid_weights(grid)
-        other._tables = None
-        other._dt_tables = None
-        other._table_fp = None
-        other._dt_table_fp = None
-        return other
-
     # -- cached kernel and bias tables ------------------------------------
 
     def _pair_inputs(self):
@@ -152,6 +146,10 @@ class BoundaryOperator:
         return pairs
 
     def _build_tables(self):
+        """Per layer (K2, kappa_trace, b_trace): the kernel on the (t_m, t_j)
+        grid as an (n*d_out, n*d_in) matrix, and the traces of the kernel
+        and bias networks, kept for the backward pass; b_trace.output is the
+        bias at each t_m."""
         fp = self.fingerprint()
         if self._tables is not None and self._table_fp == fp:
             return self._tables
@@ -161,10 +159,13 @@ class BoundaryOperator:
         tables = []
         for layer in self.layers:
             do, di = layer.dim_out, layer.dim_in
-            K = layer.kappa.forward(pairs).reshape(n, n, do, di)
+            kappa_trace = layer.kappa.trace(pairs)
+            # K2 is the only copy of the kernel kept; reverse never reads
+            # the trace's output
+            K = kappa_trace.inputs.pop().reshape(n, n, do, di)
             K2 = K.transpose(0, 2, 1, 3).reshape(n * do, n * di)
-            b_tab = layer.b.forward(t[:, None])
-            tables.append((K2, b_tab))
+            b_trace = layer.b.trace(t[:, None])
+            tables.append((K2, kappa_trace, b_trace))
         self._tables = tables
         self._table_fp = fp
         return tables
@@ -183,10 +184,10 @@ class BoundaryOperator:
         e_t[:, 0] = 1.0
         for layer in self.layers:
             do, di = layer.dim_out, layer.dim_in
-            dK = layer.kappa.directional_derivative(pairs, e_t)
+            dK = layer.kappa.trace(pairs, e_t).tangents[-1]
             dK2 = dK.reshape(n, n, do, di).transpose(0, 2, 1, 3) \
                 .reshape(n * do, n * di)
-            db_tab = layer.b.directional_derivative(t[:, None], np.ones((n, 1)))
+            db_tab = layer.b.trace(t[:, None], np.ones((n, 1))).tangents[-1]
             tables.append((dK2, db_tab))
         self._dt_tables = tables
         self._dt_table_fp = fp
@@ -211,18 +212,20 @@ class BoundaryOperator:
         B, n = UU.shape
         tables = self._build_tables()
         w = self._weights
-        v = self.P.forward(UU.reshape(-1, 1)).reshape(B, n, self.d_v)
+        p_trace = self.P.trace(UU.reshape(-1, 1))
+        v = p_trace.output.reshape(B, n, self.d_v)
         vs = [v]
-        zs = []
-        for layer, (K2, b_tab) in zip(self.layers, tables):
+        masks = []
+        for layer, (K2, _, b_trace) in zip(self.layers, tables):
             vw = v * w[None, :, None]
             integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, layer.dim_out)
-            z = v @ layer.W.T + integ + b_tab[None]
-            zs.append(z)
+            z = v @ layer.W.T + integ + b_trace.output[None]
+            masks.append(z > 0.0 if layer.activation == "relu" else None)
             v = np.maximum(z, 0.0) if layer.activation == "relu" else z
             vs.append(v)
-        YY = self.Q.forward(v.reshape(-1, self.d_v)).reshape(B, n)
-        cache = OperatorCache(self._table_fp, UU, vs, zs)
+        q_trace = self.Q.trace(v.reshape(-1, self.d_v))
+        YY = q_trace.output.reshape(B, n)
+        cache = OperatorCache(self._table_fp, vs, masks, p_trace, q_trace)
         if not np.all(np.isfinite(YY)):
             raise FloatingPointError("non-finite operator output")
         return YY, cache
@@ -237,15 +240,6 @@ class BoundaryOperator:
             raise CacheStaleError(
                 "cached activations predate a parameter update; rerun forward")
 
-    def _masks(self, cache, b):
-        masks = []
-        for layer, z in zip(self.layers, cache.zs):
-            if layer.activation == "relu":
-                masks.append((z[b] > 0.0).astype(float))
-            else:
-                masks.append(np.ones_like(z[b]))
-        return masks
-
     # -- derivative decomposition -----------------------------------------
 
     def decomposition(self, cache, batch_index=0):
@@ -254,7 +248,6 @@ class BoundaryOperator:
         n = self.grid.M + 1
         w = self._weights
         dt_tables = self._build_dt_tables()
-        masks = self._masks(cache, batch_index)
         q_vec = self.Q.params()[0].ravel()
 
         A = np.broadcast_to(self.P.params()[0].ravel(), (n, self.d_v)).copy()
@@ -264,17 +257,14 @@ class BoundaryOperator:
             v = cache.vs[li][batch_index]
             vw = v * w[:, None]
             dinteg = (dK2 @ vw.ravel()).reshape(n, layer.dim_out)
-            A = (A @ layer.W.T) * masks[li]
-            p = (p @ layer.W.T + dinteg + db_tab) * masks[li]
+            A = A @ layer.W.T
+            p = p @ layer.W.T + dinteg + db_tab
+            mask = cache.masks[li]
+            if mask is not None:
+                A, p = A * mask[batch_index], p * mask[batch_index]
         Lambda = A @ q_vec
         mu = p @ q_vec
         return Lambda, mu
-
-    def time_derivative(self, U_dot, cache, m, batch_index=0):
-        """Decomposition at step m and the rate Lambda[m]*U_dot[m] + mu[m]."""
-        Lambda, mu = self.decomposition(cache, batch_index)
-        dY = Lambda[m] * np.asarray(U_dot, dtype=float)[m] + mu[m]
-        return (Lambda[m], mu[m]), dY
 
     # -- training loss -----------------------------------------------------
 
@@ -284,7 +274,7 @@ class BoundaryOperator:
         YY = np.atleast_2d(np.asarray(YY, dtype=float))
         Yhat, cache = self.forward_batch(UU)
         diff = Yhat - YY
-        loss = float(np.sum(diff * diff)) / diff.size
+        loss = mean_square(diff)
 
         params = self.params()
         is_weight = self.param_is_weight()
@@ -301,42 +291,37 @@ class BoundaryOperator:
         return loss, grads
 
     def _backward(self, cache, dY):
-        """Reverse accumulation of d(loss)/d(params) given d(loss)/dY."""
+        """Reverse accumulation of d(loss)/d(params) given d(loss)/dY: one
+        sweep over the traces of the cached forward pass and of the tables;
+        no network runs forward."""
         B, n = dY.shape
         w = self._weights
         tables = self._build_tables()
-        t = self.grid.times()
-        pairs = self._pair_inputs()
 
-        vL = cache.vs[-1].reshape(-1, self.d_v)
-        q_grads, dvL, _ = self.Q.backprop(vL, dY.reshape(-1, 1))
+        q_grads, dvL = self.Q.reverse(cache.q_trace, dY.reshape(-1, 1))
         dv = dvL.reshape(B, n, self.d_v)
 
         layer_grads = []
         for li in range(self.n_layers - 1, -1, -1):
             layer = self.layers[li]
-            K2, _ = tables[li]
-            z = cache.zs[li]
+            K2, kappa_trace, b_trace = tables[li]
+            mask = cache.masks[li]
             v_in = cache.vs[li]
-            if layer.activation == "relu":
-                dz = dv * (z > 0.0)
-            else:
-                dz = dv
+            dz = dv if mask is None else dv * mask
             dW = dz.reshape(-1, layer.dim_out).T @ v_in.reshape(-1, layer.dim_in)
             db_rows = dz.sum(axis=0)
-            b_grads, _, _ = layer.b.backprop(t[:, None], db_rows)
+            b_grads, _ = layer.b.reverse(b_trace, db_rows)
             vw = v_in * w[None, :, None]
             dK2 = dz.reshape(B, -1).T @ vw.reshape(B, -1)
             dK = dK2.reshape(n, layer.dim_out, n, layer.dim_in)
             up_kappa = dK.transpose(0, 2, 1, 3).reshape(n * n, -1)
-            kappa_grads, _, _ = layer.kappa.backprop(pairs, up_kappa)
+            kappa_grads, _ = layer.kappa.reverse(kappa_trace, up_kappa)
             dv = dz @ layer.W
             dv += (dz.reshape(B, -1) @ K2).reshape(B, n, layer.dim_in) \
                 * w[None, :, None]
             layer_grads.append([dW] + kappa_grads + b_grads)
 
-        v0_up = dv.reshape(-1, self.d_v)
-        p_grads, _, _ = self.P.backprop(cache.U.reshape(-1, 1), v0_up)
+        p_grads, _ = self.P.reverse(cache.p_trace, dv.reshape(-1, self.d_v))
 
         grads = list(p_grads)
         for lg in reversed(layer_grads):

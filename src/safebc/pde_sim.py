@@ -102,7 +102,7 @@ class HyperbolicConfig:
     beta: float = 5.0
     n_points: int = 101
     grid: TimeGrid = field(default_factory=_default_hyperbolic_grid)
-    substeps: int | None = None
+    substeps: int = None
 
     def __post_init__(self):
         if self.n_points < 3:
@@ -235,6 +235,10 @@ class Controller:
     the latest measured output Y_{m-1}. U_0 is always the episode's U0.
     """
 
+    # (spec name, {spec key: (constructor parameter, type)}) of the spec
+    # string that describe writes and parse_controller reads
+    SPEC = None
+
     def reset(self, U0, grid, episode_seed=None):
         pass
 
@@ -242,11 +246,19 @@ class Controller:
         raise NotImplementedError
 
     def describe(self):
-        return type(self).__name__
+        """The spec string naming every constructor parameter, each float
+        as its shortest repr that round-trips."""
+        if self.SPEC is None:
+            return type(self).__name__
+        name, keys = self.SPEC
+        return f"{name}:" + ",".join(f"{key}={getattr(self, param)!r}"
+                                     for key, (param, _) in keys.items())
 
 
 class Proportional(Controller):
     """Output feedback U_m = -gain * Y_{m-1}."""
+
+    SPEC = ("proportional", {"gain": ("gain", float)})
 
     def __init__(self, gain):
         self.gain = float(gain)
@@ -254,12 +266,11 @@ class Proportional(Controller):
     def control(self, m, t, y_prev):
         return -self.gain * y_prev
 
-    def describe(self):
-        return f"proportional:gain={self.gain:g}"
-
 
 class Constant(Controller):
     """Holds a fixed value; value=None holds the episode's U0."""
+
+    SPEC = ("constant", {"value": ("value", float)})
 
     def __init__(self, value=None):
         self.value = None if value is None else float(value)
@@ -272,7 +283,8 @@ class Constant(Controller):
         return self._held
 
     def describe(self):
-        return "constant:hold-U0" if self.value is None else f"constant:value={self.value:g}"
+        return "constant:hold-U0" if self.value is None \
+            else super().describe()
 
 
 class SmoothRandom(Controller):
@@ -282,6 +294,11 @@ class SmoothRandom(Controller):
     a shared instance still produces distinct signals across collected
     trajectories while staying deterministic.
     """
+
+    SPEC = ("smooth", {"seed": ("seed", int), "modes": ("num_modes", int),
+                       "amplitude": ("amplitude", float),
+                       "min_frequency": ("min_frequency", float),
+                       "max_frequency": ("max_frequency", float)})
 
     def __init__(self, seed=0, num_modes=3, amplitude=2.0,
                  min_frequency=0.2, max_frequency=1.5):
@@ -308,10 +325,6 @@ class SmoothRandom(Controller):
 
     def control(self, m, t, y_prev):
         return self._U0 + float(np.sum(self._amps * np.sin(self._freqs * t)))
-
-    def describe(self):
-        return (f"smooth:seed={self.seed},modes={self.num_modes},"
-                f"amplitude={self.amplitude:g}")
 
 
 class FromFile(Controller):
@@ -346,6 +359,33 @@ class FromFile(Controller):
 
     def describe(self):
         return f"file:{self.path}" if self.path else "replay"
+
+
+def parse_controller(text):
+    """Controller from a spec string, the inverse of `describe` (a replayed
+    array, described as "replay", has no spec).
+
+    Formats: constant | constant:hold-U0 | constant:value=V |
+    proportional:gain=K |
+    smooth[:seed=S,modes=N,amplitude=A,min_frequency=F,max_frequency=F] |
+    file:PATH; keys left out of a smooth spec keep their defaults.
+    """
+    name, _, rest = text.partition(":")
+    if name == "file" and rest:
+        return FromFile(rest)
+    if name == "constant" and rest in ("", "hold-U0"):
+        return Constant()
+    specs = {c.SPEC[0]: c for c in (Constant, Proportional, SmoothRandom)}
+    try:
+        cls, kwargs = specs[name], {}
+        for item in rest.split(",") if rest else ():
+            key, _, val = item.partition("=")
+            param, kind = cls.SPEC[1][key]
+            kwargs[param] = kind(val)
+        return cls(**kwargs)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"bad controller spec {text!r}: {exc!r}") from exc
 
 
 class RolloutResult:

@@ -21,7 +21,7 @@ from .barrier import (BarrierFunction, loss_decrease_condition, loss_safe_set,
                       loss_sublevel_margin)
 from .checkpoint import ConfigurationError, fmt, read_table, write_table
 from .nets import Adam, subseed
-from .neural_operator import BoundaryOperator, u_dot_forward
+from .neural_operator import BoundaryOperator, mean_square, u_dot_forward
 from .trajectories import balance_near_zero, split, suffix_safe_mask
 
 HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
@@ -360,7 +360,8 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
                 adam_op.start_epoch(epoch)
                 row["L_G"] = _operator_epoch(op, adam_op, UU, YY, sched_op,
                                              rng_op)
-                row["val_LG"], _ = op.loss_and_grads(val_UU, val_YY)
+                row["val_LG"] = mean_square(
+                    op.forward_batch(val_UU)[0] - val_YY)
             if run_bar and epoch < sched_bf.epochs:
                 if moving_rates and epoch < sched_op.epochs:
                     samples.set_rates(config.dy_dt_source, op)

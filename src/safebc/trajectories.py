@@ -169,7 +169,7 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
     return Dataset(env_cfg.grid, pairs, meta)
 
 
-def balance_near_zero(dataset, band=(-0.1, 0.1), keep_fraction=0.2, seed=0):
+def balance_near_zero(dataset, band, keep_fraction, seed=0):
     """Attach feasibility-loss inclusion masks that thin near-zero outputs.
 
     Steps with Y inside `band` are retained with probability keep_fraction;

@@ -55,7 +55,7 @@ def test_partials_match_central_differences(time_dependent):
 
 
 def test_partials_keep_the_input_shape():
-    bar = BarrierFunction(seed=1)
+    bar = BarrierFunction(time_dependent=True, seed=1)
     phi, dt_, dY_ = bar.partials(0.5, 1.5)
     assert all(isinstance(v, float) for v in (phi, dt_, dY_))
     assert phi == bar.value(0.5, 1.5)
@@ -99,7 +99,7 @@ def smooth_samples(bar, t, Y, *hinges):
 
 
 def small_barrier(seed):
-    return BarrierFunction(hidden=(4, 6, 4), seed=seed)
+    return BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=seed)
 
 
 def test_safe_set_loss_gradients_match_central_differences():

@@ -142,7 +142,7 @@ TRAIN_CONFIGS = [
                  operator=OperatorSchedule(
                      epochs=3, lr=0.01, l2=0.0, decay_factor=0.5,
                      decay_every=2, batch_trajectories=8, d_v=4, n_layers=1,
-                     activations=["linear"]),
+                     activations=("linear",)),
                  bcbf=BarrierSchedule(
                      epochs=5, lr=0.1, decay_factor=0.5, decay_every=3,
                      batch_samples=32, time_dependent=False, margin=0.2,
@@ -201,11 +201,11 @@ SPECS = [
     ({"env": {"name": "hyperbolic", "beta": 1, "n_points": 51,
               "substeps": 2, "grid": {"T": 4, "M": 40}},
       "controller": "proportional:gain=0.5",
-      "safe_set": "abs:center=0,halfwidth=0.2", "filter_on": 1,
+      "safe_set": "abs:center=0,halfwidth=0.2", "filter_on": True,
       "filter": {"constants": {"alpha": 0.01, "T": 3, "asymptotic": False},
                  "eta": 1e9, "infeasible_policy": "abort"},
-      "operator_path": "a", "bcbf_path": "b", "episodes": 3.0,
-      "U0_range": [0, 1], "seed": "4"},
+      "operator_path": "a", "bcbf_path": "b", "episodes": 3,
+      "U0_range": [0, 1], "seed": 4},
      ExperimentSpec(HyperbolicConfig(beta=1.0, n_points=51, substeps=2,
                                      grid=TimeGrid(4.0, 40)),
                     Proportional(0.5), TwoSidedSet(0.0, 0.2), filter_on=True,
@@ -263,10 +263,51 @@ def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     ({"mode": "jiont"}, "unknown training mode"),
     ({"operator": {"epochs": "many"}}, "operator.epochs"),
     ({"operator": []}, "operator: expected a JSON object"),
+    # a value of another JSON type is not cast: 2.7 epochs is not 2, and
+    # "no" is not True
+    ({"operator": {"epochs": 2.7}}, "operator.epochs: expected int"),
+    ({"operator": {"epochs": True}}, "operator.epochs: expected int"),
+    ({"operator": {"decay_every": 2.5}}, "operator.decay_every"),
+    ({"operator": {"activations": "relu"}}, "operator.activations"),
+    ({"bcbf": {"time_dependent": "no"}}, "bcbf.time_dependent"),
+    ({"bcbf": {"time_dependent": 1}}, "bcbf.time_dependent"),
+    ({"lambda_G": "1"}, "lambda_G: expected float"),
+    ({"lambda_G": True}, "lambda_G: expected float"),
+    ({"balance_band": "(-0.1, 0.1)"}, "balance_band: expected tuple"),
+    ({"mode": 3}, "mode: expected str"),
+    ({"constants": {"asymptotic": 0}}, "constants.asymptotic"),
 ])
 def test_bad_train_value_is_an_error(values, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         load_train_config(values)
+
+
+@pytest.mark.parametrize("values, path", [
+    ({"filter_on": "false"}, "filter_on"),
+    ({"filter_on": 1}, "filter_on"),
+    ({"episodes": 3.0}, "episodes"),
+    ({"seed": "4"}, "seed"),
+    ({"U0_range": 5}, "U0_range"),
+    ({"operator_path": 3}, "operator_path"),
+    ({"filter": {"eta": "2"}}, "filter.eta"),
+    ({"env": {"name": "hyperbolic", "grid": {"M": 20.0}}}, "env.grid.M"),
+    ({"env": {"name": "hyperbolic", "substeps": 1.5}}, "env.substeps"),
+])
+def test_wrong_typed_spec_value_is_an_error_naming_its_path(values, path):
+    with pytest.raises(ConfigurationError, match=re.escape(path + ":")):
+        load_experiment({**SPEC, **values})
+
+
+def test_numbers_load_as_floats_and_null_keeps_a_none_default():
+    config, constants = load_train_config(
+        {"lambda_S": 2, "operator": {"decay_factor": None},
+         "constants": {"T": 3}})
+    assert type(config.lambda_S) is float and config.lambda_S == 2.0
+    assert config.operator.decay_factor is None
+    assert type(constants.T) is float
+    spec = load_experiment({**SPEC, "env": {"name": "hyperbolic",
+                                            "substeps": None}})
+    assert spec.env.substeps is None
 
 
 def test_unknown_key_exits_2_with_its_path(tmp_path, capsys):

@@ -25,8 +25,8 @@ ENV = HyperbolicConfig(beta=0.5, grid=GRID)
 @pytest.fixture
 def spec(tmp_path):
     op_path, bar_path = tmp_path / "op.ckpt", tmp_path / "bar.ckpt"
-    BoundaryOperator(GRID, d_v=4, seed=1).save(op_path)
-    BarrierFunction(seed=2).save(bar_path)
+    BoundaryOperator(GRID, d_v=4, n_layers=2, seed=1).save(op_path)
+    BarrierFunction(time_dependent=True, seed=2).save(bar_path)
     return ExperimentSpec(env=ENV, controller=SmoothRandom(seed=2),
                           safe_set=OneSidedSet(1, 1.0),
                           filter=FilterConfig(eta=1e9),

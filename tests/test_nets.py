@@ -1,5 +1,5 @@
-"""Tests for the MLP substrate: forward, the reverse and tangent passes,
-Adam."""
+"""Tests for the MLP substrate: the forward trace with its tangent, the
+reverse sweep, Adam."""
 
 import numpy as np
 import pytest
@@ -71,14 +71,20 @@ class TestForward:
 
 def jacobian(mlp, x):
     """Input Jacobian at each row of x, (B, d_out, d_in), built one output
-    row at a time from backprop's dx with a one-hot upstream."""
+    row at a time from the reverse sweep's dx with a one-hot upstream."""
     x = np.atleast_2d(x)
+    tr = mlp.trace(x)
     rows = []
     for k in range(mlp.out_dim):
         upstream = np.zeros((x.shape[0], mlp.out_dim))
         upstream[:, k] = 1.0
-        rows.append(mlp.backprop(x, upstream)[1])
+        rows.append(mlp.reverse(tr, upstream)[1])
     return np.stack(rows, axis=1)
+
+
+def sweep(mlp, x, upstream):
+    """(grads, dx) of upstream . f(x) from one trace and one reverse."""
+    return mlp.reverse(mlp.trace(x), upstream)
 
 
 class TestInputJacobian:
@@ -87,7 +93,7 @@ class TestInputJacobian:
         mlp = Mlp([2, 1], activations=("linear",), seed=0)
         mlp.weights[0][...] = [[3.0, 2.0]]
         mlp.biases[0][...] = [0.0]
-        _, dx, _ = mlp.backprop([0.5, 0.5], [1.0])
+        _, dx = sweep(mlp, [0.5, 0.5], [1.0])
         assert np.array_equal(dx, [3.0, 2.0])
 
     def test_zero_weights_give_zero_jacobian(self):
@@ -113,10 +119,10 @@ class TestInputJacobian:
     def test_batched_jacobian_matches_per_sample(self):
         mlp = Mlp([2, 8, 1], seed=9)
         xs = np.random.default_rng(5).normal(size=(6, 2))
-        _, dx, _ = mlp.backprop(xs, np.ones((6, 1)))
+        _, dx = sweep(mlp, xs, np.ones((6, 1)))
         assert dx.shape == (6, 2)
         for k, x in enumerate(xs):
-            _, row, _ = mlp.backprop(x, [1.0])
+            _, row = sweep(mlp, x, [1.0])
             # BLAS may reorder the inner sums between the two shapes
             assert np.allclose(dx[k], row, rtol=1e-14, atol=1e-15)
 
@@ -124,7 +130,7 @@ class TestInputJacobian:
 class TestParamGradients:
     def test_zero_upstream_gives_zero_gradients(self):
         mlp = Mlp([2, 4, 1], seed=0)
-        grads, dx, _ = mlp.backprop([0.3, 0.4], [0.0])
+        grads, dx = sweep(mlp, [0.3, 0.4], [0.0])
         assert all(np.all(g == 0.0) for g in grads)
         assert np.array_equal(dx, [0.0, 0.0])
 
@@ -132,7 +138,7 @@ class TestParamGradients:
         mlp = Mlp([1, 1], activations=("linear",), seed=0)
         mlp.weights[0][...] = [[2.0]]
         mlp.biases[0][...] = [0.5]
-        grads, dx, _ = mlp.backprop([1.0], [1.0])
+        grads, dx = sweep(mlp, [1.0], [1.0])
         assert np.array_equal(grads[0], [[1.0]])
         assert np.array_equal(grads[1], [1.0])
         assert np.array_equal(dx, [2.0])
@@ -147,7 +153,7 @@ class TestParamGradients:
         def loss():
             return float(np.sum(up * mlp.forward(x)))
 
-        grads, _, _ = mlp.backprop(x, up)
+        grads, _ = sweep(mlp, x, up)
         h = 1e-6
         params = mlp.params()
         for _ in range(5):
@@ -170,18 +176,21 @@ class TestParamGradients:
         x = rng.normal(size=3)
         d = rng.normal(size=3)
         expect = jacobian(mlp, x)[0] @ d
-        assert np.allclose(mlp.directional_derivative(x, d), expect,
-                           rtol=1e-13, atol=0)
+        tr = mlp.trace(x, d)
+        assert np.allclose(tr.tangents[-1][0], expect, rtol=1e-13, atol=0)
+        assert np.array_equal(tr.output, mlp.forward(x))
 
     def test_directional_param_backprop_matches_finite_differences(self):
-        # d/dtheta of upstream . (J(x) d) where the activation pattern is
-        # frozen, checked against differencing the directional derivative.
+        # d/dtheta of upstream . (J(x) d), the reverse sweep's tangent term,
+        # where the activation pattern is frozen, checked against
+        # differencing the tangent of the trace.
         mlp = Mlp([2, 6, 1], seed=2)
         rng = np.random.default_rng(8)
         x = rng.normal(size=2)
         d = rng.normal(size=2)
         up = np.array([1.0])
-        grads = mlp.directional_param_backprop(x, d, up)
+        grads, dx = mlp.reverse(mlp.trace(x, d), tangent_upstream=up)
+        assert np.array_equal(dx, np.zeros(2))
         h = 1e-6
         params = mlp.params()
         is_weight = mlp.param_is_weight()
@@ -193,9 +202,9 @@ class TestParamGradients:
             ci = rng.integers(flat.size)
             keep = flat[ci]
             flat[ci] = keep + h
-            up_val = float(up @ mlp.directional_derivative(x, d))
+            up_val = float(up @ mlp.trace(x, d).tangents[-1][0])
             flat[ci] = keep - h
-            down_val = float(up @ mlp.directional_derivative(x, d))
+            down_val = float(up @ mlp.trace(x, d).tangents[-1][0])
             flat[ci] = keep
             fd = (up_val - down_val) / (2 * h)
             assert grads[pi].reshape(-1)[ci] == pytest.approx(
@@ -213,12 +222,35 @@ class TestParamGradients:
         else:
             up = up[:1]
         with pytest.raises(ValueError, match="batch size"):
-            mlp.directional_param_backprop(x, d, up)
+            mlp.reverse(mlp.trace(x, d), tangent_upstream=up)
+        with pytest.raises(ValueError, match="batch size"):
+            mlp.reverse(mlp.trace(x, d), up)
 
     def test_directional_derivative_checks_batch_size(self):
         mlp = Mlp([2, 6, 1], seed=2)
         with pytest.raises(ValueError, match="batch size"):
-            mlp.directional_derivative(np.ones((4, 2)), np.ones((1, 2)))
+            mlp.trace(np.ones((4, 2)), np.ones((1, 2)))
+
+    def test_fused_sweep_is_the_sum_of_the_two_terms(self):
+        # one reverse with both upstreams equals the tangent term plus the
+        # value term, in that order, bitwise; dx comes from the value term
+        mlp = Mlp([2, 8, 4, 1], seed=6)
+        rng = np.random.default_rng(6)
+        x, d = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        up, tup = rng.normal(size=(5, 1)), rng.normal(size=(5, 1))
+        tr = mlp.trace(x, d)
+        fused, dx = mlp.reverse(tr, up, tup)
+        tangent_part, _ = mlp.reverse(tr, tangent_upstream=tup)
+        value_part, value_dx = mlp.reverse(tr, up)
+        for g, t_, v in zip(fused, tangent_part, value_part):
+            assert np.array_equal(g, t_ + v)
+        assert np.array_equal(dx, value_dx)
+
+    def test_tangent_upstream_needs_a_direction(self):
+        mlp = Mlp([2, 6, 1], seed=2)
+        with pytest.raises(ValueError, match="direction"):
+            mlp.reverse(mlp.trace(np.ones((4, 2))),
+                        tangent_upstream=np.ones((4, 1)))
 
 
 class TestAdam:

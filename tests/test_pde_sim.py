@@ -8,7 +8,7 @@ import pytest
 from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
                             HyperbolicConfig, ParabolicConfig, PdeState1D,
                             Proportional, SmoothRandom, TimeGrid,
-                            read_trajectory_csv, rollout,
+                            parse_controller, read_trajectory_csv, rollout,
                             stabilization_reward, step_hyperbolic,
                             step_parabolic, write_states_csv,
                             write_trajectory_csv)
@@ -266,6 +266,35 @@ class TestControllers:
         assert "gain=2" in Proportional(2.0).describe()
         assert Constant().describe() == "constant:hold-U0"
         assert "value=-3" in Constant(-3.0).describe()
+
+    def test_parse_controller_rebuilds_every_described_controller(
+            self, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, np.linspace(0.0, 2.0, 51),
+                             TimeGrid(5.0, 50))
+        controllers = [
+            Constant(), Constant(0.123456789), Constant(-1e-17),
+            Proportional(1.0 / 3.0), Proportional(2.0),
+            SmoothRandom(),
+            SmoothRandom(min_frequency=0.5, max_frequency=0.7),
+            SmoothRandom(seed=9, num_modes=5, amplitude=0.1 + 0.2,
+                         min_frequency=1.0 / 7.0, max_frequency=np.pi),
+            FromFile(path)]
+        for c in controllers:
+            back = parse_controller(c.describe())
+            assert type(back) is type(c)
+            # the constructor parameters, not the per-episode state
+            public = {k: v for k, v in vars(c).items()
+                      if not k.startswith("_")}
+            assert {k: v for k, v in vars(back).items()
+                    if not k.startswith("_")} == public, c.describe()
+
+    @pytest.mark.parametrize("text", [
+        "constant:gain=1", "proportional", "smooth:modez=3", "file:",
+        "pid:gain=1"])
+    def test_parse_controller_rejects_bad_specs(self, text):
+        with pytest.raises(ConfigurationError):
+            parse_controller(text)
 
 
 class TestReward:

@@ -25,7 +25,8 @@ def nominal(seed):
 
 
 def models(seed):
-    return BoundaryOperator(GRID, d_v=4, seed=1), BarrierFunction(seed=seed)
+    return (BoundaryOperator(GRID, d_v=4, n_layers=2, seed=1),
+            BarrierFunction(time_dependent=True, seed=seed))
 
 
 class TestQpStep:

@@ -10,7 +10,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from safebc.barrier import FeasibilityConstants
+from safebc.barrier import (BarrierFunction, FeasibilityConstants,
+                            loss_decrease_condition, loss_safe_set,
+                            loss_sublevel_margin)
+from safebc.nets import Mlp
+from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, TrainConfig,
@@ -140,3 +144,91 @@ def test_history_round_trips_through_csv(dataset, tmp_path):
     hist.save(path)
     back = TrainHistory.read(path)
     assert_same_history(back, hist)
+
+
+# -- every network pass runs once ---------------------------------------------
+
+
+class PassLog:
+    """Records each Mlp.trace as (net, carries a direction) and each
+    Mlp.reverse as its net."""
+
+    def __init__(self, monkeypatch):
+        self.traces, self.reverses = [], []
+        trace, reverse = Mlp.trace, Mlp.reverse
+
+        def counted_trace(net, x, d=None):
+            self.traces.append((net, d is not None))
+            return trace(net, x, d)
+
+        def counted_reverse(net, tr, *args, **kwargs):
+            self.reverses.append(net)
+            return reverse(net, tr, *args, **kwargs)
+
+        monkeypatch.setattr(Mlp, "trace", counted_trace)
+        monkeypatch.setattr(Mlp, "reverse", counted_reverse)
+
+    def clear(self):
+        self.traces.clear()
+        self.reverses.clear()
+
+    def traced(self, net):
+        return sum(1 for n, _ in self.traces if n is net)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    return PassLog(monkeypatch)
+
+
+def test_an_operator_step_traces_each_network_once(passes):
+    op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
+                          kappa_hidden=4, b_hidden=3, seed=1)
+    rng = np.random.default_rng(2)
+    UU, YY = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+    op.loss_and_grads(UU, YY)
+    op.layers[0].W[0, 0] += 0.1
+    passes.clear()
+    op.loss_and_grads(UU, YY, l2=1e-3)
+    tables = [net for layer in op.layers for net in (layer.kappa, layer.b)]
+    nets = [op.P, op.Q] + tables
+    assert [passes.traced(n) for n in nets] == [1] * len(nets)
+    assert len(passes.traces) == len(nets)
+    # the backward pass sweeps the stored traces, one reverse per network
+    assert sorted(map(id, passes.reverses)) == sorted(map(id, nets))
+    passes.clear()
+    # same parameters: the tables and their traces are reused
+    op.loss_and_grads(UU, YY)
+    assert [passes.traced(n) for n in nets] == [1, 1] + [0] * len(tables)
+    assert len(passes.traces) == 2
+
+
+def test_barrier_losses_trace_each_batch_once(passes):
+    bar = BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=0)
+    rng = np.random.default_rng(3)
+    t, Y = rng.uniform(0.0, 5.0, 8), rng.normal(size=8)
+    loss_decrease_condition(bar, t, Y, rng.normal(size=8),
+                            rng.normal(size=8), CONSTANTS)
+    # x with its direction, then x0; one reverse of each
+    assert passes.traces == [(bar.net, True), (bar.net, False)]
+    assert len(passes.reverses) == 2
+    passes.clear()
+    loss_sublevel_margin(bar, t, Y, 0.1)
+    assert passes.traces == [(bar.net, False)]
+    assert len(passes.reverses) == 1
+    passes.clear()
+    safe = np.arange(8) < 5
+    loss_safe_set(bar, t, Y, safe, ~safe)
+    # one trace and one reverse per class
+    assert passes.traces == [(bar.net, False)] * 2
+    assert len(passes.reverses) == 2
+
+
+def test_the_validation_loss_runs_no_reverse(dataset, passes):
+    # 14 training trajectories in batches of 4: 4 steps per epoch, and one
+    # validation forward per epoch
+    op, history = train_operator(dataset, small_config())
+    epochs = len(history.rows)
+    assert epochs == 3
+    assert passes.traced(op.Q) == epochs * (4 + 1)
+    assert sum(1 for n in passes.reverses if n is op.Q) == epochs * 4

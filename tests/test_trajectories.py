@@ -152,7 +152,8 @@ class TestCollection:
 
 class TestBalance:
     def test_keep_fraction_one_retains_everything(self):
-        ds = balance_near_zero(make_dataset(), keep_fraction=1.0)
+        ds = balance_near_zero(make_dataset(), band=(-0.1, 0.1),
+                               keep_fraction=1.0)
         for pair in ds.pairs:
             assert pair.bf_mask.all()
 
@@ -179,13 +180,15 @@ class TestBalance:
         grid = TimeGrid(1.0, 4)
         pairs = [LabeledTrajectoryPair(np.full(5, 3.0), np.full(5, 3.0), 3.0,
                                        np.zeros(5, dtype=bool))]
-        ds = balance_near_zero(Dataset(grid, pairs, {}), keep_fraction=0.2)
+        ds = balance_near_zero(Dataset(grid, pairs, {}), band=(-0.1, 0.1),
+                               keep_fraction=0.2)
         assert ds.pairs[0].bf_mask.all()
         assert np.array_equal(ds.pairs[0].Y, pairs[0].Y)
 
     def test_bad_keep_fraction_rejected(self):
         with pytest.raises(ValueError):
-            balance_near_zero(make_dataset(), keep_fraction=0.0)
+            balance_near_zero(make_dataset(), band=(-0.1, 0.1),
+                              keep_fraction=0.0)
 
 
 class TestSplit:
