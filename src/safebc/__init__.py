@@ -45,7 +45,6 @@ from .trajectories import (  # noqa: F401
 from .nets import Adam, Mlp, subseed  # noqa: F401
 from .neural_operator import (  # noqa: F401
     BoundaryOperator,
-    CacheStaleError,
     KernelLayer,
     trapezoid_weights,
     u_dot_forward,

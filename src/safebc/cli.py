@@ -31,8 +31,25 @@ METRICS_COLUMNS = tuple(f.name for f in fields(Metrics))
 
 
 # the JSON types a field of each declared type takes; a bool is no number
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
-               tuple: (list,)}
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _load_value(value, kind, where):
+    """value as the declared type kind (a tuple[...] from a list of items of
+    its item types), or ConfigurationError naming where."""
+    if typing.get_origin(kind) is tuple:
+        items = typing.get_args(kind)
+        if isinstance(value, list) and items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ConfigurationError(f"{where}: expected {kind}, got {value!r}")
+        return tuple(_load_value(v, k, f"{where}[{i}]")
+                     for i, (v, k) in enumerate(zip(value, items)))
+    if not isinstance(value, _JSON_TYPES.get(kind, object)) or \
+            (isinstance(value, bool) and kind is not bool):
+        raise ConfigurationError(
+            f"{where}: expected {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def load_config(base, values, path=""):
@@ -44,8 +61,8 @@ def load_config(base, values, path=""):
     base, so keys left out keep their values in base.  Other values take
     the JSON type of their field's declared type, or raise: true or false
     for bool, an integer for int, any number for float (loaded as a float),
-    a string for str, a list for tuple (loaded as a tuple), and also null
-    where the default is None.
+    a string for str, a list of such items for tuple[...] (loaded as a
+    tuple), and also null where the default is None.
     """
     if not isinstance(values, dict):
         raise ConfigurationError(
@@ -61,11 +78,7 @@ def load_config(base, values, path=""):
         if is_dataclass(current):
             value = load_config(current, value, where)
         elif value is not None or defaults[key] is not None:
-            if not isinstance(value, _JSON_TYPES.get(kind, object)) or \
-                    (isinstance(value, bool) and kind is not bool):
-                raise ConfigurationError(
-                    f"{where}: expected {kind.__name__}, got {value!r}")
-            value = kind(value) if kind in (float, tuple) else value
+            value = _load_value(value, kind, where)
         changes[key] = value
     return replace(base, **changes)
 

@@ -92,7 +92,7 @@ class ExperimentSpec:
     operator_path: str = None
     bcbf_path: str = None
     episodes: int = 100
-    U0_range: tuple = (1.0, 10.0)
+    U0_range: tuple[float, float] = (1.0, 10.0)
     seed: int = 0
 
 
@@ -121,7 +121,7 @@ def run_episodes(spec):
     op = bar = None
     if spec.filter_on:
         op, bar = _load_models(spec)
-    lo, hi = float(spec.U0_range[0]), float(spec.U0_range[1])
+    lo, hi = spec.U0_range
     records = []
     for e in range(spec.episodes):
         rng = np.random.default_rng(subseed(spec.seed, e))

@@ -113,10 +113,6 @@ class Mlp:
             out.append(b)
         return out
 
-    def param_is_weight(self):
-        """Parallel to params(): True for weight matrices, False for biases."""
-        return [True, False] * len(self.weights)
-
     def forward(self, x):
         """Evaluate the network; x is (d_in,) or (B, d_in)."""
         return self.trace(x).output

@@ -13,19 +13,21 @@ times, so the exact time derivative of the discretized operator decomposes as
 
 where Lambda chains the local linear routes through the activation masks and
 mu accumulates the kernel/bias time derivatives through the same masks.
+
+`predict(U)` returns (Y, Lambda, mu) from one `forward_batch` pass. The
+kernel and bias tables (and, on first use, their time derivatives) sit in one
+entry keyed by a fingerprint of the parameters; each forward cache carries
+its entry, so the rate split and the backward pass read their own pass's.
 """
 
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .nets import Mlp, subseed
 from .pde_sim import ConfigurationError, TimeGrid
-
-
-class CacheStaleError(RuntimeError):
-    """Raised when cached activations no longer match the parameters."""
 
 
 def trapezoid_weights(grid):
@@ -53,16 +55,14 @@ def mean_square(diff):
 class KernelLayer:
     """One integral layer: local matrix W, kernel MLP, bias MLP, activation."""
 
-    def __init__(self, dim_in, dim_out, kappa_hidden, b_hidden, activation, seed,
-                 table_hidden="relu"):
+    def __init__(self, dim_in, dim_out, kappa_hidden, b_hidden, activation,
+                 seed):
         rng = np.random.default_rng(seed)
         bound = np.sqrt(6.0 / dim_in)
         self.W = rng.uniform(-bound, bound, size=(dim_out, dim_in))
         self.kappa = Mlp([2, kappa_hidden, dim_out * dim_in],
-                         activations=(table_hidden, "linear"),
                          seed=subseed(seed, 1))
-        self.b = Mlp([1, b_hidden, dim_out], activations=(table_hidden, "linear"),
-                     seed=subseed(seed, 2))
+        self.b = Mlp([1, b_hidden, dim_out], seed=subseed(seed, 2))
         self.activation = activation
         self.dim_in = dim_in
         self.dim_out = dim_out
@@ -70,26 +70,34 @@ class KernelLayer:
     def params(self):
         return [self.W] + self.kappa.params() + self.b.params()
 
-    def param_is_weight(self):
-        return [True] + self.kappa.param_is_weight() + self.b.param_is_weight()
+
+@dataclass(eq=False)
+class TableEntry:
+    """The tables of one parameter state. layers holds per kernel layer
+    (K2, kappa_trace, b_trace): the kernel on the (t_m, t_j) grid as an
+    (n*d_out, n*d_in) matrix and the traces of the kernel and bias networks,
+    kept for the backward pass (b_trace.output is the bias at each t_m).
+    dt holds per layer (dK2, db) once a rate split has needed them."""
+    fingerprint: int
+    layers: list
+    dt: list = None
 
 
+@dataclass(eq=False)
 class OperatorCache:
-    """Activations of one forward pass, tied to a parameter fingerprint."""
-
-    def __init__(self, fingerprint, vs, masks, p_trace, q_trace):
-        self.fingerprint = fingerprint
-        self.vs = vs    # layer inputs: vs[0] lifted, ..., vs[L] input to Q
-        self.masks = masks  # per kernel layer: bool ReLU pattern, or None
-        self.p_trace = p_trace  # traces of the lift P and the readout Q
-        self.q_trace = q_trace
+    """Activations of one forward pass and the tables it was computed with."""
+    tables: TableEntry
+    vs: list  # layer inputs: vs[0] lifted, ..., vs[L] input to Q
+    masks: list  # per kernel layer: bool ReLU pattern, or None
+    p_trace: object  # traces of the lift P and the readout Q
+    q_trace: object
 
 
 class BoundaryOperator:
     """Trajectory-to-trajectory map built from kernel integral layers."""
 
     def __init__(self, grid, d_v, n_layers, activations=None, seed=0,
-                 kappa_hidden=32, b_hidden=16, table_hidden="relu"):
+                 kappa_hidden=32, b_hidden=16):
         if n_layers < 1:
             raise ConfigurationError("n_layers must be >= 1")
         if activations is None:
@@ -99,19 +107,15 @@ class BoundaryOperator:
         self.grid = grid
         self.d_v = d_v
         self.n_layers = n_layers
-        self.table_hidden = table_hidden
         self.P = Mlp([1, d_v], activations=("linear",), seed=subseed(seed, 0))
         self.layers = [
             KernelLayer(d_v, d_v, kappa_hidden, b_hidden, activations[i],
-                        seed=subseed(seed, 1 + i), table_hidden=table_hidden)
+                        seed=subseed(seed, 1 + i))
             for i in range(n_layers)
         ]
         self.Q = Mlp([d_v, 1], activations=("linear",), seed=subseed(seed, 99))
         self._weights = trapezoid_weights(grid)
         self._tables = None
-        self._dt_tables = None
-        self._table_fp = None
-        self._dt_table_fp = None
 
     # -- parameters -------------------------------------------------------
 
@@ -120,13 +124,6 @@ class BoundaryOperator:
         for layer in self.layers:
             out.extend(layer.params())
         out.extend(self.Q.params())
-        return out
-
-    def param_is_weight(self):
-        out = list(self.P.param_is_weight())
-        for layer in self.layers:
-            out.extend(layer.param_is_weight())
-        out.extend(self.Q.param_is_weight())
         return out
 
     def fingerprint(self):
@@ -145,18 +142,16 @@ class BoundaryOperator:
         pairs[:, 1] = np.tile(t, n)
         return pairs
 
-    def _build_tables(self):
-        """Per layer (K2, kappa_trace, b_trace): the kernel on the (t_m, t_j)
-        grid as an (n*d_out, n*d_in) matrix, and the traces of the kernel
-        and bias networks, kept for the backward pass; b_trace.output is the
-        bias at each t_m."""
+    def _table_entry(self):
+        """The tables of the current parameters: the cached entry when its
+        fingerprint matches, else a fresh one that replaces it."""
         fp = self.fingerprint()
-        if self._tables is not None and self._table_fp == fp:
+        if self._tables is not None and self._tables.fingerprint == fp:
             return self._tables
         n = self.grid.M + 1
         t = self.grid.times()
         pairs = self._pair_inputs()
-        tables = []
+        layers = []
         for layer in self.layers:
             do, di = layer.dim_out, layer.dim_in
             kappa_trace = layer.kappa.trace(pairs)
@@ -165,33 +160,31 @@ class BoundaryOperator:
             K = kappa_trace.inputs.pop().reshape(n, n, do, di)
             K2 = K.transpose(0, 2, 1, 3).reshape(n * do, n * di)
             b_trace = layer.b.trace(t[:, None])
-            tables.append((K2, kappa_trace, b_trace))
-        self._tables = tables
-        self._table_fp = fp
-        return tables
+            layers.append((K2, kappa_trace, b_trace))
+        self._tables = TableEntry(fp, layers)
+        return self._tables
 
-    def _build_dt_tables(self):
+    def _dt_tables(self, tables):
         """Time derivatives of the kernel (in its first slot) and bias: one
-        tangent pass of each table network along its time input."""
-        fp = self.fingerprint()
-        if self._dt_tables is not None and self._dt_table_fp == fp:
-            return self._dt_tables
+        tangent pass of each table network along its time input, built into
+        the entry on first use."""
+        if tables.dt is not None:
+            return tables.dt
         n = self.grid.M + 1
         t = self.grid.times()
         pairs = self._pair_inputs()
-        tables = []
         e_t = np.zeros_like(pairs)
         e_t[:, 0] = 1.0
+        dt = []
         for layer in self.layers:
             do, di = layer.dim_out, layer.dim_in
             dK = layer.kappa.trace(pairs, e_t).tangents[-1]
             dK2 = dK.reshape(n, n, do, di).transpose(0, 2, 1, 3) \
                 .reshape(n * do, n * di)
             db_tab = layer.b.trace(t[:, None], np.ones((n, 1))).tangents[-1]
-            tables.append((dK2, db_tab))
-        self._dt_tables = tables
-        self._dt_table_fp = fp
-        return tables
+            dt.append((dK2, db_tab))
+        tables.dt = dt
+        return dt
 
     # -- forward -----------------------------------------------------------
 
@@ -204,19 +197,20 @@ class BoundaryOperator:
     def forward_batch(self, UU):
         """Map a batch of input trajectories (B, M+1) to outputs (B, M+1).
 
-        Returns (YY, cache); the cache stores every layer activation so the
-        derivative decomposition and backward pass can reuse them.
+        Returns (YY, cache); the cache stores every layer activation and
+        the table entry of the pass, so the rate split and the backward
+        pass read the tables this pass used.
         """
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
-        tables = self._build_tables()
+        tables = self._table_entry()
         w = self._weights
         p_trace = self.P.trace(UU.reshape(-1, 1))
         v = p_trace.output.reshape(B, n, self.d_v)
         vs = [v]
         masks = []
-        for layer, (K2, _, b_trace) in zip(self.layers, tables):
+        for layer, (K2, _, b_trace) in zip(self.layers, tables.layers):
             vw = v * w[None, :, None]
             integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, layer.dim_out)
             z = v @ layer.W.T + integ + b_trace.output[None]
@@ -225,46 +219,37 @@ class BoundaryOperator:
             vs.append(v)
         q_trace = self.Q.trace(v.reshape(-1, self.d_v))
         YY = q_trace.output.reshape(B, n)
-        cache = OperatorCache(self._table_fp, vs, masks, p_trace, q_trace)
+        cache = OperatorCache(tables, vs, masks, p_trace, q_trace)
         if not np.all(np.isfinite(YY)):
             raise FloatingPointError("non-finite operator output")
         return YY, cache
 
     def forward(self, U):
-        """Single-trajectory forward pass: U (M+1,) to (Y (M+1,), cache)."""
+        """Single-trajectory forward pass: U (M+1,) to Y (M+1,)."""
+        return self.forward_batch(np.asarray(U, dtype=float)[None])[0][0]
+
+    def predict(self, U):
+        """One trajectory's output and rate split: U (M+1,) to (Y, Lambda,
+        mu), each (M+1,), from one forward pass and its tables."""
         YY, cache = self.forward_batch(np.asarray(U, dtype=float)[None])
-        return YY[0], cache
-
-    def _check_cache(self, cache):
-        if cache.fingerprint != self.fingerprint():
-            raise CacheStaleError(
-                "cached activations predate a parameter update; rerun forward")
-
-    # -- derivative decomposition -----------------------------------------
-
-    def decomposition(self, cache, batch_index=0):
-        """Lambda and mu arrays over the whole grid for one cached pass."""
-        self._check_cache(cache)
         n = self.grid.M + 1
         w = self._weights
-        dt_tables = self._build_dt_tables()
+        dt_tables = self._dt_tables(cache.tables)
         q_vec = self.Q.params()[0].ravel()
 
         A = np.broadcast_to(self.P.params()[0].ravel(), (n, self.d_v)).copy()
         p = np.zeros((n, self.d_v))
         for li, layer in enumerate(self.layers):
             dK2, db_tab = dt_tables[li]
-            v = cache.vs[li][batch_index]
+            v = cache.vs[li][0]
             vw = v * w[:, None]
             dinteg = (dK2 @ vw.ravel()).reshape(n, layer.dim_out)
             A = A @ layer.W.T
             p = p @ layer.W.T + dinteg + db_tab
             mask = cache.masks[li]
             if mask is not None:
-                A, p = A * mask[batch_index], p * mask[batch_index]
-        Lambda = A @ q_vec
-        mu = p @ q_vec
-        return Lambda, mu
+                A, p = A * mask[0], p * mask[0]
+        return YY[0], A @ q_vec, p @ q_vec
 
     # -- training loss -----------------------------------------------------
 
@@ -276,17 +261,17 @@ class BoundaryOperator:
         diff = Yhat - YY
         loss = mean_square(diff)
 
+        # the penalty covers the weights, which are 2-D; biases are 1-D
         params = self.params()
-        is_weight = self.param_is_weight()
         if l2:
             loss += l2 * sum(float(np.sum(p * p))
-                             for p, wgt in zip(params, is_weight) if wgt)
+                             for p in params if p.ndim == 2)
 
         dY = (2.0 / diff.size) * diff
         grads = self._backward(cache, dY)
         if l2:
-            for g, p, wgt in zip(grads, params, is_weight):
-                if wgt:
+            for g, p in zip(grads, params):
+                if p.ndim == 2:
                     g += 2.0 * l2 * p
         return loss, grads
 
@@ -296,7 +281,6 @@ class BoundaryOperator:
         no network runs forward."""
         B, n = dY.shape
         w = self._weights
-        tables = self._build_tables()
 
         q_grads, dvL = self.Q.reverse(cache.q_trace, dY.reshape(-1, 1))
         dv = dvL.reshape(B, n, self.d_v)
@@ -304,7 +288,7 @@ class BoundaryOperator:
         layer_grads = []
         for li in range(self.n_layers - 1, -1, -1):
             layer = self.layers[li]
-            K2, kappa_trace, b_trace = tables[li]
+            K2, kappa_trace, b_trace = cache.tables.layers[li]
             mask = cache.masks[li]
             v_in = cache.vs[li]
             dz = dv if mask is None else dv * mask
@@ -344,7 +328,6 @@ class BoundaryOperator:
             "grid_T": "%.17g" % self.grid.T,
             "grid_M": str(self.grid.M),
             "activations": ",".join(l.activation for l in self.layers),
-            "table_hidden": self.table_hidden,
         }
         write_checkpoint(path, "operator", tensors, meta)
 
@@ -353,6 +336,9 @@ class BoundaryOperator:
         kind, tensors, meta = read_checkpoint(path)
         if kind != "operator":
             raise ConfigurationError("checkpoint kind %r is not operator" % kind)
+        if meta.get("table_hidden", "relu") != "relu":  # older checkpoints
+            raise ConfigurationError("unsupported table_hidden %r"
+                                     % meta["table_hidden"])
         grid = TimeGrid(float(meta["grid_T"]), int(meta["grid_M"]))
         n_layers = int(meta["n_layers"])
         d_v = int(meta["d_v"])
@@ -360,8 +346,7 @@ class BoundaryOperator:
         kappa_hidden = tensors["layer0.kappa.W0"].shape[0]
         b_hidden = tensors["layer0.b.W0"].shape[0]
         op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,
-                 kappa_hidden=kappa_hidden, b_hidden=b_hidden,
-                 table_hidden=meta.get("table_hidden", "relu"))
+                 kappa_hidden=kappa_hidden, b_hidden=b_hidden)
         op.P.set_tensors(tensors, "P.")
         for i, layer in enumerate(op.layers):
             W = tensors["layer%d.W" % i]

@@ -141,16 +141,14 @@ def filter_trajectory(operator, bcbf, U_nominal, config):
     du_safe = du_nom.copy()
     U_safe = U_nom.copy()
 
-    Y_pred, cache = operator.forward(U_safe)
-    Lambda, mu = operator.decomposition(cache)
+    Y_pred, Lambda, mu = operator.predict(U_safe)
     phi0 = float(bcbf.value(0.0, U_nom[0]))
 
     records = []
     stale = False
     for m in range(1, n):
         if stale:
-            Y_pred, cache = operator.forward(U_safe)
-            Lambda, mu = operator.decomposition(cache)
+            Y_pred, Lambda, mu = operator.predict(U_safe)
             stale = False
         phi, dphi_dt, dphi_dY = bcbf.partials(times[m], Y_pred[m])
         step = qp_filter_step(dphi_dt, dphi_dY, phi, phi0,
@@ -178,5 +176,5 @@ def filter_trajectory(operator, bcbf, U_nominal, config):
                                   accepted, step.constraint_active,
                                   step.infeasible))
     if stale:
-        Y_pred, _ = operator.forward(U_safe)
+        Y_pred = operator.forward(U_safe)
     return FilterReport(records, U_safe, Y_pred)

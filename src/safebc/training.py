@@ -39,7 +39,7 @@ class OperatorSchedule:
     batch_trajectories: int = 64
     d_v: int = 16
     n_layers: int = 2
-    activations: tuple = None
+    activations: tuple[str, ...] = None
 
 
 @dataclass
@@ -65,7 +65,7 @@ class TrainConfig:
     mode: str = "two-phase"
     dy_dt_source: str = "data-fd"
     train_fraction: float = 0.9
-    balance_band: tuple = (-0.1, 0.1)
+    balance_band: tuple[float, float] = (-0.1, 0.1)
     balance_keep: float = 0.2
 
     def __post_init__(self):
@@ -195,8 +195,7 @@ class _BarrierSamples:
         bf_dY = []
         for pair, retained in zip(self._pairs, self._retained):
             if dy_source == "operator":
-                _, cache = operator.forward(pair.U)
-                lam, mu = operator.decomposition(cache)
+                _, lam, mu = operator.predict(pair.U)
                 dY = lam * u_dot_forward(pair.U, self._dt) + mu
                 dY = dY[:-1]
             else:

@@ -44,7 +44,7 @@ class OneSidedSet:
 
     def describe(self):
         op = "<" if self.sign == 1 else ">"
-        return f"Y{op}{self.bound * self.sign:g}"
+        return f"Y{op}{self.bound * self.sign!r}"
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class TwoSidedSet:
         return np.abs(np.asarray(Y, dtype=np.float64) - self.center) < self.halfwidth
 
     def describe(self):
-        return f"abs:center={self.center},halfwidth={self.halfwidth:g}"
+        return f"abs:center={self.center!r},halfwidth={self.halfwidth!r}"
 
 
 def parse_safe_set(text):

@@ -57,8 +57,8 @@ def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
     """
     t_nodes = op.grid.times()
     U = np.array([u_func(t) for t in t_nodes])
-    _, cache = op.forward(U)
-    lam, mu = op.decomposition(cache)
+    _, lam, mu = op.predict(U)
+    _, cache = op.forward_batch(U[None])
     n_pass = n_off = 0
     for m, t in enumerate(t_nodes):
         lo, s_lo = frozen_quadrature_eval(op, cache, u_func, t - h)

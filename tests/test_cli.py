@@ -298,6 +298,32 @@ def test_wrong_typed_spec_value_is_an_error_naming_its_path(values, path):
         load_experiment({**SPEC, **values})
 
 
+@pytest.mark.parametrize("load, values, message", [
+    (load_experiment, {**SPEC, "U0_range": ["a", "b"]},
+     "U0_range[0]: expected float"),
+    (load_experiment, {**SPEC, "U0_range": [0.1, 2.0, 3.0]},
+     "U0_range: expected tuple[float, float]"),
+    (load_train_config, {"balance_band": ["x"]},
+     "balance_band: expected tuple[float, float]"),
+    (load_train_config, {"balance_band": [-0.1, "x"]},
+     "balance_band[1]: expected float"),
+    (load_train_config, {"operator": {"activations": ["relu", 1]}},
+     "operator.activations[1]: expected str"),
+])
+def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
+                                                             message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load(values)
+
+
+def test_tuple_items_load_as_their_declared_type():
+    spec = load_experiment({**SPEC, "U0_range": [0, 2]})
+    assert spec.U0_range == (0.0, 2.0)
+    assert all(type(x) is float for x in spec.U0_range)
+    config, _ = load_train_config({"operator": {"activations": ["linear"]}})
+    assert config.operator.activations == ("linear",)
+
+
 def test_numbers_load_as_floats_and_null_keeps_a_none_default():
     config, constants = load_train_config(
         {"lambda_S": 2, "operator": {"decay_factor": None},

@@ -3,16 +3,17 @@
 The forward map has enough structure to pin down exactly: configured as an
 identity chain it must reproduce its input bitwise, a dense per-step
 evaluation with explicit kernel matrices must agree with the batched table
-path, and the (Lambda, mu) decomposition must satisfy the rate identity
-dY/dt = Lambda * dU/dt + mu against finite differences of the forward pass.
+path, and the (Lambda, mu) split that `predict` returns must satisfy the
+rate identity dY/dt = Lambda * dU/dt + mu against finite differences of the
+forward pass.
 """
 
 import numpy as np
 import pytest
 
-from safebc.checkpoint import write_checkpoint
-from safebc.neural_operator import (BoundaryOperator, CacheStaleError,
-                                    trapezoid_weights, u_dot_forward)
+from safebc.checkpoint import read_checkpoint, write_checkpoint
+from safebc.neural_operator import (BoundaryOperator, trapezoid_weights,
+                                    u_dot_forward)
 from safebc.pde_sim import ConfigurationError, TimeGrid
 
 
@@ -89,19 +90,19 @@ class TestForwardOracles:
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=2,
                               kappa_hidden=4, b_hidden=3, seed=2)
         zero_all(op.Q.params())
-        Y, _ = op.forward(np.linspace(-3.0, 5.0, 7))
+        Y = op.forward(np.linspace(-3.0, 5.0, 7))
         assert np.array_equal(Y, np.zeros(7))
 
     def test_identity_chain_reproduces_input(self):
         op = identity_operator(TimeGrid(1.0, 8))
         U = np.array([1.0, -2.0, 0.5, 3.25, -0.125, 7.0, 0.0, 2.5, -4.75])
-        Y, _ = op.forward(U)
+        Y = op.forward(U)
         assert np.array_equal(Y, U)
 
     def test_identity_chain_two_layers(self):
         op = identity_operator(TimeGrid(1.0, 5), n_layers=2)
         U = np.array([0.5, -1.5, 2.0, -2.5, 3.0, -3.5])
-        Y, _ = op.forward(U)
+        Y = op.forward(U)
         assert np.array_equal(Y, U)
 
     def test_dense_reference_agreement(self):
@@ -110,7 +111,7 @@ class TestForwardOracles:
                               b_hidden=4, seed=3)
         rng = np.random.default_rng(5)
         U = rng.normal(size=7)
-        Y, _ = op.forward(U)
+        Y = op.forward(U)
         assert np.allclose(Y, dense_forward(op, U), rtol=1e-9, atol=1e-9)
 
     def test_dense_reference_agreement_linear(self):
@@ -120,7 +121,7 @@ class TestForwardOracles:
                               b_hidden=3, seed=4)
         rng = np.random.default_rng(6)
         U = rng.normal(size=6)
-        Y, _ = op.forward(U)
+        Y = op.forward(U)
         assert np.allclose(Y, dense_forward(op, U), rtol=1e-9, atol=1e-9)
 
     def test_batch_matches_single(self):
@@ -130,7 +131,7 @@ class TestForwardOracles:
         UU = rng.normal(size=(3, 7))
         YY, _ = op.forward_batch(UU)
         for b in range(3):
-            Yb, _ = op.forward(UU[b])
+            Yb = op.forward(UU[b])
             assert np.allclose(YY[b], Yb, rtol=1e-12, atol=1e-13)
 
 
@@ -143,8 +144,7 @@ class TestDecomposition:
         for layer in op.layers:
             zero_all(layer.kappa.params())
         U = np.linspace(-1.0, 2.0, 9)
-        _, cache = op.forward(U)
-        lam, _ = op.decomposition(cache)
+        _, lam, _ = op.predict(U)
         p_vec = op.P.params()[0].ravel()
         q_vec = op.Q.params()[0].ravel()
         expected = q_vec @ op.layers[1].W @ op.layers[0].W @ p_vec
@@ -159,23 +159,27 @@ class TestDecomposition:
         zero_all(op.layers[0].b.params())
         op.layers[0].b.params()[-1][...] = 0.7
         U = np.linspace(0.0, 3.0, 7)
-        _, cache = op.forward(U)
-        lam, mu = op.decomposition(cache)
+        _, lam, mu = op.predict(U)
         assert np.array_equal(mu, np.zeros(7))
         assert not np.allclose(lam, 0.0)
 
     def test_rate_identity_piecewise_flat_tables(self):
-        """Linear table networks make the output affine in the step time, so
-        central differences of the forward pass recover Lambda*U_dot + mu to
-        near machine precision at every interior step."""
+        """Table networks whose hidden ReLUs are all active on the grid
+        (W0 >= 0, b0 > 0, times >= 0) are affine there, which makes the
+        output affine in the step time, so central differences of the
+        forward pass recover Lambda*U_dot + mu to near machine precision at
+        every interior step."""
         grid = TimeGrid(2.0, 20)
         op = BoundaryOperator(grid, d_v=4, n_layers=1,
                               activations=("linear",), kappa_hidden=4,
-                              b_hidden=3, table_hidden="linear", seed=11)
+                              b_hidden=3, seed=11)
+        for net in (op.layers[0].kappa, op.layers[0].b):
+            W0, b0 = net.params()[:2]
+            W0[...] = np.abs(W0)
+            b0[...] = 0.1
         t = grid.times()
         U = 0.8 * np.sin(1.3 * t) + 0.3 * t
-        Y, cache = op.forward(U)
-        lam, mu = op.decomposition(cache)
+        Y, lam, mu = op.predict(U)
         fd = (Y[2:] - Y[:-2]) / (2.0 * grid.dt)
         ud = (U[2:] - U[:-2]) / (2.0 * grid.dt)
         model = lam[1:-1] * ud + mu[1:-1]
@@ -221,7 +225,8 @@ class TestDecomposition:
             return fd, smooth
 
         n_checked = 0
-        for layer, (dK2, db_tab) in zip(op.layers, op._build_dt_tables()):
+        dt_tables = op._dt_tables(op._table_entry())
+        for layer, (dK2, db_tab) in zip(op.layers, dt_tables):
             do, di = layer.dim_out, layer.dim_in
             fd, smooth = fd_and_smooth(layer.kappa, pairs, shift)
             dK = dK2.reshape(n, do, n, di).transpose(0, 2, 1, 3)
@@ -235,14 +240,13 @@ class TestDecomposition:
 
     def test_affine_in_udot(self):
         """The rate Lambda*U_dot + mu is affine in U_dot: (Lambda, mu) come
-        from the cached pass alone, so a second decomposition (on cached dt
-        tables) is bitwise the first, and a zero rate input recovers mu."""
+        from one pass over U alone, so a second predict (on cached tables)
+        is bitwise the first, and a zero rate input recovers mu."""
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=1,
                               kappa_hidden=4, b_hidden=3, seed=21)
         U = np.linspace(0.5, -1.5, 7)
-        _, cache = op.forward(U)
-        lam, mu = op.decomposition(cache)
-        lam2, mu2 = op.decomposition(cache)
+        _, lam, mu = op.predict(U)
+        _, lam2, mu2 = op.predict(U)
         assert np.array_equal(lam, lam2) and np.array_equal(mu, mu2)
         ud = np.full(7, 0.75)
         r1 = lam * ud + mu
@@ -252,30 +256,65 @@ class TestDecomposition:
         assert np.allclose(r2 - r1, lam * 0.75, rtol=1e-12)
 
     def test_time_derivative_entry(self):
-        """One (Lambda, mu) entry per grid step, and batch_index picks one
-        trajectory of a batched pass: it agrees with that trajectory's own
-        pass."""
+        """One (Lambda, mu) entry per grid step, and the Y that predict
+        returns is the forward pass of the same trajectory, bitwise."""
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=1,
                               kappa_hidden=4, b_hidden=3, seed=12)
         UU = np.stack([np.linspace(1.0, -1.0, 7), np.linspace(-2.0, 0.5, 7)])
-        _, batch_cache = op.forward_batch(UU)
-        for b, U in enumerate(UU):
-            lam, mu = op.decomposition(op.forward(U)[1])
-            assert lam.shape == mu.shape == (7,)
-            lam_b, mu_b = op.decomposition(batch_cache, batch_index=b)
-            # BLAS may reorder the inner sums between the two batch shapes
-            assert np.allclose(lam_b, lam, rtol=1e-12, atol=1e-13)
-            assert np.allclose(mu_b, mu, rtol=1e-12, atol=1e-13)
+        for U in UU:
+            Y, lam, mu = op.predict(U)
+            assert Y.shape == lam.shape == mu.shape == (7,)
+            assert np.array_equal(Y, op.forward(U))
             rate = lam * u_dot_forward(U, op.grid.dt) + mu
             assert np.all(np.isfinite(rate))
 
-    def test_stale_cache_rejected(self):
-        op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=1,
-                              kappa_hidden=4, b_hidden=3, seed=13)
-        _, cache = op.forward(np.zeros(6))
-        op.layers[0].W[0, 0] += 1.0
-        with pytest.raises(CacheStaleError):
-            op.decomposition(cache)
+    def test_predict_after_in_place_update_matches_a_fresh_operator(self):
+        """An in-place parameter update (as Adam makes) invalidates the
+        cached tables: predict then equals, bitwise, an operator built with
+        the updated parameters from the start."""
+        grid = TimeGrid(1.0, 5)
+        op = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,
+                              b_hidden=3, seed=13)
+        U = np.linspace(-1.0, 1.5, 6)
+        op.predict(U)
+        for p in op.params():
+            p += 0.01
+        fresh = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,
+                                 b_hidden=3, seed=99)
+        for mine, theirs in zip(fresh.params(), op.params()):
+            mine[...] = theirs
+        for a, b in zip(op.predict(U), fresh.predict(U)):
+            assert np.array_equal(a, b)
+
+
+class TestFingerprint:
+    """The tables are keyed by one fingerprint of the parameters, taken once
+    per forward pass; the rate split and the backward pass read the tables
+    their pass carries and hash nothing."""
+
+    @staticmethod
+    def count_fingerprints(op, monkeypatch):
+        calls = []
+        fingerprint = op.fingerprint
+
+        def counted():
+            calls.append(1)
+            return fingerprint()
+
+        monkeypatch.setattr(op, "fingerprint", counted)
+        return calls
+
+    @pytest.mark.parametrize("call", ["predict", "forward", "loss_and_grads"])
+    def test_one_fingerprint_per_call(self, call, monkeypatch):
+        op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
+                              kappa_hidden=4, b_hidden=3, seed=22)
+        U = np.linspace(0.0, 1.0, 6)
+        args = {"predict": (U,), "forward": (U,),
+                "loss_and_grads": (U[None], U[None])}[call]
+        calls = self.count_fingerprints(op, monkeypatch)
+        for n in (1, 2):  # a cold call builds the tables, a warm one reuses
+            getattr(op, call)(*args)
+            assert len(calls) == n
 
 
 class TestLossAndGradients:
@@ -335,12 +374,29 @@ class TestPersistence:
         assert back.grid.T == grid.T and back.grid.M == grid.M
         assert back.fingerprint() == op.fingerprint()
         U = np.linspace(-2.0, 2.0, 7)
-        Ya, _ = op.forward(U)
-        Yb, _ = back.forward(U)
+        Ya = op.forward(U)
+        Yb = back.forward(U)
         assert np.array_equal(Ya, Yb)
 
     def test_load_rejects_other_kinds(self, tmp_path):
         path = tmp_path / "other.ckpt"
         write_checkpoint(path, "mlp", {"W0": np.zeros((1, 1))})
         with pytest.raises(ConfigurationError):
+            BoundaryOperator.load(path)
+
+    def test_table_hidden_meta_is_relu_or_an_error(self, tmp_path):
+        """Checkpoints no longer name the table networks' hidden activation;
+        older ones that name relu still load, and any other value is
+        rejected rather than silently read as relu."""
+        op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
+                              kappa_hidden=4, b_hidden=3, seed=19)
+        path = tmp_path / "op.ckpt"
+        op.save(path)
+        assert "table_hidden" not in path.read_text()
+        kind, tensors, meta = read_checkpoint(path)
+        write_checkpoint(path, kind, tensors, {**meta, "table_hidden": "relu"})
+        assert BoundaryOperator.load(path).fingerprint() == op.fingerprint()
+        write_checkpoint(path, kind, tensors,
+                         {**meta, "table_hidden": "linear"})
+        with pytest.raises(ConfigurationError, match="linear"):
             BoundaryOperator.load(path)

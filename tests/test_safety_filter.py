@@ -79,7 +79,7 @@ class TestFilterTrajectory:
         U = nominal(seed)
         rep = filter_trajectory(op, bar, U, FilterConfig(eta=0.0))
         assert np.array_equal(rep.U_safe, U)
-        assert np.array_equal(rep.Y_predicted, op.forward(U)[0])
+        assert np.array_equal(rep.Y_predicted, op.forward(U))
         assert rep.n_modified == 0
 
     @pytest.mark.parametrize("seed", range(4))

@@ -81,6 +81,11 @@ class TestSafeSets:
         for text in ("Y<1", "Y>0"):
             assert parse_safe_set(parse_safe_set(text).describe()).describe() \
                 == parse_safe_set(text).describe()
+        # floats are written in full, so the set read back is the same set
+        for text in ("Y<0.123456789", "abs:center=0.1,halfwidth=0.123456789"):
+            assert parse_safe_set(text).describe() == text
+            assert parse_safe_set(parse_safe_set(text).describe()) \
+                == parse_safe_set(text)
 
 
 class TestSuffixMask:
