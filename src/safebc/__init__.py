@@ -15,7 +15,6 @@ from .pde_sim import (  # noqa: F401
     FromFile,
     HyperbolicConfig,
     ParabolicConfig,
-    PdeState1D,
     Proportional,
     RolloutResult,
     SimulationDivergedError,
@@ -30,7 +29,6 @@ from .trajectories import (  # noqa: F401
     CollectionError,
     Dataset,
     DatasetFormatError,
-    LabeledTrajectoryPair,
     OneSidedSet,
     TwoSidedSet,
     balance_near_zero,

@@ -1,8 +1,8 @@
 """The plain-text file formats: model checkpoints and tables.
 
-Every file the pipeline writes is decimal text with 17 significant digits,
-which round-trips float64 exactly, written atomically (temp file + rename)
-with LF line endings.
+Every file the pipeline writes goes through `write_text`: atomically (temp
+file + rename) with LF line endings. Numbers are decimal text with 17
+significant digits, which round-trips float64 exactly.
 
 Checkpoints hold the tensors of every model kind. Layout::
 
@@ -61,7 +61,7 @@ class DatasetFormatError(ConfigurationError):
         self.line = line
 
 
-def _write_text(path, text):
+def write_text(path, text):
     """Write text to path atomically: a fresh temp file in the same
     directory, then a rename over the target. The temp file is created like
     any new file, so the result has the usual permissions (0666 less the
@@ -99,7 +99,7 @@ def write_checkpoint(path, kind, tensors, meta=None):
         lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
         for row in a:
             lines.append(" ".join(fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_checkpoint(path):
@@ -163,7 +163,7 @@ def write_table(path, columns, rows, comments=()):
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     lines.extend(",".join(map(_cell, row)) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 class Table(NamedTuple):

@@ -15,7 +15,8 @@ import typing
 from dataclasses import astuple, fields, is_dataclass, replace
 
 from .barrier import BarrierFunction, FeasibilityConstants
-from .checkpoint import DatasetFormatError, read_table, write_table
+from .checkpoint import (DatasetFormatError, read_table, write_table,
+                         write_text)
 from .evaluation import (ExperimentSpec, Metrics, evaluate, report,
                          threshold_sweep)
 from .neural_operator import BoundaryOperator
@@ -239,8 +240,7 @@ def _cmd_report(args):
         rows.append((name, read_metrics_csv(path)))
     text = report(rows)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_text(args.out, text + "\n")
     print(text)
 
 

@@ -15,10 +15,12 @@ at x = 1, and are observed at a single output location:
   output Y = u(0.5, t). Crank-Nicolson diffusion plus trapezoidal reaction,
   unconditionally stable in dt.
 
-Rollouts start from the constant profile u(x, 0) = U0 and are pure functions
-of (config, controller, U0, grid, episode_seed). A recorded input is replayed
-by a rollout with a FromFile controller, which reproduces the recorded run's
-states bitwise.
+A plant state is the (n_points,) array of samples of u(., t) on the uniform
+spatial grid over [0, 1], and a rollout keeps every state in one
+(M+1, n_points) array. Rollouts start from the constant profile
+u(x, 0) = U0 and are pure functions of (config, controller, U0, grid,
+episode_seed). A recorded input is replayed by a rollout with a FromFile
+controller, which reproduces the recorded run's states bitwise.
 """
 
 from __future__ import annotations
@@ -61,26 +63,6 @@ class TimeGrid:
 
     def times(self):
         return np.arange(self.M + 1) * self.dt
-
-
-class PdeState1D:
-    """Spatial samples of u(., t) on the uniform grid over [0, 1]."""
-
-    def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 3:
-            raise ConfigurationError("state needs at least 3 spatial points")
-        if not np.all(np.isfinite(values)):
-            raise SimulationDivergedError("non-finite state values")
-        self.values = values
-
-    @property
-    def n_points(self):
-        return self.values.size
-
-    @property
-    def dx(self):
-        return 1.0 / (self.n_points - 1)
 
 
 def _default_hyperbolic_grid():
@@ -156,20 +138,30 @@ class ParabolicConfig:
 ENVIRONMENTS = {"hyperbolic": HyperbolicConfig, "parabolic": ParabolicConfig}
 
 
+def _check_step(state, u_boundary, cfg):
+    """The state as a float array, once it and the boundary value fit cfg."""
+    if not np.isfinite(u_boundary):
+        raise ConfigurationError("boundary value must be finite")
+    u = np.asarray(state, dtype=np.float64)
+    if u.shape != (cfg.n_points,):
+        raise ConfigurationError(
+            f"state has shape {u.shape}, config has n_points={cfg.n_points}")
+    return u
+
+
 def step_hyperbolic(state, u_boundary, cfg):
-    """Advance the transport plant by one grid step dt.
+    """Advance the transport plant's (n_points,) state by one grid step dt.
 
     The step runs cfg.effective_substeps() upwind substeps
     u_i <- u_i + (dt_sub/dx)(u_{i+1} - u_i) + dt_sub * beta * u_0 for
     i = 0..N-2, writing the (linearly ramped) boundary value into the
     rightmost point after each substep.
 
-    Raises ConfigurationError if the substep size violates dt_sub <= dx.
+    Raises ConfigurationError if the state does not have cfg.n_points
+    points or the substep size violates dt_sub <= dx.
     """
-    if not np.isfinite(u_boundary):
-        raise ConfigurationError("boundary value must be finite")
-    u = state.values
-    dx = state.dx
+    u = _check_step(state, u_boundary, cfg)
+    dx = cfg.dx
     n_sub = cfg.effective_substeps()
     dt_sub = cfg.grid.dt / n_sub
     if dt_sub > dx * (1.0 + 1e-9):
@@ -185,22 +177,21 @@ def step_hyperbolic(state, u_boundary, cfg):
         new[-1] = b_prev + (j / n_sub) * (u_boundary - b_prev)
     if not np.all(np.isfinite(new)):
         raise SimulationDivergedError("transport step diverged")
-    return PdeState1D(new)
+    return new
 
 
 def step_parabolic(state, u_boundary, cfg):
-    """Advance the reaction-diffusion plant by one grid step dt.
+    """Advance the reaction-diffusion plant's (n_points,) state by one grid
+    step dt.
 
     Crank-Nicolson in the diffusion term (tridiagonal solve) and trapezoidal
     treatment of the reaction term. `u_boundary` is the Dirichlet value at
     x = 1 at the new time level; the old level's value is read from the state.
+    Raises ConfigurationError if the state does not have cfg.n_points points.
     """
-    if not np.isfinite(u_boundary):
-        raise ConfigurationError("boundary value must be finite")
-    u = state.values
-    dx = state.dx
+    u = _check_step(state, u_boundary, cfg)
     dt = cfg.grid.dt
-    a = cfg.eps / dx**2
+    a = cfg.eps / cfg.dx**2
     n_int = u.size - 2
     ab = np.zeros((3, n_int))
     ab[0, 1:] = -0.5 * dt * a
@@ -217,7 +208,7 @@ def step_parabolic(state, u_boundary, cfg):
     new[-1] = u_boundary
     if not np.all(np.isfinite(new)):
         raise SimulationDivergedError("reaction-diffusion step diverged")
-    return PdeState1D(new)
+    return new
 
 
 def _stepper(cfg):
@@ -389,7 +380,8 @@ def parse_controller(text):
 
 
 class RolloutResult:
-    """Boundary input/output trajectories plus the full state history."""
+    """Boundary input/output trajectories, each (M+1,), plus the state
+    history as one (M+1, n_points) array."""
 
     def __init__(self, U, Y, states):
         self.U = U
@@ -398,57 +390,55 @@ class RolloutResult:
 
 
 def rollout(env_cfg, controller, U0, episode_seed=None):
-    """Run one closed-loop episode from the constant profile u(x,0) = U0."""
+    """Run one closed-loop episode from the constant profile u(x,0) = U0.
+
+    Raises SimulationDivergedError, with .step the first step whose state is
+    not finite, when the plant blows up."""
     if not np.isfinite(U0):
         raise ConfigurationError("U0 must be finite")
     grid = env_cfg.grid
     step = _stepper(env_cfg)
     out = env_cfg.output_index
     dt = grid.dt
-    state = PdeState1D(np.full(env_cfg.n_points, float(U0)))
+    states = np.empty((grid.M + 1, env_cfg.n_points))
+    states[0] = float(U0)
     U = np.empty(grid.M + 1)
-    Y = np.empty(grid.M + 1)
-    states = [state]
     U[0] = float(U0)
-    Y[0] = state.values[out]
     controller.reset(float(U0), grid, episode_seed)
     for m in range(1, grid.M + 1):
-        u_m = float(controller.control(m, m * dt, Y[m - 1]))
+        u_m = float(controller.control(m, m * dt, states[m - 1, out]))
         if not np.isfinite(u_m):
             raise ConfigurationError(f"controller produced non-finite U at step {m}")
         try:
-            state = step(state, u_m, env_cfg)
+            states[m] = step(states[m - 1], u_m, env_cfg)
         except SimulationDivergedError as exc:
             exc.step = m
             raise
         U[m] = u_m
-        Y[m] = state.values[out]
-        states.append(state)
-    return RolloutResult(U, Y, states)
+    return RolloutResult(U, states[:, out].copy(), states)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def stabilization_reward(states):
-    """-(1/n) sum_m ||u(., t_m)||^2_{L2[0,1]} with trapezoidal quadrature."""
-    if len(states) == 0:
-        raise ConfigurationError("empty state sequence")
-    total = 0.0
-    for s in states:
-        values = s.values if isinstance(s, PdeState1D) else np.asarray(s, float)
-        total += _trapezoid(values**2, dx=1.0 / (values.size - 1))
-    return -total / len(states)
+    """-(1/n) sum_m ||u(., t_m)||^2_{L2[0,1]} over the n rows of an
+    (n, n_points) state array, with trapezoidal quadrature."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or len(states) == 0:
+        raise ConfigurationError("need a non-empty (n, n_points) state array")
+    norms = _trapezoid(states**2, dx=1.0 / (states.shape[1] - 1), axis=1)
+    # a running sum in step order (np.sum would add pairwise)
+    return -np.cumsum(norms)[-1] / len(states)
 
 
 def write_states_csv(path, states, grid):
-    """State-snapshot CSV: header step,t,x,u; one row per (step, spatial point)."""
-    rows = []
-    for m, s in enumerate(states):
-        values = s.values if isinstance(s, PdeState1D) else np.asarray(s, float)
-        dx = 1.0 / (values.size - 1)
-        rows.extend((m, m * grid.dt, i * dx, v) for i, v in enumerate(values))
-    write_table(path, ("step", "t", "x", "u"), rows)
+    """State-snapshot CSV of an (n, n_points) state array: header step,t,x,u;
+    one row per (step, spatial point)."""
+    dx = 1.0 / (np.shape(states)[1] - 1)
+    write_table(path, ("step", "t", "x", "u"),
+                ((m, m * grid.dt, i * dx, v) for m, row in enumerate(states)
+                 for i, v in enumerate(row)))
 
 
 def write_trajectory_csv(path, U, grid, Y=None):

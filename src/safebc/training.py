@@ -117,10 +117,6 @@ class TrainHistory:
 # -- operator phase --------------------------------------------------------
 
 
-def _operator_arrays(pairs):
-    return np.stack([p.U for p in pairs]), np.stack([p.Y for p in pairs])
-
-
 def _operator_epoch(op, adam, UU, YY, schedule, rng):
     order = rng.permutation(UU.shape[0])
     bs = schedule.batch_trajectories
@@ -155,36 +151,28 @@ def _restore(params, snap):
 
 
 class _BarrierSamples:
-    """Flat sample arrays extracted from labeled trajectory pairs.
+    """Flat sample arrays from some trajectories of a dataset, in row-major
+    (trajectory, step) order.
 
-    The rates bf_dY are filled by set_rates, because with operator-supplied
-    rates they change whenever the operator does.
+    retained is the dataset's (K, M+1) mask of the steps kept for the
+    feasibility loss (see balance_near_zero). The rates bf_dY are filled by
+    set_rates, because with operator-supplied rates they change whenever
+    the operator does.
     """
 
-    def __init__(self, pairs, grid):
-        times = grid.times()
-        self._pairs, self._dt, self._retained = pairs, grid.dt, []
-        cls_t, cls_Y, cls_safe, cls_unsafe = [], [], [], []
-        bf_t, bf_Y, bf_Y0 = [], [], []
-        for pair in pairs:
-            cls_t.append(times)
-            cls_Y.append(pair.Y)
-            cls_safe.append(suffix_safe_mask(pair.safe))
-            cls_unsafe.append(~pair.safe)
-
-            retained = np.ones(times.size - 1, dtype=bool) \
-                if pair.bf_mask is None else pair.bf_mask[:-1]
-            self._retained.append(retained)
-            bf_t.append(times[:-1][retained])
-            bf_Y.append(pair.Y[:-1][retained])
-            bf_Y0.append(np.full(int(retained.sum()), pair.U0))
-        self.cls_t = np.concatenate(cls_t)
-        self.cls_Y = np.concatenate(cls_Y)
-        self.cls_safe = np.concatenate(cls_safe)
-        self.cls_unsafe = np.concatenate(cls_unsafe)
-        self.bf_t = np.concatenate(bf_t)
-        self.bf_Y = np.concatenate(bf_Y)
-        self.bf_Y0 = np.concatenate(bf_Y0)
+    def __init__(self, dataset, rows, retained):
+        self._dt = dataset.grid.dt
+        self._U, self._Y = dataset.U[rows], dataset.Y[rows]
+        self._retained = retained[rows, :-1]
+        times = np.broadcast_to(dataset.grid.times(), self._Y.shape)
+        safe = dataset.safe[rows]
+        self.cls_t = times.ravel()
+        self.cls_Y = self._Y.ravel()
+        self.cls_safe = suffix_safe_mask(safe).ravel()
+        self.cls_unsafe = ~safe.ravel()
+        self.bf_t = times[:, :-1][self._retained]
+        self.bf_Y = self._Y[:, :-1][self._retained]
+        self.bf_Y0 = np.repeat(self._U[:, 0], self._retained.sum(axis=1))
         self.bf_dY = None
         self.safe_idx = np.flatnonzero(self.cls_safe)
         self.unsafe_idx = np.flatnonzero(self.cls_unsafe)
@@ -192,16 +180,15 @@ class _BarrierSamples:
     def set_rates(self, dy_source, operator):
         """dY/dt at the retained steps: trajectory finite differences, or
         the operator's rate split Lambda * U_dot + mu."""
-        bf_dY = []
-        for pair, retained in zip(self._pairs, self._retained):
-            if dy_source == "operator":
-                _, lam, mu = operator.predict(pair.U)
-                dY = lam * u_dot_forward(pair.U, self._dt) + mu
-                dY = dY[:-1]
-            else:
-                dY = np.diff(pair.Y) / self._dt
-            bf_dY.append(dY[retained])
-        self.bf_dY = np.concatenate(bf_dY)
+        if dy_source == "operator":
+            dY = np.empty_like(self._U)
+            for k, U in enumerate(self._U):
+                _, lam, mu = operator.predict(U)
+                dY[k] = lam * u_dot_forward(U, self._dt) + mu
+            dY = dY[:, :-1]
+        else:
+            dY = np.diff(self._Y, axis=1) / self._dt
+        self.bf_dY = dY[self._retained]
 
 
 def _cyclic_chunk(order, start, size):
@@ -311,29 +298,28 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
                               seed=subseed(seed, 13))
     run_op = operator is None and sched_op.epochs > 0 \
         and config.lambda_G > 0
+    run_bar = sched_bf.epochs > 0 and (config.lambda_S > 0
+                                       or config.lambda_BF > 0
+                                       or sched_bf.reg_weight > 0)
+    if run_op or run_bar:
+        train_idx, val_idx = split(dataset, config.train_fraction,
+                                   seed=subseed(seed, 10))
     if run_op:
-        train_ds, val_ds = split(dataset, config.train_fraction,
-                                 seed=subseed(seed, 10))
-        UU, YY = _operator_arrays(train_ds.pairs)
-        val_UU, val_YY = _operator_arrays(val_ds.pairs)
+        UU, YY = dataset.U[train_idx], dataset.Y[train_idx]
+        val_UU, val_YY = dataset.U[val_idx], dataset.Y[val_idx]
         adam_op = Adam(op.params(), lr=sched_op.lr,
                        decay_factor=sched_op.decay_factor,
                        decay_every=sched_op.decay_every)
         rng_op = np.random.default_rng(subseed(seed, 11))
 
-    run_bar = sched_bf.epochs > 0 and (config.lambda_S > 0
-                                       or config.lambda_BF > 0
-                                       or sched_bf.reg_weight > 0)
     bar = BarrierFunction(time_dependent=sched_bf.time_dependent,
                           seed=subseed(seed, 14))
     if run_bar:
-        balanced = balance_near_zero(dataset, band=config.balance_band,
+        retained = balance_near_zero(dataset, band=config.balance_band,
                                      keep_fraction=config.balance_keep,
                                      seed=subseed(seed, 15))
-        btrain, bval = split(balanced, config.train_fraction,
-                             seed=subseed(seed, 10))
-        samples, vsamples = [_BarrierSamples(part.pairs, dataset.grid)
-                             for part in (btrain, bval)]
+        samples, vsamples = [_BarrierSamples(dataset, rows, retained)
+                             for rows in (train_idx, val_idx)]
         if samples.safe_idx.size == 0 or samples.unsafe_idx.size == 0:
             raise ValueError(
                 "barrier training needs both safe and unsafe samples")

@@ -1,8 +1,10 @@
 """Trajectory dataset collection, safety labeling, balancing, splitting, and
 serialization.
 
-A dataset is a list of labeled boundary input/output trajectory pairs sharing
-one time grid. On disk it is a table (see `checkpoint`) with columns
+A dataset holds K labeled boundary input/output trajectories on one time
+grid as three (K, M+1) arrays: the inputs U, the outputs Y and the per-step
+safety labels; row k is trajectory k, and its initial condition is U[k, 0].
+On disk it is a table (see `checkpoint`) with columns
 traj_id,step,t,U,Y,safe, preceded by one '# key=value' comment per metadata
 entry and the grid_T / grid_M comments that fix the time grid. A write/read
 round trip is value-exact.
@@ -10,7 +12,8 @@ round trip is value-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +31,7 @@ class CollectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class OneSidedSet:
-    """Safe iff sign * Y < bound (sign is +1 or -1)."""
+    """Safe iff sign * Y < bound (sign is +1 or -1, bound a finite float)."""
 
     sign: int = 1
     bound: float = 1.0
@@ -36,8 +39,7 @@ class OneSidedSet:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ConfigurationError("sign must be +1 or -1")
-        if not np.isfinite(self.bound):
-            raise ConfigurationError("bound must be finite")
+        object.__setattr__(self, "bound", _finite_float(self.bound, "bound"))
 
     def contains(self, Y):
         return self.sign * np.asarray(Y, dtype=np.float64) < self.bound
@@ -49,20 +51,33 @@ class OneSidedSet:
 
 @dataclass(frozen=True)
 class TwoSidedSet:
-    """Safe iff |Y - center| < halfwidth; center may be a per-step array."""
+    """Safe iff |Y - center| < halfwidth, for a finite float center and a
+    positive halfwidth."""
 
     center: float = 0.0
     halfwidth: float = 0.145
 
     def __post_init__(self):
+        object.__setattr__(self, "center",
+                           _finite_float(self.center, "center"))
         if not self.halfwidth > 0:
             raise ConfigurationError("halfwidth must be positive")
+        object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     def contains(self, Y):
         return np.abs(np.asarray(Y, dtype=np.float64) - self.center) < self.halfwidth
 
     def describe(self):
         return f"abs:center={self.center!r},halfwidth={self.halfwidth!r}"
+
+
+def _finite_float(value, name):
+    """value as a float, or ConfigurationError unless it is one finite
+    number (an array has no one-line spec)."""
+    if np.ndim(value) != 0 or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
+    return float(value)
 
 
 def parse_safe_set(text):
@@ -90,43 +105,42 @@ def label_safety(Y, safe_set):
 
 
 def suffix_safe_mask(labels):
-    """True where every label from that step to the end is safe."""
-    rev = np.logical_and.accumulate(np.asarray(labels, dtype=bool)[::-1])
-    return rev[::-1].copy()
+    """True where every label from that step to the end (of its row, for a
+    (K, M+1) array) is safe."""
+    labels = np.asarray(labels, dtype=bool)[..., ::-1]
+    return np.logical_and.accumulate(labels, axis=-1)[..., ::-1].copy()
 
 
 @dataclass
-class LabeledTrajectoryPair:
-    """One boundary input/output pair with per-step safety labels.
+class Dataset:
+    """K trajectories on one time grid: U, Y (float) and safe (bool) are
+    (K, M+1) arrays with trajectory k in row k. Trajectories need a grid:
+    a dataset without one is empty."""
 
-    bf_mask, when set, marks the steps retained for the feasibility loss
-    (see balance_near_zero); it is not serialized.
-    """
-
+    grid: TimeGrid | None
     U: np.ndarray
     Y: np.ndarray
-    U0: float
     safe: np.ndarray
-    bf_mask: np.ndarray | None = None
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=np.float64)
         self.Y = np.asarray(self.Y, dtype=np.float64)
         self.safe = np.asarray(self.safe, dtype=bool)
-        if not (self.U.shape == self.Y.shape == self.safe.shape):
-            raise ValueError("U, Y, safe must share one shape")
-        if self.U[0] != self.U0:
-            raise ValueError("U[0] must equal U0")
-
-
-@dataclass
-class Dataset:
-    grid: TimeGrid | None
-    pairs: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+        if self.U.ndim != 2 or \
+                not self.U.shape == self.Y.shape == self.safe.shape:
+            raise ConfigurationError(
+                f"U, Y and safe must share one 2-D shape, got {self.U.shape}"
+                f", {self.Y.shape} and {self.safe.shape}")
+        if self.grid is None and len(self):
+            raise ConfigurationError("a dataset with trajectories needs a grid")
+        if self.grid is not None and self.U.shape[1] != self.grid.M + 1:
+            raise ConfigurationError(
+                f"trajectories have {self.U.shape[1]} steps, the grid "
+                f"{self.grid.M + 1}")
 
     def __len__(self):
-        return len(self.pairs)
+        return self.U.shape[0]
 
 
 def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
@@ -134,7 +148,8 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
 
     U0 and the controller's episode entropy derive from (seed, index), so the
     result is deterministic and order-independent. Diverged rollouts are
-    skipped and counted; more than 50% skipped raises CollectionError.
+    skipped and counted in meta["skipped"]; more than 50% skipped raises
+    CollectionError.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -143,19 +158,16 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
         raise ValueError("empty U0 range")
     if not controllers:
         raise ValueError("need at least one controller")
-    pairs = []
-    skipped = 0
+    runs = []
     for k in range(K):
         rng = np.random.default_rng((int(seed), k))
         U0 = rng.uniform(lo, hi)
         controller = controllers[k % len(controllers)]
         try:
-            run = rollout(env_cfg, controller, U0, episode_seed=k)
+            runs.append(rollout(env_cfg, controller, U0, episode_seed=k))
         except SimulationDivergedError:
-            skipped += 1
-            continue
-        pairs.append(LabeledTrajectoryPair(run.U, run.Y, U0,
-                                           label_safety(run.Y, safe_set)))
+            pass
+    skipped = K - len(runs)
     if 2 * skipped > K:
         raise CollectionError(f"{skipped} of {K} rollouts diverged")
     meta = {
@@ -166,65 +178,57 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
         "K": str(K),
         "skipped": str(skipped),
     }
-    return Dataset(env_cfg.grid, pairs, meta)
+    Y = np.stack([run.Y for run in runs])
+    return Dataset(env_cfg.grid, np.stack([run.U for run in runs]), Y,
+                   label_safety(Y, safe_set), meta)
 
 
 def balance_near_zero(dataset, band, keep_fraction, seed=0):
-    """Attach feasibility-loss inclusion masks that thin near-zero outputs.
+    """The (K, M+1) mask of the steps retained for the feasibility loss,
+    thinning near-zero outputs.
 
-    Steps with Y inside `band` are retained with probability keep_fraction;
-    all other steps are always retained. Returns a new Dataset; trajectory
-    values are shared, only the masks are new.
+    Steps with Y inside `band` are retained with probability keep_fraction,
+    drawn from one random stream per trajectory; all other steps are always
+    retained.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     lo, hi = band
-    out_pairs = []
-    for idx, pair in enumerate(dataset.pairs):
-        rng = np.random.default_rng(subseed(seed, idx))
-        draws = rng.random(pair.Y.size)
-        in_band = (pair.Y >= lo) & (pair.Y <= hi)
-        mask = ~in_band | (draws < keep_fraction)
-        out_pairs.append(replace(pair, bf_mask=mask))
-    return Dataset(dataset.grid, out_pairs, dict(dataset.meta))
+    draws = np.empty(dataset.Y.shape)
+    for k in range(len(dataset)):
+        draws[k] = np.random.default_rng(subseed(seed, k)).random(
+            draws.shape[1])
+    in_band = (dataset.Y >= lo) & (dataset.Y <= hi)
+    return ~in_band | (draws < keep_fraction)
 
 
 def split(dataset, train_fraction, seed=0):
-    """Disjoint, exhaustive split at trajectory granularity."""
+    """Disjoint, exhaustive split at trajectory granularity: the sorted
+    trajectory indices (train_idx, test_idx)."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    K = len(dataset.pairs)
+    K = len(dataset)
     if K < 2:
         raise ValueError("need at least 2 trajectories to split")
     n_train = int(round(train_fraction * K))
     n_train = min(max(n_train, 1), K - 1)
     seed_key = seed if isinstance(seed, tuple) else int(seed)
     perm = np.random.default_rng(seed_key).permutation(K)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    train = Dataset(dataset.grid, [dataset.pairs[i] for i in train_idx],
-                    dict(dataset.meta))
-    test = Dataset(dataset.grid, [dataset.pairs[i] for i in test_idx],
-                   dict(dataset.meta))
-    return train, test
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
 def write_dataset(path, dataset):
     """Dataset table: '# key=value' metadata and grid comments, then one
-    traj_id,step,t,U,Y,safe row per step of every trajectory.  Trajectories
-    need a grid: without one the rows could not be read back."""
-    if dataset.grid is None and dataset.pairs:
-        raise ConfigurationError(
-            f"{path}: a dataset with trajectories needs a grid")
+    traj_id,step,t,U,Y,safe row per step of every trajectory."""
     comments = [f"{key}={value}" for key, value in dataset.meta.items()]
     rows = []
     if dataset.grid is not None:
         comments += [f"grid_T={fmt(dataset.grid.T)}",
                      f"grid_M={dataset.grid.M}"]
         dt = dataset.grid.dt
-        rows = ((traj_id, m, m * dt, pair.U[m], pair.Y[m], pair.safe[m])
-                for traj_id, pair in enumerate(dataset.pairs)
-                for m in range(pair.U.size))
+        rows = ((k, m, m * dt, u, y, safe) for k, cols in
+                enumerate(zip(dataset.U, dataset.Y, dataset.safe))
+                for m, (u, y, safe) in enumerate(zip(*cols)))
     write_table(path, DATASET_COLUMNS, rows, comments)
 
 
@@ -245,23 +249,22 @@ def read_dataset(path):
     by_traj = {}
     for traj_id, step, _, U, Y, safe in table.rows:
         by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
-    pairs = []
-    for traj_id in sorted(by_traj):
-        steps, U, Y, safe = map(np.array, zip(*sorted(by_traj[traj_id])))
-        if not np.array_equal(steps, np.arange(grid.M + 1)):
+    width = 0 if grid is None else grid.M + 1
+    U = np.empty((len(by_traj), width))
+    Y = np.empty_like(U)
+    safe = np.empty(U.shape, dtype=bool)
+    for k, traj_id in enumerate(sorted(by_traj)):
+        steps, *cols = zip(*sorted(by_traj[traj_id]))
+        if steps != tuple(range(width)):
             raise DatasetFormatError(
                 path, f"trajectory {traj_id} has steps {steps[:3]}..., "
                 f"expected 0..{grid.M}")
-        pairs.append(LabeledTrajectoryPair(U, Y, U[0], safe))
-    return Dataset(grid, pairs, meta)
+        U[k], Y[k], safe[k] = cols
+    return Dataset(grid, U, Y, safe, meta)
 
 
 def datasets_equal(a, b):
     """Bitwise equality of values and labels (metadata ignored)."""
-    if len(a.pairs) != len(b.pairs) or a.grid != b.grid:
-        return False
-    for pa, pb in zip(a.pairs, b.pairs):
-        if not (np.array_equal(pa.U, pb.U) and np.array_equal(pa.Y, pb.Y)
-                and np.array_equal(pa.safe, pb.safe)):
-            return False
-    return True
+    return a.grid == b.grid and all(
+        np.array_equal(x, y)
+        for x, y in ((a.U, b.U), (a.Y, b.Y), (a.safe, b.safe)))

@@ -85,6 +85,26 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_report_out_is_written_atomically(run, tmp_path, monkeypatch):
+    out = tmp_path / "report.md"
+
+    def report(name):
+        return main(["report", "--row", f"{name}={run / 'off.csv'}",
+                     "--out", str(out)])
+
+    assert report("old") == 0
+    first = out.read_bytes()
+    assert b"| old " in first and first.endswith(b"|\n")
+
+    def failed_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr("os.replace", failed_rename)
+    assert report("new") == 2
+    assert out.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["report.md"]
+
+
 def test_train_bcbf_rejects_the_operator_flag_of_the_other_mode(
         run, tmp_path, capsys):
     joint = tmp_path / "joint.json"

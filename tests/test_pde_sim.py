@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
-                            HyperbolicConfig, ParabolicConfig, PdeState1D,
-                            Proportional, SmoothRandom, TimeGrid,
+                            HyperbolicConfig, ParabolicConfig, Proportional,
+                            SimulationDivergedError, SmoothRandom, TimeGrid,
                             parse_controller, read_trajectory_csv, rollout,
                             stabilization_reward, step_hyperbolic,
                             step_parabolic, write_states_csv,
@@ -44,9 +44,9 @@ class TestTimeGrid:
 class TestTransportPlant:
     def test_constant_profile_is_a_fixed_point_without_recirculation(self):
         cfg = HyperbolicConfig(beta=0.0, n_points=11, grid=TimeGrid(5.0, 50))
-        s = PdeState1D(np.full(11, 5.0))
+        s = np.full(11, 5.0)
         s2 = step_hyperbolic(s, 5.0, cfg)
-        assert np.array_equal(s2.values, s.values)
+        assert np.array_equal(s2, s)
 
     @pytest.mark.parametrize("n_points", [101, 201])
     def test_ramp_input_reappears_at_output_after_unit_delay(self, n_points):
@@ -60,7 +60,7 @@ class TestTransportPlant:
     def test_recirculation_gain_five_is_unstable(self):
         cfg = HyperbolicConfig(beta=5.0)
         res = rollout(cfg, Constant(0.0), 1.0)
-        sup = [np.max(np.abs(s.values)) for s in res.states]
+        sup = np.max(np.abs(res.states), axis=1)
         assert sup[-1] > 100.0 * sup[0]
         assert res.Y[-1] > res.Y[0]
 
@@ -69,7 +69,7 @@ class TestTransportPlant:
         # with a finer spatial grid must be rejected.
         cfg = HyperbolicConfig(beta=0.0, n_points=101, grid=TimeGrid(5.0, 50),
                                substeps=1)
-        s = PdeState1D(np.zeros(101))
+        s = np.zeros(101)
         with pytest.raises(ConfigurationError):
             step_hyperbolic(s, 0.0, cfg)
 
@@ -80,7 +80,16 @@ class TestTransportPlant:
     def test_nonfinite_boundary_rejected(self):
         cfg = HyperbolicConfig(n_points=11, grid=TimeGrid(5.0, 50))
         with pytest.raises(ConfigurationError):
-            step_hyperbolic(PdeState1D(np.zeros(11)), np.inf, cfg)
+            step_hyperbolic(np.zeros(11), np.inf, cfg)
+
+    @pytest.mark.parametrize("n_points", [201, 11])
+    def test_state_length_must_match_the_config(self, n_points):
+        # dx and the substep count both come from the config, so a state
+        # on another spatial grid is rejected rather than mis-stepped
+        cfg = HyperbolicConfig()
+        with pytest.raises(ConfigurationError,
+                           match=f"{n_points}.*n_points=101"):
+            step_hyperbolic(np.zeros(n_points), 0.0, cfg)
 
 
 class TestReactionDiffusionPlant:
@@ -96,11 +105,11 @@ class TestReactionDiffusionPlant:
         cfg = ParabolicConfig(eps=eps, lam=0.0, n_points=41,
                               grid=TimeGrid(1.0, 100))
         x = np.linspace(0.0, 1.0, 41)
-        s = PdeState1D(np.sin(np.pi * x))
+        s = np.sin(np.pi * x)
         for _ in range(100):
             s = step_parabolic(s, 0.0, cfg)
         exact = np.exp(-eps * np.pi**2) * np.sin(np.pi * x)
-        assert np.max(np.abs(s.values - exact)) <= 1e-3
+        assert np.max(np.abs(s - exact)) <= 1e-3
 
     def test_reaction_gain_above_diffusion_cutoff_grows(self):
         eps = 0.05
@@ -108,12 +117,19 @@ class TestReactionDiffusionPlant:
         cfg = ParabolicConfig(eps=eps, lam=lam, n_points=41,
                               grid=TimeGrid(1.0, 100))
         x = np.linspace(0.0, 1.0, 41)
-        s = PdeState1D(np.sin(np.pi * x))
+        s = np.sin(np.pi * x)
         for _ in range(100):
             s = step_parabolic(s, 0.0, cfg)
         exact = np.exp(eps * np.pi**2) * np.sin(np.pi * x)
-        assert np.max(s.values) > 1.5  # grew from amplitude 1
-        assert np.max(np.abs(s.values - exact)) <= 5e-3
+        assert np.max(s) > 1.5  # grew from amplitude 1
+        assert np.max(np.abs(s - exact)) <= 5e-3
+
+    @pytest.mark.parametrize("n_points", [201, 11])
+    def test_state_length_must_match_the_config(self, n_points):
+        cfg = ParabolicConfig(grid=TimeGrid(1.0, 10))
+        with pytest.raises(ConfigurationError,
+                           match=f"{n_points}.*n_points=101"):
+            step_parabolic(np.zeros(n_points), 0.0, cfg)
 
     def test_scheme_error_shrinks_at_second_order(self):
         errors = []
@@ -121,11 +137,11 @@ class TestReactionDiffusionPlant:
             cfg = ParabolicConfig(eps=0.05, lam=0.0, n_points=n_points,
                                   grid=TimeGrid(1.0, M))
             x = np.linspace(0.0, 1.0, n_points)
-            s = PdeState1D(np.sin(np.pi * x))
+            s = np.sin(np.pi * x)
             for _ in range(M):
                 s = step_parabolic(s, 0.0, cfg)
             exact = np.exp(-0.05 * np.pi**2) * np.sin(np.pi * x)
-            errors.append(np.max(np.abs(s.values - exact)))
+            errors.append(np.max(np.abs(s - exact)))
         order = np.log2(errors[0] / errors[1])
         assert order >= 1.8
 
@@ -148,14 +164,14 @@ class TestRollout:
         cfg = HyperbolicConfig()
         res = rollout(cfg, Constant(0.0), 1.0)
         assert res.U.shape == res.Y.shape == (cfg.grid.M + 1,)
-        assert len(res.states) == cfg.grid.M + 1
+        assert res.states.shape == (cfg.grid.M + 1, cfg.n_points)
         assert res.U[0] == 1.0 and res.Y[0] == 1.0
 
     def test_initial_state_is_the_constant_profile(self):
         cfg = ParabolicConfig()
         res = rollout(replace(cfg, grid=TimeGrid(0.01, 10)), Constant(0.0),
                       3.0)
-        assert np.all(res.states[0].values == 3.0)
+        assert np.all(res.states[0] == 3.0)
 
     def test_proportional_feedback_matches_hand_stepped_trace(self):
         # Re-derive the closed loop with plain Python loops: M=10 control
@@ -193,8 +209,7 @@ class TestRollout:
             replay = rollout(cfg, FromFile(closed.U), closed.U[0])
             assert np.array_equal(replay.U, closed.U)
             assert np.array_equal(replay.Y, closed.Y)
-            for a, b in zip(replay.states, closed.states, strict=True):
-                assert np.array_equal(a.values, b.values)
+            assert np.array_equal(replay.states, closed.states)
 
     def test_replay_checks_input_length(self):
         cfg = HyperbolicConfig()
@@ -202,6 +217,28 @@ class TestRollout:
             rollout(cfg, FromFile(np.zeros(7)), 0.0)
         with pytest.raises(ConfigurationError):
             rollout(cfg, FromFile(np.zeros((1, 51))), 0.0)
+
+    def test_divergence_names_the_first_nonfinite_step(self):
+        # beta=200 grows the transport state ~1e12-fold per step of 0.25,
+        # so it overflows within 40 steps
+        cfg = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
+        n_sub = cfg.effective_substeps()
+        r, dt_sub = cfg.grid.dt / n_sub / cfg.dx, cfg.grid.dt / n_sub
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergedError) as err:
+                rollout(cfg, Proportional(0.5), 1.0)
+            # the same upwind arithmetic and feedback, unchecked
+            u, first = np.full(cfg.n_points, 1.0), None
+            for m in range(1, cfg.grid.M + 1):
+                b_prev, u_m = u[-1], -0.5 * u[0]
+                for j in range(1, n_sub + 1):
+                    u[:-1] += r * (u[1:] - u[:-1]) + dt_sub * cfg.beta * u[0]
+                    u[-1] = b_prev + (j / n_sub) * (u_m - b_prev)
+                if not np.all(np.isfinite(u)):
+                    first = m
+                    break
+        assert first is not None and first > 1
+        assert err.value.step == first
 
     def test_nonfinite_initial_condition_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -299,20 +336,28 @@ class TestControllers:
 
 class TestReward:
     def test_zero_states_give_zero_reward(self):
-        states = [PdeState1D(np.zeros(11)) for _ in range(5)]
+        states = np.zeros((5, 11))
         assert stabilization_reward(states) == 0.0
 
     def test_unit_profile_gives_minus_one(self):
-        states = [PdeState1D(np.ones(11)) for _ in range(4)]
+        states = np.ones((4, 11))
         assert stabilization_reward(states) == pytest.approx(-1.0)
 
     def test_two_step_hand_quadrature(self):
-        states = [PdeState1D(np.ones(11)), PdeState1D(2.0 * np.ones(11))]
+        states = np.array([np.ones(11), 2.0 * np.ones(11)])
         assert stabilization_reward(states) == pytest.approx(-2.5)
+
+    def test_reward_sums_the_state_norms_in_step_order(self):
+        states = np.random.default_rng(2).normal(size=(7, 11)) \
+            * np.logspace(-8, 8, 7)[:, None]
+        total = 0.0
+        for row in states:
+            total += np.sum((row[1:]**2 + row[:-1]**2) / 2.0 * 0.1)
+        assert stabilization_reward(states) == -total / 7
 
     def test_reward_is_never_positive(self):
         rng = np.random.default_rng(0)
-        states = [PdeState1D(rng.normal(size=11)) for _ in range(3)]
+        states = rng.normal(size=(3, 11))
         assert stabilization_reward(states) <= 0.0
 
 
@@ -332,7 +377,7 @@ class TestTrajectoryCsv:
 
     def test_states_csv_has_one_row_per_space_time_point(self, tmp_path):
         grid = TimeGrid(1.0, 2)
-        states = [PdeState1D(np.zeros(5)) for _ in range(3)]
+        states = np.zeros((3, 5))
         path = tmp_path / "states.csv"
         write_states_csv(path, states, grid)
         lines = path.read_text().splitlines()

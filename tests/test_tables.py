@@ -45,12 +45,10 @@ def test_crlf_dataset_reads_back_and_rewrites_with_lf(tmp_path):
     ds = read_dataset(path)
     assert ds.grid == TimeGrid(1.0, 2)
     assert ds.meta == {"origin": "synthetic"}
-    assert np.array_equal(ds.pairs[0].U, [2.5, -1.0, -1.0])
-    assert np.array_equal(ds.pairs[0].Y, [2.5, 0.1, -0.3])
-    assert np.array_equal(ds.pairs[1].U, [0.1, 0.2, 1e-20])
-    assert np.array_equal(ds.pairs[1].Y, [1e300, -0.0, 7.0])
-    assert np.signbit(ds.pairs[1].Y[1])
-    assert np.array_equal(ds.pairs[1].safe, [True, True, False])
+    assert np.array_equal(ds.U, [[2.5, -1.0, -1.0], [0.1, 0.2, 1e-20]])
+    assert np.array_equal(ds.Y, [[2.5, 0.1, -0.3], [1e300, -0.0, 7.0]])
+    assert np.signbit(ds.Y[1, 1])
+    assert np.array_equal(ds.safe[1], [True, True, False])
     write_dataset(tmp_path / "again.csv", ds)
     assert (tmp_path / "again.csv").read_bytes() \
         == CRLF_DATASET.replace(b"\r", b"")

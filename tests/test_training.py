@@ -14,13 +14,14 @@ from safebc.barrier import (BarrierFunction, FeasibilityConstants,
                             loss_decrease_condition, loss_safe_set,
                             loss_sublevel_margin)
 from safebc.nets import Mlp
-from safebc.neural_operator import BoundaryOperator
+from safebc.neural_operator import BoundaryOperator, u_dot_forward
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, TrainConfig,
-                             TrainHistory, train_bcbf, train_joint,
-                             train_operator)
-from safebc.trajectories import OneSidedSet, collect_dataset
+                             TrainHistory, _BarrierSamples, train_bcbf,
+                             train_joint, train_operator)
+from safebc.trajectories import (OneSidedSet, balance_near_zero,
+                                 collect_dataset, suffix_safe_mask)
 
 SOURCES = ("data-fd", "operator")
 CONSTANTS = FeasibilityConstants(alpha=1e-5, T=5.0)
@@ -87,6 +88,38 @@ def test_train_bcbf_is_joint_without_operator_epochs(dataset, source):
     assert_same_history(hist, hist_j)
 
 
+@pytest.mark.parametrize("source", SOURCES)
+def test_barrier_samples_concatenate_the_trajectories_in_order(dataset,
+                                                               source):
+    rows = np.array([1, 4, 5, 11])
+    retained = balance_near_zero(dataset, (-0.5, 0.5), 0.3, seed=2)
+    op = BoundaryOperator(dataset.grid, d_v=4, n_layers=1, seed=0)
+    samples = _BarrierSamples(dataset, rows, retained)
+    samples.set_rates(source, op)
+    # reference: one trajectory at a time, then concatenated
+    times, dt = dataset.grid.times(), dataset.grid.dt
+    parts = {}
+    for k in rows:
+        U, Y, safe, keep = (dataset.U[k], dataset.Y[k], dataset.safe[k],
+                            retained[k, :-1])
+        if source == "operator":
+            _, lam, mu = op.predict(U)
+            dY = (lam * u_dot_forward(U, dt) + mu)[:-1]
+        else:
+            dY = np.diff(Y) / dt
+        for name, value in (
+                ("cls_t", times), ("cls_Y", Y),
+                ("cls_safe", suffix_safe_mask(safe)), ("cls_unsafe", ~safe),
+                ("bf_t", times[:-1][keep]), ("bf_Y", Y[:-1][keep]),
+                ("bf_Y0", np.full(keep.sum(), U[0])), ("bf_dY", dY[keep])):
+            parts.setdefault(name, []).append(value)
+    assert 0 < samples.bf_t.size < rows.size * (times.size - 1)
+    for name, values in parts.items():
+        want, got = np.concatenate(values), getattr(samples, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            name
+
+
 def test_history_records_the_loss_weights(dataset):
     config = small_config(lambda_BF=0.25)
     _, hist = train_bcbf(dataset, None, CONSTANTS, config, seed=0)
@@ -96,7 +129,7 @@ def test_history_records_the_loss_weights(dataset):
 
 def test_train_operator_trains_on_an_all_safe_dataset():
     data = small_dataset(OneSidedSet(1, 1e6))
-    assert all(p.safe.all() for p in data.pairs)
+    assert data.safe.all()
     op, hist = train_operator(data, small_config(), seed=0)
     assert len(hist.rows) == 3
     assert all(np.isfinite(r["L_G"]) for r in hist.rows)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
                             TimeGrid)
-from safebc.trajectories import (Dataset, DatasetFormatError,
-                                 LabeledTrajectoryPair, OneSidedSet,
+from safebc.trajectories import (CollectionError, Dataset,
+                                 DatasetFormatError, OneSidedSet,
                                  TwoSidedSet, balance_near_zero,
                                  collect_dataset, datasets_equal,
                                  label_safety, parse_safe_set, read_dataset,
@@ -16,13 +16,18 @@ from safebc.trajectories import (Dataset, DatasetFormatError,
 
 def make_dataset(n=10, M=4, seed=0):
     rng = np.random.default_rng(seed)
-    grid = TimeGrid(1.0, M)
-    pairs = []
-    for _ in range(n):
-        U = rng.normal(size=M + 1)
-        Y = rng.normal(size=M + 1)
-        pairs.append(LabeledTrajectoryPair(U, Y, U[0], Y < 1.0))
-    return Dataset(grid, pairs, {"origin": "synthetic"})
+    U = np.empty((n, M + 1))
+    Y = np.empty_like(U)
+    for k in range(n):
+        U[k] = rng.normal(size=M + 1)
+        Y[k] = rng.normal(size=M + 1)
+    return Dataset(TimeGrid(1.0, M), U, Y, Y < 1.0, {"origin": "synthetic"})
+
+
+def empty_dataset(grid=None):
+    width = 0 if grid is None else grid.M + 1
+    return Dataset(grid, np.empty((0, width)), np.empty((0, width)),
+                   np.empty((0, width), dtype=bool))
 
 
 class TestSafeSets:
@@ -71,6 +76,22 @@ class TestSafeSets:
         with pytest.raises(ConfigurationError):
             make()
 
+    @pytest.mark.parametrize("center", [np.array([0.1, 0.2]), np.nan,
+                                        np.inf])
+    def test_two_sided_center_is_one_finite_number(self, center):
+        with pytest.raises(ConfigurationError, match="center"):
+            TwoSidedSet(center=center, halfwidth=0.5)
+
+    @given(st.one_of(
+        st.builds(OneSidedSet, sign=st.sampled_from([1, -1]),
+                  bound=st.floats(allow_nan=False, allow_infinity=False)),
+        st.builds(TwoSidedSet,
+                  center=st.floats(allow_nan=False, allow_infinity=False),
+                  halfwidth=st.floats(min_value=0.0, exclude_min=True))))
+    @settings(max_examples=200, deadline=None)
+    def test_every_valid_set_reads_back_from_its_spec(self, safe_set):
+        assert parse_safe_set(safe_set.describe()) == safe_set
+
     def test_relabeling_is_idempotent(self):
         s = parse_safe_set("Y<1")
         Y = np.random.default_rng(0).normal(size=20)
@@ -100,6 +121,12 @@ class TestSuffixMask:
         assert np.array_equal(suffix_safe_mask([1, 1, 0]),
                               [False, False, False])
 
+    def test_each_row_of_a_label_array_is_masked_on_its_own(self):
+        labels = np.random.default_rng(4).random((6, 9)) < 0.8
+        mask = suffix_safe_mask(labels)
+        for row, row_mask in zip(labels, mask, strict=True):
+            assert np.array_equal(row_mask, suffix_safe_mask(row))
+
     @given(st.lists(st.booleans(), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_mask_is_monotone_and_bounded_by_labels(self, labels):
@@ -128,23 +155,42 @@ class TestCollection:
         env = HyperbolicConfig(beta=0.0)
         ss = parse_safe_set("Y<1")
         ds = collect_dataset(env, [Constant()], 20, (1.0, 10.0), ss, seed=0)
-        for pair in ds.pairs:
-            assert 1.0 <= pair.U0 <= 10.0
+        assert np.all((1.0 <= ds.U[:, 0]) & (ds.U[:, 0] <= 10.0))
 
     def test_stable_plant_small_input_is_all_safe(self):
         env = HyperbolicConfig(beta=0.0)
         ss = parse_safe_set("Y<1")
         ds = collect_dataset(env, [Constant()], 4, (0.5, 0.5), ss, seed=0)
-        for pair in ds.pairs:
-            assert pair.safe.all()
+        assert ds.safe.shape == (4, env.grid.M + 1) and ds.safe.all()
 
     def test_controllers_cycle_round_robin(self):
         env = HyperbolicConfig(beta=0.0)
         ss = parse_safe_set("Y<1")
         ds = collect_dataset(env, [Constant(0.25), Constant(0.75)], 4,
                              (0.5, 0.5), ss, seed=0)
-        finals = [pair.U[-1] for pair in ds.pairs]
-        assert finals == [0.25, 0.75, 0.25, 0.75]
+        assert ds.U[:, -1].tolist() == [0.25, 0.75, 0.25, 0.75]
+
+    # beta=200 amplifies any nonzero state past float range within the
+    # horizon: from U0 = 0 a zero boundary input keeps the plant at zero,
+    # while a boundary input of 1e200 overflows it
+    DIVERGING = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
+
+    def test_diverged_rollouts_are_skipped_and_counted(self):
+        ss = parse_safe_set("Y<1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = collect_dataset(self.DIVERGING,
+                                 [Constant(0.0), Constant(1e200)], 4,
+                                 (0.0, 0.0), ss, seed=0)
+        assert ds.meta["skipped"] == "2" and ds.meta["K"] == "4"
+        assert len(ds) == 2 and not ds.U.any() and not ds.Y.any()
+
+    def test_more_than_half_diverged_raises(self):
+        ss = parse_safe_set("Y<1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CollectionError, match="2 of 3"):
+                collect_dataset(self.DIVERGING,
+                                [Constant(0.0), Constant(1e200),
+                                 Constant(1e200)], 3, (0.0, 0.0), ss)
 
     def test_metadata_records_provenance(self):
         env = HyperbolicConfig(beta=0.0)
@@ -157,38 +203,33 @@ class TestCollection:
 
 class TestBalance:
     def test_keep_fraction_one_retains_everything(self):
-        ds = balance_near_zero(make_dataset(), band=(-0.1, 0.1),
-                               keep_fraction=1.0)
-        for pair in ds.pairs:
-            assert pair.bf_mask.all()
+        ds = make_dataset()
+        mask = balance_near_zero(ds, band=(-0.1, 0.1), keep_fraction=1.0)
+        assert mask.shape == ds.Y.shape and mask.all()
 
     def test_out_of_band_samples_always_retained(self):
         base = make_dataset()
-        ds = balance_near_zero(base, band=(-0.1, 0.1), keep_fraction=0.2,
-                               seed=1)
-        for pair in ds.pairs:
-            out_of_band = (pair.Y < -0.1) | (pair.Y > 0.1)
-            assert pair.bf_mask[out_of_band].all()
+        mask = balance_near_zero(base, band=(-0.1, 0.1), keep_fraction=0.2,
+                                 seed=1)
+        out_of_band = (base.Y < -0.1) | (base.Y > 0.1)
+        assert mask[out_of_band].all()
 
     def test_in_band_retention_rate_is_binomial(self):
         # 10000 in-band samples at keep 0.2 should retain 2000 +- 200.
         grid = TimeGrid(1.0, 99)
-        pairs = [LabeledTrajectoryPair(np.zeros(100), np.zeros(100), 0.0,
-                                       np.ones(100, dtype=bool))
-                 for _ in range(100)]
-        ds = balance_near_zero(Dataset(grid, pairs, {}), band=(-0.1, 0.1),
-                               keep_fraction=0.2, seed=0)
-        kept = sum(int(p.bf_mask.sum()) for p in ds.pairs)
+        ds = Dataset(grid, np.zeros((100, 100)), np.zeros((100, 100)),
+                     np.ones((100, 100), dtype=bool))
+        kept = int(balance_near_zero(ds, band=(-0.1, 0.1),
+                                     keep_fraction=0.2, seed=0).sum())
         assert 1800 <= kept <= 2200
 
     def test_no_in_band_samples_leaves_dataset_unchanged(self):
         grid = TimeGrid(1.0, 4)
-        pairs = [LabeledTrajectoryPair(np.full(5, 3.0), np.full(5, 3.0), 3.0,
-                                       np.zeros(5, dtype=bool))]
-        ds = balance_near_zero(Dataset(grid, pairs, {}), band=(-0.1, 0.1),
-                               keep_fraction=0.2)
-        assert ds.pairs[0].bf_mask.all()
-        assert np.array_equal(ds.pairs[0].Y, pairs[0].Y)
+        ds = Dataset(grid, np.full((1, 5), 3.0), np.full((1, 5), 3.0),
+                     np.zeros((1, 5), dtype=bool))
+        assert balance_near_zero(ds, band=(-0.1, 0.1),
+                                 keep_fraction=0.2).all()
+        assert np.array_equal(ds.Y, np.full((1, 5), 3.0))
 
     def test_bad_keep_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -202,19 +243,16 @@ class TestSplit:
         assert len(tr) == 9 and len(te) == 1
 
     def test_partition_is_disjoint_and_exhaustive(self):
-        ds = make_dataset(17)
-        tr, te = split(ds, 0.7, seed=2)
-        ids_all = {id(p) for p in ds.pairs}
-        ids_tr = {id(p) for p in tr.pairs}
-        ids_te = {id(p) for p in te.pairs}
-        assert ids_tr | ids_te == ids_all
-        assert not (ids_tr & ids_te)
+        tr, te = split(make_dataset(17), 0.7, seed=2)
+        assert set(tr) | set(te) == set(range(17))
+        assert not set(tr) & set(te)
+        assert np.all(np.diff(tr) > 0) and np.all(np.diff(te) > 0)
 
     def test_same_seed_same_partition(self):
         ds = make_dataset(12)
         a = split(ds, 0.75, seed=9)
         b = split(ds, 0.75, seed=9)
-        assert [id(p) for p in a[0].pairs] == [id(p) for p in b[0].pairs]
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -254,9 +292,10 @@ class TestDatasetCsv:
     def test_trajectories_without_a_grid_are_not_written(self, tmp_path):
         path = tmp_path / "nogrid.csv"
         with pytest.raises(ConfigurationError, match="grid"):
-            write_dataset(path, Dataset(None, make_dataset(1).pairs))
+            ds = make_dataset(1)
+            write_dataset(path, Dataset(None, ds.U, ds.Y, ds.safe))
         assert not path.exists()
-        write_dataset(path, Dataset(None))
+        write_dataset(path, empty_dataset())
         assert len(read_dataset(path)) == 0
 
     def test_hand_written_two_row_fixture(self, tmp_path):
@@ -269,10 +308,9 @@ class TestDatasetCsv:
             "0,2,1,-1,0.1,1\n")
         ds = read_dataset(path)
         assert len(ds) == 1
-        pair = ds.pairs[0]
-        assert np.array_equal(pair.U, [2.5, -1.0, -1.0])
-        assert np.array_equal(pair.Y, [2.5, 0.25, 0.1])
-        assert np.array_equal(pair.safe, [False, True, True])
+        assert np.array_equal(ds.U, [[2.5, -1.0, -1.0]])
+        assert np.array_equal(ds.Y, [[2.5, 0.25, 0.1]])
+        assert np.array_equal(ds.safe, [[False, True, True]])
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -299,12 +337,19 @@ class TestDatasetCsv:
 
 
 class TestPairValidation:
-    def test_u0_must_match_first_sample(self):
-        with pytest.raises(ValueError):
-            LabeledTrajectoryPair(np.array([1.0, 2.0]), np.array([0.0, 0.0]),
-                                  5.0, np.array([True, True]))
-
     def test_shapes_must_agree(self):
+        grid = TimeGrid(1.0, 2)
         with pytest.raises(ValueError):
-            LabeledTrajectoryPair(np.zeros(3), np.zeros(4), 0.0,
-                                  np.zeros(3, dtype=bool))
+            Dataset(grid, np.zeros((1, 3)), np.zeros((1, 4)),
+                    np.zeros((1, 3), dtype=bool))
+        with pytest.raises(ValueError):
+            Dataset(grid, np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool))
+
+    def test_width_must_match_the_grid(self):
+        with pytest.raises(ConfigurationError, match="steps"):
+            Dataset(TimeGrid(1.0, 3), np.zeros((2, 3)), np.zeros((2, 3)),
+                    np.zeros((2, 3), dtype=bool))
+
+    def test_empty_dataset_needs_no_grid(self):
+        assert len(empty_dataset()) == 0
+        assert len(empty_dataset(TimeGrid(1.0, 2))) == 0
