@@ -65,6 +65,8 @@ class BarrierFunction:
 
     def _inputs(self, t, Y):
         Y = np.asarray(Y, dtype=float)
+        if self.time_dependent and Y.ndim == 0 and np.ndim(t) == 0:
+            return np.array([[float(t), float(Y)]]), ()
         if self.time_dependent:
             t = np.asarray(t, dtype=float)
             t, Y = np.broadcast_arrays(t, Y)
@@ -80,11 +82,13 @@ class BarrierFunction:
         return out if shape else float(out)
 
     def partials(self, t, Y):
-        """(phi, dphi_dt, dphi_dY) at (t, Y) from one forward and reverse
-        pass; dphi_dt is exactly 0 in time-independent mode."""
+        """(phi, dphi_dt, dphi_dY) at (t, Y) from one forward pass and one
+        input-gradient-only reverse sweep; dphi_dt is exactly 0 in
+        time-independent mode."""
         x, shape = self._inputs(t, Y)
         tr = self.net.trace(x)
-        _, dx = self.net.reverse(tr, np.ones((x.shape[0], 1)))
+        _, dx = self.net.reverse(tr, np.ones((x.shape[0], 1)),
+                                 param_grads=False)
         phi = tr.output[:, 0].reshape(shape)
         if self.time_dependent:
             dt_ = dx[:, 0].reshape(shape)

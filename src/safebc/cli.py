@@ -169,14 +169,24 @@ def _cmd_collect(args):
     print(f"collected {len(ds)} trajectories to {args.out}")
 
 
+def _finish_history(history, path):
+    """Write the history when a path is given; say on stderr why training
+    stopped early."""
+    if path:
+        history.save(path)
+    stop = history.stopped
+    if stop is not None:
+        print(f"training stopped at epoch {stop.epoch}: {stop.error}: "
+              f"{stop.message}", file=sys.stderr)
+
+
 def _cmd_train_operator(args):
     cfg, _ = load_train_config(_load_json(args.config) if args.config
                                else {})
     ds = read_dataset(args.dataset)
     op, history = train_operator(ds, cfg, seed=args.seed)
     op.save(args.out)
-    if args.history:
-        history.save(args.history)
+    _finish_history(history, args.history)
     last = history.rows[-1] if history.rows else {}
     print(f"operator saved to {args.out} "
           f"(val L_G {last.get('val_LG', float('nan')):.6g})")
@@ -200,8 +210,7 @@ def _cmd_train_bcbf(args):
         op = BoundaryOperator.load(args.operator) if args.operator else None
         bar, history = train_bcbf(ds, op, constants, cfg, seed=args.seed)
     bar.save(args.out)
-    if args.history:
-        history.save(args.history)
+    _finish_history(history, args.history)
     last = history.rows[-1] if history.rows else {}
     print(f"barrier saved to {args.out} "
           f"(val sign err {last.get('val_sign_err', float('nan')):.4f})")

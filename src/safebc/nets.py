@@ -148,7 +148,8 @@ class Mlp:
             raise ValueError("upstream batch size does not match x")
         return up
 
-    def reverse(self, trace, upstream=None, tangent_upstream=None):
+    def reverse(self, trace, upstream=None, tangent_upstream=None,
+                param_grads=True):
         """The one reverse sweep over a trace of this network.
 
         Returns (grads, dx): the parameter gradients, in params() order and
@@ -158,22 +159,28 @@ class Mlp:
         is zero. With a one-hot upstream, dx holds that output's row of the
         input Jacobian. The second term holds the activation masks locally
         constant (exact away from kinks), so it adds nothing to the bias
-        gradients. The trace's output entry is not read.
+        gradients. The trace's output entry is not read. With
+        param_grads=False the sweep computes dx only and grads is None; a
+        tangent upstream, which only reaches the parameters, is then an
+        error.
         """
         batch = trace.inputs[0].shape[0]
         delta = np.zeros((batch, self.out_dim)) if upstream is None \
             else self._upstream(upstream, batch)
         g = None
         if tangent_upstream is not None:
+            if not param_grads:
+                raise ValueError("tangent upstream needs param_grads")
             if not trace.tangents:
                 raise ValueError("tangent upstream needs a traced direction")
             g = self._upstream(tangent_upstream, batch)
         n = len(self.weights)
-        grads = [None] * (2 * n)
+        grads = [None] * (2 * n) if param_grads else None
         for k in range(n - 1, -1, -1):
             # the final layer is linear, so the upstreams are dL/dz there
-            grads[2 * k] = delta.T @ trace.inputs[k]
-            grads[2 * k + 1] = delta.sum(axis=0)
+            if param_grads:
+                grads[2 * k] = delta.T @ trace.inputs[k]
+                grads[2 * k + 1] = delta.sum(axis=0)
             delta = delta @ self.weights[k]
             if g is not None:
                 grads[2 * k] += g.T @ trace.tangents[k]

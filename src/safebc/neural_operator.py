@@ -14,10 +14,14 @@ times, so the exact time derivative of the discretized operator decomposes as
 where Lambda chains the local linear routes through the activation masks and
 mu accumulates the kernel/bias time derivatives through the same masks.
 
-`predict(U)` returns (Y, Lambda, mu) from one `forward_batch` pass. The
-kernel and bias tables (and, on first use, their time derivatives) sit in one
-entry keyed by a fingerprint of the parameters; each forward cache carries
-its entry, so the rate split and the backward pass read their own pass's.
+`predict(U)` returns (Y, Lambda, mu): one `forward_batch` pass, then
+`decomposition` over all rows. `decomposition(cache, start, stop)` gives the
+split at a row range of a pass, reading only those rows of the dense
+time-derivative tables, so a caller that needs the split at one step pays
+for one step. The kernel and bias tables (and, on first use, their time
+derivatives) sit in one entry keyed by a fingerprint of the parameters; each
+forward cache carries its entry, so the rate split and the backward pass
+read their own pass's.
 """
 
 import zlib
@@ -230,9 +234,22 @@ class BoundaryOperator:
 
     def predict(self, U):
         """One trajectory's output and rate split: U (M+1,) to (Y, Lambda,
-        mu), each (M+1,), from one forward pass and its tables."""
+        mu), each (M+1,), from one forward pass and the split over all of
+        its rows."""
         YY, cache = self.forward_batch(np.asarray(U, dtype=float)[None])
+        return (YY[0],) + self.decomposition(cache)
+
+    def decomposition(self, cache, start=0, stop=None):
+        """(Lambda, mu) at rows [start, stop) (default: all) of the first
+        trajectory of a forward cache, read from that pass's tables.
+
+        The kernel-derivative products run on those rows of the dt tables
+        only. The small per-row products run over every row, as a one-row
+        product need not round like the same row of the n-row one; so each
+        entry is the matching entry of the split over all rows.
+        """
         n = self.grid.M + 1
+        stop = n if stop is None else stop
         w = self._weights
         dt_tables = self._dt_tables(cache.tables)
         q_vec = self.Q.params()[0].ravel()
@@ -241,15 +258,24 @@ class BoundaryOperator:
         p = np.zeros((n, self.d_v))
         for li, layer in enumerate(self.layers):
             dK2, db_tab = dt_tables[li]
-            v = cache.vs[li][0]
-            vw = v * w[:, None]
-            dinteg = (dK2 @ vw.ravel()).reshape(n, layer.dim_out)
+            do = layer.dim_out
+            vw = (cache.vs[li][0] * w[:, None]).ravel()
+            # the dK2 row block is widened to whole groups of 4 rows (the
+            # row group of OpenBLAS's x86 gemv kernels), so its rows round
+            # as in the full product whatever d_out is
+            lo = start * do // 4 * 4
+            hi = min(-(-stop * do // 4) * 4, n * do)
+            dinteg = (dK2[lo:hi] @ vw)[start * do - lo:stop * do - lo]
             A = A @ layer.W.T
-            p = p @ layer.W.T + dinteg + db_tab
+            p = p @ layer.W.T
+            # rows outside [start, stop) miss their kernel term; they are
+            # never returned
+            p[start:stop] += dinteg.reshape(-1, do)
+            p += db_tab
             mask = cache.masks[li]
             if mask is not None:
                 A, p = A * mask[0], p * mask[0]
-        return YY[0], A @ q_vec, p @ q_vec
+        return (A @ q_vec)[start:stop], (p @ q_vec)[start:stop]
 
     # -- training loss -----------------------------------------------------
 

@@ -8,9 +8,10 @@ half-line where the barrier decrease condition
 holds.  The decision variable is scalar, so the projection is closed form:
 keep the nominal rate when it already satisfies the constraint, otherwise
 move to the boundary -c/a.  The trajectory-level procedure walks the grid
-left to right, re-predicting the output through the operator whenever a step
-was actually modified, and only accepts a modification when the per-step
-input change stays within a threshold eta.
+left to right and only accepts a modification when the per-step input change
+stays within a threshold eta.  It runs one operator forward per prediction
+(the first, then one after each step that changed the input) and evaluates
+the operator's rate split only at the rows the walk reads.
 
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
@@ -123,10 +124,14 @@ def filter_trajectory(operator, bcbf, U_nominal, config):
     Walks steps m = 1..M.  Each step evaluates the barrier and its partials
     at the current predicted output in one network pass, solves the scalar
     QP for the step's rate, accepts the result only if
-    |dU_qp - dU_nominal| <= eta, rebuilds the input prefix, and re-predicts
-    the output trajectory.  Prediction is only recomputed
-    after a step actually changed, which leaves accepted-nothing runs
-    (eta = 0 in particular) bitwise equal to the nominal input.
+    |dU_qp - dU_nominal| <= eta, and rebuilds the input prefix.
+
+    There is one operator forward per prediction: the first, and one after
+    each step that changed the input, which leaves accepted-nothing runs
+    (eta = 0 in particular) bitwise equal to the nominal input.  The rate
+    split is evaluated at the rows the walk reads: a prediction's first
+    step gets its row alone, and a second step on the same prediction gets
+    the rest of the trajectory in one split.
     """
     U_nom = np.asarray(U_nominal, dtype=float)
     grid = operator.grid
@@ -140,19 +145,22 @@ def filter_trajectory(operator, bcbf, U_nominal, config):
     du_nom = np.diff(U_nom)
     du_safe = du_nom.copy()
     U_safe = U_nom.copy()
-
-    Y_pred, Lambda, mu = operator.predict(U_safe)
     phi0 = float(bcbf.value(0.0, U_nom[0]))
 
     records = []
-    stale = False
+    stale = True
     for m in range(1, n):
         if stale:
-            Y_pred, Lambda, mu = operator.predict(U_safe)
+            YY, cache = operator.forward_batch(U_safe[None])
+            Y_pred = YY[0]
+            lo = hi = m  # rows [lo, hi) of this prediction are split
             stale = False
+        if m == hi:
+            lo, hi = m, (m + 1 if lo == hi else n)
+            Lambda, mu = operator.decomposition(cache, lo, hi)
         phi, dphi_dt, dphi_dY = bcbf.partials(times[m], Y_pred[m])
         step = qp_filter_step(dphi_dt, dphi_dY, phi, phi0,
-                              (Lambda[m], mu[m]), config.constants,
+                              (Lambda[m - lo], mu[m - lo]), config.constants,
                               du_nom[m - 1] / dt)
         if step.infeasible and config.infeasible_policy == "abort":
             raise FilterInfeasibleError(m)

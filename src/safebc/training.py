@@ -76,16 +76,28 @@ class TrainConfig:
                 f"unknown dY/dt source {self.dy_dt_source!r}")
 
 
+@dataclass(frozen=True)
+class StopReason:
+    """Why `train_joint` ended before its last epoch: the exception that
+    rolled back the epoch, and its message on one line."""
+    error: str
+    epoch: int
+    message: str
+
+
 class TrainHistory:
     """Per-epoch loss records with CSV serialization.
 
     The loss weights in effect are stored as a leading comment line so every
-    history file is self-describing without changing the column schema.
+    history file is self-describing without changing the column schema. A
+    run that stopped early adds a second comment line,
+    ``stopped error=<type> epoch=<n> message=<text>``.
     """
 
     def __init__(self, rows=None, weights=None):
         self.rows = list(rows) if rows else []
         self.weights = dict(weights) if weights else {}
+        self.stopped = None  # a StopReason once training stopped early
 
     def add(self, **kwargs):
         row = {k: 0.0 for k in HISTORY_COLUMNS}
@@ -97,6 +109,10 @@ class TrainHistory:
         if self.weights:
             comments.append(" ".join(f"{k}={fmt(v)}"
                                      for k, v in sorted(self.weights.items())))
+        if self.stopped is not None:
+            s = self.stopped
+            comments.append(f"stopped error={s.error} epoch={s.epoch} "
+                            f"message={s.message}")
         write_table(path, HISTORY_COLUMNS,
                     ([row[k] for k in HISTORY_COLUMNS] for row in self.rows),
                     comments)
@@ -108,6 +124,11 @@ class TrainHistory:
         hist = TrainHistory([dict(zip(HISTORY_COLUMNS, row))
                              for row in table.rows])
         for comment in table.comments:
+            if comment.startswith("stopped "):
+                error, epoch, message = (item.partition("=")[2] for item
+                                         in comment.split(" ", 3)[1:])
+                hist.stopped = StopReason(error, int(epoch), message)
+                continue
             for item in comment.split():
                 key, _, val = item.partition("=")
                 hist.weights[key] = float(val)
@@ -286,7 +307,9 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
     Returns (op, bar, history). A given operator is returned as is and used
     frozen for dY/dt; otherwise one is built and trained for
     config.operator.epochs. A part with zero epochs or zero loss weights
-    is neither prepared nor checked.
+    is neither prepared nor checked. An epoch that raises FloatingPointError
+    or ValueError (a non-finite loss or gradient) is rolled back and ends
+    the run; history.stopped says why.
     """
     sched_op = config.operator
     sched_bf = config.bcbf
@@ -359,9 +382,11 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
             vals = [v for k, v in row.items() if k != "epoch"]
             if not all(math.isfinite(v) for v in vals):
                 raise FloatingPointError("non-finite loss")
-        except (FloatingPointError, ValueError):
+        except (FloatingPointError, ValueError) as err:
             _restore(op.params(), good_op)
             _restore(bar.params(), good_bar)
+            history.stopped = StopReason(type(err).__name__, epoch,
+                                         " ".join(str(err).split()))
             break
         good_op = _snapshot(op.params())
         good_bar = _snapshot(bar.params())

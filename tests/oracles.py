@@ -1,5 +1,9 @@
 """Shared reference implementations used by several test modules.
 
+`whole_trajectory_filter` is the safety filter as a plain loop that predicts
+the whole trajectory (output and rate split at every row) before each step
+it reads a changed input at; the filter proper must match it.
+
 The operator's time derivative differentiates the output-time slot only: the
 kernel's first argument, the bias, and the local path through U(t).  The
 matching finite-difference oracle therefore evaluates the operator at
@@ -10,6 +14,60 @@ activations stored at them) frozen.
 import numpy as np
 
 from safebc.neural_operator import trapezoid_weights
+from safebc.safety_filter import (FilterInfeasibleError, FilterReport,
+                                  StepRecord, qp_filter_step,
+                                  rate_to_trajectory)
+
+
+def whole_trajectory_filter(operator, bcbf, U_nominal, config):
+    """`filter_trajectory` with a full `predict` (Y, Lambda and mu at every
+    row) before the first step and after each step that changed the input,
+    and a `forward` at the end when the last prediction is stale."""
+    U_nom = np.asarray(U_nominal, dtype=float)
+    grid = operator.grid
+    n = grid.M + 1
+    if U_nom.shape != (n,):
+        raise ValueError(f"nominal trajectory has shape {U_nom.shape}")
+    dt = grid.dt
+    times = grid.times()
+    du_nom = np.diff(U_nom)
+    du_safe = du_nom.copy()
+    U_safe = U_nom.copy()
+
+    Y_pred, Lambda, mu = operator.predict(U_safe)
+    phi0 = float(bcbf.value(0.0, U_nom[0]))
+
+    records = []
+    stale = False
+    for m in range(1, n):
+        if stale:
+            Y_pred, Lambda, mu = operator.predict(U_safe)
+            stale = False
+        phi, dphi_dt, dphi_dY = bcbf.partials(times[m], Y_pred[m])
+        step = qp_filter_step(dphi_dt, dphi_dY, phi, phi0,
+                              (Lambda[m], mu[m]), config.constants,
+                              du_nom[m - 1] / dt)
+        if step.infeasible and config.infeasible_policy == "abort":
+            raise FilterInfeasibleError(m)
+        du_qp = step.u_dot_safe * dt
+        if step.infeasible:
+            executed, accepted = du_nom[m - 1], False
+        elif not step.constraint_active:
+            executed, accepted = du_nom[m - 1], True
+        elif abs(du_qp - du_nom[m - 1]) <= config.eta:
+            executed, accepted = du_qp, True
+        else:
+            executed, accepted = du_nom[m - 1], False
+        if executed != du_safe[m - 1]:
+            du_safe[m - 1] = executed
+            U_safe = rate_to_trajectory(du_safe, U_nom[0])
+            stale = True
+        records.append(StepRecord(m, float(du_nom[m - 1]), float(du_qp),
+                                  accepted, step.constraint_active,
+                                  step.infeasible))
+    if stale:
+        Y_pred = operator.forward(U_safe)
+    return FilterReport(records, U_safe, Y_pred)
 
 
 def frozen_quadrature_eval(op, cache, u_func, t, batch=0):

@@ -67,6 +67,24 @@ def test_partials_keep_the_input_shape():
         bar.partials(grid_t[2, 1], grid_Y[2, 1])[2], rel=1e-14)
 
 
+@pytest.mark.parametrize("time_dependent", [True, False])
+def test_partials_equal_one_trace_and_full_reverse_bitwise(time_dependent):
+    # partials skips the parameter gradients and, for one (t, Y) point,
+    # builds the input row directly; neither changes a bit
+    bar = BarrierFunction(time_dependent=time_dependent, seed=6)
+    for t, Y in ((0.75, np.float64(-1.25)), (np.linspace(0, 5, 6),
+                                             np.linspace(-2, 2, 6))):
+        x = np.stack([np.ravel(a) for a in np.broadcast_arrays(t, Y)],
+                     axis=1) if time_dependent else np.reshape(Y, (-1, 1))
+        tr = bar.net.trace(x)
+        _, dx = bar.net.reverse(tr, np.ones((x.shape[0], 1)))
+        phi, dt_, dY_ = bar.partials(t, Y)
+        assert np.array_equal(phi, tr.output[:, 0].reshape(np.shape(Y)))
+        assert np.array_equal(dY_, dx[:, -1].reshape(np.shape(Y)))
+        if time_dependent:
+            assert np.array_equal(dt_, dx[:, 0].reshape(np.shape(Y)))
+
+
 def assert_grads_match_central_differences(bar, loss_fn, h=1e-6):
     """Compare a loss's parameter gradients with central differences, one
     parameter entry at a time."""

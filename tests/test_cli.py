@@ -78,6 +78,18 @@ def test_history_has_one_row_per_epoch(run):
     assert len(lines) == 2 + 2
 
 
+def test_an_early_stop_is_named_on_stderr(run, tmp_path, capsys):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"operator": {"epochs": 2, "d_v": 4,
+                                               "lr": 1e100}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["train-operator", "--dataset", str(run / "data.csv"),
+                   "--config", str(config), "--out", str(tmp_path / "op")])
+    assert rc == 0
+    assert "training stopped at epoch 0: FloatingPointError: non-finite " \
+        "operator output" in capsys.readouterr().err
+
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["train-operator", "--dataset", str(tmp_path / "missing.csv"),
                "--out", str(tmp_path / "op.ckpt")])

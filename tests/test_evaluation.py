@@ -13,7 +13,8 @@ from safebc.evaluation import (ExperimentSpec, evaluate, feasible_steps,
                                run_episodes, threshold_sweep)
 from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
-                            Proportional, SmoothRandom, TimeGrid, rollout,
+                            Proportional, SimulationDivergedError,
+                            SmoothRandom, TimeGrid, rollout,
                             stabilization_reward)
 from safebc.safety_filter import FilterConfig
 from safebc.trajectories import OneSidedSet, label_safety
@@ -89,15 +90,31 @@ def test_episode_csv_re_aggregates_exactly(spec, tmp_path, filter_on):
     assert metrics_from_records(read_episode_csv(path)) == metrics
 
 
-def test_diverged_episodes_count_as_infeasible(tmp_path):
-    # beta=200 overflows the state within the horizon
-    spec = ExperimentSpec(env=HyperbolicConfig(beta=200.0, grid=GRID),
-                          controller=Proportional(0.5),
-                          safe_set=OneSidedSet(1, 1.0), episodes=2)
+def test_diverged_episodes_count_as_infeasible(tmp_path, monkeypatch):
+    # beta=200 on this grid overflows the state within the horizon, so
+    # every rollout raises
+    spec = ExperimentSpec(
+        env=HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40)),
+        controller=Proportional(0.5), safe_set=OneSidedSet(1, 1.0),
+        episodes=2)
+    raised = []
+
+    def recording_rollout(*args, **kwargs):
+        try:
+            return rollout(*args, **kwargs)
+        except SimulationDivergedError as err:
+            raised.append(err.step)
+            raise
+
+    monkeypatch.setattr(evaluation, "rollout", recording_rollout)
     path = tmp_path / "episodes.csv"
     with np.errstate(over="ignore", invalid="ignore"):
+        records = run_episodes(spec)
         metrics = evaluate(spec, episodes_csv=path)
         back = metrics_from_records(read_episode_csv(path))
+    assert len(raised) == 2 * spec.episodes
+    assert all(r.reward == float("-inf") and not r.feasible
+               and r.feasible_steps == 0 for r in records)
     assert metrics.reward_mean == float("-inf")
     assert metrics.feasible_rate == 0.0
     # -inf rewards give a NaN spread, which == would call unequal

@@ -251,6 +251,23 @@ class TestParamGradients:
             mlp.reverse(mlp.trace(np.ones((4, 2))),
                         tangent_upstream=np.ones((4, 1)))
 
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_input_gradient_only_sweep_gives_the_same_dx(self, batch):
+        mlp = Mlp([2, 8, 4, 3], seed=7)
+        rng = np.random.default_rng(7)
+        x, up = rng.normal(size=(batch, 2)), rng.normal(size=(batch, 3))
+        tr = mlp.trace(x)
+        grads, dx = mlp.reverse(tr, up, param_grads=False)
+        assert grads is None
+        assert np.array_equal(dx, mlp.reverse(tr, up)[1])
+
+    def test_input_gradient_only_sweep_rejects_a_tangent_upstream(self):
+        mlp = Mlp([2, 6, 1], seed=2)
+        tr = mlp.trace(np.ones((4, 2)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match="param_grads"):
+            mlp.reverse(tr, tangent_upstream=np.ones((4, 1)),
+                        param_grads=False)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):

@@ -8,8 +8,11 @@ rate identity dY/dt = Lambda * dU/dt + mu against finite differences of the
 forward pass.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safebc.checkpoint import read_checkpoint, write_checkpoint
 from safebc.neural_operator import (BoundaryOperator, trapezoid_weights,
@@ -287,6 +290,32 @@ class TestDecomposition:
             assert np.array_equal(a, b)
 
 
+@functools.lru_cache(maxsize=None)
+def split_operator(d_v):
+    return BoundaryOperator(TimeGrid(1.0, 20), d_v=d_v, n_layers=2, seed=d_v)
+
+
+# widths that are not a multiple of 4 put row-block edges inside the BLAS
+# kernel's row groups
+@given(st.sampled_from([3, 4, 16]), st.integers(0, 20), st.integers(1, 21),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rate_split_on_a_row_range_is_those_rows_of_the_full_split(
+        d_v, start, stop, seed):
+    start = min(start, stop - 1)
+    op = split_operator(d_v)
+    U = np.random.default_rng(seed).normal(size=21).cumsum()
+    _, cache = op.forward_batch(U[None])
+    full = op.decomposition(cache)
+    part = op.decomposition(cache, start, stop)
+    for a, b in zip(part, full):
+        assert a.shape == (stop - start,)
+        # another BLAS may round the row block differently; on OpenBLAS
+        # (x86) it is bitwise
+        assert np.allclose(a, b[start:stop], rtol=1e-13,
+                           atol=1e-13 * np.max(np.abs(b)))
+
+
 class TestFingerprint:
     """The tables are keyed by one fingerprint of the parameters, taken once
     per forward pass; the rate split and the backward pass read the tables
@@ -315,6 +344,15 @@ class TestFingerprint:
         for n in (1, 2):  # a cold call builds the tables, a warm one reuses
             getattr(op, call)(*args)
             assert len(calls) == n
+
+    def test_the_rate_split_hashes_nothing(self, monkeypatch):
+        op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
+                              kappa_hidden=4, b_hidden=3, seed=22)
+        _, cache = op.forward_batch(np.linspace(0.0, 1.0, 6)[None])
+        calls = self.count_fingerprints(op, monkeypatch)
+        op.decomposition(cache, 2, 3)
+        op.decomposition(cache)
+        assert calls == []
 
 
 class TestLossAndGradients:

@@ -1,4 +1,9 @@
-"""Tests for the scalar QP step and the trajectory-level safety filter."""
+"""Tests for the scalar QP step and the trajectory-level safety filter.
+
+The filter evaluates the operator's rate split only at the rows it reads;
+`oracles.whole_trajectory_filter` predicts every row before each use, and
+the two must agree.
+"""
 
 import warnings
 
@@ -9,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from safebc.barrier import BarrierFunction, FeasibilityConstants
 from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
-                            SmoothRandom, TimeGrid, rollout)
+                            ParabolicConfig, SmoothRandom, TimeGrid, rollout)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
                                   filter_trajectory, qp_filter_step,
                                   rate_to_trajectory)
@@ -17,6 +22,10 @@ from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
 GRID = TimeGrid(5.0, 20)
 CONSTANTS = FeasibilityConstants(alpha=1e-5, T=5.0)
 finite = st.floats(min_value=-1e3, max_value=1e3)
+ETAS = (0.0, 0.5, 2.0, 1e9)
+# another BLAS may round the row-block products differently; on OpenBLAS
+# (x86) the reports are bitwise equal
+REL_TOL = 1e-13
 
 
 def nominal(seed):
@@ -27,6 +36,16 @@ def nominal(seed):
 def models(seed):
     return (BoundaryOperator(GRID, d_v=4, n_layers=2, seed=1),
             BarrierFunction(time_dependent=True, seed=seed))
+
+
+def parabolic_models():
+    """An operator at the benchmark's parabolic grid (M=80, d_v=16), a
+    barrier and a nominal input on which the filter modifies steps."""
+    grid = TimeGrid(1.0, 80)
+    U = rollout(ParabolicConfig(grid=grid), SmoothRandom(seed=0), 1.0,
+                episode_seed=0).U
+    return (BoundaryOperator(grid, d_v=16, n_layers=2, seed=0),
+            BarrierFunction(time_dependent=True, seed=5), U)
 
 
 class TestQpStep:
@@ -111,6 +130,80 @@ class TestFilterTrajectory:
         op, bar = models(0)
         with pytest.raises(ValueError):
             filter_trajectory(op, bar, np.zeros(7), FilterConfig())
+
+
+def assert_reports_match(report, oracle):
+    def close(a, b):
+        return np.all(np.abs(np.subtract(a, b)) <= REL_TOL * np.abs(b))
+
+    assert len(report.records) == len(oracle.records)
+    for r, o in zip(report.records, oracle.records):
+        assert (r.step, r.du_nom, r.accepted, r.active, r.infeasible) == \
+            (o.step, o.du_nom, o.accepted, o.active, o.infeasible)
+        assert close(r.du_qp, o.du_qp)
+    assert close(report.U_safe, oracle.U_safe)
+    assert close(report.Y_predicted, oracle.Y_predicted)
+
+
+class TestMatchesTheWholeTrajectoryFilter:
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixtures(self, seed, eta):
+        from oracles import whole_trajectory_filter
+        op, bar = models(seed)
+        config = FilterConfig(eta=eta)
+        assert_reports_match(filter_trajectory(op, bar, nominal(seed), config),
+                             whole_trajectory_filter(op, bar, nominal(seed),
+                                                     config))
+
+    @pytest.mark.parametrize("eta", [2.0, 1e9])
+    def test_parabolic_operator_at_m80(self, eta):
+        from oracles import whole_trajectory_filter
+        op, bar, U = parabolic_models()
+        config = FilterConfig(eta=eta)
+        report = filter_trajectory(op, bar, U, config)
+        assert report.n_modified > 0
+        assert_reports_match(report,
+                             whole_trajectory_filter(op, bar, U, config))
+
+
+@pytest.mark.parametrize("eta", [0.0, 2.0, 1e9])
+def test_one_forward_per_prediction_and_a_split_only_where_read(
+        eta, monkeypatch):
+    # one forward for the first prediction and one per modified step (the
+    # benchmark's traced run checks the same count); per prediction, the
+    # rate split covers its first step's row alone, then at most once the
+    # rest of the trajectory
+    op, bar, U = parabolic_models()
+    n = op.grid.M + 1
+    events = []
+    forward_batch, decomposition = op.forward_batch, op.decomposition
+
+    def logged_forward(UU):
+        events.append(None)
+        return forward_batch(UU)
+
+    def logged_split(cache, start, stop):
+        events.append((start, stop))
+        return decomposition(cache, start, stop)
+
+    monkeypatch.setattr(op, "forward_batch", logged_forward)
+    monkeypatch.setattr(op, "decomposition", logged_split)
+    report = filter_trajectory(op, bar, U, FilterConfig(eta=eta))
+    predictions = []
+    for event in events:
+        if event is None:
+            predictions.append([])
+        else:
+            predictions[-1].append(event)
+    assert len(predictions) == 1 + report.n_modified
+    assert predictions[0][0] == (1, 2)
+    for splits in predictions:
+        # the final forward after a change at the last step has no split
+        if splits:
+            (start, stop), rest = splits[0], splits[1:]
+            assert stop == start + 1
+            assert rest in ([], [(stop, n)])
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": -1.0},

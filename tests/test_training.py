@@ -17,9 +17,9 @@ from safebc.nets import Mlp
 from safebc.neural_operator import BoundaryOperator, u_dot_forward
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
-from safebc.training import (BarrierSchedule, OperatorSchedule, TrainConfig,
-                             TrainHistory, _BarrierSamples, train_bcbf,
-                             train_joint, train_operator)
+from safebc.training import (BarrierSchedule, OperatorSchedule, StopReason,
+                             TrainConfig, TrainHistory, _BarrierSamples,
+                             train_bcbf, train_joint, train_operator)
 from safebc.trajectories import (OneSidedSet, balance_near_zero,
                                  collect_dataset, suffix_safe_mask)
 
@@ -57,6 +57,7 @@ def assert_same_params(a, b):
 def assert_same_history(a, b):
     assert a.rows == b.rows
     assert a.weights == b.weights
+    assert a.stopped == b.stopped
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,30 @@ def test_history_round_trips_through_csv(dataset, tmp_path):
     hist.save(path)
     back = TrainHistory.read(path)
     assert_same_history(back, hist)
+    # a run that completes writes no stop line
+    assert hist.stopped is None and back.stopped is None
+    assert [line for line in path.read_text().splitlines()
+            if line.startswith("#")] == ["# lambda_BF=0.5 lambda_G=1 "
+                                         "lambda_S=1"]
+
+
+def test_a_diverging_run_records_why_it_stopped(dataset, tmp_path):
+    config = small_config()
+    config = dataclasses.replace(
+        config, operator=dataclasses.replace(config.operator, lr=1e100))
+    with np.errstate(over="ignore", invalid="ignore"):
+        op, hist = train_operator(dataset, config, seed=1)
+    assert hist.rows == []
+    assert hist.stopped == StopReason("FloatingPointError", 0,
+                                      "non-finite operator output")
+    # the failed epoch is rolled back
+    fresh, _ = train_operator(dataset, without(config, "operator"), seed=1)
+    assert_same_params(op.params(), fresh.params())
+    path = tmp_path / "hist.csv"
+    hist.save(path)
+    assert "# stopped error=FloatingPointError epoch=0 message=non-finite " \
+        "operator output\n" in path.read_text()
+    assert_same_history(TrainHistory.read(path), hist)
 
 
 # -- every network pass runs once ---------------------------------------------
