@@ -16,12 +16,13 @@ mu accumulates the kernel/bias time derivatives through the same masks.
 
 `predict(U)` returns (Y, Lambda, mu): one `forward_batch` pass, then
 `decomposition` over all rows. `decomposition(cache, start, stop)` gives the
-split at a row range of a pass, reading only those rows of the dense
-time-derivative tables, so a caller that needs the split at one step pays
-for one step. The kernel and bias tables (and, on first use, their time
-derivatives) sit in one entry keyed by a fingerprint of the parameters; each
-forward cache carries its entry, so the rate split and the backward pass
-read their own pass's.
+split at a row range of a pass and computes the kernel term for those rows
+only, so a caller that needs the split at one step pays for one step. The
+kernel and bias time derivatives come from the ReLU masks in the traces of
+the one-hidden-layer table networks, so no derivative table is built. The
+kernel and bias tables and their traces sit in one entry keyed by a
+fingerprint of the parameters; each forward cache carries its entry, so the
+rate split and the backward pass read their own pass's.
 """
 
 import zlib
@@ -57,7 +58,11 @@ def mean_square(diff):
 
 
 class KernelLayer:
-    """One integral layer: local matrix W, kernel MLP, bias MLP, activation."""
+    """One integral layer: local matrix W, kernel MLP, bias MLP, activation.
+
+    The kernel and bias networks have one ReLU hidden layer each, whose
+    masks give the rate split their time derivatives.
+    """
 
     def __init__(self, dim_in, dim_out, kappa_hidden, b_hidden, activation,
                  seed):
@@ -81,10 +86,10 @@ class TableEntry:
     (K2, kappa_trace, b_trace): the kernel on the (t_m, t_j) grid as an
     (n*d_out, n*d_in) matrix and the traces of the kernel and bias networks,
     kept for the backward pass (b_trace.output is the bias at each t_m).
-    dt holds per layer (dK2, db) once a rate split has needed them."""
+    Their masks also give the rate split its time derivatives, so K2 is
+    the entry's only (n*d_out, n*d_in) array."""
     fingerprint: int
     layers: list
-    dt: list = None
 
 
 @dataclass(eq=False)
@@ -138,14 +143,6 @@ class BoundaryOperator:
 
     # -- cached kernel and bias tables ------------------------------------
 
-    def _pair_inputs(self):
-        t = self.grid.times()
-        n = t.size
-        pairs = np.empty((n * n, 2))
-        pairs[:, 0] = np.repeat(t, n)
-        pairs[:, 1] = np.tile(t, n)
-        return pairs
-
     def _table_entry(self):
         """The tables of the current parameters: the cached entry when its
         fingerprint matches, else a fresh one that replaces it."""
@@ -154,7 +151,9 @@ class BoundaryOperator:
             return self._tables
         n = self.grid.M + 1
         t = self.grid.times()
-        pairs = self._pair_inputs()
+        pairs = np.empty((n * n, 2))  # (t_m, t_j), m major
+        pairs[:, 0] = np.repeat(t, n)
+        pairs[:, 1] = np.tile(t, n)
         layers = []
         for layer in self.layers:
             do, di = layer.dim_out, layer.dim_in
@@ -167,28 +166,6 @@ class BoundaryOperator:
             layers.append((K2, kappa_trace, b_trace))
         self._tables = TableEntry(fp, layers)
         return self._tables
-
-    def _dt_tables(self, tables):
-        """Time derivatives of the kernel (in its first slot) and bias: one
-        tangent pass of each table network along its time input, built into
-        the entry on first use."""
-        if tables.dt is not None:
-            return tables.dt
-        n = self.grid.M + 1
-        t = self.grid.times()
-        pairs = self._pair_inputs()
-        e_t = np.zeros_like(pairs)
-        e_t[:, 0] = 1.0
-        dt = []
-        for layer in self.layers:
-            do, di = layer.dim_out, layer.dim_in
-            dK = layer.kappa.trace(pairs, e_t).tangents[-1]
-            dK2 = dK.reshape(n, n, do, di).transpose(0, 2, 1, 3) \
-                .reshape(n * do, n * di)
-            db_tab = layer.b.trace(t[:, None], np.ones((n, 1))).tangents[-1]
-            dt.append((dK2, db_tab))
-        tables.dt = dt
-        return dt
 
     # -- forward -----------------------------------------------------------
 
@@ -243,36 +220,40 @@ class BoundaryOperator:
         """(Lambda, mu) at rows [start, stop) (default: all) of the first
         trajectory of a forward cache, read from that pass's tables.
 
-        The kernel-derivative products run on those rows of the dt tables
-        only. The small per-row products run over every row, as a one-row
-        product need not round like the same row of the n-row one; so each
-        entry is the matching entry of the split over all rows.
+        Each table network has one ReLU hidden layer, so its time
+        derivative is W1 (mask * W0[:, 0]), read from the masks of its
+        stored trace. The kernel term of row m, sum_j w_j dK(t_m, t_j) v_j,
+        runs for the rows asked for only, one row per product, so a row
+        does not depend on the range on any BLAS. The small per-row products
+        run over every row, as a one-row product need not round like the
+        same row of the n-row one; so each entry is the matching entry of
+        the split over all rows.
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
         w = self._weights
-        dt_tables = self._dt_tables(cache.tables)
         q_vec = self.Q.params()[0].ravel()
 
         A = np.broadcast_to(self.P.params()[0].ravel(), (n, self.d_v)).copy()
         p = np.zeros((n, self.d_v))
-        for li, layer in enumerate(self.layers):
-            dK2, db_tab = dt_tables[li]
-            do = layer.dim_out
-            vw = (cache.vs[li][0] * w[:, None]).ravel()
-            # the dK2 row block is widened to whole groups of 4 rows (the
-            # row group of OpenBLAS's x86 gemv kernels), so its rows round
-            # as in the full product whatever d_out is
-            lo = start * do // 4 * 4
-            hi = min(-(-stop * do // 4) * 4, n * do)
-            dinteg = (dK2[lo:hi] @ vw)[start * do - lo:stop * do - lo]
+        for layer, (_, kappa_trace, b_trace), v, mask in zip(
+                self.layers, cache.tables.layers, cache.vs, cache.masks):
+            kW0, _, kW1, _ = layer.kappa.params()
+            bW0, _, bW1, _ = layer.b.params()
+            vw = v[0] * w[:, None]
+            # (rows, d_in, h): w v contracted over j with the hidden-layer
+            # tangent along t_m at (t_m, t_j), mask * W0[:, 0]
+            G = (vw.T @ kappa_trace.masks[0].reshape(n, n, -1)[start:stop]) \
+                * kW0[:, 0]
+            # then W1 as (d_in*h, d_out), row by row
+            dinteg = G.reshape(stop - start, 1, -1) \
+                @ kW1.reshape(layer.dim_out, -1).T
             A = A @ layer.W.T
             p = p @ layer.W.T
             # rows outside [start, stop) miss their kernel term; they are
             # never returned
-            p[start:stop] += dinteg.reshape(-1, do)
-            p += db_tab
-            mask = cache.masks[li]
+            p[start:stop] += dinteg[:, 0]
+            p += (b_trace.masks[0] * bW0[:, 0]) @ bW1.T
             if mask is not None:
                 A, p = A * mask[0], p * mask[0]
         return (A @ q_vec)[start:stop], (p @ q_vec)[start:stop]

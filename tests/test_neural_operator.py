@@ -206,18 +206,20 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_dt_tables_match_central_differences(self, seed):
-        """The kernel and bias time-derivative tables equal central
-        differences of the kappa and b networks in the output time (the
-        kernel's first slot), at entries whose ReLU pattern does not change
-        across the difference."""
+        """The kernel and bias time derivatives the rate split reads from
+        the table traces, W1 (mask * W0[:, 0]), equal central differences of
+        the kappa and b networks in the output time (the kernel's first
+        slot), at entries whose ReLU pattern does not change across the
+        difference."""
         grid = TimeGrid(2.0, 12)
         op = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=8,
                               b_hidden=4, seed=seed)
         n, h = grid.M + 1, 1e-6
-        pairs = op._pair_inputs()
+        t = grid.times()
+        pairs = np.column_stack([np.repeat(t, n), np.tile(t, n)])
         shift = np.zeros_like(pairs)
         shift[:, 0] = h
-        t = grid.times()[:, None]
+        t = t[:, None]
 
         def fd_and_smooth(net, x, dx):
             W0, b0 = net.params()[0], net.params()[1]
@@ -227,19 +229,48 @@ class TestDecomposition:
             fd = (net.forward(x + dx) - net.forward(x - dx)) / (2.0 * h)
             return fd, smooth
 
+        def mask_tangent(net, trace):
+            W0, _, W1, _ = net.params()
+            return (trace.masks[0] * W0[:, 0]) @ W1.T
+
         n_checked = 0
-        dt_tables = op._dt_tables(op._table_entry())
-        for layer, (dK2, db_tab) in zip(op.layers, dt_tables):
-            do, di = layer.dim_out, layer.dim_in
+        for layer, (_, kappa_trace, b_trace) in zip(
+                op.layers, op._table_entry().layers):
             fd, smooth = fd_and_smooth(layer.kappa, pairs, shift)
-            dK = dK2.reshape(n, do, n, di).transpose(0, 2, 1, 3)
-            dK = dK.reshape(n * n, do * di)
+            dK = mask_tangent(layer.kappa, kappa_trace)
             assert np.allclose(dK[smooth], fd[smooth], rtol=1e-6, atol=1e-8)
             fd, smooth = fd_and_smooth(layer.b, t, np.full_like(t, h))
-            assert np.allclose(db_tab[smooth], fd[smooth], rtol=1e-6,
-                               atol=1e-8)
+            db = mask_tangent(layer.b, b_trace)
+            assert np.allclose(db[smooth], fd[smooth], rtol=1e-6, atol=1e-8)
             n_checked += int(smooth.sum())
         assert n_checked >= 0.9 * 2 * n
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_mu_matches_central_differences_at_a_constant_input(self, seed):
+        """With U constant (U_dot = 0) the rate is mu alone, so mu must equal
+        the central difference of the frozen-quadrature output in the output
+        time at every step whose ReLU pattern does not change across the
+        difference. There the output is affine in t, so the difference is
+        exact up to round-off."""
+        from oracles import frozen_quadrature_eval
+        grid = TimeGrid(2.0, 12)
+        op = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=8,
+                              b_hidden=4, seed=seed)
+        n, h = grid.M + 1, 1e-6
+        _, cache = op.forward_batch(np.full((1, n), 0.7))
+        _, mu = op.decomposition(cache)
+        n_checked = 0
+        for m, t in enumerate(grid.times()):
+            (lo, s_lo), (mid, s_mid), (hi, s_hi) = (
+                frozen_quadrature_eval(op, cache, lambda _: 0.7, t + s)
+                for s in (-h, 0.0, h))
+            if not (np.array_equal(s_lo, s_mid)
+                    and np.array_equal(s_mid, s_hi)):
+                continue
+            n_checked += 1
+            fd = (hi - lo) / (2.0 * h)
+            assert abs(mu[m] - fd) <= 1e-6 * max(abs(fd), abs(mid))
+        assert n_checked >= 0.8 * n
 
     def test_affine_in_udot(self):
         """The rate Lambda*U_dot + mu is affine in U_dot: (Lambda, mu) come
@@ -295,9 +326,9 @@ def split_operator(d_v):
     return BoundaryOperator(TimeGrid(1.0, 20), d_v=d_v, n_layers=2, seed=d_v)
 
 
-# widths that are not a multiple of 4 put row-block edges inside the BLAS
-# kernel's row groups
-@given(st.sampled_from([3, 4, 16]), st.integers(0, 20), st.integers(1, 21),
+# the kernel term runs one row per product, so a row's result does not
+# depend on the range it is asked in, whatever the BLAS and the width
+@given(st.sampled_from([3, 4, 7, 16]), st.integers(0, 20), st.integers(1, 21),
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_rate_split_on_a_row_range_is_those_rows_of_the_full_split(
@@ -310,10 +341,31 @@ def test_rate_split_on_a_row_range_is_those_rows_of_the_full_split(
     part = op.decomposition(cache, start, stop)
     for a, b in zip(part, full):
         assert a.shape == (stop - start,)
-        # another BLAS may round the row block differently; on OpenBLAS
-        # (x86) it is bitwise
-        assert np.allclose(a, b[start:stop], rtol=1e-13,
-                           atol=1e-13 * np.max(np.abs(b)))
+        assert np.array_equal(a, b[start:stop])
+
+
+def test_the_table_entry_holds_one_dense_array_per_layer():
+    """After predict at the benchmark's parabolic size (M=80, d_v=16), the
+    kernel table K2 is the entry's one (n*d_v)^2 array per layer: the rate
+    split reads the traces' masks and builds no derivative table."""
+    op = BoundaryOperator(TimeGrid(1.0, 80), d_v=16, n_layers=2, seed=0)
+    op.predict(np.linspace(0.0, 1.0, 81))
+    arrays = []
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                walk(y)
+        elif hasattr(x, "__dict__"):
+            walk(list(vars(x).values()))
+
+    walk(op._tables)
+    dense = [a for a in arrays if a.size >= (81 * 16) ** 2]
+    assert len(dense) == op.n_layers
+    for a, (K2, _, _) in zip(dense, op._tables.layers):
+        assert a is K2 and a.shape == (81 * 16, 81 * 16)
 
 
 class TestFingerprint:
