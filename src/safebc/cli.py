@@ -110,16 +110,6 @@ def load_experiment(values, seed=None):
     return spec if seed is None else replace(spec, seed=seed)
 
 
-def load_train_config(values):
-    """(TrainConfig, FeasibilityConstants) from a JSON train config.  The
-    constants come from its "constants" object; every other key belongs to
-    TrainConfig."""
-    values = dict(values)
-    constants = load_config(FeasibilityConstants(),
-                            values.pop("constants", {}), "constants")
-    return load_config(TrainConfig(), values), constants
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -180,9 +170,13 @@ def _finish_history(history, path):
               f"{stop.message}", file=sys.stderr)
 
 
+def _train_config(args):
+    return load_config(TrainConfig(),
+                       _load_json(args.config) if args.config else {})
+
+
 def _cmd_train_operator(args):
-    cfg, _ = load_train_config(_load_json(args.config) if args.config
-                               else {})
+    cfg = _train_config(args)
     ds = read_dataset(args.dataset)
     op, history = train_operator(ds, cfg, seed=args.seed)
     op.save(args.out)
@@ -193,22 +187,18 @@ def _cmd_train_operator(args):
 
 
 def _cmd_train_bcbf(args):
-    cfg, constants = load_train_config(_load_json(args.config)
-                                       if args.config else {})
-    joint = cfg.mode == "joint"
-    if joint and args.operator:
+    cfg = _train_config(args)
+    if args.operator and args.operator_out:
         raise ConfigurationError(
-            "--operator is for two-phase mode; joint mode trains its own")
-    if not joint and args.operator_out:
-        raise ConfigurationError("--operator-out is for joint mode")
+            "--operator is for two-phase training; --operator-out trains "
+            "its own operator")
     ds = read_dataset(args.dataset)
-    if joint:
-        op, bar, history = train_joint(ds, constants, cfg, seed=args.seed)
-        if args.operator_out:
-            op.save(args.operator_out)
+    if args.operator_out:
+        op, bar, history = train_joint(ds, cfg, seed=args.seed)
+        op.save(args.operator_out)
     else:
         op = BoundaryOperator.load(args.operator) if args.operator else None
-        bar, history = train_bcbf(ds, op, constants, cfg, seed=args.seed)
+        bar, history = train_bcbf(ds, op, cfg, seed=args.seed)
     bar.save(args.out)
     _finish_history(history, args.history)
     last = history.rows[-1] if history.rows else {}
@@ -313,7 +303,7 @@ def build_parser():
     p.add_argument("--operator", default=None,
                    help="operator checkpoint (needed for operator dY/dt)")
     p.add_argument("--operator-out", default=None, dest="operator_out",
-                   help="in joint mode, also save the trained operator here")
+                   help="train the operator jointly and save it here")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="barrier checkpoint path")
     p.add_argument("--history", default=None, help="history CSV path")

@@ -22,17 +22,13 @@ from .neural_operator import BoundaryOperator
 from .pde_sim import (ConfigurationError, FromFile, SimulationDivergedError,
                       rollout, stabilization_reward)
 from .safety_filter import FilterConfig, filter_trajectory
-from .trajectories import label_safety
+from .trajectories import label_safety, suffix_safe_mask
 
 
 def feasible_steps(labels):
     """Length of the maximal all-safe suffix, or None when the final step is
     unsafe (the episode never settles into the safe set)."""
-    labels = np.asarray(labels, dtype=bool)
-    if labels.size == 0 or not labels[-1]:
-        return None
-    rev = np.logical_and.accumulate(labels[::-1])
-    return int(rev.sum())
+    return int(suffix_safe_mask(labels).sum()) or None
 
 
 @dataclass

@@ -149,6 +149,9 @@ class BoundaryOperator:
         fp = self.fingerprint()
         if self._tables is not None and self._tables.fingerprint == fp:
             return self._tables
+        # drop the stale entry before building, so the operator never
+        # holds two
+        self._tables = None
         n = self.grid.M + 1
         t = self.grid.times()
         pairs = np.empty((n * n, 2))  # (t_m, t_j), m major

@@ -6,10 +6,11 @@ at x = 1, and are observed at a single output location:
 
 * transport with recirculation (hyperbolic): u_t = u_x + beta * u(0, t),
   output Y = u(0, t). First-order upwind in space. The grid step subdivides
-  into `substeps` upwind substeps so the CFL bound dt_sub <= dx holds even
-  when the control grid is coarser than the spatial grid; the boundary value
-  ramps linearly across the substeps between consecutive control samples,
-  which keeps the pure-transport delay identity exact for ramp inputs.
+  into the fewest upwind substeps that keep the CFL bound dt_sub <= dx, so
+  it holds even when the control grid is coarser than the spatial grid; the
+  boundary value ramps linearly across the substeps between consecutive
+  control samples, which keeps the pure-transport delay identity exact for
+  ramp inputs.
 
 * reaction-diffusion (parabolic): u_t = eps * u_xx + lam * u with u(0, t) = 0,
   output Y = u(0.5, t). Crank-Nicolson diffusion plus trapezoidal reaction,
@@ -77,30 +78,29 @@ def _default_parabolic_grid():
 class HyperbolicConfig:
     """Transport plant u_t = u_x + beta * u(0,t); output at x = 0.
 
-    substeps=None picks the smallest count satisfying the CFL bound
-    (ceil(dt/dx) with a 1e-9 tolerance against floating roundoff).
+    Each grid step runs `substeps` upwind substeps, the fewest that keep
+    the CFL bound dt/substeps <= dx (ceil(dt/dx) with a 1e-9 tolerance
+    against floating roundoff). When dx divides dt each substep has Courant
+    number 1, so pure transport is an exact shift by one cell; more
+    substeps would only add numerical diffusion.
     """
 
     beta: float = 5.0
     n_points: int = 101
     grid: TimeGrid = field(default_factory=_default_hyperbolic_grid)
-    substeps: int = None
 
     def __post_init__(self):
         if self.n_points < 3:
             raise ConfigurationError("need at least 3 spatial points")
         if not math.isfinite(self.beta):
             raise ConfigurationError("beta must be finite")
-        if self.substeps is not None and self.substeps < 1:
-            raise ConfigurationError("substeps must be >= 1")
 
     @property
     def dx(self):
         return 1.0 / (self.n_points - 1)
 
-    def effective_substeps(self):
-        if self.substeps is not None:
-            return self.substeps
+    @property
+    def substeps(self):
         return max(1, math.ceil(self.grid.dt / self.dx - 1e-9))
 
     @property
@@ -152,23 +152,18 @@ def _check_step(state, u_boundary, cfg):
 def step_hyperbolic(state, u_boundary, cfg):
     """Advance the transport plant's (n_points,) state by one grid step dt.
 
-    The step runs cfg.effective_substeps() upwind substeps
+    The step runs cfg.substeps upwind substeps
     u_i <- u_i + (dt_sub/dx)(u_{i+1} - u_i) + dt_sub * beta * u_0 for
     i = 0..N-2, writing the (linearly ramped) boundary value into the
     rightmost point after each substep.
 
     Raises ConfigurationError if the state does not have cfg.n_points
-    points or the substep size violates dt_sub <= dx.
+    points.
     """
     u = _check_step(state, u_boundary, cfg)
-    dx = cfg.dx
-    n_sub = cfg.effective_substeps()
+    n_sub = cfg.substeps
     dt_sub = cfg.grid.dt / n_sub
-    if dt_sub > dx * (1.0 + 1e-9):
-        raise ConfigurationError(
-            f"CFL violation: substep {dt_sub:g} exceeds dx {dx:g}; "
-            f"increase substeps or refine the time grid")
-    r = dt_sub / dx
+    r = dt_sub / cfg.dx
     b_prev = u[-1]
     new = u.copy()
     for j in range(1, n_sub + 1):

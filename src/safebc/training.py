@@ -1,15 +1,14 @@
 """The training loop for the boundary operator and the barrier function.
 
 `train_joint` is the one epoch loop. Each epoch updates whichever parts
-train against the weighted objective
-
-    lambda_G * L_G + lambda_S * L_S + lambda_BF * L_BF + reg
-
-and each part draws from its own seeded random stream. Two-phase training
-(the default) fits the operator first with `train_operator`, then shapes
-the barrier with `train_bcbf` on the labeled dataset with that operator
-frozen. Both are presets of the loop that set the other part's epochs to 0,
-so they reduce to it by construction.
+train, and each part minimizes its own loss: the operator the trajectory
+regression loss L_G, the barrier lambda_S * L_S + lambda_BF * L_BF + reg
+under the decrease-condition constants config.constants. Each part draws
+from its own seeded random stream. Two-phase training (the default) fits
+the operator first with `train_operator`, then shapes the barrier with
+`train_bcbf` on the labeled dataset with that operator frozen. Both are
+presets of the loop that set the other part's epochs to 0, so they reduce
+to it by construction.
 """
 
 import math
@@ -17,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .barrier import (BarrierFunction, loss_decrease_condition, loss_safe_set,
+from .barrier import (BarrierFunction, FeasibilityConstants,
+                      loss_decrease_condition, loss_safe_set,
                       loss_sublevel_margin)
 from .checkpoint import ConfigurationError, fmt, read_table, write_table
 from .nets import Adam, subseed
@@ -57,20 +57,18 @@ class BarrierSchedule:
 
 @dataclass
 class TrainConfig:
-    lambda_G: float = 1.0
     lambda_S: float = 1.0
     lambda_BF: float = 0.5
     operator: OperatorSchedule = field(default_factory=OperatorSchedule)
     bcbf: BarrierSchedule = field(default_factory=BarrierSchedule)
-    mode: str = "two-phase"
+    constants: FeasibilityConstants = field(
+        default_factory=FeasibilityConstants)
     dy_dt_source: str = "data-fd"
     train_fraction: float = 0.9
     balance_band: tuple[float, float] = (-0.1, 0.1)
     balance_keep: float = 0.2
 
     def __post_init__(self):
-        if self.mode not in ("two-phase", "joint"):
-            raise ConfigurationError(f"unknown training mode {self.mode!r}")
         if self.dy_dt_source not in ("data-fd", "operator"):
             raise ConfigurationError(
                 f"unknown dY/dt source {self.dy_dt_source!r}")
@@ -155,8 +153,7 @@ def _operator_epoch(op, adam, UU, YY, schedule, rng):
 
 
 def _weight_record(config):
-    return {"lambda_G": config.lambda_G, "lambda_S": config.lambda_S,
-            "lambda_BF": config.lambda_BF}
+    return {"lambda_S": config.lambda_S, "lambda_BF": config.lambda_BF}
 
 
 def _snapshot(params):
@@ -220,7 +217,7 @@ def _cyclic_chunk(order, start, size):
     return order[idx]
 
 
-def _barrier_epoch(bar, adam, samples, constants, config, rng):
+def _barrier_epoch(bar, adam, samples, config, rng):
     sched = config.bcbf
     bs = sched.batch_samples
     order_bf = rng.permutation(samples.bf_t.size)
@@ -248,7 +245,8 @@ def _barrier_epoch(bar, adam, samples, constants, config, rng):
             if sel.size:
                 lb, gb = loss_decrease_condition(
                     bar, samples.bf_t[sel], samples.bf_Y[sel],
-                    samples.bf_dY[sel], samples.bf_Y0[sel], constants)
+                    samples.bf_dY[sel], samples.bf_Y0[sel],
+                    config.constants)
                 sums["L_BF"] += lb
                 for g, e in zip(grads, gb):
                     g += config.lambda_BF * e
@@ -283,11 +281,11 @@ def _sign_error(bar, samples):
 def train_operator(dataset, config, seed=0):
     """Fit the operator on the dataset's train split. Returns (op, history)."""
     config = replace(config, bcbf=replace(config.bcbf, epochs=0))
-    op, _, history = train_joint(dataset, None, config, seed)
+    op, _, history = train_joint(dataset, config, seed)
     return op, history
 
 
-def train_bcbf(dataset, operator, constants, config, seed=0):
+def train_bcbf(dataset, operator, config, seed=0):
     """Shape the barrier on the labeled dataset. Returns (bar, history).
 
     The operator argument is consulted only when config.dy_dt_source is
@@ -296,20 +294,19 @@ def train_bcbf(dataset, operator, constants, config, seed=0):
     if config.dy_dt_source == "operator" and operator is None:
         raise ValueError("operator dY/dt source requires an operator")
     config = replace(config, operator=replace(config.operator, epochs=0))
-    _, bar, history = train_joint(dataset, constants, config, seed,
-                                  operator=operator)
+    _, bar, history = train_joint(dataset, config, seed, operator=operator)
     return bar, history
 
 
-def train_joint(dataset, constants, config, seed=0, operator=None):
-    """Single loop over both parameter sets against the weighted objective.
+def train_joint(dataset, config, seed=0, operator=None):
+    """Single loop over both parameter sets, each against its own loss.
 
     Returns (op, bar, history). A given operator is returned as is and used
     frozen for dY/dt; otherwise one is built and trained for
-    config.operator.epochs. A part with zero epochs or zero loss weights
-    is neither prepared nor checked. An epoch that raises FloatingPointError
-    or ValueError (a non-finite loss or gradient) is rolled back and ends
-    the run; history.stopped says why.
+    config.operator.epochs. A part with zero epochs, or a barrier with zero
+    loss weights, is neither prepared nor checked. An epoch that raises
+    FloatingPointError or ValueError (a non-finite loss or gradient) is
+    rolled back and ends the run; history.stopped says why.
     """
     sched_op = config.operator
     sched_bf = config.bcbf
@@ -319,8 +316,7 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
                               n_layers=sched_op.n_layers,
                               activations=sched_op.activations,
                               seed=subseed(seed, 13))
-    run_op = operator is None and sched_op.epochs > 0 \
-        and config.lambda_G > 0
+    run_op = operator is None and sched_op.epochs > 0
     run_bar = sched_bf.epochs > 0 and (config.lambda_S > 0
                                        or config.lambda_BF > 0
                                        or sched_bf.reg_weight > 0)
@@ -374,8 +370,8 @@ def train_joint(dataset, constants, config, seed=0, operator=None):
                 if moving_rates and epoch < sched_op.epochs:
                     samples.set_rates(config.dy_dt_source, op)
                 adam_bar.start_epoch(epoch)
-                means = _barrier_epoch(bar, adam_bar, samples, constants,
-                                       config, rng_bar)
+                means = _barrier_epoch(bar, adam_bar, samples, config,
+                                       rng_bar)
                 row.update(L_S=means["L_S"], L_BF=means["L_BF"],
                            reg=means["reg"],
                            val_sign_err=_sign_error(bar, vsamples))

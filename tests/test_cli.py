@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from safebc.barrier import FeasibilityConstants
-from safebc.cli import (build_parser, load_experiment, load_train_config,
-                        main, read_metrics_csv)
+from safebc.cli import (build_parser, load_config, load_experiment, main,
+                        read_metrics_csv)
 from safebc.evaluation import ExperimentSpec
 from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
                             ParabolicConfig, Proportional, SmoothRandom,
                             TimeGrid, read_trajectory_csv)
 from safebc.safety_filter import FilterConfig
-from safebc.training import BarrierSchedule, OperatorSchedule, TrainConfig
-from safebc.trajectories import OneSidedSet, TwoSidedSet
+from safebc.training import (BarrierSchedule, OperatorSchedule, TrainConfig,
+                             train_joint)
+from safebc.trajectories import OneSidedSet, TwoSidedSet, read_dataset
 
 ENV = ["--env", "hyperbolic", "--beta", "0.5", "--grid-T", "5",
        "--grid-M", "20"]
@@ -119,16 +120,54 @@ def test_report_out_is_written_atomically(run, tmp_path, monkeypatch):
 
 def test_train_bcbf_rejects_the_operator_flag_of_the_other_mode(
         run, tmp_path, capsys):
-    joint = tmp_path / "joint.json"
-    joint.write_text(json.dumps({"mode": "joint"}))
-    argv = ["train-bcbf", "--dataset", str(run / "data.csv"),
-            "--out", str(tmp_path / "bar.ckpt")]
-    assert main(argv + ["--config", str(joint),
-                        "--operator", str(run / "op.ckpt")]) == 2
-    assert "--operator is for two-phase mode" in capsys.readouterr().err
-    assert main(argv + ["--operator-out", str(tmp_path / "op.ckpt")]) == 2
-    assert "--operator-out is for joint mode" in capsys.readouterr().err
-    assert not (tmp_path / "bar.ckpt").exists()
+    # --operator-out asks for joint training, which trains its own operator
+    rc = main(["train-bcbf", "--dataset", str(run / "data.csv"),
+               "--operator", str(run / "op.ckpt"),
+               "--operator-out", str(tmp_path / "op.ckpt"),
+               "--out", str(tmp_path / "bar.ckpt")])
+    assert rc == 2
+    assert "--operator is for two-phase training" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_operator_out_trains_jointly_and_writes_both_checkpoints(run,
+                                                                 tmp_path):
+    values = {"dy_dt_source": "operator",
+              "constants": {"alpha": 0.001, "T": 4},
+              "operator": {"epochs": 2, "d_v": 4, "batch_trajectories": 4},
+              "bcbf": {"epochs": 2, "batch_samples": 64}}
+    config = tmp_path / "joint.json"
+    config.write_text(json.dumps(values))
+    assert main(["train-bcbf", "--dataset", str(run / "data.csv"),
+                 "--config", str(config), "--seed", "3",
+                 "--operator-out", str(tmp_path / "op.ckpt"),
+                 "--out", str(tmp_path / "bar.ckpt")]) == 0
+    op, bar, _ = train_joint(read_dataset(run / "data.csv"),
+                             load_config(TrainConfig(), values), seed=3)
+    for model, path in ((op, "op.ckpt"), (bar, "bar.ckpt")):
+        saved = type(model).load(tmp_path / path).params()
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(saved, model.params()))
+
+
+@pytest.mark.parametrize("command, kind, values, key", [
+    ("train-bcbf", "--config", {"mode": "joint"}, "mode"),
+    ("train-operator", "--config", {"lambda_G": 0.0}, "lambda_G"),
+    ("evaluate", "--spec",
+     {"env": {"name": "hyperbolic", "substeps": 2},
+      "controller": "constant", "safe_set": "Y<1"}, "env.substeps"),
+])
+def test_a_deleted_setting_exits_2_naming_its_key(run, tmp_path, capsys,
+                                                  command, kind, values,
+                                                  key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values))
+    argv = [command, kind, str(path), "--out", str(tmp_path / "out")]
+    if command != "evaluate":
+        argv += ["--dataset", str(run / "data.csv")]
+    assert main(argv) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_filter_flag_defaults_are_the_filter_config_defaults():
@@ -143,7 +182,12 @@ def test_filter_flag_defaults_are_the_filter_config_defaults():
 
 # -- JSON configs ------------------------------------------------------------
 
-# (JSON, the TrainConfig and FeasibilityConstants it stands for)
+def load_train_config(values):
+    return load_config(TrainConfig(), values)
+
+
+# (JSON, the TrainConfig it stands for, less its constants, and the
+# constants)
 TRAIN_CONFIGS = [
     # README, and perfbench/pipeline.py's train.json with other epochs
     ({"operator": {"epochs": 2}, "bcbf": {"epochs": 2}},
@@ -158,8 +202,8 @@ TRAIN_CONFIGS = [
                  bcbf=BarrierSchedule(epochs=2, batch_samples=64)),
      FeasibilityConstants()),
     # every key
-    ({"lambda_G": 0.5, "lambda_S": 2, "lambda_BF": 0.25, "mode": "joint",
-      "dy_dt_source": "operator", "train_fraction": 0.8,
+    ({"lambda_S": 2, "lambda_BF": 0.25, "dy_dt_source": "operator",
+      "train_fraction": 0.8,
       "balance_band": [-0.2, 0.3], "balance_keep": 0.5,
       "operator": {"epochs": 3, "lr": 0.01, "l2": 0, "decay_factor": 0.5,
                    "decay_every": 2, "batch_trajectories": 8, "d_v": 4,
@@ -168,8 +212,8 @@ TRAIN_CONFIGS = [
                "decay_every": 3, "batch_samples": 32,
                "time_dependent": False, "margin": 0.2, "reg_weight": 0},
       "constants": {"alpha": 0.1, "T": 2, "asymptotic": True}},
-     TrainConfig(lambda_G=0.5, lambda_S=2.0, lambda_BF=0.25, mode="joint",
-                 dy_dt_source="operator", train_fraction=0.8,
+     TrainConfig(lambda_S=2.0, lambda_BF=0.25, dy_dt_source="operator",
+                 train_fraction=0.8,
                  balance_band=(-0.2, 0.3), balance_keep=0.5,
                  operator=OperatorSchedule(
                      epochs=3, lr=0.01, l2=0.0, decay_factor=0.5,
@@ -187,7 +231,7 @@ TRAIN_CONFIGS = [
 @pytest.mark.parametrize("values, config, constants", TRAIN_CONFIGS)
 def test_train_config_loads_to_the_config_it_names(values, config,
                                                    constants):
-    assert load_train_config(values) == (config, constants)
+    assert load_train_config(values) == replace(config, constants=constants)
 
 
 SPEC = {"env": {"name": "hyperbolic"}, "controller": "constant",
@@ -231,14 +275,14 @@ SPECS = [
      replace(BASE, env=ParabolicConfig(grid=TimeGrid(2.0, 1000)))),
     # every key
     ({"env": {"name": "hyperbolic", "beta": 1, "n_points": 51,
-              "substeps": 2, "grid": {"T": 4, "M": 40}},
+              "grid": {"T": 4, "M": 40}},
       "controller": "proportional:gain=0.5",
       "safe_set": "abs:center=0,halfwidth=0.2", "filter_on": True,
       "filter": {"constants": {"alpha": 0.01, "T": 3, "asymptotic": False},
                  "eta": 1e9, "infeasible_policy": "abort"},
       "operator_path": "a", "bcbf_path": "b", "episodes": 3,
       "U0_range": [0, 1], "seed": 4},
-     ExperimentSpec(HyperbolicConfig(beta=1.0, n_points=51, substeps=2,
+     ExperimentSpec(HyperbolicConfig(beta=1.0, n_points=51,
                                      grid=TimeGrid(4.0, 40)),
                     Proportional(0.5), TwoSidedSet(0.0, 0.2), filter_on=True,
                     filter=FilterConfig(FeasibilityConstants(0.01, 3.0),
@@ -271,6 +315,7 @@ def test_the_seed_argument_overrides_the_spec_seed():
     ({"filter": {"constants": {"C": 0.0}}}, "filter.constants.C"),
     ({"env": {"name": "hyperbolic", "grid": {"N": 3}}}, "env.grid.N"),
     ({"env": {"name": "parabolic", "beta": 1.0}}, "env.beta"),
+    ({"env": {"name": "hyperbolic", "substeps": 2}}, "env.substeps"),
 ])
 def test_unknown_spec_key_is_an_error_naming_its_path(values, path):
     with pytest.raises(ConfigurationError, match=re.escape(repr(path))):
@@ -285,6 +330,8 @@ def test_unknown_spec_key_is_an_error_naming_its_path(values, path):
     ({"operator": {"table_hidden": "linear"}}, "operator.table_hidden"),
     ({"bcbf": {"epoch": 2}}, "bcbf.epoch"),
     ({"constants": {"alpah": 0.1}}, "constants.alpah"),
+    ({"mode": "joint"}, "mode"),
+    ({"lambda_G": 1.0}, "lambda_G"),
 ])
 def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     with pytest.raises(ConfigurationError, match=re.escape(repr(path))):
@@ -292,7 +339,7 @@ def test_unknown_train_key_is_an_error_naming_its_path(values, path):
 
 
 @pytest.mark.parametrize("values, message", [
-    ({"mode": "jiont"}, "unknown training mode"),
+    ({"dy_dt_source": "operatr"}, "unknown dY/dt source"),
     ({"operator": {"epochs": "many"}}, "operator.epochs"),
     ({"operator": []}, "operator: expected a JSON object"),
     # a value of another JSON type is not cast: 2.7 epochs is not 2, and
@@ -303,10 +350,10 @@ def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     ({"operator": {"activations": "relu"}}, "operator.activations"),
     ({"bcbf": {"time_dependent": "no"}}, "bcbf.time_dependent"),
     ({"bcbf": {"time_dependent": 1}}, "bcbf.time_dependent"),
-    ({"lambda_G": "1"}, "lambda_G: expected float"),
-    ({"lambda_G": True}, "lambda_G: expected float"),
+    ({"lambda_S": "1"}, "lambda_S: expected float"),
+    ({"lambda_S": True}, "lambda_S: expected float"),
     ({"balance_band": "(-0.1, 0.1)"}, "balance_band: expected tuple"),
-    ({"mode": 3}, "mode: expected str"),
+    ({"dy_dt_source": 3}, "dy_dt_source: expected str"),
     ({"constants": {"asymptotic": 0}}, "constants.asymptotic"),
 ])
 def test_bad_train_value_is_an_error(values, message):
@@ -323,7 +370,7 @@ def test_bad_train_value_is_an_error(values, message):
     ({"operator_path": 3}, "operator_path"),
     ({"filter": {"eta": "2"}}, "filter.eta"),
     ({"env": {"name": "hyperbolic", "grid": {"M": 20.0}}}, "env.grid.M"),
-    ({"env": {"name": "hyperbolic", "substeps": 1.5}}, "env.substeps"),
+    ({"env": {"name": "hyperbolic", "n_points": 51.0}}, "env.n_points"),
 ])
 def test_wrong_typed_spec_value_is_an_error_naming_its_path(values, path):
     with pytest.raises(ConfigurationError, match=re.escape(path + ":")):
@@ -352,20 +399,19 @@ def test_tuple_items_load_as_their_declared_type():
     spec = load_experiment({**SPEC, "U0_range": [0, 2]})
     assert spec.U0_range == (0.0, 2.0)
     assert all(type(x) is float for x in spec.U0_range)
-    config, _ = load_train_config({"operator": {"activations": ["linear"]}})
+    config = load_train_config({"operator": {"activations": ["linear"]}})
     assert config.operator.activations == ("linear",)
 
 
 def test_numbers_load_as_floats_and_null_keeps_a_none_default():
-    config, constants = load_train_config(
+    config = load_train_config(
         {"lambda_S": 2, "operator": {"decay_factor": None},
          "constants": {"T": 3}})
     assert type(config.lambda_S) is float and config.lambda_S == 2.0
     assert config.operator.decay_factor is None
-    assert type(constants.T) is float
-    spec = load_experiment({**SPEC, "env": {"name": "hyperbolic",
-                                            "substeps": None}})
-    assert spec.env.substeps is None
+    assert type(config.constants.T) is float
+    spec = load_experiment({**SPEC, "operator_path": None})
+    assert spec.operator_path is None
 
 
 def test_unknown_key_exits_2_with_its_path(tmp_path, capsys):

@@ -9,6 +9,7 @@ forward pass.
 """
 
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -366,6 +367,29 @@ def test_the_table_entry_holds_one_dense_array_per_layer():
     assert len(dense) == op.n_layers
     for a, (K2, _, _) in zip(dense, op._tables.layers):
         assert a is K2 and a.shape == (81 * 16, 81 * 16)
+
+
+def test_a_rebuild_drops_the_stale_entry_before_it_builds(monkeypatch):
+    """A new parameter state builds a new entry; the old one is released
+    first, so the two are never held at once."""
+    op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
+                          kappa_hidden=4, b_hidden=3, seed=22)
+    U = np.linspace(0.0, 1.0, 6)
+    op.predict(U)
+    stale = weakref.ref(op._tables)
+    alive = []
+    kappa = op.layers[0].kappa
+    trace = kappa.trace
+
+    def checked_trace(*args, **kwargs):
+        alive.append(stale() is not None)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(kappa, "trace", checked_trace)
+    op.layers[0].W[0, 0] += 0.1
+    op.predict(U)
+    assert alive == [False]
+    assert op._tables is not None
 
 
 class TestFingerprint:

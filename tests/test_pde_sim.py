@@ -64,18 +64,24 @@ class TestTransportPlant:
         assert sup[-1] > 100.0 * sup[0]
         assert res.Y[-1] > res.Y[0]
 
-    def test_cfl_violation_raises(self):
-        # dt = 0.5 with dx = 0.5 is fine at one substep; forcing substeps=1
-        # with a finer spatial grid must be rejected.
-        cfg = HyperbolicConfig(beta=0.0, n_points=101, grid=TimeGrid(5.0, 50),
-                               substeps=1)
-        s = np.zeros(101)
-        with pytest.raises(ConfigurationError):
-            step_hyperbolic(s, 0.0, cfg)
-
     def test_automatic_substeps_satisfy_cfl(self):
-        cfg = HyperbolicConfig(n_points=101, grid=TimeGrid(5.0, 50))
-        assert cfg.grid.dt / cfg.effective_substeps() <= cfg.dx * (1 + 1e-9)
+        # the fewest substeps that keep dt / substeps <= dx
+        for n_points, T, M in ((101, 5.0, 50), (101, 5.0, 20), (101, 5.0, 80),
+                               (51, 4.0, 40), (11, 1.0, 50)):
+            cfg = HyperbolicConfig(n_points=n_points, grid=TimeGrid(T, M))
+            n_sub, dt, bound = cfg.substeps, cfg.grid.dt, cfg.dx * (1 + 1e-9)
+            assert dt / n_sub <= bound
+            assert n_sub == 1 or dt / (n_sub - 1) > bound
+
+    def test_pure_transport_is_a_shift_at_the_cfl_minimum(self):
+        # dt = 10 dx: ten substeps at Courant number 1 move the input one
+        # cell each, so the output is the input one time unit late
+        cfg = HyperbolicConfig(beta=0.0, grid=TimeGrid(4.0, 40))
+        U = np.random.default_rng(0).uniform(-1.0, 1.0, 41)
+        Y = rollout(cfg, FromFile(U), U[0]).Y
+        assert cfg.substeps == 10
+        assert np.all(Y[:11] == U[0])
+        assert np.max(np.abs(Y[10:] - U[:-10])) <= 1e-15
 
     def test_nonfinite_boundary_rejected(self):
         cfg = HyperbolicConfig(n_points=11, grid=TimeGrid(5.0, 50))
@@ -222,7 +228,7 @@ class TestRollout:
         # beta=200 grows the transport state ~1e12-fold per step of 0.25,
         # so it overflows within 40 steps
         cfg = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
-        n_sub = cfg.effective_substeps()
+        n_sub = cfg.substeps
         r, dt_sub = cfg.grid.dt / n_sub / cfg.dx, cfg.grid.dt / n_sub
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationDivergedError) as err:

@@ -24,7 +24,6 @@ from safebc.trajectories import (OneSidedSet, balance_near_zero,
                                  collect_dataset, suffix_safe_mask)
 
 SOURCES = ("data-fd", "operator")
-CONSTANTS = FeasibilityConstants(alpha=1e-5, T=5.0)
 
 
 def small_dataset(safe_set=OneSidedSet(1, 1.0)):
@@ -69,8 +68,7 @@ def dataset():
 def test_train_operator_is_joint_without_barrier_epochs(dataset, source):
     config = small_config(source)
     op, hist = train_operator(dataset, config, seed=5)
-    op_j, _, hist_j = train_joint(dataset, CONSTANTS,
-                                  without(config, "bcbf"), seed=5)
+    op_j, _, hist_j = train_joint(dataset, without(config, "bcbf"), seed=5)
     assert len(hist.rows) == config.operator.epochs
     assert_same_params(op.params(), op_j.params())
     assert_same_history(hist, hist_j)
@@ -81,12 +79,44 @@ def test_train_bcbf_is_joint_without_operator_epochs(dataset, source):
     config = small_config(source)
     # with no operator epochs the joint loop keeps its operator at its
     # initialization; the preset is given that same operator
-    op_j, bar_j, hist_j = train_joint(dataset, CONSTANTS,
-                                      without(config, "operator"), seed=5)
-    bar, hist = train_bcbf(dataset, op_j, CONSTANTS, config, seed=5)
+    op_j, bar_j, hist_j = train_joint(dataset, without(config, "operator"),
+                                      seed=5)
+    bar, hist = train_bcbf(dataset, op_j, config, seed=5)
     assert len(hist.rows) == config.bcbf.epochs
     assert_same_params(bar.params(), bar_j.params())
     assert_same_history(hist, hist_j)
+
+
+def test_joint_training_with_data_rates_is_two_phase_training(dataset):
+    # with trajectory rates the barrier never reads the operator, so
+    # training both at once gives each part what training it alone gives
+    config = small_config()
+    config = dataclasses.replace(
+        config, bcbf=dataclasses.replace(config.bcbf, epochs=2))
+    op_j, bar_j, hist_j = train_joint(dataset, config, seed=4)
+    op, hist_op = train_operator(dataset, config, seed=4)
+    bar, hist_bar = train_bcbf(dataset, op, config, seed=4)
+    assert_same_params(op_j.params(), op.params())
+    assert_same_params(bar_j.params(), bar.params())
+    assert len(hist_j.rows) == 3 and len(hist_bar.rows) == 2
+    for hist, columns in ((hist_op, ("L_G", "val_LG")),
+                          (hist_bar, ("L_S", "L_BF", "reg", "val_sign_err"))):
+        assert [{k: row[k] for k in ("epoch",) + columns}
+                for row in hist_j.rows[:len(hist.rows)]] == \
+            [{k: row[k] for k in ("epoch",) + columns} for row in hist.rows]
+
+
+def test_the_barrier_reads_the_config_constants(dataset):
+    config = small_config()
+    bar, _ = train_bcbf(dataset, None, config, seed=0)
+    again, _ = train_bcbf(dataset, None, dataclasses.replace(
+        config, constants=FeasibilityConstants()), seed=0)
+    other, _ = train_bcbf(dataset, None, dataclasses.replace(
+        config, constants=FeasibilityConstants(alpha=0.5, T=1.0)), seed=0)
+    assert config.constants == FeasibilityConstants()
+    assert_same_params(bar.params(), again.params())
+    assert not all(np.array_equal(a, b)
+                   for a, b in zip(bar.params(), other.params()))
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -123,9 +153,8 @@ def test_barrier_samples_concatenate_the_trajectories_in_order(dataset,
 
 def test_history_records_the_loss_weights(dataset):
     config = small_config(lambda_BF=0.25)
-    _, hist = train_bcbf(dataset, None, CONSTANTS, config, seed=0)
-    assert hist.weights == {"lambda_G": 1.0, "lambda_S": 1.0,
-                            "lambda_BF": 0.25}
+    _, hist = train_bcbf(dataset, None, config, seed=0)
+    assert hist.weights == {"lambda_S": 1.0, "lambda_BF": 0.25}
 
 
 def test_train_operator_trains_on_an_all_safe_dataset():
@@ -138,16 +167,14 @@ def test_train_operator_trains_on_an_all_safe_dataset():
 
 def test_joint_loop_skips_barrier_preparation_without_barrier_epochs():
     data = small_dataset(OneSidedSet(1, 1e6))
-    _, _, hist = train_joint(data, CONSTANTS,
-                             without(small_config(), "bcbf"), seed=0)
+    _, _, hist = train_joint(data, without(small_config(), "bcbf"), seed=0)
     assert len(hist.rows) == 3
 
 
 def test_joint_loop_uses_a_given_operator_frozen(dataset):
     op, _ = train_operator(dataset, small_config(), seed=2)
     before = [p.copy() for p in op.params()]
-    op_out, _, hist = train_joint(dataset, CONSTANTS,
-                                  small_config("operator"), seed=2,
+    op_out, _, hist = train_joint(dataset, small_config("operator"), seed=2,
                                   operator=op)
     assert op_out is op
     assert_same_params(op.params(), before)
@@ -157,19 +184,17 @@ def test_joint_loop_uses_a_given_operator_frozen(dataset):
 def test_barrier_training_rejects_an_all_safe_dataset():
     data = small_dataset(OneSidedSet(1, 1e6))
     with pytest.raises(ValueError, match="safe and unsafe"):
-        train_bcbf(data, None, CONSTANTS, small_config(), seed=0)
+        train_bcbf(data, None, small_config(), seed=0)
 
 
-@pytest.mark.parametrize("kwargs", [{"mode": "jiont"},
-                                    {"dy_dt_source": "operatr"}])
-def test_unknown_mode_or_rate_source_is_rejected(kwargs):
-    with pytest.raises(ConfigurationError, match="unknown"):
-        TrainConfig(**kwargs)
+def test_unknown_rate_source_is_rejected():
+    with pytest.raises(ConfigurationError, match="unknown dY/dt source"):
+        TrainConfig(dy_dt_source="operatr")
 
 
 def test_operator_rates_need_an_operator(dataset):
     with pytest.raises(ValueError, match="requires an operator"):
-        train_bcbf(dataset, None, CONSTANTS, small_config("operator"))
+        train_bcbf(dataset, None, small_config("operator"))
 
 
 def test_history_round_trips_through_csv(dataset, tmp_path):
@@ -181,8 +206,7 @@ def test_history_round_trips_through_csv(dataset, tmp_path):
     # a run that completes writes no stop line
     assert hist.stopped is None and back.stopped is None
     assert [line for line in path.read_text().splitlines()
-            if line.startswith("#")] == ["# lambda_BF=0.5 lambda_G=1 "
-                                         "lambda_S=1"]
+            if line.startswith("#")] == ["# lambda_BF=0.5 lambda_S=1"]
 
 
 def test_a_diverging_run_records_why_it_stopped(dataset, tmp_path):
@@ -266,7 +290,7 @@ def test_barrier_losses_trace_each_batch_once(passes):
     rng = np.random.default_rng(3)
     t, Y = rng.uniform(0.0, 5.0, 8), rng.normal(size=8)
     loss_decrease_condition(bar, t, Y, rng.normal(size=8),
-                            rng.normal(size=8), CONSTANTS)
+                            rng.normal(size=8), FeasibilityConstants())
     # x with its direction, then x0; one reverse of each
     assert passes.traces == [(bar.net, True), (bar.net, False)]
     assert len(passes.reverses) == 2
