@@ -54,7 +54,6 @@ from .barrier import (  # noqa: F401
     finite_time_constant,
     loss_decrease_condition,
     loss_safe_set,
-    loss_sublevel_margin,
 )
 from .training import (  # noqa: F401
     BarrierSchedule,

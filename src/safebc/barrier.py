@@ -12,6 +12,11 @@ for the asymptotic variant.  A trajectory satisfying the condition at every
 time drives phi to zero or below by the horizon; the
 `decrease_condition_oracle` checks the discrete form of that implication on
 explicit sequences, where it holds only for some of them.
+
+Training shapes phi with two losses, each one trace and one reverse sweep
+of its own samples: `loss_safe_set` takes the class hinges and the sublevel
+margin on labeled samples, and `loss_decrease_condition` the residual hinge
+on rate samples together with their distinct initial values.
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +50,12 @@ class FeasibilityConstants:
     def __post_init__(self):
         object.__setattr__(self, "C", finite_time_constant(
             self.alpha, self.T, self.asymptotic))
+
+    def residual(self, rate, phi, phi0):
+        """The decrease-condition residual rate + alpha * phi + C * phi0,
+        summed in that order; rate is dphi/dt along the trajectory and phi0
+        the barrier at its start. The condition holds where it is <= 0."""
+        return rate + self.alpha * phi + self.C * phi0
 
 
 class BarrierFunction:
@@ -117,44 +128,49 @@ class BarrierFunction:
         return bar
 
 
-def _zero_grads(bar):
-    return [np.zeros_like(p) for p in bar.params()]
+def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel, lambda_S,
+                  reg_weight, margin):
+    """Classification hinge and sublevel margin from one pass of the
+    labeled samples.
 
-
-def _accumulate(total, extra):
-    for g, e in zip(total, extra):
-        g += e
-    return total
-
-
-def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel):
-    """Classification hinge: phi <= 0 on trailing-safe samples, >= 0 on unsafe.
-
-    Each class contributes the mean of its hinge so the loss scale does not
-    depend on how many samples fall in either class.  Raises if both classes
-    are empty.
+    L_S is the mean of [phi]_+ over trailing-safe samples plus the mean of
+    [-phi]_+ over unsafe ones, so the loss scale does not depend on how many
+    samples fall in either class. reg is the mean of [phi + margin]_+ over
+    the trailing-safe samples: it pushes phi below -margin inside the safe
+    class so the zero-sublevel set keeps volume instead of collapsing toward
+    the decision boundary. Returns (L_S, reg, grads) with grads the gradient
+    of lambda_S * L_S + reg_weight * reg. A term whose weight is not
+    positive is left out and reads 0; without L_S the unsafe samples are
+    not traced. Raises if both classes are empty.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     Y = np.ravel(np.asarray(Y, dtype=float))
-    suffix_safe_sel = np.ravel(np.asarray(suffix_safe_sel, dtype=bool))
-    unsafe_sel = np.ravel(np.asarray(unsafe_sel, dtype=bool))
-    n_s = int(suffix_safe_sel.sum())
-    n_u = int(unsafe_sel.sum())
-    if n_s == 0 and n_u == 0:
+    safe = np.ravel(np.asarray(suffix_safe_sel, dtype=bool))
+    unsafe = np.ravel(np.asarray(unsafe_sel, dtype=bool))
+    if not (safe.any() or unsafe.any()):
         raise ValueError("safe-set loss needs at least one labeled sample")
-    loss = 0.0
-    grads = _zero_grads(bar)
-    # hinge of sign * phi per class: +1 for trailing-safe, -1 for unsafe
-    for sel, n_c, sign in ((suffix_safe_sel, n_s, 1.0),
-                           (unsafe_sel, n_u, -1.0)):
-        if n_c:
-            x, _ = bar._inputs(t[sel], Y[sel])
-            tr = bar.net.trace(x)
-            phi = sign * tr.output[:, 0]
-            loss += float(np.sum(np.maximum(phi, 0.0))) / n_c
-            up = sign * (phi > 0.0).astype(float)[:, None] / n_c
-            _accumulate(grads, bar.net.reverse(tr, up)[0])
-    return loss, grads
+    unsafe = unsafe & (lambda_S > 0)
+    rows = safe | unsafe
+    x, _ = bar._inputs(t[rows], Y[rows])
+    tr = bar.net.trace(x)
+    phi = tr.output[:, 0]
+    safe, unsafe = safe[rows], unsafe[rows]
+    n_s, n_u = int(safe.sum()), int(unsafe.sum())
+    loss, reg = 0.0, 0.0
+    up = np.zeros(phi.size)
+    if lambda_S > 0:
+        # hinge of sign * phi per class: +1 for trailing-safe, -1 for unsafe
+        for sel, n_c, sign in ((safe, n_s, 1.0), (unsafe, n_u, -1.0)):
+            if n_c:
+                h = sign * phi[sel]
+                loss += float(np.sum(np.maximum(h, 0.0))) / n_c
+                up[sel] += lambda_S * sign * (h > 0.0) / n_c
+    if reg_weight > 0 and n_s:
+        h = phi[safe] + margin
+        reg = float(np.sum(np.maximum(h, 0.0))) / n_s
+        up[safe] += reg_weight * (h > 0.0) / n_s
+    grads, _ = bar.net.reverse(tr, up[:, None])
+    return loss, reg, grads
 
 
 def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
@@ -163,6 +179,9 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
     Y0 carries the initial boundary value of the trajectory each sample came
     from, entering through the C * phi(0, Y0) term.  dY_dt is supplied by the
     caller (trajectory finite differences or an operator decomposition).
+    The samples and the distinct (0, Y0) points are traced as one batch, the
+    points with a zero direction, and swept once: each point's upstream is
+    the sum of the C-term upstreams of its samples.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     Y = np.ravel(np.asarray(Y, dtype=float))
@@ -170,48 +189,29 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
     Y0 = np.ravel(np.asarray(Y0, dtype=float))
     n = t.size
     if n == 0:
-        return 0.0, _zero_grads(bar)
+        return 0.0, [np.zeros_like(p) for p in bar.params()]
 
-    x, _ = bar._inputs(t, Y)
-    x0, _ = bar._inputs(np.zeros(n), Y0)
+    Y0s, point = np.unique(Y0, return_inverse=True)
+    k = Y0s.size
+    x, _ = bar._inputs(np.concatenate([t, np.zeros(k)]),
+                       np.concatenate([Y, Y0s]))
+    d = np.zeros_like(x)
+    d[:n, -1] = dY_dt
     if bar.time_dependent:
-        d = np.stack([np.ones(n), dY_dt], axis=1)
-    else:
-        d = dY_dt[:, None]
+        d[:n, 0] = 1.0
     tr = bar.net.trace(x, d)
-    tr0 = bar.net.trace(x0)
-    resid = tr.tangents[-1][:, 0] + constants.alpha * tr.output[:, 0] \
-        + constants.C * tr0.output[:, 0]
+    phi = tr.output[:, 0]
+    resid = constants.residual(tr.tangents[-1][:n, 0], phi[:n],
+                               phi[n:][point])
     loss = float(np.sum(np.maximum(resid, 0.0))) / n
 
-    up = (resid > 0.0).astype(float)[:, None] / n
-    grads = _zero_grads(bar)
-    # the directional and alpha terms share one sweep of x; the C term of
-    # x0 is added to their sum
-    ga, _ = bar.net.reverse(tr, constants.alpha * up, up)
-    _accumulate(grads, ga)
-    gc, _ = bar.net.reverse(tr0, constants.C * up)
-    _accumulate(grads, gc)
-    return loss, grads
-
-
-def loss_sublevel_margin(bar, t, Y, margin=0.1):
-    """Mean of [phi + margin]_+ over trailing-safe samples.
-
-    Pushes phi below -margin inside the safe class so the zero-sublevel set
-    keeps volume instead of collapsing toward the decision boundary.
-    """
-    t = np.ravel(np.asarray(t, dtype=float))
-    Y = np.ravel(np.asarray(Y, dtype=float))
-    n = t.size
-    if n == 0:
-        return 0.0, _zero_grads(bar)
-    x, _ = bar._inputs(t, Y)
-    tr = bar.net.trace(x)
-    phi = tr.output[:, 0]
-    loss = float(np.sum(np.maximum(phi + margin, 0.0))) / n
-    up = (phi + margin > 0.0).astype(float)[:, None] / n
-    grads, _ = bar.net.reverse(tr, up)
+    up = (resid > 0.0).astype(float) / n
+    # the directional and alpha terms reach the samples' rows, the C term
+    # each point's row, summed over the samples that share it
+    upstream = np.concatenate([constants.alpha * up, constants.C
+                               * np.bincount(point, weights=up, minlength=k)])
+    grads, _ = bar.net.reverse(tr, upstream[:, None],
+                               np.concatenate([up, np.zeros(k)])[:, None])
     return loss, grads
 
 
@@ -241,7 +241,7 @@ def decrease_condition_oracle(psi, dt, constants, premise_tol=0.0,
     if psi.size < 2:
         raise ValueError("need at least two samples")
     alpha, C = constants.alpha, constants.C
-    resid = np.diff(psi) / dt + alpha * psi[:-1] + C * psi[0]
+    resid = constants.residual(np.diff(psi) / dt, psi[:-1], psi[0])
     premise = bool(np.all(resid <= premise_tol))
     out = {"premise_holds": premise, "g_nonincreasing": None,
            "final_negative": None}

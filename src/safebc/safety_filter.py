@@ -100,8 +100,7 @@ def qp_filter_step(dphi_dt, dphi_dY, phi, phi0, decomp, constants,
     Lambda, mu = decomp
     # Python floats: the division below overflows to inf without a warning
     a = float(dphi_dY * Lambda)
-    c = float(dphi_dY * mu + dphi_dt + constants.alpha * phi
-              + constants.C * phi0)
+    c = float(constants.residual(dphi_dY * mu + dphi_dt, phi, phi0))
     if a * u_dot_nominal + c <= 0.0:
         return QpStep(float(u_dot_nominal), False, False)
     u_dot_safe = -c / a if a != 0.0 else math.inf

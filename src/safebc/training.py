@@ -2,13 +2,15 @@
 
 `train_joint` is the one epoch loop. Each epoch updates whichever parts
 train, and each part minimizes its own loss: the operator the trajectory
-regression loss L_G, the barrier lambda_S * L_S + lambda_BF * L_BF + reg
-under the decrease-condition constants config.constants. Each part draws
-from its own seeded random stream. Two-phase training (the default) fits
-the operator first with `train_operator`, then shapes the barrier with
-`train_bcbf` on the labeled dataset with that operator frozen. Both are
-presets of the loop that set the other part's epochs to 0, so they reduce
-to it by construction.
+regression loss L_G, the barrier lambda_S * L_S + lambda_BF * L_BF +
+reg_weight * reg under the decrease-condition constants config.constants.
+A barrier step makes two loss calls, `loss_safe_set` on labeled samples
+and `loss_decrease_condition` on rate samples, and each traces and sweeps
+the barrier network once. Each part draws from its own seeded random
+stream. Two-phase training (the default) fits the operator first with
+`train_operator`, then shapes the barrier with `train_bcbf` on the labeled
+dataset with that operator frozen. Both are presets of the loop that set
+the other part's epochs to 0, so they reduce to it by construction.
 """
 
 import math
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .barrier import (BarrierFunction, FeasibilityConstants,
-                      loss_decrease_condition, loss_safe_set,
-                      loss_sublevel_margin)
+                      loss_decrease_condition, loss_safe_set)
 from .checkpoint import ConfigurationError, fmt, read_table, write_table
 from .nets import Adam, subseed
 from .neural_operator import BoundaryOperator, mean_square, u_dot_forward
@@ -228,18 +229,19 @@ def _barrier_epoch(bar, adam, samples, config, rng):
     sums = {"L_S": 0.0, "L_BF": 0.0, "reg": 0.0}
     for k in range(n_steps):
         grads = [np.zeros_like(p) for p in bar.params()]
-        safe_sel = np.sort(samples.safe_idx[_cyclic_chunk(order_s, k * bs, bs)])
-        unsafe_sel = np.sort(
-            samples.unsafe_idx[_cyclic_chunk(order_u, k * bs, bs)])
-        if config.lambda_S > 0:
-            sel = np.concatenate([safe_sel, unsafe_sel])
-            is_safe = np.zeros(sel.size, dtype=bool)
-            is_safe[:safe_sel.size] = True
-            ls, gs = loss_safe_set(bar, samples.cls_t[sel],
-                                   samples.cls_Y[sel], is_safe, ~is_safe)
+        if config.lambda_S > 0 or sched.reg_weight > 0:
+            safe_sel = samples.safe_idx[_cyclic_chunk(order_s, k * bs, bs)]
+            unsafe_sel = samples.unsafe_idx[_cyclic_chunk(order_u, k * bs,
+                                                          bs)]
+            sel = np.concatenate([np.sort(safe_sel), np.sort(unsafe_sel)])
+            is_safe = np.arange(sel.size) < safe_sel.size
+            ls, reg, gs = loss_safe_set(
+                bar, samples.cls_t[sel], samples.cls_Y[sel], is_safe,
+                ~is_safe, config.lambda_S, sched.reg_weight, sched.margin)
             sums["L_S"] += ls
+            sums["reg"] += reg
             for g, e in zip(grads, gs):
-                g += config.lambda_S * e
+                g += e
         if config.lambda_BF > 0 and order_bf.size:
             sel = np.sort(order_bf[k * bs:(k + 1) * bs])
             if sel.size:
@@ -250,32 +252,18 @@ def _barrier_epoch(bar, adam, samples, config, rng):
                 sums["L_BF"] += lb
                 for g, e in zip(grads, gb):
                     g += config.lambda_BF * e
-        if sched.reg_weight > 0 and safe_sel.size:
-            lr_, gr = loss_sublevel_margin(bar, samples.cls_t[safe_sel],
-                                           samples.cls_Y[safe_sel],
-                                           sched.margin)
-            sums["reg"] += lr_
-            for g, e in zip(grads, gr):
-                g += sched.reg_weight * e
         adam.step(bar.params(), grads)
     return {k: v / n_steps for k, v in sums.items()}
 
 
 def _sign_error(bar, samples):
-    """Fraction of class-labeled validation samples on the wrong side of 0."""
-    n = samples.safe_idx.size + samples.unsafe_idx.size
-    if n == 0:
+    """Fraction of class-labeled validation samples on the wrong side of 0:
+    phi > 0 on a trailing-safe sample, or phi <= 0 on an unsafe one."""
+    rows = samples.cls_safe | samples.cls_unsafe
+    if not rows.any():
         return 0.0
-    wrong = 0
-    if samples.safe_idx.size:
-        phi = bar.value(samples.cls_t[samples.safe_idx],
-                        samples.cls_Y[samples.safe_idx])
-        wrong += int(np.sum(phi > 0.0))
-    if samples.unsafe_idx.size:
-        phi = bar.value(samples.cls_t[samples.unsafe_idx],
-                        samples.cls_Y[samples.unsafe_idx])
-        wrong += int(np.sum(phi <= 0.0))
-    return wrong / n
+    phi = bar.value(samples.cls_t[rows], samples.cls_Y[rows])
+    return int(np.sum((phi > 0.0) == samples.cls_safe[rows])) / phi.size
 
 
 def train_operator(dataset, config, seed=0):

@@ -1,5 +1,15 @@
 """Shared reference implementations used by several test modules.
 
+`impulse_response` gives the plant's exact linear map from two rollouts:
+both plants are linear and time-invariant, so Y = H @ U with H built from
+the response g to U[0] (which also sets the initial profile) and the
+impulse response h to one later input step.
+
+`loss_safe_set`, `loss_sublevel_margin` and `loss_decrease_condition` are
+the barrier losses with one trace and one reverse sweep per class and per
+term, and one (0, Y0) row per rate sample; the one-pass losses of
+`safebc.barrier` must match them.
+
 `whole_trajectory_filter` is the safety filter as a plain loop that predicts
 the whole trajectory (output and rate split at every row) before each step
 it reads a changed input at; the filter proper must match it.
@@ -14,6 +24,7 @@ activations stored at them) frozen.
 import numpy as np
 
 from safebc.neural_operator import trapezoid_weights
+from safebc.pde_sim import FromFile, rollout
 from safebc.safety_filter import (FilterInfeasibleError, FilterReport,
                                   StepRecord, qp_filter_step,
                                   rate_to_trajectory)
@@ -130,3 +141,122 @@ def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
         if abs(fd - model) <= rel_tol * max(abs(fd), 1e-9):
             n_pass += 1
     return n_pass, n_off, t_nodes.size
+
+
+def impulse_response(env_cfg):
+    """(g, h): the output for U = e_0 from the profile 1, and for U = e_1
+    from the profile 0, each (M+1,)."""
+    n = env_cfg.grid.M + 1
+    g = rollout(env_cfg, FromFile(np.eye(n)[0]), 1.0).Y
+    h = rollout(env_cfg, FromFile(np.eye(n)[1]), 0.0).Y
+    return g, h
+
+
+def plant_matrix(env_cfg):
+    """The (M+1, M+1) lower-triangular H with Y = H @ U for any input U
+    whose rollout starts from the profile U[0]."""
+    g, h = impulse_response(env_cfg)
+    n = g.size
+    H = np.zeros((n, n))
+    H[:, 0] = g
+    for j in range(1, n):
+        H[j:, j] = h[1:n - j + 1]
+    return H
+
+
+def _zero_grads(bar):
+    return [np.zeros_like(p) for p in bar.params()]
+
+
+def _accumulate(total, extra):
+    for g, e in zip(total, extra):
+        g += e
+    return total
+
+
+def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel):
+    """Classification hinge: phi <= 0 on trailing-safe samples, >= 0 on unsafe.
+
+    Each class contributes the mean of its hinge so the loss scale does not
+    depend on how many samples fall in either class.  Raises if both classes
+    are empty.
+    """
+    t = np.ravel(np.asarray(t, dtype=float))
+    Y = np.ravel(np.asarray(Y, dtype=float))
+    suffix_safe_sel = np.ravel(np.asarray(suffix_safe_sel, dtype=bool))
+    unsafe_sel = np.ravel(np.asarray(unsafe_sel, dtype=bool))
+    n_s = int(suffix_safe_sel.sum())
+    n_u = int(unsafe_sel.sum())
+    if n_s == 0 and n_u == 0:
+        raise ValueError("safe-set loss needs at least one labeled sample")
+    loss = 0.0
+    grads = _zero_grads(bar)
+    # hinge of sign * phi per class: +1 for trailing-safe, -1 for unsafe
+    for sel, n_c, sign in ((suffix_safe_sel, n_s, 1.0),
+                           (unsafe_sel, n_u, -1.0)):
+        if n_c:
+            x, _ = bar._inputs(t[sel], Y[sel])
+            tr = bar.net.trace(x)
+            phi = sign * tr.output[:, 0]
+            loss += float(np.sum(np.maximum(phi, 0.0))) / n_c
+            up = sign * (phi > 0.0).astype(float)[:, None] / n_c
+            _accumulate(grads, bar.net.reverse(tr, up)[0])
+    return loss, grads
+
+
+def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
+    """Hinge of the decrease-condition residual at each sample.
+
+    Y0 carries the initial boundary value of the trajectory each sample came
+    from, entering through the C * phi(0, Y0) term.  dY_dt is supplied by the
+    caller (trajectory finite differences or an operator decomposition).
+    """
+    t = np.ravel(np.asarray(t, dtype=float))
+    Y = np.ravel(np.asarray(Y, dtype=float))
+    dY_dt = np.ravel(np.asarray(dY_dt, dtype=float))
+    Y0 = np.ravel(np.asarray(Y0, dtype=float))
+    n = t.size
+    if n == 0:
+        return 0.0, _zero_grads(bar)
+
+    x, _ = bar._inputs(t, Y)
+    x0, _ = bar._inputs(np.zeros(n), Y0)
+    if bar.time_dependent:
+        d = np.stack([np.ones(n), dY_dt], axis=1)
+    else:
+        d = dY_dt[:, None]
+    tr = bar.net.trace(x, d)
+    tr0 = bar.net.trace(x0)
+    resid = tr.tangents[-1][:, 0] + constants.alpha * tr.output[:, 0] \
+        + constants.C * tr0.output[:, 0]
+    loss = float(np.sum(np.maximum(resid, 0.0))) / n
+
+    up = (resid > 0.0).astype(float)[:, None] / n
+    grads = _zero_grads(bar)
+    # the directional and alpha terms share one sweep of x; the C term of
+    # x0 is added to their sum
+    ga, _ = bar.net.reverse(tr, constants.alpha * up, up)
+    _accumulate(grads, ga)
+    gc, _ = bar.net.reverse(tr0, constants.C * up)
+    _accumulate(grads, gc)
+    return loss, grads
+
+
+def loss_sublevel_margin(bar, t, Y, margin=0.1):
+    """Mean of [phi + margin]_+ over trailing-safe samples.
+
+    Pushes phi below -margin inside the safe class so the zero-sublevel set
+    keeps volume instead of collapsing toward the decision boundary.
+    """
+    t = np.ravel(np.asarray(t, dtype=float))
+    Y = np.ravel(np.asarray(Y, dtype=float))
+    n = t.size
+    if n == 0:
+        return 0.0, _zero_grads(bar)
+    x, _ = bar._inputs(t, Y)
+    tr = bar.net.trace(x)
+    phi = tr.output[:, 0]
+    loss = float(np.sum(np.maximum(phi + margin, 0.0))) / n
+    up = (phi + margin > 0.0).astype(float)[:, None] / n
+    grads, _ = bar.net.reverse(tr, up)
+    return loss, grads

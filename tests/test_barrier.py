@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
                             decrease_condition_oracle, finite_time_constant,
-                            loss_decrease_condition, loss_safe_set,
-                            loss_sublevel_margin)
+                            loss_decrease_condition, loss_safe_set)
 
 
 def pre_activations(net, x):
@@ -120,19 +121,27 @@ def small_barrier(seed):
     return BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=seed)
 
 
+def weighted_safe_set_loss(bar, t, Y, safe, lambda_S, reg_weight, margin):
+    """(lambda_S * L_S + reg_weight * reg, grads) of `loss_safe_set`."""
+    ls, reg, grads = loss_safe_set(bar, t, Y, safe, ~safe, lambda_S,
+                                   reg_weight, margin)
+    return lambda_S * ls + reg_weight * reg, grads
+
+
 def test_safe_set_loss_gradients_match_central_differences():
     bar = small_barrier(5)
     rng = np.random.default_rng(6)
     t = rng.uniform(0.0, 5.0, size=60)
     Y = rng.normal(scale=2.0, size=60)
-    # centre phi on zero, so that both classes have active hinges
+    # centre phi on zero, so that both classes and the margin term have
+    # active hinges
     bar.net.biases[-1] -= np.median(bar.value(t, Y))
-    keep = smooth_samples(bar, t, Y, bar.value(t, Y))
+    keep = smooth_samples(bar, t, Y, bar.value(t, Y), bar.value(t, Y) + 0.1)
     t, Y = t[keep], Y[keep]
     safe = rng.random(t.size) < 0.5
     assert safe.sum() >= 10 and (~safe).sum() >= 10
     assert_grads_match_central_differences(
-        bar, lambda: loss_safe_set(bar, t, Y, safe, ~safe))
+        bar, lambda: weighted_safe_set_loss(bar, t, Y, safe, 0.7, 0.3, 0.1))
 
 
 def test_decrease_condition_loss_gradients_match_central_differences():
@@ -164,8 +173,71 @@ def test_sublevel_margin_loss_gradients_match_central_differences():
     keep = smooth_samples(bar, t, Y, bar.value(t, Y) + 0.1)
     t, Y = t[keep], Y[keep]
     assert t.size >= 20
+    safe = np.ones(t.size, dtype=bool)
     assert_grads_match_central_differences(
-        bar, lambda: loss_sublevel_margin(bar, t, Y, margin=0.1))
+        bar, lambda: weighted_safe_set_loss(bar, t, Y, safe, 0.0, 1.0, 0.1))
+
+
+def assert_within_ulp(a, b):
+    assert abs(a - b) <= np.spacing(max(abs(a), abs(b)))
+
+
+def assert_grads_close(grads, expected):
+    for g, e in zip(grads, expected, strict=True):
+        np.testing.assert_allclose(g, e, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(e)))
+
+
+@pytest.mark.parametrize("time_dependent", [True, False])
+@pytest.mark.parametrize("lambda_S, reg_weight, classes", [
+    (1.0, 1.0, "both"), (2.5, 0.3, "both"), (0.0, 1.0, "both"),
+    (1.0, 0.0, "both"), (1.0, 1.0, "safe only"), (1.0, 1.0, "unsafe only"),
+    (0.0, 1.0, "safe only")])
+def test_safe_set_loss_matches_the_per_term_oracle(time_dependent, lambda_S,
+                                                   reg_weight, classes):
+    bar = BarrierFunction(time_dependent, hidden=(4, 6, 4), seed=11)
+    rng = np.random.default_rng(12)
+    t = rng.uniform(0.0, 5.0, size=50)
+    Y = rng.normal(scale=2.0, size=50)
+    bar.net.biases[-1] -= np.median(bar.value(t, Y))
+    safe = {"both": rng.random(50) < 0.5, "safe only": np.ones(50, bool),
+            "unsafe only": np.zeros(50, bool)}[classes]
+    ls, reg, grads = loss_safe_set(bar, t, Y, safe, ~safe, lambda_S,
+                                   reg_weight, 0.1)
+    ref_ls, ref_gs = oracles.loss_safe_set(bar, t, Y, safe, ~safe)
+    ref_reg, ref_gr = oracles.loss_sublevel_margin(bar, t[safe], Y[safe], 0.1)
+    assert_within_ulp(ls, ref_ls if lambda_S else 0.0)
+    assert_within_ulp(reg, ref_reg if reg_weight else 0.0)
+    assert_grads_close(grads, [lambda_S * a + reg_weight * b
+                               for a, b in zip(ref_gs, ref_gr)])
+
+
+@pytest.mark.parametrize("time_dependent", [True, False])
+@pytest.mark.parametrize("n_y0", [3, 40])
+@pytest.mark.parametrize("asymptotic", [False, True])
+def test_decrease_condition_loss_matches_the_per_sample_oracle(
+        time_dependent, n_y0, asymptotic):
+    bar = BarrierFunction(time_dependent, hidden=(4, 6, 4), seed=13)
+    constants = FeasibilityConstants(alpha=0.3, T=5.0, asymptotic=asymptotic)
+    rng = np.random.default_rng(14)
+    t = rng.uniform(0.0, 5.0, size=40)
+    Y = rng.normal(scale=2.0, size=40)
+    dY_dt = rng.normal(scale=3.0, size=40)
+    # n_y0 = 3 repeats each initial value across many samples
+    Y0 = rng.choice(rng.normal(scale=2.0, size=n_y0), size=40)
+    loss, grads = loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants)
+    ref_loss, ref_grads = oracles.loss_decrease_condition(bar, t, Y, dY_dt,
+                                                          Y0, constants)
+    assert ref_loss > 0.0
+    assert_within_ulp(loss, ref_loss)
+    assert_grads_close(grads, ref_grads)
+
+
+def test_residual_sums_rate_alpha_and_c_terms_in_that_order():
+    constants = FeasibilityConstants(alpha=0.3, T=2.0)
+    rate, phi, phi0 = 0.1, -0.7, 1e-17
+    assert constants.residual(rate, phi, phi0) == \
+        (rate + constants.alpha * phi) + constants.C * phi0
 
 
 @given(alpha=st.floats(1e-6, 1e-2), T=st.floats(0.5, 10.0),

@@ -251,6 +251,38 @@ class TestRollout:
             rollout(HyperbolicConfig(), Constant(0.0), np.nan)
 
 
+TRANSPORT_05 = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 50))
+TRANSPORT_5 = HyperbolicConfig(beta=5.0, grid=TimeGrid(5.0, 50))
+DIFFUSION = ParabolicConfig(grid=TimeGrid(1.0, 80))
+
+
+class TestPlantOracle:
+    """Both plants are linear and time-invariant, so two rollouts give the
+    exact input-output matrix (see oracles.impulse_response)."""
+
+    @pytest.mark.parametrize("env", [TRANSPORT_05, TRANSPORT_5, DIFFUSION],
+                             ids=["transport-0.5", "transport-5",
+                                  "diffusion"])
+    def test_plant_matrix_reproduces_a_smooth_rollout(self, env):
+        from oracles import plant_matrix
+        res = rollout(env, SmoothRandom(seed=2), 1.3, episode_seed=5)
+        err = np.max(np.abs(plant_matrix(env) @ res.U - res.Y))
+        assert err <= 1e-12 * np.max(np.abs(res.Y))
+
+    def test_transport_delays_the_input_by_one_time_unit(self):
+        from oracles import impulse_response
+        _, h = impulse_response(TRANSPORT_05)
+        k = round(1.0 / TRANSPORT_05.grid.dt)
+        assert np.all(h[:k + 1] == 0.0)
+        assert h[k + 1] != 0.0
+
+    def test_diffusion_responds_at_once_but_barely(self):
+        from oracles import impulse_response
+        _, h = impulse_response(DIFFUSION)
+        assert h[0] == 0.0
+        assert 0.0 < abs(h[1]) < 1e-11
+
+
 class TestControllers:
     def test_proportional_is_output_feedback(self):
         c = Proportional(2.0)

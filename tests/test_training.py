@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
-                            loss_decrease_condition, loss_safe_set,
-                            loss_sublevel_margin)
-from safebc.nets import Mlp
+                            loss_decrease_condition, loss_safe_set)
+from safebc.nets import Adam, Mlp
 from safebc.neural_operator import BoundaryOperator, u_dot_forward
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, StopReason,
                              TrainConfig, TrainHistory, _BarrierSamples,
-                             train_bcbf, train_joint, train_operator)
+                             _barrier_epoch, _sign_error, train_bcbf,
+                             train_joint, train_operator)
 from safebc.trajectories import (OneSidedSet, balance_near_zero,
                                  collect_dataset, suffix_safe_mask)
 
@@ -232,15 +232,16 @@ def test_a_diverging_run_records_why_it_stopped(dataset, tmp_path):
 
 
 class PassLog:
-    """Records each Mlp.trace as (net, carries a direction) and each
-    Mlp.reverse as its net."""
+    """Records each Mlp.trace as (net, carries a direction) with its row
+    count in rows, and each Mlp.reverse as its net."""
 
     def __init__(self, monkeypatch):
-        self.traces, self.reverses = [], []
+        self.traces, self.rows, self.reverses = [], [], []
         trace, reverse = Mlp.trace, Mlp.reverse
 
         def counted_trace(net, x, d=None):
             self.traces.append((net, d is not None))
+            self.rows.append(np.atleast_2d(x).shape[0])
             return trace(net, x, d)
 
         def counted_reverse(net, tr, *args, **kwargs):
@@ -252,6 +253,7 @@ class PassLog:
 
     def clear(self):
         self.traces.clear()
+        self.rows.clear()
         self.reverses.clear()
 
     def traced(self, net):
@@ -289,21 +291,58 @@ def test_barrier_losses_trace_each_batch_once(passes):
     bar = BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=0)
     rng = np.random.default_rng(3)
     t, Y = rng.uniform(0.0, 5.0, 8), rng.normal(size=8)
-    loss_decrease_condition(bar, t, Y, rng.normal(size=8),
-                            rng.normal(size=8), FeasibilityConstants())
-    # x with its direction, then x0; one reverse of each
-    assert passes.traces == [(bar.net, True), (bar.net, False)]
-    assert len(passes.reverses) == 2
-    passes.clear()
-    loss_sublevel_margin(bar, t, Y, 0.1)
-    assert passes.traces == [(bar.net, False)]
+    Y0 = np.repeat(rng.normal(size=3), [2, 5, 1])
+    loss_decrease_condition(bar, t, Y, rng.normal(size=8), Y0,
+                            FeasibilityConstants())
+    # the samples with their direction and the 3 distinct (0, Y0) points
+    # in one trace, and one reverse
+    assert passes.traces == [(bar.net, True)]
+    assert passes.rows == [8 + 3]
     assert len(passes.reverses) == 1
     passes.clear()
     safe = np.arange(8) < 5
-    loss_safe_set(bar, t, Y, safe, ~safe)
-    # one trace and one reverse per class
-    assert passes.traces == [(bar.net, False)] * 2
-    assert len(passes.reverses) == 2
+    loss_safe_set(bar, t, Y, safe, ~safe, 1.0, 1.0, 0.1)
+    # both classes and the margin term in one trace and one reverse
+    assert passes.traces == [(bar.net, False)]
+    assert passes.rows == [8]
+    assert len(passes.reverses) == 1
+    passes.clear()
+    # without the class hinge only the trailing-safe samples are traced
+    loss_safe_set(bar, t, Y, safe, ~safe, 0.0, 1.0, 0.1)
+    assert passes.rows == [5]
+    assert len(passes.reverses) == 1
+
+
+def test_a_barrier_step_traces_and_sweeps_the_barrier_twice(dataset,
+                                                            passes):
+    config = small_config()
+    retained = balance_near_zero(dataset, band=config.balance_band,
+                                 keep_fraction=config.balance_keep, seed=4)
+    samples = _BarrierSamples(dataset, np.arange(dataset.U.shape[0]),
+                              retained)
+    samples.set_rates(config.dy_dt_source, None)
+    bar = BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=0)
+    bs = config.bcbf.batch_samples
+    n_steps = -(-samples.bf_t.size // bs)
+    assert n_steps >= 2
+    adam = Adam(bar.params(), lr=1e-3)
+    passes.clear()
+    _barrier_epoch(bar, adam, samples, config, np.random.default_rng(5))
+    assert passes.traces == [(bar.net, False), (bar.net, True)] * n_steps
+    assert len(passes.reverses) == 2 * n_steps
+    # each step's rate samples, then one (0, Y0) row per distinct initial
+    # value among them; the permutation is the epoch's first draw
+    order = np.random.default_rng(5).permutation(samples.bf_t.size)
+    for k in range(n_steps):
+        sel = order[k * bs:(k + 1) * bs]
+        n_y0 = np.unique(samples.bf_Y0[sel]).size
+        assert n_y0 < sel.size
+        assert passes.rows[2 * k + 1] == sel.size + n_y0
+    passes.clear()
+    _sign_error(bar, samples)
+    assert passes.traces == [(bar.net, False)]
+    assert passes.rows == [samples.safe_idx.size + samples.unsafe_idx.size]
+    assert not passes.reverses
 
 
 def test_the_validation_loss_runs_no_reverse(dataset, passes):
