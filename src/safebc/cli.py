@@ -20,7 +20,8 @@ from .checkpoint import (DatasetFormatError, read_table, write_table,
 from .evaluation import (ExperimentSpec, Metrics, evaluate, report,
                          threshold_sweep)
 from .neural_operator import BoundaryOperator
-from .pde_sim import (ENVIRONMENTS, ConfigurationError, parse_controller,
+from .pde_sim import (ENVIRONMENTS, ConfigurationError,
+                      SimulationDivergedError, parse_controller,
                       read_trajectory_csv, rollout, write_states_csv,
                       write_trajectory_csv)
 from .safety_filter import INFEASIBLE_POLICIES, FilterConfig, filter_trajectory
@@ -141,12 +142,15 @@ def _env_from_flags(args):
 def _cmd_simulate(args):
     env = _env_from_flags(args)
     controller = parse_controller(args.controller)
-    result = rollout(env, controller, args.U0, episode_seed=args.seed)
-    write_states_csv(args.out, result.states, env.grid)
+    result = rollout(env, [controller], [args.U0], episode_seeds=[args.seed])
+    if step := int(result.diverged[0]):
+        raise SimulationDivergedError(
+            f"simulation diverged: state not finite at step {step}", step)
+    write_states_csv(args.out, result.states[0], env.grid)
     if args.trajectory_out:
-        write_trajectory_csv(args.trajectory_out, result.U, env.grid,
-                             Y=result.Y)
-    print(f"wrote {len(result.states)} state snapshots to {args.out}")
+        write_trajectory_csv(args.trajectory_out, result.U[0], env.grid,
+                             Y=result.Y[0])
+    print(f"wrote {len(result.states[0])} state snapshots to {args.out}")
 
 
 def _cmd_collect(args):

@@ -1,13 +1,13 @@
 """End-to-end evaluation of nominal versus filtered boundary control.
 
-Each episode draws an initial condition, runs the nominal controller closed
-loop on the simulator, and optionally rewrites the recorded input through the
-safety filter.  When the filter changed the input, the final input is
-replayed open loop for scoring: a second rollout driven by a FromFile
-controller over that input.  When the input is bitwise unchanged (filter off,
-or no step modified) the closed-loop run is scored directly, since replaying
-it would reproduce its states bitwise; so a disabled filter and a threshold
-of zero give identical metrics.
+One rollout batch runs every episode's nominal controller closed loop on
+the simulator from its drawn initial condition. With the filter on, the
+safety filter then rewrites each recorded input in episode order, and a
+second batch replays only the inputs it changed, open loop through FromFile
+controllers, for scoring. An episode whose input is bitwise unchanged
+(filter off, or no step modified) is scored on its closed-loop run, which a
+replay would reproduce bitwise; so a disabled filter and a threshold of
+zero give identical metrics.
 """
 
 import os
@@ -19,8 +19,8 @@ from .barrier import BarrierFunction
 from .checkpoint import read_table, write_table
 from .nets import subseed
 from .neural_operator import BoundaryOperator
-from .pde_sim import (ConfigurationError, FromFile, SimulationDivergedError,
-                      rollout, stabilization_reward)
+from .pde_sim import (ConfigurationError, FromFile, rollout,
+                      stabilization_reward)
 from .safety_filter import FilterConfig, filter_trajectory
 from .trajectories import label_safety, suffix_safe_mask
 
@@ -118,22 +118,30 @@ def run_episodes(spec):
     if spec.filter_on:
         op, bar = _load_models(spec)
     lo, hi = spec.U0_range
+    U0 = [float(np.random.default_rng(subseed(spec.seed, e)).uniform(lo, hi))
+          for e in range(spec.episodes)]
+    run = rollout(spec.env, [spec.controller] * spec.episodes, U0,
+                  episode_seeds=range(spec.episodes))
+    changed = {}
+    if spec.filter_on:
+        for e in np.flatnonzero(run.diverged == 0):
+            U_safe = filter_trajectory(op, bar, run.U[e], spec.filter).U_safe
+            if U_safe.tobytes() != run.U[e].tobytes():
+                changed[e] = U_safe
+    if changed:
+        rows = list(changed)
+        replay = rollout(spec.env, [FromFile(U) for U in changed.values()],
+                         [U[0] for U in changed.values()])
+        run.Y[rows], run.states[rows] = replay.Y, replay.states
+        run.diverged[rows] = replay.diverged
     records = []
     for e in range(spec.episodes):
-        rng = np.random.default_rng(subseed(spec.seed, e))
-        U0 = float(rng.uniform(lo, hi))
-        try:
-            played = rollout(spec.env, spec.controller, U0, episode_seed=e)
-            if spec.filter_on:
-                U_safe = filter_trajectory(op, bar, played.U,
-                                           spec.filter).U_safe
-                if U_safe.tobytes() != played.U.tobytes():
-                    played = rollout(spec.env, FromFile(U_safe), U_safe[0])
-            reward = stabilization_reward(played.states)
-            steps = feasible_steps(label_safety(played.Y, spec.safe_set))
-        except SimulationDivergedError:
+        if run.diverged[e]:
             reward, steps = float("-inf"), None
-        records.append(EpisodeRecord(e, U0, reward, steps is not None,
+        else:
+            reward = stabilization_reward(run.states[e])
+            steps = feasible_steps(label_safety(run.Y[e], spec.safe_set))
+        records.append(EpisodeRecord(e, U0[e], reward, steps is not None,
                                      steps if steps is not None else 0))
     return records
 

@@ -17,15 +17,18 @@ at x = 1, and are observed at a single output location:
   unconditionally stable in dt.
 
 A plant state is the (n_points,) array of samples of u(., t) on the uniform
-spatial grid over [0, 1], and a rollout keeps every state in one
-(M+1, n_points) array. Rollouts start from the constant profile
-u(x, 0) = U0 and are pure functions of (config, controller, U0, grid,
-episode_seed). A recorded input is replayed by a rollout with a FromFile
-controller, which reproduces the recorded run's states bitwise.
+spatial grid over [0, 1]. A rollout runs B episodes side by side: one step
+call per grid step advances their (B, n_points) states, and every state is
+kept in one (B, M+1, n_points) array. Each episode starts from the constant
+profile u(x, 0) = U0 and is a pure function of (config, controller, U0,
+grid, episode_seed), bitwise the same in any batch. A recorded input is
+replayed by a rollout with a FromFile controller, which reproduces the
+recorded run's states bitwise.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -38,7 +41,8 @@ from .checkpoint import (ConfigurationError, DatasetFormatError, read_table,
 
 
 class SimulationDivergedError(RuntimeError):
-    """Raised when a step produces non-finite state; carries the step index."""
+    """Raised when a simulation's state turns non-finite; carries the step
+    index. rollout marks such episodes in `diverged` instead."""
 
     def __init__(self, message, step=None):
         super().__init__(message)
@@ -139,70 +143,78 @@ ENVIRONMENTS = {"hyperbolic": HyperbolicConfig, "parabolic": ParabolicConfig}
 
 
 def _check_step(state, u_boundary, cfg):
-    """The state as a float array, once it and the boundary value fit cfg."""
-    if not np.isfinite(u_boundary):
-        raise ConfigurationError("boundary value must be finite")
+    """The state and boundary values as float arrays, once they fit cfg."""
     u = np.asarray(state, dtype=np.float64)
-    if u.shape != (cfg.n_points,):
+    if u.ndim == 0 or u.shape[-1] != cfg.n_points:
         raise ConfigurationError(
             f"state has shape {u.shape}, config has n_points={cfg.n_points}")
-    return u
+    b = np.asarray(u_boundary, dtype=np.float64)
+    if b.shape != u.shape[:-1]:
+        raise ConfigurationError(
+            f"boundary values have shape {b.shape}, states {u.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ConfigurationError("boundary value must be finite")
+    return u, b
 
 
 def step_hyperbolic(state, u_boundary, cfg):
-    """Advance the transport plant's (n_points,) state by one grid step dt.
+    """Advance (..., n_points) transport plant states, each with its own
+    boundary value, by one grid step dt.
 
     The step runs cfg.substeps upwind substeps
     u_i <- u_i + (dt_sub/dx)(u_{i+1} - u_i) + dt_sub * beta * u_0 for
     i = 0..N-2, writing the (linearly ramped) boundary value into the
-    rightmost point after each substep.
+    rightmost point after each substep. An overflowing state comes back
+    non-finite; the caller checks for that.
 
-    Raises ConfigurationError if the state does not have cfg.n_points
-    points.
+    Raises ConfigurationError if the states do not have cfg.n_points
+    points or a boundary value is not finite.
     """
-    u = _check_step(state, u_boundary, cfg)
+    u, b = _check_step(state, u_boundary, cfg)
     n_sub = cfg.substeps
     dt_sub = cfg.grid.dt / n_sub
     r = dt_sub / cfg.dx
-    b_prev = u[-1]
+    b_prev = u[..., -1]
     new = u.copy()
     for j in range(1, n_sub + 1):
-        incr = r * (new[1:] - new[:-1]) + dt_sub * cfg.beta * new[0]
-        new[:-1] += incr
-        new[-1] = b_prev + (j / n_sub) * (u_boundary - b_prev)
-    if not np.all(np.isfinite(new)):
-        raise SimulationDivergedError("transport step diverged")
+        incr = r * (new[..., 1:] - new[..., :-1]) \
+            + dt_sub * cfg.beta * new[..., :1]
+        new[..., :-1] += incr
+        new[..., -1] = b_prev + (j / n_sub) * (b - b_prev)
     return new
 
 
 def step_parabolic(state, u_boundary, cfg):
-    """Advance the reaction-diffusion plant's (n_points,) state by one grid
-    step dt.
+    """Advance (..., n_points) reaction-diffusion plant states, each with its
+    own boundary value, by one grid step dt.
 
-    Crank-Nicolson in the diffusion term (tridiagonal solve) and trapezoidal
-    treatment of the reaction term. `u_boundary` is the Dirichlet value at
-    x = 1 at the new time level; the old level's value is read from the state.
-    Raises ConfigurationError if the state does not have cfg.n_points points.
+    Crank-Nicolson in the diffusion term (one tridiagonal solve, a
+    right-hand side per state) and trapezoidal treatment of the reaction
+    term. `u_boundary` is the Dirichlet value at x = 1 at the new time level;
+    the old level's value is read from the state. An overflowing state comes
+    back non-finite; the caller checks for that.
+
+    Raises ConfigurationError if the states do not have cfg.n_points
+    points or a boundary value is not finite.
     """
-    u = _check_step(state, u_boundary, cfg)
+    u, b = _check_step(state, u_boundary, cfg)
     dt = cfg.grid.dt
     a = cfg.eps / cfg.dx**2
-    n_int = u.size - 2
+    n_int = cfg.n_points - 2
     ab = np.zeros((3, n_int))
     ab[0, 1:] = -0.5 * dt * a
     ab[1, :] = 1.0 + dt * a - 0.5 * dt * cfg.lam
     ab[2, :-1] = -0.5 * dt * a
-    lap = u[2:] - 2.0 * u[1:-1] + u[:-2]
-    rhs = u[1:-1] + 0.5 * dt * (a * lap + cfg.lam * u[1:-1])
-    rhs[-1] += 0.5 * dt * a * u_boundary  # new-time right boundary
-    sol = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+    lap = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
+    rhs = u[..., 1:-1] + 0.5 * dt * (a * lap + cfg.lam * u[..., 1:-1])
+    rhs[..., -1] += 0.5 * dt * a * b  # new-time right boundary
+    sol = solve_banded((1, 1), ab, rhs.reshape(-1, n_int).T,
+                       overwrite_ab=True, overwrite_b=True,
                        check_finite=False)
     new = np.empty_like(u)
-    new[0] = 0.0
-    new[1:-1] = sol
-    new[-1] = u_boundary
-    if not np.all(np.isfinite(new)):
-        raise SimulationDivergedError("reaction-diffusion step diverged")
+    new[..., 0] = 0.0
+    new[..., 1:-1] = sol.T.reshape(rhs.shape)
+    new[..., -1] = b
     return new
 
 
@@ -219,6 +231,9 @@ class Controller:
 
     reset is called once per episode; control produces U_m for m >= 1 given
     the latest measured output Y_{m-1}. U_0 is always the episode's U0.
+    A rollout drives each episode with its own deep copy of the controller
+    it was given, so that copy holds all per-episode state: episodes run
+    side by side never share it, and the caller's instance is not changed.
     """
 
     # (spec name, {spec key: (constructor parameter, type)}) of the spec
@@ -375,42 +390,59 @@ def parse_controller(text):
 
 
 class RolloutResult:
-    """Boundary input/output trajectories, each (M+1,), plus the state
-    history as one (M+1, n_points) array."""
+    """Boundary input/output trajectories of B episodes, each (B, M+1), the
+    state histories as one (B, M+1, n_points) array, and `diverged`, per
+    episode the first step whose state is not finite (0 when it stayed
+    finite). A diverged episode reads NaN from that step on."""
 
-    def __init__(self, U, Y, states):
+    def __init__(self, U, Y, states, diverged):
         self.U = U
         self.Y = Y
         self.states = states
+        self.diverged = diverged
 
 
-def rollout(env_cfg, controller, U0, episode_seed=None):
-    """Run one closed-loop episode from the constant profile u(x,0) = U0.
+def rollout(env_cfg, controllers, U0, episode_seeds=None):
+    """Run B closed-loop episodes together, episode b on its own copy of
+    controllers[b] from the constant profile u(x,0) = U0[b].
 
-    Raises SimulationDivergedError, with .step the first step whose state is
-    not finite, when the plant blows up."""
-    if not np.isfinite(U0):
+    Each grid step makes one step call on the running episodes' states. An
+    episode whose state turns non-finite is marked in `diverged` and
+    dropped; the others run on unchanged."""
+    U0 = np.asarray(U0, dtype=np.float64)
+    if U0.shape != (len(controllers),):
+        raise ConfigurationError(
+            f"{len(controllers)} controllers but U0 has shape {U0.shape}")
+    if not np.all(np.isfinite(U0)):
         raise ConfigurationError("U0 must be finite")
     grid = env_cfg.grid
     step = _stepper(env_cfg)
     out = env_cfg.output_index
-    dt = grid.dt
-    states = np.empty((grid.M + 1, env_cfg.n_points))
-    states[0] = float(U0)
-    U = np.empty(grid.M + 1)
-    U[0] = float(U0)
-    controller.reset(float(U0), grid, episode_seed)
+    controllers = [copy.deepcopy(c) for c in controllers]
+    seeds = [None] * len(U0) if episode_seeds is None else episode_seeds
+    for c, u0, seed in zip(controllers, U0, seeds, strict=True):
+        c.reset(float(u0), grid, seed)
+    states = np.empty((len(U0), grid.M + 1, env_cfg.n_points))
+    states[:, 0] = U0[:, None]
+    U = np.empty((len(U0), grid.M + 1))
+    U[:, 0] = U0
+    diverged = np.zeros(len(U0), dtype=int)
+    live = np.arange(len(U0))
     for m in range(1, grid.M + 1):
-        u_m = float(controller.control(m, m * dt, states[m - 1, out]))
-        if not np.isfinite(u_m):
-            raise ConfigurationError(f"controller produced non-finite U at step {m}")
-        try:
-            states[m] = step(states[m - 1], u_m, env_cfg)
-        except SimulationDivergedError as exc:
-            exc.step = m
-            raise
-        U[m] = u_m
-    return RolloutResult(U, states[:, out].copy(), states)
+        for b in live:
+            U[b, m] = controllers[b].control(m, m * grid.dt,
+                                             states[b, m - 1, out])
+        if not np.all(np.isfinite(U[live, m])):
+            raise ConfigurationError(
+                f"controller produced non-finite U at step {m}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            states[live, m] = step(states[live, m - 1], U[live, m], env_cfg)
+        finite = np.isfinite(states[live, m]).all(axis=1)
+        if not finite.all():
+            diverged[live[~finite]] = m
+            states[live[~finite], m:] = U[live[~finite], m:] = np.nan
+            live = live[finite]
+    return RolloutResult(U, states[:, :, out].copy(), states, diverged)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz

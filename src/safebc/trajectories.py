@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import (ConfigurationError, DatasetFormatError, fmt,
                          read_table, write_table)
 from .nets import subseed
-from .pde_sim import SimulationDivergedError, TimeGrid, rollout
+from .pde_sim import TimeGrid, rollout
 
 DATASET_COLUMNS = ("traj_id", "step", "t", "U", "Y", "safe")
 
@@ -147,9 +147,9 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
     """Roll out K episodes (controllers cycled round-robin) and label them.
 
     U0 and the controller's episode entropy derive from (seed, index), so the
-    result is deterministic and order-independent. Diverged rollouts are
-    skipped and counted in meta["skipped"]; more than 50% skipped raises
-    CollectionError.
+    result is deterministic and order-independent. All K episodes run as one
+    batch. Diverged rollouts are skipped and counted in meta["skipped"];
+    more than 50% skipped raises CollectionError.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -158,16 +158,12 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
         raise ValueError("empty U0 range")
     if not controllers:
         raise ValueError("need at least one controller")
-    runs = []
-    for k in range(K):
-        rng = np.random.default_rng((int(seed), k))
-        U0 = rng.uniform(lo, hi)
-        controller = controllers[k % len(controllers)]
-        try:
-            runs.append(rollout(env_cfg, controller, U0, episode_seed=k))
-        except SimulationDivergedError:
-            pass
-    skipped = K - len(runs)
+    U0 = [np.random.default_rng((int(seed), k)).uniform(lo, hi)
+          for k in range(K)]
+    run = rollout(env_cfg, [controllers[k % len(controllers)]
+                            for k in range(K)], U0, episode_seeds=range(K))
+    kept = run.diverged == 0
+    skipped = K - int(kept.sum())
     if 2 * skipped > K:
         raise CollectionError(f"{skipped} of {K} rollouts diverged")
     meta = {
@@ -178,9 +174,9 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
         "K": str(K),
         "skipped": str(skipped),
     }
-    Y = np.stack([run.Y for run in runs])
-    return Dataset(env_cfg.grid, np.stack([run.U for run in runs]), Y,
-                   label_safety(Y, safe_set), meta)
+    Y = run.Y[kept]
+    return Dataset(env_cfg.grid, run.U[kept], Y, label_safety(Y, safe_set),
+                   meta)
 
 
 def balance_near_zero(dataset, band, keep_fraction, seed=0):

@@ -1,5 +1,8 @@
 """Shared reference implementations used by several test modules.
 
+`sequential_rollout` is the rollout loop one episode at a time, raising at
+the first non-finite step; each row of a batched `rollout` must equal it.
+
 `impulse_response` gives the plant's exact linear map from two rollouts:
 both plants are linear and time-invariant, so Y = H @ U with H built from
 the response g to U[0] (which also sets the initial profile) and the
@@ -24,7 +27,9 @@ activations stored at them) frozen.
 import numpy as np
 
 from safebc.neural_operator import trapezoid_weights
-from safebc.pde_sim import FromFile, rollout
+from safebc.pde_sim import (FromFile, HyperbolicConfig,
+                            SimulationDivergedError, rollout,
+                            step_hyperbolic, step_parabolic)
 from safebc.safety_filter import (FilterInfeasibleError, FilterReport,
                                   StepRecord, qp_filter_step,
                                   rate_to_trajectory)
@@ -143,12 +148,37 @@ def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
     return n_pass, n_off, t_nodes.size
 
 
+def sequential_rollout(env_cfg, controller, U0, episode_seed=None):
+    """One closed-loop episode as a plain loop over single-state steps:
+    `(U, Y, states)` of shapes (M+1,), (M+1,) and (M+1, n_points).
+
+    Raises SimulationDivergedError, with .step the first step whose state
+    is not finite, when the plant blows up; the batched `rollout` must
+    match it row by row."""
+    grid = env_cfg.grid
+    step = step_hyperbolic if isinstance(env_cfg, HyperbolicConfig) \
+        else step_parabolic
+    states = np.empty((grid.M + 1, env_cfg.n_points))
+    states[0] = float(U0)
+    U = np.empty(grid.M + 1)
+    U[0] = float(U0)
+    controller.reset(float(U0), grid, episode_seed)
+    for m in range(1, grid.M + 1):
+        u_m = float(controller.control(m, m * grid.dt,
+                                       states[m - 1, env_cfg.output_index]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            states[m] = step(states[m - 1], u_m, env_cfg)
+        if not np.all(np.isfinite(states[m])):
+            raise SimulationDivergedError("step diverged", step=m)
+        U[m] = u_m
+    return U, states[:, env_cfg.output_index].copy(), states
+
+
 def impulse_response(env_cfg):
     """(g, h): the output for U = e_0 from the profile 1, and for U = e_1
     from the profile 0, each (M+1,)."""
-    n = env_cfg.grid.M + 1
-    g = rollout(env_cfg, FromFile(np.eye(n)[0]), 1.0).Y
-    h = rollout(env_cfg, FromFile(np.eye(n)[1]), 0.0).Y
+    e = np.eye(env_cfg.grid.M + 1)
+    g, h = rollout(env_cfg, [FromFile(e[0]), FromFile(e[1])], [1.0, 0.0]).Y
     return g, h
 
 

@@ -98,6 +98,17 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_diverging_simulation_names_its_step(tmp_path, capsys):
+    # the episode of test_pde_sim's divergence test overflows at step 26
+    rc = main(["simulate", "--env", "hyperbolic", "--beta", "200",
+               "--grid-T", "10", "--grid-M", "40", "--controller",
+               "proportional:gain=0.5", "--U0", "1",
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "diverged: state not finite at step 26" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_report_out_is_written_atomically(run, tmp_path, monkeypatch):
     out = tmp_path / "report.md"
 

@@ -6,17 +6,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import sequential_rollout
 from safebc import evaluation
 from safebc.barrier import BarrierFunction
 from safebc.evaluation import (ExperimentSpec, evaluate, feasible_steps,
                                metrics_from_records, read_episode_csv,
                                run_episodes, threshold_sweep)
 from safebc.neural_operator import BoundaryOperator
-from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
+from safebc.pde_sim import (ConfigurationError, FromFile, HyperbolicConfig,
                             Proportional, SimulationDivergedError,
                             SmoothRandom, TimeGrid, rollout,
                             stabilization_reward)
-from safebc.safety_filter import FilterConfig
+from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
+                                  filter_trajectory)
 from safebc.trajectories import OneSidedSet, label_safety
 
 GRID = TimeGrid(5.0, 20)
@@ -46,25 +48,76 @@ def test_feasible_steps_counts_the_safe_suffix():
 def test_filter_off_scores_the_closed_loop_run_bitwise(spec):
     records = run_episodes(spec)
     for r in records:
-        closed = rollout(ENV, spec.controller, r.U0, episode_seed=r.episode)
-        assert r.reward == stabilization_reward(closed.states)
+        _, Y, states = sequential_rollout(ENV, spec.controller, r.U0,
+                                          episode_seed=r.episode)
+        assert r.reward == stabilization_reward(states)
         assert r.feasible_steps == (
-            feasible_steps(label_safety(closed.Y, spec.safe_set)) or 0)
+            feasible_steps(label_safety(Y, spec.safe_set)) or 0)
+
+
+def counting(monkeypatch):
+    """The U0 arguments of every evaluation.rollout call, in order."""
+    calls = []
+
+    def counting_rollout(env, controllers, U0, episode_seeds=None):
+        calls.append(list(U0))
+        return rollout(env, controllers, U0, episode_seeds)
+
+    monkeypatch.setattr(evaluation, "rollout", counting_rollout)
+    return calls
 
 
 @pytest.mark.parametrize("filter_on, eta", [(False, 1e9), (True, 0.0)])
 def test_unchanged_input_is_scored_without_a_replay(spec, monkeypatch,
                                                     filter_on, eta):
-    calls = []
-
-    def counting_rollout(*args, **kwargs):
-        calls.append(args)
-        return rollout(*args, **kwargs)
-
-    monkeypatch.setattr(evaluation, "rollout", counting_rollout)
+    calls = counting(monkeypatch)
     run_episodes(dataclasses.replace(spec, filter_on=filter_on,
                                      filter=FilterConfig(eta=eta)))
-    assert len(calls) == spec.episodes
+    assert len(calls) == 1 and len(calls[0]) == spec.episodes
+
+
+def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
+    calls = counting(monkeypatch)
+    # at this threshold the filter changes some inputs, not all
+    on = dataclasses.replace(spec, filter_on=True,
+                             filter=FilterConfig(eta=20.0))
+    records = run_episodes(on)
+    assert len(calls) == 2 and 0 < len(calls[1]) < spec.episodes
+    # the replay starts from the nominal U0 of each changed episode; the
+    # others are scored on their nominal run
+    changed = [r for r in records if r.U0 in calls[1]]
+    assert len(changed) == len(calls[1])
+    op = BoundaryOperator.load(on.operator_path)
+    bar = BarrierFunction.load(on.bcbf_path)
+    for r in records:
+        U, Y, states = sequential_rollout(ENV, spec.controller, r.U0,
+                                          episode_seed=r.episode)
+        U_safe = filter_trajectory(op, bar, U, on.filter).U_safe
+        if r in changed:
+            _, Y, states = sequential_rollout(ENV, FromFile(U_safe),
+                                              U_safe[0])
+        else:
+            assert np.array_equal(U_safe, U)
+        assert r.reward == stabilization_reward(states)
+
+
+def test_the_abort_policy_stops_at_the_first_infeasible_episode(
+        spec, monkeypatch):
+    filtered = []
+
+    def aborting_filter(op, bar, U, config):
+        filtered.append(U.copy())
+        if len(filtered) == 2:
+            raise FilterInfeasibleError(3)
+        return filter_trajectory(op, bar, U, config)
+
+    monkeypatch.setattr(evaluation, "filter_trajectory", aborting_filter)
+    with pytest.raises(FilterInfeasibleError):
+        run_episodes(dataclasses.replace(spec, filter_on=True))
+    nominal = [sequential_rollout(ENV, spec.controller, r.U0,
+                                  episode_seed=r.episode)[0]
+               for r in run_episodes(spec)[:2]]
+    assert np.array_equal(filtered, nominal)
 
 
 def test_filter_off_metrics_equal_zero_threshold_metrics(spec):
@@ -92,27 +145,32 @@ def test_episode_csv_re_aggregates_exactly(spec, tmp_path, filter_on):
 
 def test_diverged_episodes_count_as_infeasible(tmp_path, monkeypatch):
     # beta=200 on this grid overflows the state within the horizon, so
-    # every rollout raises
+    # every episode diverges
     spec = ExperimentSpec(
         env=HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40)),
         controller=Proportional(0.5), safe_set=OneSidedSet(1, 1.0),
         episodes=2)
-    raised = []
+    diverged = []
 
     def recording_rollout(*args, **kwargs):
-        try:
-            return rollout(*args, **kwargs)
-        except SimulationDivergedError as err:
-            raised.append(err.step)
-            raise
+        result = rollout(*args, **kwargs)
+        diverged.append(result.diverged)
+        return result
 
     monkeypatch.setattr(evaluation, "rollout", recording_rollout)
     path = tmp_path / "episodes.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        records = run_episodes(spec)
+    records = run_episodes(spec)
+    with np.errstate(invalid="ignore"):  # the spread of -inf rewards
         metrics = evaluate(spec, episodes_csv=path)
         back = metrics_from_records(read_episode_csv(path))
-    assert len(raised) == 2 * spec.episodes
+    # one batch per call, each episode at the oracle's divergence step
+    assert len(diverged) == 2
+    for r in records:
+        with pytest.raises(SimulationDivergedError) as err:
+            sequential_rollout(spec.env, spec.controller, r.U0,
+                               episode_seed=r.episode)
+        assert diverged[0][r.episode] == diverged[1][r.episode] \
+            == err.value.step
     assert all(r.reward == float("-inf") and not r.feasible
                and r.feasible_steps == 0 for r in records)
     assert metrics.reward_mean == float("-inf")

@@ -5,13 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import sequential_rollout
 from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
                             HyperbolicConfig, ParabolicConfig, Proportional,
-                            SimulationDivergedError, SmoothRandom, TimeGrid,
-                            parse_controller, read_trajectory_csv, rollout,
+                            RolloutResult, SimulationDivergedError,
+                            SmoothRandom, TimeGrid, parse_controller,
+                            read_trajectory_csv, rollout,
                             stabilization_reward, step_hyperbolic,
                             step_parabolic, write_states_csv,
                             write_trajectory_csv)
+
+
+def one(env, controller, U0, episode_seed=None):
+    """Row 0 of a rollout batch of one episode."""
+    res = rollout(env, [controller], [U0], episode_seeds=[episode_seed])
+    return RolloutResult(res.U[0], res.Y[0], res.states[0], res.diverged[0])
 
 
 class Ramp:
@@ -51,7 +59,7 @@ class TestTransportPlant:
     @pytest.mark.parametrize("n_points", [101, 201])
     def test_ramp_input_reappears_at_output_after_unit_delay(self, n_points):
         cfg = HyperbolicConfig(beta=0.0, n_points=n_points)
-        res = rollout(cfg, Ramp(), 0.0)
+        res = one(cfg, Ramp(), 0.0)
         t = cfg.grid.times()
         mask = t >= 1.0 + 1e-9
         err = np.max(np.abs(res.Y[mask] - (t[mask] - 1.0)))
@@ -59,7 +67,7 @@ class TestTransportPlant:
 
     def test_recirculation_gain_five_is_unstable(self):
         cfg = HyperbolicConfig(beta=5.0)
-        res = rollout(cfg, Constant(0.0), 1.0)
+        res = one(cfg, Constant(0.0), 1.0)
         sup = np.max(np.abs(res.states), axis=1)
         assert sup[-1] > 100.0 * sup[0]
         assert res.Y[-1] > res.Y[0]
@@ -78,7 +86,7 @@ class TestTransportPlant:
         # cell each, so the output is the input one time unit late
         cfg = HyperbolicConfig(beta=0.0, grid=TimeGrid(4.0, 40))
         U = np.random.default_rng(0).uniform(-1.0, 1.0, 41)
-        Y = rollout(cfg, FromFile(U), U[0]).Y
+        Y = one(cfg, FromFile(U), U[0]).Y
         assert cfg.substeps == 10
         assert np.all(Y[:11] == U[0])
         assert np.max(np.abs(Y[10:] - U[:-10])) <= 1e-15
@@ -103,7 +111,7 @@ class TestReactionDiffusionPlant:
         # With no reaction the steady state is u(x) = U0 * x, so the midpoint
         # output approaches U0 / 2.
         cfg = ParabolicConfig(lam=0.0)
-        res = rollout(replace(cfg, grid=TimeGrid(15.0, 600)), Constant(), 2.0)
+        res = one(replace(cfg, grid=TimeGrid(15.0, 600)), Constant(), 2.0)
         assert res.Y[-1] == pytest.approx(1.0, abs=1e-2)
 
     def test_single_mode_decays_at_the_exact_rate(self):
@@ -155,27 +163,27 @@ class TestReactionDiffusionPlant:
 class TestRollout:
     def test_constant_hold_with_stable_plant_is_flat(self):
         cfg = HyperbolicConfig(beta=0.0)
-        res = rollout(cfg, Constant(), 0.7)
+        res = one(cfg, Constant(), 0.7)
         assert np.all(res.U == 0.7)
         assert np.max(np.abs(res.Y - 0.7)) <= 1e-12
 
     def test_repeated_rollouts_are_bitwise_identical(self):
         cfg = HyperbolicConfig()
         ctrl = SmoothRandom(seed=3)
-        a = rollout(cfg, ctrl, 2.0, episode_seed=17)
-        b = rollout(cfg, ctrl, 2.0, episode_seed=17)
+        a = one(cfg, ctrl, 2.0, episode_seed=17)
+        b = one(cfg, ctrl, 2.0, episode_seed=17)
         assert np.array_equal(a.U, b.U) and np.array_equal(a.Y, b.Y)
 
     def test_trajectories_cover_the_whole_grid(self):
         cfg = HyperbolicConfig()
-        res = rollout(cfg, Constant(0.0), 1.0)
+        res = one(cfg, Constant(0.0), 1.0)
         assert res.U.shape == res.Y.shape == (cfg.grid.M + 1,)
         assert res.states.shape == (cfg.grid.M + 1, cfg.n_points)
         assert res.U[0] == 1.0 and res.Y[0] == 1.0
 
     def test_initial_state_is_the_constant_profile(self):
         cfg = ParabolicConfig()
-        res = rollout(replace(cfg, grid=TimeGrid(0.01, 10)), Constant(0.0),
+        res = one(replace(cfg, grid=TimeGrid(0.01, 10)), Constant(0.0),
                       3.0)
         assert np.all(res.states[0] == 3.0)
 
@@ -184,7 +192,7 @@ class TestRollout:
         # steps on an 11-point grid, recirculation gain 5, U0 = 3.
         gain, beta, U0 = 0.8, 5.0, 3.0
         cfg = HyperbolicConfig(beta=beta, n_points=11, grid=TimeGrid(5.0, 10))
-        res = rollout(cfg, Proportional(gain), U0)
+        res = one(cfg, Proportional(gain), U0)
 
         n_points, M, dt, dx = 11, 10, 0.5, 0.1
         n_sub = int(np.ceil(dt / dx - 1e-9))
@@ -211,8 +219,8 @@ class TestRollout:
     def test_replaying_recorded_inputs_reproduces_outputs_bitwise(self):
         for cfg in (HyperbolicConfig(),
                     ParabolicConfig(grid=TimeGrid(1.0, 40))):
-            closed = rollout(cfg, Proportional(0.5), 2.0)
-            replay = rollout(cfg, FromFile(closed.U), closed.U[0])
+            closed = one(cfg, Proportional(0.5), 2.0)
+            replay = one(cfg, FromFile(closed.U), closed.U[0])
             assert np.array_equal(replay.U, closed.U)
             assert np.array_equal(replay.Y, closed.Y)
             assert np.array_equal(replay.states, closed.states)
@@ -220,19 +228,20 @@ class TestRollout:
     def test_replay_checks_input_length(self):
         cfg = HyperbolicConfig()
         with pytest.raises(ConfigurationError):
-            rollout(cfg, FromFile(np.zeros(7)), 0.0)
+            one(cfg, FromFile(np.zeros(7)), 0.0)
         with pytest.raises(ConfigurationError):
-            rollout(cfg, FromFile(np.zeros((1, 51))), 0.0)
+            one(cfg, FromFile(np.zeros((1, 51))), 0.0)
 
     def test_divergence_names_the_first_nonfinite_step(self):
         # beta=200 grows the transport state ~1e12-fold per step of 0.25,
         # so it overflows within 40 steps
-        cfg = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
+        cfg = DIVERGING
         n_sub = cfg.substeps
         r, dt_sub = cfg.grid.dt / n_sub / cfg.dx, cfg.grid.dt / n_sub
+        with pytest.raises(SimulationDivergedError) as err:
+            sequential_rollout(cfg, Proportional(0.5), 1.0)
+        res = one(cfg, Proportional(0.5), 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationDivergedError) as err:
-                rollout(cfg, Proportional(0.5), 1.0)
             # the same upwind arithmetic and feedback, unchecked
             u, first = np.full(cfg.n_points, 1.0), None
             for m in range(1, cfg.grid.M + 1):
@@ -245,10 +254,24 @@ class TestRollout:
                     break
         assert first is not None and first > 1
         assert err.value.step == first
+        assert res.diverged == first
 
     def test_nonfinite_initial_condition_rejected(self):
         with pytest.raises(ConfigurationError):
-            rollout(HyperbolicConfig(), Constant(0.0), np.nan)
+            one(HyperbolicConfig(), Constant(0.0), np.nan)
+
+    def test_nonfinite_controller_output_rejected(self):
+        with pytest.raises(ConfigurationError, match="step 1"):
+            rollout(HyperbolicConfig(), [Constant(0.0), Constant(np.inf)],
+                    [1.0, 1.0])
+
+    def test_one_initial_value_per_controller(self):
+        with pytest.raises(ConfigurationError, match="2 controllers"):
+            rollout(HyperbolicConfig(), [Constant(), Constant()], [1.0])
+
+
+# beta=200 amplifies any nonzero state past float range within the horizon
+DIVERGING = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
 
 
 TRANSPORT_05 = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 50))
@@ -265,7 +288,7 @@ class TestPlantOracle:
                                   "diffusion"])
     def test_plant_matrix_reproduces_a_smooth_rollout(self, env):
         from oracles import plant_matrix
-        res = rollout(env, SmoothRandom(seed=2), 1.3, episode_seed=5)
+        res = one(env, SmoothRandom(seed=2), 1.3, episode_seed=5)
         err = np.max(np.abs(plant_matrix(env) @ res.U - res.Y))
         assert err <= 1e-12 * np.max(np.abs(res.Y))
 
@@ -281,6 +304,109 @@ class TestPlantOracle:
         _, h = impulse_response(DIFFUSION)
         assert h[0] == 0.0
         assert 0.0 < abs(h[1]) < 1e-11
+
+
+def mixed_batch(env):
+    """Controllers and initial values of a batch that holds every kind of
+    controller: smooth, proportional, constant and replayed."""
+    n = env.grid.M + 1
+    U = np.sin(0.3 * np.arange(n))
+    controllers = [SmoothRandom(seed=2), Proportional(0.5), Constant(),
+                   Constant(-0.4), FromFile(U), SmoothRandom(seed=7),
+                   Proportional(2.0)]
+    return controllers, [1.3, 0.8, 1.9, 0.2, U[0], 0.6, 1.1]
+
+
+class TestBatchedRollout:
+    """A batch runs one step call per grid step on all running episodes;
+    each row must equal the episode run alone by the sequential oracle."""
+
+    @pytest.mark.parametrize("env", [TRANSPORT_05, TRANSPORT_5, DIFFUSION],
+                             ids=["transport-0.5", "transport-5",
+                                  "diffusion"])
+    def test_each_row_equals_the_sequential_oracle_bitwise(self, env):
+        controllers, U0 = mixed_batch(env)
+        res = rollout(env, controllers, U0, episode_seeds=range(7))
+        assert res.U.shape == res.Y.shape == (7, env.grid.M + 1)
+        assert res.states.shape == (7, env.grid.M + 1, env.n_points)
+        assert not res.diverged.any()
+        for b, (c, u0) in enumerate(zip(controllers, U0)):
+            U, Y, states = sequential_rollout(env, c, u0, episode_seed=b)
+            assert np.array_equal(res.U[b], U)
+            assert np.array_equal(res.Y[b], Y)
+            assert np.array_equal(res.states[b], states)
+
+    @pytest.mark.parametrize("env", [TRANSPORT_05, DIFFUSION],
+                             ids=["transport-0.5", "diffusion"])
+    def test_a_permuted_batch_gives_permuted_rows(self, env):
+        controllers, U0 = mixed_batch(env)
+        res = rollout(env, controllers, U0, episode_seeds=range(7))
+        order = [4, 0, 6, 2, 5, 1, 3]
+        back = rollout(env, [controllers[i] for i in order],
+                       [U0[i] for i in order], episode_seeds=order)
+        assert np.array_equal(back.states, res.states[order])
+        assert np.array_equal(back.U, res.U[order])
+
+    def test_a_diverged_row_leaves_its_neighbours_unchanged(self):
+        # the episode of test_divergence_names_the_first_nonfinite_step,
+        # one that overflows later from a tiny profile, and two that stay 0
+        class Counted(Proportional):
+            steps = []  # a class attribute, so rollout's copy shares it
+
+            def control(self, m, t, y_prev):
+                self.steps.append(m)
+                return super().control(m, t, y_prev)
+
+        controllers = [Constant(0.0), Counted(0.5), Proportional(0.5),
+                       Proportional(0.5)]
+        U0 = [0.0, 1.0, 1e-100, 0.0]
+        res = rollout(DIVERGING, controllers, U0)
+        # a diverged episode's controller is not asked again
+        assert Counted.steps == list(range(1, res.diverged[1] + 1))
+        steps = []
+        for b, (c, u0) in enumerate(zip(controllers, U0)):
+            try:
+                U, Y, states = sequential_rollout(DIVERGING, c, u0)
+            except SimulationDivergedError as err:
+                steps.append(err.step)
+                assert res.diverged[b] == err.step
+                assert np.isnan(res.states[b, err.step:]).all()
+                assert np.isnan(res.U[b, err.step:]).all()
+                assert np.isnan(res.Y[b, err.step:]).all()
+                assert np.isfinite(res.states[b, :err.step]).all()
+            else:
+                assert res.diverged[b] == 0
+                assert np.array_equal(res.states[b], states)
+                assert np.array_equal(res.U[b], U)
+        assert len(steps) == 2 and 1 < steps[0] < steps[1]
+        alone = rollout(DIVERGING, controllers[::3], U0[::3])
+        assert np.array_equal(alone.states, res.states[::3])
+
+    def test_a_shared_controller_runs_as_separate_instances(self):
+        shared = SmoothRandom(seed=4)
+        before = {k: np.copy(v) for k, v in vars(shared).items()}
+        a = rollout(TRANSPORT_05, [shared] * 3, [0.5, 1.0, 1.5],
+                    episode_seeds=[0, 1, 2])
+        b = rollout(TRANSPORT_05, [SmoothRandom(seed=4) for _ in range(3)],
+                    [0.5, 1.0, 1.5], episode_seeds=[0, 1, 2])
+        assert np.array_equal(a.states, b.states)
+        assert len(np.unique(a.U[:, 1])) == 3
+        for key, value in vars(shared).items():
+            assert np.array_equal(value, before[key]), key
+
+    @pytest.mark.parametrize("env", [TRANSPORT_5, DIFFUSION],
+                             ids=["transport-5", "diffusion"])
+    def test_a_stacked_step_equals_the_single_steps(self, env):
+        step = step_hyperbolic if env is TRANSPORT_5 else step_parabolic
+        states = np.random.default_rng(3).normal(size=(2, 3, env.n_points))
+        boundary = np.array([[0.1, -2.0, 3.0], [0.0, 1e-3, -0.5]])
+        stacked = step(states, boundary, env)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(
+                    stacked[i, j], step(states[i, j], boundary[i, j], env))
+        with pytest.raises(ConfigurationError, match="boundary values"):
+            step(states, boundary[0], env)
 
 
 class TestControllers:

@@ -27,7 +27,8 @@ ETAS = (0.0, 0.5, 2.0, 1e9)
 
 def nominal(seed):
     env = HyperbolicConfig(beta=0.5, grid=GRID)
-    return rollout(env, SmoothRandom(seed=2), 1.5, episode_seed=seed).U
+    return rollout(env, [SmoothRandom(seed=2)], [1.5],
+                   episode_seeds=[seed]).U[0]
 
 
 def models(seed):
@@ -39,8 +40,8 @@ def parabolic_models():
     """An operator at the benchmark's parabolic grid (M=80, d_v=16), a
     barrier and a nominal input on which the filter modifies steps."""
     grid = TimeGrid(1.0, 80)
-    U = rollout(ParabolicConfig(grid=grid), SmoothRandom(seed=0), 1.0,
-                episode_seed=0).U
+    U = rollout(ParabolicConfig(grid=grid), [SmoothRandom(seed=0)], [1.0],
+                episode_seeds=[0]).U[0]
     return (BoundaryOperator(grid, d_v=16, n_layers=2, seed=0),
             BarrierFunction(time_dependent=True, seed=5), U)
 

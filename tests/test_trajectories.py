@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safebc import trajectories
 from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
-                            TimeGrid)
+                            TimeGrid, rollout)
 from safebc.trajectories import (CollectionError, Dataset,
                                  DatasetFormatError, OneSidedSet,
                                  TwoSidedSet, balance_near_zero,
@@ -175,22 +176,30 @@ class TestCollection:
     # while a boundary input of 1e200 overflows it
     DIVERGING = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
 
-    def test_diverged_rollouts_are_skipped_and_counted(self):
+    def test_diverged_rollouts_are_skipped_and_counted(self, monkeypatch):
+        # the overflow warnings of the diverging rows stay inside rollout,
+        # and all four episodes run as one batch
+        calls = []
+
+        def counting_rollout(*args, **kwargs):
+            calls.append(args)
+            return rollout(*args, **kwargs)
+
+        monkeypatch.setattr(trajectories, "rollout", counting_rollout)
         ss = parse_safe_set("Y<1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            ds = collect_dataset(self.DIVERGING,
-                                 [Constant(0.0), Constant(1e200)], 4,
-                                 (0.0, 0.0), ss, seed=0)
+        ds = collect_dataset(self.DIVERGING,
+                             [Constant(0.0), Constant(1e200)], 4,
+                             (0.0, 0.0), ss, seed=0)
         assert ds.meta["skipped"] == "2" and ds.meta["K"] == "4"
         assert len(ds) == 2 and not ds.U.any() and not ds.Y.any()
+        assert len(calls) == 1
 
     def test_more_than_half_diverged_raises(self):
         ss = parse_safe_set("Y<1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(CollectionError, match="2 of 3"):
-                collect_dataset(self.DIVERGING,
-                                [Constant(0.0), Constant(1e200),
-                                 Constant(1e200)], 3, (0.0, 0.0), ss)
+        with pytest.raises(CollectionError, match="2 of 3"):
+            collect_dataset(self.DIVERGING,
+                            [Constant(0.0), Constant(1e200),
+                             Constant(1e200)], 3, (0.0, 0.0), ss)
 
     def test_metadata_records_provenance(self):
         env = HyperbolicConfig(beta=0.0)
