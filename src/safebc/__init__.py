@@ -68,6 +68,7 @@ from .safety_filter import (  # noqa: F401
     FilterConfig,
     FilterInfeasibleError,
     FilterReport,
+    filter_batch,
     filter_trajectory,
     qp_filter_step,
     rate_to_trajectory,

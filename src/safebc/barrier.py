@@ -76,11 +76,11 @@ class BarrierFunction:
 
     def _inputs(self, t, Y):
         Y = np.asarray(Y, dtype=float)
-        if self.time_dependent and Y.ndim == 0 and np.ndim(t) == 0:
-            return np.array([[float(t), float(Y)]]), ()
-        if self.time_dependent:
-            t = np.asarray(t, dtype=float)
-            t, Y = np.broadcast_arrays(t, Y)
+        if self.time_dependent and np.ndim(t) == 0:
+            x = np.empty((Y.size, 2))
+            x[:, 0], x[:, 1] = t, Y.ravel()
+        elif self.time_dependent:
+            t, Y = np.broadcast_arrays(np.asarray(t, dtype=float), Y)
             x = np.stack([np.ravel(t), np.ravel(Y)], axis=1)
         else:
             x = np.ravel(Y)[:, None]

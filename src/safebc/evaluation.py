@@ -1,10 +1,10 @@
 """End-to-end evaluation of nominal versus filtered boundary control.
 
 One rollout batch runs every episode's nominal controller closed loop on
-the simulator from its drawn initial condition. With the filter on, the
-safety filter then rewrites each recorded input in episode order, and a
-second batch replays only the inputs it changed, open loop through FromFile
-controllers, for scoring. An episode whose input is bitwise unchanged
+the simulator from its drawn initial condition. With the filter on, one
+batched filter walk then rewrites every finite episode's recorded input,
+and a second batch replays only the inputs it changed, open loop through
+FromFile controllers, for scoring. An episode whose input is bitwise unchanged
 (filter off, or no step modified) is scored on its closed-loop run, which a
 replay would reproduce bitwise; so a disabled filter and a threshold of
 zero give identical metrics.
@@ -21,7 +21,7 @@ from .nets import subseed
 from .neural_operator import BoundaryOperator
 from .pde_sim import (ConfigurationError, FromFile, rollout,
                       stabilization_reward)
-from .safety_filter import FilterConfig, filter_trajectory
+from .safety_filter import FilterConfig, FilterInfeasibleError, filter_batch
 from .trajectories import label_safety, suffix_safe_mask
 
 
@@ -110,8 +110,10 @@ def run_episodes(spec):
 
     Episode e draws U0 from a stream keyed by (seed, e) and seeds the
     controller with e, so arms sharing a spec seed see identical nominal
-    trajectories.  Model checkpoints are only loaded when the filter is on.
-    Only an input the filter changed is replayed.  A diverged simulation
+    trajectories.  Model checkpoints are only loaded when the filter is on;
+    it then filters every finite episode in one `filter_batch` walk, and
+    only an input it changed is replayed.  Under the abort policy the error
+    names the first episode with an infeasible step.  A diverged simulation
     counts as infeasible with reward -inf.
     """
     op = bar = None
@@ -124,10 +126,15 @@ def run_episodes(spec):
                   episode_seeds=range(spec.episodes))
     changed = {}
     if spec.filter_on:
-        for e in np.flatnonzero(run.diverged == 0):
-            U_safe = filter_trajectory(op, bar, run.U[e], spec.filter).U_safe
-            if U_safe.tobytes() != run.U[e].tobytes():
-                changed[e] = U_safe
+        finite = np.flatnonzero(run.diverged == 0)
+        try:
+            reports = filter_batch(op, bar, run.U[finite], spec.filter)
+        except FilterInfeasibleError as err:
+            err.episode = int(finite[err.row])
+            raise
+        for e, rep in zip(finite, reports):
+            if rep.U_safe.tobytes() != run.U[e].tobytes():
+                changed[e] = rep.U_safe
     if changed:
         rows = list(changed)
         replay = rollout(spec.env, [FromFile(U) for U in changed.values()],

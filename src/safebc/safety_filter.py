@@ -9,16 +9,17 @@ holds.  The decision variable is scalar, so the projection is closed form:
 keep the nominal rate when it already satisfies the constraint, otherwise
 move to the boundary -c/a.  The trajectory-level procedure walks the grid
 left to right and only accepts a modification when the per-step input change
-stays within a threshold eta.  It runs one operator forward per prediction
-(the first, then one after each step that changed the input) and evaluates
-the operator's rate split only at the rows the walk reads.
+stays within a threshold eta.  It walks a whole batch of trajectories at
+once: each step makes one barrier pass over every row and one operator
+forward over the rows whose input the step before changed, and the
+operator's rate split is evaluated only at the rows the walk reads.
 
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
 """
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,11 +30,16 @@ INFEASIBLE_POLICIES = ("fallback-nominal", "abort")
 
 
 class FilterInfeasibleError(RuntimeError):
-    """Raised under the abort policy when a step's constraint is unsatisfiable."""
+    """Raised under the abort policy at an unsatisfiable step; row is the
+    batch row, and an episode, once set, is named in the message."""
 
-    def __init__(self, step):
-        super().__init__(f"constraint unsatisfiable at step {step}")
-        self.step = step
+    def __init__(self, step, row=0):
+        super().__init__(step, row)
+        self.step, self.row, self.episode = step, row, None
+
+    def __str__(self):
+        where = "" if self.episode is None else f" of episode {self.episode}"
+        return f"constraint unsatisfiable at step {self.step}{where}"
 
 
 @dataclass
@@ -118,70 +124,93 @@ def rate_to_trajectory(values, U0):
 
 
 def filter_trajectory(operator, bcbf, U_nominal, config):
-    """Filter a whole nominal input trajectory through the barrier QP.
-
-    Walks steps m = 1..M.  Each step evaluates the barrier and its partials
-    at the current predicted output in one network pass, solves the scalar
-    QP for the step's rate, accepts the result only if
-    |dU_qp - dU_nominal| <= eta, and rebuilds the input prefix.
-
-    There is one operator forward per prediction: the first, and one after
-    each step that changed the input, which leaves accepted-nothing runs
-    (eta = 0 in particular) bitwise equal to the nominal input.  The rate
-    split is evaluated at the rows the walk reads: a prediction's first
-    step gets its row alone, and a second step on the same prediction gets
-    the rest of the trajectory in one split.
-    """
+    """`filter_batch` over one nominal input trajectory (M+1,)."""
     U_nom = np.asarray(U_nominal, dtype=float)
-    grid = operator.grid
-    n = grid.M + 1
-    if U_nom.shape != (n,):
-        raise ValueError(
-            f"nominal trajectory has shape {U_nom.shape}, operator grid "
-            f"needs ({n},)")
-    dt = grid.dt
-    times = grid.times()
-    du_nom = np.diff(U_nom)
-    du_safe = du_nom.copy()
-    U_safe = U_nom.copy()
-    phi0 = float(bcbf.value(0.0, U_nom[0]))
+    if U_nom.shape != (operator.grid.M + 1,):
+        raise ValueError(f"nominal trajectory has shape {U_nom.shape}, "
+                         f"operator grid needs ({operator.grid.M + 1},)")
+    return filter_batch(operator, bcbf, U_nom[None], config)[0]
 
-    records = []
-    stale = True
+
+def filter_batch(operator, bcbf, UU_nominal, config):
+    """Filter a batch of nominal input trajectories (B, M+1) through the
+    barrier QP: one FilterReport per row, from one walk over the grid.
+
+    Each step m = 1..M evaluates the barrier and its partials at every
+    row's predicted output in one network pass, solves each row's scalar
+    QP, accepts a row's result only if |dU_qp - dU_nominal| <= eta, and
+    rebuilds that row's input prefix. A step starts with one operator
+    forward over the rows whose input changed at the step before (all rows
+    at the first), and none when no row's did, so rows that accept nothing
+    (eta = 0 in particular) keep their nominal input bitwise. Each row's
+    rate split is evaluated where the walk reads it: a prediction's first
+    step gets its row alone, a second step the rest of the trajectory.
+
+    A batch of one is bitwise the one-trajectory walk; a row of a larger
+    batch may differ from it in the last bits (a multi-row product need not
+    round like a one-row one). Under the abort policy the error names the
+    lowest row with an infeasible step, at its first such step.
+    """
+    UU_nom = np.asarray(UU_nominal, dtype=float)
+    grid, n = operator.grid, operator.grid.M + 1
+    if UU_nom.ndim != 2 or UU_nom.shape[1] != n:
+        raise ValueError(f"nominal batch has shape {UU_nom.shape}, operator "
+                         f"grid needs (B, {n})")
+    B, dt, times = len(UU_nom), grid.dt, grid.times()
+    du_nom = np.diff(UU_nom, axis=1)
+    du_safe, U_safe, Y_pred = du_nom.copy(), UU_nom.copy(), np.empty((B, n))
+    phi0 = bcbf.value(0.0, UU_nom[:, 0]).tolist()
+
+    records = [[] for _ in range(B)]
+    # per row: its prediction's forward cache and split of rows [lo, hi)
+    caches, lo, hi, splits = [None] * B, [0] * B, [0] * B, [None] * B
+    stale = list(range(B))  # rows whose prediction is stale, ascending
+    k, error = B, None  # rows [0, k) are walked; an abort at row b sets k = b
     for m in range(1, n):
+        if not k:
+            break
         if stale:
-            YY, cache = operator.forward_batch(U_safe[None])
-            Y_pred = YY[0]
-            lo = hi = m  # rows [lo, hi) of this prediction are split
-            stale = False
-        if m == hi:
-            lo, hi = m, (m + 1 if lo == hi else n)
-            Lambda, mu = operator.decomposition(cache, lo, hi)
-        phi, dphi_dt, dphi_dY = bcbf.partials(times[m], Y_pred[m])
-        step = qp_filter_step(dphi_dt, dphi_dY, phi, phi0,
-                              (Lambda[m - lo], mu[m - lo]), config.constants,
-                              du_nom[m - 1] / dt)
-        if step.infeasible and config.infeasible_policy == "abort":
-            raise FilterInfeasibleError(m)
-        du_qp = step.u_dot_safe * dt
-        if step.infeasible:
-            executed, accepted = du_nom[m - 1], False
-        elif not step.constraint_active:
-            executed, accepted = du_nom[m - 1], True
-        else:
-            if abs(du_qp - du_nom[m - 1]) <= config.eta:
+            Y_pred[stale], cache = operator.forward_batch(U_safe[stale])
+            for i, b in enumerate(stale):
+                caches[b] = replace(cache, vs=[v[i:i + 1] for v in cache.vs],
+                                    masks=[x if x is None else x[i:i + 1]
+                                           for x in cache.masks])
+                lo[b] = hi[b] = m
+            stale = []
+        phi, dphi_dt, dphi_dY = map(np.ndarray.tolist,
+                                    bcbf.partials(times[m], Y_pred[:k, m]))
+        for b in range(k):
+            if m == hi[b]:
+                lo[b], hi[b] = m, (m + 1 if lo[b] == hi[b] else n)
+                splits[b] = operator.decomposition(caches[b], lo[b], hi[b])
+            Lambda, mu = splits[b]
+            du = du_nom[b, m - 1]
+            step = qp_filter_step(dphi_dt[b], dphi_dY[b], phi[b], phi0[b],
+                                  (Lambda[m - lo[b]], mu[m - lo[b]]),
+                                  config.constants, du / dt)
+            if step.infeasible and config.infeasible_policy == "abort":
+                error, k = FilterInfeasibleError(m, row=b), b
+                break
+            du_qp = step.u_dot_safe * dt
+            if step.infeasible:
+                executed, accepted = du, False
+            elif not step.constraint_active:
+                executed, accepted = du, True
+            elif abs(du_qp - du) <= config.eta:
                 executed, accepted = du_qp, True
             else:
-                executed, accepted = du_nom[m - 1], False
-        if not step.constraint_active:
-            assert executed == du_nom[m - 1]
-        if executed != du_safe[m - 1]:
-            du_safe[m - 1] = executed
-            U_safe = rate_to_trajectory(du_safe, U_nom[0])
-            stale = True
-        records.append(StepRecord(m, float(du_nom[m - 1]), float(du_qp),
-                                  accepted, step.constraint_active,
-                                  step.infeasible))
+                executed, accepted = du, False
+            if not step.constraint_active:
+                assert executed == du
+            if executed != du_safe[b, m - 1]:
+                du_safe[b, m - 1] = executed
+                U_safe[b] = rate_to_trajectory(du_safe[b], UU_nom[b, 0])
+                stale.append(b)
+            records[b].append(StepRecord(m, float(du), float(du_qp), accepted,
+                                         step.constraint_active,
+                                         step.infeasible))
+    if error is not None:
+        raise error
     if stale:
-        Y_pred = operator.forward(U_safe)
-    return FilterReport(records, U_safe, Y_pred)
+        Y_pred[stale] = operator.forward_batch(U_safe[stale])[0]
+    return [FilterReport(r, U, Y) for r, U, Y in zip(records, U_safe, Y_pred)]

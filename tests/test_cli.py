@@ -8,14 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safebc.barrier import FeasibilityConstants
+from safebc.barrier import BarrierFunction, FeasibilityConstants
 from safebc.cli import (build_parser, load_config, load_experiment, main,
                         read_metrics_csv)
 from safebc.evaluation import ExperimentSpec
+from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
                             ParabolicConfig, Proportional, SmoothRandom,
                             TimeGrid, read_trajectory_csv)
-from safebc.safety_filter import FilterConfig
+from safebc.safety_filter import FilterConfig, filter_trajectory
 from safebc.training import (BarrierSchedule, OperatorSchedule, TrainConfig,
                              train_joint)
 from safebc.trajectories import OneSidedSet, TwoSidedSet, read_dataset
@@ -107,6 +108,41 @@ def test_a_diverging_simulation_names_its_step(tmp_path, capsys):
     assert rc == 2
     assert "diverged: state not finite at step 26" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+def test_an_abort_names_its_step_and_under_evaluate_its_episode(tmp_path,
+                                                               capsys):
+    BoundaryOperator(TimeGrid(5.0, 20), d_v=4, n_layers=2, seed=1).save(
+        tmp_path / "op.ckpt")
+    BarrierFunction(time_dependent=True, seed=0).save(tmp_path / "bar.ckpt")
+    assert main(["simulate", *ENV, "--controller", "smooth", "--U0", "1.5",
+                 "--out", str(tmp_path / "states.csv"), "--trajectory-out",
+                 str(tmp_path / "nominal.csv")]) == 0
+    op = BoundaryOperator.load(tmp_path / "op.ckpt")
+    bar = BarrierFunction.load(tmp_path / "bar.ckpt")
+    report = filter_trajectory(op, bar,
+                               read_trajectory_csv(tmp_path / "nominal.csv"),
+                               FilterConfig(eta=1e9))
+    first = next(r.step for r in report.records if r.infeasible)
+    capsys.readouterr()
+    assert main(["filter", "--operator", str(tmp_path / "op.ckpt"), "--bcbf",
+                 str(tmp_path / "bar.ckpt"), "--nominal",
+                 str(tmp_path / "nominal.csv"), "--eta", "1e9", "--policy",
+                 "abort", "--out", str(tmp_path / "filtered.csv")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: constraint unsatisfiable at step {first}\n"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "env": {"name": "hyperbolic", "beta": 0.5, "grid": {"T": 5, "M": 20}},
+        "controller": "smooth", "safe_set": "Y<1", "filter_on": True,
+        "filter": {"eta": 1e9, "infeasible_policy": "abort"},
+        "operator_path": str(tmp_path / "op.ckpt"),
+        "bcbf_path": str(tmp_path / "bar.ckpt"), "episodes": 4,
+        "U0_range": [0.1, 2.0]}))
+    assert main(["evaluate", "--spec", str(spec),
+                 "--out", str(tmp_path / "m.csv")]) == 2
+    assert re.fullmatch(r"error: constraint unsatisfiable at step \d+ of "
+                        r"episode \d+\n", capsys.readouterr().err)
 
 
 def test_report_out_is_written_atomically(run, tmp_path, monkeypatch):

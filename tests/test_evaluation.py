@@ -18,7 +18,7 @@ from safebc.pde_sim import (ConfigurationError, FromFile, HyperbolicConfig,
                             SmoothRandom, TimeGrid, rollout,
                             stabilization_reward)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
-                                  filter_trajectory)
+                                  filter_batch)
 from safebc.trajectories import OneSidedSet, label_safety
 
 GRID = TimeGrid(5.0, 20)
@@ -89,10 +89,13 @@ def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
     assert len(changed) == len(calls[1])
     op = BoundaryOperator.load(on.operator_path)
     bar = BarrierFunction.load(on.bcbf_path)
-    for r in records:
-        U, Y, states = sequential_rollout(ENV, spec.controller, r.U0,
-                                          episode_seed=r.episode)
-        U_safe = filter_trajectory(op, bar, U, on.filter).U_safe
+    nominal = [sequential_rollout(ENV, spec.controller, r.U0,
+                                  episode_seed=r.episode) for r in records]
+    # evaluation scores the rows of one batched filter walk
+    reports = filter_batch(op, bar, np.array([U for U, _, _ in nominal]),
+                           on.filter)
+    for r, (U, Y, states), report in zip(records, nominal, reports):
+        U_safe = report.U_safe
         if r in changed:
             _, Y, states = sequential_rollout(ENV, FromFile(U_safe),
                                               U_safe[0])
@@ -101,23 +104,90 @@ def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
         assert r.reward == stabilization_reward(states)
 
 
+def counting_filter(monkeypatch):
+    """(nominal batch, reports) of every evaluation.filter_batch call, and
+    the row count of every forward_batch call."""
+    calls, forwards = [], []
+    forward_batch = BoundaryOperator.forward_batch
+
+    def counting_forward(self, UU):
+        forwards.append(len(UU))
+        return forward_batch(self, UU)
+
+    def counting_batch(op, bar, UU, config):
+        calls.append((UU.copy(), []))
+        calls[-1][1].extend(filter_batch(op, bar, UU, config))
+        return calls[-1][1]
+
+    monkeypatch.setattr(BoundaryOperator, "forward_batch", counting_forward)
+    monkeypatch.setattr(evaluation, "filter_batch", counting_batch)
+    return calls, forwards
+
+
+@pytest.mark.parametrize("episodes", [6, 12])
+def test_one_filter_walk_with_one_forward_per_changed_step(
+        spec, monkeypatch, episodes):
+    # one forward for every episode's first prediction, then one after
+    # each step that changed some episode's input (the last at the end),
+    # so the count does not grow with the number of episodes
+    calls, forwards = counting_filter(monkeypatch)
+    run_episodes(dataclasses.replace(spec, filter_on=True,
+                                     episodes=episodes))
+    [(UU, reports)] = calls
+    assert len(UU) == episodes
+    changed_at = {r.step for report in reports for r in report.records
+                  if r.du_qp != r.du_nom and r.active and r.accepted
+                  and not r.infeasible}
+    assert changed_at and len(forwards) == 1 + len(changed_at)
+    assert forwards[0] == episodes
+    assert len(forwards) <= GRID.M + 1
+
+
+def first_infeasible_steps(spec, monkeypatch):
+    """Save a barrier under which episode 1 meets an infeasible step before
+    episode 0 does. Returns the filter-on spec, the filter_batch calls and
+    each episode's first infeasible step under the fallback policy."""
+    BarrierFunction(time_dependent=True, seed=0).save(spec.bcbf_path)
+    calls, _ = counting_filter(monkeypatch)
+    on = dataclasses.replace(spec, filter_on=True)
+    run_episodes(on)
+    first = [next((r.step for r in report.records if r.infeasible), None)
+             for report in calls[0][1]]
+    assert None not in first[:2] and first[1] < first[0]
+    return (dataclasses.replace(on, filter=FilterConfig(
+        eta=on.filter.eta, infeasible_policy="abort")), calls, first)
+
+
 def test_the_abort_policy_stops_at_the_first_infeasible_episode(
         spec, monkeypatch):
-    filtered = []
+    # the error names episode 0 at its first infeasible step, as filtering
+    # the episodes in order would
+    abort, calls, first = first_infeasible_steps(spec, monkeypatch)
+    with pytest.raises(FilterInfeasibleError) as info:
+        run_episodes(abort)
+    assert (info.value.episode, info.value.step) == (0, first[0])
+    assert str(info.value) == \
+        f"constraint unsatisfiable at step {first[0]} of episode 0"
+    # one walk over the same nominal episodes
+    assert len(calls) == 2 and np.array_equal(calls[1][0], calls[0][0])
 
-    def aborting_filter(op, bar, U, config):
-        filtered.append(U.copy())
-        if len(filtered) == 2:
-            raise FilterInfeasibleError(3)
-        return filter_trajectory(op, bar, U, config)
 
-    monkeypatch.setattr(evaluation, "filter_trajectory", aborting_filter)
-    with pytest.raises(FilterInfeasibleError):
-        run_episodes(dataclasses.replace(spec, filter_on=True))
-    nominal = [sequential_rollout(ENV, spec.controller, r.U0,
-                                  episode_seed=r.episode)[0]
-               for r in run_episodes(spec)[:2]]
-    assert np.array_equal(filtered, nominal)
+def test_an_abort_names_the_episode_not_the_batch_row(spec, monkeypatch):
+    # with episode 0 read as diverged, batch row 0 is episode 1
+    abort, calls, first = first_infeasible_steps(spec, monkeypatch)
+
+    def rollout_with_episode_0_diverged(*args, **kwargs):
+        result = rollout(*args, **kwargs)
+        result.diverged[0] = 1
+        return result
+
+    monkeypatch.setattr(evaluation, "rollout",
+                        rollout_with_episode_0_diverged)
+    with pytest.raises(FilterInfeasibleError) as info:
+        run_episodes(abort)
+    assert (info.value.row, info.value.episode, info.value.step) == \
+        (0, 1, first[1])
+    assert np.array_equal(calls[1][0], calls[0][0][1:])
 
 
 def test_filter_off_metrics_equal_zero_threshold_metrics(spec):

@@ -2,7 +2,10 @@
 
 The filter evaluates the operator's rate split only at the rows it reads;
 `oracles.whole_trajectory_filter` predicts every row before each use, and
-the two must agree.
+the two must agree. A batch of one is bitwise that filter; each row of a
+larger batch matches its nominal filtered alone in every step's flags and
+to 1e-12 relative in its values, as a multi-row product need not round like
+a one-row one.
 """
 
 import warnings
@@ -16,8 +19,8 @@ from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
                             ParabolicConfig, SmoothRandom, TimeGrid, rollout)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
-                                  filter_trajectory, qp_filter_step,
-                                  rate_to_trajectory)
+                                  filter_batch, filter_trajectory,
+                                  qp_filter_step, rate_to_trajectory)
 
 GRID = TimeGrid(5.0, 20)
 CONSTANTS = FeasibilityConstants(alpha=1e-5, T=5.0)
@@ -36,14 +39,16 @@ def models(seed):
             BarrierFunction(time_dependent=True, seed=seed))
 
 
-def parabolic_models():
+def parabolic_models(U0=(1.0,)):
     """An operator at the benchmark's parabolic grid (M=80, d_v=16), a
-    barrier and a nominal input on which the filter modifies steps."""
+    barrier and a nominal input on which the filter modifies steps; with
+    several U0, a (B, M+1) batch of nominals, the first of them that input."""
     grid = TimeGrid(1.0, 80)
-    U = rollout(ParabolicConfig(grid=grid), [SmoothRandom(seed=0)], [1.0],
-                episode_seeds=[0]).U[0]
+    UU = rollout(ParabolicConfig(grid=grid), [SmoothRandom(seed=0)] * len(U0),
+                 U0, episode_seeds=range(len(U0))).U
     return (BoundaryOperator(grid, d_v=16, n_layers=2, seed=0),
-            BarrierFunction(time_dependent=True, seed=5), U)
+            BarrierFunction(time_dependent=True, seed=5),
+            UU if len(U0) > 1 else UU[0])
 
 
 class TestQpStep:
@@ -158,6 +163,107 @@ class TestMatchesTheWholeTrajectoryFilter:
         assert report.n_modified > 0
         assert_reports_match(report,
                              whole_trajectory_filter(op, bar, U, config))
+
+
+def batch_case(case):
+    """(operator, barrier, nominals): a hyperbolic fixture with six
+    nominals, or five parabolic nominals at M=80."""
+    if case == "parabolic":
+        return parabolic_models(U0=(1.0, 0.5, 1.5, 2.0, 0.8))
+    return models(case) + (np.array([nominal(s) for s in range(6)]),)
+
+
+BATCH_CASES = [0, 1, 2, 3, "parabolic"]
+
+
+def flags(report):
+    return [(r.step, r.accepted, r.active, r.infeasible)
+            for r in report.records]
+
+
+def assert_close(actual, expected):
+    # relative to the array's scale, so entries near 0 do not count alone
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = np.max(np.abs(expected), initial=0.0)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= 1e-12 * scale
+
+
+def assert_rows_close(reports, expected):
+    assert len(reports) == len(expected)
+    for report, one in zip(reports, expected):
+        assert flags(report) == flags(one)
+        assert [r.du_nom for r in report.records] == \
+            [r.du_nom for r in one.records]
+        assert_close([r.du_qp for r in report.records],
+                     [r.du_qp for r in one.records])
+        assert_close(report.U_safe, one.U_safe)
+        assert_close(report.Y_predicted, one.Y_predicted)
+
+
+class TestFilterBatch:
+    @pytest.mark.parametrize("eta", [0.0, 2.0, 1e9])
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_each_row_matches_its_nominal_filtered_alone(self, case, eta):
+        op, bar, UU = batch_case(case)
+        config = FilterConfig(eta=eta)
+        reports = filter_batch(op, bar, UU, config)
+        assert_rows_close(reports, [filter_trajectory(op, bar, U, config)
+                                    for U in UU])
+        if eta == 0.0:
+            for report, U in zip(reports, UU):
+                assert np.array_equal(report.U_safe, U)
+
+    def test_some_batch_modifies_steps(self):
+        # keeps the row checks from passing on batches that never act
+        for case in (3, "parabolic"):
+            op, bar, UU = batch_case(case)
+            reports = filter_batch(op, bar, UU, FilterConfig(eta=1e9))
+            assert all(r.n_modified > 0 for r in reports)
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_a_permuted_batch_gives_the_permuted_rows(self, case):
+        op, bar, UU = batch_case(case)
+        config = FilterConfig(eta=1e9)
+        order = np.random.default_rng(0).permutation(len(UU))
+        reports = filter_batch(op, bar, UU, config)
+        assert_rows_close(filter_batch(op, bar, UU[order], config),
+                          [reports[i] for i in order])
+
+    @pytest.mark.parametrize("eta", [0.0, 2.0, 1e9])
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_a_batch_of_one_is_the_whole_trajectory_filter(self, case, eta):
+        from oracles import whole_trajectory_filter
+        op, bar, UU = batch_case(case)
+        config = FilterConfig(eta=eta)
+        [report] = filter_batch(op, bar, UU[-1:], config)
+        assert_reports_match(report, whole_trajectory_filter(op, bar, UU[-1],
+                                                             config))
+
+    def test_abort_names_the_lowest_row_at_its_first_infeasible_step(self):
+        # row 1 meets an infeasible step before row 0 does; filtering the
+        # rows in order would stop at row 0's
+        op, bar = models(0)
+        UU = np.array([nominal(s) for s in (0, 1, 3)])
+        config = FilterConfig(eta=1e9)
+        first = [next(r.step for r in rep.records if r.infeasible)
+                 for rep in filter_batch(op, bar, UU, config)]
+        assert first[1] < first[0]
+        with pytest.raises(FilterInfeasibleError) as info:
+            filter_batch(op, bar, UU, FilterConfig(
+                eta=1e9, infeasible_policy="abort"))
+        assert (info.value.row, info.value.step) == (0, first[0])
+        assert str(info.value) == \
+            f"constraint unsatisfiable at step {first[0]}"
+
+    def test_an_empty_batch_gives_no_reports(self):
+        op, bar = models(0)
+        assert filter_batch(op, bar, np.empty((0, GRID.M + 1)),
+                            FilterConfig()) == []
+
+    def test_wrong_length_is_rejected(self):
+        op, bar = models(0)
+        with pytest.raises(ValueError):
+            filter_batch(op, bar, np.zeros((2, 7)), FilterConfig())
 
 
 @pytest.mark.parametrize("eta", [0.0, 2.0, 1e9])
