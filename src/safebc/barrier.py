@@ -48,6 +48,11 @@ class FeasibilityConstants:
     C: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("alpha", "T"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}")
         object.__setattr__(self, "C", finite_time_constant(
             self.alpha, self.T, self.asymptotic))
 

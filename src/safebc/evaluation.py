@@ -91,6 +91,16 @@ class ExperimentSpec:
     U0_range: tuple[float, float] = (1.0, 10.0)
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.episodes >= 1:
+            raise ConfigurationError(
+                f"episodes must be >= 1, got {self.episodes!r}")
+        lo, hi = self.U0_range
+        if not lo <= hi:
+            raise ConfigurationError(
+                f"U0_range low end must be <= its high end, got "
+                f"{self.U0_range!r}")
+
 
 def _load_models(spec):
     for path in (spec.operator_path, spec.bcbf_path):

@@ -219,9 +219,9 @@ class BoundaryOperator:
         YY, cache = self.forward_batch(np.asarray(U, dtype=float)[None])
         return (YY[0],) + self.decomposition(cache)
 
-    def decomposition(self, cache, start=0, stop=None):
-        """(Lambda, mu) at rows [start, stop) (default: all) of the first
-        trajectory of a forward cache, read from that pass's tables.
+    def decomposition(self, cache, start=0, stop=None, trajectory=0):
+        """(Lambda, mu) at rows [start, stop) (default: all) of one
+        trajectory (default: 0) of a forward cache, from that pass's tables.
 
         Each table network has one ReLU hidden layer, so its time
         derivative is W1 (mask * W0[:, 0]), read from the masks of its
@@ -243,7 +243,7 @@ class BoundaryOperator:
                 self.layers, cache.tables.layers, cache.vs, cache.masks):
             kW0, _, kW1, _ = layer.kappa.params()
             bW0, _, bW1, _ = layer.b.params()
-            vw = v[0] * w[:, None]
+            vw = v[trajectory] * w[:, None]
             # (rows, d_in, h): w v contracted over j with the hidden-layer
             # tangent along t_m at (t_m, t_j), mask * W0[:, 0]
             G = (vw.T @ kappa_trace.masks[0].reshape(n, n, -1)[start:stop]) \
@@ -258,7 +258,7 @@ class BoundaryOperator:
             p[start:stop] += dinteg[:, 0]
             p += (b_trace.masks[0] * bW0[:, 0]) @ bW1.T
             if mask is not None:
-                A, p = A * mask[0], p * mask[0]
+                A, p = A * mask[trajectory], p * mask[trajectory]
         return (A @ q_vec)[start:stop], (p @ q_vec)[start:stop]
 
     # -- training loss -----------------------------------------------------

@@ -123,8 +123,11 @@ class ParabolicConfig:
     x_out: float = 0.5
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ConfigurationError("diffusivity eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigurationError("diffusivity eps must be finite and "
+                                     f"positive, got {self.eps!r}")
+        if not math.isfinite(self.lam):
+            raise ConfigurationError(f"lam must be finite, got {self.lam!r}")
         if self.n_points < 3:
             raise ConfigurationError("need at least 3 spatial points")
         if not 0.0 <= self.x_out <= 1.0:

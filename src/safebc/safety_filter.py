@@ -11,15 +11,16 @@ move to the boundary -c/a.  The trajectory-level procedure walks the grid
 left to right and only accepts a modification when the per-step input change
 stays within a threshold eta.  It walks a whole batch of trajectories at
 once: each step makes one barrier pass over every row and one operator
-forward over the rows whose input the step before changed, and the
-operator's rate split is evaluated only at the rows the walk reads.
+forward over the rows whose input the step before changed.  A row keeps
+its current prediction and the rate split read from it at the steps walked;
+the walk runs to the end, and the abort policy is checked after it.
 
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
 """
 
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -49,8 +50,8 @@ class FilterConfig:
     infeasible_policy: str = "fallback-nominal"
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ConfigurationError("eta must be >= 0")
+        if not self.eta >= 0:
+            raise ConfigurationError(f"eta must be >= 0, got {self.eta!r}")
         if self.infeasible_policy not in INFEASIBLE_POLICIES:
             raise ConfigurationError(
                 f"unknown infeasible policy {self.infeasible_policy!r}")
@@ -142,14 +143,20 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     rebuilds that row's input prefix. A step starts with one operator
     forward over the rows whose input changed at the step before (all rows
     at the first), and none when no row's did, so rows that accept nothing
-    (eta = 0 in particular) keep their nominal input bitwise. Each row's
-    rate split is evaluated where the walk reads it: a prediction's first
-    step gets its row alone, a second step the rest of the trajectory.
+    (eta = 0 in particular) keep their nominal input bitwise. A row keeps
+    its prediction as (forward cache, trajectory in it, first step) and
+    (B, M+1) buffers of the rate split, which a prediction's first step
+    fills for its row alone and a second step for the rest of the trajectory.
+
+    Step m pairs the barrier at (t_m, Y_m) with U[m] - U[m-1], the increment
+    arriving at m; the barrier is trained on forward differences there,
+    (Y[m+1] - Y[m]) / dt, or Lambda_m (U[m+1] - U[m]) / dt from the operator.
 
     A batch of one is bitwise the one-trajectory walk; a row of a larger
     batch may differ from it in the last bits (a multi-row product need not
-    round like a one-row one). Under the abort policy the error names the
-    lowest row with an infeasible step, at its first such step.
+    round like a one-row one). Under the abort policy the error names, after
+    the whole walk, the lowest row with an infeasible step at its first such
+    step; an error the walk raises (a non-finite operator output) comes first.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
     grid, n = operator.grid, operator.grid.M + 1
@@ -162,35 +169,26 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     phi0 = bcbf.value(0.0, UU_nom[:, 0]).tolist()
 
     records = [[] for _ in range(B)]
-    # per row: its prediction's forward cache and split of rows [lo, hi)
-    caches, lo, hi, splits = [None] * B, [0] * B, [0] * B, [None] * B
+    preds, Lam, Mu = [None] * B, np.empty((B, n)), np.empty((B, n))
     stale = list(range(B))  # rows whose prediction is stale, ascending
-    k, error = B, None  # rows [0, k) are walked; an abort at row b sets k = b
     for m in range(1, n):
-        if not k:
-            break
         if stale:
             Y_pred[stale], cache = operator.forward_batch(U_safe[stale])
             for i, b in enumerate(stale):
-                caches[b] = replace(cache, vs=[v[i:i + 1] for v in cache.vs],
-                                    masks=[x if x is None else x[i:i + 1]
-                                           for x in cache.masks])
-                lo[b] = hi[b] = m
+                preds[b] = (cache, i, m)
             stale = []
         phi, dphi_dt, dphi_dY = map(np.ndarray.tolist,
-                                    bcbf.partials(times[m], Y_pred[:k, m]))
-        for b in range(k):
-            if m == hi[b]:
-                lo[b], hi[b] = m, (m + 1 if lo[b] == hi[b] else n)
-                splits[b] = operator.decomposition(caches[b], lo[b], hi[b])
-            Lambda, mu = splits[b]
+                                    bcbf.partials(times[m], Y_pred[:, m]))
+        for b in range(B):
+            cache, i, first = preds[b]
+            if m - first < 2:  # the first step alone, then the rest once
+                stop = m + 1 if m == first else n
+                Lam[b, m:stop], Mu[b, m:stop] = operator.decomposition(
+                    cache, m, stop, trajectory=i)
             du = du_nom[b, m - 1]
             step = qp_filter_step(dphi_dt[b], dphi_dY[b], phi[b], phi0[b],
-                                  (Lambda[m - lo[b]], mu[m - lo[b]]),
-                                  config.constants, du / dt)
-            if step.infeasible and config.infeasible_policy == "abort":
-                error, k = FilterInfeasibleError(m, row=b), b
-                break
+                                  (Lam[b, m], Mu[b, m]), config.constants,
+                                  du / dt)
             du_qp = step.u_dot_safe * dt
             if step.infeasible:
                 executed, accepted = du, False
@@ -200,8 +198,6 @@ def filter_batch(operator, bcbf, UU_nominal, config):
                 executed, accepted = du_qp, True
             else:
                 executed, accepted = du, False
-            if not step.constraint_active:
-                assert executed == du
             if executed != du_safe[b, m - 1]:
                 du_safe[b, m - 1] = executed
                 U_safe[b] = rate_to_trajectory(du_safe[b], UU_nom[b, 0])
@@ -209,8 +205,11 @@ def filter_batch(operator, bcbf, UU_nominal, config):
             records[b].append(StepRecord(m, float(du), float(du_qp), accepted,
                                          step.constraint_active,
                                          step.infeasible))
-    if error is not None:
-        raise error
+    if config.infeasible_policy == "abort":
+        for b, row in enumerate(records):
+            for r in row:
+                if r.infeasible:
+                    raise FilterInfeasibleError(r.step, row=b)
     if stale:
         Y_pred[stale] = operator.forward_batch(U_safe[stale])[0]
     return [FilterReport(r, U, Y) for r, U, Y in zip(records, U_safe, Y_pred)]

@@ -29,6 +29,20 @@ HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
                    "val_sign_err")
 
 
+def _check_schedule(schedule, batch):
+    """ConfigurationError unless the schedule can run: epochs >= 0, the
+    batch size named batch >= 1 and a finite positive learning rate."""
+    if not schedule.epochs >= 0:
+        raise ConfigurationError(
+            f"epochs must be >= 0, got {schedule.epochs!r}")
+    if not getattr(schedule, batch) >= 1:
+        raise ConfigurationError(
+            f"{batch} must be >= 1, got {getattr(schedule, batch)!r}")
+    if not 0.0 < schedule.lr < math.inf:
+        raise ConfigurationError(
+            f"lr must be finite and positive, got {schedule.lr!r}")
+
+
 @dataclass
 class OperatorSchedule:
     """Optimization settings for the trajectory-regression phase."""
@@ -42,6 +56,9 @@ class OperatorSchedule:
     n_layers: int = 2
     activations: tuple[str, ...] = None
 
+    def __post_init__(self):
+        _check_schedule(self, "batch_trajectories")
+
 
 @dataclass
 class BarrierSchedule:
@@ -54,6 +71,9 @@ class BarrierSchedule:
     time_dependent: bool = True
     margin: float = 0.1
     reg_weight: float = 1.0
+
+    def __post_init__(self):
+        _check_schedule(self, "batch_samples")
 
 
 @dataclass

@@ -442,6 +442,80 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
         load(values)
 
 
+# JSON's NaN and Infinity literals reach the config dataclasses as floats
+@pytest.mark.parametrize("load, text, message", [
+    (load_experiment, '{"filter": {"eta": NaN}}', "eta must be >= 0"),
+    (load_experiment, '{"filter": {"constants": {"alpha": NaN}}}',
+     "alpha must be finite and positive"),
+    (load_experiment, '{"filter": {"constants": {"alpha": Infinity}}}',
+     "alpha must be finite and positive"),
+    (load_experiment, '{"filter": {"constants": {"alpha": 0, '
+     '"asymptotic": true}}}', "alpha must be finite and positive"),
+    (load_experiment, '{"filter": {"constants": {"T": NaN}}}',
+     "T must be finite and positive"),
+    (load_experiment, '{"filter": {"constants": {"T": Infinity}}}',
+     "T must be finite and positive"),
+    (load_experiment, '{"env": {"name": "parabolic", "eps": NaN}}',
+     "eps must be finite and positive"),
+    (load_experiment, '{"env": {"name": "parabolic", "lam": NaN}}',
+     "lam must be finite"),
+    (load_experiment, '{"env": {"name": "parabolic", "lam": -Infinity}}',
+     "lam must be finite"),
+    (load_experiment, '{"episodes": 0}', "episodes must be >= 1"),
+    (load_experiment, '{"U0_range": [2.0, 1.0]}',
+     "U0_range low end must be <= its high end"),
+    (load_experiment, '{"U0_range": [NaN, 1.0]}',
+     "U0_range low end must be <= its high end"),
+    (load_train_config, '{"constants": {"T": NaN}}',
+     "T must be finite and positive"),
+    (load_train_config, '{"operator": {"epochs": -1}}',
+     "epochs must be >= 0"),
+    (load_train_config, '{"operator": {"batch_trajectories": 0}}',
+     "batch_trajectories must be >= 1"),
+    (load_train_config, '{"operator": {"lr": NaN}}',
+     "lr must be finite and positive"),
+    (load_train_config, '{"bcbf": {"epochs": -2}}', "epochs must be >= 0"),
+    (load_train_config, '{"bcbf": {"batch_samples": 0}}',
+     "batch_samples must be >= 1"),
+    (load_train_config, '{"bcbf": {"lr": -1}}',
+     "lr must be finite and positive"),
+    (load_train_config, '{"bcbf": {"lr": Infinity}}',
+     "lr must be finite and positive"),
+])
+def test_a_setting_that_cannot_run_is_an_error(load, text, message):
+    values = json.loads(text)
+    if load is load_experiment:
+        values = {**SPEC, **values}
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load(values)
+
+
+def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
+    def fails(argv, message):
+        assert main([str(a) for a in argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    config = tmp_path / "train.json"
+    for text, message in (
+            ('{"operator": {"batch_trajectories": 0}}',
+             "batch_trajectories must be >= 1"),
+            ('{"bcbf": {"batch_samples": 0}}', "batch_samples must be >= 1"),
+            ('{"bcbf": {"lr": -1}}', "lr must be finite and positive")):
+        config.write_text(text)
+        for command in ("train-operator", "train-bcbf"):
+            fails([command, "--dataset", run / "data.csv", "--config",
+                   config, "--out", tmp_path / "out"], message)
+    spec = json.loads((run / "spec.json").read_text())
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {**spec, "filter_on": True, "filter": {"eta": float("nan")}}))
+    fails(["evaluate", "--spec", tmp_path / "spec.json",
+           "--out", tmp_path / "out"], "eta must be >= 0")
+    fails(["filter", "--operator", run / "op.ckpt", "--bcbf",
+           run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta",
+           "nan", "--out", tmp_path / "out"], "eta must be >= 0")
+
+
 def test_tuple_items_load_as_their_declared_type():
     spec = load_experiment({**SPEC, "U0_range": [0, 2]})
     assert spec.U0_range == (0.0, 2.0)

@@ -8,6 +8,7 @@ rate identity dY/dt = Lambda * dU/dt + mu against finite differences of the
 forward pass.
 """
 
+import dataclasses
 import functools
 import weakref
 
@@ -343,6 +344,29 @@ def test_rate_split_on_a_row_range_is_those_rows_of_the_full_split(
     for a, b in zip(part, full):
         assert a.shape == (stop - start,)
         assert np.array_equal(a, b[start:stop])
+
+
+@pytest.mark.parametrize("activations", [("relu", "relu"),
+                                         ("relu", "linear")])
+def test_the_split_of_one_trajectory_of_a_batch_is_its_one_row_view(
+        activations):
+    # a one-row view of the batched cache holds that trajectory alone, so
+    # its split pins which trajectory is read and that nothing else is
+    op = BoundaryOperator(TimeGrid(1.0, 20), d_v=4, n_layers=2,
+                          activations=activations, seed=3)
+    n = op.grid.M + 1
+    UU = np.random.default_rng(0).normal(size=(4, n)).cumsum(axis=1)
+    _, cache = op.forward_batch(UU)
+    for i in range(len(UU)):
+        view = dataclasses.replace(
+            cache, vs=[v[i:i + 1] for v in cache.vs],
+            masks=[x if x is None else x[i:i + 1] for x in cache.masks])
+        for start, stop in ((0, n), (0, 1), (1, 2), (5, 6), (6, n),
+                            (n - 1, n)):
+            for a, b in zip(op.decomposition(cache, start, stop,
+                                             trajectory=i),
+                            op.decomposition(view, start, stop)):
+                assert np.array_equal(a, b)
 
 
 def test_the_table_entry_holds_one_dense_array_per_layer():

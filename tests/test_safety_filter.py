@@ -255,6 +255,27 @@ class TestFilterBatch:
         assert str(info.value) == \
             f"constraint unsatisfiable at step {first[0]}"
 
+    def test_an_abort_is_raised_after_the_whole_walk(self, monkeypatch):
+        # row 0 meets no infeasible step and row 2 meets one before row 1
+        # does; every row is walked to the end, then row 1's step is raised
+        op, bar = models(0)
+        UU = np.array([nominal(s) for s in (10, 3, 8)])
+        first = [next((r.step for r in rep.records if r.infeasible), None)
+                 for rep in filter_batch(op, bar, UU, FilterConfig(eta=1e9))]
+        assert first[0] is None and first[2] < first[1]
+        rows, partials = [], bar.partials
+
+        def logged_partials(t, Y):
+            rows.append(len(Y))
+            return partials(t, Y)
+
+        monkeypatch.setattr(bar, "partials", logged_partials)
+        with pytest.raises(FilterInfeasibleError) as info:
+            filter_batch(op, bar, UU, FilterConfig(
+                eta=1e9, infeasible_policy="abort"))
+        assert (info.value.row, info.value.step) == (1, first[1])
+        assert rows == [len(UU)] * GRID.M
+
     def test_an_empty_batch_gives_no_reports(self):
         op, bar = models(0)
         assert filter_batch(op, bar, np.empty((0, GRID.M + 1)),
@@ -282,9 +303,9 @@ def test_one_forward_per_prediction_and_a_split_only_where_read(
         events.append(None)
         return forward_batch(UU)
 
-    def logged_split(cache, start, stop):
+    def logged_split(cache, start, stop, trajectory):
         events.append((start, stop))
-        return decomposition(cache, start, stop)
+        return decomposition(cache, start, stop, trajectory)
 
     monkeypatch.setattr(op, "forward_batch", logged_forward)
     monkeypatch.setattr(op, "decomposition", logged_split)
@@ -306,7 +327,8 @@ def test_one_forward_per_prediction_and_a_split_only_where_read(
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": -1.0},
-                                    {"infeasible_policy": "ignore"}])
+                                    {"infeasible_policy": "ignore"},
+                                    {"eta": float("nan")}])
 def test_bad_filter_config_raises_a_configuration_error(kwargs):
     with pytest.raises(ConfigurationError):
         FilterConfig(**kwargs)
