@@ -19,13 +19,18 @@ mu accumulates the kernel/bias time derivatives through the same masks.
 split at a row range of a pass and computes the kernel term for those rows
 only, so a caller that needs the split at one step pays for one step. The
 kernel and bias time derivatives come from the ReLU masks in the traces of
-the one-hidden-layer table networks, so no derivative table is built. The
-kernel and bias tables and their traces sit in one entry keyed by a
-fingerprint of the parameters; each forward cache carries its entry, so the
-rate split and the backward pass read their own pass's.
+the one-hidden-layer table networks, so no derivative table is built.
+
+The lift P(u) = u p_w + p_b is affine in the scalar u, so the first layer's
+integral is sum_j w_j K_0(t_m, t_j) (U_j p_w + p_b) = sum_j k0[m, j] U_j +
+c0[m]: the forward pass reads the folded (n*d_v, n) table k0 and the
+constant c0 there, and the dense (n*d_v, n*d_v) kernel table K2 only in
+later layers. The backward pass reads every layer's K2. The tables and the
+traces of their networks sit in one entry keyed by the exact bytes of the
+grid and the parameters; each forward cache carries its entry, so the rate
+split and the backward pass read their own pass's.
 """
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +87,20 @@ class KernelLayer:
 
 @dataclass(eq=False)
 class TableEntry:
-    """The tables of one parameter state. layers holds per kernel layer
-    (K2, kappa_trace, b_trace): the kernel on the (t_m, t_j) grid as an
-    (n*d_out, n*d_in) matrix and the traces of the kernel and bias networks,
-    kept for the backward pass (b_trace.output is the bias at each t_m).
-    Their masks also give the rate split its time derivatives, so K2 is
-    the entry's only (n*d_out, n*d_in) array."""
-    fingerprint: int
+    """The tables of one parameter state, under its key (`fingerprint()`).
+
+    layers holds per kernel layer (K2, kappa_trace, b_trace): the kernel on
+    the (t_m, t_j) grid as an (n*d_out, n*d_in) matrix and the traces of
+    the kernel and bias networks, kept for the backward pass (b_trace.output
+    is the bias at each t_m). Their masks also give the rate split its time
+    derivatives, so K2 is the entry's only (n*d_out, n*d_in) array. k0,
+    (n*d_out, n), and c0, (n, d_out), are the first layer's kernel applied
+    to the lift's weight and bias with the quadrature weights folded in:
+    that layer's integral over a batch UU is (UU @ k0.T) + c0."""
+    key: bytes
     layers: list
+    k0: np.ndarray
+    c0: np.ndarray
 
 
 @dataclass(eq=False)
@@ -136,18 +147,18 @@ class BoundaryOperator:
         return out
 
     def fingerprint(self):
-        crc = zlib.crc32(np.asarray([self.grid.T, self.grid.M]).tobytes())
-        for p in self.params():
-            crc = zlib.crc32(p.tobytes(), crc)
-        return crc
+        """The table key: the bytes of the grid and of every parameter.
+        Equal keys mean equal tables, with no hash to collide."""
+        return b"".join([np.asarray([self.grid.T, self.grid.M]).tobytes()]
+                        + [p.tobytes() for p in self.params()])
 
     # -- cached kernel and bias tables ------------------------------------
 
     def _table_entry(self):
         """The tables of the current parameters: the cached entry when its
-        fingerprint matches, else a fresh one that replaces it."""
-        fp = self.fingerprint()
-        if self._tables is not None and self._tables.fingerprint == fp:
+        key matches, else a fresh one that replaces it."""
+        key = self.fingerprint()
+        if self._tables is not None and self._tables.key == key:
             return self._tables
         # drop the stale entry before building, so the operator never
         # holds two
@@ -167,8 +178,30 @@ class BoundaryOperator:
             K2 = K.transpose(0, 2, 1, 3).reshape(n * do, n * di)
             b_trace = layer.b.trace(t[:, None])
             layers.append((K2, kappa_trace, b_trace))
-        self._tables = TableEntry(fp, layers)
+        k0, c0 = self._lift_tables(self.layers[0], layers[0][1])
+        self._tables = TableEntry(key, layers, k0, c0)
         return self._tables
+
+    def _lift_tables(self, layer, kappa_trace):
+        """The first layer's k0, (n*d_out, n), and c0, (n, d_out): its
+        kernel applied to the lift's weight and bias, weighted over j.
+
+        The kernel network's output layer is affine in its hidden layer H,
+        K(t_m, t_j) = W1 H(t_m, t_j) + b1, so the lift is contracted with
+        W1 and b1 first and H is read instead of the (n*d_v)^2 table.
+        """
+        n = self.grid.M + 1
+        w = self._weights
+        _, _, kW1, kb1 = layer.kappa.params()
+        lift = np.stack([self.P.weights[0][:, 0], self.P.biases[0]], axis=1)
+        # (h, d_out, 2) and (d_out, 2): W1 and b1 contracted over d_in
+        A = kW1.reshape(layer.dim_out, layer.dim_in, -1).transpose(2, 0, 1) \
+            @ lift
+        a = kb1.reshape(layer.dim_out, layer.dim_in) @ lift
+        H = kappa_trace.inputs[1].reshape(n, n, -1)  # (t_m, t_j, h)
+        k0 = (A[:, :, 0].T @ H.transpose(0, 2, 1) + a[:, :1]) * w
+        c0 = (w @ H) @ A[:, :, 1] + w.sum() * a[:, 1]
+        return k0.reshape(-1, n), c0
 
     # -- forward -----------------------------------------------------------
 
@@ -194,9 +227,13 @@ class BoundaryOperator:
         v = p_trace.output.reshape(B, n, self.d_v)
         vs = [v]
         masks = []
-        for layer, (K2, _, b_trace) in zip(self.layers, tables.layers):
-            vw = v * w[None, :, None]
-            integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, layer.dim_out)
+        for li, (layer, (K2, _, b_trace)) in enumerate(
+                zip(self.layers, tables.layers)):
+            if li == 0:
+                integ = (UU @ tables.k0.T).reshape(B, n, -1) + tables.c0
+            else:
+                vw = v * w[None, :, None]
+                integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, -1)
             z = v @ layer.W.T + integ + b_trace.output[None]
             masks.append(z > 0.0 if layer.activation == "relu" else None)
             v = np.maximum(z, 0.0) if layer.activation == "relu" else z

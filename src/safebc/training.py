@@ -31,7 +31,8 @@ HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
 
 def _check_schedule(schedule, batch):
     """ConfigurationError unless the schedule can run: epochs >= 0, the
-    batch size named batch >= 1 and a finite positive learning rate."""
+    batch size named batch >= 1, and a finite positive learning rate and
+    decay factor (when one is set)."""
     if not schedule.epochs >= 0:
         raise ConfigurationError(
             f"epochs must be >= 0, got {schedule.epochs!r}")
@@ -41,6 +42,19 @@ def _check_schedule(schedule, batch):
     if not 0.0 < schedule.lr < math.inf:
         raise ConfigurationError(
             f"lr must be finite and positive, got {schedule.lr!r}")
+    if schedule.decay_factor is not None \
+            and not 0.0 < schedule.decay_factor < math.inf:
+        raise ConfigurationError("decay_factor must be finite and positive, "
+                                 f"got {schedule.decay_factor!r}")
+
+
+def _check_weights(config, *names):
+    """ConfigurationError unless each named setting is finite and >= 0."""
+    for name in names:
+        value = getattr(config, name)
+        if not 0.0 <= value < math.inf:
+            raise ConfigurationError(
+                f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -58,6 +72,7 @@ class OperatorSchedule:
 
     def __post_init__(self):
         _check_schedule(self, "batch_trajectories")
+        _check_weights(self, "l2")
 
 
 @dataclass
@@ -74,6 +89,7 @@ class BarrierSchedule:
 
     def __post_init__(self):
         _check_schedule(self, "batch_samples")
+        _check_weights(self, "margin", "reg_weight")
 
 
 @dataclass
@@ -93,6 +109,13 @@ class TrainConfig:
         if self.dy_dt_source not in ("data-fd", "operator"):
             raise ConfigurationError(
                 f"unknown dY/dt source {self.dy_dt_source!r}")
+        _check_weights(self, "lambda_S", "lambda_BF")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigurationError("train_fraction must be in (0, 1), "
+                                     f"got {self.train_fraction!r}")
+        if not 0.0 < self.balance_keep <= 1.0:
+            raise ConfigurationError("balance_keep must be in (0, 1], "
+                                     f"got {self.balance_keep!r}")
 
 
 @dataclass(frozen=True)

@@ -481,6 +481,29 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
      "lr must be finite and positive"),
     (load_train_config, '{"bcbf": {"lr": Infinity}}',
      "lr must be finite and positive"),
+    (load_train_config, '{"lambda_S": NaN}', "lambda_S must be finite and >= 0"),
+    (load_train_config, '{"lambda_BF": -0.5}',
+     "lambda_BF must be finite and >= 0"),
+    (load_train_config, '{"lambda_BF": Infinity}',
+     "lambda_BF must be finite and >= 0"),
+    (load_train_config, '{"operator": {"l2": NaN}}',
+     "l2 must be finite and >= 0"),
+    (load_train_config, '{"bcbf": {"margin": NaN}}',
+     "margin must be finite and >= 0"),
+    (load_train_config, '{"bcbf": {"reg_weight": -1}}',
+     "reg_weight must be finite and >= 0"),
+    (load_train_config, '{"bcbf": {"decay_factor": NaN}}',
+     "decay_factor must be finite and positive"),
+    (load_train_config, '{"operator": {"decay_factor": 0, "decay_every": 2}}',
+     "decay_factor must be finite and positive"),
+    (load_train_config, '{"train_fraction": NaN}',
+     "train_fraction must be in (0, 1)"),
+    (load_train_config, '{"train_fraction": 1}',
+     "train_fraction must be in (0, 1)"),
+    (load_train_config, '{"balance_keep": NaN}',
+     "balance_keep must be in (0, 1]"),
+    (load_train_config, '{"balance_keep": 0}',
+     "balance_keep must be in (0, 1]"),
 ])
 def test_a_setting_that_cannot_run_is_an_error(load, text, message):
     values = json.loads(text)

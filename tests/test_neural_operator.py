@@ -129,6 +129,34 @@ class TestForwardOracles:
         Y = op.forward(U)
         assert np.allclose(Y, dense_forward(op, U), rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_dense_reference_agreement_with_every_bias_set(self, n_layers,
+                                                           activation):
+        """The first layer reads the lift folded into its kernel, k0 for
+        the weight and c0 for the bias; every bias starts at zero, so they
+        are set here for c0 to count."""
+        op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=n_layers,
+                              activations=(activation,) * n_layers,
+                              kappa_hidden=8, b_hidden=4, seed=20)
+        rng = np.random.default_rng(21)
+        for p in op.params():
+            p += 0.3 * rng.normal(size=p.shape)
+        assert np.all(op.P.biases[0] != 0.0)
+        U = rng.normal(size=7)
+        Y, Yd = op.forward(U), dense_forward(op, U)
+        assert np.max(np.abs(Y - Yd)) <= 1e-12 * np.max(np.abs(Yd))
+
+    def test_the_first_layer_reads_no_dense_table(self):
+        """A warm pass whose first K2 is overwritten with NaN gives the
+        same output bitwise: that layer reads only k0 and c0."""
+        op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=2,
+                              kappa_hidden=4, b_hidden=3, seed=23)
+        UU = np.random.default_rng(24).normal(size=(3, 7))
+        YY, _ = op.forward_batch(UU)
+        op._tables.layers[0][0][...] = np.nan
+        assert np.array_equal(op.forward_batch(UU)[0], YY)
+
     def test_batch_matches_single(self):
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=2,
                               kappa_hidden=4, b_hidden=3, seed=7)
@@ -313,14 +341,16 @@ class TestDecomposition:
                               b_hidden=3, seed=13)
         U = np.linspace(-1.0, 1.5, 6)
         op.predict(U)
-        for p in op.params():
-            p += 0.01
-        fresh = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,
-                                 b_hidden=3, seed=99)
-        for mine, theirs in zip(fresh.params(), op.params()):
-            mine[...] = theirs
-        for a, b in zip(op.predict(U), fresh.predict(U)):
-            assert np.array_equal(a, b)
+        # the lift alone first: the first layer's folded tables read it
+        for update in (op.P.params(), op.params()):
+            for p in update:
+                p += 0.01
+            fresh = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,
+                                     b_hidden=3, seed=99)
+            for mine, theirs in zip(fresh.params(), op.params()):
+                mine[...] = theirs
+            for a, b in zip(op.predict(U), fresh.predict(U)):
+                assert np.array_equal(a, b)
 
 
 @functools.lru_cache(maxsize=None)
