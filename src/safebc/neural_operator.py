@@ -1,7 +1,8 @@
 """Kernel-integral neural operator mapping boundary input to boundary output.
 
-The operator lifts a scalar trajectory U sampled on a uniform time grid,
-applies a stack of kernel integral layers
+The operator reads a scalar trajectory U sampled on a uniform time grid as
+the two channels v_0(t_m) = (U_m, 1), applies a stack of kernel integral
+layers
 
     v_{l+1}(t_m) = sigma(W v_l(t_m) + sum_j w_j K_l(t_m, t_j) v_l(t_j) + b_l(t_m))
 
@@ -21,11 +22,11 @@ only, so a caller that needs the split at one step pays for one step. The
 kernel and bias time derivatives come from the ReLU masks in the traces of
 the one-hidden-layer table networks, so no derivative table is built.
 
-The lift P(u) = u p_w + p_b is affine in the scalar u, so the first layer's
-integral is sum_j w_j K_0(t_m, t_j) (U_j p_w + p_b) = sum_j k0[m, j] U_j +
-c0[m]: the forward pass reads the folded (n*d_v, n) table k0 and the
-constant c0 there, and the dense (n*d_v, n*d_v) kernel table K2 only in
-later layers. The backward pass reads every layer's K2. The tables and the
+The constant channel carries the terms W p and sum_j w_j K(t_m, t_j) p of a
+constant input p, which a layer on U alone could not form. A lift
+u p_w + p_b in front would add parameters but no functions, as its weight
+and bias fold into the first layer's W and kernel; so that layer's kernel
+table is (n*d_v, 2n), and later ones (n*d_v, n*d_v). The tables and the
 traces of their networks sit in one entry keyed by the exact bytes of the
 grid and the parameters; each forward cache carries its entry, so the rate
 split and the backward pass read their own pass's.
@@ -93,24 +94,19 @@ class TableEntry:
     the (t_m, t_j) grid as an (n*d_out, n*d_in) matrix and the traces of
     the kernel and bias networks, kept for the backward pass (b_trace.output
     is the bias at each t_m). Their masks also give the rate split its time
-    derivatives, so K2 is the entry's only (n*d_out, n*d_in) array. k0,
-    (n*d_out, n), and c0, (n, d_out), are the first layer's kernel applied
-    to the lift's weight and bias with the quadrature weights folded in:
-    that layer's integral over a batch UU is (UU @ k0.T) + c0."""
+    derivatives, so K2 is the entry's only (n*d_out, n*d_in) array. The
+    first layer reads the two channels (U, 1), so its K2 is (n*d_v, 2n)."""
     key: bytes
     layers: list
-    k0: np.ndarray
-    c0: np.ndarray
 
 
 @dataclass(eq=False)
 class OperatorCache:
     """Activations of one forward pass and the tables it was computed with."""
     tables: TableEntry
-    vs: list  # layer inputs: vs[0] lifted, ..., vs[L] input to Q
+    vs: list  # layer inputs: vs[0] the channels (U, 1), ..., vs[L] to Q
     masks: list  # per kernel layer: bool ReLU pattern, or None
-    p_trace: object  # traces of the lift P and the readout Q
-    q_trace: object
+    q_trace: object  # trace of the readout Q
 
 
 class BoundaryOperator:
@@ -127,10 +123,9 @@ class BoundaryOperator:
         self.grid = grid
         self.d_v = d_v
         self.n_layers = n_layers
-        self.P = Mlp([1, d_v], activations=("linear",), seed=subseed(seed, 0))
         self.layers = [
-            KernelLayer(d_v, d_v, kappa_hidden, b_hidden, activations[i],
-                        seed=subseed(seed, 1 + i))
+            KernelLayer(d_v if i else 2, d_v, kappa_hidden, b_hidden,
+                        activations[i], seed=subseed(seed, 1 + i))
             for i in range(n_layers)
         ]
         self.Q = Mlp([d_v, 1], activations=("linear",), seed=subseed(seed, 99))
@@ -140,7 +135,7 @@ class BoundaryOperator:
     # -- parameters -------------------------------------------------------
 
     def params(self):
-        out = list(self.P.params())
+        out = []
         for layer in self.layers:
             out.extend(layer.params())
         out.extend(self.Q.params())
@@ -178,30 +173,8 @@ class BoundaryOperator:
             K2 = K.transpose(0, 2, 1, 3).reshape(n * do, n * di)
             b_trace = layer.b.trace(t[:, None])
             layers.append((K2, kappa_trace, b_trace))
-        k0, c0 = self._lift_tables(self.layers[0], layers[0][1])
-        self._tables = TableEntry(key, layers, k0, c0)
+        self._tables = TableEntry(key, layers)
         return self._tables
-
-    def _lift_tables(self, layer, kappa_trace):
-        """The first layer's k0, (n*d_out, n), and c0, (n, d_out): its
-        kernel applied to the lift's weight and bias, weighted over j.
-
-        The kernel network's output layer is affine in its hidden layer H,
-        K(t_m, t_j) = W1 H(t_m, t_j) + b1, so the lift is contracted with
-        W1 and b1 first and H is read instead of the (n*d_v)^2 table.
-        """
-        n = self.grid.M + 1
-        w = self._weights
-        _, _, kW1, kb1 = layer.kappa.params()
-        lift = np.stack([self.P.weights[0][:, 0], self.P.biases[0]], axis=1)
-        # (h, d_out, 2) and (d_out, 2): W1 and b1 contracted over d_in
-        A = kW1.reshape(layer.dim_out, layer.dim_in, -1).transpose(2, 0, 1) \
-            @ lift
-        a = kb1.reshape(layer.dim_out, layer.dim_in) @ lift
-        H = kappa_trace.inputs[1].reshape(n, n, -1)  # (t_m, t_j, h)
-        k0 = (A[:, :, 0].T @ H.transpose(0, 2, 1) + a[:, :1]) * w
-        c0 = (w @ H) @ A[:, :, 1] + w.sum() * a[:, 1]
-        return k0.reshape(-1, n), c0
 
     # -- forward -----------------------------------------------------------
 
@@ -223,24 +196,19 @@ class BoundaryOperator:
         B, n = UU.shape
         tables = self._table_entry()
         w = self._weights
-        p_trace = self.P.trace(UU.reshape(-1, 1))
-        v = p_trace.output.reshape(B, n, self.d_v)
+        v = np.stack([UU, np.ones_like(UU)], axis=-1)
         vs = [v]
         masks = []
-        for li, (layer, (K2, _, b_trace)) in enumerate(
-                zip(self.layers, tables.layers)):
-            if li == 0:
-                integ = (UU @ tables.k0.T).reshape(B, n, -1) + tables.c0
-            else:
-                vw = v * w[None, :, None]
-                integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, -1)
+        for layer, (K2, _, b_trace) in zip(self.layers, tables.layers):
+            vw = v * w[None, :, None]
+            integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, -1)
             z = v @ layer.W.T + integ + b_trace.output[None]
             masks.append(z > 0.0 if layer.activation == "relu" else None)
             v = np.maximum(z, 0.0) if layer.activation == "relu" else z
             vs.append(v)
         q_trace = self.Q.trace(v.reshape(-1, self.d_v))
         YY = q_trace.output.reshape(B, n)
-        cache = OperatorCache(tables, vs, masks, p_trace, q_trace)
+        cache = OperatorCache(tables, vs, masks, q_trace)
         if not np.all(np.isfinite(YY)):
             raise FloatingPointError("non-finite operator output")
         return YY, cache
@@ -274,8 +242,9 @@ class BoundaryOperator:
         w = self._weights
         q_vec = self.Q.params()[0].ravel()
 
-        A = np.broadcast_to(self.P.params()[0].ravel(), (n, self.d_v)).copy()
-        p = np.zeros((n, self.d_v))
+        # the tangents of the channels (U, 1) along U_m and along t_m
+        A = np.tile([1.0, 0.0], (n, 1))
+        p = np.zeros((n, 2))
         for layer, (_, kappa_trace, b_trace), v, mask in zip(
                 self.layers, cache.tables.layers, cache.vs, cache.masks):
             kW0, _, kW1, _ = layer.kappa.params()
@@ -347,14 +316,13 @@ class BoundaryOperator:
             dK = dK2.reshape(n, layer.dim_out, n, layer.dim_in)
             up_kappa = dK.transpose(0, 2, 1, 3).reshape(n * n, -1)
             kappa_grads, _ = layer.kappa.reverse(kappa_trace, up_kappa)
-            dv = dz @ layer.W
-            dv += (dz.reshape(B, -1) @ K2).reshape(B, n, layer.dim_in) \
-                * w[None, :, None]
             layer_grads.append([dW] + kappa_grads + b_grads)
+            if li:  # the input channels (U, 1) need no gradient
+                dv = dz @ layer.W
+                dv += (dz.reshape(B, -1) @ K2).reshape(B, n, layer.dim_in) \
+                    * w[None, :, None]
 
-        p_grads, _ = self.P.reverse(cache.p_trace, dv.reshape(-1, self.d_v))
-
-        grads = list(p_grads)
+        grads = []
         for lg in reversed(layer_grads):
             grads.extend(lg)
         grads.extend(q_grads)
@@ -363,7 +331,7 @@ class BoundaryOperator:
     # -- serialization -----------------------------------------------------
 
     def save(self, path):
-        tensors = dict(self.P.tensors("P."))
+        tensors = {}
         for i, layer in enumerate(self.layers):
             tensors["layer%d.W" % i] = layer.W
             tensors.update(layer.kappa.tensors("layer%d.kappa." % i))
@@ -383,9 +351,10 @@ class BoundaryOperator:
         kind, tensors, meta = read_checkpoint(path)
         if kind != "operator":
             raise ConfigurationError("checkpoint kind %r is not operator" % kind)
-        if meta.get("table_hidden", "relu") != "relu":  # older checkpoints
-            raise ConfigurationError("unsupported table_hidden %r"
-                                     % meta["table_hidden"])
+        if any(name.startswith("P.") for name in tensors):
+            raise ConfigurationError(
+                "checkpoint holds the lift P of an older operator layout, "
+                "which this version does not read; retrain the operator")
         grid = TimeGrid(float(meta["grid_T"]), int(meta["grid_M"]))
         n_layers = int(meta["n_layers"])
         d_v = int(meta["d_v"])
@@ -394,7 +363,6 @@ class BoundaryOperator:
         b_hidden = tensors["layer0.b.W0"].shape[0]
         op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,
                  kappa_hidden=kappa_hidden, b_hidden=b_hidden)
-        op.P.set_tensors(tensors, "P.")
         for i, layer in enumerate(op.layers):
             W = tensors["layer%d.W" % i]
             if W.shape != layer.W.shape:

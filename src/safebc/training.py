@@ -31,8 +31,8 @@ HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
 
 def _check_schedule(schedule, batch):
     """ConfigurationError unless the schedule can run: epochs >= 0, the
-    batch size named batch >= 1, and a finite positive learning rate and
-    decay factor (when one is set)."""
+    batch size named batch >= 1, a finite positive learning rate, and a
+    decay factor and period set together, finite positive and >= 1."""
     if not schedule.epochs >= 0:
         raise ConfigurationError(
             f"epochs must be >= 0, got {schedule.epochs!r}")
@@ -42,10 +42,17 @@ def _check_schedule(schedule, batch):
     if not 0.0 < schedule.lr < math.inf:
         raise ConfigurationError(
             f"lr must be finite and positive, got {schedule.lr!r}")
+    if (schedule.decay_factor is None) != (schedule.decay_every is None):
+        raise ConfigurationError(
+            "decay_factor and decay_every must be set together, got "
+            f"{schedule.decay_factor!r} and {schedule.decay_every!r}")
     if schedule.decay_factor is not None \
             and not 0.0 < schedule.decay_factor < math.inf:
         raise ConfigurationError("decay_factor must be finite and positive, "
                                  f"got {schedule.decay_factor!r}")
+    if schedule.decay_every is not None and not schedule.decay_every >= 1:
+        raise ConfigurationError(
+            f"decay_every must be >= 1, got {schedule.decay_every!r}")
 
 
 def _check_weights(config, *names):

@@ -98,7 +98,7 @@ def frozen_quadrature_eval(op, cache, u_func, t, batch=0):
     nodes = op.grid.times()
     n = nodes.size
     signs = []
-    v_t = op.P.forward(np.array([[float(u_func(t))]]))[0]
+    v_t = np.array([float(u_func(t)), 1.0])
     for li, layer in enumerate(op.layers):
         v_nodes = cache.vs[li][batch]
         pairs = np.empty((n, 2))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from safebc.barrier import BarrierFunction, FeasibilityConstants
+from safebc.checkpoint import read_checkpoint, write_checkpoint
 from safebc.cli import (build_parser, load_config, load_experiment, main,
                         read_metrics_csv)
 from safebc.evaluation import ExperimentSpec
@@ -496,6 +497,14 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
      "decay_factor must be finite and positive"),
     (load_train_config, '{"operator": {"decay_factor": 0, "decay_every": 2}}',
      "decay_factor must be finite and positive"),
+    (load_train_config, '{"bcbf": {"decay_every": 0}}',
+     "decay_every must be >= 1"),
+    (load_train_config, '{"bcbf": {"decay_every": -3}}',
+     "decay_every must be >= 1"),
+    (load_train_config, '{"operator": {"decay_factor": 0.5}}',
+     "decay_factor and decay_every must be set together"),
+    (load_train_config, '{"operator": {"decay_every": 2}}',
+     "decay_factor and decay_every must be set together"),
     (load_train_config, '{"train_fraction": NaN}',
      "train_fraction must be in (0, 1)"),
     (load_train_config, '{"train_fraction": 1}',
@@ -524,7 +533,8 @@ def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
             ('{"operator": {"batch_trajectories": 0}}',
              "batch_trajectories must be >= 1"),
             ('{"bcbf": {"batch_samples": 0}}', "batch_samples must be >= 1"),
-            ('{"bcbf": {"lr": -1}}', "lr must be finite and positive")):
+            ('{"bcbf": {"lr": -1}}', "lr must be finite and positive"),
+            ('{"bcbf": {"decay_every": 0}}', "decay_every must be >= 1")):
         config.write_text(text)
         for command in ("train-operator", "train-bcbf"):
             fails([command, "--dataset", run / "data.csv", "--config",
@@ -537,6 +547,21 @@ def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
     fails(["filter", "--operator", run / "op.ckpt", "--bcbf",
            run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta",
            "nan", "--out", tmp_path / "out"], "eta must be >= 0")
+
+
+def test_an_operator_of_the_older_lifted_layout_exits_2(run, tmp_path,
+                                                        capsys):
+    # a checkpoint of the older layout holds the tensors of a lift P
+    kind, tensors, meta = read_checkpoint(run / "op.ckpt")
+    write_checkpoint(tmp_path / "old.ckpt", kind,
+                     {**tensors, "P.W0": np.ones((4, 1)), "P.b0": np.zeros(4)},
+                     meta)
+    assert main([str(a) for a in (
+        "filter", "--operator", tmp_path / "old.ckpt", "--bcbf",
+        run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta", 2,
+        "--out", tmp_path / "out")]) == 2
+    assert "retrain the operator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tuple_items_load_as_their_declared_type():

@@ -80,7 +80,7 @@ def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
     calls = counting(monkeypatch)
     # at this threshold the filter changes some inputs, not all
     on = dataclasses.replace(spec, filter_on=True,
-                             filter=FilterConfig(eta=20.0))
+                             filter=FilterConfig(eta=8.0))
     records = run_episodes(on)
     assert len(calls) == 2 and 0 < len(calls[1]) < spec.episodes
     # the replay starts from the nominal U0 of each changed episode; the
@@ -144,12 +144,13 @@ def test_one_filter_walk_with_one_forward_per_changed_step(
 
 
 def first_infeasible_steps(spec, monkeypatch):
-    """Save a barrier under which episode 1 meets an infeasible step before
-    episode 0 does. Returns the filter-on spec, the filter_batch calls and
-    each episode's first infeasible step under the fallback policy."""
+    """Save a barrier and draw episodes under which episode 1 meets an
+    infeasible step before episode 0 does. Returns the filter-on spec, the
+    filter_batch calls and each episode's first infeasible step under the
+    fallback policy."""
     BarrierFunction(time_dependent=True, seed=0).save(spec.bcbf_path)
     calls, _ = counting_filter(monkeypatch)
-    on = dataclasses.replace(spec, filter_on=True)
+    on = dataclasses.replace(spec, filter_on=True, seed=1)
     run_episodes(on)
     first = [next((r.step for r in report.records if r.infeasible), None)
              for report in calls[0][1]]

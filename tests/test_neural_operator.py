@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safebc.checkpoint import read_checkpoint, write_checkpoint
-from safebc.neural_operator import (BoundaryOperator, trapezoid_weights,
-                                    u_dot_forward)
+from safebc.neural_operator import (BoundaryOperator, KernelLayer,
+                                    trapezoid_weights, u_dot_forward)
 from safebc.pde_sim import ConfigurationError, TimeGrid
 
 
@@ -28,38 +28,67 @@ def zero_all(params):
 
 
 def identity_operator(grid, d_v=4, n_layers=1):
-    """Lift into the first channel, identity mixing, read the first channel."""
+    """U into the first channel, identity mixing, read the first channel."""
     op = BoundaryOperator(grid, d_v=d_v, n_layers=n_layers,
                           activations=("linear",) * n_layers, seed=0,
                           kappa_hidden=4, b_hidden=3)
     zero_all(op.params())
-    op.P.params()[0][0, 0] = 1.0
-    for layer in op.layers:
+    op.layers[0].W[0, 0] = 1.0
+    for layer in op.layers[1:]:
         layer.W[...] = np.eye(d_v)
     op.Q.params()[0][0, 0] = 1.0
     return op
 
 
-def dense_forward(op, U):
-    """Per-step reference with explicit kernel matrices, no table batching."""
+def time_derivative(net, x):
+    """d net / d x[:, 0] of a one-hidden-layer ReLU network at the rows x:
+    W1 (mask * W0[:, 0]), exact where no hidden unit sits at its kink."""
+    W0, b0, W1, _ = net.params()
+    return ((x @ W0.T + b0 > 0.0) * W0[:, 0]) @ W1.T
+
+
+def dense_forward(op, U, lift=None, split=False):
+    """Per-step reference with explicit kernel matrices, no table batching.
+
+    The first layer reads the channels (U, 1), or with lift=(p_w, p_b) the
+    lifted channels U p_w + p_b of the older layout, where layers[0] is a
+    (d_v, d_v) layer. With split=True it returns (Y, Lambda, mu): each
+    step's tangents along U_m (the local route) and along t_m (the table
+    networks' time derivatives), carried through the layers."""
     grid = op.grid
     n = grid.M + 1
     t = grid.times()
     w = trapezoid_weights(grid)
-    v = op.P.forward(np.asarray(U, dtype=float)[:, None])
+    U = np.asarray(U, dtype=float)
+    if lift is None:
+        v, a = np.column_stack([U, np.ones(n)]), np.tile([1.0, 0.0], (n, 1))
+    else:
+        v, a = U[:, None] * lift[0] + lift[1], np.tile(lift[0], (n, 1))
+    p = np.zeros_like(v)
     for layer in op.layers:
         do, di = layer.dim_out, layer.dim_in
         b_tab = layer.b.forward(t[:, None])
-        z = np.empty((n, do))
+        db_tab = time_derivative(layer.b, t[:, None])
+        z, dz = np.empty((n, do)), np.empty((n, do))
         for m in range(n):
-            acc = layer.W @ v[m]
+            acc, dacc = layer.W @ v[m], layer.W @ p[m]
             for j in range(n):
-                K = layer.kappa.forward(
-                    np.array([[t[m], t[j]]]))[0].reshape(do, di)
+                pair = np.array([[t[m], t[j]]])
+                K = layer.kappa.forward(pair)[0].reshape(do, di)
+                dK = time_derivative(layer.kappa, pair)[0].reshape(do, di)
                 acc = acc + w[j] * (K @ v[j])
-            z[m] = acc + b_tab[m]
-        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return op.Q.forward(v)[:, 0]
+                dacc = dacc + w[j] * (dK @ v[j])
+            z[m], dz[m] = acc + b_tab[m], dacc + db_tab[m]
+        a, p = a @ layer.W.T, dz
+        if layer.activation == "relu":
+            v, a, p = np.maximum(z, 0.0), a * (z > 0.0), p * (z > 0.0)
+        else:
+            v = z
+    Y = op.Q.forward(v)[:, 0]
+    if not split:
+        return Y
+    q = op.Q.params()[0].ravel()
+    return Y, a @ q, p @ q
 
 
 class TestBasics:
@@ -133,29 +162,55 @@ class TestForwardOracles:
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     def test_dense_reference_agreement_with_every_bias_set(self, n_layers,
                                                            activation):
-        """The first layer reads the lift folded into its kernel, k0 for
-        the weight and c0 for the bias; every bias starts at zero, so they
-        are set here for c0 to count."""
+        """Every bias starts at zero, so they are set here for the bias
+        terms and the constant channel's kernel column to count."""
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=n_layers,
                               activations=(activation,) * n_layers,
                               kappa_hidden=8, b_hidden=4, seed=20)
         rng = np.random.default_rng(21)
         for p in op.params():
             p += 0.3 * rng.normal(size=p.shape)
-        assert np.all(op.P.biases[0] != 0.0)
+        assert np.all(op.layers[0].kappa.biases[1] != 0.0)
         U = rng.normal(size=7)
         Y, Yd = op.forward(U), dense_forward(op, U)
         assert np.max(np.abs(Y - Yd)) <= 1e-12 * np.max(np.abs(Yd))
 
-    def test_the_first_layer_reads_no_dense_table(self):
-        """A warm pass whose first K2 is overwritten with NaN gives the
-        same output bitwise: that layer reads only k0 and c0."""
-        op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=2,
-                              kappa_hidden=4, b_hidden=3, seed=23)
-        UU = np.random.default_rng(24).normal(size=(3, 7))
-        YY, _ = op.forward_batch(UU)
-        op._tables.layers[0][0][...] = np.nan
-        assert np.array_equal(op.forward_batch(UU)[0], YY)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    def test_a_lifted_first_layer_is_a_first_layer_on_u_and_one(
+            self, n_layers, activation):
+        """An affine lift U p_w + p_b into a (d_v, d_v) first layer is the
+        first layer on (U, 1) with W' = W_0 [p_w p_b] and K' = K_0 [p_w p_b]:
+        the same Y, Lambda and mu. K' is the kernel network with its output
+        layer contracted with [p_w p_b]."""
+        d_v, grid = 4, TimeGrid(1.0, 6)
+        activations = (activation,) * n_layers
+        new = BoundaryOperator(grid, d_v=d_v, n_layers=n_layers,
+                               activations=activations, kappa_hidden=8,
+                               b_hidden=4, seed=30)
+        old = BoundaryOperator(grid, d_v=d_v, n_layers=n_layers,
+                               activations=activations, kappa_hidden=8,
+                               b_hidden=4, seed=30)
+        old.layers[0] = KernelLayer(d_v, d_v, 8, 4, activation, seed=31)
+        rng = np.random.default_rng(32)
+        for p in old.params():
+            p += 0.3 * rng.normal(size=p.shape)
+        lift = rng.normal(size=(2, d_v))  # p_w, p_b
+        L = lift.T  # (d_v, 2)
+        for mine, theirs in zip(new.params(), old.params()):
+            if mine.shape == theirs.shape:
+                mine[...] = theirs
+        first, lifted = new.layers[0], old.layers[0]
+        first.W[...] = lifted.W @ L
+        _, _, kW1, kb1 = lifted.kappa.params()
+        _, _, nW1, nb1 = first.kappa.params()
+        nW1[...] = np.einsum("oih,ik->okh", kW1.reshape(d_v, d_v, -1),
+                             L).reshape(nW1.shape)
+        nb1[...] = (kb1.reshape(d_v, d_v) @ L).ravel()
+        U = rng.normal(size=grid.M + 1).cumsum()
+        for a, b in zip(new.predict(U),
+                        dense_forward(old, U, lift=tuple(lift), split=True)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_batch_matches_single(self):
         op = BoundaryOperator(TimeGrid(1.0, 6), d_v=4, n_layers=2,
@@ -178,9 +233,8 @@ class TestDecomposition:
             zero_all(layer.kappa.params())
         U = np.linspace(-1.0, 2.0, 9)
         _, lam, _ = op.predict(U)
-        p_vec = op.P.params()[0].ravel()
         q_vec = op.Q.params()[0].ravel()
-        expected = q_vec @ op.layers[1].W @ op.layers[0].W @ p_vec
+        expected = q_vec @ op.layers[1].W @ op.layers[0].W[:, 0]
         assert np.allclose(lam, expected, rtol=1e-12)
 
     def test_mu_zero_for_static_kernel_and_bias(self):
@@ -341,8 +395,8 @@ class TestDecomposition:
                               b_hidden=3, seed=13)
         U = np.linspace(-1.0, 1.5, 6)
         op.predict(U)
-        # the lift alone first: the first layer's folded tables read it
-        for update in (op.P.params(), op.params()):
+        # the first layer alone first, then every parameter
+        for update in (op.layers[0].params(), op.params()):
             for p in update:
                 p += 0.01
             fresh = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,
@@ -399,10 +453,11 @@ def test_the_split_of_one_trajectory_of_a_batch_is_its_one_row_view(
                 assert np.array_equal(a, b)
 
 
-def test_the_table_entry_holds_one_dense_array_per_layer():
+def test_the_table_entry_holds_one_dense_array_per_later_layer():
     """After predict at the benchmark's parabolic size (M=80, d_v=16), the
-    kernel table K2 is the entry's one (n*d_v)^2 array per layer: the rate
-    split reads the traces' masks and builds no derivative table."""
+    kernel table K2 is the entry's one (n*d_v)^2 array per layer after the
+    first: the rate split reads the traces' masks and builds no derivative
+    table, and the first layer's K2 reads the two channels (U, 1)."""
     op = BoundaryOperator(TimeGrid(1.0, 80), d_v=16, n_layers=2, seed=0)
     op.predict(np.linspace(0.0, 1.0, 81))
     arrays = []
@@ -418,9 +473,10 @@ def test_the_table_entry_holds_one_dense_array_per_layer():
 
     walk(op._tables)
     dense = [a for a in arrays if a.size >= (81 * 16) ** 2]
-    assert len(dense) == op.n_layers
-    for a, (K2, _, _) in zip(dense, op._tables.layers):
+    assert len(dense) == op.n_layers - 1
+    for a, (K2, _, _) in zip(dense, op._tables.layers[1:]):
         assert a is K2 and a.shape == (81 * 16, 81 * 16)
+    assert op._tables.layers[0][0].shape == (81 * 16, 2 * 81)
 
 
 def test_a_rebuild_drops_the_stale_entry_before_it_builds(monkeypatch):
@@ -494,8 +550,8 @@ class TestLossAndGradients:
         loss, _ = op.loss_and_grads(UU, UU, l2=0.0)
         assert loss == 0.0
         loss, _ = op.loss_and_grads(UU, UU, l2=0.01)
-        # weights: one lift entry, the identity mixing, one readout entry
-        assert np.allclose(loss, 0.01 * (1.0 + op.d_v + 1.0), rtol=1e-12)
+        # weights: one first-layer entry and one readout entry
+        assert np.allclose(loss, 0.01 * (1.0 + 1.0), rtol=1e-12)
 
     def test_zero_operator_unit_targets(self):
         op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
@@ -506,17 +562,22 @@ class TestLossAndGradients:
         assert loss == 1.0
 
     def test_gradients_match_finite_differences(self):
+        """One entry of every parameter array, both layers included. The
+        zero-initialized hidden biases put every table network's hidden unit
+        at its kink at t = 0, so every parameter is moved off its start."""
         grid = TimeGrid(1.0, 5)
-        op = BoundaryOperator(grid, d_v=3, n_layers=1, kappa_hidden=4,
+        op = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,
                               b_hidden=3, seed=16)
         rng = np.random.default_rng(17)
+        for p in op.params():
+            p += 0.1 * rng.normal(size=p.shape)
         UU = rng.normal(size=(2, 6))
         YY = rng.normal(size=(2, 6))
         _, grads = op.loss_and_grads(UU, YY, l2=1e-3)
         params = op.params()
         h = 1e-6
         checked = 0
-        for pi in rng.permutation(len(params))[:5]:
+        for pi in range(len(params)):
             p, g = params[pi], grads[pi]
             idx = tuple(rng.integers(0, s) for s in p.shape)
             keep = p[idx]
@@ -528,7 +589,7 @@ class TestLossAndGradients:
             fd = (up - dn) / (2.0 * h)
             assert np.allclose(g[idx], fd, rtol=1e-4, atol=1e-7)
             checked += 1
-        assert checked == 5
+        assert checked == len(params) == 20
 
 
 class TestPersistence:
@@ -552,19 +613,17 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             BoundaryOperator.load(path)
 
-    def test_table_hidden_meta_is_relu_or_an_error(self, tmp_path):
-        """Checkpoints no longer name the table networks' hidden activation;
-        older ones that name relu still load, and any other value is
-        rejected rather than silently read as relu."""
+    def test_a_checkpoint_with_the_old_lift_is_an_error(self, tmp_path):
+        """A checkpoint of the older layout holds a lift P and a (d_v, d_v)
+        first layer; loading one says to retrain rather than reporting a
+        shape."""
         op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
                               kappa_hidden=4, b_hidden=3, seed=19)
+        op.layers[0] = KernelLayer(3, 3, 4, 3, "relu", seed=20)
         path = tmp_path / "op.ckpt"
         op.save(path)
-        assert "table_hidden" not in path.read_text()
         kind, tensors, meta = read_checkpoint(path)
-        write_checkpoint(path, kind, tensors, {**meta, "table_hidden": "relu"})
-        assert BoundaryOperator.load(path).fingerprint() == op.fingerprint()
-        write_checkpoint(path, kind, tensors,
-                         {**meta, "table_hidden": "linear"})
-        with pytest.raises(ConfigurationError, match="linear"):
+        tensors.update({"P.W0": np.ones((3, 1)), "P.b0": np.zeros(3)})
+        write_checkpoint(path, kind, tensors, meta)
+        with pytest.raises(ConfigurationError, match="retrain the operator"):
             BoundaryOperator.load(path)

@@ -259,7 +259,7 @@ class TestFilterBatch:
         # row 0 meets no infeasible step and row 2 meets one before row 1
         # does; every row is walked to the end, then row 1's step is raised
         op, bar = models(0)
-        UU = np.array([nominal(s) for s in (10, 3, 8)])
+        UU = np.array([nominal(s) for s in (7, 8, 3)])
         first = [next((r.step for r in rep.records if r.infeasible), None)
                  for rep in filter_batch(op, bar, UU, FilterConfig(eta=1e9))]
         assert first[0] is None and first[2] < first[1]
