@@ -30,6 +30,15 @@ table is (n*d_v, 2n), and later ones (n*d_v, n*d_v). The tables and the
 traces of their networks sit in one entry keyed by the exact bytes of the
 grid and the parameters; each forward cache carries its entry, so the rate
 split and the backward pass read their own pass's.
+
+`forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
+only: each earlier layer runs in full, as the last one's integral reads its
+whole input, but the last one's integral then reads only K2's rows from
+start on, the bulk of the pass at large n. Rows before start read NaN until
+`complete(cache, trajectories)` computes them from the cached input of the
+last layer, reading only K2's rows before start; it runs no earlier layer.
+A partial pass gives the rate split from row start on and has no backward
+pass; training always runs whole passes.
 """
 
 from dataclasses import dataclass
@@ -102,11 +111,16 @@ class TableEntry:
 
 @dataclass(eq=False)
 class OperatorCache:
-    """Activations of one forward pass and the tables it was computed with."""
+    """Activations of one forward pass and the tables it was computed with.
+
+    A pass from row start > 0 ran the last layer and Q at rows [start, n)
+    only: before start, the last layer's activation and Q's output read NaN
+    and its mask False; every earlier layer input is whole."""
     tables: TableEntry
     vs: list  # layer inputs: vs[0] the channels (U, 1), ..., vs[L] to Q
     masks: list  # per kernel layer: bool ReLU pattern, or None
     q_trace: object  # trace of the readout Q
+    start: int = 0  # first row of the last layer and Q that the pass ran
 
 
 class BoundaryOperator:
@@ -184,34 +198,72 @@ class BoundaryOperator:
                 "trajectory length %d does not match grid M=%d"
                 % (U.shape[-1], self.grid.M))
 
-    def forward_batch(self, UU):
+    def _preactivation(self, li, tables, v, lo, hi):
+        """Layer li's pre-activation at rows [lo, hi) of a batch, from its
+        whole input v (B, n, d_in); the integral reads only K2's rows for
+        them. The local term runs at every row, as a product over fewer rows
+        need not round like the same rows of the whole one."""
+        layer = self.layers[li]
+        K2, _, b_trace = tables.layers[li]
+        do, B = layer.dim_out, len(v)
+        vw = v * self._weights[None, :, None]
+        integ = (vw.reshape(B, -1) @ K2[lo * do:hi * do].T).reshape(
+            B, hi - lo, do)
+        return (v @ layer.W.T)[:, lo:hi] + integ + b_trace.output[lo:hi]
+
+    def forward_batch(self, UU, start=0):
         """Map a batch of input trajectories (B, M+1) to outputs (B, M+1).
 
         Returns (YY, cache); the cache stores every layer activation and
         the table entry of the pass, so the rate split and the backward
-        pass read the tables this pass used.
+        pass read the tables this pass used. Every layer before the last
+        runs at all rows, as the last one's integral reads its whole
+        input; the last layer and Q run at rows [start, n) only. Earlier
+        rows of YY, and of the last activation and mask, are NaN and False;
+        `complete` computes them from the cache.
         """
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
         tables = self._table_entry()
-        w = self._weights
         v = np.stack([UU, np.ones_like(UU)], axis=-1)
         vs = [v]
         masks = []
-        for layer, (K2, _, b_trace) in zip(self.layers, tables.layers):
-            vw = v * w[None, :, None]
-            integ = (vw.reshape(B, -1) @ K2.T).reshape(B, n, -1)
-            z = v @ layer.W.T + integ + b_trace.output[None]
+        for li, layer in enumerate(self.layers):
+            lo = start if li == self.n_layers - 1 else 0
+            z = self._preactivation(li, tables, v, lo, n)
+            if lo:
+                z = np.concatenate(
+                    [np.full((B, lo, layer.dim_out), np.nan), z], axis=1)
             masks.append(z > 0.0 if layer.activation == "relu" else None)
             v = np.maximum(z, 0.0) if layer.activation == "relu" else z
             vs.append(v)
+        # Q maps the NaN rows to NaN, and rounds each row as a whole pass
         q_trace = self.Q.trace(v.reshape(-1, self.d_v))
         YY = q_trace.output.reshape(B, n)
-        cache = OperatorCache(tables, vs, masks, q_trace)
-        if not np.all(np.isfinite(YY)):
+        if not np.all(np.isfinite(YY[:, start:])):
             raise FloatingPointError("non-finite operator output")
-        return YY, cache
+        return YY, OperatorCache(tables, vs, masks, q_trace, start)
+
+    def complete(self, cache, trajectories):
+        """Rows [0, cache.start) of the outputs of the trajectories (a
+        sequence of indices) of a forward pass, (len(trajectories),
+        cache.start): the last layer
+        and Q at those rows, from the cached input of the last layer. It
+        runs no earlier layer and reads only K2's rows for them."""
+        start = cache.start
+        z = self._preactivation(self.n_layers - 1, cache.tables,
+                                np.take(cache.vs[-2], trajectories, axis=0),
+                                0, start)
+        # a copy: the cache keeps the rows the pass left NaN
+        v = np.take(cache.vs[-1], trajectories, axis=0)
+        v[:, :start] = (np.maximum(z, 0.0)
+                        if self.layers[-1].activation == "relu" else z)
+        Y = self.Q.forward(v.reshape(-1, self.d_v))
+        Y = Y.reshape(len(v), -1)[:, :start]
+        if not np.all(np.isfinite(Y)):
+            raise FloatingPointError("non-finite operator output")
+        return Y
 
     def forward(self, U):
         """Single-trajectory forward pass: U (M+1,) to Y (M+1,)."""
@@ -239,6 +291,9 @@ class BoundaryOperator:
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
+        if start < cache.start:
+            raise ValueError(f"rows from {start} asked of a pass that ran "
+                             f"its last layer from row {cache.start}")
         w = self._weights
         q_vec = self.Q.params()[0].ravel()
 
@@ -294,7 +349,10 @@ class BoundaryOperator:
     def _backward(self, cache, dY):
         """Reverse accumulation of d(loss)/d(params) given d(loss)/dY: one
         sweep over the traces of the cached forward pass and of the tables;
-        no network runs forward."""
+        no network runs forward. The pass must have run every row."""
+        if cache.start:
+            raise ValueError("backward pass over a forward that ran its "
+                             f"last layer from row {cache.start}")
         B, n = dY.shape
         w = self._weights
 

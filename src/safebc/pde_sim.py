@@ -34,7 +34,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .checkpoint import (ConfigurationError, DatasetFormatError, read_table,
                          write_table)
@@ -200,6 +199,10 @@ def step_parabolic(state, u_boundary, cfg):
     Raises ConfigurationError if the states do not have cfg.n_points
     points or a boundary value is not finite.
     """
+    # scipy loads here, not with the module: a process that runs no
+    # parabolic step does not pay for its import
+    from scipy.linalg import solve_banded
+
     u, b = _check_step(state, u_boundary, cfg)
     dt = cfg.grid.dt
     a = cfg.eps / cfg.dx**2

@@ -11,9 +11,12 @@ move to the boundary -c/a.  The trajectory-level procedure walks the grid
 left to right and only accepts a modification when the per-step input change
 stays within a threshold eta.  It walks a whole batch of trajectories at
 once: each step makes one barrier pass over every row and one operator
-forward over the rows whose input the step before changed.  A row keeps
-its current prediction and the rate split read from it at the steps walked;
-the walk runs to the end, and the abort policy is checked after it.
+forward over the rows whose input the step before changed.  The walk reads
+a prediction made at step m only from row m on, so such a re-forward runs
+the operator's last layer from row m only; after the walk, each final
+prediction's earlier rows are completed from its forward cache.  A row
+keeps its current prediction and the rate split read from it at the steps
+walked; the walk runs to the end, and the abort policy is checked after it.
 
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
@@ -147,6 +150,11 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     its prediction as (forward cache, trajectory in it, first step) and
     (B, M+1) buffers of the rate split, which a prediction's first step
     fills for its row alone and a second step for the rest of the trajectory.
+    The first prediction is a whole forward; one made at step m > 1 runs
+    the operator's last layer from row m on, where the walk first reads it.
+    After the walk, one `complete` call per forward fills the earlier rows
+    of the final predictions that are partial, so each report's Y_predicted
+    is the forward of its U_safe (to the last bits in a larger batch).
 
     Step m pairs the barrier at (t_m, Y_m) with U[m] - U[m-1], the increment
     arriving at m; the barrier is trained on forward differences there,
@@ -156,7 +164,10 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     batch may differ from it in the last bits (a multi-row product need not
     round like a one-row one). Under the abort policy the error names, after
     the whole walk, the lowest row with an infeasible step at its first such
-    step; an error the walk raises (a non-finite operator output) comes first.
+    step; an error the walk raises (a non-finite operator output at a row it
+    reads, or in a final prediction's completed rows) comes first. The rows
+    of a superseded prediction before its first step are never computed,
+    so they cannot raise.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
     grid, n = operator.grid, operator.grid.M + 1
@@ -173,7 +184,9 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     stale = list(range(B))  # rows whose prediction is stale, ascending
     for m in range(1, n):
         if stale:
-            Y_pred[stale], cache = operator.forward_batch(U_safe[stale])
+            # the walk reads a re-forward from its first step on
+            Y_pred[stale], cache = operator.forward_batch(
+                U_safe[stale], start=0 if m == 1 else m)
             for i, b in enumerate(stale):
                 preds[b] = (cache, i, m)
             stale = []
@@ -205,6 +218,16 @@ def filter_batch(operator, bcbf, UU_nominal, config):
             records[b].append(StepRecord(m, float(du), float(du_qp), accepted,
                                          step.constraint_active,
                                          step.infeasible))
+    # the rows a final prediction skipped, one call per forward; rows stale
+    # here get a whole new prediction below
+    partial = {}
+    for b, (cache, i, _) in enumerate(preds):
+        if cache.start and b not in stale:
+            partial.setdefault(cache, []).append((b, i))
+    for cache, rows in partial.items():
+        bs, trajectories = zip(*rows)
+        Y_pred[list(bs), :cache.start] = operator.complete(
+            cache, list(trajectories))
     if config.infeasible_policy == "abort":
         for b, row in enumerate(records):
             for r in row:

@@ -2,12 +2,17 @@
 and the loading of JSON configs into the config dataclasses."""
 
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import safebc
 from safebc.barrier import BarrierFunction, FeasibilityConstants
 from safebc.checkpoint import read_checkpoint, write_checkpoint
 from safebc.cli import (build_parser, load_config, load_experiment, main,
@@ -597,3 +602,14 @@ def test_unknown_key_exits_2_with_its_path(tmp_path, capsys):
                "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "'env.beta'" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # only a parabolic step needs scipy; a fresh process that imports the
+    # command line (what every command starts with) must not pay for it
+    src = str(pathlib.Path(safebc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import safebc.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)

@@ -106,13 +106,14 @@ def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
 
 def counting_filter(monkeypatch):
     """(nominal batch, reports) of every evaluation.filter_batch call, and
-    the row count of every forward_batch call."""
-    calls, forwards = [], []
+    the row count and first computed row of every forward_batch call."""
+    calls, forwards, starts = [], [], []
     forward_batch = BoundaryOperator.forward_batch
 
-    def counting_forward(self, UU):
+    def counting_forward(self, UU, start=0):
         forwards.append(len(UU))
-        return forward_batch(self, UU)
+        starts.append(start)
+        return forward_batch(self, UU, start)
 
     def counting_batch(op, bar, UU, config):
         calls.append((UU.copy(), []))
@@ -121,7 +122,7 @@ def counting_filter(monkeypatch):
 
     monkeypatch.setattr(BoundaryOperator, "forward_batch", counting_forward)
     monkeypatch.setattr(evaluation, "filter_batch", counting_batch)
-    return calls, forwards
+    return calls, forwards, starts
 
 
 @pytest.mark.parametrize("episodes", [6, 12])
@@ -130,7 +131,7 @@ def test_one_filter_walk_with_one_forward_per_changed_step(
     # one forward for every episode's first prediction, then one after
     # each step that changed some episode's input (the last at the end),
     # so the count does not grow with the number of episodes
-    calls, forwards = counting_filter(monkeypatch)
+    calls, forwards, starts = counting_filter(monkeypatch)
     run_episodes(dataclasses.replace(spec, filter_on=True,
                                      episodes=episodes))
     [(UU, reports)] = calls
@@ -141,6 +142,11 @@ def test_one_filter_walk_with_one_forward_per_changed_step(
     assert changed_at and len(forwards) == 1 + len(changed_at)
     assert forwards[0] == episodes
     assert len(forwards) <= GRID.M + 1
+    # the first prediction is whole; a re-forward after a change at step m
+    # starts at m + 1, where the walk first reads it, and the one after a
+    # change at the last step is whole
+    assert starts == [0] + [m + 1 if m < GRID.M else 0
+                            for m in sorted(changed_at)]
 
 
 def first_infeasible_steps(spec, monkeypatch):
@@ -149,7 +155,7 @@ def first_infeasible_steps(spec, monkeypatch):
     filter_batch calls and each episode's first infeasible step under the
     fallback policy."""
     BarrierFunction(time_dependent=True, seed=0).save(spec.bcbf_path)
-    calls, _ = counting_filter(monkeypatch)
+    calls, _, _ = counting_filter(monkeypatch)
     on = dataclasses.replace(spec, filter_on=True, seed=1)
     run_episodes(on)
     first = [next((r.step for r in report.records if r.infeasible), None)

@@ -502,6 +502,118 @@ def test_a_rebuild_drops_the_stale_entry_before_it_builds(monkeypatch):
     assert op._tables is not None
 
 
+class TestPartialForward:
+    """forward_batch(UU, start) runs the last layer and Q from row start
+    on; `complete` fills the rows before it from the cached input of the
+    last layer."""
+
+    GRID = TimeGrid(1.0, 20)
+    N = 21
+    STARTS = (1, N // 2, N - 1)
+
+    def case(self, n_layers, activation, batch=1):
+        op = BoundaryOperator(self.GRID, d_v=4, n_layers=n_layers,
+                              activations=(activation,) * n_layers,
+                              seed=7 + n_layers)
+        UU = np.random.default_rng(n_layers).normal(
+            size=(batch, self.N)).cumsum(axis=1)
+        return op, UU
+
+    @staticmethod
+    def poison_last_kernel(op, rows, fill="nan"):
+        """Overwrite the given rows of the cached entry's last K2 with NaN,
+        or with +inf and -inf in alternate columns: a product that reads
+        those makes inf - inf or inf * 0 somewhere, an invalid operation
+        even where its result is then thrown away."""
+        K2 = op._table_entry().layers[-1][0]
+        K2[rows] = np.nan
+        if fill == "inf":
+            K2[rows, 0::2] = np.inf
+            K2[rows, 1::2] = -np.inf
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_rows_from_start_are_the_whole_pass(self, start, n_layers,
+                                                activation):
+        op, UU = self.case(n_layers, activation)
+        full, _ = op.forward_batch(UU)
+        part, cache = op.forward_batch(UU, start)
+        assert cache.start == start
+        assert np.array_equal(part[:, start:], full[:, start:])
+        assert np.isnan(part[:, :start]).all()
+
+    @pytest.mark.parametrize("fill", ["nan", "inf"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_the_pass_reads_no_kernel_row_before_start(self, start,
+                                                       n_layers, fill):
+        op, UU = self.case(n_layers, "relu")
+        full, _ = op.forward_batch(UU)
+        self.poison_last_kernel(op, slice(None, start * op.d_v), fill)
+        with np.errstate(invalid="raise"):
+            part, _ = op.forward_batch(UU, start)
+        assert np.array_equal(part[:, start:], full[:, start:])
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_complete_is_the_whole_pass_before_start(self, start, n_layers,
+                                                     activation):
+        op, UU = self.case(n_layers, activation)
+        full, _ = op.forward_batch(UU)
+        _, cache = op.forward_batch(UU, start)
+        # the completion reads only the kernel rows before start
+        self.poison_last_kernel(op, slice(start * op.d_v, None), "inf")
+        with np.errstate(invalid="raise"):
+            assert np.array_equal(op.complete(cache, [0]), full[:, :start])
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_complete_on_chosen_trajectories_of_a_batch(self, start,
+                                                        n_layers):
+        # a multi-row product need not round like a one-row one
+        op, UU = self.case(n_layers, "relu", batch=3)
+        full, _ = op.forward_batch(UU)
+        _, cache = op.forward_batch(UU, start)
+        rows = op.complete(cache, [2, 0])
+        assert rows.shape == (2, start)
+        expected = full[[2, 0], :start]
+        assert np.max(np.abs(rows - expected)) <= \
+            1e-12 * np.max(np.abs(expected))
+        # the cache is left as the pass wrote it
+        assert np.isnan(cache.vs[-1][:, :start]).all()
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_the_split_of_a_partial_pass_from_start_on(self, start,
+                                                       activation):
+        op, UU = self.case(2, activation)
+        _, full = op.forward_batch(UU)
+        _, part = op.forward_batch(UU, start)
+        for stop in (start + 1, self.N):
+            for a, b in zip(op.decomposition(part, start, stop),
+                            op.decomposition(full, start, stop)):
+                assert np.array_equal(a, b)
+        with pytest.raises(ValueError, match="from row %d" % start):
+            op.decomposition(part, start - 1, start)
+        with pytest.raises(ValueError):
+            op.decomposition(part)
+
+    def test_a_partial_pass_has_no_backward(self):
+        op, UU = self.case(2, "relu")
+        _, cache = op.forward_batch(UU, 3)
+        with pytest.raises(ValueError, match="from row 3"):
+            op._backward(cache, np.ones_like(UU))
+
+    def test_a_non_finite_completed_row_raises(self):
+        op, UU = self.case(2, "relu")
+        _, cache = op.forward_batch(UU, 5)
+        self.poison_last_kernel(op, slice(0, op.d_v))
+        with pytest.raises(FloatingPointError):
+            op.complete(cache, [0])
+
+
 class TestFingerprint:
     """The tables are keyed by one fingerprint of the parameters, taken once
     per forward pass; the rate split and the backward pass read the tables

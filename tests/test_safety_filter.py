@@ -8,6 +8,7 @@ to 1e-12 relative in its values, as a multi-row product need not round like
 a one-row one.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from safebc.barrier import BarrierFunction, FeasibilityConstants
-from safebc.neural_operator import BoundaryOperator
+from safebc.neural_operator import BoundaryOperator, TableEntry
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
                             ParabolicConfig, SmoothRandom, TimeGrid, rollout)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
@@ -296,12 +297,13 @@ def test_one_forward_per_prediction_and_a_split_only_where_read(
     # rest of the trajectory
     op, bar, U = parabolic_models()
     n = op.grid.M + 1
-    events = []
+    events, starts = [], []
     forward_batch, decomposition = op.forward_batch, op.decomposition
 
-    def logged_forward(UU):
+    def logged_forward(UU, start=0):
         events.append(None)
-        return forward_batch(UU)
+        starts.append(start)
+        return forward_batch(UU, start)
 
     def logged_split(cache, start, stop, trajectory):
         events.append((start, stop))
@@ -324,6 +326,57 @@ def test_one_forward_per_prediction_and_a_split_only_where_read(
             (start, stop), rest = splits[0], splits[1:]
             assert stop == start + 1
             assert rest in ([], [(stop, n)])
+    # a forward starts at its first split's row; the first one and the
+    # final one after a change at the last step run every row
+    assert starts[0] == 0
+    for start, splits in zip(starts[1:], predictions[1:]):
+        assert start == (splits[0][0] if splits else 0)
+
+
+@pytest.mark.parametrize("eta", [2.0, 1e9])
+def test_the_reported_prediction_is_the_forward_of_the_safe_input(eta):
+    # a re-forward runs the last layer from the step it is first read at,
+    # and the walk completes the final prediction's earlier rows
+    op, bar, U = parabolic_models()
+    config = FilterConfig(eta=eta)
+    report = filter_trajectory(op, bar, U, config)
+    assert report.n_modified > 0
+    assert np.array_equal(report.Y_predicted, op.forward(report.U_safe))
+    op, bar, UU = batch_case("parabolic")
+    for report in filter_batch(op, bar, UU, config):
+        assert_close(report.Y_predicted, op.forward(report.U_safe))
+
+
+def test_a_non_finite_completed_row_raises_before_an_abort(monkeypatch):
+    # NaN in the kernel rows that complete a final prediction: the
+    # completion raises, ahead of the abort policy's error
+    op, bar = models(0)
+    U = nominal(0)
+    config = FilterConfig(eta=1e9, infeasible_policy="abort")
+    starts, forward_batch = [], op.forward_batch
+
+    def logged_forward(UU, start=0):
+        starts.append(start)
+        return forward_batch(UU, start)
+
+    monkeypatch.setattr(op, "forward_batch", logged_forward)
+    with pytest.raises(FilterInfeasibleError):
+        filter_trajectory(op, bar, U, config)
+    assert starts[-1] > 0  # the final prediction is partial
+    complete = op.complete
+
+    def planted(cache, trajectories):
+        K2, kappa_trace, b_trace = cache.tables.layers[-1]
+        K2 = K2.copy()
+        K2[:cache.start * op.d_v] = np.nan
+        layers = cache.tables.layers[:-1] + [(K2, kappa_trace, b_trace)]
+        return complete(dataclasses.replace(
+            cache, tables=TableEntry(cache.tables.key, layers)),
+            trajectories)
+
+    monkeypatch.setattr(op, "complete", planted)
+    with pytest.raises(FloatingPointError):
+        filter_trajectory(op, bar, U, config)
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": -1.0},
