@@ -604,12 +604,33 @@ def test_unknown_key_exits_2_with_its_path(tmp_path, capsys):
     assert "'env.beta'" in capsys.readouterr().err
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    # only a parabolic step needs scipy; a fresh process that imports the
-    # command line (what every command starts with) must not pay for it
+def assert_scipy_unloaded_after(code, *args):
+    """Run python code in a fresh process that imports safebc from this
+    checkout, and fail unless scipy is still not loaded at its end."""
     src = str(pathlib.Path(safebc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-c",
-         "import safebc.cli, sys; assert 'scipy' not in sys.modules"],
+         code + "\nimport sys; assert 'scipy' not in sys.modules", *args],
         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # the package depends on numpy alone; the command line's import (what
+    # every command starts with) must not pull scipy in
+    assert_scipy_unloaded_after("import safebc.cli")
+
+
+def test_a_parabolic_run_does_not_load_scipy(tmp_path):
+    assert_scipy_unloaded_after(
+        "import sys\n"
+        "from safebc.cli import main\n"
+        "from safebc.pde_sim import Constant, ParabolicConfig, TimeGrid, "
+        "rollout\n"
+        "rollout(ParabolicConfig(grid=TimeGrid(1.0, 3)), [Constant()],\n"
+        "        [1.0])\n"
+        "assert main(['simulate', '--env', 'parabolic', '--grid-T', '1',\n"
+        "             '--grid-M', '3', '--controller', 'constant',\n"
+        "             '--U0', '1', '--out', sys.argv[1]]) == 0",
+        str(tmp_path / "states.csv"))
+    assert (tmp_path / "states.csv").stat().st_size > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import sequential_rollout
+from safebc import pde_sim
 from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
                             HyperbolicConfig, ParabolicConfig, Proportional,
                             RolloutResult, SimulationDivergedError,
@@ -158,6 +159,62 @@ class TestReactionDiffusionPlant:
             errors.append(np.max(np.abs(s - exact)))
         order = np.log2(errors[0] / errors[1])
         assert order >= 1.8
+
+    @pytest.mark.parametrize("cfg", [
+        ParabolicConfig(),
+        ParabolicConfig(eps=0.2, lam=-3.0, n_points=7),
+        ParabolicConfig(n_points=3),
+    ], ids=["default", "n7", "one-interior-point"])
+    def test_step_solves_the_crank_nicolson_system(self, cfg):
+        # the scheme written out point by point: A u_new = rhs on the
+        # interior, with u(0) = 0 and u(1) = b at both time levels
+        n, dt = cfg.n_points, cfg.grid.dt
+        r = 0.5 * dt * cfg.eps / cfg.dx**2
+        A = np.zeros((n - 2, n - 2))
+        for i in range(n - 2):
+            A[i, i] = 1.0 + 2.0 * r - 0.5 * dt * cfg.lam
+            if i > 0:
+                A[i, i - 1] = -r
+            if i < n - 3:
+                A[i, i + 1] = -r
+        rng = np.random.default_rng(11)
+        states = rng.normal(size=(2, 3, n))
+        states[..., 0] = 0.0
+        b = rng.normal(size=(2, 3))
+        new = step_parabolic(states, b, cfg)
+        rhs = np.empty((2, 3, n - 2))
+        for i in range(1, n - 1):
+            rhs[..., i - 1] = (
+                (1.0 - 2.0 * r + 0.5 * dt * cfg.lam) * states[..., i]
+                + r * (states[..., i - 1] + states[..., i + 1]))
+        rhs[..., -1] += r * b
+        residual = new[..., 1:-1] @ A.T - rhs
+        scale = np.max(np.abs(rhs), axis=-1, keepdims=True)
+        assert np.all(np.abs(residual) <= 1e-12 * scale)
+        assert np.all(new[..., 0] == 0.0)
+        assert np.array_equal(new[..., -1], b)
+
+    def test_the_cached_inverse_is_read_only(self):
+        inv_T = pde_sim._crank_nicolson_inverse_T(ParabolicConfig())
+        with pytest.raises(ValueError):
+            inv_T[0, 0] = 0.0
+
+    def test_a_config_builds_its_inverse_once(self, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+
+        def counting_inv(a):
+            calls.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        pde_sim._crank_nicolson_inverse_T.cache_clear()
+        cfg = ParabolicConfig(eps=0.07, n_points=9, grid=TimeGrid(1.0, 5))
+        rollout(cfg, [Constant(), Proportional(0.5)], [1.0, -0.5])
+        assert calls == [(7, 7)]
+        # an equal config, built anew, finds the same entry
+        rollout(replace(cfg, grid=TimeGrid(1.0, 5)), [Constant()], [2.0])
+        assert calls == [(7, 7)]
 
 
 class TestRollout:
