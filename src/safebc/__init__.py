@@ -33,7 +33,6 @@ from .trajectories import (  # noqa: F401
     TwoSidedSet,
     balance_near_zero,
     collect_dataset,
-    label_safety,
     parse_safe_set,
     read_dataset,
     split,
@@ -45,7 +44,6 @@ from .neural_operator import (  # noqa: F401
     BoundaryOperator,
     KernelLayer,
     trapezoid_weights,
-    u_dot_forward,
 )
 from .barrier import (  # noqa: F401
     BarrierFunction,

@@ -4,9 +4,9 @@ Every file the pipeline writes goes through `write_text`: atomically (temp
 file + rename) with LF line endings. Numbers are decimal text with 17
 significant digits, which round-trips float64 exactly.
 
-Checkpoints hold the tensors of every model kind. Layout::
+Checkpoints hold the tensors of the operator or the barrier. Layout::
 
-    CKPT v1 kind=<mlp|operator|bcbf>
+    CKPT v1 kind=<operator|bcbf>
     meta <key> <value>          # zero or more
     <tensor-name> <rows> <cols>
     <row of `cols` decimal values>
@@ -28,15 +28,14 @@ Integer and boolean cells are written as integers, every other cell with
 column; any malformed line raises DatasetFormatError with its line number.
 """
 
-from __future__ import annotations
-
+import math
 import os
 import uuid
 from typing import NamedTuple
 
 import numpy as np
 
-KINDS = ("mlp", "operator", "bcbf")
+KINDS = ("operator", "bcbf")
 
 
 def fmt(x):
@@ -46,6 +45,15 @@ def fmt(x):
 
 class ConfigurationError(ValueError):
     """Raised for invalid configuration, including malformed input files."""
+
+
+def finite_float(value, name):
+    """value as a float, or ConfigurationError unless it is one finite
+    number (an array has no one-line spec)."""
+    if np.ndim(value) != 0 or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
+    return float(value)
 
 
 class CheckpointError(ValueError):

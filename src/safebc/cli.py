@@ -145,7 +145,7 @@ def _cmd_simulate(args):
     result = rollout(env, [controller], [args.U0], episode_seeds=[args.seed])
     if step := int(result.diverged[0]):
         raise SimulationDivergedError(
-            f"simulation diverged: state not finite at step {step}", step)
+            f"simulation diverged: non-finite value at step {step}", step)
     write_states_csv(args.out, result.states[0], env.grid)
     if args.trajectory_out:
         write_trajectory_csv(args.trajectory_out, result.U[0], env.grid,

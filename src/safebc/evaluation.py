@@ -22,13 +22,13 @@ from .neural_operator import BoundaryOperator
 from .pde_sim import (ConfigurationError, FromFile, rollout,
                       stabilization_reward)
 from .safety_filter import FilterConfig, FilterInfeasibleError, filter_batch
-from .trajectories import label_safety, suffix_safe_mask
+from .trajectories import suffix_safe_mask
 
 
 def feasible_steps(labels):
-    """Length of the maximal all-safe suffix, or None when the final step is
+    """Length of the maximal all-safe suffix: 0 when the final step is
     unsafe (the episode never settles into the safe set)."""
-    return int(suffix_safe_mask(labels).sum()) or None
+    return int(suffix_safe_mask(labels).sum())
 
 
 @dataclass
@@ -153,13 +153,11 @@ def run_episodes(spec):
         run.diverged[rows] = replay.diverged
     records = []
     for e in range(spec.episodes):
-        if run.diverged[e]:
-            reward, steps = float("-inf"), None
-        else:
+        reward, steps = float("-inf"), 0
+        if not run.diverged[e]:
             reward = stabilization_reward(run.states[e])
-            steps = feasible_steps(label_safety(run.Y[e], spec.safe_set))
-        records.append(EpisodeRecord(e, U0[e], reward, steps is not None,
-                                     steps if steps is not None else 0))
+            steps = feasible_steps(spec.safe_set.contains(run.Y[e]))
+        records.append(EpisodeRecord(e, U0[e], reward, steps > 0, steps))
     return records
 
 

@@ -1,5 +1,5 @@
-"""Minimal neural substrate: ReLU/linear MLPs with one forward pass and one
-reverse sweep, and an Adam optimizer with stepped learning-rate decay.
+"""Minimal neural substrate: MLPs (ReLU hidden layers, linear output) over
+(B, d) batches with one forward pass and one reverse sweep, and Adam.
 
 `Mlp.trace` is the one forward pass. It stores every layer input and ReLU
 mask and, given a direction d, carries the tangent J(x) . d along with the
@@ -13,11 +13,7 @@ Everything is float64 numpy. Reductions run in fixed index order so repeated
 runs with the same seed are bitwise identical on the same machine.
 """
 
-from __future__ import annotations
-
 import numpy as np
-
-_ACTIVATIONS = ("relu", "linear")
 
 
 def subseed(seed, k):
@@ -29,66 +25,48 @@ def subseed(seed, k):
 
 def _as_batch(x, dim, name="x"):
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"{name} must have {dim} features, got shape {x.shape}")
-    return x, squeeze
+        raise ValueError(f"{name} must be a (B, {dim}) batch, got {x.shape}")
+    return x
 
 
 class Trace:
-    """One forward pass of an Mlp over a batch.
+    """One forward pass of an Mlp over a (B, d_in) batch.
 
     inputs holds the per-layer inputs as (B, .) batches: inputs[0] is x and
-    the last entry the output. masks holds each layer's ReLU pattern as a
-    bool array (None for linear layers). When the pass carried a direction
-    d, tangents holds the tangent of each entry of inputs (tangents[-1] is
-    J(x) . d); else it is empty. squeeze says whether x was one sample.
+    the last entry the output. masks holds each hidden layer's ReLU pattern
+    as a bool array, and None for the linear output layer. When the pass
+    carried a direction d, tangents holds the tangent of each entry of
+    inputs (tangents[-1] is J(x) . d); else it is empty.
     """
 
-    def __init__(self, inputs, masks, tangents, squeeze):
+    def __init__(self, inputs, masks, tangents):
         self.inputs = inputs
         self.masks = masks
         self.tangents = tangents
-        self.squeeze = squeeze
 
     @property
     def output(self):
-        """f(x), shaped like x."""
-        return self.inputs[-1][0] if self.squeeze else self.inputs[-1]
+        """f(x), (B, d_out)."""
+        return self.inputs[-1]
 
 
 class Mlp:
-    """Fully connected network; the final layer is always linear.
+    """Fully connected network: ReLU hidden layers, a linear output layer.
 
     Parameters
     ----------
     layer_dims : sequence of int
         Sizes [d_in, d_h1, ..., d_out]; at least two entries.
-    activations : sequence of str, optional
-        One tag per layer from {"relu", "linear"}. Defaults to relu on every
-        hidden layer and linear on the output layer.
     seed : int or numpy seed-like
         Seeds the He-uniform weight initialization (biases start at zero).
     """
 
-    def __init__(self, layer_dims, activations=None, seed=0):
+    def __init__(self, layer_dims, seed=0):
         dims = [int(d) for d in layer_dims]
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ValueError(f"bad layer dims {layer_dims}")
-        n_layers = len(dims) - 1
-        if activations is None:
-            activations = ["relu"] * (n_layers - 1) + ["linear"]
-        activations = list(activations)
-        if len(activations) != n_layers:
-            raise ValueError("need one activation per layer")
-        if any(a not in _ACTIVATIONS for a in activations):
-            raise ValueError(f"activations must be in {_ACTIVATIONS}")
-        if activations[-1] != "linear":
-            raise ValueError("final layer must be linear")
         self.layer_dims = dims
-        self.activations = activations
         rng = np.random.default_rng(seed)
         self.weights = []
         self.biases = []
@@ -114,25 +92,26 @@ class Mlp:
         return out
 
     def forward(self, x):
-        """Evaluate the network; x is (d_in,) or (B, d_in)."""
+        """Evaluate the network on a (B, d_in) batch."""
         return self.trace(x).output
 
     def trace(self, x, d=None):
-        """The one forward pass over x, (d_in,) or (B, d_in), carrying the
+        """The one forward pass over a (B, d_in) batch x, carrying the
         tangent d (same shape as x) when given, with the activation pattern
         frozen at x. At a ReLU kink the inactive subgradient (0) is used.
         """
-        a, squeeze = _as_batch(x, self.in_dim)
-        tr = Trace([a], [], [], squeeze)
+        a = _as_batch(x, self.in_dim)
+        tr = Trace([a], [], [])
         u = None
         if d is not None:
-            u, _ = _as_batch(d, self.in_dim, "d")
+            u = _as_batch(d, self.in_dim, "d")
             if u.shape[0] != a.shape[0]:
                 raise ValueError("direction batch size does not match x")
             tr.tangents.append(u)
-        for W, b, act in zip(self.weights, self.biases, self.activations):
+        last = len(self.weights) - 1
+        for k, (W, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ W.T + b
-            mask = z > 0.0 if act == "relu" else None
+            mask = z > 0.0 if k < last else None
             a = z if mask is None else np.maximum(z, 0.0)
             tr.inputs.append(a)
             tr.masks.append(mask)
@@ -143,7 +122,7 @@ class Mlp:
         return tr
 
     def _upstream(self, upstream, batch):
-        up, _ = _as_batch(upstream, self.out_dim, "upstream")
+        up = _as_batch(upstream, self.out_dim, "upstream")
         if up.shape[0] != batch:
             raise ValueError("upstream batch size does not match x")
         return up
@@ -155,8 +134,8 @@ class Mlp:
         Returns (grads, dx): the parameter gradients, in params() order and
         summed over the batch b, of
             upstream[b] . f(x[b]) + tangent_upstream[b] . (J(x[b]) . d[b])
-        and dx = d/dx of the first term, shaped like x; a missing upstream
-        is zero. With a one-hot upstream, dx holds that output's row of the
+        and dx = d/dx of the first term, (B, d_in); a missing upstream is
+        zero. With a one-hot upstream, dx holds that output's row of the
         input Jacobian. The second term holds the activation masks locally
         constant (exact away from kinks), so it adds nothing to the bias
         gradients. The trace's output entry is not read. With
@@ -185,10 +164,10 @@ class Mlp:
             if g is not None:
                 grads[2 * k] += g.T @ trace.tangents[k]
                 g = g @ self.weights[k]
-            if k > 0 and trace.masks[k - 1] is not None:
+            if k > 0:
                 delta = delta * trace.masks[k - 1]
                 g = None if g is None else g * trace.masks[k - 1]
-        return grads, delta[0] if trace.squeeze else delta
+        return grads, delta
 
     def tensors(self, prefix=""):
         out = {}

@@ -58,13 +58,19 @@ def trapezoid_weights(grid):
     return w
 
 
-def u_dot_forward(U, dt):
-    """Forward-difference rates (U[m+1] - U[m]) / dt, last entry repeated."""
-    U = np.asarray(U, dtype=float)
-    ud = np.empty_like(U)
-    ud[:-1] = np.diff(U) / dt
-    ud[-1] = ud[-2]
-    return ud
+def check_architecture(d_v, n_layers, activations=None):
+    """ConfigurationError unless d_v and n_layers are >= 1 and activations,
+    when given, names "relu" or "linear" (an affine layer) per layer."""
+    for name, value in (("d_v", d_v), ("n_layers", n_layers)):
+        if not value >= 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
+    if activations is not None and len(activations) != n_layers:
+        raise ConfigurationError(f"activations must name one per layer "
+                                 f"({n_layers}), got {tuple(activations)!r}")
+    for a in activations or ():
+        if a not in ("relu", "linear"):
+            raise ConfigurationError(
+                f"activations must each be 'relu' or 'linear', got {a!r}")
 
 
 def mean_square(diff):
@@ -128,12 +134,8 @@ class BoundaryOperator:
 
     def __init__(self, grid, d_v, n_layers, activations=None, seed=0,
                  kappa_hidden=32, b_hidden=16):
-        if n_layers < 1:
-            raise ConfigurationError("n_layers must be >= 1")
-        if activations is None:
-            activations = ("relu",) * n_layers
-        if len(activations) != n_layers:
-            raise ConfigurationError("one activation per layer required")
+        check_architecture(d_v, n_layers, activations)
+        activations = activations or ("relu",) * n_layers
         self.grid = grid
         self.d_v = d_v
         self.n_layers = n_layers
@@ -142,7 +144,7 @@ class BoundaryOperator:
                         activations[i], seed=subseed(seed, 1 + i))
             for i in range(n_layers)
         ]
-        self.Q = Mlp([d_v, 1], activations=("linear",), seed=subseed(seed, 99))
+        self.Q = Mlp([d_v, 1], seed=subseed(seed, 99))
         self._weights = trapezoid_weights(grid)
         self._tables = None
 

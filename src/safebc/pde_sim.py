@@ -27,8 +27,6 @@ replayed by a rollout with a FromFile controller, which reproduces the
 recorded run's states bitwise.
 """
 
-from __future__ import annotations
-
 import copy
 import functools
 import math
@@ -37,13 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import (ConfigurationError, DatasetFormatError, read_table,
-                         write_table)
+from .checkpoint import (ConfigurationError, DatasetFormatError,
+                         finite_float, read_table, write_table)
 
 
 class SimulationDivergedError(RuntimeError):
-    """Raised when a simulation's state turns non-finite; carries the step
-    index. rollout marks such episodes in `diverged` instead."""
+    """Raised when a simulation's input or state turns non-finite; carries
+    the step index. rollout marks such episodes in `diverged` instead."""
 
     def __init__(self, message, step=None):
         super().__init__(message)
@@ -276,7 +274,7 @@ class Proportional(Controller):
     SPEC = ("proportional", {"gain": ("gain", float)})
 
     def __init__(self, gain):
-        self.gain = float(gain)
+        self.gain = finite_float(gain, "gain")
 
     def control(self, m, t, y_prev):
         return -self.gain * y_prev
@@ -288,7 +286,7 @@ class Constant(Controller):
     SPEC = ("constant", {"value": ("value", float)})
 
     def __init__(self, value=None):
-        self.value = None if value is None else float(value)
+        self.value = None if value is None else finite_float(value, "value")
         self._held = 0.0
 
     def reset(self, U0, grid, episode_seed=None):
@@ -319,13 +317,13 @@ class SmoothRandom(Controller):
                  min_frequency=0.2, max_frequency=1.5):
         if num_modes < 1:
             raise ConfigurationError("need at least one mode")
-        if not 0.0 < min_frequency <= max_frequency:
-            raise ConfigurationError("bad frequency range")
         self.seed = int(seed)
         self.num_modes = int(num_modes)
-        self.amplitude = float(amplitude)
-        self.min_frequency = float(min_frequency)
-        self.max_frequency = float(max_frequency)
+        self.amplitude = finite_float(amplitude, "amplitude")
+        self.min_frequency = finite_float(min_frequency, "min_frequency")
+        self.max_frequency = finite_float(max_frequency, "max_frequency")
+        if not 0.0 < min_frequency <= max_frequency:
+            raise ConfigurationError("bad frequency range")
         self._U0 = 0.0
         self._amps = np.zeros(num_modes)
         self._freqs = np.ones(num_modes)
@@ -358,6 +356,9 @@ class FromFile(Controller):
         else:
             self.path = None
             self._U = np.array(source, dtype=np.float64)
+        if not np.all(np.isfinite(self._U)):
+            raise ConfigurationError(
+                f"{self.path or 'replayed input'}: values must be finite")
 
     @property
     def U(self):
@@ -406,8 +407,8 @@ def parse_controller(text):
 class RolloutResult:
     """Boundary input/output trajectories of B episodes, each (B, M+1), the
     state histories as one (B, M+1, n_points) array, and `diverged`, per
-    episode the first step whose state is not finite (0 when it stayed
-    finite). A diverged episode reads NaN from that step on."""
+    episode the first step whose input or state is not finite (0 when both
+    stayed finite). A diverged episode reads NaN from that step on."""
 
     def __init__(self, U, Y, states, diverged):
         self.U = U
@@ -421,8 +422,8 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None):
     controllers[b] from the constant profile u(x,0) = U0[b].
 
     Each grid step makes one step call on the running episodes' states. An
-    episode whose state turns non-finite is marked in `diverged` and
-    dropped; the others run on unchanged."""
+    episode whose input (an overflowing feedback, say) or state turns
+    non-finite is marked in `diverged` and dropped; the others run on."""
     U0 = np.asarray(U0, dtype=np.float64)
     if U0.shape != (len(controllers),):
         raise ConfigurationError(
@@ -443,15 +444,16 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None):
     diverged = np.zeros(len(U0), dtype=int)
     live = np.arange(len(U0))
     for m in range(1, grid.M + 1):
-        for b in live:
-            U[b, m] = controllers[b].control(m, m * grid.dt,
-                                             states[b, m - 1, out])
-        if not np.all(np.isfinite(U[live, m])):
-            raise ConfigurationError(
-                f"controller produced non-finite U at step {m}")
         with np.errstate(over="ignore", invalid="ignore"):
-            states[live, m] = step(states[live, m - 1], U[live, m], env_cfg)
-        finite = np.isfinite(states[live, m]).all(axis=1)
+            for b in live:
+                U[b, m] = controllers[b].control(m, m * grid.dt,
+                                                 states[b, m - 1, out])
+            finite = np.isfinite(U[live, m])
+            stepped = live[finite]
+            states[stepped, m] = step(states[stepped, m - 1], U[stepped, m],
+                                      env_cfg)
+        # a row runs on while its input and its new state are finite
+        finite[finite] = np.isfinite(states[stepped, m]).all(axis=1)
         if not finite.all():
             diverged[live[~finite]] = m
             states[live[~finite], m:] = U[live[~finite], m:] = np.nan

@@ -22,7 +22,7 @@ from .barrier import (BarrierFunction, FeasibilityConstants,
                       loss_decrease_condition, loss_safe_set)
 from .checkpoint import ConfigurationError, fmt, read_table, write_table
 from .nets import Adam, subseed
-from .neural_operator import BoundaryOperator, mean_square, u_dot_forward
+from .neural_operator import BoundaryOperator, check_architecture, mean_square
 from .trajectories import balance_near_zero, split, suffix_safe_mask
 
 HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
@@ -80,6 +80,7 @@ class OperatorSchedule:
     def __post_init__(self):
         _check_schedule(self, "batch_trajectories")
         _check_weights(self, "l2")
+        check_architecture(self.d_v, self.n_layers, self.activations)
 
 
 @dataclass
@@ -123,6 +124,9 @@ class TrainConfig:
         if not 0.0 < self.balance_keep <= 1.0:
             raise ConfigurationError("balance_keep must be in (0, 1], "
                                      f"got {self.balance_keep!r}")
+        if not self.balance_band[0] <= self.balance_band[1]:
+            raise ConfigurationError("balance_band low end must be <= its "
+                                     f"high end, got {self.balance_band!r}")
 
 
 @dataclass(frozen=True)
@@ -250,11 +254,10 @@ class _BarrierSamples:
         """dY/dt at the retained steps: trajectory finite differences, or
         the operator's rate split Lambda * U_dot + mu."""
         if dy_source == "operator":
-            dY = np.empty_like(self._U)
+            dY = np.empty((len(self._U), self._U.shape[1] - 1))
             for k, U in enumerate(self._U):
                 _, lam, mu = operator.predict(U)
-                dY[k] = lam * u_dot_forward(U, self._dt) + mu
-            dY = dY[:, :-1]
+                dY[k] = lam[:-1] * (np.diff(U) / self._dt) + mu[:-1]
         else:
             dY = np.diff(self._Y, axis=1) / self._dt
         self.bf_dY = dY[self._retained]

@@ -6,19 +6,16 @@ grid as three (K, M+1) arrays: the inputs U, the outputs Y and the per-step
 safety labels; row k is trajectory k, and its initial condition is U[k, 0].
 On disk it is a table (see `checkpoint`) with columns
 traj_id,step,t,U,Y,safe, preceded by one '# key=value' comment per metadata
-entry and the grid_T / grid_M comments that fix the time grid. A write/read
-round trip is value-exact.
+entry and the grid_T / grid_M comments that fix the time grid; a file
+without them is rejected. A write/read round trip is value-exact.
 """
 
-from __future__ import annotations
-
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import (ConfigurationError, DatasetFormatError, fmt,
-                         read_table, write_table)
+from .checkpoint import (ConfigurationError, DatasetFormatError,
+                         finite_float, fmt, read_table, write_table)
 from .nets import subseed
 from .pde_sim import TimeGrid, rollout
 
@@ -39,7 +36,7 @@ class OneSidedSet:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ConfigurationError("sign must be +1 or -1")
-        object.__setattr__(self, "bound", _finite_float(self.bound, "bound"))
+        object.__setattr__(self, "bound", finite_float(self.bound, "bound"))
 
     def contains(self, Y):
         return self.sign * np.asarray(Y, dtype=np.float64) < self.bound
@@ -59,7 +56,7 @@ class TwoSidedSet:
 
     def __post_init__(self):
         object.__setattr__(self, "center",
-                           _finite_float(self.center, "center"))
+                           finite_float(self.center, "center"))
         if not self.halfwidth > 0:
             raise ConfigurationError("halfwidth must be positive")
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
@@ -69,15 +66,6 @@ class TwoSidedSet:
 
     def describe(self):
         return f"abs:center={self.center!r},halfwidth={self.halfwidth!r}"
-
-
-def _finite_float(value, name):
-    """value as a float, or ConfigurationError unless it is one finite
-    number (an array has no one-line spec)."""
-    if np.ndim(value) != 0 or not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be a finite number, "
-                                 f"got {value!r}")
-    return float(value)
 
 
 def parse_safe_set(text):
@@ -99,11 +87,6 @@ def parse_safe_set(text):
     raise ConfigurationError(f"cannot parse safe set {text!r}")
 
 
-def label_safety(Y, safe_set):
-    """Pointwise membership labels for a boundary output trajectory."""
-    return np.asarray(safe_set.contains(Y), dtype=bool)
-
-
 def suffix_safe_mask(labels):
     """True where every label from that step to the end (of its row, for a
     (K, M+1) array) is safe."""
@@ -114,10 +97,9 @@ def suffix_safe_mask(labels):
 @dataclass
 class Dataset:
     """K trajectories on one time grid: U, Y (float) and safe (bool) are
-    (K, M+1) arrays with trajectory k in row k. Trajectories need a grid:
-    a dataset without one is empty."""
+    (K, M+1) arrays with trajectory k in row k."""
 
-    grid: TimeGrid | None
+    grid: TimeGrid
     U: np.ndarray
     Y: np.ndarray
     safe: np.ndarray
@@ -132,9 +114,7 @@ class Dataset:
             raise ConfigurationError(
                 f"U, Y and safe must share one 2-D shape, got {self.U.shape}"
                 f", {self.Y.shape} and {self.safe.shape}")
-        if self.grid is None and len(self):
-            raise ConfigurationError("a dataset with trajectories needs a grid")
-        if self.grid is not None and self.U.shape[1] != self.grid.M + 1:
+        if self.U.shape[1] != self.grid.M + 1:
             raise ConfigurationError(
                 f"trajectories have {self.U.shape[1]} steps, the grid "
                 f"{self.grid.M + 1}")
@@ -175,8 +155,7 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
         "skipped": str(skipped),
     }
     Y = run.Y[kept]
-    return Dataset(env_cfg.grid, run.U[kept], Y, label_safety(Y, safe_set),
-                   meta)
+    return Dataset(env_cfg.grid, run.U[kept], Y, safe_set.contains(Y), meta)
 
 
 def balance_near_zero(dataset, band, keep_fraction, seed=0):
@@ -217,14 +196,11 @@ def write_dataset(path, dataset):
     """Dataset table: '# key=value' metadata and grid comments, then one
     traj_id,step,t,U,Y,safe row per step of every trajectory."""
     comments = [f"{key}={value}" for key, value in dataset.meta.items()]
-    rows = []
-    if dataset.grid is not None:
-        comments += [f"grid_T={fmt(dataset.grid.T)}",
-                     f"grid_M={dataset.grid.M}"]
-        dt = dataset.grid.dt
-        rows = ((k, m, m * dt, u, y, safe) for k, cols in
-                enumerate(zip(dataset.U, dataset.Y, dataset.safe))
-                for m, (u, y, safe) in enumerate(zip(*cols)))
+    comments += [f"grid_T={fmt(dataset.grid.T)}", f"grid_M={dataset.grid.M}"]
+    dt = dataset.grid.dt
+    rows = ((k, m, m * dt, u, y, safe) for k, cols in
+            enumerate(zip(dataset.U, dataset.Y, dataset.safe))
+            for m, (u, y, safe) in enumerate(zip(*cols)))
     write_table(path, DATASET_COLUMNS, rows, comments)
 
 
@@ -237,15 +213,13 @@ def read_dataset(path):
         key, sep, value = comment.partition("=")
         if sep:
             meta[key.strip()] = value
-    grid = None
-    if "grid_T" in meta and "grid_M" in meta:
-        grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
-    elif table.rows:
-        raise DatasetFormatError(path, "rows without grid_T/grid_M comments")
+    if "grid_T" not in meta or "grid_M" not in meta:
+        raise DatasetFormatError(path, "missing grid_T/grid_M comments")
+    grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
     by_traj = {}
     for traj_id, step, _, U, Y, safe in table.rows:
         by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
-    width = 0 if grid is None else grid.M + 1
+    width = grid.M + 1
     U = np.empty((len(by_traj), width))
     Y = np.empty_like(U)
     safe = np.empty(U.shape, dtype=bool)
@@ -257,10 +231,3 @@ def read_dataset(path):
                 f"expected 0..{grid.M}")
         U[k], Y[k], safe[k] = cols
     return Dataset(grid, U, Y, safe, meta)
-
-
-def datasets_equal(a, b):
-    """Bitwise equality of values and labels (metadata ignored)."""
-    return a.grid == b.grid and all(
-        np.array_equal(x, y)
-        for x, y in ((a.U, b.U), (a.Y, b.Y), (a.safe, b.safe)))

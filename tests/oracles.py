@@ -104,14 +104,13 @@ def frozen_quadrature_eval(op, cache, u_func, t, batch=0):
         pairs = np.empty((n, 2))
         pairs[:, 0] = t
         pairs[:, 1] = nodes
-        if layer.kappa.activations[0] == "relu":
-            W0, b0 = layer.kappa.params()[0], layer.kappa.params()[1]
-            signs.append((pairs @ W0.T + b0 > 0.0).ravel())
+        # the table networks' one hidden layer is ReLU
+        W0, b0 = layer.kappa.params()[0], layer.kappa.params()[1]
+        signs.append((pairs @ W0.T + b0 > 0.0).ravel())
         K = layer.kappa.forward(pairs).reshape(n, layer.dim_out, layer.dim_in)
         integ = np.einsum("j,joi,ji->o", w, K, v_nodes)
-        if layer.b.activations[0] == "relu":
-            W0, b0 = layer.b.params()[0], layer.b.params()[1]
-            signs.append((np.array([[t]]) @ W0.T + b0 > 0.0).ravel())
+        W0, b0 = layer.b.params()[0], layer.b.params()[1]
+        signs.append((np.array([[t]]) @ W0.T + b0 > 0.0).ravel())
         z = layer.W @ v_t + integ + layer.b.forward(np.array([[t]]))[0]
         if layer.activation == "relu":
             signs.append(z > 0.0)
@@ -119,7 +118,7 @@ def frozen_quadrature_eval(op, cache, u_func, t, batch=0):
         else:
             v_t = z
     value = float(op.Q.forward(v_t[None])[0, 0])
-    return value, np.concatenate(signs) if signs else np.zeros(0, dtype=bool)
+    return value, np.concatenate(signs)
 
 
 def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
@@ -152,9 +151,9 @@ def sequential_rollout(env_cfg, controller, U0, episode_seed=None):
     """One closed-loop episode as a plain loop over single-state steps:
     `(U, Y, states)` of shapes (M+1,), (M+1,) and (M+1, n_points).
 
-    Raises SimulationDivergedError, with .step the first step whose state
-    is not finite, when the plant blows up; the batched `rollout` must
-    match it row by row."""
+    Raises SimulationDivergedError, with .step the first step whose input
+    or state is not finite, when the controller or the plant blows up; the
+    batched `rollout` must match it row by row."""
     grid = env_cfg.grid
     step = step_hyperbolic if isinstance(env_cfg, HyperbolicConfig) \
         else step_parabolic
@@ -164,9 +163,11 @@ def sequential_rollout(env_cfg, controller, U0, episode_seed=None):
     U[0] = float(U0)
     controller.reset(float(U0), grid, episode_seed)
     for m in range(1, grid.M + 1):
-        u_m = float(controller.control(m, m * grid.dt,
-                                       states[m - 1, env_cfg.output_index]))
         with np.errstate(over="ignore", invalid="ignore"):
+            u_m = float(controller.control(
+                m, m * grid.dt, states[m - 1, env_cfg.output_index]))
+            if not np.isfinite(u_m):
+                raise SimulationDivergedError("input diverged", step=m)
             states[m] = step(states[m - 1], u_m, env_cfg)
         if not np.all(np.isfinite(states[m])):
             raise SimulationDivergedError("step diverged", step=m)

@@ -112,8 +112,29 @@ def test_a_diverging_simulation_names_its_step(tmp_path, capsys):
                "proportional:gain=0.5", "--U0", "1",
                "--out", str(tmp_path / "d.csv")])
     assert rc == 2
-    assert "diverged: state not finite at step 26" in capsys.readouterr().err
+    assert "diverged: non-finite value at step 26" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+def test_an_overflowing_controller_names_its_step(tmp_path, capsys):
+    # -1e6 * Y overflows at step 45 while the state is still finite
+    rc = main(["simulate", "--env", "hyperbolic", "--beta", "400",
+               "--grid-T", "5", "--grid-M", "50", "--controller",
+               "proportional:gain=1e6", "--U0", "1",
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "diverged: non-finite value at step 45" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_a_dataset_without_its_grid_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("traj_id,step,t,U,Y,safe\n")
+    rc = main(["train-operator", "--dataset", str(path),
+               "--out", str(tmp_path / "op.ckpt")])
+    assert rc == 2
+    assert "missing grid_T/grid_M comments" in capsys.readouterr().err
+    assert not (tmp_path / "op.ckpt").exists()
 
 
 def test_an_abort_names_its_step_and_under_evaluate_its_episode(tmp_path,
@@ -518,6 +539,22 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
      "balance_keep must be in (0, 1]"),
     (load_train_config, '{"balance_keep": 0}',
      "balance_keep must be in (0, 1]"),
+    (load_train_config, '{"balance_band": [0.1, -0.1]}',
+     "balance_band low end must be <= its high end"),
+    (load_train_config, '{"balance_band": [-0.1, NaN]}',
+     "balance_band low end must be <= its high end"),
+    (load_train_config, '{"operator": {"d_v": 0}}', "d_v must be >= 1"),
+    (load_train_config, '{"operator": {"n_layers": 0}}',
+     "n_layers must be >= 1"),
+    (load_train_config, '{"operator": {"activations": ["tanh", "Relu"]}}',
+     "activations must each be 'relu' or 'linear', got 'tanh'"),
+    (load_train_config, '{"operator": {"activations": ["relu", "Relu"]}}',
+     "activations must each be 'relu' or 'linear', got 'Relu'"),
+    (load_train_config, '{"operator": {"activations": []}}',
+     "activations must name one per layer (2)"),
+    (load_train_config,
+     '{"operator": {"n_layers": 1, "activations": ["relu", "relu"]}}',
+     "activations must name one per layer (1)"),
 ])
 def test_a_setting_that_cannot_run_is_an_error(load, text, message):
     values = json.loads(text)
@@ -539,7 +576,9 @@ def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
              "batch_trajectories must be >= 1"),
             ('{"bcbf": {"batch_samples": 0}}', "batch_samples must be >= 1"),
             ('{"bcbf": {"lr": -1}}', "lr must be finite and positive"),
-            ('{"bcbf": {"decay_every": 0}}', "decay_every must be >= 1")):
+            ('{"bcbf": {"decay_every": 0}}', "decay_every must be >= 1"),
+            ('{"operator": {"activations": ["tanh", "tanh"]}}',
+             "activations must each be 'relu' or 'linear'")):
         config.write_text(text)
         for command in ("train-operator", "train-bcbf"):
             fails([command, "--dataset", run / "data.csv", "--config",
@@ -552,6 +591,16 @@ def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
     fails(["filter", "--operator", run / "op.ckpt", "--bcbf",
            run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta",
            "nan", "--out", tmp_path / "out"], "eta must be >= 0")
+    fails(["simulate", *ENV, "--controller", "proportional:gain=nan",
+           "--U0", 1, "--out", tmp_path / "out"],
+          "gain must be a finite number")
+    # an operator checkpoint naming an activation no layer has
+    kind, tensors, meta = read_checkpoint(run / "op.ckpt")
+    write_checkpoint(tmp_path / "tanh.ckpt", kind, tensors,
+                     {**meta, "activations": "tanh,tanh"})
+    fails(["filter", "--operator", tmp_path / "tanh.ckpt", "--bcbf",
+           run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta", 2,
+           "--out", tmp_path / "out"], "got 'tanh'")
 
 
 def test_an_operator_of_the_older_lifted_layout_exits_2(run, tmp_path,
@@ -573,8 +622,9 @@ def test_tuple_items_load_as_their_declared_type():
     spec = load_experiment({**SPEC, "U0_range": [0, 2]})
     assert spec.U0_range == (0.0, 2.0)
     assert all(type(x) is float for x in spec.U0_range)
-    config = load_train_config({"operator": {"activations": ["linear"]}})
-    assert config.operator.activations == ("linear",)
+    config = load_train_config(
+        {"operator": {"activations": ["linear", "relu"]}})
+    assert config.operator.activations == ("linear", "relu")
 
 
 def test_numbers_load_as_floats_and_null_keeps_a_none_default():

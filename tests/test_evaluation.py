@@ -19,7 +19,7 @@ from safebc.pde_sim import (ConfigurationError, FromFile, HyperbolicConfig,
                             stabilization_reward)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
                                   filter_batch)
-from safebc.trajectories import OneSidedSet, label_safety
+from safebc.trajectories import OneSidedSet
 
 GRID = TimeGrid(5.0, 20)
 ENV = HyperbolicConfig(beta=0.5, grid=GRID)
@@ -41,8 +41,8 @@ def spec(tmp_path):
 def test_feasible_steps_counts_the_safe_suffix():
     assert feasible_steps([False, True, True]) == 2
     assert feasible_steps([True, True, True]) == 3
-    assert feasible_steps([True, False]) is None
-    assert feasible_steps([]) is None
+    assert feasible_steps([True, False]) == 0
+    assert feasible_steps([]) == 0
 
 
 def test_filter_off_scores_the_closed_loop_run_bitwise(spec):
@@ -51,8 +51,8 @@ def test_filter_off_scores_the_closed_loop_run_bitwise(spec):
         _, Y, states = sequential_rollout(ENV, spec.controller, r.U0,
                                           episode_seed=r.episode)
         assert r.reward == stabilization_reward(states)
-        assert r.feasible_steps == (
-            feasible_steps(label_safety(Y, spec.safe_set)) or 0)
+        assert r.feasible_steps == feasible_steps(spec.safe_set.contains(Y))
+        assert r.feasible == (r.feasible_steps > 0)
 
 
 def counting(monkeypatch):

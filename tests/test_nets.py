@@ -1,5 +1,5 @@
 """Tests for the MLP substrate: the forward trace with its tangent, the
-reverse sweep, Adam."""
+reverse sweep, Adam. Every network takes (B, d) batches."""
 
 import numpy as np
 import pytest
@@ -20,41 +20,49 @@ def zeroed(mlp):
 class TestForward:
     def test_zero_net_outputs_zero(self):
         mlp = zeroed(Mlp([3, 8, 2], seed=0))
-        assert np.array_equal(mlp.forward([1.0, -2.0, 3.0]), [0.0, 0.0])
+        assert np.array_equal(mlp.forward([[1.0, -2.0, 3.0]]), [[0.0, 0.0]])
 
     def test_single_linear_layer(self):
-        mlp = Mlp([1, 1], activations=("linear",), seed=0)
+        mlp = Mlp([1, 1], seed=0)
         mlp.weights[0][...] = [[2.0]]
         mlp.biases[0][...] = [3.0]
-        assert mlp.forward([1.0]) == pytest.approx([5.0], abs=0.0)
+        assert np.array_equal(mlp.forward([[1.0]]), [[5.0]])
 
     def test_matches_hand_rolled_matrix_trace(self):
+        # ReLU on every layer but the last, which is linear
         mlp = Mlp([2, 5, 4, 1], seed=42)
         x = np.array([0.3, -1.2])
         a = x
-        for W, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+        for k, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
             a = W @ a + b
-            if act == "relu":
+            if k < len(mlp.weights) - 1:
                 a = np.maximum(a, 0.0)
-        assert np.allclose(mlp.forward(x), a, rtol=0, atol=1e-14)
+        assert np.allclose(mlp.forward(x[None])[0], a, rtol=0, atol=1e-14)
 
     def test_batch_and_single_agree(self):
         mlp = Mlp([3, 6, 2], seed=1)
         xs = np.random.default_rng(0).normal(size=(7, 3))
         batch = mlp.forward(xs)
-        rows = np.stack([mlp.forward(x) for x in xs])
+        rows = np.concatenate([mlp.forward(x[None]) for x in xs])
         # BLAS may reorder the inner sums between the two shapes, so allow
         # a few ulps rather than demanding bitwise equality.
         assert np.allclose(batch, rows, rtol=1e-14, atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
         mlp = Mlp([3, 2], seed=0)
-        with pytest.raises(ValueError):
-            mlp.forward([1.0, 2.0])
+        with pytest.raises(ValueError, match="batch"):
+            mlp.forward([[1.0, 2.0]])
 
-    def test_final_layer_must_be_linear(self):
-        with pytest.raises(ValueError):
-            Mlp([2, 4, 1], activations=("relu", "relu"))
+    @pytest.mark.parametrize("shape", [(3,), (), (1, 1, 3)])
+    def test_only_a_batch_is_an_input(self, shape):
+        mlp = Mlp([3, 2], seed=0)
+        with pytest.raises(ValueError, match="batch"):
+            mlp.forward(np.ones(shape))
+        with pytest.raises(ValueError, match="batch"):
+            mlp.trace(np.ones((1, 3)), np.ones(shape))
+        tr = mlp.trace(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="batch"):
+            mlp.reverse(tr, np.ones(shape[:-1] + (2,)))
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=25, deadline=None)
@@ -64,15 +72,16 @@ class TestForward:
         mlp = Mlp([2, 8, 8, 1], seed=3)
         for b in mlp.biases:
             b[...] = 0.0
-        x = np.array([0.7, -0.4])
-        assert mlp.forward(alpha * x) == pytest.approx(
-            alpha * mlp.forward(x), rel=1e-12)
+        x = np.array([[0.7, -0.4]])
+        assert mlp.forward(alpha * x)[0] == pytest.approx(
+            alpha * mlp.forward(x)[0], rel=1e-12)
 
 
 def jacobian(mlp, x):
-    """Input Jacobian at each row of x, (B, d_out, d_in), built one output
-    row at a time from the reverse sweep's dx with a one-hot upstream."""
-    x = np.atleast_2d(x)
+    """Input Jacobian at each row of a (B, d_in) batch x, (B, d_out, d_in),
+    built one output row at a time from the reverse sweep's dx with a
+    one-hot upstream."""
+    x = np.asarray(x, dtype=float)
     tr = mlp.trace(x)
     rows = []
     for k in range(mlp.out_dim):
@@ -90,15 +99,15 @@ def sweep(mlp, x, upstream):
 class TestInputJacobian:
     def test_linear_net_jacobian_is_the_weight_row(self):
         # f(t, Y) = 3t + 2Y built by hand.
-        mlp = Mlp([2, 1], activations=("linear",), seed=0)
+        mlp = Mlp([2, 1], seed=0)
         mlp.weights[0][...] = [[3.0, 2.0]]
         mlp.biases[0][...] = [0.0]
-        _, dx = sweep(mlp, [0.5, 0.5], [1.0])
-        assert np.array_equal(dx, [3.0, 2.0])
+        _, dx = sweep(mlp, [[0.5, 0.5]], [[1.0]])
+        assert np.array_equal(dx, [[3.0, 2.0]])
 
     def test_zero_weights_give_zero_jacobian(self):
         mlp = zeroed(Mlp([4, 6, 3], seed=0))
-        assert np.array_equal(jacobian(mlp, [1.0, 2.0, 3.0, 4.0]),
+        assert np.array_equal(jacobian(mlp, [[1.0, 2.0, 3.0, 4.0]]),
                               np.zeros((1, 3, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -107,13 +116,14 @@ class TestInputJacobian:
         rng = np.random.default_rng(seed + 100)
         h = 1e-5
         for _ in range(5):
-            x = rng.normal(size=3)
+            x = rng.normal(size=(1, 3))
             J = jacobian(mlp, x)[0]
             fd = np.empty_like(J)
             for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                fd[:, j] = (mlp.forward(x + e) - mlp.forward(x - e)) / (2 * h)
+                e = np.zeros((1, 3))
+                e[0, j] = h
+                fd[:, j] = (mlp.forward(x + e) - mlp.forward(x - e))[0] \
+                    / (2 * h)
             assert np.max(np.abs(J - fd)) <= 1e-6
 
     def test_batched_jacobian_matches_per_sample(self):
@@ -122,26 +132,26 @@ class TestInputJacobian:
         _, dx = sweep(mlp, xs, np.ones((6, 1)))
         assert dx.shape == (6, 2)
         for k, x in enumerate(xs):
-            _, row = sweep(mlp, x, [1.0])
+            _, row = sweep(mlp, x[None], [[1.0]])
             # BLAS may reorder the inner sums between the two shapes
-            assert np.allclose(dx[k], row, rtol=1e-14, atol=1e-15)
+            assert np.allclose(dx[k], row[0], rtol=1e-14, atol=1e-15)
 
 
 class TestParamGradients:
     def test_zero_upstream_gives_zero_gradients(self):
         mlp = Mlp([2, 4, 1], seed=0)
-        grads, dx = sweep(mlp, [0.3, 0.4], [0.0])
+        grads, dx = sweep(mlp, [[0.3, 0.4]], [[0.0]])
         assert all(np.all(g == 0.0) for g in grads)
-        assert np.array_equal(dx, [0.0, 0.0])
+        assert np.array_equal(dx, [[0.0, 0.0]])
 
     def test_single_linear_layer_gradients(self):
-        mlp = Mlp([1, 1], activations=("linear",), seed=0)
+        mlp = Mlp([1, 1], seed=0)
         mlp.weights[0][...] = [[2.0]]
         mlp.biases[0][...] = [0.5]
-        grads, dx = sweep(mlp, [1.0], [1.0])
+        grads, dx = sweep(mlp, [[1.0]], [[1.0]])
         assert np.array_equal(grads[0], [[1.0]])
         assert np.array_equal(grads[1], [1.0])
-        assert np.array_equal(dx, [2.0])
+        assert np.array_equal(dx, [[2.0]])
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_gradients_match_finite_differences(self, seed):
@@ -173,9 +183,9 @@ class TestParamGradients:
     def test_directional_derivative_equals_jacobian_product(self):
         mlp = Mlp([3, 8, 2], seed=4)
         rng = np.random.default_rng(11)
-        x = rng.normal(size=3)
-        d = rng.normal(size=3)
-        expect = jacobian(mlp, x)[0] @ d
+        x = rng.normal(size=(1, 3))
+        d = rng.normal(size=(1, 3))
+        expect = jacobian(mlp, x)[0] @ d[0]
         tr = mlp.trace(x, d)
         assert np.allclose(tr.tangents[-1][0], expect, rtol=1e-13, atol=0)
         assert np.array_equal(tr.output, mlp.forward(x))
@@ -186,11 +196,11 @@ class TestParamGradients:
         # differencing the tangent of the trace.
         mlp = Mlp([2, 6, 1], seed=2)
         rng = np.random.default_rng(8)
-        x = rng.normal(size=2)
-        d = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
+        d = rng.normal(size=(1, 2))
         up = np.array([1.0])
-        grads, dx = mlp.reverse(mlp.trace(x, d), tangent_upstream=up)
-        assert np.array_equal(dx, np.zeros(2))
+        grads, dx = mlp.reverse(mlp.trace(x, d), tangent_upstream=up[None])
+        assert np.array_equal(dx, np.zeros((1, 2)))
         h = 1e-6
         params = mlp.params()
         for pi in range(len(params)):
@@ -313,39 +323,45 @@ class TestCheckpointFormat:
         path = tmp_path / "net.ckpt"
         rng = np.random.default_rng(0)
         tensors = {"W0": rng.normal(size=(3, 2)), "b0": rng.normal(size=3)}
-        write_checkpoint(path, "mlp", tensors, meta={"dims": "2,3"})
+        write_checkpoint(path, "bcbf", tensors, meta={"dims": "2,3"})
         first = path.read_text().splitlines()[0]
-        assert first == "CKPT v1 kind=mlp"
+        assert first == "CKPT v1 kind=bcbf"
         kind, back, meta = read_checkpoint(path)
-        assert kind == "mlp" and meta["dims"] == "2,3"
+        assert kind == "bcbf" and meta["dims"] == "2,3"
         assert np.array_equal(back["W0"], tensors["W0"])
         assert np.array_equal(back["b0"], np.atleast_2d(tensors["b0"]))
 
     def test_seventeen_digit_decimal_survives_tricky_floats(self, tmp_path):
         path = tmp_path / "vals.ckpt"
         vals = np.array([np.pi, 1.0 / 3.0, 1e-300, -1e300, 0.1])
-        write_checkpoint(path, "mlp", {"v": vals})
+        write_checkpoint(path, "bcbf", {"v": vals})
         _, back, _ = read_checkpoint(path)
         assert np.array_equal(back["v"][0], vals)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            write_checkpoint(tmp_path / "x.ckpt", "widget", {})
+    @pytest.mark.parametrize("kind", ["widget", "mlp"])
+    def test_unknown_kind_rejected(self, tmp_path, kind):
+        # the operator and the barrier are the only kinds; a bare MLP is none
+        with pytest.raises(CheckpointError, match="kind"):
+            write_checkpoint(tmp_path / "x.ckpt", kind, {})
+        path = tmp_path / "y.ckpt"
+        path.write_text(f"CKPT v1 kind={kind}\nW0 1 1\n1\n")
+        with pytest.raises(CheckpointError, match="kind"):
+            read_checkpoint(path)
 
     def test_truncated_tensor_detected(self, tmp_path):
         path = tmp_path / "trunc.ckpt"
-        path.write_text("CKPT v1 kind=mlp\nW0 2 2\n1 2\n")
-        with pytest.raises(CheckpointError):
+        path.write_text("CKPT v1 kind=bcbf\nW0 2 2\n1 2\n")
+        with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(path)
 
     def test_mlp_tensors_roundtrip_through_file(self, tmp_path):
         mlp = Mlp([2, 4, 1], seed=5)
         path = tmp_path / "mlp.ckpt"
-        write_checkpoint(path, "mlp", mlp.tensors())
+        write_checkpoint(path, "bcbf", mlp.tensors())
         clone = Mlp([2, 4, 1], seed=99)
         _, tensors, _ = read_checkpoint(path)
         clone.set_tensors(tensors)
-        x = np.array([0.2, -0.9])
+        x = np.array([[0.2, -0.9]])
         assert np.array_equal(clone.forward(x), mlp.forward(x))
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from safebc.checkpoint import read_checkpoint, write_checkpoint
 from safebc.neural_operator import (BoundaryOperator, KernelLayer,
-                                    trapezoid_weights, u_dot_forward)
+                                    trapezoid_weights)
 from safebc.pde_sim import ConfigurationError, TimeGrid
 
 
@@ -99,18 +99,33 @@ class TestBasics:
         assert w[0] == w[-1] == grid.dt / 2.0
         assert np.allclose(w.sum(), grid.T, rtol=1e-13)
 
-    def test_udot_forward_on_ramp(self):
-        U = 3.0 * np.linspace(0.0, 1.0, 6)
-        ud = u_dot_forward(U, 0.2)
-        assert np.allclose(ud, 3.0, rtol=1e-12)
-        assert ud[-1] == ud[-2]
-
     def test_constructor_validation(self):
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ConfigurationError):
             BoundaryOperator(grid, d_v=4, n_layers=0)
         with pytest.raises(ConfigurationError):
             BoundaryOperator(grid, d_v=4, n_layers=2, activations=("relu",))
+
+    @pytest.mark.parametrize("activations", [("tanh", "relu"),
+                                             ("relu", "Relu")],
+                             ids=["tanh", "Relu"])
+    def test_an_unknown_activation_is_rejected(self, activations):
+        # any name but "relu" once ran as linear
+        with pytest.raises(ConfigurationError, match="activations"):
+            BoundaryOperator(TimeGrid(1.0, 4), d_v=4, n_layers=2,
+                             activations=activations)
+
+    def test_a_checkpoint_naming_an_unknown_activation_is_rejected(
+            self, tmp_path):
+        path = tmp_path / "op.ckpt"
+        BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=2, seed=1).save(
+            path)
+        text = path.read_text()
+        assert "meta activations relu,relu\n" in text
+        path.write_text(text.replace("meta activations relu,relu",
+                                     "meta activations relu,tanh"))
+        with pytest.raises(ConfigurationError, match="'tanh'"):
+            BoundaryOperator.load(path)
 
     def test_forward_rejects_wrong_length(self):
         op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
@@ -383,7 +398,7 @@ class TestDecomposition:
             Y, lam, mu = op.predict(U)
             assert Y.shape == lam.shape == mu.shape == (7,)
             assert np.array_equal(Y, op.forward(U))
-            rate = lam * u_dot_forward(U, op.grid.dt) + mu
+            rate = lam[:-1] * (np.diff(U) / op.grid.dt) + mu[:-1]
             assert np.all(np.isfinite(rate))
 
     def test_predict_after_in_place_update_matches_a_fresh_operator(self):
@@ -721,8 +736,8 @@ class TestPersistence:
 
     def test_load_rejects_other_kinds(self, tmp_path):
         path = tmp_path / "other.ckpt"
-        write_checkpoint(path, "mlp", {"W0": np.zeros((1, 1))})
-        with pytest.raises(ConfigurationError):
+        write_checkpoint(path, "bcbf", {"W0": np.zeros((1, 1))})
+        with pytest.raises(ConfigurationError, match="not operator"):
             BoundaryOperator.load(path)
 
     def test_a_checkpoint_with_the_old_lift_is_an_error(self, tmp_path):

@@ -318,9 +318,28 @@ class TestRollout:
             one(HyperbolicConfig(), Constant(0.0), np.nan)
 
     def test_nonfinite_controller_output_rejected(self):
-        with pytest.raises(ConfigurationError, match="step 1"):
-            rollout(HyperbolicConfig(), [Constant(0.0), Constant(np.inf)],
-                    [1.0, 1.0])
+        # a controller whose setting is not finite is not built
+        with pytest.raises(ConfigurationError,
+                           match="value must be a finite number"):
+            Constant(np.inf)
+
+    def test_an_overflowing_controller_marks_only_its_episode_diverged(self):
+        # every setting is finite, but -1e6 * Y overflows at step 45, where
+        # the state is still finite; the episode beside it runs as alone
+        env = HyperbolicConfig(beta=400.0, grid=TimeGrid(5.0, 50))
+        res = rollout(env, [Proportional(1e6), Constant()], [1.0, 0.5])
+        assert res.diverged[0] == 45
+        assert np.isfinite(res.states[0, :45]).all()
+        assert np.isnan(res.U[0, 45:]).all()
+        assert np.isnan(res.states[0, 45:]).all()
+        with pytest.raises(SimulationDivergedError) as err:
+            sequential_rollout(env, Proportional(1e6), 1.0)
+        assert err.value.step == 45
+        alone = one(env, Constant(), 0.5)
+        assert res.diverged[1] == alone.diverged
+        for got, want in ((res.U[1], alone.U), (res.Y[1], alone.Y),
+                          (res.states[1], alone.states)):
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_one_initial_value_per_controller(self):
         with pytest.raises(ConfigurationError, match="2 controllers"):
@@ -499,6 +518,32 @@ class TestControllers:
             SmoothRandom(num_modes=0)
         with pytest.raises(ConfigurationError):
             SmoothRandom(min_frequency=2.0, max_frequency=1.0)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: Constant(np.nan), "value"),
+        (lambda: Proportional(np.nan), "gain"),
+        (lambda: Proportional(-np.inf), "gain"),
+        (lambda: SmoothRandom(amplitude=np.inf), "amplitude"),
+        (lambda: SmoothRandom(min_frequency=np.nan), "min_frequency"),
+        (lambda: SmoothRandom(max_frequency=np.inf), "max_frequency"),
+        (lambda: parse_controller("smooth:amplitude=inf"), "amplitude"),
+        (lambda: parse_controller("proportional:gain=nan"), "gain")],
+        ids=["constant-nan", "gain-nan", "gain-inf", "amplitude-inf",
+             "min-frequency-nan", "max-frequency-inf", "spec-amplitude-inf",
+             "spec-gain-nan"])
+    def test_a_nonfinite_setting_is_rejected_when_built(self, make, name):
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be a finite number"):
+            make()
+
+    def test_a_replayed_input_with_a_nonfinite_value_is_rejected(self,
+                                                                  tmp_path):
+        with pytest.raises(ConfigurationError, match="values must be finite"):
+            FromFile([0.0, np.inf, 1.0])
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, [0.0, np.nan, 1.0], TimeGrid(1.0, 2))
+        with pytest.raises(ConfigurationError, match="values must be finite"):
+            FromFile(path)
 
     def test_from_file_replays_and_length_checks(self, tmp_path):
         grid = TimeGrid(5.0, 50)

@@ -175,7 +175,7 @@ def test_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path,
 def test_files_get_the_permissions_of_a_plain_open(tmp_path):
     (tmp_path / "plain").write_text("")
     write_table(tmp_path / "t.csv", ("x",), [(1.0,)])
-    write_checkpoint(tmp_path / "m.ckpt", "mlp", {"W0": np.zeros((1, 1))})
+    write_checkpoint(tmp_path / "m.ckpt", "bcbf", {"W0": np.zeros((1, 1))})
     modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode)
              for name in ("plain", "t.csv", "m.ckpt")}
     assert len(modes) == 1

@@ -13,7 +13,7 @@ import pytest
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
                             loss_decrease_condition, loss_safe_set)
 from safebc.nets import Adam, Mlp
-from safebc.neural_operator import BoundaryOperator, u_dot_forward
+from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, StopReason,
@@ -135,7 +135,7 @@ def test_barrier_samples_concatenate_the_trajectories_in_order(dataset,
                             retained[k, :-1])
         if source == "operator":
             _, lam, mu = op.predict(U)
-            dY = (lam * u_dot_forward(U, dt) + mu)[:-1]
+            dY = lam[:-1] * (np.diff(U) / dt) + mu[:-1]
         else:
             dY = np.diff(Y) / dt
         for name, value in (

@@ -10,8 +10,8 @@ from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
 from safebc.trajectories import (CollectionError, Dataset,
                                  DatasetFormatError, OneSidedSet,
                                  TwoSidedSet, balance_near_zero,
-                                 collect_dataset, datasets_equal,
-                                 label_safety, parse_safe_set, read_dataset,
+                                 collect_dataset,
+                                 parse_safe_set, read_dataset,
                                  split, suffix_safe_mask, write_dataset)
 
 
@@ -25,8 +25,15 @@ def make_dataset(n=10, M=4, seed=0):
     return Dataset(TimeGrid(1.0, M), U, Y, Y < 1.0, {"origin": "synthetic"})
 
 
-def empty_dataset(grid=None):
-    width = 0 if grid is None else grid.M + 1
+def datasets_equal(a, b):
+    """Bitwise equality of grids, values and labels (metadata ignored)."""
+    return a.grid == b.grid and all(
+        np.array_equal(x, y)
+        for x, y in ((a.U, b.U), (a.Y, b.Y), (a.safe, b.safe)))
+
+
+def empty_dataset(grid):
+    width = grid.M + 1
     return Dataset(grid, np.empty((0, width)), np.empty((0, width)),
                    np.empty((0, width), dtype=bool))
 
@@ -34,16 +41,19 @@ def empty_dataset(grid=None):
 class TestSafeSets:
     def test_one_sided_upper_bound(self):
         s = parse_safe_set("Y<1")
-        assert np.array_equal(label_safety([0.5, 1.2, 0.3], s),
-                              [True, False, True])
+        labels = s.contains([0.5, 1.2, 0.3])
+        assert labels.dtype == bool
+        assert np.array_equal(labels, [True, False, True])
 
     def test_one_sided_lower_bound(self):
         s = parse_safe_set("Y>0")
-        assert np.array_equal(label_safety([0.5, -0.2], s), [True, False])
+        assert np.array_equal(s.contains([0.5, -0.2]), [True, False])
 
     def test_two_sided_band(self):
         s = TwoSidedSet(center=0.0, halfwidth=0.145)
-        assert np.array_equal(label_safety([0.1, -0.2], s), [True, False])
+        labels = s.contains([0.1, -0.2])
+        assert labels.dtype == bool
+        assert np.array_equal(labels, [True, False])
 
     def test_two_sided_parse(self):
         s = parse_safe_set("abs:center=0,halfwidth=0.145")
@@ -51,11 +61,11 @@ class TestSafeSets:
 
     def test_degenerate_set_labels_everything_unsafe(self):
         s = OneSidedSet(sign=1, bound=-np.finfo(float).max)
-        assert not label_safety([-1e30, 0.0, 1e30], s).any()
+        assert not s.contains([-1e30, 0.0, 1e30]).any()
 
     def test_boundary_is_unsafe(self):
         s = parse_safe_set("Y<1")
-        assert not label_safety([1.0], s)[0]
+        assert not s.contains([1.0])[0]
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -96,8 +106,8 @@ class TestSafeSets:
     def test_relabeling_is_idempotent(self):
         s = parse_safe_set("Y<1")
         Y = np.random.default_rng(0).normal(size=20)
-        first = label_safety(Y, s)
-        assert np.array_equal(label_safety(Y, s), first)
+        first = s.contains(Y)
+        assert np.array_equal(s.contains(Y), first)
 
     def test_describe_round_trips(self):
         for text in ("Y<1", "Y>0"):
@@ -292,20 +302,22 @@ class TestDatasetCsv:
         assert headers == ["traj_id,step,t,U,Y,safe"]
         assert any("origin=synthetic" in c for c in comments)
 
-    def test_header_only_file_yields_empty_dataset(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("traj_id,step,t,U,Y,safe\n")
-        ds = read_dataset(path)
-        assert len(ds) == 0
-
-    def test_trajectories_without_a_grid_are_not_written(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "traj_id,step,t,U,Y,safe\n",
+        "# grid_T=1\ntraj_id,step,t,U,Y,safe\n"])
+    def test_a_file_without_its_grid_is_rejected(self, tmp_path, text):
+        # a header-only file once read back as a dataset with no grid
         path = tmp_path / "nogrid.csv"
-        with pytest.raises(ConfigurationError, match="grid"):
-            ds = make_dataset(1)
-            write_dataset(path, Dataset(None, ds.U, ds.Y, ds.safe))
-        assert not path.exists()
-        write_dataset(path, empty_dataset())
-        assert len(read_dataset(path)) == 0
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match="grid_T/grid_M"):
+            read_dataset(path)
+
+    def test_an_empty_dataset_round_trips_with_its_grid(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_dataset(path, empty_dataset(TimeGrid(1.0, 2)))
+        back = read_dataset(path)
+        assert len(back) == 0 and back.U.shape == (0, 3)
+        assert back.grid == TimeGrid(1.0, 2)
 
     def test_hand_written_two_row_fixture(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -358,7 +370,3 @@ class TestPairValidation:
         with pytest.raises(ConfigurationError, match="steps"):
             Dataset(TimeGrid(1.0, 3), np.zeros((2, 3)), np.zeros((2, 3)),
                     np.zeros((2, 3), dtype=bool))
-
-    def test_empty_dataset_needs_no_grid(self):
-        assert len(empty_dataset()) == 0
-        assert len(empty_dataset(TimeGrid(1.0, 2))) == 0
