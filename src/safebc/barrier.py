@@ -100,12 +100,14 @@ class BarrierFunction:
     def partials(self, t, Y):
         """(phi, dphi_dt, dphi_dY) at (t, Y) from one forward pass and one
         input-gradient-only reverse sweep; dphi_dt is exactly 0 in
-        time-independent mode."""
+        time-independent mode. The points are traced as an (R, 1, d) stack,
+        so each point's values are bitwise those of the point alone, in any
+        batch and in any order."""
         x, shape = self._inputs(t, Y)
-        tr = self.net.trace(x)
-        _, dx = self.net.reverse(tr, np.ones((x.shape[0], 1)),
+        tr = self.net.trace(x.reshape(len(x), 1, x.shape[1]))
+        _, dx = self.net.reverse(tr, np.ones(tr.output.shape),
                                  param_grads=False)
-        phi = tr.output[:, 0].reshape(shape)
+        phi, dx = tr.output[:, 0, 0].reshape(shape), dx[:, 0]
         if self.time_dependent:
             dt_ = dx[:, 0].reshape(shape)
             dY_ = dx[:, 1].reshape(shape)

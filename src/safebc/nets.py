@@ -1,5 +1,5 @@
 """Minimal neural substrate: MLPs (ReLU hidden layers, linear output) over
-(B, d) batches with one forward pass and one reverse sweep, and Adam.
+(..., d) batches with one forward pass and one reverse sweep, and Adam.
 
 `Mlp.trace` is the one forward pass. It stores every layer input and ReLU
 mask and, given a direction d, carries the tangent J(x) . d along with the
@@ -8,6 +8,12 @@ a stored trace. It gives the parameter gradients of upstream . f(x) +
 tangent_upstream . (J(x) . d) and the input gradient upstream . J(x); a
 one-hot upstream yields one row of the input Jacobian. A caller that needs
 several derivatives of one batch traces it once and sweeps it once.
+
+The leading axes of an input are the batch. A (B, d) batch runs each layer
+as one (B, d) product; an (R, 1, d) stack runs it as R (1, d) products, one
+per stacked row, so each row is bitwise the row evaluated alone (a multi-row
+product may round differently from a one-row one). Parameter gradients sum
+over every leading axis.
 
 Everything is float64 numpy. Reductions run in fixed index order so repeated
 runs with the same seed are bitwise identical on the same machine.
@@ -25,15 +31,21 @@ def subseed(seed, k):
 
 def _as_batch(x, dim, name="x"):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"{name} must be a (B, {dim}) batch, got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != dim:
+        raise ValueError(
+            f"{name} must be a (..., {dim}) batch, got {x.shape}")
     return x
 
 
-class Trace:
-    """One forward pass of an Mlp over a (B, d_in) batch.
+def _rows(a):
+    """The batch's rows as one (N, d) matrix; a (B, d) batch is itself."""
+    return a.reshape(-1, a.shape[-1])
 
-    inputs holds the per-layer inputs as (B, .) batches: inputs[0] is x and
+
+class Trace:
+    """One forward pass of an Mlp over a (..., d_in) batch.
+
+    inputs holds the per-layer inputs as (..., .) batches: inputs[0] is x and
     the last entry the output. masks holds each hidden layer's ReLU pattern
     as a bool array, and None for the linear output layer. When the pass
     carried a direction d, tangents holds the tangent of each entry of
@@ -47,7 +59,7 @@ class Trace:
 
     @property
     def output(self):
-        """f(x), (B, d_out)."""
+        """f(x), (..., d_out)."""
         return self.inputs[-1]
 
 
@@ -92,11 +104,11 @@ class Mlp:
         return out
 
     def forward(self, x):
-        """Evaluate the network on a (B, d_in) batch."""
+        """Evaluate the network on a (..., d_in) batch."""
         return self.trace(x).output
 
     def trace(self, x, d=None):
-        """The one forward pass over a (B, d_in) batch x, carrying the
+        """The one forward pass over a (..., d_in) batch x, carrying the
         tangent d (same shape as x) when given, with the activation pattern
         frozen at x. At a ReLU kink the inactive subgradient (0) is used.
         """
@@ -105,7 +117,7 @@ class Mlp:
         u = None
         if d is not None:
             u = _as_batch(d, self.in_dim, "d")
-            if u.shape[0] != a.shape[0]:
+            if u.shape != a.shape:
                 raise ValueError("direction batch size does not match x")
             tr.tangents.append(u)
         last = len(self.weights) - 1
@@ -123,7 +135,7 @@ class Mlp:
 
     def _upstream(self, upstream, batch):
         up = _as_batch(upstream, self.out_dim, "upstream")
-        if up.shape[0] != batch:
+        if up.shape[:-1] != batch:
             raise ValueError("upstream batch size does not match x")
         return up
 
@@ -132,9 +144,9 @@ class Mlp:
         """The one reverse sweep over a trace of this network.
 
         Returns (grads, dx): the parameter gradients, in params() order and
-        summed over the batch b, of
+        summed over the batch b (every leading axis), of
             upstream[b] . f(x[b]) + tangent_upstream[b] . (J(x[b]) . d[b])
-        and dx = d/dx of the first term, (B, d_in); a missing upstream is
+        and dx = d/dx of the first term, (..., d_in); a missing upstream is
         zero. With a one-hot upstream, dx holds that output's row of the
         input Jacobian. The second term holds the activation masks locally
         constant (exact away from kinks), so it adds nothing to the bias
@@ -143,8 +155,8 @@ class Mlp:
         tangent upstream, which only reaches the parameters, is then an
         error.
         """
-        batch = trace.inputs[0].shape[0]
-        delta = np.zeros((batch, self.out_dim)) if upstream is None \
+        batch = trace.inputs[0].shape[:-1]
+        delta = np.zeros(batch + (self.out_dim,)) if upstream is None \
             else self._upstream(upstream, batch)
         g = None
         if tangent_upstream is not None:
@@ -158,11 +170,11 @@ class Mlp:
         for k in range(n - 1, -1, -1):
             # the final layer is linear, so the upstreams are dL/dz there
             if param_grads:
-                grads[2 * k] = delta.T @ trace.inputs[k]
-                grads[2 * k + 1] = delta.sum(axis=0)
+                grads[2 * k] = _rows(delta).T @ _rows(trace.inputs[k])
+                grads[2 * k + 1] = _rows(delta).sum(axis=0)
             delta = delta @ self.weights[k]
             if g is not None:
-                grads[2 * k] += g.T @ trace.tangents[k]
+                grads[2 * k] += _rows(g).T @ _rows(trace.tangents[k])
                 g = g @ self.weights[k]
             if k > 0:
                 delta = delta * trace.masks[k - 1]

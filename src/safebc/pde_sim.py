@@ -393,15 +393,19 @@ def parse_controller(text):
         return Constant()
     specs = {c.SPEC[0]: c for c in (Constant, Proportional, SmoothRandom)}
     try:
+        if name not in specs:
+            raise ValueError(f"unknown controller {name!r}")
         cls, kwargs = specs[name], {}
         for item in rest.split(",") if rest else ():
             key, _, val = item.partition("=")
+            if key not in cls.SPEC[1]:
+                raise ValueError(f"unknown key {key!r} for {name}")
             param, kind = cls.SPEC[1][key]
             kwargs[param] = kind(val)
         return cls(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(
-            f"bad controller spec {text!r}: {exc!r}") from exc
+            f"bad controller spec {text!r}: {exc}") from exc
 
 
 class RolloutResult:

@@ -10,13 +10,16 @@ keep the nominal rate when it already satisfies the constraint, otherwise
 move to the boundary -c/a.  The trajectory-level procedure walks the grid
 left to right and only accepts a modification when the per-step input change
 stays within a threshold eta.  It walks a whole batch of trajectories at
-once: each step makes one barrier pass over every row and one operator
-forward over the rows whose input the step before changed.  The walk reads
-a prediction made at step m only from row m on, so such a re-forward runs
-the operator's last layer from row m only; after the walk, each final
-prediction's earlier rows are completed from its forward cache.  A row
-keeps its current prediction and the rate split read from it at the steps
-walked; the walk runs to the end, and the abort policy is checked after it.
+once: each step makes one operator forward over the rows whose input the
+step before changed.  The walk reads a prediction made at step m only from
+row m on, so such a re-forward runs the operator's last layer from row m
+only; after the walk, each final prediction's earlier rows are completed
+from its forward cache.  A row keeps its current prediction, and the rate
+split and the barrier's partials are evaluated once per prediction: at its
+first step alone, then over the rest of its trajectory at its second step.
+So a step makes at most one barrier pass, over every (row, step) pair that
+a new or second-step prediction needs, and none when no prediction is new.
+The walk runs to the end, and the abort policy is checked after it.
 
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
@@ -140,16 +143,18 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     """Filter a batch of nominal input trajectories (B, M+1) through the
     barrier QP: one FilterReport per row, from one walk over the grid.
 
-    Each step m = 1..M evaluates the barrier and its partials at every
-    row's predicted output in one network pass, solves each row's scalar
-    QP, accepts a row's result only if |dU_qp - dU_nominal| <= eta, and
+    Each step m = 1..M solves each row's scalar QP at its predicted output,
+    accepts a row's result only if |dU_qp - dU_nominal| <= eta, and
     rebuilds that row's input prefix. A step starts with one operator
     forward over the rows whose input changed at the step before (all rows
     at the first), and none when no row's did, so rows that accept nothing
     (eta = 0 in particular) keep their nominal input bitwise. A row keeps
     its prediction as (forward cache, trajectory in it, first step) and
-    (B, M+1) buffers of the rate split, which a prediction's first step
-    fills for its row alone and a second step for the rest of the trajectory.
+    (B, M+1) buffers of the rate split and of the barrier's partials, which
+    a prediction's first step fills for its row alone and a second step for
+    the rest of the trajectory. The step's one barrier pass covers those
+    (row, step) pairs of every row, and there is none when no row needs one
+    (at eta = 0: one pass at step 1 and one at step 2).
     The first prediction is a whole forward; one made at step m > 1 runs
     the operator's last layer from row m on, where the walk first reads it.
     After the walk, one `complete` call per forward fills the earlier rows
@@ -160,14 +165,15 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     arriving at m; the barrier is trained on forward differences there,
     (Y[m+1] - Y[m]) / dt, or Lambda_m (U[m+1] - U[m]) / dt from the operator.
 
-    A batch of one is bitwise the one-trajectory walk; a row of a larger
-    batch may differ from it in the last bits (a multi-row product need not
-    round like a one-row one). Under the abort policy the error names, after
-    the whole walk, the lowest row with an infeasible step at its first such
-    step; an error the walk raises (a non-finite operator output at a row it
-    reads, or in a final prediction's completed rows) comes first. The rows
-    of a superseded prediction before its first step are never computed,
-    so they cannot raise.
+    A batch of one is bitwise the one-trajectory walk. A row of a larger
+    batch may differ from it in the last bits, as a multi-row operator
+    product need not round like a one-row one; its barrier partials do not,
+    as each point is its own one-row product. Under the abort policy the
+    error names, after the whole walk, the lowest row with an infeasible
+    step at its first such step; an error the walk raises (a non-finite
+    operator output at a row it reads, or in a final prediction's completed
+    rows) comes first. The rows of a superseded prediction before its first
+    step are never computed, so they cannot raise.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
     grid, n = operator.grid, operator.grid.M + 1
@@ -180,7 +186,9 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     phi0 = bcbf.value(0.0, UU_nom[:, 0]).tolist()
 
     records = [[] for _ in range(B)]
-    preds, Lam, Mu = [None] * B, np.empty((B, n)), np.empty((B, n))
+    # per row, the rate split and the barrier's partials at its prediction
+    preds = [None] * B
+    Lam, Mu, Phi, Phi_t, Phi_Y = (np.empty((B, n)) for _ in range(5))
     stale = list(range(B))  # rows whose prediction is stale, ascending
     for m in range(1, n):
         if stale:
@@ -190,14 +198,21 @@ def filter_batch(operator, bcbf, UU_nominal, config):
             for i, b in enumerate(stale):
                 preds[b] = (cache, i, m)
             stale = []
-        phi, dphi_dt, dphi_dY = map(np.ndarray.tolist,
-                                    bcbf.partials(times[m], Y_pred[:, m]))
+        fill = np.zeros((B, n), dtype=bool)
         for b in range(B):
             cache, i, first = preds[b]
             if m - first < 2:  # the first step alone, then the rest once
                 stop = m + 1 if m == first else n
                 Lam[b, m:stop], Mu[b, m:stop] = operator.decomposition(
                     cache, m, stop, trajectory=i)
+                fill[b, m:stop] = True
+        if fill.any():
+            bs, ks = np.nonzero(fill)
+            Phi[bs, ks], Phi_t[bs, ks], Phi_Y[bs, ks] = bcbf.partials(
+                times[ks], Y_pred[bs, ks])
+        phi, dphi_dt, dphi_dY = (A[:, m].tolist()
+                                 for A in (Phi, Phi_t, Phi_Y))
+        for b in range(B):
             du = du_nom[b, m - 1]
             step = qp_filter_step(dphi_dt[b], dphi_dY[b], phi[b], phi0[b],
                                   (Lam[b, m], Mu[b, m]), config.constants,

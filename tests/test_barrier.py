@@ -37,7 +37,8 @@ def test_partials_match_central_differences(time_dependent):
     Y = rng.normal(scale=2.0, size=40)
     h = 1e-6
     phi, dphi_dt, dphi_dY = bar.partials(t, Y)
-    assert np.array_equal(phi, bar.value(t, Y))
+    # each point is evaluated as its own one-row product
+    assert all(phi[k] == bar.value(t[k], Y[k]) for k in range(t.size))
     fd_t = (bar.value(t + h, Y) - bar.value(t - h, Y)) / (2.0 * h)
     fd_Y = (bar.value(t, Y + h) - bar.value(t, Y - h)) / (2.0 * h)
     smooth = np.ones(t.size, dtype=bool)
@@ -63,27 +64,48 @@ def test_partials_keep_the_input_shape():
     grid_t, grid_Y = np.meshgrid(np.linspace(0, 5, 3), np.linspace(-1, 1, 4))
     phi, dt_, dY_ = bar.partials(grid_t, grid_Y)
     assert phi.shape == dt_.shape == dY_.shape == (4, 3)
-    # BLAS may reorder the inner sums between a batch and a single row
-    assert dY_[2, 1] == pytest.approx(
-        bar.partials(grid_t[2, 1], grid_Y[2, 1])[2], rel=1e-14)
+    # each point is its own one-row product, so bitwise the point alone
+    assert dY_[2, 1] == bar.partials(grid_t[2, 1], grid_Y[2, 1])[2]
+
+
+def one_point_partials(bar, t, Y):
+    """(phi, dphi_dt, dphi_dY) at one point from a (1, d) trace and a full
+    reverse sweep, parameter gradients included."""
+    x = np.array([[t, Y]] if bar.time_dependent else [[Y]])
+    tr = bar.net.trace(x)
+    _, dx = bar.net.reverse(tr, np.ones((1, 1)))
+    dt_ = dx[0, 0] if bar.time_dependent else 0.0
+    return tr.output[0, 0], dt_, dx[0, -1]
 
 
 @pytest.mark.parametrize("time_dependent", [True, False])
-def test_partials_equal_one_trace_and_full_reverse_bitwise(time_dependent):
-    # partials skips the parameter gradients and, for one (t, Y) point,
-    # builds the input row directly; neither changes a bit
+def test_partials_equal_one_point_traces_and_full_reverses_bitwise(
+        time_dependent):
+    # partials skips the parameter gradients and traces its R points as an
+    # (R, 1, d) stack; neither changes a bit of any point's values
     bar = BarrierFunction(time_dependent=time_dependent, seed=6)
     for t, Y in ((0.75, np.float64(-1.25)), (np.linspace(0, 5, 6),
                                              np.linspace(-2, 2, 6))):
-        x = np.stack([np.ravel(a) for a in np.broadcast_arrays(t, Y)],
-                     axis=1) if time_dependent else np.reshape(Y, (-1, 1))
-        tr = bar.net.trace(x)
-        _, dx = bar.net.reverse(tr, np.ones((x.shape[0], 1)))
-        phi, dt_, dY_ = bar.partials(t, Y)
-        assert np.array_equal(phi, tr.output[:, 0].reshape(np.shape(Y)))
-        assert np.array_equal(dY_, dx[:, -1].reshape(np.shape(Y)))
-        if time_dependent:
-            assert np.array_equal(dt_, dx[:, 0].reshape(np.shape(Y)))
+        got = bar.partials(t, Y)
+        points = np.broadcast_arrays(t, Y)
+        for k in np.ndindex(np.shape(Y)):
+            expect = one_point_partials(bar, points[0][k], points[1][k])
+            assert all(np.asarray(a)[k] == b for a, b in zip(got, expect))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_partials_of_any_points_in_any_order_are_each_point_alone(
+        seed, time_dependent):
+    bar = BarrierFunction(time_dependent=time_dependent, seed=2)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 5.0, size=60)
+    Y = rng.normal(scale=3.0, size=60)
+    pick = rng.permutation(60)[:rng.integers(1, 61)]
+    got = bar.partials(t[pick], Y[pick])
+    for j, k in enumerate(pick):
+        alone = bar.partials(t[k], Y[k])
+        assert all(a[j] == b for a, b in zip(got, alone))
 
 
 def assert_grads_match_central_differences(bar, loss_fn, h=1e-6):

@@ -127,6 +127,17 @@ def test_an_overflowing_controller_names_its_step(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_a_nonfinite_controller_setting_is_named_in_one_line(tmp_path,
+                                                             capsys):
+    rc = main(["simulate", *ENV, "--controller", "proportional:gain=nan",
+               "--U0", "1", "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: bad controller spec 'proportional:gain=nan': "
+        "gain must be a finite number, got nan\n")
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_a_dataset_without_its_grid_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "data.csv"
     path.write_text("traj_id,step,t,U,Y,safe\n")

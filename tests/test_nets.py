@@ -1,5 +1,6 @@
 """Tests for the MLP substrate: the forward trace with its tangent, the
-reverse sweep, Adam. Every network takes (B, d) batches."""
+reverse sweep, Adam. Every network takes (..., d) batches; an (R, 1, d)
+stack runs each row as its own one-row product."""
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestForward:
         with pytest.raises(ValueError, match="batch"):
             mlp.forward([[1.0, 2.0]])
 
-    @pytest.mark.parametrize("shape", [(3,), (), (1, 1, 3)])
+    @pytest.mark.parametrize("shape", [(3,), ()])
     def test_only_a_batch_is_an_input(self, shape):
         mlp = Mlp([3, 2], seed=0)
         with pytest.raises(ValueError, match="batch"):
@@ -63,6 +64,17 @@ class TestForward:
         tr = mlp.trace(np.ones((1, 3)))
         with pytest.raises(ValueError, match="batch"):
             mlp.reverse(tr, np.ones(shape[:-1] + (2,)))
+
+    def test_a_direction_or_upstream_needs_the_inputs_batch_shape(self):
+        # a (1, 1, 3) stack is an input, but not a direction or upstream
+        # for a (1, 3) batch, nor a (1, 3) one for the stack
+        mlp = Mlp([3, 2], seed=0)
+        assert mlp.forward(np.ones((1, 1, 3))).shape == (1, 1, 2)
+        for x, other in (((1, 3), (1, 1)), ((1, 1, 3), (1,))):
+            with pytest.raises(ValueError, match="batch"):
+                mlp.trace(np.ones(x), np.ones(other + (3,)))
+            with pytest.raises(ValueError, match="batch"):
+                mlp.reverse(mlp.trace(np.ones(x)), np.ones(other + (2,)))
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=25, deadline=None)
@@ -277,6 +289,48 @@ class TestParamGradients:
         with pytest.raises(ValueError, match="param_grads"):
             mlp.reverse(tr, tangent_upstream=np.ones((4, 1)),
                         param_grads=False)
+
+
+class TestStackedBatches:
+    """An (R, 1, d) stack is R one-row batches: every value bitwise, and the
+    parameter gradients those of the (R, d) batch up to rounding."""
+
+    @pytest.mark.parametrize("dims", [[2, 16, 64, 16, 1], [3, 8, 2]])
+    def test_a_stack_is_its_rows_traced_and_swept_alone(self, dims):
+        mlp = Mlp(dims, seed=4)
+        R, d_in, d_out = 9, dims[0], dims[-1]
+        rng = np.random.default_rng(4)
+        x, d = rng.normal(size=(R, d_in)), rng.normal(size=(R, d_in))
+        up, tup = rng.normal(size=(R, d_out)), rng.normal(size=(R, d_out))
+
+        def stack(a):
+            return a.reshape(R, 1, a.shape[1])
+
+        tr = mlp.trace(stack(x), stack(d))
+        _, dx = mlp.reverse(tr, stack(up), stack(tup))
+        _, dx_only = mlp.reverse(tr, stack(up), param_grads=False)
+        assert tr.output.shape == (R, 1, d_out) and dx.shape == (R, 1, d_in)
+        for k in range(R):
+            one = mlp.trace(x[k:k + 1], d[k:k + 1])
+            _, one_dx = mlp.reverse(one, up[k:k + 1], tup[k:k + 1])
+            for a, b in zip(tr.inputs + tr.tangents,
+                            one.inputs + one.tangents):
+                assert np.array_equal(a[k], b)
+            assert np.array_equal(dx[k], one_dx)
+            assert np.array_equal(dx_only[k], one_dx)
+
+    def test_a_stacks_parameter_gradients_are_the_batchs(self):
+        mlp = Mlp([2, 16, 64, 16, 1], seed=5)
+        R = 12
+        rng = np.random.default_rng(5)
+        x, d = rng.normal(size=(R, 2)), rng.normal(size=(R, 2))
+        up, tup = rng.normal(size=(R, 1)), rng.normal(size=(R, 1))
+        batch, _ = mlp.reverse(mlp.trace(x, d), up, tup)
+        stacked, _ = mlp.reverse(mlp.trace(x[:, None], d[:, None]),
+                                 up[:, None], tup[:, None])
+        for g, h in zip(stacked, batch):
+            assert g.shape == h.shape
+            assert np.allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
 
 
 class TestAdam:

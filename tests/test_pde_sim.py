@@ -599,6 +599,18 @@ class TestControllers:
         with pytest.raises(ConfigurationError):
             parse_controller(text)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("proportional:gain=nan", "gain must be a finite number, got nan"),
+        ("proportional:gian=1", "unknown key 'gian' for proportional"),
+        ("smooth:modes=abc",
+         "invalid literal for int() with base 10: 'abc'")],
+        ids=["nan-gain", "unknown-key", "non-integer-modes"])
+    def test_a_bad_spec_is_named_with_its_reason(self, text, reason):
+        # the reason as a sentence, not the repr of the error behind it
+        with pytest.raises(ConfigurationError) as info:
+            parse_controller(text)
+        assert str(info.value) == f"bad controller spec {text!r}: {reason}"
+
 
 class TestReward:
     def test_zero_states_give_zero_reward(self):

@@ -1,8 +1,9 @@
 """Tests for the scalar QP step and the trajectory-level safety filter.
 
-The filter evaluates the operator's rate split only at the rows it reads;
-`oracles.whole_trajectory_filter` predicts every row before each use, and
-the two must agree. A batch of one is bitwise that filter; each row of a
+The filter evaluates the operator's rate split and the barrier only at the
+rows it reads, once per prediction; `oracles.whole_trajectory_filter`
+predicts every row and evaluates the barrier before each use, and the two
+must agree. A batch of one is bitwise that filter; each row of a
 larger batch matches its nominal filtered alone in every step's flags and
 to 1e-12 relative in its values, as a multi-row product need not round like
 a one-row one.
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from safebc import safety_filter
 from safebc.barrier import BarrierFunction, FeasibilityConstants
 from safebc.neural_operator import BoundaryOperator, TableEntry
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
@@ -261,8 +263,9 @@ class TestFilterBatch:
         # does; every row is walked to the end, then row 1's step is raised
         op, bar = models(0)
         UU = np.array([nominal(s) for s in (7, 8, 3)])
+        reports = filter_batch(op, bar, UU, FilterConfig(eta=1e9))
         first = [next((r.step for r in rep.records if r.infeasible), None)
-                 for rep in filter_batch(op, bar, UU, FilterConfig(eta=1e9))]
+                 for rep in reports]
         assert first[0] is None and first[2] < first[1]
         rows, partials = [], bar.partials
 
@@ -275,7 +278,8 @@ class TestFilterBatch:
             filter_batch(op, bar, UU, FilterConfig(
                 eta=1e9, infeasible_policy="abort"))
         assert (info.value.row, info.value.step) == (1, first[1])
-        assert rows == [len(UU)] * GRID.M
+        assert rows == [len(pairs)
+                        for _, pairs in barrier_schedule(reports)]
 
     def test_an_empty_batch_gives_no_reports(self):
         op, bar = models(0)
@@ -286,6 +290,127 @@ class TestFilterBatch:
         op, bar = models(0)
         with pytest.raises(ValueError):
             filter_batch(op, bar, np.zeros((2, 7)), FilterConfig())
+
+
+def prediction_steps(report):
+    """The first steps of a report's predictions: 1, and the step after
+    each step that changed the input (M + 1 after a change at step M)."""
+    return [1] + [r.step + 1 for r in report.records
+                  if r.active and r.accepted and not r.infeasible
+                  and r.du_qp != r.du_nom]
+
+
+def barrier_schedule(reports):
+    """(m, pairs) per step m that evaluates the barrier, from the reports:
+    a row's prediction made at step f is evaluated at (row, f) alone, then
+    at step f + 1 over (row, f + 1..M) unless it is replaced there; the
+    rows come in ascending order."""
+    M = len(reports[0].records)
+    firsts = [set(prediction_steps(report)) for report in reports]
+    schedule = []
+    for m in range(1, M + 1):
+        pairs = []
+        for b, f in enumerate(firsts):
+            if m in f:
+                pairs.append((b, m))
+            elif m - 1 in f:
+                pairs.extend((b, k) for k in range(m, M + 1))
+        if pairs:
+            schedule.append((m, pairs))
+    return schedule
+
+
+def walk_log(monkeypatch, op, bar, UU, config):
+    """filter_batch's reports (filter_trajectory's for one nominal (M+1,))
+    and its forwards, barrier passes and QP steps, in the order they ran."""
+    events = []
+    forward_batch, partials, qp = (op.forward_batch, bar.partials,
+                                   safety_filter.qp_filter_step)
+
+    def logged_forward(U, start=0):
+        Y, cache = forward_batch(U, start)
+        events.append(("forward", Y))
+        return Y, cache
+
+    def logged_partials(t, Y):
+        out = partials(t, Y)
+        events.append(("partials", (np.copy(t), np.copy(Y)), out))
+        return out
+
+    def logged_qp(dphi_dt, dphi_dY, phi, *args):
+        events.append(("qp", (phi, dphi_dt, dphi_dY)))
+        return qp(dphi_dt, dphi_dY, phi, *args)
+
+    monkeypatch.setattr(op, "forward_batch", logged_forward)
+    monkeypatch.setattr(bar, "partials", logged_partials)
+    monkeypatch.setattr(safety_filter, "qp_filter_step", logged_qp)
+    reports = filter_batch(op, bar, UU, config) if np.ndim(UU) == 2 \
+        else [filter_trajectory(op, bar, UU, config)]
+    monkeypatch.undo()
+    return reports, events
+
+
+def assert_each_read_pair_is_evaluated_once(reports, events, times):
+    """Replays the walk's log: each barrier pass covers the schedule's pairs
+    at the current predictions' outputs, each pair once per prediction, and
+    every QP step reads its row's pair of the prediction current there."""
+    B, M = len(reports), len(reports[0].records)
+    firsts = [prediction_steps(report) for report in reports]
+    schedule = iter(barrier_schedule(reports))
+    Y_pred, values = [None] * B, [{} for _ in range(B)]
+    m, reads = 1, 0
+    for kind, *data in events:
+        if kind == "forward":
+            # at step m, or after the walk (m = M + 1)
+            rows = [b for b in range(B) if m in firsts[b]]
+            assert len(rows) == len(data[0])
+            for i, b in enumerate(rows):
+                Y_pred[b], values[b] = data[0][i], {}
+        elif kind == "partials":
+            (t, Y), out = data
+            step, pairs = next(schedule)
+            assert step == m and len(pairs) == len(Y)
+            for j, (b, k) in enumerate(pairs):
+                assert t[j] == times[k] and Y[j] == Y_pred[b][k]
+                assert k not in values[b]
+                values[b][k] = tuple(a[j] for a in out)
+        else:
+            assert data[0] == values[reads % B][m]
+            reads += 1
+            m += reads % B == 0
+    assert reads == B * M and next(schedule, None) is None
+
+
+def test_the_barrier_is_evaluated_once_per_prediction_at_zero_eta(
+        monkeypatch):
+    # no step is changed: one pass at step 1 over its row, one at step 2
+    # over the rest of the trajectory
+    op, bar = models(0)
+    U = nominal(0)
+    times = op.grid.times()
+    reports, events = walk_log(monkeypatch, op, bar, U,
+                               FilterConfig(eta=0.0))
+    calls = [data for kind, *data in events if kind == "partials"]
+    assert [t.tolist() for (t, _), _ in calls] == \
+        [[times[1]], times[2:].tolist()]
+    assert_each_read_pair_is_evaluated_once(reports, events, times)
+    assert reports[0].n_modified == 0
+
+
+@pytest.mark.parametrize("case", [0, 2, "parabolic"])
+@pytest.mark.parametrize("eta", [2.0, 1e9])
+def test_every_pair_the_walk_reads_is_evaluated_once(case, eta,
+                                                     monkeypatch):
+    # the last nominal of each case has modified steps at both etas
+    op, bar, UU = batch_case(case)
+    times = op.grid.times()
+    for rows in (UU[-1:], UU):
+        reports, events = walk_log(monkeypatch, op, bar, rows,
+                                   FilterConfig(eta=eta))
+        assert reports[-1].n_modified > 0
+        assert_each_read_pair_is_evaluated_once(reports, events, times)
+        n_calls = sum(kind == "partials" for kind, *_ in events)
+        assert n_calls <= op.grid.M
 
 
 @pytest.mark.parametrize("eta", [0.0, 2.0, 1e9])
