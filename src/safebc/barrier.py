@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
 from .nets import Mlp
 from .pde_sim import ConfigurationError
 
@@ -127,10 +127,14 @@ class BarrierFunction:
         kind, tensors, meta = read_checkpoint(path)
         if kind != "bcbf":
             raise ConfigurationError("checkpoint kind %r is not bcbf" % kind)
-        time_dependent = meta.get("time_dependent", "1") == "1"
+        time_dependent = meta.get("time_dependent", "1")
+        if time_dependent not in ("0", "1"):
+            raise ConfigurationError("checkpoint meta time_dependent must be "
+                                     f"0 or 1, got {time_dependent!r}")
         n_layers = len([k for k in tensors if k.startswith("W")])
-        hidden = [tensors["W%d" % k].shape[0] for k in range(n_layers - 1)]
-        bar = cls(time_dependent=time_dependent, hidden=hidden)
+        hidden = [checkpoint_tensor(tensors, "W%d" % k).shape[0]
+                  for k in range(n_layers - 1)]
+        bar = cls(time_dependent=time_dependent == "1", hidden=hidden)
         bar.net.set_tensors(tensors)
         return bar
 

@@ -12,8 +12,9 @@ Checkpoints hold the tensors of the operator or the barrier. Layout::
     <row of `cols` decimal values>
     ...
 
-1-D tensors are stored as a single row; loaders reshape from their known
-model structure.
+1-D tensors are stored as a single row. Loaders take each tensor at the
+shape their model structure gives it (`checkpoint_tensor`) and reject any
+other shape.
 
 Tables hold everything else: datasets, state snapshots, boundary
 trajectories, training histories, filter reports, per-episode results,
@@ -157,6 +158,21 @@ def read_checkpoint(path):
             i += 1
         tensors[name] = data
     return kind, tensors, meta
+
+
+def checkpoint_tensor(tensors, name, shape=None):
+    """tensors[name]; with a shape, at that shape, which a 1-D tensor may
+    also have as the one row it is stored as. A missing tensor, or one of
+    another shape, is a ConfigurationError naming it (and both shapes)."""
+    if name not in tensors:
+        raise ConfigurationError(f"checkpoint has no tensor {name!r}")
+    a = np.asarray(tensors[name], dtype=np.float64)
+    if shape is None:
+        return a
+    if a.shape != shape and not (len(shape) == 1 and a.shape == (1,) + shape):
+        raise ConfigurationError(
+            f"tensor {name!r} has shape {a.shape}, expected {shape}")
+    return a.reshape(shape)
 
 
 def _cell(value):

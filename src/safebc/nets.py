@@ -1,5 +1,6 @@
 """Minimal neural substrate: MLPs (ReLU hidden layers, linear output) over
-(..., d) batches with one forward pass and one reverse sweep, and Adam.
+(..., d) batches with one forward pass and one reverse sweep, and Adam at a
+constant learning rate.
 
 `Mlp.trace` is the one forward pass. It stores every layer input and ReLU
 mask and, given a direction d, carries the tangent J(x) . d along with the
@@ -20,6 +21,8 @@ runs with the same seed are bitwise identical on the same machine.
 """
 
 import numpy as np
+
+from .checkpoint import checkpoint_tensor
 
 
 def subseed(seed, k):
@@ -189,36 +192,24 @@ class Mlp:
         return out
 
     def set_tensors(self, tensors, prefix=""):
-        for k in range(len(self.weights)):
-            W = np.asarray(tensors[f"{prefix}W{k}"], dtype=np.float64)
-            b = np.asarray(tensors[f"{prefix}b{k}"], dtype=np.float64)
-            self.weights[k][...] = W.reshape(self.weights[k].shape)
-            self.biases[k][...] = b.reshape(self.biases[k].shape)
+        """Copy in the tensors that `tensors(prefix)` names, each at its
+        own shape (`checkpoint_tensor`)."""
+        for k, (W, b) in enumerate(zip(self.weights, self.biases)):
+            W[...] = checkpoint_tensor(tensors, f"{prefix}W{k}", W.shape)
+            b[...] = checkpoint_tensor(tensors, f"{prefix}b{k}", b.shape)
 
 
 class Adam:
-    """Adam with bias correction; the learning rate can decay by a fixed factor
-    every `decay_every` epochs (applied via start_epoch)."""
+    """Adam with bias correction at a constant learning rate."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 decay_factor=None, decay_every=None):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = float(lr)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.decay_factor = decay_factor
-        self.decay_every = decay_every
-        if (decay_factor is None) != (decay_every is None):
-            raise ValueError("decay_factor and decay_every go together")
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-
-    def start_epoch(self, epoch):
-        """Apply the decay schedule on entry to 0-based `epoch`."""
-        if (self.decay_factor is not None and epoch > 0
-                and epoch % self.decay_every == 0):
-            self.lr *= self.decay_factor
 
     def step(self, params, grads):
         """One in-place update. Rejects non-finite gradients."""

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
 from .nets import Mlp, subseed
 from .pde_sim import ConfigurationError, TimeGrid
 
@@ -419,15 +419,13 @@ class BoundaryOperator:
         n_layers = int(meta["n_layers"])
         d_v = int(meta["d_v"])
         activations = tuple(meta["activations"].split(","))
-        kappa_hidden = tensors["layer0.kappa.W0"].shape[0]
-        b_hidden = tensors["layer0.b.W0"].shape[0]
+        kappa_hidden = checkpoint_tensor(tensors, "layer0.kappa.W0").shape[0]
+        b_hidden = checkpoint_tensor(tensors, "layer0.b.W0").shape[0]
         op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,
                  kappa_hidden=kappa_hidden, b_hidden=b_hidden)
         for i, layer in enumerate(op.layers):
-            W = tensors["layer%d.W" % i]
-            if W.shape != layer.W.shape:
-                raise ConfigurationError("layer %d W shape mismatch" % i)
-            layer.W = W.copy()
+            layer.W[...] = checkpoint_tensor(tensors, "layer%d.W" % i,
+                                             layer.W.shape)
             layer.kappa.set_tensors(tensors, "layer%d.kappa." % i)
             layer.b.set_tensors(tensors, "layer%d.b." % i)
         op.Q.set_tensors(tensors, "Q.")

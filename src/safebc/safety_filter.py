@@ -154,7 +154,8 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     a prediction's first step fills for its row alone and a second step for
     the rest of the trajectory. The step's one barrier pass covers those
     (row, step) pairs of every row, and there is none when no row needs one
-    (at eta = 0: one pass at step 1 and one at step 2).
+    (at eta = 0: one pass at step 1 and one at step 2). One more pass,
+    before the walk, gives each row's phi(0, U0).
     The first prediction is a whole forward; one made at step m > 1 runs
     the operator's last layer from row m on, where the walk first reads it.
     After the walk, one `complete` call per forward fills the earlier rows
@@ -167,13 +168,14 @@ def filter_batch(operator, bcbf, UU_nominal, config):
 
     A batch of one is bitwise the one-trajectory walk. A row of a larger
     batch may differ from it in the last bits, as a multi-row operator
-    product need not round like a one-row one; its barrier partials do not,
-    as each point is its own one-row product. Under the abort policy the
-    error names, after the whole walk, the lowest row with an infeasible
-    step at its first such step; an error the walk raises (a non-finite
-    operator output at a row it reads, or in a final prediction's completed
-    rows) comes first. The rows of a superseded prediction before its first
-    step are never computed, so they cannot raise.
+    product need not round like a one-row one; its phi(0, U0) and barrier
+    partials do not, as each point is its own one-row product. Under the
+    abort policy the error names, after the whole walk, the lowest row with
+    an infeasible step at its first such step; an error the walk raises (a
+    non-finite operator output at a row it reads, or in a final
+    prediction's completed rows) comes first. The rows of a superseded
+    prediction before its first step are never computed, so they cannot
+    raise.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
     grid, n = operator.grid, operator.grid.M + 1
@@ -183,7 +185,8 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     B, dt, times = len(UU_nom), grid.dt, grid.times()
     du_nom = np.diff(UU_nom, axis=1)
     du_safe, U_safe, Y_pred = du_nom.copy(), UU_nom.copy(), np.empty((B, n))
-    phi0 = bcbf.value(0.0, UU_nom[:, 0]).tolist()
+    # a stacked pass, so each row's phi(0, U0) is that of its point alone
+    phi0 = bcbf.partials(0.0, UU_nom[:, 0])[0].tolist()
 
     records = [[] for _ in range(B)]
     # per row, the rate split and the barrier's partials at its prediction

@@ -31,8 +31,7 @@ HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
 
 def _check_schedule(schedule, batch):
     """ConfigurationError unless the schedule can run: epochs >= 0, the
-    batch size named batch >= 1, a finite positive learning rate, and a
-    decay factor and period set together, finite positive and >= 1."""
+    batch size named batch >= 1, and a finite positive learning rate."""
     if not schedule.epochs >= 0:
         raise ConfigurationError(
             f"epochs must be >= 0, got {schedule.epochs!r}")
@@ -42,17 +41,6 @@ def _check_schedule(schedule, batch):
     if not 0.0 < schedule.lr < math.inf:
         raise ConfigurationError(
             f"lr must be finite and positive, got {schedule.lr!r}")
-    if (schedule.decay_factor is None) != (schedule.decay_every is None):
-        raise ConfigurationError(
-            "decay_factor and decay_every must be set together, got "
-            f"{schedule.decay_factor!r} and {schedule.decay_every!r}")
-    if schedule.decay_factor is not None \
-            and not 0.0 < schedule.decay_factor < math.inf:
-        raise ConfigurationError("decay_factor must be finite and positive, "
-                                 f"got {schedule.decay_factor!r}")
-    if schedule.decay_every is not None and not schedule.decay_every >= 1:
-        raise ConfigurationError(
-            f"decay_every must be >= 1, got {schedule.decay_every!r}")
 
 
 def _check_weights(config, *names):
@@ -70,8 +58,6 @@ class OperatorSchedule:
     epochs: int = 100
     lr: float = 1e-3
     l2: float = 1e-4
-    decay_factor: float = None
-    decay_every: int = None
     batch_trajectories: int = 64
     d_v: int = 16
     n_layers: int = 2
@@ -88,8 +74,6 @@ class BarrierSchedule:
     """Optimization settings for the barrier-shaping phase."""
     epochs: int = 20
     lr: float = 0.01
-    decay_factor: float = 0.2
-    decay_every: int = 4
     batch_samples: int = 4096
     time_dependent: bool = True
     margin: float = 0.1
@@ -367,9 +351,7 @@ def train_joint(dataset, config, seed=0, operator=None):
     if run_op:
         UU, YY = dataset.U[train_idx], dataset.Y[train_idx]
         val_UU, val_YY = dataset.U[val_idx], dataset.Y[val_idx]
-        adam_op = Adam(op.params(), lr=sched_op.lr,
-                       decay_factor=sched_op.decay_factor,
-                       decay_every=sched_op.decay_every)
+        adam_op = Adam(op.params(), lr=sched_op.lr)
         rng_op = np.random.default_rng(subseed(seed, 11))
 
     bar = BarrierFunction(time_dependent=sched_bf.time_dependent,
@@ -383,9 +365,7 @@ def train_joint(dataset, config, seed=0, operator=None):
         if samples.safe_idx.size == 0 or samples.unsafe_idx.size == 0:
             raise ValueError(
                 "barrier training needs both safe and unsafe samples")
-        adam_bar = Adam(bar.params(), lr=sched_bf.lr,
-                        decay_factor=sched_bf.decay_factor,
-                        decay_every=sched_bf.decay_every)
+        adam_bar = Adam(bar.params(), lr=sched_bf.lr)
         rng_bar = np.random.default_rng(subseed(seed, 12))
 
     history = TrainHistory(weights=_weight_record(config))
@@ -402,7 +382,6 @@ def train_joint(dataset, config, seed=0, operator=None):
         row = {"epoch": epoch}
         try:
             if run_op and epoch < sched_op.epochs:
-                adam_op.start_epoch(epoch)
                 row["L_G"] = _operator_epoch(op, adam_op, UU, YY, sched_op,
                                              rng_op)
                 row["val_LG"] = mean_square(
@@ -410,7 +389,6 @@ def train_joint(dataset, config, seed=0, operator=None):
             if run_bar and epoch < sched_bf.epochs:
                 if moving_rates and epoch < sched_op.epochs:
                     samples.set_rates(config.dy_dt_source, op)
-                adam_bar.start_epoch(epoch)
                 means = _barrier_epoch(bar, adam_bar, samples, config,
                                        rng_bar)
                 row.update(L_S=means["L_S"], L_BF=means["L_BF"],

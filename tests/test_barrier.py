@@ -29,6 +29,18 @@ def relu_pattern(net, x):
     return pre_activations(net, x) > 0.0
 
 
+@pytest.mark.parametrize("hidden", [(16, 64, 16), (3,)])
+@pytest.mark.parametrize("time_dependent", [True, False])
+def test_a_saved_barrier_loads_bitwise(tmp_path, time_dependent, hidden):
+    bar = BarrierFunction(time_dependent, hidden=hidden, seed=4)
+    bar.save(tmp_path / "bar.ckpt")
+    back = BarrierFunction.load(tmp_path / "bar.ckpt")
+    assert back.time_dependent == time_dependent
+    assert [p.shape for p in back.params()] == [p.shape for p in bar.params()]
+    assert all(np.array_equal(a, b)
+               for a, b in zip(back.params(), bar.params()))
+
+
 @pytest.mark.parametrize("time_dependent", [True, False])
 def test_partials_match_central_differences(time_dependent):
     bar = BarrierFunction(time_dependent=time_dependent, seed=3)

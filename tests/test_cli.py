@@ -241,6 +241,11 @@ def test_operator_out_trains_jointly_and_writes_both_checkpoints(run,
     ("evaluate", "--spec",
      {"env": {"name": "hyperbolic", "substeps": 2},
       "controller": "constant", "safe_set": "Y<1"}, "env.substeps"),
+    # training runs at a constant learning rate
+    ("train-bcbf", "--config", {"bcbf": {"decay_every": 4}},
+     "bcbf.decay_every"),
+    ("train-operator", "--config", {"operator": {"decay_factor": 0.5}},
+     "operator.decay_factor"),
 ])
 def test_a_deleted_setting_exits_2_naming_its_key(run, tmp_path, capsys,
                                                   command, kind, values,
@@ -290,24 +295,21 @@ TRAIN_CONFIGS = [
     ({"lambda_S": 2, "lambda_BF": 0.25, "dy_dt_source": "operator",
       "train_fraction": 0.8,
       "balance_band": [-0.2, 0.3], "balance_keep": 0.5,
-      "operator": {"epochs": 3, "lr": 0.01, "l2": 0, "decay_factor": 0.5,
-                   "decay_every": 2, "batch_trajectories": 8, "d_v": 4,
-                   "n_layers": 1, "activations": ["linear"]},
-      "bcbf": {"epochs": 5, "lr": 0.1, "decay_factor": 0.5,
-               "decay_every": 3, "batch_samples": 32,
+      "operator": {"epochs": 3, "lr": 0.01, "l2": 0,
+                   "batch_trajectories": 8, "d_v": 4, "n_layers": 1,
+                   "activations": ["linear"]},
+      "bcbf": {"epochs": 5, "lr": 0.1, "batch_samples": 32,
                "time_dependent": False, "margin": 0.2, "reg_weight": 0},
       "constants": {"alpha": 0.1, "T": 2, "asymptotic": True}},
      TrainConfig(lambda_S=2.0, lambda_BF=0.25, dy_dt_source="operator",
                  train_fraction=0.8,
                  balance_band=(-0.2, 0.3), balance_keep=0.5,
                  operator=OperatorSchedule(
-                     epochs=3, lr=0.01, l2=0.0, decay_factor=0.5,
-                     decay_every=2, batch_trajectories=8, d_v=4, n_layers=1,
-                     activations=("linear",)),
+                     epochs=3, lr=0.01, l2=0.0, batch_trajectories=8,
+                     d_v=4, n_layers=1, activations=("linear",)),
                  bcbf=BarrierSchedule(
-                     epochs=5, lr=0.1, decay_factor=0.5, decay_every=3,
-                     batch_samples=32, time_dependent=False, margin=0.2,
-                     reg_weight=0.0)),
+                     epochs=5, lr=0.1, batch_samples=32,
+                     time_dependent=False, margin=0.2, reg_weight=0.0)),
      FeasibilityConstants(alpha=0.1, T=2.0, asymptotic=True)),
     ({}, TrainConfig(), FeasibilityConstants()),
 ]
@@ -431,7 +433,8 @@ def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     # "no" is not True
     ({"operator": {"epochs": 2.7}}, "operator.epochs: expected int"),
     ({"operator": {"epochs": True}}, "operator.epochs: expected int"),
-    ({"operator": {"decay_every": 2.5}}, "operator.decay_every"),
+    ({"operator": {"batch_trajectories": 2.5}},
+     "operator.batch_trajectories: expected int"),
     ({"operator": {"activations": "relu"}}, "operator.activations"),
     ({"bcbf": {"time_dependent": "no"}}, "bcbf.time_dependent"),
     ({"bcbf": {"time_dependent": 1}}, "bcbf.time_dependent"),
@@ -530,18 +533,6 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
      "margin must be finite and >= 0"),
     (load_train_config, '{"bcbf": {"reg_weight": -1}}',
      "reg_weight must be finite and >= 0"),
-    (load_train_config, '{"bcbf": {"decay_factor": NaN}}',
-     "decay_factor must be finite and positive"),
-    (load_train_config, '{"operator": {"decay_factor": 0, "decay_every": 2}}',
-     "decay_factor must be finite and positive"),
-    (load_train_config, '{"bcbf": {"decay_every": 0}}',
-     "decay_every must be >= 1"),
-    (load_train_config, '{"bcbf": {"decay_every": -3}}',
-     "decay_every must be >= 1"),
-    (load_train_config, '{"operator": {"decay_factor": 0.5}}',
-     "decay_factor and decay_every must be set together"),
-    (load_train_config, '{"operator": {"decay_every": 2}}',
-     "decay_factor and decay_every must be set together"),
     (load_train_config, '{"train_fraction": NaN}',
      "train_fraction must be in (0, 1)"),
     (load_train_config, '{"train_fraction": 1}',
@@ -587,7 +578,6 @@ def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
              "batch_trajectories must be >= 1"),
             ('{"bcbf": {"batch_samples": 0}}', "batch_samples must be >= 1"),
             ('{"bcbf": {"lr": -1}}', "lr must be finite and positive"),
-            ('{"bcbf": {"decay_every": 0}}', "decay_every must be >= 1"),
             ('{"operator": {"activations": ["tanh", "tanh"]}}',
              "activations must each be 'relu' or 'linear'")):
         config.write_text(text)
@@ -629,6 +619,46 @@ def test_an_operator_of_the_older_lifted_layout_exits_2(run, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def filter_exits_2_naming(run, tmp_path, capsys, name, op=None, bar=None):
+    """`safebc filter` on the run's checkpoints, one of them replaced, exits
+    2 with name in its message and writes nothing."""
+    assert main([str(a) for a in (
+        "filter", "--operator", op or run / "op.ckpt", "--bcbf",
+        bar or run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta",
+        2, "--out", tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["layer1.kappa.W1", "Q.W0"])
+def test_an_operator_tensor_of_another_shape_exits_2(run, tmp_path, capsys,
+                                                     name):
+    # transposed, it has the right size and once loaded as another function
+    kind, tensors, meta = read_checkpoint(run / "op.ckpt")
+    assert tensors[name].shape[0] != tensors[name].shape[1]
+    write_checkpoint(tmp_path / "op.ckpt", kind,
+                     {**tensors, name: tensors[name].T}, meta)
+    filter_exits_2_naming(run, tmp_path, capsys, f"tensor {name!r} has shape",
+                          op=tmp_path / "op.ckpt")
+
+
+def test_a_barrier_missing_a_tensor_exits_2(run, tmp_path, capsys):
+    kind, tensors, meta = read_checkpoint(run / "bar.ckpt")
+    del tensors["b1"]
+    write_checkpoint(tmp_path / "bar.ckpt", kind, tensors, meta)
+    filter_exits_2_naming(run, tmp_path, capsys, "no tensor 'b1'",
+                          bar=tmp_path / "bar.ckpt")
+
+
+def test_a_barrier_time_dependence_other_than_0_or_1_exits_2(run, tmp_path,
+                                                              capsys):
+    kind, tensors, meta = read_checkpoint(run / "bar.ckpt")
+    write_checkpoint(tmp_path / "bar.ckpt", kind, tensors,
+                     {**meta, "time_dependent": "true"})
+    filter_exits_2_naming(run, tmp_path, capsys, "time_dependent",
+                          bar=tmp_path / "bar.ckpt")
+
+
 def test_tuple_items_load_as_their_declared_type():
     spec = load_experiment({**SPEC, "U0_range": [0, 2]})
     assert spec.U0_range == (0.0, 2.0)
@@ -640,10 +670,10 @@ def test_tuple_items_load_as_their_declared_type():
 
 def test_numbers_load_as_floats_and_null_keeps_a_none_default():
     config = load_train_config(
-        {"lambda_S": 2, "operator": {"decay_factor": None},
+        {"lambda_S": 2, "operator": {"activations": None},
          "constants": {"T": 3}})
     assert type(config.lambda_S) is float and config.lambda_S == 2.0
-    assert config.operator.decay_factor is None
+    assert config.operator.activations is None
     assert type(config.constants.T) is float
     spec = load_experiment({**SPEC, "operator_path": None})
     assert spec.operator_path is None

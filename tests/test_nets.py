@@ -2,12 +2,14 @@
 reverse sweep, Adam. Every network takes (..., d) batches; an (R, 1, d)
 stack runs each row as its own one-row product."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safebc.checkpoint import (CheckpointError, read_checkpoint,
-                               write_checkpoint)
+from safebc.checkpoint import (CheckpointError, ConfigurationError,
+                               read_checkpoint, write_checkpoint)
 from safebc.nets import Adam, Mlp, subseed
 
 
@@ -347,29 +349,12 @@ class TestAdam:
         adam.step(p, [np.array([0.5])])
         assert p[0][0] == pytest.approx(-0.01, rel=1e-6)
 
-    def test_decay_schedule_after_epoch_boundaries(self):
-        adam = Adam([np.zeros(1)], lr=0.01, decay_factor=0.2, decay_every=4)
-        for epoch in range(9):
-            adam.start_epoch(epoch)
-        # decays at epochs 4 and 8: 0.01 * 0.2 * 0.2
-        assert adam.lr == pytest.approx(0.01 * 0.04, rel=1e-12)
-
-    def test_decay_applies_once_at_epoch_four(self):
-        adam = Adam([np.zeros(1)], lr=0.01, decay_factor=0.2, decay_every=4)
-        for epoch in range(5):
-            adam.start_epoch(epoch)
-        assert adam.lr == pytest.approx(0.002, rel=1e-12)
-
     def test_nonfinite_gradient_rejected(self):
         p = [np.array([1.0])]
         adam = Adam(p, lr=0.1)
         with pytest.raises(ValueError):
             adam.step(p, [np.array([np.nan])])
         assert np.array_equal(p[0], [1.0])
-
-    def test_decay_settings_must_come_together(self):
-        with pytest.raises(ValueError):
-            Adam([np.zeros(1)], lr=0.1, decay_factor=0.5)
 
 
 class TestCheckpointFormat:
@@ -417,6 +402,29 @@ class TestCheckpointFormat:
         clone.set_tensors(tensors)
         x = np.array([[0.2, -0.9]])
         assert np.array_equal(clone.forward(x), mlp.forward(x))
+
+    def test_set_tensors_takes_biases_as_vectors_or_rows(self):
+        mlp = Mlp([2, 4, 1], seed=5)
+        clone = Mlp([2, 4, 1], seed=99)
+        clone.set_tensors(mlp.tensors())
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(clone.params(), mlp.params()))
+
+    @pytest.mark.parametrize("name, shape", [("W0", (2, 4)), ("W0", (8,)),
+                                             ("b0", (4, 1)), ("b1", (2,))])
+    def test_set_tensors_rejects_another_shape_naming_it(self, name, shape):
+        mlp = Mlp([2, 4, 1], seed=5)
+        tensors = mlp.tensors("net.")
+        tensors["net." + name] = np.zeros(shape)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"'net.{name}' has shape {shape}")):
+            Mlp([2, 4, 1]).set_tensors(tensors, "net.")
+
+    def test_set_tensors_names_a_missing_tensor(self):
+        tensors = Mlp([2, 4, 1], seed=5).tensors()
+        del tensors["W1"]
+        with pytest.raises(ConfigurationError, match="no tensor 'W1'"):
+            Mlp([2, 4, 1]).set_tensors(tensors)
 
 
 class TestSeeding:

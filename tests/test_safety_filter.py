@@ -278,8 +278,9 @@ class TestFilterBatch:
             filter_batch(op, bar, UU, FilterConfig(
                 eta=1e9, infeasible_policy="abort"))
         assert (info.value.row, info.value.step) == (1, first[1])
-        assert rows == [len(pairs)
-                        for _, pairs in barrier_schedule(reports)]
+        # the phi0 pass, then every pass of the walk
+        assert rows == [len(UU)] + [len(pairs) for _, pairs
+                                    in barrier_schedule(reports)]
 
     def test_an_empty_batch_gives_no_reports(self):
         op, bar = models(0)
@@ -322,7 +323,8 @@ def barrier_schedule(reports):
 
 def walk_log(monkeypatch, op, bar, UU, config):
     """filter_batch's reports (filter_trajectory's for one nominal (M+1,))
-    and its forwards, barrier passes and QP steps, in the order they ran."""
+    and its forwards, barrier passes and QP steps, in the order they ran; a
+    QP step logs its barrier values and its phi0."""
     events = []
     forward_batch, partials, qp = (op.forward_batch, bar.partials,
                                    safety_filter.qp_filter_step)
@@ -337,9 +339,9 @@ def walk_log(monkeypatch, op, bar, UU, config):
         events.append(("partials", (np.copy(t), np.copy(Y)), out))
         return out
 
-    def logged_qp(dphi_dt, dphi_dY, phi, *args):
-        events.append(("qp", (phi, dphi_dt, dphi_dY)))
-        return qp(dphi_dt, dphi_dY, phi, *args)
+    def logged_qp(dphi_dt, dphi_dY, phi, phi0, *args):
+        events.append(("qp", (phi, dphi_dt, dphi_dY), phi0))
+        return qp(dphi_dt, dphi_dY, phi, phi0, *args)
 
     monkeypatch.setattr(op, "forward_batch", logged_forward)
     monkeypatch.setattr(bar, "partials", logged_partials)
@@ -351,15 +353,20 @@ def walk_log(monkeypatch, op, bar, UU, config):
 
 
 def assert_each_read_pair_is_evaluated_once(reports, events, times):
-    """Replays the walk's log: each barrier pass covers the schedule's pairs
-    at the current predictions' outputs, each pair once per prediction, and
-    every QP step reads its row's pair of the prediction current there."""
+    """Replays the walk's log: a first barrier pass gives phi at t = 0 and
+    each row's U0, each later pass covers the schedule's pairs at the
+    current predictions' outputs, each pair once per prediction, and every
+    QP step reads its row's phi0 and its pair of the prediction current
+    there."""
     B, M = len(reports), len(reports[0].records)
+    kind, (t, Y), (phi0, *_) = events[0]
+    assert kind == "partials" and t == 0.0
+    assert Y.tolist() == [report.U_safe[0] for report in reports]
     firsts = [prediction_steps(report) for report in reports]
     schedule = iter(barrier_schedule(reports))
     Y_pred, values = [None] * B, [{} for _ in range(B)]
     m, reads = 1, 0
-    for kind, *data in events:
+    for kind, *data in events[1:]:
         if kind == "forward":
             # at step m, or after the walk (m = M + 1)
             rows = [b for b in range(B) if m in firsts[b]]
@@ -376,6 +383,7 @@ def assert_each_read_pair_is_evaluated_once(reports, events, times):
                 values[b][k] = tuple(a[j] for a in out)
         else:
             assert data[0] == values[reads % B][m]
+            assert data[1] == phi0[reads % B]
             reads += 1
             m += reads % B == 0
     assert reads == B * M and next(schedule, None) is None
@@ -392,7 +400,7 @@ def test_the_barrier_is_evaluated_once_per_prediction_at_zero_eta(
                                FilterConfig(eta=0.0))
     calls = [data for kind, *data in events if kind == "partials"]
     assert [t.tolist() for (t, _), _ in calls] == \
-        [[times[1]], times[2:].tolist()]
+        [0.0, [times[1]], times[2:].tolist()]
     assert_each_read_pair_is_evaluated_once(reports, events, times)
     assert reports[0].n_modified == 0
 
@@ -409,8 +417,19 @@ def test_every_pair_the_walk_reads_is_evaluated_once(case, eta,
                                    FilterConfig(eta=eta))
         assert reports[-1].n_modified > 0
         assert_each_read_pair_is_evaluated_once(reports, events, times)
+        # the phi0 pass and at most one pass per step
         n_calls = sum(kind == "partials" for kind, *_ in events)
-        assert n_calls <= op.grid.M
+        assert n_calls <= op.grid.M + 1
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_each_rows_phi0_is_that_of_its_point_alone(case, monkeypatch):
+    # phi(0, U0) from a (B, d) product may round unlike the point alone
+    op, bar, UU = batch_case(case)
+    _, events = walk_log(monkeypatch, op, bar, UU, FilterConfig(eta=2.0))
+    reads = [data[1] for kind, *data in events if kind == "qp"]
+    alone = [bar.value(0.0, UU[b:b + 1, 0])[0] for b in range(len(UU))]
+    assert reads == alone * op.grid.M
 
 
 @pytest.mark.parametrize("eta", [0.0, 2.0, 1e9])

@@ -36,7 +36,7 @@ def small_dataset(safe_set=OneSidedSet(1, 1.0)):
 def small_config(dy_dt_source="data-fd", **kwargs):
     return TrainConfig(
         operator=OperatorSchedule(epochs=3, d_v=4, batch_trajectories=4),
-        bcbf=BarrierSchedule(epochs=3, batch_samples=64, decay_every=2),
+        bcbf=BarrierSchedule(epochs=3, batch_samples=64),
         dy_dt_source=dy_dt_source, **kwargs)
 
 
