@@ -25,20 +25,33 @@ the one-hidden-layer table networks, so no derivative table is built.
 The constant channel carries the terms W p and sum_j w_j K(t_m, t_j) p of a
 constant input p, which a layer on U alone could not form. A lift
 u p_w + p_b in front would add parameters but no functions, as its weight
-and bias fold into the first layer's W and kernel; so that layer's kernel
-table is (n*d_v, 2n), and later ones (n*d_v, n*d_v). The tables and the
-traces of their networks sit in one entry keyed by the exact bytes of the
-grid and the parameters; each forward cache carries its entry, so the rate
-split and the backward pass read their own pass's.
+and bias fold into the first layer's W and kernel.
+
+The kernel network's output layer is linear, K = W1 phi + b1 with phi its
+ReLU hidden layer, so a layer integral can be contracted in either order:
+
+    sum_j w_j K(t_m, t_j) v_j = W1 (sum_j w_j phi(t_m, t_j) v_j)
+                                + b1 (sum_j w_j v_j)
+
+with W1 and b1 read as (d_out, d_in, h) and (d_out, d_in). Every pass but
+a training step takes the right-hand side, through the hidden features H
+(n*n, h) of the (t_m, t_j) pairs; a training step takes the left-hand
+side, through the dense kernel table K2 (n*d_out, n*d_in), which at a
+batch of many trajectories and a backward pass costs fewer multiply-adds.
+So the first layer's K2 is (n*d_v, 2n), later ones (n*d_v, n*d_v), and only
+training builds one. The hidden traces, the bias traces and any K2 sit in
+one entry keyed by the exact bytes of the grid and the parameters; each
+forward cache carries its entry, so the rate split and the backward pass
+read their own pass's.
 
 `forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
 only: each earlier layer runs in full, as the last one's integral reads its
-whole input, but the last one's integral then reads only K2's rows from
-start on, the bulk of the pass at large n. Rows before start read NaN until
-`complete(cache, trajectories)` computes them from the cached input of the
-last layer, reading only K2's rows before start; it runs no earlier layer.
-A partial pass gives the rate split from row start on and has no backward
-pass; training always runs whole passes.
+whole input, but the last one's integral then reads only the rows of H for
+output rows from start on, the bulk of the pass at large n. Rows before
+start read NaN until `complete(cache, trajectories)` computes them from the
+cached input of the last layer, reading only H's rows for them; it runs no
+earlier layer. A partial pass gives the rate split from row start on and
+has no backward pass; training always runs whole passes.
 """
 
 from dataclasses import dataclass
@@ -46,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
-from .nets import Mlp, subseed
+from .nets import Mlp, Trace, subseed
 from .pde_sim import ConfigurationError, TimeGrid
 
 
@@ -102,15 +115,28 @@ class KernelLayer:
 
 
 @dataclass(eq=False)
-class TableEntry:
-    """The tables of one parameter state, under its key (`fingerprint()`).
+class LayerTables:
+    """The tables of one kernel layer.
 
-    layers holds per kernel layer (K2, kappa_trace, b_trace): the kernel on
-    the (t_m, t_j) grid as an (n*d_out, n*d_in) matrix and the traces of
-    the kernel and bias networks, kept for the backward pass (b_trace.output
-    is the bias at each t_m). Their masks also give the rate split its time
-    derivatives, so K2 is the entry's only (n*d_out, n*d_in) array. The
-    first layer reads the two channels (U, 1), so its K2 is (n*d_v, 2n)."""
+    kappa_trace is the kernel network's trace up to its hidden layer on the
+    (t_m, t_j) pairs, m major: inputs [pairs, H], H (n*n, h), and masks
+    [H > 0]. It stops there, as inference applies the linear output layer
+    after the sum over j; `Mlp.reverse` reads no more of it. b_trace is the
+    bias network's trace (b_trace.output is the bias at each t_m). The
+    masks of both give the rate split its time derivatives. K2 is the
+    kernel as an (n*d_out, n*d_in) matrix, None until a training step
+    builds it; the first layer reads the two channels (U, 1), so its K2 is
+    (n*d_v, 2n)."""
+    kappa_trace: Trace
+    b_trace: Trace
+    K2: np.ndarray = None
+
+
+@dataclass(eq=False)
+class TableEntry:
+    """The tables of one parameter state, under its key (`fingerprint()`):
+    one LayerTables per kernel layer. Outside training it holds no
+    (n*d_out, n*d_in) array."""
     key: bytes
     layers: list
 
@@ -181,16 +207,28 @@ class BoundaryOperator:
         pairs[:, 1] = np.tile(t, n)
         layers = []
         for layer in self.layers:
-            do, di = layer.dim_out, layer.dim_in
-            kappa_trace = layer.kappa.trace(pairs)
-            # K2 is the only copy of the kernel kept; reverse never reads
-            # the trace's output
-            K = kappa_trace.inputs.pop().reshape(n, n, do, di)
-            K2 = K.transpose(0, 2, 1, 3).reshape(n * do, n * di)
-            b_trace = layer.b.trace(t[:, None])
-            layers.append((K2, kappa_trace, b_trace))
+            # the kernel network's hidden layer, as Mlp.trace computes it
+            W0, b0 = layer.kappa.params()[:2]
+            z = pairs @ W0.T + b0
+            kappa_trace = Trace([pairs, np.maximum(z, 0.0)], [z > 0.0], [])
+            layers.append(LayerTables(kappa_trace, layer.b.trace(t[:, None])))
         self._tables = TableEntry(key, layers)
         return self._tables
+
+    def _dense_kernel(self, li, tables):
+        """Layer li's K2, built at its first use and kept in the entry: the
+        kernel network's output layer H W1^T + b1, as Mlp.trace computes
+        it, laid out as (n*d_out, n*d_in)."""
+        lt = tables.layers[li]
+        if lt.K2 is None:
+            layer = self.layers[li]
+            n = self.grid.M + 1
+            _, _, W1, b1 = layer.kappa.params()
+            K = (lt.kappa_trace.inputs[1] @ W1.T + b1).reshape(
+                n, n, layer.dim_out, layer.dim_in)
+            lt.K2 = K.transpose(0, 2, 1, 3).reshape(n * layer.dim_out,
+                                                    n * layer.dim_in)
+        return lt.K2
 
     # -- forward -----------------------------------------------------------
 
@@ -200,18 +238,35 @@ class BoundaryOperator:
                 "trajectory length %d does not match grid M=%d"
                 % (U.shape[-1], self.grid.M))
 
-    def _preactivation(self, li, tables, v, lo, hi):
+    def _preactivation(self, li, tables, v, lo, hi, dense=False):
         """Layer li's pre-activation at rows [lo, hi) of a batch, from its
-        whole input v (B, n, d_in); the integral reads only K2's rows for
-        them. The local term runs at every row, as a product over fewer rows
-        need not round like the same rows of the whole one."""
+        whole input v (B, n, d_in). The integral runs through H and then
+        the kernel network's output layer, one product per row, and reads
+        only H's rows for rows [lo, hi); with dense (a training step) it
+        runs through K2's rows for them. The local term runs at every row,
+        as a product over fewer rows need not round like the same rows of
+        the whole one, so each row is the same row of the whole pass."""
         layer = self.layers[li]
-        K2, _, b_trace = tables.layers[li]
-        do, B = layer.dim_out, len(v)
+        lt = tables.layers[li]
+        do, di, B = layer.dim_out, layer.dim_in, len(v)
         vw = v * self._weights[None, :, None]
-        integ = (vw.reshape(B, -1) @ K2[lo * do:hi * do].T).reshape(
-            B, hi - lo, do)
-        return (v @ layer.W.T)[:, lo:hi] + integ + b_trace.output[lo:hi]
+        if dense:
+            K2 = self._dense_kernel(li, tables)
+            integ = (vw.reshape(B, -1) @ K2[lo * do:hi * do].T).reshape(
+                B, hi - lo, do)
+        else:
+            n = v.shape[1]
+            _, _, W1, b1 = layer.kappa.params()
+            H = lt.kappa_trace.inputs[1].reshape(n, n, -1)[lo:hi]
+            # per row m: sum_j w_j v_j H(t_m, t_j) as (B*d_in, h), then W1
+            # as (d_in*h, d_out); the rows are stacked, one product each
+            G = vw.transpose(0, 2, 1).reshape(B * di, n) @ H
+            G = G.reshape(hi - lo, B, di * W1.shape[1]) \
+                @ W1.reshape(do, -1).T
+            # b1 as (d_out, d_in), on sum_j w_j v_j, the same at every row
+            bias = vw.sum(axis=1) @ b1.reshape(do, di).T
+            integ = G.transpose(1, 0, 2) + bias[:, None]
+        return (v @ layer.W.T)[:, lo:hi] + integ + lt.b_trace.output[lo:hi]
 
     def forward_batch(self, UU, start=0):
         """Map a batch of input trajectories (B, M+1) to outputs (B, M+1).
@@ -222,8 +277,14 @@ class BoundaryOperator:
         runs at all rows, as the last one's integral reads its whole
         input; the last layer and Q run at rows [start, n) only. Earlier
         rows of YY, and of the last activation and mask, are NaN and False;
-        `complete` computes them from the cache.
+        `complete` computes them from the cache. The integrals run through
+        the kernel networks' hidden features; no K2 is built.
         """
+        return self._forward(UU, start)
+
+    def _forward(self, UU, start=0, dense=False):
+        """`forward_batch`, or with dense the pass of a training step,
+        whose integrals run through K2."""
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
@@ -233,7 +294,7 @@ class BoundaryOperator:
         masks = []
         for li, layer in enumerate(self.layers):
             lo = start if li == self.n_layers - 1 else 0
-            z = self._preactivation(li, tables, v, lo, n)
+            z = self._preactivation(li, tables, v, lo, n, dense)
             if lo:
                 z = np.concatenate(
                     [np.full((B, lo, layer.dim_out), np.nan), z], axis=1)
@@ -250,9 +311,9 @@ class BoundaryOperator:
     def complete(self, cache, trajectories):
         """Rows [0, cache.start) of the outputs of the trajectories (a
         sequence of indices) of a forward pass, (len(trajectories),
-        cache.start): the last layer
-        and Q at those rows, from the cached input of the last layer. It
-        runs no earlier layer and reads only K2's rows for them."""
+        cache.start): the last layer and Q at those rows, from the cached
+        input of the last layer. It runs no earlier layer and reads only
+        H's rows for them."""
         start = cache.start
         z = self._preactivation(self.n_layers - 1, cache.tables,
                                 np.take(cache.vs[-2], trajectories, axis=0),
@@ -302,15 +363,15 @@ class BoundaryOperator:
         # the tangents of the channels (U, 1) along U_m and along t_m
         A = np.tile([1.0, 0.0], (n, 1))
         p = np.zeros((n, 2))
-        for layer, (_, kappa_trace, b_trace), v, mask in zip(
-                self.layers, cache.tables.layers, cache.vs, cache.masks):
+        for layer, lt, v, mask in zip(self.layers, cache.tables.layers,
+                                      cache.vs, cache.masks):
             kW0, _, kW1, _ = layer.kappa.params()
             bW0, _, bW1, _ = layer.b.params()
             vw = v[trajectory] * w[:, None]
             # (rows, d_in, h): w v contracted over j with the hidden-layer
             # tangent along t_m at (t_m, t_j), mask * W0[:, 0]
-            G = (vw.T @ kappa_trace.masks[0].reshape(n, n, -1)[start:stop]) \
-                * kW0[:, 0]
+            mask0 = lt.kappa_trace.masks[0].reshape(n, n, -1)
+            G = (vw.T @ mask0[start:stop]) * kW0[:, 0]
             # then W1 as (d_in*h, d_out), row by row
             dinteg = G.reshape(stop - start, 1, -1) \
                 @ kW1.reshape(layer.dim_out, -1).T
@@ -319,7 +380,7 @@ class BoundaryOperator:
             # rows outside [start, stop) miss their kernel term; they are
             # never returned
             p[start:stop] += dinteg[:, 0]
-            p += (b_trace.masks[0] * bW0[:, 0]) @ bW1.T
+            p += (lt.b_trace.masks[0] * bW0[:, 0]) @ bW1.T
             if mask is not None:
                 A, p = A * mask[trajectory], p * mask[trajectory]
         return (A @ q_vec)[start:stop], (p @ q_vec)[start:stop]
@@ -327,10 +388,11 @@ class BoundaryOperator:
     # -- training loss -----------------------------------------------------
 
     def loss_and_grads(self, UU, YY, l2=0.0):
-        """Mean squared trajectory error with l2 weight penalty."""
+        """Mean squared trajectory error with l2 weight penalty. The forward
+        and backward passes run through the dense kernel tables K2."""
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         YY = np.atleast_2d(np.asarray(YY, dtype=float))
-        Yhat, cache = self.forward_batch(UU)
+        Yhat, cache = self._forward(UU, dense=True)
         diff = Yhat - YY
         loss = mean_square(diff)
 
@@ -364,21 +426,22 @@ class BoundaryOperator:
         layer_grads = []
         for li in range(self.n_layers - 1, -1, -1):
             layer = self.layers[li]
-            K2, kappa_trace, b_trace = cache.tables.layers[li]
+            lt = cache.tables.layers[li]
             mask = cache.masks[li]
             v_in = cache.vs[li]
             dz = dv if mask is None else dv * mask
             dW = dz.reshape(-1, layer.dim_out).T @ v_in.reshape(-1, layer.dim_in)
             db_rows = dz.sum(axis=0)
-            b_grads, _ = layer.b.reverse(b_trace, db_rows)
+            b_grads, _ = layer.b.reverse(lt.b_trace, db_rows)
             vw = v_in * w[None, :, None]
             dK2 = dz.reshape(B, -1).T @ vw.reshape(B, -1)
             dK = dK2.reshape(n, layer.dim_out, n, layer.dim_in)
             up_kappa = dK.transpose(0, 2, 1, 3).reshape(n * n, -1)
-            kappa_grads, _ = layer.kappa.reverse(kappa_trace, up_kappa)
+            kappa_grads, _ = layer.kappa.reverse(lt.kappa_trace, up_kappa)
             layer_grads.append([dW] + kappa_grads + b_grads)
             if li:  # the input channels (U, 1) need no gradient
                 dv = dz @ layer.W
+                K2 = self._dense_kernel(li, cache.tables)
                 dv += (dz.reshape(B, -1) @ K2).reshape(B, n, layer.dim_in) \
                     * w[None, :, None]
 
@@ -415,10 +478,26 @@ class BoundaryOperator:
             raise ConfigurationError(
                 "checkpoint holds the lift P of an older operator layout, "
                 "which this version does not read; retrain the operator")
-        grid = TimeGrid(float(meta["grid_T"]), int(meta["grid_M"]))
-        n_layers = int(meta["n_layers"])
-        d_v = int(meta["d_v"])
-        activations = tuple(meta["activations"].split(","))
+
+        def entry(key, parse):
+            if key not in meta:
+                raise ConfigurationError(f"{path}: checkpoint has no meta "
+                                         f"entry {key}")
+            try:
+                return parse(meta[key])
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}: meta entry {key} {meta[key]!r} is malformed: "
+                    f"{exc}") from None
+
+        T, M = entry("grid_T", float), entry("grid_M", int)
+        n_layers, d_v = entry("n_layers", int), entry("d_v", int)
+        activations = entry("activations", lambda s: tuple(s.split(",")))
+        try:
+            grid = TimeGrid(T, M)
+            check_architecture(d_v, n_layers, activations)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
         kappa_hidden = checkpoint_tensor(tensors, "layer0.kappa.W0").shape[0]
         b_hidden = checkpoint_tensor(tensors, "layer0.b.W0").shape[0]
         op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,

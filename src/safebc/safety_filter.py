@@ -13,12 +13,15 @@ stays within a threshold eta.  It walks a whole batch of trajectories at
 once: each step makes one operator forward over the rows whose input the
 step before changed.  The walk reads a prediction made at step m only from
 row m on, so such a re-forward runs the operator's last layer from row m
-only; after the walk, each final prediction's earlier rows are completed
-from its forward cache.  A row keeps its current prediction, and the rate
-split and the barrier's partials are evaluated once per prediction: at its
-first step alone, then over the rest of its trajectory at its second step.
-So a step makes at most one barrier pass, over every (row, step) pair that
-a new or second-step prediction needs, and none when no prediction is new.
+only, its integral reading the kernel network's hidden features of those
+rows alone; after the walk, each final prediction's earlier rows are
+completed from its forward cache. No operator pass here builds a dense
+kernel table: only a training step does.  A row keeps its current
+prediction, and the rate split and the barrier's partials are evaluated
+once per prediction: at its first step alone, then over the rest of its
+trajectory at its second step. So a step makes at most one barrier pass,
+over every (row, step) pair that a new or second-step prediction needs,
+and none when no prediction is new.
 The walk runs to the end, and the abort policy is checked after it.
 
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store

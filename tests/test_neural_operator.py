@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from safebc import neural_operator
 from safebc.checkpoint import read_checkpoint, write_checkpoint
+from safebc.nets import Trace
 from safebc.neural_operator import (BoundaryOperator, KernelLayer,
                                     trapezoid_weights)
 from safebc.pde_sim import ConfigurationError, TimeGrid
@@ -333,13 +335,12 @@ class TestDecomposition:
             return (trace.masks[0] * W0[:, 0]) @ W1.T
 
         n_checked = 0
-        for layer, (_, kappa_trace, b_trace) in zip(
-                op.layers, op._table_entry().layers):
+        for layer, lt in zip(op.layers, op._table_entry().layers):
             fd, smooth = fd_and_smooth(layer.kappa, pairs, shift)
-            dK = mask_tangent(layer.kappa, kappa_trace)
+            dK = mask_tangent(layer.kappa, lt.kappa_trace)
             assert np.allclose(dK[smooth], fd[smooth], rtol=1e-6, atol=1e-8)
             fd, smooth = fd_and_smooth(layer.b, t, np.full_like(t, h))
-            db = mask_tangent(layer.b, b_trace)
+            db = mask_tangent(layer.b, lt.b_trace)
             assert np.allclose(db[smooth], fd[smooth], rtol=1e-6, atol=1e-8)
             n_checked += int(smooth.sum())
         assert n_checked >= 0.9 * 2 * n
@@ -468,13 +469,8 @@ def test_the_split_of_one_trajectory_of_a_batch_is_its_one_row_view(
                 assert np.array_equal(a, b)
 
 
-def test_the_table_entry_holds_one_dense_array_per_later_layer():
-    """After predict at the benchmark's parabolic size (M=80, d_v=16), the
-    kernel table K2 is the entry's one (n*d_v)^2 array per layer after the
-    first: the rate split reads the traces' masks and builds no derivative
-    table, and the first layer's K2 reads the two channels (U, 1)."""
-    op = BoundaryOperator(TimeGrid(1.0, 80), d_v=16, n_layers=2, seed=0)
-    op.predict(np.linspace(0.0, 1.0, 81))
+def entry_arrays(entry):
+    """Every numpy array a table entry holds."""
     arrays = []
 
     def walk(x):
@@ -486,34 +482,52 @@ def test_the_table_entry_holds_one_dense_array_per_later_layer():
         elif hasattr(x, "__dict__"):
             walk(list(vars(x).values()))
 
-    walk(op._tables)
-    dense = [a for a in arrays if a.size >= (81 * 16) ** 2]
+    walk(entry)
+    return arrays
+
+
+def test_the_table_entry_holds_one_dense_array_per_later_layer():
+    """At the benchmark's parabolic size (M=80, d_v=16), the entry that
+    predict builds holds no (n*d_v)^2 array: the integrals run through the
+    kernel networks' hidden features and the rate split reads the traces'
+    masks. A training step on the same parameters adds the kernel table K2
+    as the entry's one (n*d_v)^2 array per layer after the first; the first
+    layer's K2 reads the two channels (U, 1)."""
+    op = BoundaryOperator(TimeGrid(1.0, 80), d_v=16, n_layers=2, seed=0)
+    U = np.linspace(0.0, 1.0, 81)
+    op.predict(U)
+    big = (81 * 16) ** 2
+    assert all(a.size < big for a in entry_arrays(op._tables))
+    assert all(lt.K2 is None for lt in op._tables.layers)
+    entry = op._tables
+    op.loss_and_grads(U[None], U[None])
+    assert op._tables is entry
+    dense = [a for a in entry_arrays(op._tables) if a.size >= big]
     assert len(dense) == op.n_layers - 1
-    for a, (K2, _, _) in zip(dense, op._tables.layers[1:]):
-        assert a is K2 and a.shape == (81 * 16, 81 * 16)
-    assert op._tables.layers[0][0].shape == (81 * 16, 2 * 81)
+    for a, lt in zip(dense, op._tables.layers[1:]):
+        assert a is lt.K2 and a.shape == (81 * 16, 81 * 16)
+    assert op._tables.layers[0].K2.shape == (81 * 16, 2 * 81)
 
 
 def test_a_rebuild_drops_the_stale_entry_before_it_builds(monkeypatch):
     """A new parameter state builds a new entry; the old one is released
-    first, so the two are never held at once."""
+    first, so the two are never held at once. The first trace the build
+    makes is the first layer's kernel hidden layer."""
     op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
                           kappa_hidden=4, b_hidden=3, seed=22)
     U = np.linspace(0.0, 1.0, 6)
     op.predict(U)
     stale = weakref.ref(op._tables)
     alive = []
-    kappa = op.layers[0].kappa
-    trace = kappa.trace
 
-    def checked_trace(*args, **kwargs):
+    def checked_trace(*args):
         alive.append(stale() is not None)
-        return trace(*args, **kwargs)
+        return Trace(*args)
 
-    monkeypatch.setattr(kappa, "trace", checked_trace)
+    monkeypatch.setattr(neural_operator, "Trace", checked_trace)
     op.layers[0].W[0, 0] += 0.1
     op.predict(U)
-    assert alive == [False]
+    assert alive == [False] * op.n_layers
     assert op._tables is not None
 
 
@@ -535,16 +549,19 @@ class TestPartialForward:
         return op, UU
 
     @staticmethod
-    def poison_last_kernel(op, rows, fill="nan"):
-        """Overwrite the given rows of the cached entry's last K2 with NaN,
-        or with +inf and -inf in alternate columns: a product that reads
-        those makes inf - inf or inf * 0 somewhere, an invalid operation
-        even where its result is then thrown away."""
-        K2 = op._table_entry().layers[-1][0]
-        K2[rows] = np.nan
+    def poison_last_hidden(op, rows, fill="nan"):
+        """Overwrite the hidden features H(t_m, t_j) of the cached entry's
+        last kernel network at the given output rows m with NaN, or with
+        +inf and -inf at alternate t_j: a sum over j that reads those
+        makes inf - inf, an invalid operation even where its result is
+        then thrown away."""
+        n = op.grid.M + 1
+        H = op._table_entry().layers[-1].kappa_trace.inputs[1]
+        H = H.reshape(n, n, -1)  # a view: the entry's own H
+        H[rows] = np.nan
         if fill == "inf":
-            K2[rows, 0::2] = np.inf
-            K2[rows, 1::2] = -np.inf
+            H[rows, 0::2] = np.inf
+            H[rows, 1::2] = -np.inf
 
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -565,7 +582,7 @@ class TestPartialForward:
                                                        n_layers, fill):
         op, UU = self.case(n_layers, "relu")
         full, _ = op.forward_batch(UU)
-        self.poison_last_kernel(op, slice(None, start * op.d_v), fill)
+        self.poison_last_hidden(op, slice(None, start), fill)
         with np.errstate(invalid="raise"):
             part, _ = op.forward_batch(UU, start)
         assert np.array_equal(part[:, start:], full[:, start:])
@@ -578,8 +595,8 @@ class TestPartialForward:
         op, UU = self.case(n_layers, activation)
         full, _ = op.forward_batch(UU)
         _, cache = op.forward_batch(UU, start)
-        # the completion reads only the kernel rows before start
-        self.poison_last_kernel(op, slice(start * op.d_v, None), "inf")
+        # the completion reads only the hidden features of rows before start
+        self.poison_last_hidden(op, slice(start, None), "inf")
         with np.errstate(invalid="raise"):
             assert np.array_equal(op.complete(cache, [0]), full[:, :start])
 
@@ -624,9 +641,65 @@ class TestPartialForward:
     def test_a_non_finite_completed_row_raises(self):
         op, UU = self.case(2, "relu")
         _, cache = op.forward_batch(UU, 5)
-        self.poison_last_kernel(op, slice(0, op.d_v))
+        self.poison_last_hidden(op, slice(0, 1))
         with pytest.raises(FloatingPointError):
             op.complete(cache, [0])
+
+
+class TestInferenceContraction:
+    """Inference contracts each integral through the kernel networks'
+    hidden features and then their output layer; a training step through
+    the dense table K2. The two orders agree to round-off, and only the
+    training step builds K2."""
+
+    GRID = TimeGrid(1.0, 20)
+    N = 21
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("start", [0, N // 2, N - 1])
+    def test_the_inference_contraction_is_the_dense_one(
+            self, start, n_layers, activation, batch):
+        op = BoundaryOperator(self.GRID, d_v=4, n_layers=n_layers,
+                              activations=(activation,) * n_layers,
+                              seed=30 + n_layers)
+        UU = np.random.default_rng(batch).normal(
+            size=(batch, self.N)).cumsum(axis=1)
+        dense, _ = op._forward(UU, dense=True)
+        part, cache = op.forward_batch(UU, start)
+        rows = np.concatenate(
+            [op.complete(cache, range(batch)), part[:, start:]], axis=1)
+        assert np.max(np.abs(rows - dense)) <= \
+            1e-12 * np.max(np.abs(dense))
+
+    def test_a_training_step_builds_one_dense_table_per_layer(
+            self, monkeypatch):
+        op = BoundaryOperator(self.GRID, d_v=4, n_layers=2, seed=33)
+        n = self.N
+        UU = np.random.default_rng(0).normal(size=(3, n)).cumsum(axis=1)
+        built, dense_kernel = [], op._dense_kernel
+
+        def logged(li, tables):
+            kept = tables.layers[li].K2
+            K2 = dense_kernel(li, tables)
+            if K2 is not kept:
+                built.append(K2.shape)
+            return K2
+
+        monkeypatch.setattr(op, "_dense_kernel", logged)
+        op.loss_and_grads(UU, UU)
+        assert built == [(n * 4, 2 * n), (n * 4, n * 4)]
+        # the same parameters reuse them
+        op.loss_and_grads(UU, UU)
+        assert len(built) == 2
+        # and no other pass builds one
+        op.layers[1].W[0, 0] += 0.1
+        _, cache = op.forward_batch(UU, 5)
+        op.complete(cache, [0, 2])
+        op.predict(UU[0])
+        assert len(built) == 2
+        assert all(lt.K2 is None for lt in op._tables.layers)
 
 
 class TestFingerprint:
@@ -739,6 +812,26 @@ class TestPersistence:
         write_checkpoint(path, "bcbf", {"W0": np.zeros((1, 1))})
         with pytest.raises(ConfigurationError, match="not operator"):
             BoundaryOperator.load(path)
+
+    @pytest.mark.parametrize("line, edit, message", [
+        ("meta grid_T 1\n", "", "has no meta entry grid_T"),
+        ("meta n_layers 2\n", "meta n_layers two\n",
+         "meta entry n_layers 'two' is malformed"),
+        ("meta n_layers 2\n", "meta n_layers 0\n",
+         "n_layers must be >= 1, got 0"),
+    ], ids=["missing", "malformed", "out-of-range"])
+    def test_a_bad_meta_entry_names_the_checkpoint_and_the_key(
+            self, tmp_path, line, edit, message):
+        path = tmp_path / "op.ckpt"
+        BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=2, seed=1).save(
+            path)
+        text = path.read_text()
+        assert line in text
+        path.write_text(text.replace(line, edit))
+        with pytest.raises(ConfigurationError) as info:
+            BoundaryOperator.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
 
     def test_a_checkpoint_with_the_old_lift_is_an_error(self, tmp_path):
         """A checkpoint of the older layout holds a lift P and a (d_v, d_v)

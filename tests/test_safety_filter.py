@@ -10,6 +10,7 @@ a one-row one.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from safebc import safety_filter
 from safebc.barrier import BarrierFunction, FeasibilityConstants
+from safebc.nets import Trace
 from safebc.neural_operator import BoundaryOperator, TableEntry
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
                             ParabolicConfig, SmoothRandom, TimeGrid, rollout)
@@ -491,9 +493,36 @@ def test_the_reported_prediction_is_the_forward_of_the_safe_input(eta):
         assert_close(report.Y_predicted, op.forward(report.U_safe))
 
 
+@pytest.mark.parametrize("call", ["filter_trajectory", "filter_batch",
+                                  "predict", "complete"])
+def test_no_filter_or_inference_call_builds_a_dense_kernel_table(call):
+    """At the benchmark's parabolic size (M=80, d_v=16) a layer's kernel
+    table K2 is (n*d_v)^2 floats, 13 MB. Inference runs through the kernel
+    networks' hidden features instead: on a fresh operator, the most memory
+    a call holds at once stays below one such array, and no K2 is kept."""
+    op, bar, UU = parabolic_models(U0=(1.0, 0.6, 0.3))
+    dense_bytes = ((op.grid.M + 1) * op.d_v) ** 2 * 8
+    if call == "complete":
+        _, cache = op.forward_batch(UU, 40)
+    run = {"filter_trajectory": lambda: filter_trajectory(op, bar, UU[0],
+                                                          FilterConfig()),
+           "filter_batch": lambda: filter_batch(op, bar, UU, FilterConfig()),
+           "predict": lambda: op.predict(UU[0]),
+           "complete": lambda: op.complete(cache, [0, 2])}[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+    assert all(lt.K2 is None for lt in op._tables.layers)
+
+
 def test_a_non_finite_completed_row_raises_before_an_abort(monkeypatch):
-    # NaN in the kernel rows that complete a final prediction: the
-    # completion raises, ahead of the abort policy's error
+    # NaN in the kernel network's hidden features at the rows that
+    # complete a final prediction: the completion raises, ahead of the
+    # abort policy's error
     op, bar = models(0)
     U = nominal(0)
     config = FilterConfig(eta=1e9, infeasible_policy="abort")
@@ -510,10 +539,14 @@ def test_a_non_finite_completed_row_raises_before_an_abort(monkeypatch):
     complete = op.complete
 
     def planted(cache, trajectories):
-        K2, kappa_trace, b_trace = cache.tables.layers[-1]
-        K2 = K2.copy()
-        K2[:cache.start * op.d_v] = np.nan
-        layers = cache.tables.layers[:-1] + [(K2, kappa_trace, b_trace)]
+        last = cache.tables.layers[-1]
+        pairs, H = last.kappa_trace.inputs
+        H = H.copy()
+        # the pairs (t_m, t_j) with m < start
+        H[:cache.start * (op.grid.M + 1)] = np.nan
+        kappa_trace = Trace([pairs, H], last.kappa_trace.masks, [])
+        layers = cache.tables.layers[:-1] + [
+            dataclasses.replace(last, kappa_trace=kappa_trace)]
         return complete(dataclasses.replace(
             cache, tables=TableEntry(cache.tables.key, layers)),
             trajectories)

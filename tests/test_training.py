@@ -10,10 +10,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from safebc import neural_operator
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
                             loss_decrease_condition, loss_safe_set)
 from safebc.nets import Adam, Mlp
-from safebc.neural_operator import BoundaryOperator
+from safebc.neural_operator import BoundaryOperator, TableEntry
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, StopReason,
@@ -265,7 +266,18 @@ def passes(monkeypatch):
     return PassLog(monkeypatch)
 
 
-def test_an_operator_step_traces_each_network_once(passes):
+def test_an_operator_step_traces_each_network_once(passes, monkeypatch):
+    """A step on new parameters builds one table entry, which computes
+    each kernel network's hidden layer by hand (the output layer runs in
+    the dense table K2) and traces each bias network; the readout Q is
+    traced once, and the backward pass sweeps each network once."""
+    entries = []
+
+    def counted_entry(*args):
+        entries.append(TableEntry(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(neural_operator, "TableEntry", counted_entry)
     op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
                           kappa_hidden=4, b_hidden=3, seed=1)
     rng = np.random.default_rng(2)
@@ -273,18 +285,22 @@ def test_an_operator_step_traces_each_network_once(passes):
     op.loss_and_grads(UU, YY)
     op.layers[0].W[0, 0] += 0.1
     passes.clear()
+    entries.clear()
     op.loss_and_grads(UU, YY, l2=1e-3)
-    tables = [net for layer in op.layers for net in (layer.kappa, layer.b)]
-    nets = [op.Q] + tables
-    assert [passes.traced(n) for n in nets] == [1] * len(nets)
-    assert len(passes.traces) == len(nets)
+    traced = [op.Q] + [layer.b for layer in op.layers]
+    nets = traced + [layer.kappa for layer in op.layers]
+    assert len(entries) == 1
+    assert [passes.traced(n) for n in nets] == \
+        [1] * len(traced) + [0] * op.n_layers
+    assert len(passes.traces) == len(traced)
     # the backward pass sweeps the stored traces, one reverse per network
     assert sorted(map(id, passes.reverses)) == sorted(map(id, nets))
     passes.clear()
     # same parameters: the tables and their traces are reused, and only
     # the readout runs
     op.loss_and_grads(UU, YY)
-    assert [passes.traced(n) for n in nets] == [1] + [0] * len(tables)
+    assert len(entries) == 1
+    assert [passes.traced(n) for n in nets] == [1] + [0] * (len(nets) - 1)
     assert len(passes.traces) == 1
 
 
