@@ -35,14 +35,16 @@ ReLU hidden layer, so a layer integral can be contracted in either order:
 
 with W1 and b1 read as (d_out, d_in, h) and (d_out, d_in). Every pass but
 a training step takes the right-hand side, through the hidden features H
-(n*n, h) of the (t_m, t_j) pairs; a training step takes the left-hand
-side, through the dense kernel table K2 (n*d_out, n*d_in), which at a
-batch of many trajectories and a backward pass costs fewer multiply-adds.
-So the first layer's K2 is (n*d_v, 2n), later ones (n*d_v, n*d_v), and only
-training builds one. The hidden traces, the bias traces and any K2 sit in
-one entry keyed by the exact bytes of the grid and the parameters; each
-forward cache carries its entry, so the rate split and the backward pass
-read their own pass's.
+(n*n, h) of the (t_m, t_j) pairs. A training step takes the left-hand side,
+which at a batch of many trajectories and a backward pass costs fewer
+multiply-adds, but never holds the whole kernel table (n*d_out, n*d_in):
+it builds the table's rows from H and W1 in blocks of KERNEL_ROWS output
+rows, applies each block and drops it, and builds each block again in the
+backward pass (rebuilding in place of storing, as in Chen et al., arXiv
+1604.06174). The hidden traces and the bias traces sit in one entry keyed
+by the exact bytes of the grid and the parameters, the same for training
+and inference; each forward cache carries its entry, so the rate split and
+the backward pass read their own pass's.
 
 `forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
 only: each earlier layer runs in full, as the last one's integral reads its
@@ -61,6 +63,13 @@ import numpy as np
 from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
 from .nets import Mlp, Trace, subseed
 from .pde_sim import ConfigurationError, TimeGrid
+
+# Output rows of a layer's kernel that a training step builds at once, a
+# (KERNEL_ROWS*d_out, n*d_in) block: few enough that a block stays small at
+# any grid, enough that each block's products stay large. At d_v=16 and a
+# batch of 54, 4 and 8 rows tie on step time from M=50 to M=200, and 16 or
+# 32 rows are slower.
+KERNEL_ROWS = 8
 
 
 def trapezoid_weights(grid):
@@ -123,20 +132,19 @@ class LayerTables:
     [H > 0]. It stops there, as inference applies the linear output layer
     after the sum over j; `Mlp.reverse` reads no more of it. b_trace is the
     bias network's trace (b_trace.output is the bias at each t_m). The
-    masks of both give the rate split its time derivatives. K2 is the
-    kernel as an (n*d_out, n*d_in) matrix, None until a training step
-    builds it; the first layer reads the two channels (U, 1), so its K2 is
-    (n*d_v, 2n)."""
+    masks of both give the rate split its time derivatives. No kernel
+    table is kept: a training step builds its rows from H a block at a
+    time (`_kernel_rows`)."""
     kappa_trace: Trace
     b_trace: Trace
-    K2: np.ndarray = None
 
 
 @dataclass(eq=False)
 class TableEntry:
     """The tables of one parameter state, under its key (`fingerprint()`):
-    one LayerTables per kernel layer. Outside training it holds no
-    (n*d_out, n*d_in) array."""
+    one LayerTables per kernel layer, for training and inference alike. Its
+    largest arrays are the (n*n, h) hidden features and masks; it never
+    holds an (n*d_out, n*d_in) kernel table."""
     key: bytes
     layers: list
 
@@ -215,20 +223,18 @@ class BoundaryOperator:
         self._tables = TableEntry(key, layers)
         return self._tables
 
-    def _dense_kernel(self, li, tables):
-        """Layer li's K2, built at its first use and kept in the entry: the
-        kernel network's output layer H W1^T + b1, as Mlp.trace computes
-        it, laid out as (n*d_out, n*d_in)."""
-        lt = tables.layers[li]
-        if lt.K2 is None:
-            layer = self.layers[li]
-            n = self.grid.M + 1
-            _, _, W1, b1 = layer.kappa.params()
-            K = (lt.kappa_trace.inputs[1] @ W1.T + b1).reshape(
-                n, n, layer.dim_out, layer.dim_in)
-            lt.K2 = K.transpose(0, 2, 1, 3).reshape(n * layer.dim_out,
-                                                    n * layer.dim_in)
-        return lt.K2
+    def _kernel_rows(self, li, tables, lo, hi):
+        """Rows [lo, hi) of layer li's kernel as an ((hi-lo)*d_out, n*d_in)
+        matrix: the kernel network's output layer on H's rows for them,
+        H W1^T + b1, as Mlp.trace computes it. A training step builds it a
+        block of KERNEL_ROWS rows at a time and keeps none."""
+        layer = self.layers[li]
+        n = self.grid.M + 1
+        _, _, W1, b1 = layer.kappa.params()
+        H = tables.layers[li].kappa_trace.inputs[1][lo * n:hi * n]
+        K = (H @ W1.T + b1).reshape(hi - lo, n, layer.dim_out, layer.dim_in)
+        return K.transpose(0, 2, 1, 3).reshape((hi - lo) * layer.dim_out,
+                                               n * layer.dim_in)
 
     # -- forward -----------------------------------------------------------
 
@@ -238,22 +244,26 @@ class BoundaryOperator:
                 "trajectory length %d does not match grid M=%d"
                 % (U.shape[-1], self.grid.M))
 
-    def _preactivation(self, li, tables, v, lo, hi, dense=False):
+    def _preactivation(self, li, tables, v, lo, hi, blocked=False):
         """Layer li's pre-activation at rows [lo, hi) of a batch, from its
         whole input v (B, n, d_in). The integral runs through H and then
         the kernel network's output layer, one product per row, and reads
-        only H's rows for rows [lo, hi); with dense (a training step) it
-        runs through K2's rows for them. The local term runs at every row,
-        as a product over fewer rows need not round like the same rows of
-        the whole one, so each row is the same row of the whole pass."""
+        only H's rows for rows [lo, hi); with blocked (a training step) it
+        runs through the kernel's rows for them, built and applied
+        KERNEL_ROWS rows at a time. The local term runs at every row, as a
+        product over fewer rows need not round like the same rows of the
+        whole one, so each row is the same row of the whole pass."""
         layer = self.layers[li]
         lt = tables.layers[li]
         do, di, B = layer.dim_out, layer.dim_in, len(v)
         vw = v * self._weights[None, :, None]
-        if dense:
-            K2 = self._dense_kernel(li, tables)
-            integ = (vw.reshape(B, -1) @ K2[lo * do:hi * do].T).reshape(
-                B, hi - lo, do)
+        if blocked:
+            vw = vw.reshape(B, -1)
+            integ = np.concatenate(
+                [vw @ self._kernel_rows(li, tables, a,
+                                        min(a + KERNEL_ROWS, hi)).T
+                 for a in range(lo, hi, KERNEL_ROWS)],
+                axis=1).reshape(B, hi - lo, do)
         else:
             n = v.shape[1]
             _, _, W1, b1 = layer.kappa.params()
@@ -278,13 +288,13 @@ class BoundaryOperator:
         input; the last layer and Q run at rows [start, n) only. Earlier
         rows of YY, and of the last activation and mask, are NaN and False;
         `complete` computes them from the cache. The integrals run through
-        the kernel networks' hidden features; no K2 is built.
+        the kernel networks' hidden features; no kernel row is built.
         """
         return self._forward(UU, start)
 
-    def _forward(self, UU, start=0, dense=False):
-        """`forward_batch`, or with dense the pass of a training step,
-        whose integrals run through K2."""
+    def _forward(self, UU, start=0, blocked=False):
+        """`forward_batch`, or with blocked the pass of a training step,
+        whose integrals run through blocks of the kernel's rows."""
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
@@ -294,7 +304,7 @@ class BoundaryOperator:
         masks = []
         for li, layer in enumerate(self.layers):
             lo = start if li == self.n_layers - 1 else 0
-            z = self._preactivation(li, tables, v, lo, n, dense)
+            z = self._preactivation(li, tables, v, lo, n, blocked)
             if lo:
                 z = np.concatenate(
                     [np.full((B, lo, layer.dim_out), np.nan), z], axis=1)
@@ -388,11 +398,22 @@ class BoundaryOperator:
     # -- training loss -----------------------------------------------------
 
     def loss_and_grads(self, UU, YY, l2=0.0):
-        """Mean squared trajectory error with l2 weight penalty. The forward
-        and backward passes run through the dense kernel tables K2."""
-        UU = np.atleast_2d(np.asarray(UU, dtype=float))
-        YY = np.atleast_2d(np.asarray(YY, dtype=float))
-        Yhat, cache = self._forward(UU, dense=True)
+        """Mean squared trajectory error with l2 weight penalty, and its
+        gradients in params() order. YY must have UU's shape.
+
+        Each layer's kernel runs as a table of rows, KERNEL_ROWS output
+        rows (KERNEL_ROWS*d_out by n*d_in) at a time: the forward builds a
+        block from H's rows, applies it to the batch and drops it, and the
+        backward builds it again to carry the input gradient through it.
+        So a step holds the entry's (n*n, h) hidden features and one block,
+        never an n*n*d_out*d_in kernel."""
+        UU = np.asarray(UU, dtype=float)
+        YY = np.asarray(YY, dtype=float)
+        if YY.shape != UU.shape:
+            raise ConfigurationError(f"target shape {YY.shape} does not "
+                                     f"match input shape {UU.shape}")
+        UU, YY = np.atleast_2d(UU, YY)
+        Yhat, cache = self._forward(UU, blocked=True)
         diff = Yhat - YY
         loss = mean_square(diff)
 
@@ -413,7 +434,10 @@ class BoundaryOperator:
     def _backward(self, cache, dY):
         """Reverse accumulation of d(loss)/d(params) given d(loss)/dY: one
         sweep over the traces of the cached forward pass and of the tables;
-        no network runs forward. The pass must have run every row."""
+        no network runs forward. Each kernel network is swept once per
+        block of KERNEL_ROWS output rows, over a view of its trace at that
+        block's pairs, and its gradients are summed over the blocks. The
+        pass must have run every row."""
         if cache.start:
             raise ValueError("backward pass over a forward that ran its "
                              f"last layer from row {cache.start}")
@@ -427,23 +451,37 @@ class BoundaryOperator:
         for li in range(self.n_layers - 1, -1, -1):
             layer = self.layers[li]
             lt = cache.tables.layers[li]
+            do, di = layer.dim_out, layer.dim_in
             mask = cache.masks[li]
             v_in = cache.vs[li]
             dz = dv if mask is None else dv * mask
-            dW = dz.reshape(-1, layer.dim_out).T @ v_in.reshape(-1, layer.dim_in)
+            dW = dz.reshape(-1, do).T @ v_in.reshape(-1, di)
             db_rows = dz.sum(axis=0)
             b_grads, _ = layer.b.reverse(lt.b_trace, db_rows)
-            vw = v_in * w[None, :, None]
-            dK2 = dz.reshape(B, -1).T @ vw.reshape(B, -1)
-            dK = dK2.reshape(n, layer.dim_out, n, layer.dim_in)
-            up_kappa = dK.transpose(0, 2, 1, 3).reshape(n * n, -1)
-            kappa_grads, _ = layer.kappa.reverse(lt.kappa_trace, up_kappa)
+            vw = (v_in * w[None, :, None]).reshape(B, -1)
+            dz_flat = dz.reshape(B, -1)
+            pairs, H = lt.kappa_trace.inputs
+            hidden_mask = lt.kappa_trace.masks[0]
+            kappa_grads = [np.zeros_like(p) for p in layer.kappa.params()]
+            dv_kernel = np.zeros((B, n * di)) if li else None
+            for lo in range(0, n, KERNEL_ROWS):
+                hi = min(lo + KERNEL_ROWS, n)
+                dz_rows = dz_flat[:, lo * do:hi * do]
+                # the kernel's gradient at the block's (t_m, t_j) pairs
+                up = (dz_rows.T @ vw).reshape(hi - lo, do, n, di)
+                up = up.transpose(0, 2, 1, 3).reshape(-1, do * di)
+                rows = slice(lo * n, hi * n)
+                block_grads, _ = layer.kappa.reverse(
+                    Trace([pairs[rows], H[rows]], [hidden_mask[rows]], []), up)
+                for total, g in zip(kappa_grads, block_grads):
+                    total += g
+                if li:  # the input channels (U, 1) need no gradient
+                    dv_kernel += dz_rows @ self._kernel_rows(
+                        li, cache.tables, lo, hi)
             layer_grads.append([dW] + kappa_grads + b_grads)
-            if li:  # the input channels (U, 1) need no gradient
-                dv = dz @ layer.W
-                K2 = self._dense_kernel(li, cache.tables)
-                dv += (dz.reshape(B, -1) @ K2).reshape(B, n, layer.dim_in) \
-                    * w[None, :, None]
+            if li:
+                dv = dz @ layer.W \
+                    + dv_kernel.reshape(B, n, di) * w[None, :, None]
 
         grads = []
         for lg in reversed(layer_grads):

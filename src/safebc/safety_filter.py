@@ -15,8 +15,8 @@ step before changed.  The walk reads a prediction made at step m only from
 row m on, so such a re-forward runs the operator's last layer from row m
 only, its integral reading the kernel network's hidden features of those
 rows alone; after the walk, each final prediction's earlier rows are
-completed from its forward cache. No operator pass here builds a dense
-kernel table: only a training step does.  A row keeps its current
+completed from its forward cache. No operator pass here builds a row of
+a kernel table: only a training step does.  A row keeps its current
 prediction, and the rate split and the barrier's partials are evaluated
 once per prediction: at its first step alone, then over the rest of its
 trajectory at its second step. So a step makes at most one barrier pass,

@@ -13,6 +13,10 @@ the barrier losses with one trace and one reverse sweep per class and per
 term, and one (0, Y0) row per rate sample; the one-pass losses of
 `safebc.barrier` must match them.
 
+`dense_loss_and_grads` is the operator's training step through each layer's
+whole kernel table; the step proper, which builds the table a block of rows
+at a time, must match it to round-off.
+
 `whole_trajectory_filter` is the safety filter as a plain loop that predicts
 the whole trajectory (output and rate split at every row) before each step
 it reads a changed input at; the filter proper must match it.
@@ -145,6 +149,70 @@ def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
         if abs(fd - model) <= rel_tol * max(abs(fd), 1e-9):
             n_pass += 1
     return n_pass, n_off, t_nodes.size
+
+
+def dense_loss_and_grads(op, UU, YY, l2=0.0):
+    """`BoundaryOperator.loss_and_grads` through each layer's whole kernel
+    table K2 (n*d_out, n*d_in), built once from a trace of the kernel
+    network on every (t_m, t_j) pair, m major, and used in both passes.
+    `loss_and_grads` builds the same table a block of rows at a time and
+    keeps none."""
+    UU = np.atleast_2d(np.asarray(UU, dtype=float))
+    YY = np.atleast_2d(np.asarray(YY, dtype=float))
+    B, n = UU.shape
+    w = trapezoid_weights(op.grid)
+    t = op.grid.times()
+    pairs = np.stack([np.repeat(t, n), np.tile(t, n)], axis=1)
+
+    v = np.stack([UU, np.ones_like(UU)], axis=-1)
+    vs, masks, tables = [v], [], []
+    for layer in op.layers:
+        do, di = layer.dim_out, layer.dim_in
+        kappa_trace = layer.kappa.trace(pairs)
+        b_trace = layer.b.trace(t[:, None])
+        K2 = kappa_trace.output.reshape(n, n, do, di).transpose(0, 2, 1, 3) \
+            .reshape(n * do, n * di)
+        tables.append((kappa_trace, b_trace, K2))
+        vw = v * w[None, :, None]
+        z = v @ layer.W.T + (vw.reshape(B, -1) @ K2.T).reshape(B, n, do) \
+            + b_trace.output
+        masks.append(z > 0.0 if layer.activation == "relu" else None)
+        v = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        vs.append(v)
+    q_trace = op.Q.trace(v.reshape(-1, op.d_v))
+    diff = q_trace.output.reshape(B, n) - YY
+    loss = float(np.sum(diff * diff)) / diff.size
+    params = op.params()
+    if l2:
+        loss += l2 * sum(float(np.sum(p * p))
+                         for p in params if p.ndim == 2)
+
+    dY = (2.0 / diff.size) * diff
+    q_grads, dv = op.Q.reverse(q_trace, dY.reshape(-1, 1))
+    dv = dv.reshape(B, n, op.d_v)
+    layer_grads = []
+    for li in range(op.n_layers - 1, -1, -1):
+        layer = op.layers[li]
+        kappa_trace, b_trace, K2 = tables[li]
+        do, di = layer.dim_out, layer.dim_in
+        dz = dv if masks[li] is None else dv * masks[li]
+        v_in = vs[li]
+        dW = dz.reshape(-1, do).T @ v_in.reshape(-1, di)
+        b_grads, _ = layer.b.reverse(b_trace, dz.sum(axis=0))
+        vw = v_in * w[None, :, None]
+        dK2 = dz.reshape(B, -1).T @ vw.reshape(B, -1)
+        up = dK2.reshape(n, do, n, di).transpose(0, 2, 1, 3) \
+            .reshape(n * n, -1)
+        kappa_grads, _ = layer.kappa.reverse(kappa_trace, up)
+        layer_grads.append([dW] + kappa_grads + b_grads)
+        dv = dz @ layer.W + (dz.reshape(B, -1) @ K2).reshape(B, n, di) \
+            * w[None, :, None]
+    grads = [g for lg in reversed(layer_grads) for g in lg] + q_grads
+    if l2:
+        for g, p in zip(grads, params):
+            if p.ndim == 2:
+                g += 2.0 * l2 * p
+    return loss, grads
 
 
 def sequential_rollout(env_cfg, controller, U0, episode_seed=None):

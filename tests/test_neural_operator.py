@@ -10,17 +10,19 @@ forward pass.
 
 import dataclasses
 import functools
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_loss_and_grads
 from safebc import neural_operator
 from safebc.checkpoint import read_checkpoint, write_checkpoint
 from safebc.nets import Trace
-from safebc.neural_operator import (BoundaryOperator, KernelLayer,
-                                    trapezoid_weights)
+from safebc.neural_operator import (KERNEL_ROWS, BoundaryOperator,
+                                    KernelLayer, trapezoid_weights)
 from safebc.pde_sim import ConfigurationError, TimeGrid
 
 
@@ -486,27 +488,54 @@ def entry_arrays(entry):
     return arrays
 
 
-def test_the_table_entry_holds_one_dense_array_per_later_layer():
-    """At the benchmark's parabolic size (M=80, d_v=16), the entry that
-    predict builds holds no (n*d_v)^2 array: the integrals run through the
-    kernel networks' hidden features and the rate split reads the traces'
-    masks. A training step on the same parameters adds the kernel table K2
-    as the entry's one (n*d_v)^2 array per layer after the first; the first
-    layer's K2 reads the two channels (U, 1)."""
-    op = BoundaryOperator(TimeGrid(1.0, 80), d_v=16, n_layers=2, seed=0)
-    U = np.linspace(0.0, 1.0, 81)
+def test_no_table_entry_holds_a_kernel_table():
+    """At the benchmark's parabolic size (M=80, d_v=16), no entry holds an
+    array of n*n*d_out*d_in floats, a layer's whole kernel table: not the
+    one predict builds, not after a training step reuses it, and not the
+    one a training step builds. Inference contracts through the hidden
+    features, and a training step builds kernel rows a block at a time and
+    keeps none. kappa_hidden=24 keeps the hidden features' size apart from
+    the first layer's table, n*n*2*16."""
+    op = BoundaryOperator(TimeGrid(1.0, 80), d_v=16, n_layers=2,
+                          kappa_hidden=24, seed=0)
+    n = 81
+    table_sizes = {n * n * layer.dim_out * layer.dim_in
+                   for layer in op.layers}
+    U = np.linspace(0.0, 1.0, n)
+
+    def held_sizes():
+        return {a.size for a in entry_arrays(op._tables)}
+
     op.predict(U)
-    big = (81 * 16) ** 2
-    assert all(a.size < big for a in entry_arrays(op._tables))
-    assert all(lt.K2 is None for lt in op._tables.layers)
     entry = op._tables
+    assert not held_sizes() & table_sizes
     op.loss_and_grads(U[None], U[None])
     assert op._tables is entry
-    dense = [a for a in entry_arrays(op._tables) if a.size >= big]
-    assert len(dense) == op.n_layers - 1
-    for a, lt in zip(dense, op._tables.layers[1:]):
-        assert a is lt.K2 and a.shape == (81 * 16, 81 * 16)
-    assert op._tables.layers[0].K2.shape == (81 * 16, 2 * 81)
+    assert not held_sizes() & table_sizes
+    op.layers[1].W[0, 0] += 0.1
+    op.loss_and_grads(U[None], U[None])
+    assert op._tables is not entry
+    assert not held_sizes() & table_sizes
+    assert max(held_sizes()) < (n * 16) ** 2
+
+
+def test_a_training_step_holds_less_than_one_kernel_table():
+    """One training step at M=200, d_v=16, B=8 holds less at once, by
+    tracemalloc's peak, than one later layer's whole kernel table,
+    (n*d_v)^2 floats or 78.9 MiB; a step through the whole tables held
+    about 290 MiB. The step holds the (n*n, h) hidden features of each
+    layer and one block of kernel rows."""
+    op = BoundaryOperator(TimeGrid(1.0, 200), d_v=16, n_layers=2, seed=0)
+    rng = np.random.default_rng(5)
+    UU = rng.normal(size=(8, 201)).cumsum(axis=1)
+    YY = rng.normal(size=(8, 201))
+    tracemalloc.start()
+    try:
+        op.loss_and_grads(UU, YY, l2=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (201 * 16) ** 2 * 8
 
 
 def test_a_rebuild_drops_the_stale_entry_before_it_builds(monkeypatch):
@@ -649,8 +678,9 @@ class TestPartialForward:
 class TestInferenceContraction:
     """Inference contracts each integral through the kernel networks'
     hidden features and then their output layer; a training step through
-    the dense table K2. The two orders agree to round-off, and only the
-    training step builds K2."""
+    rows of the kernel table, KERNEL_ROWS output rows at a time. The two
+    orders agree to round-off, and no inference pass builds a kernel
+    row."""
 
     GRID = TimeGrid(1.0, 20)
     N = 21
@@ -666,40 +696,73 @@ class TestInferenceContraction:
                               seed=30 + n_layers)
         UU = np.random.default_rng(batch).normal(
             size=(batch, self.N)).cumsum(axis=1)
-        dense, _ = op._forward(UU, dense=True)
+        dense, _ = op._forward(UU, blocked=True)
         part, cache = op.forward_batch(UU, start)
         rows = np.concatenate(
             [op.complete(cache, range(batch)), part[:, start:]], axis=1)
         assert np.max(np.abs(rows - dense)) <= \
             1e-12 * np.max(np.abs(dense))
 
-    def test_a_training_step_builds_one_dense_table_per_layer(
-            self, monkeypatch):
+    def test_a_training_step_builds_kernel_rows_in_blocks(self, monkeypatch):
+        """The forward builds every block of each layer once; the backward
+        builds each later layer's blocks again, to carry the input gradient
+        through them, and none of the first layer's. Nothing is kept, so a
+        step on the same parameters builds them all again, and no inference
+        pass builds one."""
         op = BoundaryOperator(self.GRID, d_v=4, n_layers=2, seed=33)
         n = self.N
         UU = np.random.default_rng(0).normal(size=(3, n)).cumsum(axis=1)
-        built, dense_kernel = [], op._dense_kernel
+        built, kernel_rows = [], op._kernel_rows
 
-        def logged(li, tables):
-            kept = tables.layers[li].K2
-            K2 = dense_kernel(li, tables)
-            if K2 is not kept:
-                built.append(K2.shape)
-            return K2
+        def logged(li, tables, lo, hi):
+            K = kernel_rows(li, tables, lo, hi)
+            built.append((li, lo, hi, K.shape))
+            return K
 
-        monkeypatch.setattr(op, "_dense_kernel", logged)
+        monkeypatch.setattr(op, "_kernel_rows", logged)
         op.loss_and_grads(UU, UU)
-        assert built == [(n * 4, 2 * n), (n * 4, n * 4)]
-        # the same parameters reuse them
+        blocks = [(0, 8), (8, 16), (16, 21)]
+        assert KERNEL_ROWS == 8
+        step = [(li, lo, hi, ((hi - lo) * 4, n * di))
+                for li, di in ((0, 2), (1, 4), (1, 4)) for lo, hi in blocks]
+        assert built == step
         op.loss_and_grads(UU, UU)
-        assert len(built) == 2
-        # and no other pass builds one
+        assert built == step + step
+        built.clear()
         op.layers[1].W[0, 0] += 0.1
         _, cache = op.forward_batch(UU, 5)
         op.complete(cache, [0, 2])
         op.predict(UU[0])
-        assert len(built) == 2
-        assert all(lt.K2 is None for lt in op._tables.layers)
+        assert built == []
+
+
+class TestBlockedTrainingStep:
+    """A training step through blocks of kernel rows is the step through
+    each layer's whole kernel table (`oracles.dense_loss_and_grads`) to
+    round-off, on grids with fewer rows than a block (M=5), a whole number
+    of blocks (M=15), a partial last block (M=20) and many blocks (M=80)."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("M", [5, 15, 20, 80])
+    def test_the_blocked_step_is_the_whole_table_step(
+            self, M, n_layers, activation, batch):
+        op = BoundaryOperator(TimeGrid(1.0, M), d_v=4, n_layers=n_layers,
+                              activations=(activation,) * n_layers,
+                              kappa_hidden=8, b_hidden=4, seed=40 + n_layers)
+        rng = np.random.default_rng(M + batch)
+        # nonzero biases, so the masks vary over the pairs
+        for p in op.params():
+            p += 0.1 * rng.normal(size=p.shape)
+        UU = rng.normal(size=(batch, M + 1)).cumsum(axis=1)
+        YY = rng.normal(size=(batch, M + 1))
+        loss, grads = op.loss_and_grads(UU, YY, l2=1e-3)
+        ref_loss, ref_grads = dense_loss_and_grads(op, UU, YY, l2=1e-3)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert [g.shape for g in grads] == [p.shape for p in op.params()]
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestFingerprint:
@@ -760,6 +823,22 @@ class TestLossAndGradients:
         UU = np.ones((2, 5))
         loss, _ = op.loss_and_grads(UU, np.ones((2, 5)))
         assert loss == 1.0
+
+    @pytest.mark.parametrize("target", ["one trajectory", "one row",
+                                        "shorter"])
+    def test_a_target_of_another_shape_is_an_error(self, target):
+        """The target is not broadcast over the batch: a 1-D or one-row
+        target of a batch of three, or one of another length, is an error
+        naming both shapes."""
+        op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
+                              kappa_hidden=4, b_hidden=3, seed=14)
+        UU = np.ones((3, 5))
+        YY = {"one trajectory": UU[0], "one row": UU[:1],
+              "shorter": UU[:, :-1]}[target]
+        with pytest.raises(ConfigurationError) as info:
+            op.loss_and_grads(UU, YY)
+        assert f"target shape {YY.shape}" in str(info.value)
+        assert f"input shape {UU.shape}" in str(info.value)
 
     def test_gradients_match_finite_differences(self):
         """One entry of every parameter array, both layers included. The

@@ -495,11 +495,13 @@ def test_the_reported_prediction_is_the_forward_of_the_safe_input(eta):
 
 @pytest.mark.parametrize("call", ["filter_trajectory", "filter_batch",
                                   "predict", "complete"])
-def test_no_filter_or_inference_call_builds_a_dense_kernel_table(call):
+def test_no_filter_or_inference_call_builds_a_dense_kernel_table(
+        call, monkeypatch):
     """At the benchmark's parabolic size (M=80, d_v=16) a layer's kernel
-    table K2 is (n*d_v)^2 floats, 13 MB. Inference runs through the kernel
+    table is (n*d_v)^2 floats, 13 MB. Inference runs through the kernel
     networks' hidden features instead: on a fresh operator, the most memory
-    a call holds at once stays below one such array, and no K2 is kept."""
+    a call holds at once stays below one such array, and the call builds
+    no row of a kernel table."""
     op, bar, UU = parabolic_models(U0=(1.0, 0.6, 0.3))
     dense_bytes = ((op.grid.M + 1) * op.d_v) ** 2 * 8
     if call == "complete":
@@ -509,6 +511,14 @@ def test_no_filter_or_inference_call_builds_a_dense_kernel_table(call):
            "filter_batch": lambda: filter_batch(op, bar, UU, FilterConfig()),
            "predict": lambda: op.predict(UU[0]),
            "complete": lambda: op.complete(cache, [0, 2])}[call]
+    built = []
+    kernel_rows = op._kernel_rows
+
+    def logged(*args):
+        built.append(args[2:])
+        return kernel_rows(*args)
+
+    monkeypatch.setattr(op, "_kernel_rows", logged)
     tracemalloc.start()
     try:
         run()
@@ -516,7 +526,7 @@ def test_no_filter_or_inference_call_builds_a_dense_kernel_table(call):
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes
-    assert all(lt.K2 is None for lt in op._tables.layers)
+    assert built == []
 
 
 def test_a_non_finite_completed_row_raises_before_an_abort(monkeypatch):

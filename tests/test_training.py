@@ -14,7 +14,8 @@ from safebc import neural_operator
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
                             loss_decrease_condition, loss_safe_set)
 from safebc.nets import Adam, Mlp
-from safebc.neural_operator import BoundaryOperator, TableEntry
+from safebc.neural_operator import (KERNEL_ROWS, BoundaryOperator,
+                                    TableEntry)
 from safebc.pde_sim import ConfigurationError, Constant, HyperbolicConfig, \
     Proportional, SmoothRandom, TimeGrid
 from safebc.training import (BarrierSchedule, OperatorSchedule, StopReason,
@@ -268,9 +269,10 @@ def passes(monkeypatch):
 
 def test_an_operator_step_traces_each_network_once(passes, monkeypatch):
     """A step on new parameters builds one table entry, which computes
-    each kernel network's hidden layer by hand (the output layer runs in
-    the dense table K2) and traces each bias network; the readout Q is
-    traced once, and the backward pass sweeps each network once."""
+    each kernel network's hidden layer by hand (the output layer runs on
+    blocks of kernel rows) and traces each bias network; the readout Q is
+    traced once. The backward pass sweeps Q and each bias network once,
+    and each kernel network once per block of KERNEL_ROWS output rows."""
     entries = []
 
     def counted_entry(*args):
@@ -278,23 +280,27 @@ def test_an_operator_step_traces_each_network_once(passes, monkeypatch):
         return entries[-1]
 
     monkeypatch.setattr(neural_operator, "TableEntry", counted_entry)
-    op = BoundaryOperator(TimeGrid(1.0, 5), d_v=3, n_layers=2,
+    op = BoundaryOperator(TimeGrid(1.0, 20), d_v=3, n_layers=2,
                           kappa_hidden=4, b_hidden=3, seed=1)
+    blocks = -(-21 // KERNEL_ROWS)
+    assert blocks == 3
     rng = np.random.default_rng(2)
-    UU, YY = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+    UU, YY = rng.normal(size=(3, 21)), rng.normal(size=(3, 21))
     op.loss_and_grads(UU, YY)
     op.layers[0].W[0, 0] += 0.1
     passes.clear()
     entries.clear()
     op.loss_and_grads(UU, YY, l2=1e-3)
     traced = [op.Q] + [layer.b for layer in op.layers]
-    nets = traced + [layer.kappa for layer in op.layers]
+    kernels = [layer.kappa for layer in op.layers]
+    nets = traced + kernels
     assert len(entries) == 1
     assert [passes.traced(n) for n in nets] == \
         [1] * len(traced) + [0] * op.n_layers
     assert len(passes.traces) == len(traced)
-    # the backward pass sweeps the stored traces, one reverse per network
-    assert sorted(map(id, passes.reverses)) == sorted(map(id, nets))
+    # the backward pass sweeps the stored traces and their views
+    assert sorted(map(id, passes.reverses)) == \
+        sorted(map(id, traced + kernels * blocks))
     passes.clear()
     # same parameters: the tables and their traces are reused, and only
     # the readout runs
