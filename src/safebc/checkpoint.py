@@ -1,8 +1,17 @@
 """The plain-text file formats: model checkpoints and tables.
 
 Every file the pipeline writes goes through `write_text`: atomically (temp
-file + rename) with LF line endings. Numbers are decimal text with 17
-significant digits, which round-trips float64 exactly.
+file + rename) with LF line endings. Numbers are decimal text: integers and
+booleans as integers, floats with 17 significant digits (`fmt`), which
+round-trips float64 exactly.
+
+A table or a tensor is written and read whole. The writer picks one
+%-format string for a row from the dtypes of the columns (`%d` for integer
+and boolean ones, `%.17g` for float ones) and fills every row with it in one
+pass. The reader parses all data lines of a table or tensor in one
+`np.loadtxt` call, which rounds each decimal to the nearest float64, so a
+write/read round trip is value-exact. Only when that parse fails are the
+lines scanned again one by one, to name the first bad one.
 
 Checkpoints hold the tensors of the operator or the barrier. Layout::
 
@@ -14,7 +23,8 @@ Checkpoints hold the tensors of the operator or the barrier. Layout::
 
 1-D tensors are stored as a single row. Loaders take each tensor at the
 shape their model structure gives it (`checkpoint_tensor`) and reject any
-other shape.
+other shape. A tensor row of the wrong width, a bad value or a tensor cut
+short by the end of the file raises CheckpointError with its line number.
 
 Tables hold everything else: datasets, state snapshots, boundary
 trajectories, training histories, filter reports, per-episode results,
@@ -24,14 +34,15 @@ metrics and sweeps. Layout::
     <column>,<column>,...
     <cell>,<cell>,...           # one line per row
 
-Integer and boolean cells are written as integers, every other cell with
-`fmt`. Readers check the header and convert each cell with one callable per
-column; any malformed line raises DatasetFormatError with its line number.
+Readers check the header and parse the integer columns they name strictly
+(a cell of 1.5 in one is an error), every other column as float64; a wrong
+header or a malformed row raises DatasetFormatError with its line number.
 """
 
 import math
 import os
 import uuid
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -87,16 +98,35 @@ def write_text(path, text):
         raise
 
 
+def _loadtxt(lines, **kwargs):
+    """np.loadtxt of a list of lines, with '#' an ordinary character and any
+    warning raised as an error: older numpy releases parse a float cell of
+    an integer column with only a DeprecationWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(lines, comments=None, **kwargs)
+
+
+# what _loadtxt raises for text it cannot parse
+_PARSE_ERRORS = (ValueError, Warning)
+
+
+def _format_rows(formats, sep, n, cells):
+    """n lines of the cell formats joined by sep, filled from the flat,
+    row-major sequence of cells in one %-format pass."""
+    return "".join([sep.join(formats) + "\n"] * n) % tuple(cells)
+
+
 def write_checkpoint(path, kind, tensors, meta=None):
     """Write named tensors (dict name -> array of ndim <= 2) plus metadata."""
     if kind not in KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    lines = [f"CKPT v1 kind={kind}"]
+    parts = [f"CKPT v1 kind={kind}\n"]
     for key, value in (meta or {}).items():
         key = str(key)
         if " " in key:
             raise CheckpointError(f"meta key {key!r} contains a space")
-        lines.append(f"meta {key} {value}")
+        parts.append(f"meta {key} {value}\n")
     for name, arr in tensors.items():
         name = str(name)
         if " " in name:
@@ -104,11 +134,37 @@ def write_checkpoint(path, kind, tensors, meta=None):
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim > 2:
             raise CheckpointError(f"tensor {name!r} has ndim {a.ndim} > 2")
-        a = np.atleast_2d(a)
-        lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
-        for row in a:
-            lines.append(" ".join(fmt(v) for v in row))
-    write_text(path, "\n".join(lines) + "\n")
+        rows, cols = np.atleast_2d(a).shape
+        parts.append(f"{name} {rows} {cols}\n")
+        parts.append(_format_rows(["%.17g"] * cols, " ", rows,
+                                  a.ravel().tolist()))
+    write_text(path, "".join(parts))
+
+
+def _read_tensor(path, lines, start, rows, cols):
+    """lines[start:start + rows] as a (rows, cols) array in one parse; on
+    failure the lines are scanned for the first of the wrong width or with
+    a bad value, which raises CheckpointError with its line number."""
+    block = lines[start:start + rows]
+    if rows * cols:
+        try:
+            data = _loadtxt(block, ndmin=2)
+        except _PARSE_ERRORS:
+            data = None
+        if data is not None and data.shape == (rows, cols):
+            return data
+    for lineno, line in enumerate(block, start + 1):
+        values = line.split()
+        if len(values) != cols:
+            raise CheckpointError(
+                f"{path}:{lineno}: expected {cols} values, got {len(values)}")
+        try:
+            if values:
+                _loadtxt([line])
+        except _PARSE_ERRORS:
+            raise CheckpointError(f"{path}:{lineno}: bad value") from None
+    # only a tensor with no values gets here: each of its lines is blank
+    return np.empty((rows, cols))
 
 
 def read_checkpoint(path):
@@ -140,23 +196,16 @@ def read_checkpoint(path):
         name = header[0]
         try:
             rows, cols = int(header[1]), int(header[2])
-        except ValueError as exc:
-            raise CheckpointError(f"{path}:{i + 1}: bad tensor shape") from exc
-        i += 1
-        data = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            if i >= n:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            values = lines[i].split()
-            if len(values) != cols:
-                raise CheckpointError(
-                    f"{path}:{i + 1}: expected {cols} values, got {len(values)}")
-            try:
-                data[r] = [float(v) for v in values]
-            except ValueError as exc:
-                raise CheckpointError(f"{path}:{i + 1}: bad value") from exc
-            i += 1
-        tensors[name] = data
+        except ValueError:
+            rows = cols = -1
+        if rows < 0 or cols < 0:
+            raise CheckpointError(f"{path}:{i + 1}: bad tensor shape")
+        if i + 1 + rows > n:
+            raise CheckpointError(
+                f"{path}:{i + 1}: truncated tensor {name!r}: {rows} rows, "
+                f"{n - i - 1} lines left")
+        tensors[name] = _read_tensor(path, lines, i + 1, rows, cols)
+        i += 1 + rows
     return kind, tensors, meta
 
 
@@ -175,59 +224,90 @@ def checkpoint_tensor(tensors, name, shape=None):
     return a.reshape(shape)
 
 
-def _cell(value):
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return str(int(value))
-    return fmt(value)
-
-
-def write_table(path, columns, rows, comments=()):
-    """Write rows (sequences of cells, one per column) under a header line,
-    after one '# <comment>' line per comment."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    lines.extend(",".join(map(_cell, row)) for row in rows)
-    write_text(path, "\n".join(lines) + "\n")
+def write_table(path, columns, comments=()):
+    """Write a table: one '# <comment>' line per comment, the header, then
+    one line per row. `columns` maps each column name to a 1-D array of its
+    cells, all of one length; integer and boolean columns are written as
+    integers, every other one as float64."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    arrays = [a if a.dtype.kind in "biu"
+              else a.astype(np.float64, copy=False) for a in arrays]
+    n = len(arrays[0]) if arrays else 0
+    if any(a.shape != (n,) for a in arrays):
+        raise ValueError("table columns must be 1-D and of one length, got "
+                         f"shapes {[a.shape for a in arrays]}")
+    cells = np.empty((n, len(arrays)), dtype=object)
+    for j, a in enumerate(arrays):
+        cells[:, j] = a
+    formats = ["%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays]
+    write_text(path, "".join(f"# {c}\n" for c in comments)
+               + ",".join(columns) + "\n"
+               + _format_rows(formats, ",", n, cells.ravel().tolist()))
 
 
 class Table(NamedTuple):
-    columns: tuple
-    rows: list
+    columns: tuple  # the header's column names
+    data: dict      # column name -> 1-D array of its cells
     comments: list
 
 
-def read_table(path, columns=None, types=None):
-    """Read a table back as (columns, rows, comments).
+def _content(lines):
+    """(line number, stripped line) of each line neither blank nor a
+    comment: a table's header and then its rows."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and line[0] != "#":
+            yield lineno, line
 
-    The header must equal `columns` when given. `types` holds one callable
-    per column that converts its cells (default float). Blank lines are
-    skipped; comments come back without the '#' and surrounding blanks.
-    Files with CRLF line endings read the same as LF ones.
+
+def read_table(path, columns=None, ints=()):
+    """Read a table back as (columns, data, comments).
+
+    The header must equal `columns` when given. The columns named in `ints`
+    come back as int64, every other one as float64, all rows in one parse.
+    Blank lines are skipped; comments come back without the '#' and
+    surrounding blanks. Files with CRLF line endings read the same as LF
+    ones.
     """
-    header, rows, comments = None, [], []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = tuple(cells)
-                if columns is not None and header != tuple(columns):
-                    raise DatasetFormatError(
-                        path, f"header {line!r}, expected "
-                        f"{','.join(columns)!r}", lineno)
-                convert = types if types is not None else [float] * len(header)
-                continue
-            try:
-                rows.append(tuple([f(c) for f, c in zip(convert, cells,
-                                                        strict=True)]))
-            except ValueError:
-                raise DatasetFormatError(path, f"bad row {line!r}",
-                                         lineno) from None
-    if header is None:
+        lines = fh.read().split("\n")
+    comments = []
+    for h, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif line:
+            break
+    else:
         raise DatasetFormatError(path, "missing header")
-    return Table(header, rows, comments)
+    header = tuple(line.split(","))
+    if columns is not None and header != tuple(columns):
+        raise DatasetFormatError(
+            path, f"header {line!r}, expected {','.join(columns)!r}", h + 1)
+    body = [line.strip() for line in lines[h + 1:]]
+    comments += [line[1:].strip() for line in body if line.startswith("#")]
+    rows = [line for line in body if line and line[0] != "#"]
+    dtype = np.dtype([(f"f{j}", np.int64 if name in ints else np.float64)
+                      for j, name in enumerate(header)])
+    parsed = np.empty(0, dtype)
+    if rows:
+        try:
+            parsed = _loadtxt(rows, delimiter=",", dtype=dtype, ndmin=1)
+        except _PARSE_ERRORS:
+            for lineno, line in _content(lines[h + 1:]):
+                try:
+                    _loadtxt([line], delimiter=",", dtype=dtype)
+                except _PARSE_ERRORS:
+                    raise DatasetFormatError(path, f"bad row {line!r}",
+                                             h + 1 + lineno) from None
+            raise
+    return Table(header, {name: parsed[f"f{j}"]
+                          for j, name in enumerate(header)}, comments)
+
+
+def table_row_line(path, row):
+    """The line number of data row `row` (counted from 0) of a table file,
+    found by scanning its lines again."""
+    with open(path) as fh:
+        content = list(_content(fh.read().split("\n")))
+    return content[row + 1][0]  # content[0] is the header

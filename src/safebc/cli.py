@@ -12,7 +12,9 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import astuple, fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
+
+import numpy as np
 
 from .barrier import BarrierFunction, FeasibilityConstants
 from .checkpoint import (DatasetFormatError, read_table, write_table,
@@ -116,15 +118,21 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _metrics_columns(metrics):
+    return {k: np.array([getattr(m, k) for m in metrics])
+            for k in METRICS_COLUMNS}
+
+
 def write_metrics_csv(path, metrics):
-    write_table(path, METRICS_COLUMNS, [astuple(metrics)])
+    write_table(path, _metrics_columns([metrics]))
 
 
 def read_metrics_csv(path):
-    rows = read_table(path, METRICS_COLUMNS, (float,) * 4 + (int,)).rows
-    if len(rows) != 1:
-        raise DatasetFormatError(path, f"{len(rows)} metrics rows, expected 1")
-    return Metrics(*rows[0])
+    data = read_table(path, METRICS_COLUMNS, ints=("episodes",)).data
+    if data["episodes"].size != 1:
+        raise DatasetFormatError(
+            path, f"{data['episodes'].size} metrics rows, expected 1")
+    return Metrics(*(data[k][0].item() for k in METRICS_COLUMNS))
 
 
 # -- subcommand bodies -----------------------------------------------------
@@ -251,8 +259,8 @@ def _cmd_sweep(args):
     spec = load_experiment(_load_json(args.spec), seed=args.seed)
     etas = [float(x) for x in args.etas.split(",")]
     results = threshold_sweep(spec, etas)
-    write_table(args.out, ("eta",) + METRICS_COLUMNS,
-                [(eta,) + astuple(m) for eta, m in results])
+    write_table(args.out, {"eta": np.array([eta for eta, _ in results]),
+                           **_metrics_columns([m for _, m in results])})
     print(report([(f"eta={eta:g}", m) for eta, m in results]))
 
 

@@ -11,7 +11,7 @@ zero give identical metrics.
 """
 
 import os
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,13 +69,16 @@ EPISODE_COLUMNS = tuple(f.name for f in fields(EpisodeRecord))
 
 
 def write_episode_csv(path, records):
-    write_table(path, EPISODE_COLUMNS, map(astuple, records))
+    write_table(path, {k: np.array([getattr(r, k) for r in records])
+                       for k in EPISODE_COLUMNS})
 
 
 def read_episode_csv(path):
     table = read_table(path, EPISODE_COLUMNS,
-                       (int, float, float, lambda s: bool(int(s)), int))
-    return [EpisodeRecord(*row) for row in table.rows]
+                       ints=("episode", "feasible", "feasible_steps"))
+    columns = dict(table.data, feasible=table.data["feasible"] != 0)
+    return [EpisodeRecord(*row)
+            for row in zip(*(columns[k].tolist() for k in EPISODE_COLUMNS))]
 
 
 @dataclass

@@ -217,8 +217,11 @@ class BoundaryOperator:
         for layer in self.layers:
             # the kernel network's hidden layer, as Mlp.trace computes it
             W0, b0 = layer.kappa.params()[:2]
-            z = pairs @ W0.T + b0
-            kappa_trace = Trace([pairs, np.maximum(z, 0.0)], [z > 0.0], [])
+            z = pairs @ W0.T
+            z += b0
+            mask = z > 0.0
+            np.maximum(z, 0.0, out=z)  # in place: H, with no second array
+            kappa_trace = Trace([pairs, z], [mask], [])
             layers.append(LayerTables(kappa_trace, layer.b.trace(t[:, None])))
         self._tables = TableEntry(key, layers)
         return self._tables

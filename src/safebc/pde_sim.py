@@ -482,19 +482,24 @@ def stabilization_reward(states):
 def write_states_csv(path, states, grid):
     """State-snapshot CSV of an (n, n_points) state array: header step,t,x,u;
     one row per (step, spatial point)."""
-    dx = 1.0 / (np.shape(states)[1] - 1)
-    write_table(path, ("step", "t", "x", "u"),
-                ((m, m * grid.dt, i * dx, v) for m, row in enumerate(states)
-                 for i, v in enumerate(row)))
+    states = np.asarray(states)
+    n, points = states.shape
+    dx = 1.0 / (points - 1)
+    steps = np.arange(n)
+    write_table(path, {"step": np.repeat(steps, points),
+                       "t": np.repeat(steps * grid.dt, points),
+                       "x": np.tile(np.arange(points) * dx, n),
+                       "u": states.ravel()})
 
 
 def write_trajectory_csv(path, U, grid, Y=None):
     """Boundary trajectory CSV: step,t,U[,Y]."""
     U = np.asarray(U, dtype=np.float64)
-    columns = ("step", "t", "U") + (("Y",) if Y is not None else ())
-    write_table(path, columns,
-                ((m, m * grid.dt, U[m]) + ((Y[m],) if Y is not None else ())
-                 for m in range(U.size)))
+    steps = np.arange(U.size)
+    columns = {"step": steps, "t": steps * grid.dt, "U": U}
+    if Y is not None:
+        columns["Y"] = np.asarray(Y)
+    write_table(path, columns)
 
 
 def read_trajectory_csv(path):
@@ -502,5 +507,4 @@ def read_trajectory_csv(path):
     table = read_table(path)
     if "U" not in table.columns:
         raise DatasetFormatError(path, "missing U column")
-    u_col = table.columns.index("U")
-    return np.array([row[u_col] for row in table.rows], dtype=np.float64)
+    return np.ascontiguousarray(table.data["U"])

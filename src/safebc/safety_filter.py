@@ -29,7 +29,7 @@ dU values and eta is compared against |dU_qp - dU_nominal|.
 """
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,8 +92,9 @@ class FilterReport:
 
     def write_csv(self, path):
         """One row per step, columns as the StepRecord fields."""
-        write_table(path, [f.name for f in fields(StepRecord)],
-                    map(astuple, self.records))
+        write_table(path, {f.name: np.array([getattr(r, f.name)
+                                             for r in self.records])
+                           for f in fields(StepRecord)})
 
     @property
     def n_modified(self):

@@ -150,16 +150,15 @@ class TrainHistory:
             s = self.stopped
             comments.append(f"stopped error={s.error} epoch={s.epoch} "
                             f"message={s.message}")
-        write_table(path, HISTORY_COLUMNS,
-                    ([row[k] for k in HISTORY_COLUMNS] for row in self.rows),
-                    comments)
+        write_table(path, {k: np.array([row[k] for row in self.rows])
+                           for k in HISTORY_COLUMNS}, comments)
 
     @staticmethod
     def read(path):
-        table = read_table(path, HISTORY_COLUMNS,
-                           (int,) + (float,) * (len(HISTORY_COLUMNS) - 1))
+        table = read_table(path, HISTORY_COLUMNS, ints=("epoch",))
+        columns = [table.data[k].tolist() for k in HISTORY_COLUMNS]
         hist = TrainHistory([dict(zip(HISTORY_COLUMNS, row))
-                             for row in table.rows])
+                             for row in zip(*columns)])
         for comment in table.comments:
             if comment.startswith("stopped "):
                 error, epoch, message = (item.partition("=")[2] for item

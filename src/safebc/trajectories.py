@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import (ConfigurationError, DatasetFormatError,
-                         finite_float, fmt, read_table, write_table)
+                         finite_float, fmt, read_table, table_row_line,
+                         write_table)
 from .nets import subseed
 from .pde_sim import TimeGrid, rollout
 
@@ -197,17 +198,22 @@ def write_dataset(path, dataset):
     traj_id,step,t,U,Y,safe row per step of every trajectory."""
     comments = [f"{key}={value}" for key, value in dataset.meta.items()]
     comments += [f"grid_T={fmt(dataset.grid.T)}", f"grid_M={dataset.grid.M}"]
-    dt = dataset.grid.dt
-    rows = ((k, m, m * dt, u, y, safe) for k, cols in
-            enumerate(zip(dataset.U, dataset.Y, dataset.safe))
-            for m, (u, y, safe) in enumerate(zip(*cols)))
-    write_table(path, DATASET_COLUMNS, rows, comments)
+    K, width = dataset.U.shape
+    steps = np.arange(width)
+    write_table(path, dict(zip(DATASET_COLUMNS, (
+        np.repeat(np.arange(K), width), np.tile(steps, K),
+        np.tile(steps * dataset.grid.dt, K), dataset.U.ravel(),
+        dataset.Y.ravel(), dataset.safe.ravel()))), comments)
 
 
 def read_dataset(path):
-    """Read a dataset table back; value-exact for finite inputs."""
-    table = read_table(path, DATASET_COLUMNS,
-                       (int, int, float, float, float, int))
+    """Read a dataset table back; value-exact for finite inputs.
+
+    Rows may come in any order. They are sorted by (traj_id, step), and each
+    trajectory must then hold steps 0..M once each: a gap, a duplicate or a
+    step past M names the line of the first row out of place, a trajectory
+    cut short the line of its last row."""
+    table = read_table(path, DATASET_COLUMNS, ints=("traj_id", "step", "safe"))
     meta = {}
     for comment in table.comments:
         key, sep, value = comment.partition("=")
@@ -216,18 +222,25 @@ def read_dataset(path):
     if "grid_T" not in meta or "grid_M" not in meta:
         raise DatasetFormatError(path, "missing grid_T/grid_M comments")
     grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
-    by_traj = {}
-    for traj_id, step, _, U, Y, safe in table.rows:
-        by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
+    cols = table.data
+    order = np.lexsort((cols["step"], cols["traj_id"]))
+    traj, step = cols["traj_id"][order], cols["step"][order]
+    starts = np.ones(traj.size, dtype=bool)
+    starts[1:] = traj[1:] != traj[:-1]
+    first = np.flatnonzero(starts)  # each trajectory's first sorted row
+    counts = np.diff(np.append(first, traj.size))
+    pos = np.arange(traj.size) - np.repeat(first, counts)
     width = grid.M + 1
-    U = np.empty((len(by_traj), width))
-    Y = np.empty_like(U)
-    safe = np.empty(U.shape, dtype=bool)
-    for k, traj_id in enumerate(sorted(by_traj)):
-        steps, *cols = zip(*sorted(by_traj[traj_id]))
-        if steps != tuple(range(width)):
-            raise DatasetFormatError(
-                path, f"trajectory {traj_id} has steps {steps[:3]}..., "
-                f"expected 0..{grid.M}")
-        U[k], Y[k], safe[k] = cols
-    return Dataset(grid, U, Y, safe, meta)
+    bad = (step != pos) | (pos >= width)
+    bad[(first + counts - 1)[counts < width]] = True
+    if bad.any():
+        j = int(np.argmax(bad))
+        lo = first[np.searchsorted(first, j, side="right") - 1]
+        raise DatasetFormatError(
+            path, f"trajectory {traj[j]} has steps "
+            f"{tuple(step[lo:lo + 3].tolist())}..., expected 0..{grid.M}",
+            table_row_line(path, order[j]))
+    shape = (first.size, width)
+    return Dataset(grid, cols["U"][order].reshape(shape),
+                   cols["Y"][order].reshape(shape),
+                   cols["safe"][order].reshape(shape) != 0, meta)

@@ -17,6 +17,13 @@ term, and one (0, Y0) row per rate sample; the one-pass losses of
 whole kernel table; the step proper, which builds the table a block of rows
 at a time, must match it to round-off.
 
+`cell_table_text`, `cell_checkpoint_text` and `cell_dataset_text` write
+the file formats one cell at a time (an integer cell as `str(int(v))`,
+any other one as `format(float(v), ".17g")`), and `cell_read_table`,
+`cell_read_checkpoint` and `cell_read_dataset` parse them one cell at a
+time with `int` or `float`; the columnar writers of `safebc.checkpoint`
+must write the same bytes, and its one-parse readers the same values.
+
 `whole_trajectory_filter` is the safety filter as a plain loop that predicts
 the whole trajectory (output and rate split at every row) before each step
 it reads a changed input at; the filter proper must match it.
@@ -30,10 +37,11 @@ activations stored at them) frozen.
 
 import numpy as np
 
+from safebc.checkpoint import CheckpointError, DatasetFormatError
 from safebc.neural_operator import trapezoid_weights
 from safebc.pde_sim import (FromFile, HyperbolicConfig,
                             SimulationDivergedError, rollout,
-                            step_hyperbolic, step_parabolic)
+                            TimeGrid, step_hyperbolic, step_parabolic)
 from safebc.safety_filter import (FilterInfeasibleError, FilterReport,
                                   StepRecord, qp_filter_step,
                                   rate_to_trajectory)
@@ -359,3 +367,124 @@ def loss_sublevel_margin(bar, t, Y, margin=0.1):
     up = (phi + margin > 0.0).astype(float)[:, None] / n
     grads, _ = bar.net.reverse(tr, up)
     return loss, grads
+
+
+def _cell(value):
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def cell_table_text(columns, rows, comments=()):
+    """A table's text: comment lines, the header, then one line per row of
+    cells."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def cell_read_table(path, types=None):
+    """(header, rows, comments) of a table file; `types` holds one callable
+    per column that converts its cells (default float)."""
+    header, rows, comments = None, [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+                continue
+            cells = line.split(",")
+            if header is None:
+                header = tuple(cells)
+                convert = types if types is not None else [float] * len(header)
+                continue
+            try:
+                rows.append(tuple([f(c) for f, c in zip(convert, cells,
+                                                        strict=True)]))
+            except ValueError:
+                raise DatasetFormatError(path, f"bad row {line!r}",
+                                         lineno) from None
+    if header is None:
+        raise DatasetFormatError(path, "missing header")
+    return header, rows, comments
+
+
+def cell_checkpoint_text(kind, tensors, meta=None):
+    lines = [f"CKPT v1 kind={kind}"]
+    lines.extend(f"meta {key} {value}" for key, value in (meta or {}).items())
+    for name, arr in tensors.items():
+        a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+        lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
+        lines.extend(" ".join(_cell(v) for v in row) for row in a)
+    return "\n".join(lines) + "\n"
+
+
+def cell_read_checkpoint(path):
+    """(kind, tensors, meta) of a checkpoint file; tensors come out 2-D."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    kind = lines[0].split("kind=", 1)[1]
+    meta, tensors = {}, {}
+    i = 1
+    while i < len(lines) and lines[i].startswith("meta "):
+        _, key, value = lines[i].split(" ", 2)
+        meta[key] = value
+        i += 1
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        name, rows, cols = lines[i].split()
+        data = np.empty((int(rows), int(cols)))
+        for r in range(int(rows)):
+            i += 1
+            if i >= len(lines):
+                raise CheckpointError(f"{path}: truncated tensor {name!r}")
+            values = lines[i].split()
+            if len(values) != int(cols):
+                raise CheckpointError(f"{path}:{i + 1}: expected {cols} "
+                                      f"values, got {len(values)}")
+            data[r] = [float(v) for v in values]
+        tensors[name] = data
+        i += 1
+    return kind, tensors, meta
+
+
+DATASET_TYPES = (int, int, float, float, float, int)
+
+
+def cell_dataset_text(dataset):
+    comments = [f"{key}={value}" for key, value in dataset.meta.items()]
+    comments += [f"grid_T={_cell(dataset.grid.T)}",
+                 f"grid_M={dataset.grid.M}"]
+    dt = dataset.grid.dt
+    rows = [(k, m, m * dt, u, y, safe) for k, cols in
+            enumerate(zip(dataset.U, dataset.Y, dataset.safe))
+            for m, (u, y, safe) in enumerate(zip(*cols))]
+    return cell_table_text(("traj_id", "step", "t", "U", "Y", "safe"), rows,
+                           comments)
+
+
+def cell_read_dataset(path):
+    """(grid, U, Y, safe, meta) of a dataset file, grouping its rows by
+    trajectory in a dict."""
+    _, rows, comments = cell_read_table(path, DATASET_TYPES)
+    meta = dict(c.split("=", 1) for c in comments if "=" in c)
+    grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
+    by_traj = {}
+    for traj_id, step, _, U, Y, safe in rows:
+        by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
+    width = grid.M + 1
+    U = np.empty((len(by_traj), width))
+    Y = np.empty_like(U)
+    safe = np.empty(U.shape, dtype=bool)
+    for k, traj_id in enumerate(sorted(by_traj)):
+        steps, *cols = zip(*sorted(by_traj[traj_id]))
+        if steps != tuple(range(width)):
+            raise DatasetFormatError(path, f"trajectory {traj_id} has steps "
+                                     f"{steps[:3]}..., expected 0..{grid.M}")
+        U[k], Y[k], safe[k] = cols
+    return grid, U, Y, safe, meta

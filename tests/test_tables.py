@@ -1,20 +1,27 @@
-"""Tests for the one table format: the shared writer and reader, files in
-the byte layout earlier versions wrote, and the one error class."""
+"""Tests for the one table format and the checkpoint format: the shared
+writers and readers against the per-cell ones of `oracles`, files in the
+byte layout earlier versions wrote, and the errors that name their line."""
 
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safebc.checkpoint import (ConfigurationError, DatasetFormatError,
+from oracles import (cell_checkpoint_text, cell_dataset_text,
+                     cell_read_checkpoint, cell_read_dataset,
+                     cell_read_table, cell_table_text)
+from safebc.checkpoint import (CheckpointError, ConfigurationError,
+                               DatasetFormatError, read_checkpoint,
                                read_table, write_checkpoint, write_table)
 from safebc.cli import read_metrics_csv
 from safebc.evaluation import read_episode_csv
 from safebc.pde_sim import TimeGrid, read_trajectory_csv
 from safebc.safety_filter import FilterReport, StepRecord
 from safebc.training import TrainHistory
-from safebc.trajectories import read_dataset, write_dataset
+from safebc.trajectories import Dataset, read_dataset, write_dataset
 
 # Files as earlier versions wrote them: the dataset and trajectory writers
 # ended table lines with CRLF (comment lines with LF).
@@ -73,10 +80,23 @@ def test_history_with_weights_comment_reads_back(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == HISTORY
 
 
+DATASET_HEAD = "# grid_T=1\n# grid_M=2\ntraj_id,step,t,U,Y,safe\n"
+HISTORY_HEAD = "# lambda_G=1\nepoch,L_G,L_S,L_BF,reg,val_LG,val_sign_err\n"
+
+# reader, a file with one bad line, and that line's number
 READERS = {
-    "dataset": (read_dataset,
-                "# grid_T=1\n# grid_M=1\ntraj_id,step,t,U,Y,safe\n"
-                "0,0,0,1,1,1\n0,1,1,x,1,1\n", 5),
+    "dataset": (read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,x,1,1\n", 5),
+    "dataset_float_traj_id": (
+        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n1.5,1,1,1,1,1\n", 5),
+    "dataset_float_step": (
+        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1.5,1,1,1,1\n", 5),
+    "dataset_float_safe": (
+        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,1,1,1.5\n", 5),
+    "dataset_duplicate_row": (
+        read_dataset,
+        DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,1,1,1\n0,1,1,1,1,1\n", 6),
+    "dataset_extra_cell": (
+        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,1,1,1,7\n", 5),
     "trajectory": (read_trajectory_csv, "step,t,U\n0,0,1\n1,1\n", 3),
     "episodes": (read_episode_csv,
                  "episode,U0,reward,feasible,feasible_steps\n"
@@ -85,8 +105,10 @@ READERS = {
                 "reward_mean,reward_std,feasible_rate,avg_feasible_steps,"
                 "episodes\n-1,0,0.5,2\n", 2),
     "history": (TrainHistory.read,
-                "# lambda_G=1\nepoch,L_G,L_S,L_BF,reg,val_LG,val_sign_err\n"
-                "0,1,0,0,0,1,0\n\n1,1,0,0,0,1\n", 5),
+                HISTORY_HEAD + "0,1,0,0,0,1,0\n\n1,1,0,0,0,1\n", 5),
+    "history_float_epoch": (TrainHistory.read,
+                            HISTORY_HEAD + "0,1,0,0,0,1,0\n1.5,1,0,0,0,1,0\n",
+                            4),
 }
 
 
@@ -95,6 +117,24 @@ def test_malformed_row_raises_the_one_error_with_its_line(tmp_path, name):
     reader, text, line = READERS[name]
     path = tmp_path / f"{name}.csv"
     path.write_text(text)
+    with pytest.raises(DatasetFormatError) as err:
+        reader(path)
+    assert err.value.line == line
+    assert f"{path}:{line}:" in str(err.value)
+
+
+@pytest.mark.parametrize("layout", ["crlf", "blank"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_the_line_is_right_with_crlf_or_blank_lines(tmp_path, name, layout):
+    """The same files with CRLF line endings, and with a blank line after
+    every line (line k moves to 2k - 1)."""
+    reader, text, line = READERS[name]
+    if layout == "crlf":
+        text = text.replace("\n", "\r\n")
+    else:
+        text, line = text.replace("\n", "\n\n"), 2 * line - 1
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
     with pytest.raises(DatasetFormatError) as err:
         reader(path)
     assert err.value.line == line
@@ -133,9 +173,10 @@ def test_filter_report_columns_are_the_step_record_fields(tmp_path):
 
 def test_cells_comments_and_line_endings(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, ("i", "flag", "np_flag", "x", "np_x"),
-                [(3, True, np.bool_(False), 0.1, np.float64(-np.inf)),
-                 (np.int64(-4), False, np.bool_(True), 2.0, np.float64(1e-7))],
+    write_table(path, {"i": [3, np.int64(-4)], "flag": [True, False],
+                       "np_flag": np.array([False, True]),
+                       "x": [0.1, 2.0],
+                       "np_x": np.array([-np.inf, 1e-7])},
                 comments=("a=1", "free text"))
     assert path.read_bytes() == (
         b"# a=1\n# free text\n"
@@ -143,9 +184,13 @@ def test_cells_comments_and_line_endings(tmp_path):
         b"3,1,0,0.10000000000000001,-inf\n"
         b"-4,0,1,2,9.9999999999999995e-08\n")
     table = read_table(path, ("i", "flag", "np_flag", "x", "np_x"),
-                       (int, int, int, float, float))
+                       ints=("i", "flag", "np_flag"))
     assert table.comments == ["a=1", "free text"]
-    assert table.rows == [(3, 1, 0, 0.1, -np.inf), (-4, 0, 1, 2.0, 1e-7)]
+    assert {k: a.tolist() for k, a in table.data.items()} == {
+        "i": [3, -4], "flag": [1, 0], "np_flag": [0, 1], "x": [0.1, 2.0],
+        "np_x": [-np.inf, 1e-7]}
+    assert [a.dtype for a in table.data.values()] == [np.int64] * 3 \
+        + [np.float64] * 2
     # without expected columns the file's own header is returned
     assert read_table(path).columns == ("i", "flag", "np_flag", "x", "np_x")
 
@@ -160,22 +205,177 @@ def test_empty_file_has_no_header(tmp_path):
 def test_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path,
                                                           monkeypatch):
     path = tmp_path / "t.csv"
-    write_table(path, ("x",), [(1.0,)])
+    write_table(path, {"x": [1.0]})
 
     def failing_replace(src, dst):
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
-        write_table(path, ("x",), [(2.0,)])
+        write_table(path, {"x": [2.0]})
     assert path.read_text() == "x\n1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_files_get_the_permissions_of_a_plain_open(tmp_path):
     (tmp_path / "plain").write_text("")
-    write_table(tmp_path / "t.csv", ("x",), [(1.0,)])
+    write_table(tmp_path / "t.csv", {"x": [1.0]})
     write_checkpoint(tmp_path / "m.ckpt", "bcbf", {"W0": np.zeros((1, 1))})
     modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode)
              for name in ("plain", "t.csv", "m.ckpt")}
     assert len(modes) == 1
+
+
+CKPT_HEAD = "CKPT v1 kind=bcbf\nb0 1 2\n1 2\n\n"
+
+# a checkpoint with one bad line, that line's number, and the message
+CHECKPOINTS = {
+    "wide_row": (CKPT_HEAD + "W0 2 2\n1 2\n3 4 5\n", 7,
+                 "expected 2 values, got 3"),
+    "narrow_row": (CKPT_HEAD + "W0 2 2\n1 2\n3\n", 7,
+                   "expected 2 values, got 1"),
+    "blank_row": (CKPT_HEAD + "W0 2 2\n\n1 2\n", 6,
+                  "expected 2 values, got 0"),
+    "bad_value": (CKPT_HEAD + "W0 2 2\n1 2\n3 x\n", 7, "bad value"),
+    "truncated": (CKPT_HEAD + "W0 3 2\n1 2\n3 4\n", 5,
+                  "truncated tensor 'W0'"),
+}
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("name", sorted(CHECKPOINTS))
+def test_a_malformed_checkpoint_names_its_line(tmp_path, name, crlf):
+    text, line, message = CHECKPOINTS[name]
+    path = tmp_path / f"{name}.ckpt"
+    path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    with pytest.raises(CheckpointError) as err:
+        read_checkpoint(path)
+    assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+# the values a parser most easily gets wrong
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+NON_FINITE = [np.inf, -np.inf, np.nan]
+FLOATS = st.one_of(st.floats(allow_nan=False),
+                   st.sampled_from(EDGE_FLOATS + NON_FINITE))
+FINITE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(EDGE_FLOATS))
+CELLS = {"int": (st.integers(-2**63, 2**63 - 1), np.int64),
+         "bool": (st.booleans(), bool),
+         "float": (FLOATS, np.float64)}
+
+
+def array_of(draw, cells, dtype, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(cells, min_size=size, max_size=size)),
+                    dtype=dtype).reshape(shape)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1,
+                          max_size=4))
+    n = draw(st.integers(0, 6))
+    return {f"c{j}_{kind}": array_of(draw, *CELLS[kind], (n,))
+            for j, kind in enumerate(kinds)}
+
+
+@given(tables())
+@settings(max_examples=150, deadline=None)
+def test_a_table_writes_the_cell_bytes_and_reads_back_bitwise(columns):
+    names = tuple(columns)
+    ints = [name for name in names if not name.endswith("float")]
+    rows = list(zip(*(a.tolist() for a in columns.values())))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        write_table(path, columns, comments=("a=1",))
+        with open(path, "rb") as fh:
+            assert fh.read() == cell_table_text(names, rows, ("a=1",)).encode()
+        table = read_table(path, names, ints=ints)
+        _, cell_rows, _ = cell_read_table(
+            path, [int if name in ints else float for name in names])
+    assert table.comments == ["a=1"]
+    for j, name in enumerate(names):
+        dtype = np.int64 if name in ints else np.float64
+        assert same_bits(table.data[name], columns[name].astype(dtype))
+        assert same_bits(table.data[name],
+                         np.array([row[j] for row in cell_rows], dtype=dtype))
+
+
+@st.composite
+def datasets(draw):
+    K, M = draw(st.integers(0, 3)), draw(st.integers(2, 5))
+    grid = TimeGrid(draw(st.floats(1e-3, 1e3)), M)
+    meta = draw(st.dictionaries(st.text("abc_", min_size=1, max_size=4),
+                                st.text("xyz=;", max_size=4), max_size=2))
+    return Dataset(grid, array_of(draw, FINITE_FLOATS, float, (K, M + 1)),
+                   array_of(draw, FINITE_FLOATS, float, (K, M + 1)),
+                   array_of(draw, st.booleans(), bool, (K, M + 1)), meta)
+
+
+@given(datasets(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_a_dataset_writes_the_cell_bytes_and_reads_back_bitwise(ds, rng):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ds.csv")
+        write_dataset(path, ds)
+        with open(path, "rb") as fh:
+            text = fh.read()
+        assert text == cell_dataset_text(ds).encode()
+        backs = [read_dataset(path)]
+        grid, U, Y, safe, meta = cell_read_dataset(path)
+        # rows in any order read back the same
+        lines = text.decode().splitlines(keepends=True)
+        head = len(ds.meta) + 3
+        rows = lines[head:]
+        rng.shuffle(rows)
+        with open(path, "w") as fh:
+            fh.write("".join(lines[:head] + rows))
+        backs.append(read_dataset(path))
+    assert grid == ds.grid and meta == ds.meta
+    assert all(same_bits(a, b) for a, b in ((U, ds.U), (Y, ds.Y),
+                                            (safe, ds.safe)))
+    for back in backs:
+        assert back.grid == ds.grid and back.meta == ds.meta
+        assert all(same_bits(a, b) for a, b in ((back.U, ds.U),
+                                                (back.Y, ds.Y),
+                                                (back.safe, ds.safe)))
+
+
+SHAPES = st.one_of(st.tuples(st.integers(0, 3)),
+                   st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+
+@st.composite
+def checkpoints(draw):
+    names = draw(st.lists(st.text("Wb0.", min_size=1, max_size=3),
+                          min_size=1, max_size=3, unique=True))
+    meta = draw(st.dictionaries(st.text("ab_", min_size=1, max_size=3),
+                                st.text("ab1,.", min_size=1, max_size=4),
+                                max_size=2))
+    return {name: array_of(draw, FLOATS, float, draw(SHAPES))
+            for name in names}, meta
+
+
+@given(checkpoints())
+@settings(max_examples=100, deadline=None)
+def test_a_checkpoint_writes_the_cell_bytes_and_reads_back_bitwise(ckpt):
+    tensors, meta = ckpt
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ckpt")
+        write_checkpoint(path, "bcbf", tensors, meta)
+        with open(path, "rb") as fh:
+            assert fh.read() == cell_checkpoint_text("bcbf", tensors,
+                                                     meta).encode()
+        kind, back, back_meta = read_checkpoint(path)
+        _, cell_back, _ = cell_read_checkpoint(path)
+    assert kind == "bcbf" and back_meta == meta
+    assert list(back) == list(tensors)
+    for name, a in tensors.items():
+        assert same_bits(back[name], np.atleast_2d(a))
+        assert same_bits(back[name], cell_back[name])

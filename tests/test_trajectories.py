@@ -353,8 +353,50 @@ class TestDatasetCsv:
             "traj_id,step,t,U,Y,safe\n"
             "0,0,0,1,1,1\n"
             "0,2,1,1,1,1\n")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError, match=r"steps \(0, 2\)") \
+                as err:
             read_dataset(path)
+        assert err.value.line == 5
+
+    HEAD = "# grid_T=1\n# grid_M=2\ntraj_id,step,t,U,Y,safe\n"
+    # rows of trajectory 1 (steps 0..2 at lines 4-6, in file order) and
+    # trajectory 0, with the line that must be named
+    BAD_ROWS = {
+        "float_traj_id": ("1,0,0,1,1,1\n1.5,1,1,1,1,1\n", 5),
+        "float_step": ("1,0,0,1,1,1\n1,0.5,1,1,1,1\n", 5),
+        "float_safe": ("1,0,0,1,1,1\n1,1,1,1,1,1.5\n", 5),
+        "extra_cell": ("1,0,0,1,1,1\n1,1,1,1,1,1,7\n", 5),
+        "duplicate": ("1,2,1,1,1,1\n0,0,0,1,1,1\n1,0,0,1,1,1\n"
+                      "0,1,1,1,1,1\n1,2,1,1,1,1\n1,1,1,1,1,1\n"
+                      "0,2,1,1,1,1\n", 8),
+        "gap": ("0,2,1,1,1,1\n0,0,0,1,1,1\n0,3,1,1,1,1\n", 4),
+        "past_M": ("0,3,1,1,1,1\n0,0,0,1,1,1\n0,1,1,1,1,1\n"
+                   "0,2,1,1,1,1\n", 4),
+        "short": ("1,0,0,1,1,1\n0,1,1,1,1,1\n0,0,0,1,1,1\n"
+                  "1,1,1,1,1,1\n1,2,1,1,1,1\n", 5),
+    }
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "blank"])
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_a_bad_row_names_its_line(self, tmp_path, case, layout):
+        """Cells that are no integer, a row of the wrong width, a duplicate
+        (traj_id, step), a gap, a step past M and a trajectory cut short
+        each name their line: the row out of place once each trajectory's
+        rows are sorted by step, or a short trajectory's last row; also
+        with CRLF endings and with a blank line after every line (line k
+        is then 2k - 1)."""
+        rows, line = self.BAD_ROWS[case]
+        text = self.HEAD + rows
+        if layout == "crlf":
+            text = text.replace("\n", "\r\n")
+        if layout == "blank":
+            text, line = text.replace("\n", "\n\n"), 2 * line - 1
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert err.value.line == line
+        assert f"{path}:{line}:" in str(err.value)
 
 
 class TestPairValidation:
