@@ -21,6 +21,7 @@ from .pde_sim import (  # noqa: F401
     SmoothRandom,
     TimeGrid,
     rollout,
+    squared_norms,
     stabilization_reward,
     step_hyperbolic,
     step_parabolic,

@@ -150,7 +150,8 @@ def _env_from_flags(args):
 def _cmd_simulate(args):
     env = _env_from_flags(args)
     controller = parse_controller(args.controller)
-    result = rollout(env, [controller], [args.U0], episode_seeds=[args.seed])
+    result = rollout(env, [controller], [args.U0], episode_seeds=[args.seed],
+                     keep_states=True)
     if step := int(result.diverged[0]):
         raise SimulationDivergedError(
             f"simulation diverged: non-finite value at step {step}", step)

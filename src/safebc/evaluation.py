@@ -4,10 +4,12 @@ One rollout batch runs every episode's nominal controller closed loop on
 the simulator from its drawn initial condition. With the filter on, one
 batched filter walk then rewrites every finite episode's recorded input,
 and a second batch replays only the inputs it changed, open loop through
-FromFile controllers, for scoring. An episode whose input is bitwise unchanged
-(filter off, or no step modified) is scored on its closed-loop run, which a
-replay would reproduce bitwise; so a disabled filter and a threshold of
-zero give identical metrics.
+one FromFile controller that holds them stacked, for scoring. An episode
+whose input is bitwise unchanged (filter off, or no step modified) is
+scored on its closed-loop run, which a replay would reproduce bitwise; so
+a disabled filter and a threshold of zero give identical metrics. Rewards
+are summed from the rollouts' per-step squared state norms; no state
+history is kept.
 """
 
 import os
@@ -26,9 +28,10 @@ from .trajectories import suffix_safe_mask
 
 
 def feasible_steps(labels):
-    """Length of the maximal all-safe suffix: 0 when the final step is
-    unsafe (the episode never settles into the safe set)."""
-    return int(suffix_safe_mask(labels).sum())
+    """Length of the maximal all-safe suffix of each row of labels: 0 when
+    the final step is unsafe (the episode never settles into the safe
+    set)."""
+    return suffix_safe_mask(labels).sum(axis=-1)
 
 
 @dataclass
@@ -150,18 +153,16 @@ def run_episodes(spec):
                 changed[e] = rep.U_safe
     if changed:
         rows = list(changed)
-        replay = rollout(spec.env, [FromFile(U) for U in changed.values()],
-                         [U[0] for U in changed.values()])
-        run.Y[rows], run.states[rows] = replay.Y, replay.states
+        inputs = np.array(list(changed.values()))
+        replay = rollout(spec.env, [FromFile(inputs)] * len(rows),
+                         inputs[:, 0])
+        run.Y[rows], run.sq_norms[rows] = replay.Y, replay.sq_norms
         run.diverged[rows] = replay.diverged
-    records = []
-    for e in range(spec.episodes):
-        reward, steps = float("-inf"), 0
-        if not run.diverged[e]:
-            reward = stabilization_reward(run.states[e])
-            steps = feasible_steps(spec.safe_set.contains(run.Y[e]))
-        records.append(EpisodeRecord(e, U0[e], reward, steps > 0, steps))
-    return records
+    kept = run.diverged == 0
+    rewards = np.where(kept, stabilization_reward(run.sq_norms), -np.inf)
+    steps = np.where(kept, feasible_steps(spec.safe_set.contains(run.Y)), 0)
+    return [EpisodeRecord(e, U0[e], float(rewards[e]), bool(steps[e]),
+                          int(steps[e])) for e in range(spec.episodes)]
 
 
 def evaluate(spec, episodes_csv=None):

@@ -18,16 +18,19 @@ at x = 1, and are observed at a single output location:
   config; each state's step is one product of its right-hand side with it.
 
 A plant state is the (n_points,) array of samples of u(., t) on the uniform
-spatial grid over [0, 1]. A rollout runs B episodes side by side: one step
-call per grid step advances their (B, n_points) states, and every state is
-kept in one (B, M+1, n_points) array. Each episode starts from the constant
+spatial grid over [0, 1]. A rollout runs B episodes side by side, and its
+controllers act on batches: the episodes are grouped by controller
+instance, and each grid step makes one control call per instance, on its
+episodes still running, and one step call that advances the running
+episodes' (B, n_points) states. It returns every state's squared L2 norm,
+which the stabilization reward sums, and keeps the (B, M+1, n_points)
+state histories only when asked. Each episode starts from the constant
 profile u(x, 0) = U0 and is a pure function of (config, controller, U0,
-grid, episode_seed), bitwise the same in any batch. A recorded input is
-replayed by a rollout with a FromFile controller, which reproduces the
-recorded run's states bitwise.
+grid, episode_seed), bitwise the same in any batch. A recorded input, or a
+stack of them, is replayed by a rollout with a FromFile controller, which
+reproduces the recorded runs' states bitwise.
 """
 
-import copy
 import functools
 import math
 import os
@@ -36,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import (ConfigurationError, DatasetFormatError,
-                         finite_float, read_table, write_table)
+                         finite_float, read_table, table_row_line,
+                         write_table)
 
 
 class SimulationDivergedError(RuntimeError):
@@ -239,23 +243,26 @@ def _stepper(cfg):
 
 
 class Controller:
-    """Scripted nominal controller interface.
+    """Scripted nominal controller interface, acting on a batch of episodes.
 
-    reset is called once per episode; control produces U_m for m >= 1 given
-    the latest measured output Y_{m-1}. U_0 is always the episode's U0.
-    A rollout drives each episode with its own deep copy of the controller
-    it was given, so that copy holds all per-episode state: episodes run
-    side by side never share it, and the caller's instance is not changed.
+    A rollout calls `start` once with the (k,) initial values and episode
+    seeds of the k episodes an instance drives; it returns their
+    per-episode arrays, which the instance does not keep. At each grid
+    step m >= 1 the rollout then makes one `control` call with those
+    arrays, the indices `rows` (into the k) of the episodes still running
+    and their latest measured outputs Y_{m-1}, and gets back their U_m.
+    U_0 is always each episode's U0. So an instance holds settings only:
+    one shared by many episodes, or by several rollouts, is never changed.
     """
 
     # (spec name, {spec key: (constructor parameter, type)}) of the spec
     # string that describe writes and parse_controller reads
     SPEC = None
 
-    def reset(self, U0, grid, episode_seed=None):
-        pass
+    def start(self, U0, grid, episode_seeds):
+        return None
 
-    def control(self, m, t, y_prev):
+    def control(self, episodes, rows, m, t, y_prev):
         raise NotImplementedError
 
     def describe(self):
@@ -276,24 +283,26 @@ class Proportional(Controller):
     def __init__(self, gain):
         self.gain = finite_float(gain, "gain")
 
-    def control(self, m, t, y_prev):
+    def control(self, episodes, rows, m, t, y_prev):
         return -self.gain * y_prev
 
 
 class Constant(Controller):
-    """Holds a fixed value; value=None holds the episode's U0."""
+    """Holds a fixed value; value=None holds each episode's U0."""
 
     SPEC = ("constant", {"value": ("value", float)})
 
     def __init__(self, value=None):
         self.value = None if value is None else finite_float(value, "value")
-        self._held = 0.0
 
-    def reset(self, U0, grid, episode_seed=None):
-        self._held = U0 if self.value is None else self.value
+    def start(self, U0, grid, episode_seeds):
+        held = np.array(U0, dtype=np.float64)
+        if self.value is not None:
+            held[:] = self.value
+        return held
 
-    def control(self, m, t, y_prev):
-        return self._held
+    def control(self, held, rows, m, t, y_prev):
+        return held[rows]
 
     def describe(self):
         return "constant:hold-U0" if self.value is None \
@@ -303,8 +312,9 @@ class Constant(Controller):
 class SmoothRandom(Controller):
     """U0 plus a random multi-sine that vanishes at t = 0.
 
-    The episode seed (when given) is mixed with the controller's own seed, so
-    a shared instance still produces distinct signals across collected
+    Each episode draws its amplitudes and frequencies from its own stream,
+    keyed by the controller's seed and the episode seed (when given), so a
+    shared instance still produces distinct signals across collected
     trajectories while staying deterministic.
     """
 
@@ -324,25 +334,33 @@ class SmoothRandom(Controller):
         self.max_frequency = finite_float(max_frequency, "max_frequency")
         if not 0.0 < min_frequency <= max_frequency:
             raise ConfigurationError("bad frequency range")
-        self._U0 = 0.0
-        self._amps = np.zeros(num_modes)
-        self._freqs = np.ones(num_modes)
 
-    def reset(self, U0, grid, episode_seed=None):
-        key = self.seed if episode_seed is None else (self.seed, int(episode_seed))
-        rng = np.random.default_rng(key)
-        self._amps = rng.uniform(-self.amplitude, self.amplitude, self.num_modes)
-        self._freqs = rng.uniform(self.min_frequency, self.max_frequency,
+    def start(self, U0, grid, episode_seeds):
+        """(U0, amplitudes, frequencies): (k,), (k, modes) and (k, modes)."""
+        U0 = np.array(U0, dtype=np.float64)
+        amps = np.empty((U0.size, self.num_modes))
+        freqs = np.empty((U0.size, self.num_modes))
+        for i, episode_seed in enumerate(episode_seeds):
+            key = self.seed if episode_seed is None \
+                else (self.seed, int(episode_seed))
+            rng = np.random.default_rng(key)
+            amps[i] = rng.uniform(-self.amplitude, self.amplitude,
                                   self.num_modes)
-        self._U0 = U0
+            freqs[i] = rng.uniform(self.min_frequency, self.max_frequency,
+                                   self.num_modes)
+        return U0, amps, freqs
 
-    def control(self, m, t, y_prev):
-        return self._U0 + float(np.sum(self._amps * np.sin(self._freqs * t)))
+    def control(self, episodes, rows, m, t, y_prev):
+        U0, amps, freqs = episodes
+        return U0[rows] + np.sum(amps[rows] * np.sin(freqs[rows] * t),
+                                 axis=1)
 
 
 class FromFile(Controller):
     """Replays a fixed boundary input: the U column of a trajectory CSV
-    (step,t,U[,Y]) given by path, or an array of U values.
+    (step,t,U[,Y]) given by path, or an array of U values. A (M+1,) input
+    is replayed in every episode the instance drives; a (k, M+1) stack
+    gives row i to its i-th episode, so k replays run on one instance.
 
     Replaying the U recorded by a closed-loop rollout, from its U[0],
     reproduces that rollout's states bitwise: rollout applies the same
@@ -360,18 +378,18 @@ class FromFile(Controller):
             raise ConfigurationError(
                 f"{self.path or 'replayed input'}: values must be finite")
 
-    @property
-    def U(self):
-        return self._U.copy()
-
-    def reset(self, U0, grid, episode_seed=None):
-        if self._U.shape != (grid.M + 1,):
+    def start(self, U0, grid, episode_seeds):
+        """The (k, M+1) inputs of the k episodes."""
+        shape = (len(U0), grid.M + 1)
+        if self._U.shape not in (shape[1:], shape):
             raise ConfigurationError(
                 f"{self.path or 'replayed input'}: trajectory has shape "
-                f"{self._U.shape}, grid wants {(grid.M + 1,)}")
+                f"{self._U.shape}, grid and episodes want {shape[1:]} or "
+                f"{shape}")
+        return np.broadcast_to(self._U, shape)
 
-    def control(self, m, t, y_prev):
-        return self._U[m]
+    def control(self, inputs, rows, m, t, y_prev):
+        return inputs[rows, m]
 
     def describe(self):
         return f"file:{self.path}" if self.path else "replay"
@@ -409,74 +427,132 @@ def parse_controller(text):
 
 
 class RolloutResult:
-    """Boundary input/output trajectories of B episodes, each (B, M+1), the
-    state histories as one (B, M+1, n_points) array, and `diverged`, per
+    """Boundary input/output trajectories of B episodes, each (B, M+1);
+    `sq_norms`, the (B, M+1) squared L2[0,1] norms of every state (see
+    `squared_norms`), which `stabilization_reward` sums; `diverged`, per
     episode the first step whose input or state is not finite (0 when both
-    stayed finite). A diverged episode reads NaN from that step on."""
+    stayed finite); and `states`, the (B, M+1, n_points) state histories
+    when the rollout was asked to keep them, else None. A diverged episode
+    reads NaN from that step on."""
 
-    def __init__(self, U, Y, states, diverged):
+    def __init__(self, U, Y, sq_norms, diverged, states=None):
         self.U = U
         self.Y = Y
-        self.states = states
+        self.sq_norms = sq_norms
         self.diverged = diverged
+        self.states = states
 
 
-def rollout(env_cfg, controllers, U0, episode_seeds=None):
-    """Run B closed-loop episodes together, episode b on its own copy of
+def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
+    """Run B closed-loop episodes together, episode b driven by
     controllers[b] from the constant profile u(x,0) = U0[b].
 
-    Each grid step makes one step call on the running episodes' states. An
-    episode whose input (an overflowing feedback, say) or state turns
-    non-finite is marked in `diverged` and dropped; the others run on."""
+    The episodes are grouped by controller instance: each instance starts
+    once on the episodes it drives, and each grid step makes one control
+    call per instance, on its episodes still running, then one step call
+    on the running episodes' (B, n_points) states. An episode whose input
+    (an overflowing feedback, say) or state turns non-finite is marked in
+    `diverged` and dropped; the others run on. The state histories are
+    kept only with keep_states."""
     U0 = np.asarray(U0, dtype=np.float64)
-    if U0.shape != (len(controllers),):
+    B = len(controllers)
+    if U0.shape != (B,):
         raise ConfigurationError(
-            f"{len(controllers)} controllers but U0 has shape {U0.shape}")
+            f"{B} controllers but U0 has shape {U0.shape}")
     if not np.all(np.isfinite(U0)):
         raise ConfigurationError("U0 must be finite")
+    seeds = [None] * B if episode_seeds is None else list(episode_seeds)
+    if len(seeds) != B:
+        raise ConfigurationError(
+            f"{B} controllers but {len(seeds)} episode seeds")
     grid = env_cfg.grid
     step = _stepper(env_cfg)
     out = env_cfg.output_index
-    controllers = [copy.deepcopy(c) for c in controllers]
-    seeds = [None] * len(U0) if episode_seeds is None else episode_seeds
-    for c, u0, seed in zip(controllers, U0, seeds, strict=True):
-        c.reset(float(u0), grid, seed)
-    states = np.empty((len(U0), grid.M + 1, env_cfg.n_points))
-    states[:, 0] = U0[:, None]
-    U = np.empty((len(U0), grid.M + 1))
-    U[:, 0] = U0
-    diverged = np.zeros(len(U0), dtype=int)
-    live = np.arange(len(U0))
-    for m in range(1, grid.M + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for b in live:
-                U[b, m] = controllers[b].control(m, m * grid.dt,
-                                                 states[b, m - 1, out])
-            finite = np.isfinite(U[live, m])
-            stepped = live[finite]
-            states[stepped, m] = step(states[stepped, m - 1], U[stepped, m],
-                                      env_cfg)
-        # a row runs on while its input and its new state are finite
-        finite[finite] = np.isfinite(states[stepped, m]).all(axis=1)
-        if not finite.all():
-            diverged[live[~finite]] = m
-            states[live[~finite], m:] = U[live[~finite], m:] = np.nan
-            live = live[finite]
-    return RolloutResult(U, states[:, :, out].copy(), states, diverged)
+    # each episode's controller instance, numbered in order of appearance,
+    # and its index among the episodes of that instance
+    number = {}
+    owner = np.array([number.setdefault(id(c), len(number))
+                      for c in controllers], dtype=int)
+    local = np.empty(B, dtype=int)
+    started = []
+    for g in range(len(number)):
+        members = np.flatnonzero(owner == g)
+        local[members] = np.arange(members.size)
+        c = controllers[members[0]]
+        started.append((c, c.start(U0[members], grid,
+                                   [seeds[b] for b in members])))
+
+    def driven(live):
+        """(controller, its start arrays, rows, positions in `live`) of
+        every instance with an episode in `live`."""
+        at = owner[live]
+        return [(c, episodes, local[live[pos]], pos)
+                for g, (c, episodes) in enumerate(started)
+                if (pos := np.flatnonzero(at == g)).size]
+
+    U = np.empty((B, grid.M + 1))
+    Y = np.empty((B, grid.M + 1))
+    sq_norms = np.empty((B, grid.M + 1))
+    state = np.repeat(U0[:, None], env_cfg.n_points, axis=1)
+    states = None
+    if keep_states:
+        states = np.empty((B, grid.M + 1, env_cfg.n_points))
+        states[:, 0] = state
+    diverged = np.zeros(B, dtype=int)
+    live = np.arange(B)
+    groups = driven(live)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U[:, 0], Y[:, 0], sq_norms[:, 0] = U0, U0, squared_norms(state)
+        for m in range(1, grid.M + 1):
+            if not live.size:
+                break
+            u = np.empty(live.size)
+            for c, episodes, rows, pos in groups:
+                u[pos] = c.control(episodes, rows, m, m * grid.dt,
+                                   state[pos, out])
+            U[live, m] = u
+            stepped = np.isfinite(u)
+            run = slice(None) if stepped.all() else stepped
+            new = step(state[run], u[run], env_cfg)
+            # a row runs on while its input and its new state are finite
+            ok = stepped.copy()
+            ok[stepped] = np.isfinite(new).all(axis=1)
+            if not ok.all():
+                dead = live[~ok]
+                diverged[dead] = m
+                U[dead, m:] = Y[dead, m:] = sq_norms[dead, m:] = np.nan
+                if keep_states:
+                    states[dead, m:] = np.nan
+                new = new[ok[stepped]]
+                live = live[ok]
+                groups = driven(live)
+            state = new
+            Y[live, m] = state[:, out]
+            sq_norms[live, m] = squared_norms(state)
+            if keep_states:
+                states[live, m] = state
+    return RolloutResult(U, Y, sq_norms, diverged, states)
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+def squared_norms(states):
+    """||u||^2_{L2[0,1]} of each state of a (..., n_points) array, with
+    trapezoidal quadrature (numpy's trapezoid arithmetic, without its
+    per-call overhead); each state's value is bitwise its own, in any
+    batch."""
+    sq = np.asarray(states, dtype=np.float64)**2
+    dx = 1.0 / (sq.shape[-1] - 1)
+    return (dx * (sq[..., 1:] + sq[..., :-1]) / 2.0).sum(axis=-1)
 
 
-def stabilization_reward(states):
-    """-(1/n) sum_m ||u(., t_m)||^2_{L2[0,1]} over the n rows of an
-    (n, n_points) state array, with trapezoidal quadrature."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or len(states) == 0:
-        raise ConfigurationError("need a non-empty (n, n_points) state array")
-    norms = _trapezoid(states**2, dx=1.0 / (states.shape[1] - 1), axis=1)
+def stabilization_reward(sq_norms):
+    """-(1/n) sum_m ||u(., t_m)||^2_{L2[0,1]} over the last axis of an
+    (..., n) array of squared state norms (`squared_norms`): one reward
+    per episode of a (B, M+1) `RolloutResult.sq_norms`."""
+    sq_norms = np.asarray(sq_norms, dtype=np.float64)
+    if sq_norms.ndim == 0 or sq_norms.shape[-1] == 0:
+        raise ConfigurationError("need a non-empty array of squared norms")
     # a running sum in step order (np.sum would add pairwise)
-    return -np.cumsum(norms)[-1] / len(states)
+    return -np.cumsum(sq_norms, axis=-1)[..., -1] / sq_norms.shape[-1]
 
 
 def write_states_csv(path, states, grid):
@@ -503,8 +579,18 @@ def write_trajectory_csv(path, U, grid, Y=None):
 
 
 def read_trajectory_csv(path):
-    """Read back the U column of a boundary trajectory CSV."""
-    table = read_table(path)
-    if "U" not in table.columns:
-        raise DatasetFormatError(path, "missing U column")
+    """Read back the U column of a boundary trajectory CSV. Its rows must
+    be at steps 0..M in order: the first row that is not (a shuffled,
+    gapped or repeated step) is named by its line."""
+    table = read_table(path, ints=("step",))
+    for name in ("step", "U"):
+        if name not in table.columns:
+            raise DatasetFormatError(path, f"missing {name} column")
+    step = table.data["step"]
+    out_of_place = np.flatnonzero(step != np.arange(step.size))
+    if out_of_place.size:
+        row = int(out_of_place[0])
+        raise DatasetFormatError(
+            path, f"row at step {step[row]}, expected step {row}: steps "
+            "must run 0..M in order", table_row_line(path, row))
     return np.ascontiguousarray(table.data["U"])

@@ -212,7 +212,8 @@ def read_dataset(path):
     Rows may come in any order. They are sorted by (traj_id, step), and each
     trajectory must then hold steps 0..M once each: a gap, a duplicate or a
     step past M names the line of the first row out of place, a trajectory
-    cut short the line of its last row."""
+    cut short the line of its last row. A row whose t is not step * dt
+    (beyond rounding, 1e-9 T) is named by its line too."""
     table = read_table(path, DATASET_COLUMNS, ints=("traj_id", "step", "safe"))
     meta = {}
     for comment in table.comments:
@@ -240,6 +241,15 @@ def read_dataset(path):
             path, f"trajectory {traj[j]} has steps "
             f"{tuple(step[lo:lo + 3].tolist())}..., expected 0..{grid.M}",
             table_row_line(path, order[j]))
+    expected_t = cols["step"] * grid.dt
+    off_grid = np.flatnonzero(~(np.abs(cols["t"] - expected_t)
+                                <= 1e-9 * grid.T))
+    if off_grid.size:
+        j = int(off_grid[0])
+        raise DatasetFormatError(
+            path, f"row at step {cols['step'][j]} has t={cols['t'][j]:.17g}"
+            f", the grid's t is {expected_t[j]:.17g}",
+            table_row_line(path, j))
     shape = (first.size, width)
     return Dataset(grid, cols["U"][order].reshape(shape),
                    cols["Y"][order].reshape(shape),

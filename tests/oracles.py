@@ -233,22 +233,25 @@ def sequential_rollout(env_cfg, controller, U0, episode_seed=None):
     grid = env_cfg.grid
     step = step_hyperbolic if isinstance(env_cfg, HyperbolicConfig) \
         else step_parabolic
+    out = env_cfg.output_index
     states = np.empty((grid.M + 1, env_cfg.n_points))
     states[0] = float(U0)
     U = np.empty(grid.M + 1)
     U[0] = float(U0)
-    controller.reset(float(U0), grid, episode_seed)
+    # the controller drives a batch of one
+    episodes = controller.start(np.array([float(U0)]), grid, [episode_seed])
+    rows = np.array([0])
     for m in range(1, grid.M + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            u_m = float(controller.control(
-                m, m * grid.dt, states[m - 1, env_cfg.output_index]))
+            u_m = float(controller.control(episodes, rows, m, m * grid.dt,
+                                           states[m - 1, [out]])[0])
             if not np.isfinite(u_m):
                 raise SimulationDivergedError("input diverged", step=m)
             states[m] = step(states[m - 1], u_m, env_cfg)
         if not np.all(np.isfinite(states[m])):
             raise SimulationDivergedError("step diverged", step=m)
         U[m] = u_m
-    return U, states[:, env_cfg.output_index].copy(), states
+    return U, states[:, out].copy(), states
 
 
 def impulse_response(env_cfg):

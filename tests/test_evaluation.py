@@ -16,7 +16,7 @@ from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, FromFile, HyperbolicConfig,
                             Proportional, SimulationDivergedError,
                             SmoothRandom, TimeGrid, rollout,
-                            stabilization_reward)
+                            squared_norms, stabilization_reward)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
                                   filter_batch)
 from safebc.trajectories import OneSidedSet
@@ -50,39 +50,45 @@ def test_filter_off_scores_the_closed_loop_run_bitwise(spec):
     for r in records:
         _, Y, states = sequential_rollout(ENV, spec.controller, r.U0,
                                           episode_seed=r.episode)
-        assert r.reward == stabilization_reward(states)
+        assert r.reward == stabilization_reward(squared_norms(states))
         assert r.feasible_steps == feasible_steps(spec.safe_set.contains(Y))
         assert r.feasible == (r.feasible_steps > 0)
 
 
 def counting(monkeypatch):
-    """The U0 arguments of every evaluation.rollout call, in order."""
-    calls = []
+    """The U0 arguments of every evaluation.rollout call, in order, and the
+    number of controller instances each call was given."""
+    calls, instances = [], []
 
     def counting_rollout(env, controllers, U0, episode_seeds=None):
         calls.append(list(U0))
+        instances.append(len({id(c) for c in controllers}))
         return rollout(env, controllers, U0, episode_seeds)
 
     monkeypatch.setattr(evaluation, "rollout", counting_rollout)
-    return calls
+    return calls, instances
 
 
 @pytest.mark.parametrize("filter_on, eta", [(False, 1e9), (True, 0.0)])
 def test_unchanged_input_is_scored_without_a_replay(spec, monkeypatch,
                                                     filter_on, eta):
-    calls = counting(monkeypatch)
+    calls, instances = counting(monkeypatch)
     run_episodes(dataclasses.replace(spec, filter_on=filter_on,
                                      filter=FilterConfig(eta=eta)))
     assert len(calls) == 1 and len(calls[0]) == spec.episodes
+    assert instances == [1]
 
 
 def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
-    calls = counting(monkeypatch)
+    calls, instances = counting(monkeypatch)
     # at this threshold the filter changes some inputs, not all
     on = dataclasses.replace(spec, filter_on=True,
                              filter=FilterConfig(eta=8.0))
     records = run_episodes(on)
     assert len(calls) == 2 and 0 < len(calls[1]) < spec.episodes
+    # the nominal run and the replay each drive every episode with one
+    # controller instance, so each makes one control call per grid step
+    assert instances == [1, 1]
     # the replay starts from the nominal U0 of each changed episode; the
     # others are scored on their nominal run
     changed = [r for r in records if r.U0 in calls[1]]
@@ -101,7 +107,7 @@ def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
                                               U_safe[0])
         else:
             assert np.array_equal(U_safe, U)
-        assert r.reward == stabilization_reward(states)
+        assert r.reward == stabilization_reward(squared_norms(states))
 
 
 def counting_filter(monkeypatch):

@@ -11,26 +11,35 @@ from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
                             HyperbolicConfig, ParabolicConfig, Proportional,
                             RolloutResult, SimulationDivergedError,
                             SmoothRandom, TimeGrid, parse_controller,
-                            read_trajectory_csv, rollout,
+                            read_trajectory_csv, rollout, squared_norms,
                             stabilization_reward, step_hyperbolic,
                             step_parabolic, write_states_csv,
                             write_trajectory_csv)
+from safebc.checkpoint import DatasetFormatError
 
 
 def one(env, controller, U0, episode_seed=None):
-    """Row 0 of a rollout batch of one episode."""
-    res = rollout(env, [controller], [U0], episode_seeds=[episode_seed])
-    return RolloutResult(res.U[0], res.Y[0], res.states[0], res.diverged[0])
+    """Row 0 of a rollout batch of one episode, with its states."""
+    res = rollout(env, [controller], [U0], episode_seeds=[episode_seed],
+                  keep_states=True)
+    return RolloutResult(res.U[0], res.Y[0], res.sq_norms[0],
+                         res.diverged[0], res.states[0])
 
 
-class Ramp:
+def control_once(controller, U0, m, t, y_prev, episode_seeds=None):
+    """U_m of a batch of episodes started from U0, all running."""
+    U0 = np.atleast_1d(np.asarray(U0, dtype=float))
+    seeds = [None] * U0.size if episode_seeds is None else episode_seeds
+    episodes = controller.start(U0, TimeGrid(5.0, 50), seeds)
+    return controller.control(episodes, np.arange(U0.size), m, t,
+                              np.broadcast_to(y_prev, U0.shape))
+
+
+class Ramp(pde_sim.Controller):
     """Open-loop ramp U(t) = t, used for the transport-delay check."""
 
-    def reset(self, U0, grid, episode_seed=None):
-        pass
-
-    def control(self, m, t, y_prev):
-        return t
+    def control(self, episodes, rows, m, t, y_prev):
+        return np.full(len(rows), t)
 
     def describe(self):
         return "ramp"
@@ -287,7 +296,7 @@ class TestRollout:
         with pytest.raises(ConfigurationError):
             one(cfg, FromFile(np.zeros(7)), 0.0)
         with pytest.raises(ConfigurationError):
-            one(cfg, FromFile(np.zeros((1, 51))), 0.0)
+            one(cfg, FromFile(np.zeros((2, 51))), 0.0)
 
     def test_divergence_names_the_first_nonfinite_step(self):
         # beta=200 grows the transport state ~1e12-fold per step of 0.25,
@@ -327,7 +336,8 @@ class TestRollout:
         # every setting is finite, but -1e6 * Y overflows at step 45, where
         # the state is still finite; the episode beside it runs as alone
         env = HyperbolicConfig(beta=400.0, grid=TimeGrid(5.0, 50))
-        res = rollout(env, [Proportional(1e6), Constant()], [1.0, 0.5])
+        res = rollout(env, [Proportional(1e6), Constant()], [1.0, 0.5],
+                      keep_states=True)
         assert res.diverged[0] == 45
         assert np.isfinite(res.states[0, :45]).all()
         assert np.isnan(res.U[0, 45:]).all()
@@ -393,16 +403,33 @@ def mixed_batch(env):
     return controllers, [1.3, 0.8, 1.9, 0.2, U[0], 0.6, 1.1]
 
 
+class Counting(pde_sim.Controller):
+    """Wraps a controller and records each control call's step and rows."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def start(self, U0, grid, episode_seeds):
+        return self.inner.start(U0, grid, episode_seeds)
+
+    def control(self, episodes, rows, m, t, y_prev):
+        self.calls.append((m, rows.tolist()))
+        return self.inner.control(episodes, rows, m, t, y_prev)
+
+
 class TestBatchedRollout:
-    """A batch runs one step call per grid step on all running episodes;
-    each row must equal the episode run alone by the sequential oracle."""
+    """A batch runs one control call per controller instance and one step
+    call per grid step on all running episodes; each row must equal the
+    episode run alone by the sequential oracle."""
 
     @pytest.mark.parametrize("env", [TRANSPORT_05, TRANSPORT_5, DIFFUSION],
                              ids=["transport-0.5", "transport-5",
                                   "diffusion"])
     def test_each_row_equals_the_sequential_oracle_bitwise(self, env):
         controllers, U0 = mixed_batch(env)
-        res = rollout(env, controllers, U0, episode_seeds=range(7))
+        res = rollout(env, controllers, U0, episode_seeds=range(7),
+                      keep_states=True)
         assert res.U.shape == res.Y.shape == (7, env.grid.M + 1)
         assert res.states.shape == (7, env.grid.M + 1, env.n_points)
         assert not res.diverged.any()
@@ -411,34 +438,111 @@ class TestBatchedRollout:
             assert np.array_equal(res.U[b], U)
             assert np.array_equal(res.Y[b], Y)
             assert np.array_equal(res.states[b], states)
+            assert np.array_equal(res.sq_norms[b], squared_norms(states))
+
+    def test_an_evaluation_shaped_batch_equals_the_oracle_bitwise(self):
+        # one shared smooth instance drives 13 of 20 episodes; the 7
+        # feedback episodes between them gain 1e100 per delay, so they
+        # overflow at steps that their initial values set, and the smooth
+        # rows shift as they drop
+        smooth, feedback = SmoothRandom(seed=5), Proportional(1e100)
+        controllers = [feedback if b % 3 == 1 else smooth for b in range(20)]
+        U0 = np.linspace(0.1, 2.0, 20)
+        U0[1::3] = 10.0 ** (-20.0 * np.arange(7))
+        res = rollout(TRANSPORT_05, controllers, U0, episode_seeds=range(20),
+                      keep_states=True)
+        for b, (c, u0) in enumerate(zip(controllers, U0)):
+            if c is feedback:
+                with pytest.raises(SimulationDivergedError) as err:
+                    sequential_rollout(TRANSPORT_05, c, u0, episode_seed=b)
+                assert res.diverged[b] == err.value.step > 1
+                assert np.isnan(res.sq_norms[b, err.value.step:]).all()
+                continue
+            U, Y, states = sequential_rollout(TRANSPORT_05, c, u0,
+                                              episode_seed=b)
+            assert res.diverged[b] == 0
+            assert np.array_equal(res.U[b], U)
+            assert np.array_equal(res.Y[b], Y)
+            assert np.array_equal(res.states[b], states)
+            assert np.array_equal(res.sq_norms[b], squared_norms(states))
+        assert len(set(res.diverged[1::3])) > 1
+        # without the histories the other results are bitwise the same
+        lean = rollout(TRANSPORT_05, controllers, U0, episode_seeds=range(20))
+        assert lean.states is None
+        for key in ("U", "Y", "sq_norms", "diverged"):
+            assert np.array_equal(getattr(lean, key), getattr(res, key),
+                                  equal_nan=True), key
+
+    @pytest.mark.parametrize("env", [TRANSPORT_05, DIFFUSION],
+                             ids=["transport-0.5", "diffusion"])
+    def test_a_replay_shaped_batch_equals_the_oracle_bitwise(self, env):
+        # recorded inputs replayed by one instance each, and all of them by
+        # one instance that holds them stacked
+        inputs = rollout(env, [SmoothRandom(seed=3)] * 5,
+                         np.linspace(0.2, 1.0, 5), episode_seeds=range(5)).U
+        apart = rollout(env, [FromFile(U) for U in inputs], inputs[:, 0],
+                        keep_states=True)
+        stacked = rollout(env, [FromFile(inputs)] * 5, inputs[:, 0],
+                          keep_states=True)
+        for b, U_rec in enumerate(inputs):
+            U, Y, states = sequential_rollout(env, FromFile(U_rec), U_rec[0])
+            for res in (apart, stacked):
+                assert np.array_equal(res.U[b], U)
+                assert np.array_equal(res.Y[b], Y)
+                assert np.array_equal(res.states[b], states)
+
+    @pytest.mark.parametrize("shape", ["evaluation", "collection"])
+    def test_one_control_call_per_instance_per_step(self, shape):
+        # evaluation drives every episode with one instance, collection
+        # cycles its instances; a row is passed at every step up to the one
+        # where its episode diverged, and never after. At a gain of 1e100
+        # per delay, episodes from 1 .. 1e-84 overflow at step 34 and those
+        # from 1e-96 on at step 45, so rows drop while others run on.
+        feedback = Counting(Proportional(1e100))
+        if shape == "evaluation":
+            instances = [feedback]
+        else:
+            instances = [Counting(SmoothRandom(seed=1)), feedback,
+                         Counting(Constant())]
+        controllers = [instances[b % len(instances)] for b in range(12)]
+        res = rollout(TRANSPORT_05, controllers,
+                      10.0 ** (-12.0 * np.arange(12)),
+                      episode_seeds=range(12))
+        M = TRANSPORT_05.grid.M
+        for i, c in enumerate(instances):
+            last = res.diverged[i::len(instances)]
+            running = [[r for r, d in enumerate(last) if d == 0 or d >= m]
+                       for m in range(1, M + 1)]
+            assert c.calls == [(m, rows) for m, rows
+                               in enumerate(running, start=1) if rows]
+        steps = set(res.diverged[controllers.index(feedback)::
+                                 len(instances)].tolist())
+        assert steps == {34, 45}
 
     @pytest.mark.parametrize("env", [TRANSPORT_05, DIFFUSION],
                              ids=["transport-0.5", "diffusion"])
     def test_a_permuted_batch_gives_permuted_rows(self, env):
         controllers, U0 = mixed_batch(env)
-        res = rollout(env, controllers, U0, episode_seeds=range(7))
+        res = rollout(env, controllers, U0, episode_seeds=range(7),
+                      keep_states=True)
         order = [4, 0, 6, 2, 5, 1, 3]
         back = rollout(env, [controllers[i] for i in order],
-                       [U0[i] for i in order], episode_seeds=order)
+                       [U0[i] for i in order], episode_seeds=order,
+                       keep_states=True)
         assert np.array_equal(back.states, res.states[order])
         assert np.array_equal(back.U, res.U[order])
 
     def test_a_diverged_row_leaves_its_neighbours_unchanged(self):
         # the episode of test_divergence_names_the_first_nonfinite_step,
         # one that overflows later from a tiny profile, and two that stay 0
-        class Counted(Proportional):
-            steps = []  # a class attribute, so rollout's copy shares it
-
-            def control(self, m, t, y_prev):
-                self.steps.append(m)
-                return super().control(m, t, y_prev)
-
-        controllers = [Constant(0.0), Counted(0.5), Proportional(0.5),
+        counted = Counting(Proportional(0.5))
+        controllers = [Constant(0.0), counted, Proportional(0.5),
                        Proportional(0.5)]
         U0 = [0.0, 1.0, 1e-100, 0.0]
-        res = rollout(DIVERGING, controllers, U0)
+        res = rollout(DIVERGING, controllers, U0, keep_states=True)
         # a diverged episode's controller is not asked again
-        assert Counted.steps == list(range(1, res.diverged[1] + 1))
+        assert [m for m, _ in counted.calls] == \
+            list(range(1, res.diverged[1] + 1))
         steps = []
         for b, (c, u0) in enumerate(zip(controllers, U0)):
             try:
@@ -455,7 +559,8 @@ class TestBatchedRollout:
                 assert np.array_equal(res.states[b], states)
                 assert np.array_equal(res.U[b], U)
         assert len(steps) == 2 and 1 < steps[0] < steps[1]
-        alone = rollout(DIVERGING, controllers[::3], U0[::3])
+        alone = rollout(DIVERGING, controllers[::3], U0[::3],
+                        keep_states=True)
         assert np.array_equal(alone.states, res.states[::3])
 
     def test_a_shared_controller_runs_as_separate_instances(self):
@@ -465,7 +570,8 @@ class TestBatchedRollout:
                     episode_seeds=[0, 1, 2])
         b = rollout(TRANSPORT_05, [SmoothRandom(seed=4) for _ in range(3)],
                     [0.5, 1.0, 1.5], episode_seeds=[0, 1, 2])
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.sq_norms, b.sq_norms)
+        assert np.array_equal(a.U, b.U)
         assert len(np.unique(a.U[:, 1])) == 3
         for key, value in vars(shared).items():
             assert np.array_equal(value, before[key]), key
@@ -487,31 +593,54 @@ class TestBatchedRollout:
 
 class TestControllers:
     def test_proportional_is_output_feedback(self):
-        c = Proportional(2.0)
-        assert c.control(1, 0.1, 3.0) == -6.0
+        assert control_once(Proportional(2.0), [0.0, 1.0], 1, 0.1,
+                            [3.0, -0.5]).tolist() == [-6.0, 1.0]
 
     def test_constant_holds_initial_condition_by_default(self):
-        c = Constant()
-        c.reset(4.2, TimeGrid(5.0, 50))
-        assert c.control(5, 0.5, 99.0) == 4.2
+        assert control_once(Constant(), [4.2, -1.0], 5, 0.5,
+                            99.0).tolist() == [4.2, -1.0]
 
     def test_constant_with_value_ignores_initial_condition(self):
-        c = Constant(-3.0)
-        c.reset(4.2, TimeGrid(5.0, 50))
-        assert c.control(5, 0.5, 99.0) == -3.0
+        assert control_once(Constant(-3.0), [4.2, 1.0], 5, 0.5,
+                            99.0).tolist() == [-3.0, -3.0]
 
     def test_smooth_random_vanishes_at_time_zero(self):
-        c = SmoothRandom(seed=0, amplitude=5.0)
-        c.reset(1.5, TimeGrid(5.0, 50))
-        assert c.control(0, 0.0, 0.0) == 1.5
+        assert control_once(SmoothRandom(seed=0, amplitude=5.0), [1.5, 0.2],
+                            0, 0.0, 0.0,
+                            episode_seeds=[1, 2]).tolist() == [1.5, 0.2]
 
     def test_smooth_random_episode_seed_changes_signal(self):
-        c = SmoothRandom(seed=0)
-        c.reset(1.0, TimeGrid(5.0, 50), episode_seed=1)
-        a = c.control(10, 1.0, 0.0)
-        c.reset(1.0, TimeGrid(5.0, 50), episode_seed=2)
-        b = c.control(10, 1.0, 0.0)
+        a, b = control_once(SmoothRandom(seed=0), [1.0, 1.0], 10, 1.0, 0.0,
+                            episode_seeds=[1, 2])
         assert a != b
+
+    def test_smooth_random_draws_each_episode_from_its_own_stream(self):
+        # U0 + sum_j a_j sin(f_j t), each episode's a and f drawn from the
+        # stream keyed (seed, episode seed), or seed alone without one
+        for modes in (3, 5, 17):
+            c = SmoothRandom(seed=3, num_modes=modes, amplitude=0.7)
+            for t in (0.3, 1.3, 4.9):
+                got = control_once(c, [1.5, -0.2, 0.4], 10, t, 0.0,
+                                   episode_seeds=[9, None, 4])
+                for u0, key, value in zip((1.5, -0.2, 0.4),
+                                          ((3, 9), 3, (3, 4)), got):
+                    rng = np.random.default_rng(key)
+                    a = rng.uniform(-0.7, 0.7, modes)
+                    f = rng.uniform(0.2, 1.5, modes)
+                    assert value == u0 + float(np.sum(a * np.sin(f * t)))
+
+    def test_a_controller_answers_for_the_rows_it_is_given(self):
+        # rows index the episodes that start saw, in any subset
+        c = SmoothRandom(seed=0)
+        grid = TimeGrid(5.0, 50)
+        episodes = c.start(np.array([0.5, 1.0, 1.5]), grid, [7, 8, 9])
+        every = c.control(episodes, np.arange(3), 10, 1.0, np.zeros(3))
+        assert np.array_equal(
+            c.control(episodes, np.array([0, 2]), 10, 1.0, np.zeros(2)),
+            every[[0, 2]])
+        alone = c.control(c.start(np.array([1.5]), grid, [9]), np.array([0]),
+                          10, 1.0, np.zeros(1))
+        assert np.array_equal(alone, every[2:])
 
     def test_smooth_random_validates_configuration(self):
         with pytest.raises(ConfigurationError):
@@ -552,18 +681,30 @@ class TestControllers:
         write_trajectory_csv(path, U, grid)
         c = FromFile(path)
         assert c.describe() == f"file:{path}"
-        c.reset(U[0], grid)
-        assert c.control(7, 0.7, 0.0) == U[7]
+        inputs = c.start(U[:2], grid, [None, None])
+        assert c.control(inputs, np.arange(2), 7, 0.7,
+                         np.zeros(2)).tolist() == [U[7], U[7]]
         with pytest.raises(ConfigurationError):
-            c.reset(U[0], TimeGrid(5.0, 10))
+            c.start(U[:1], TimeGrid(5.0, 10), [None])
 
     def test_array_replay_copies_its_input(self):
         U = np.linspace(0.0, 2.0, 51)
         c = FromFile(U)
         U[7] = 99.0
-        c.reset(0.0, TimeGrid(5.0, 50))
-        assert c.control(7, 0.7, 0.0) == np.linspace(0.0, 2.0, 51)[7]
+        inputs = c.start([0.0], TimeGrid(5.0, 50), [None])
+        assert c.control(inputs, np.array([0]), 7, 0.7, np.zeros(1))[0] \
+            == np.linspace(0.0, 2.0, 51)[7]
         assert c.describe() == "replay"
+
+    def test_a_stacked_replay_gives_each_episode_its_row(self):
+        grid = TimeGrid(5.0, 10)
+        stack = np.arange(33.0).reshape(3, 11)
+        c = FromFile(stack)
+        inputs = c.start(stack[:, 0], grid, [None] * 3)
+        assert c.control(inputs, np.array([0, 2]), 4, 2.0,
+                         np.zeros(2)).tolist() == [4.0, 26.0]
+        with pytest.raises(ConfigurationError, match=r"\(2, 11\)"):
+            c.start(stack[:2, 0], grid, [None] * 2)
 
     def test_describe_round_trips_key_settings(self):
         assert "gain=2" in Proportional(2.0).describe()
@@ -615,15 +756,17 @@ class TestControllers:
 class TestReward:
     def test_zero_states_give_zero_reward(self):
         states = np.zeros((5, 11))
-        assert stabilization_reward(states) == 0.0
+        assert stabilization_reward(squared_norms(states)) == 0.0
 
     def test_unit_profile_gives_minus_one(self):
         states = np.ones((4, 11))
-        assert stabilization_reward(states) == pytest.approx(-1.0)
+        assert stabilization_reward(squared_norms(states)) == \
+            pytest.approx(-1.0)
 
     def test_two_step_hand_quadrature(self):
         states = np.array([np.ones(11), 2.0 * np.ones(11)])
-        assert stabilization_reward(states) == pytest.approx(-2.5)
+        assert stabilization_reward(squared_norms(states)) == \
+            pytest.approx(-2.5)
 
     def test_reward_sums_the_state_norms_in_step_order(self):
         states = np.random.default_rng(2).normal(size=(7, 11)) \
@@ -631,12 +774,33 @@ class TestReward:
         total = 0.0
         for row in states:
             total += np.sum((row[1:]**2 + row[:-1]**2) / 2.0 * 0.1)
-        assert stabilization_reward(states) == -total / 7
+        assert stabilization_reward(squared_norms(states)) == -total / 7
+
+    def test_a_batch_gives_each_episode_its_reward_bitwise(self):
+        # (B, M+1, n_points) histories -> (B, M+1) norms -> (B,) rewards
+        states = np.random.default_rng(4).normal(size=(5, 9, 11)) \
+            * np.logspace(-6, 6, 9)[:, None]
+        rewards = stabilization_reward(squared_norms(states))
+        assert rewards.shape == (5,)
+        for b in range(5):
+            assert rewards[b] == stabilization_reward(
+                squared_norms(states[b]))
+            for m in range(9):
+                assert squared_norms(states[:, m])[b] == \
+                    squared_norms(states[b, m])
+
+    def test_squared_norms_are_numpy_trapezoid_bitwise(self):
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        states = np.random.default_rng(5).normal(size=(6, 4, 101)) \
+            * np.logspace(-50, 50, 6)[:, None, None]
+        assert np.array_equal(
+            squared_norms(states),
+            trapezoid(states**2, dx=0.01, axis=-1))
 
     def test_reward_is_never_positive(self):
         rng = np.random.default_rng(0)
         states = rng.normal(size=(3, 11))
-        assert stabilization_reward(states) <= 0.0
+        assert stabilization_reward(squared_norms(states)) <= 0.0
 
 
 class TestTrajectoryCsv:
@@ -646,6 +810,30 @@ class TestTrajectoryCsv:
         path = tmp_path / "u.csv"
         write_trajectory_csv(path, U, grid, Y=U * 2.0)
         assert np.array_equal(read_trajectory_csv(path), U)
+
+    @pytest.mark.parametrize("steps, line", [
+        ((2, 0, 5), 2), ((0, 1, 3), 4), ((0, 1, 1), 4), ((0, 2, 1), 3)],
+        ids=["shuffled", "gapped", "duplicated", "swapped"])
+    def test_rows_off_steps_zero_to_m_are_named(self, tmp_path, steps,
+                                                line):
+        # a nominal read in file order would be filtered silently shuffled
+        path = tmp_path / "u.csv"
+        path.write_text("step,t,U\n" + "".join(
+            f"{k},{0.1 * k},{u}\n" for k, u in zip(steps, (0.3, 0.1, 0.2))))
+        with pytest.raises(DatasetFormatError) as err:
+            read_trajectory_csv(path)
+        assert err.value.line == line
+        assert f"u.csv:{line}: row at step {steps[line - 2]}" \
+            in str(err.value)
+        with pytest.raises(DatasetFormatError):
+            FromFile(path)
+
+    def test_a_step_that_is_not_an_integer_is_rejected(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("step,t,U\n0,0,1\n1.5,0.1,2\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_trajectory_csv(path)
+        assert err.value.line == 3
 
     def test_missing_u_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

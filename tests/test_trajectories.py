@@ -333,6 +333,33 @@ class TestDatasetCsv:
         assert np.array_equal(ds.Y, [[2.5, 0.25, 0.1]])
         assert np.array_equal(ds.safe, [[False, True, True]])
 
+    @pytest.mark.parametrize("times, line", [
+        ((7, -3, 99), 4), ((0, 0.5, 99), 6), ((0, 0.5000001, 1), 5),
+        ((0, "nan", 1), 5)], ids=["all-off", "last-off", "off-by-1e-7",
+                                  "nan"])
+    def test_a_time_off_the_grid_is_named(self, tmp_path, times, line):
+        path = tmp_path / "times.csv"
+        path.write_text(
+            "# grid_T=1\n# grid_M=2\ntraj_id,step,t,U,Y,safe\n" + "".join(
+                f"0,{k},{t},1,1,1\n" for k, t in enumerate(times)))
+        with pytest.raises(DatasetFormatError, match="the grid's t is") \
+                as err:
+            read_dataset(path)
+        assert err.value.line == line
+        if times == (7, -3, 99):
+            assert str(err.value) == \
+                f"{path}:4: row at step 0 has t=7, the grid's t is 0"
+
+    def test_times_within_rounding_of_the_grid_are_read(self, tmp_path):
+        # a t written by another program may differ from step * dt in its
+        # last bits; 1e-9 T is the tolerance
+        path = tmp_path / "times.csv"
+        path.write_text(
+            "# grid_T=3\n# grid_M=3\ntraj_id,step,t,U,Y,safe\n"
+            "0,0,0,1,1,1\n0,1,1.0000000000000002,1,1,1\n"
+            "0,2,1.9999999999,1,1,1\n0,3,3,1,1,1\n")
+        assert read_dataset(path).U.shape == (1, 4)
+
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("traj_id,step,t,U,Y,safe\n0,0,0,oops,1,1\n")
