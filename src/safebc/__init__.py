@@ -50,7 +50,6 @@ from .barrier import (  # noqa: F401
     BarrierFunction,
     FeasibilityConstants,
     decrease_condition_oracle,
-    finite_time_constant,
     loss_decrease_condition,
     loss_safe_set,
 )

@@ -1,15 +1,16 @@
 """Neural barrier function over (t, Y) with finite-time convergence constants
 and the training losses that shape it.
 
-The barrier phi maps (t, Y) (or Y alone in time-independent mode) to a scalar
-whose zero-sublevel set marks predicted-safe boundary outputs.  The decrease
-condition enforced along trajectories is
+The barrier phi maps (t, Y) to a scalar whose zero-sublevel set marks
+predicted-safe boundary outputs.  The decrease condition enforced along
+trajectories is
 
     dphi_dY * dY/dt + dphi_dt + alpha * phi + C * phi(0, Y_0) <= 0
 
-where C = alpha / (e^{alpha T} - 1) for finite-horizon convergence and C = 0
-for the asymptotic variant.  A trajectory satisfying the condition at every
-time drives phi to zero or below by the horizon; the
+where C = alpha / (e^{alpha T} - 1) makes the condition drive phi to zero
+or below by the horizon T.  The filter and the loss enforce it as a
+forward-Euler step on a grid of step dt, which bounds phi at the horizon
+only when alpha * dt < 1 (`FeasibilityConstants.check_step`); the
 `decrease_condition_oracle` checks the discrete form of that implication on
 explicit sequences, where it holds only for some of them.
 
@@ -28,23 +29,13 @@ from .nets import Mlp
 from .pde_sim import ConfigurationError
 
 
-def finite_time_constant(alpha, T, asymptotic=False):
-    """C = alpha / (e^{alpha T} - 1), or exactly 0 in asymptotic mode."""
-    if asymptotic:
-        return 0.0
-    if alpha <= 0.0 or T <= 0.0:
-        raise ConfigurationError("alpha and T must be positive")
-    return alpha / np.expm1(alpha * T)
-
-
 @dataclass(frozen=True)
 class FeasibilityConstants:
-    """Bundle of (alpha, T, C) fixing the decrease condition; C follows
-    from the other fields."""
+    """Bundle of (alpha, T, C) fixing the decrease condition; C = alpha /
+    (e^{alpha T} - 1) follows from the other fields."""
 
     alpha: float = 1e-5
     T: float = 5.0
-    asymptotic: bool = False
     C: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -53,8 +44,17 @@ class FeasibilityConstants:
             if not 0.0 < value < np.inf:
                 raise ConfigurationError(
                     f"{name} must be finite and positive, got {value!r}")
-        object.__setattr__(self, "C", finite_time_constant(
-            self.alpha, self.T, self.asymptotic))
+        C = self.alpha / np.expm1(self.alpha * self.T)
+        object.__setattr__(self, "C", C)
+
+    def check_step(self, dt):
+        """ConfigurationError unless alpha * dt < 1, where the forward-Euler
+        decrease condition on a grid of step dt bounds phi at the horizon
+        (see `decrease_condition_oracle`)."""
+        if not self.alpha * dt < 1.0:
+            raise ConfigurationError(
+                f"alpha * dt must be below 1, got alpha={self.alpha!r} and "
+                f"dt={dt!r}, whose product is {self.alpha * dt!r}")
 
     def residual(self, rate, phi, phi0):
         """The decrease-condition residual rate + alpha * phi + C * phi0,
@@ -64,32 +64,23 @@ class FeasibilityConstants:
 
 
 class BarrierFunction:
-    """Scalar MLP barrier with exact partial derivatives.
+    """Scalar MLP barrier phi(t, Y) with exact partial derivatives.
 
-    Hidden layout is (16, 64, 16) ReLU with a linear scalar head; the input
-    is (t, Y) when time_dependent else just Y.
+    Hidden layout is (16, 64, 16) ReLU with a linear scalar head over the
+    input (t, Y).
     """
 
-    def __init__(self, time_dependent, hidden=(16, 64, 16), seed=0):
-        self.time_dependent = bool(time_dependent)
-        in_dim = 2 if self.time_dependent else 1
-        dims = [in_dim] + list(hidden) + [1]
-        self.net = Mlp(dims, seed=seed)
+    def __init__(self, hidden=(16, 64, 16), seed=0):
+        self.net = Mlp([2] + list(hidden) + [1], seed=seed)
 
     def params(self):
         return self.net.params()
 
     def _inputs(self, t, Y):
-        Y = np.asarray(Y, dtype=float)
-        if self.time_dependent and np.ndim(t) == 0:
-            x = np.empty((Y.size, 2))
-            x[:, 0], x[:, 1] = t, Y.ravel()
-        elif self.time_dependent:
-            t, Y = np.broadcast_arrays(np.asarray(t, dtype=float), Y)
-            x = np.stack([np.ravel(t), np.ravel(Y)], axis=1)
-        else:
-            x = np.ravel(Y)[:, None]
-        return x, Y.shape
+        shape = np.broadcast_shapes(np.shape(t), np.shape(Y))
+        x = np.empty(shape + (2,))
+        x[..., 0], x[..., 1] = t, Y
+        return x.reshape(-1, 2), shape
 
     def value(self, t, Y):
         """phi at (t, Y); broadcasts and preserves the input shape."""
@@ -99,42 +90,40 @@ class BarrierFunction:
 
     def partials(self, t, Y):
         """(phi, dphi_dt, dphi_dY) at (t, Y) from one forward pass and one
-        input-gradient-only reverse sweep; dphi_dt is exactly 0 in
-        time-independent mode. The points are traced as an (R, 1, d) stack,
-        so each point's values are bitwise those of the point alone, in any
-        batch and in any order."""
+        input-gradient-only reverse sweep. The points are traced as an
+        (R, 1, 2) stack, so each point's values are bitwise those of the
+        point alone, in any batch and in any order."""
         x, shape = self._inputs(t, Y)
-        tr = self.net.trace(x.reshape(len(x), 1, x.shape[1]))
+        tr = self.net.trace(x.reshape(len(x), 1, 2))
         _, dx = self.net.reverse(tr, np.ones(tr.output.shape),
                                  param_grads=False)
-        phi, dx = tr.output[:, 0, 0].reshape(shape), dx[:, 0]
-        if self.time_dependent:
-            dt_ = dx[:, 0].reshape(shape)
-            dY_ = dx[:, 1].reshape(shape)
-        else:
-            dt_ = np.zeros(shape)
-            dY_ = dx[:, 0].reshape(shape)
+        phi, dt_, dY_ = (a.reshape(shape) for a in (
+            tr.output[:, 0, 0], dx[:, 0, 0], dx[:, 0, 1]))
         if shape:
             return phi, dt_, dY_
         return float(phi), float(dt_), float(dY_)
 
     def save(self, path):
-        meta = {"time_dependent": "1" if self.time_dependent else "0"}
-        write_checkpoint(path, "bcbf", self.net.tensors(), meta)
+        write_checkpoint(path, "bcbf", self.net.tensors())
 
     @classmethod
     def load(cls, path):
         kind, tensors, meta = read_checkpoint(path)
         if kind != "bcbf":
             raise ConfigurationError("checkpoint kind %r is not bcbf" % kind)
-        time_dependent = meta.get("time_dependent", "1")
-        if time_dependent not in ("0", "1"):
+        # files of older versions say whether the barrier reads t
+        reads_t = meta.get("time_dependent", "1")
+        if reads_t == "0":
+            raise ConfigurationError(
+                f"{path}: checkpoint holds a barrier of Y alone, which this "
+                "version does not read; retrain the barrier")
+        if reads_t != "1":
             raise ConfigurationError("checkpoint meta time_dependent must be "
-                                     f"0 or 1, got {time_dependent!r}")
+                                     f"0 or 1, got {reads_t!r}")
         n_layers = len([k for k in tensors if k.startswith("W")])
         hidden = [checkpoint_tensor(tensors, "W%d" % k).shape[0]
                   for k in range(n_layers - 1)]
-        bar = cls(time_dependent=time_dependent == "1", hidden=hidden)
+        bar = cls(hidden=hidden)
         bar.net.set_tensors(tensors)
         return bar
 
@@ -207,9 +196,7 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
     x, _ = bar._inputs(np.concatenate([t, np.zeros(k)]),
                        np.concatenate([Y, Y0s]))
     d = np.zeros_like(x)
-    d[:n, -1] = dY_dt
-    if bar.time_dependent:
-        d[:n, 0] = 1.0
+    d[:n, 0], d[:n, 1] = 1.0, dY_dt
     tr = bar.net.trace(x, d)
     phi = tr.output[:, 0]
     resid = constants.residual(tr.tangents[-1][:n, 0], phi[:n],
@@ -238,8 +225,8 @@ def decrease_condition_oracle(psi, dt, constants, premise_tol=0.0,
     psi ends negative.
 
     The premise is a forward-Euler step of the continuous condition, so it
-    does not imply the checks for every sequence.  For alpha*dt < 1, C > 0
-    and premise_tol = 0 it bounds psi[M] by psi[0] * ((1 + C/alpha) q -
+    does not imply the checks for every sequence.  For alpha*dt < 1 and
+    premise_tol = 0 it bounds psi[M] by psi[0] * ((1 + C/alpha) q -
     C/alpha) with q = (1 - alpha*dt)^M, and q < e^{-alpha T} makes that
     factor negative.  For psi[0] > 0 the bound is negative; for psi[0] < 0
     it is positive, and psi can end positive: alpha=0.5, T=5, M=5,

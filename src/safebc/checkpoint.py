@@ -1,14 +1,15 @@
 """The plain-text file formats: model checkpoints and tables.
 
-Every file the pipeline writes goes through `write_text`: atomically (temp
-file + rename) with LF line endings. Numbers are decimal text: integers and
-booleans as integers, floats with 17 significant digits (`fmt`), which
-round-trips float64 exactly.
+Every file the pipeline writes goes through `write_text`, as a sequence of
+text chunks: atomically (temp file + rename) with LF line endings. Numbers
+are decimal text: integers and booleans as integers, floats with 17
+significant digits (`fmt`), which round-trips float64 exactly.
 
 A table or a tensor is written and read whole. The writer picks one
 %-format string for a row from the dtypes of the columns (`%d` for integer
-and boolean ones, `%.17g` for float ones) and fills every row with it in one
-pass. The reader parses all data lines of a table or tensor in one
+and boolean ones, `%.17g` for float ones) and fills the rows with it, one
+pass per TABLE_ROWS rows of a table, each pass's text written before the
+next starts. The reader parses all data lines of a table or tensor in one
 `np.loadtxt` call, which rounds each decimal to the nearest float64, so a
 write/read round trip is value-exact. Only when that parse fails are the
 lines scanned again one by one, to name the first bad one.
@@ -49,6 +50,11 @@ import numpy as np
 
 KINDS = ("operator", "bcbf")
 
+# Rows of a table formatted in one %-pass and written at once. A pass holds
+# its cells as Python objects and its text, so the pass, not the table, sets
+# the writer's peak; at 4096 rows a table writes no slower than in one pass.
+TABLE_ROWS = 4096
+
 
 def fmt(x):
     """Decimal text for one float, exact under round-trip."""
@@ -81,17 +87,18 @@ class DatasetFormatError(ConfigurationError):
         self.line = line
 
 
-def write_text(path, text):
-    """Write text to path atomically: a fresh temp file in the same
-    directory, then a rename over the target. The temp file is created like
-    any new file, so the result has the usual permissions (0666 less the
-    umask) rather than mkstemp's 0600."""
+def write_text(path, chunks):
+    """Write the strings of chunks, an iterable, in turn to path
+    atomically: a fresh temp file in the same directory, then a rename over
+    the target. The temp file is created like any new file, so the result
+    has the usual permissions (0666 less the umask) rather than mkstemp's
+    0600."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp-{uuid.uuid4().hex}")
     fh = open(tmp, "x", newline="\n")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -138,7 +145,7 @@ def write_checkpoint(path, kind, tensors, meta=None):
         parts.append(f"{name} {rows} {cols}\n")
         parts.append(_format_rows(["%.17g"] * cols, " ", rows,
                                   a.ravel().tolist()))
-    write_text(path, "".join(parts))
+    write_text(path, parts)
 
 
 def _read_tensor(path, lines, start, rows, cols):
@@ -236,13 +243,18 @@ def write_table(path, columns, comments=()):
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("table columns must be 1-D and of one length, got "
                          f"shapes {[a.shape for a in arrays]}")
-    cells = np.empty((n, len(arrays)), dtype=object)
-    for j, a in enumerate(arrays):
-        cells[:, j] = a
     formats = ["%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays]
-    write_text(path, "".join(f"# {c}\n" for c in comments)
-               + ",".join(columns) + "\n"
-               + _format_rows(formats, ",", n, cells.ravel().tolist()))
+
+    def chunks():
+        yield "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+        for lo in range(0, n, TABLE_ROWS):
+            hi = min(lo + TABLE_ROWS, n)
+            cells = np.empty((hi - lo, len(arrays)), dtype=object)
+            for j, a in enumerate(arrays):
+                cells[:, j] = a[lo:hi]
+            yield _format_rows(formats, ",", hi - lo, cells.ravel().tolist())
+
+    write_text(path, chunks())
 
 
 class Table(NamedTuple):

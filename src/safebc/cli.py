@@ -223,8 +223,7 @@ def _cmd_filter(args):
     op = BoundaryOperator.load(args.operator)
     bar = BarrierFunction.load(args.bcbf)
     config = FilterConfig(
-        constants=FeasibilityConstants(alpha=args.alpha, T=args.T,
-                                       asymptotic=args.asymptotic),
+        constants=FeasibilityConstants(alpha=args.alpha, T=args.T),
         eta=args.eta, infeasible_policy=args.policy)
     U_nom = read_trajectory_csv(args.nominal)
     rep = filter_trajectory(op, bar, U_nom, config)
@@ -252,7 +251,7 @@ def _cmd_report(args):
         rows.append((name, read_metrics_csv(path)))
     text = report(rows)
     if args.out:
-        write_text(args.out, text + "\n")
+        write_text(args.out, [text + "\n"])
     print(text)
 
 
@@ -331,7 +330,6 @@ def build_parser():
     p.add_argument("--eta", type=float, default=defaults.eta)
     p.add_argument("--alpha", type=float, default=defaults.constants.alpha)
     p.add_argument("--T", type=float, default=defaults.constants.T)
-    p.add_argument("--asymptotic", action="store_true")
     p.add_argument("--policy", default=defaults.infeasible_policy,
                    choices=INFEASIBLE_POLICIES)
     p.add_argument("--out", required=True, help="filtered trajectory CSV")

@@ -24,8 +24,28 @@ over every (row, step) pair that a new or second-step prediction needs,
 and none when no prediction is new.
 The walk runs to the end, and the abort policy is checked after it.
 
+The condition is a forward-Euler step of the continuous one, which bounds
+phi at the horizon only when alpha * dt < 1; a walk whose constants do not
+meet its grid that way raises ConfigurationError before it starts.
+
 Step bookkeeping is in per-step increments dU = u_dot * dt: reports store
 dU values and eta is compared against |dU_qp - dU_nominal|.
+
+The walk reads an operator through this surface alone, which any operator
+class the filter runs must give:
+
+- `grid`, the `TimeGrid` of its inputs and outputs;
+- `forward_batch(UU, start)`, the outputs of a (B, M+1) batch of inputs
+  as (Y, cache), exact at rows start..M; `start` defaults to 0, and
+  `cache.start` is the start of the pass. A cache is a dict key, by
+  identity;
+- `decomposition(cache, start, stop, trajectory)`, the rate split
+  (Lambda, mu) at rows start..stop-1 of one trajectory of a cache;
+- `complete(cache, trajectories)`, the rows 0..cache.start-1 of the
+  outputs of those trajectories of a cache, with no further forward.
+
+Evaluation's `_load_models` also reads the class's `load(path)`, and
+checks `grid` against the environment's.
 """
 
 import math
@@ -179,13 +199,15 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     non-finite operator output at a row it reads, or in a final
     prediction's completed rows) comes first. The rows of a superseded
     prediction before its first step are never computed, so they cannot
-    raise.
+    raise. Constants with alpha * dt >= 1 on the operator's grid raise
+    ConfigurationError before the walk.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
     grid, n = operator.grid, operator.grid.M + 1
     if UU_nom.ndim != 2 or UU_nom.shape[1] != n:
         raise ValueError(f"nominal batch has shape {UU_nom.shape}, operator "
                          f"grid needs (B, {n})")
+    config.constants.check_step(grid.dt)
     B, dt, times = len(UU_nom), grid.dt, grid.times()
     du_nom = np.diff(UU_nom, axis=1)
     du_safe, U_safe, Y_pred = du_nom.copy(), UU_nom.copy(), np.empty((B, n))

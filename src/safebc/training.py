@@ -75,7 +75,6 @@ class BarrierSchedule:
     epochs: int = 20
     lr: float = 0.01
     batch_samples: int = 4096
-    time_dependent: bool = True
     margin: float = 0.1
     reg_weight: float = 1.0
 
@@ -328,7 +327,9 @@ def train_joint(dataset, config, seed=0, operator=None):
     Returns (op, bar, history). A given operator is returned as is and used
     frozen for dY/dt; otherwise one is built and trained for
     config.operator.epochs. A part with zero epochs, or a barrier with zero
-    loss weights, is neither prepared nor checked. An epoch that raises
+    loss weights, is neither prepared nor checked; a barrier that trains
+    needs config.constants.alpha * dataset.grid.dt < 1, or raises
+    ConfigurationError. An epoch that raises
     FloatingPointError or ValueError (a non-finite loss or gradient) is
     rolled back and ends the run; history.stopped says why.
     """
@@ -353,9 +354,9 @@ def train_joint(dataset, config, seed=0, operator=None):
         adam_op = Adam(op.params(), lr=sched_op.lr)
         rng_op = np.random.default_rng(subseed(seed, 11))
 
-    bar = BarrierFunction(time_dependent=sched_bf.time_dependent,
-                          seed=subseed(seed, 14))
+    bar = BarrierFunction(seed=subseed(seed, 14))
     if run_bar:
+        config.constants.check_step(dataset.grid.dt)
         retained = balance_near_zero(dataset, band=config.balance_band,
                                      keep_fraction=config.balance_keep,
                                      seed=subseed(seed, 15))

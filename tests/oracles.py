@@ -331,11 +331,7 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
 
     x, _ = bar._inputs(t, Y)
     x0, _ = bar._inputs(np.zeros(n), Y0)
-    if bar.time_dependent:
-        d = np.stack([np.ones(n), dY_dt], axis=1)
-    else:
-        d = dY_dt[:, None]
-    tr = bar.net.trace(x, d)
+    tr = bar.net.trace(x, np.stack([np.ones(n), dY_dt], axis=1))
     tr0 = bar.net.trace(x0)
     resid = tr.tangents[-1][:, 0] + constants.alpha * tr.output[:, 0] \
         + constants.C * tr0.output[:, 0]

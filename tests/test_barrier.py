@@ -1,6 +1,7 @@
 """Tests for the barrier network's values and partial derivatives, the
 gradients of its training losses, and the decrease-condition oracle."""
 
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from safebc.barrier import (BarrierFunction, FeasibilityConstants,
-                            decrease_condition_oracle, finite_time_constant,
+                            decrease_condition_oracle,
                             loss_decrease_condition, loss_safe_set)
+from safebc.checkpoint import (ConfigurationError, read_checkpoint,
+                               write_checkpoint)
 
 
 def pre_activations(net, x):
@@ -29,21 +32,42 @@ def relu_pattern(net, x):
     return pre_activations(net, x) > 0.0
 
 
+def assert_same_barrier(a, b):
+    assert [p.shape for p in a.params()] == [p.shape for p in b.params()]
+    assert all(np.array_equal(p, q) for p, q in zip(a.params(), b.params()))
+
+
 @pytest.mark.parametrize("hidden", [(16, 64, 16), (3,)])
-@pytest.mark.parametrize("time_dependent", [True, False])
-def test_a_saved_barrier_loads_bitwise(tmp_path, time_dependent, hidden):
-    bar = BarrierFunction(time_dependent, hidden=hidden, seed=4)
+def test_a_saved_barrier_loads_bitwise(tmp_path, hidden):
+    bar = BarrierFunction(hidden=hidden, seed=4)
     bar.save(tmp_path / "bar.ckpt")
-    back = BarrierFunction.load(tmp_path / "bar.ckpt")
-    assert back.time_dependent == time_dependent
-    assert [p.shape for p in back.params()] == [p.shape for p in bar.params()]
-    assert all(np.array_equal(a, b)
-               for a, b in zip(back.params(), bar.params()))
+    # a barrier always reads (t, Y), so its file has no meta line
+    assert read_checkpoint(tmp_path / "bar.ckpt")[2] == {}
+    assert_same_barrier(BarrierFunction.load(tmp_path / "bar.ckpt"), bar)
 
 
-@pytest.mark.parametrize("time_dependent", [True, False])
-def test_partials_match_central_differences(time_dependent):
-    bar = BarrierFunction(time_dependent=time_dependent, seed=3)
+def test_a_barrier_file_that_says_it_reads_t_loads_bitwise(tmp_path):
+    # earlier versions wrote `meta time_dependent 1` into every file
+    bar = BarrierFunction(seed=4)
+    write_checkpoint(tmp_path / "bar.ckpt", "bcbf", bar.net.tensors(),
+                     {"time_dependent": "1"})
+    assert_same_barrier(BarrierFunction.load(tmp_path / "bar.ckpt"), bar)
+
+
+def test_a_barrier_file_of_y_alone_is_refused(tmp_path):
+    # an earlier version's barrier of Y alone has a one-column first layer
+    tensors = BarrierFunction(seed=4).net.tensors()
+    tensors["W0"] = tensors["W0"][:, 1:]
+    write_checkpoint(tmp_path / "bar.ckpt", "bcbf", tensors,
+                     {"time_dependent": "0"})
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "holds a barrier of Y alone, which this version does not read; "
+            "retrain the barrier")):
+        BarrierFunction.load(tmp_path / "bar.ckpt")
+
+
+def test_partials_match_central_differences():
+    bar = BarrierFunction(seed=3)
     rng = np.random.default_rng(4)
     t = rng.uniform(0.0, 5.0, size=40)
     Y = rng.normal(scale=2.0, size=40)
@@ -61,15 +85,11 @@ def test_partials_match_central_differences(time_dependent):
                          == relu_pattern(bar.net, x1), axis=1)
     assert smooth.sum() >= 30
     assert np.allclose(dphi_dY[smooth], fd_Y[smooth], rtol=1e-6, atol=1e-8)
-    if time_dependent:
-        assert np.allclose(dphi_dt[smooth], fd_t[smooth], rtol=1e-6,
-                           atol=1e-8)
-    else:
-        assert np.array_equal(dphi_dt, np.zeros(t.size))
+    assert np.allclose(dphi_dt[smooth], fd_t[smooth], rtol=1e-6, atol=1e-8)
 
 
 def test_partials_keep_the_input_shape():
-    bar = BarrierFunction(time_dependent=True, seed=1)
+    bar = BarrierFunction(seed=1)
     phi, dt_, dY_ = bar.partials(0.5, 1.5)
     assert all(isinstance(v, float) for v in (phi, dt_, dY_))
     assert phi == bar.value(0.5, 1.5)
@@ -83,19 +103,15 @@ def test_partials_keep_the_input_shape():
 def one_point_partials(bar, t, Y):
     """(phi, dphi_dt, dphi_dY) at one point from a (1, d) trace and a full
     reverse sweep, parameter gradients included."""
-    x = np.array([[t, Y]] if bar.time_dependent else [[Y]])
-    tr = bar.net.trace(x)
+    tr = bar.net.trace(np.array([[t, Y]]))
     _, dx = bar.net.reverse(tr, np.ones((1, 1)))
-    dt_ = dx[0, 0] if bar.time_dependent else 0.0
-    return tr.output[0, 0], dt_, dx[0, -1]
+    return tr.output[0, 0], dx[0, 0], dx[0, 1]
 
 
-@pytest.mark.parametrize("time_dependent", [True, False])
-def test_partials_equal_one_point_traces_and_full_reverses_bitwise(
-        time_dependent):
+def test_partials_equal_one_point_traces_and_full_reverses_bitwise():
     # partials skips the parameter gradients and traces its R points as an
-    # (R, 1, d) stack; neither changes a bit of any point's values
-    bar = BarrierFunction(time_dependent=time_dependent, seed=6)
+    # (R, 1, 2) stack; neither changes a bit of any point's values
+    bar = BarrierFunction(seed=6)
     for t, Y in ((0.75, np.float64(-1.25)), (np.linspace(0, 5, 6),
                                              np.linspace(-2, 2, 6))):
         got = bar.partials(t, Y)
@@ -105,11 +121,10 @@ def test_partials_equal_one_point_traces_and_full_reverses_bitwise(
             assert all(np.asarray(a)[k] == b for a, b in zip(got, expect))
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_partials_of_any_points_in_any_order_are_each_point_alone(
-        seed, time_dependent):
-    bar = BarrierFunction(time_dependent=time_dependent, seed=2)
+def test_partials_of_any_points_in_any_order_are_each_point_alone(seed):
+    bar = BarrierFunction(seed=2)
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.0, 5.0, size=60)
     Y = rng.normal(scale=3.0, size=60)
@@ -152,7 +167,7 @@ def smooth_samples(bar, t, Y, *hinges):
 
 
 def small_barrier(seed):
-    return BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=seed)
+    return BarrierFunction(hidden=(4, 6, 4), seed=seed)
 
 
 def weighted_safe_set_loss(bar, t, Y, safe, lambda_S, reg_weight, margin):
@@ -222,14 +237,13 @@ def assert_grads_close(grads, expected):
                                    atol=1e-12 * np.max(np.abs(e)))
 
 
-@pytest.mark.parametrize("time_dependent", [True, False])
 @pytest.mark.parametrize("lambda_S, reg_weight, classes", [
     (1.0, 1.0, "both"), (2.5, 0.3, "both"), (0.0, 1.0, "both"),
     (1.0, 0.0, "both"), (1.0, 1.0, "safe only"), (1.0, 1.0, "unsafe only"),
     (0.0, 1.0, "safe only")])
-def test_safe_set_loss_matches_the_per_term_oracle(time_dependent, lambda_S,
-                                                   reg_weight, classes):
-    bar = BarrierFunction(time_dependent, hidden=(4, 6, 4), seed=11)
+def test_safe_set_loss_matches_the_per_term_oracle(lambda_S, reg_weight,
+                                                   classes):
+    bar = small_barrier(11)
     rng = np.random.default_rng(12)
     t = rng.uniform(0.0, 5.0, size=50)
     Y = rng.normal(scale=2.0, size=50)
@@ -246,13 +260,10 @@ def test_safe_set_loss_matches_the_per_term_oracle(time_dependent, lambda_S,
                                for a, b in zip(ref_gs, ref_gr)])
 
 
-@pytest.mark.parametrize("time_dependent", [True, False])
 @pytest.mark.parametrize("n_y0", [3, 40])
-@pytest.mark.parametrize("asymptotic", [False, True])
-def test_decrease_condition_loss_matches_the_per_sample_oracle(
-        time_dependent, n_y0, asymptotic):
-    bar = BarrierFunction(time_dependent, hidden=(4, 6, 4), seed=13)
-    constants = FeasibilityConstants(alpha=0.3, T=5.0, asymptotic=asymptotic)
+def test_decrease_condition_loss_matches_the_per_sample_oracle(n_y0):
+    bar = small_barrier(13)
+    constants = FeasibilityConstants(alpha=0.3, T=5.0)
     rng = np.random.default_rng(14)
     t = rng.uniform(0.0, 5.0, size=40)
     Y = rng.normal(scale=2.0, size=40)
@@ -312,7 +323,17 @@ def test_oracle_premise_allows_a_positive_end_for_coarse_steps():
 
 def test_feasibility_constants_derive_C_and_are_frozen():
     constants = replace(FeasibilityConstants(), alpha=0.5)
-    assert constants.C == finite_time_constant(0.5, 5.0)
-    assert replace(constants, asymptotic=True).C == 0.0
+    assert constants.C == 0.5 / np.expm1(0.5 * 5.0)
     with pytest.raises(FrozenInstanceError):
         constants.alpha = 1.0
+
+
+def test_a_step_meets_the_constants_only_below_alpha_dt_1():
+    constants = FeasibilityConstants(alpha=0.5)
+    constants.check_step(1.99)
+    for dt in (2.0, 4.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"alpha=0.5 and dt={dt!r}")):
+            constants.check_step(dt)
+    with pytest.raises(ConfigurationError, match="product is 2.0"):
+        constants.check_step(4.0)

@@ -152,7 +152,7 @@ def test_an_abort_names_its_step_and_under_evaluate_its_episode(tmp_path,
                                                                capsys):
     BoundaryOperator(TimeGrid(5.0, 20), d_v=4, n_layers=2, seed=1).save(
         tmp_path / "op.ckpt")
-    BarrierFunction(time_dependent=True, seed=0).save(tmp_path / "bar.ckpt")
+    BarrierFunction(seed=0).save(tmp_path / "bar.ckpt")
     assert main(["simulate", *ENV, "--controller", "smooth", "--U0", "1.5",
                  "--out", str(tmp_path / "states.csv"), "--trajectory-out",
                  str(tmp_path / "nominal.csv")]) == 0
@@ -246,6 +246,13 @@ def test_operator_out_trains_jointly_and_writes_both_checkpoints(run,
      "bcbf.decay_every"),
     ("train-operator", "--config", {"operator": {"decay_factor": 0.5}},
      "operator.decay_factor"),
+    # a barrier always reads (t, Y), and C is always the finite-time one
+    ("train-bcbf", "--config", {"bcbf": {"time_dependent": False}},
+     "bcbf.time_dependent"),
+    ("evaluate", "--spec",
+     {"env": {"name": "hyperbolic"}, "controller": "constant",
+      "safe_set": "Y<1", "filter": {"constants": {"asymptotic": True}}},
+     "filter.constants.asymptotic"),
 ])
 def test_a_deleted_setting_exits_2_naming_its_key(run, tmp_path, capsys,
                                                   command, kind, values,
@@ -264,8 +271,7 @@ def test_filter_flag_defaults_are_the_filter_config_defaults():
     args = build_parser().parse_args(
         ["filter", "--operator", "o", "--bcbf", "b", "--nominal", "n",
          "--out", "f"])
-    config = FilterConfig(FeasibilityConstants(args.alpha, args.T,
-                                               args.asymptotic),
+    config = FilterConfig(FeasibilityConstants(args.alpha, args.T),
                           args.eta, args.policy)
     assert config == FilterConfig()
 
@@ -299,8 +305,8 @@ TRAIN_CONFIGS = [
                    "batch_trajectories": 8, "d_v": 4, "n_layers": 1,
                    "activations": ["linear"]},
       "bcbf": {"epochs": 5, "lr": 0.1, "batch_samples": 32,
-               "time_dependent": False, "margin": 0.2, "reg_weight": 0},
-      "constants": {"alpha": 0.1, "T": 2, "asymptotic": True}},
+               "margin": 0.2, "reg_weight": 0},
+      "constants": {"alpha": 0.1, "T": 2}},
      TrainConfig(lambda_S=2.0, lambda_BF=0.25, dy_dt_source="operator",
                  train_fraction=0.8,
                  balance_band=(-0.2, 0.3), balance_keep=0.5,
@@ -308,9 +314,9 @@ TRAIN_CONFIGS = [
                      epochs=3, lr=0.01, l2=0.0, batch_trajectories=8,
                      d_v=4, n_layers=1, activations=("linear",)),
                  bcbf=BarrierSchedule(
-                     epochs=5, lr=0.1, batch_samples=32,
-                     time_dependent=False, margin=0.2, reg_weight=0.0)),
-     FeasibilityConstants(alpha=0.1, T=2.0, asymptotic=True)),
+                     epochs=5, lr=0.1, batch_samples=32, margin=0.2,
+                     reg_weight=0.0)),
+     FeasibilityConstants(alpha=0.1, T=2.0)),
     ({}, TrainConfig(), FeasibilityConstants()),
 ]
 
@@ -365,7 +371,7 @@ SPECS = [
               "grid": {"T": 4, "M": 40}},
       "controller": "proportional:gain=0.5",
       "safe_set": "abs:center=0,halfwidth=0.2", "filter_on": True,
-      "filter": {"constants": {"alpha": 0.01, "T": 3, "asymptotic": False},
+      "filter": {"constants": {"alpha": 0.01, "T": 3},
                  "eta": 1e9, "infeasible_policy": "abort"},
       "operator_path": "a", "bcbf_path": "b", "episodes": 3,
       "U0_range": [0, 1], "seed": 4},
@@ -419,6 +425,9 @@ def test_unknown_spec_key_is_an_error_naming_its_path(values, path):
     ({"constants": {"alpah": 0.1}}, "constants.alpah"),
     ({"mode": "joint"}, "mode"),
     ({"lambda_G": 1.0}, "lambda_G"),
+    # a barrier always reads (t, Y), and C is always the finite-time one
+    ({"bcbf": {"time_dependent": False}}, "bcbf.time_dependent"),
+    ({"constants": {"asymptotic": True}}, "constants.asymptotic"),
 ])
 def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     with pytest.raises(ConfigurationError, match=re.escape(repr(path))):
@@ -436,13 +445,10 @@ def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     ({"operator": {"batch_trajectories": 2.5}},
      "operator.batch_trajectories: expected int"),
     ({"operator": {"activations": "relu"}}, "operator.activations"),
-    ({"bcbf": {"time_dependent": "no"}}, "bcbf.time_dependent"),
-    ({"bcbf": {"time_dependent": 1}}, "bcbf.time_dependent"),
     ({"lambda_S": "1"}, "lambda_S: expected float"),
     ({"lambda_S": True}, "lambda_S: expected float"),
     ({"balance_band": "(-0.1, 0.1)"}, "balance_band: expected tuple"),
     ({"dy_dt_source": 3}, "dy_dt_source: expected str"),
-    ({"constants": {"asymptotic": 0}}, "constants.asymptotic"),
 ])
 def test_bad_train_value_is_an_error(values, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
@@ -490,8 +496,8 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
      "alpha must be finite and positive"),
     (load_experiment, '{"filter": {"constants": {"alpha": Infinity}}}',
      "alpha must be finite and positive"),
-    (load_experiment, '{"filter": {"constants": {"alpha": 0, '
-     '"asymptotic": true}}}', "alpha must be finite and positive"),
+    (load_experiment, '{"filter": {"constants": {"alpha": 0}}}',
+     "alpha must be finite and positive"),
     (load_experiment, '{"filter": {"constants": {"T": NaN}}}',
      "T must be finite and positive"),
     (load_experiment, '{"filter": {"constants": {"T": Infinity}}}',
@@ -657,6 +663,29 @@ def test_a_barrier_time_dependence_other_than_0_or_1_exits_2(run, tmp_path,
                      {**meta, "time_dependent": "true"})
     filter_exits_2_naming(run, tmp_path, capsys, "time_dependent",
                           bar=tmp_path / "bar.ckpt")
+
+
+def test_the_asymptotic_filter_flag_is_gone(run, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([str(a) for a in (
+            "filter", "--operator", run / "op.ckpt", "--bcbf",
+            run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta", 2,
+            "--asymptotic", "--out", tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --asymptotic" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_filter_alpha_too_large_for_the_grid_exits_2(run, tmp_path,
+                                                       capsys):
+    # the run's grid has dt = 0.25, and 20 * 0.25 >= 1
+    assert main([str(a) for a in (
+        "filter", "--operator", run / "op.ckpt", "--bcbf", run / "bar.ckpt",
+        "--nominal", run / "nominal.csv", "--eta", 2, "--alpha", 20,
+        "--out", tmp_path / "out")]) == 2
+    assert "got alpha=20.0 and dt=0.25, whose product is 5.0" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tuple_items_load_as_their_declared_type():

@@ -29,7 +29,7 @@ ENV = HyperbolicConfig(beta=0.5, grid=GRID)
 def spec(tmp_path):
     op_path, bar_path = tmp_path / "op.ckpt", tmp_path / "bar.ckpt"
     BoundaryOperator(GRID, d_v=4, n_layers=2, seed=1).save(op_path)
-    BarrierFunction(time_dependent=True, seed=2).save(bar_path)
+    BarrierFunction(seed=2).save(bar_path)
     return ExperimentSpec(env=ENV, controller=SmoothRandom(seed=2),
                           safe_set=OneSidedSet(1, 1.0),
                           filter=FilterConfig(eta=1e9),
@@ -160,7 +160,7 @@ def first_infeasible_steps(spec, monkeypatch):
     infeasible step before episode 0 does. Returns the filter-on spec, the
     filter_batch calls and each episode's first infeasible step under the
     fallback policy."""
-    BarrierFunction(time_dependent=True, seed=0).save(spec.bcbf_path)
+    BarrierFunction(seed=0).save(spec.bcbf_path)
     calls, _, _ = counting_filter(monkeypatch)
     on = dataclasses.replace(spec, filter_on=True, seed=1)
     run_episodes(on)

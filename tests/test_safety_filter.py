@@ -41,7 +41,7 @@ def nominal(seed):
 
 def models(seed):
     return (BoundaryOperator(GRID, d_v=4, n_layers=2, seed=1),
-            BarrierFunction(time_dependent=True, seed=seed))
+            BarrierFunction(seed=seed))
 
 
 def parabolic_models(U0=(1.0,)):
@@ -52,7 +52,7 @@ def parabolic_models(U0=(1.0,)):
     UU = rollout(ParabolicConfig(grid=grid), [SmoothRandom(seed=0)] * len(U0),
                  U0, episode_seeds=range(len(U0))).U
     return (BoundaryOperator(grid, d_v=16, n_layers=2, seed=0),
-            BarrierFunction(time_dependent=True, seed=5),
+            BarrierFunction(seed=5),
             UU if len(U0) > 1 else UU[0])
 
 
@@ -293,6 +293,79 @@ class TestFilterBatch:
         op, bar = models(0)
         with pytest.raises(ValueError):
             filter_batch(op, bar, np.zeros((2, 7)), FilterConfig())
+
+    def test_constants_with_alpha_dt_of_1_are_rejected(self, monkeypatch):
+        # GRID has dt = 0.25, and 4 * 0.25 = 1
+        op, bar = models(0)
+        UU = np.array([nominal(0)])
+        monkeypatch.setattr(op, "forward_batch", None)
+        with pytest.raises(ConfigurationError,
+                           match="got alpha=4.0 and dt=0.25, whose product"):
+            filter_batch(op, bar, UU, FilterConfig(
+                FeasibilityConstants(alpha=4.0), eta=1e9))
+        monkeypatch.undo()
+        [report] = filter_batch(op, bar, UU, FilterConfig(
+            FeasibilityConstants(alpha=3.9), eta=1e9))
+        assert len(report.records) == GRID.M
+
+
+class Surface:
+    """Another object seen through the named attributes alone: any other
+    raises AttributeError."""
+
+    def __init__(self, target, names):
+        self.__target, self.__names = target, names
+
+    def __getattr__(self, name):
+        if name not in self.__names:
+            raise AttributeError(name)
+        return getattr(self.__target, name)
+
+
+class OperatorSurface(Surface):
+    """A BoundaryOperator seen through the surface the safety_filter module
+    docstring lists, whose caches show `start` alone; calls logs each
+    method call with the start of its cache."""
+
+    def __init__(self, op, calls):
+        super().__init__(op, ("grid",))
+        self.__op, self.__calls, self.__caches = op, calls, {}
+
+    def forward_batch(self, UU, start=0):
+        Y, cache = self.__op.forward_batch(UU, start)
+        surface = Surface(cache, ("start",))
+        self.__caches[surface] = cache
+        self.__calls.append(("forward_batch", start))
+        return Y, surface
+
+    def decomposition(self, cache, start, stop, trajectory):
+        self.__calls.append(("decomposition", cache.start))
+        return self.__op.decomposition(self.__caches[cache], start, stop,
+                                       trajectory)
+
+    def complete(self, cache, trajectories):
+        self.__calls.append(("complete", cache.start))
+        return self.__op.complete(self.__caches[cache], trajectories)
+
+
+@pytest.mark.parametrize("case, eta", [(3, 1e9), ("parabolic", 2.0)])
+def test_the_walk_reads_an_operator_through_its_documented_surface(case, eta):
+    op, bar, UU = batch_case(case)
+    config = FilterConfig(eta=eta)
+    calls = []
+    surface = OperatorSurface(op, calls)
+    with pytest.raises(AttributeError):
+        surface.predict
+    reports = filter_batch(surface, bar, UU, config)
+    # modified steps, re-forwards from later rows, and final predictions
+    # completed from their caches
+    assert all(r.n_modified > 0 for r in reports)
+    assert any(name == "forward_batch" and start > 0
+               for name, start in calls)
+    assert any(name == "complete" for name, _ in calls)
+    for report, direct in zip(reports, filter_batch(op, bar, UU, config),
+                              strict=True):
+        assert_reports_match(report, direct)
 
 
 def prediction_steps(report):

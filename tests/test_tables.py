@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import (cell_checkpoint_text, cell_dataset_text,
                      cell_read_checkpoint, cell_read_dataset,
                      cell_read_table, cell_table_text)
-from safebc.checkpoint import (CheckpointError, ConfigurationError,
-                               DatasetFormatError, read_checkpoint,
-                               read_table, write_checkpoint, write_table)
+from safebc.checkpoint import (TABLE_ROWS, CheckpointError,
+                               ConfigurationError, DatasetFormatError,
+                               read_checkpoint, read_table, write_checkpoint,
+                               write_table)
 from safebc.cli import read_metrics_csv
 from safebc.evaluation import read_episode_csv
 from safebc.pde_sim import TimeGrid, read_trajectory_csv
@@ -305,6 +306,23 @@ def test_a_table_writes_the_cell_bytes_and_reads_back_bitwise(columns):
         assert same_bits(table.data[name], columns[name].astype(dtype))
         assert same_bits(table.data[name],
                          np.array([row[j] for row in cell_rows], dtype=dtype))
+
+
+@pytest.mark.parametrize("n", [TABLE_ROWS, TABLE_ROWS + 1,
+                               2 * TABLE_ROWS + 5])
+def test_a_table_of_several_row_passes_writes_the_cell_bytes(tmp_path, n):
+    rng = np.random.default_rng(n)
+    columns = {"i": rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64),
+               "b": rng.random(n) < 0.5,
+               "f": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)}
+    write_table(tmp_path / "t.csv", columns, comments=("a=1",))
+    rows = list(zip(*(a.tolist() for a in columns.values())))
+    assert (tmp_path / "t.csv").read_bytes() == \
+        cell_table_text(tuple(columns), rows, ("a=1",)).encode()
+    table = read_table(tmp_path / "t.csv", tuple(columns), ints=("i", "b"))
+    assert same_bits(table.data["i"], columns["i"])
+    assert same_bits(table.data["b"], columns["b"].astype(np.int64))
+    assert same_bits(table.data["f"], columns["f"])
 
 
 @st.composite

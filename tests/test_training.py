@@ -194,6 +194,22 @@ def test_unknown_rate_source_is_rejected():
         TrainConfig(dy_dt_source="operatr")
 
 
+def test_a_barrier_trains_only_where_alpha_dt_is_below_1(dataset):
+    # the dataset's grid has dt = 0.25, and 4 * 0.25 = 1
+    config = small_config(constants=FeasibilityConstants(alpha=4.0))
+    with pytest.raises(ConfigurationError,
+                       match="got alpha=4.0 and dt=0.25, whose product is"):
+        train_joint(dataset, config, seed=0)
+    with pytest.raises(ConfigurationError, match="alpha=4.0"):
+        train_bcbf(dataset, None, config, seed=0)
+    # the operator alone does not read the constants
+    _, hist = train_operator(dataset, config, seed=0)
+    assert len(hist.rows) == config.operator.epochs
+    _, hist = train_bcbf(dataset, None, small_config(
+        constants=FeasibilityConstants(alpha=3.9)), seed=0)
+    assert len(hist.rows) == 3
+
+
 def test_operator_rates_need_an_operator(dataset):
     with pytest.raises(ValueError, match="requires an operator"):
         train_bcbf(dataset, None, small_config("operator"))
@@ -311,7 +327,7 @@ def test_an_operator_step_traces_each_network_once(passes, monkeypatch):
 
 
 def test_barrier_losses_trace_each_batch_once(passes):
-    bar = BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=0)
+    bar = BarrierFunction(hidden=(4, 6, 4), seed=0)
     rng = np.random.default_rng(3)
     t, Y = rng.uniform(0.0, 5.0, 8), rng.normal(size=8)
     Y0 = np.repeat(rng.normal(size=3), [2, 5, 1])
@@ -344,7 +360,7 @@ def test_a_barrier_step_traces_and_sweeps_the_barrier_twice(dataset,
     samples = _BarrierSamples(dataset, np.arange(dataset.U.shape[0]),
                               retained)
     samples.set_rates(config.dy_dt_source, None)
-    bar = BarrierFunction(time_dependent=True, hidden=(4, 6, 4), seed=0)
+    bar = BarrierFunction(hidden=(4, 6, 4), seed=0)
     bs = config.bcbf.batch_samples
     n_steps = -(-samples.bf_t.size // bs)
     assert n_steps >= 2
