@@ -100,6 +100,26 @@ def test_partials_keep_the_input_shape():
     assert dY_[2, 1] == bar.partials(grid_t[2, 1], grid_Y[2, 1])[2]
 
 
+@pytest.mark.parametrize("t_shape, Y_shape, shape", [
+    ((), (5,), (5,)), ((5,), (), (5,)), ((2, 1), (3,), (2, 3)),
+    ((3,), (2, 3), (2, 3))])
+def test_t_and_Y_broadcast_against_each_other(t_shape, Y_shape, shape):
+    bar = BarrierFunction(seed=5)
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.0, 5.0, size=t_shape)
+    Y = rng.normal(scale=2.0, size=Y_shape)
+    tt, YY = np.broadcast_arrays(t, Y)
+    phi = bar.value(t, Y)
+    assert phi.shape == shape
+    assert np.array_equal(phi, bar.value(tt.ravel(), YY.ravel()).reshape(
+        shape))
+    got = bar.partials(t, Y)
+    for k in np.ndindex(shape):
+        expect = bar.partials(float(tt[k]), float(YY[k]))
+        assert all(a.shape == shape and a[k] == b
+                   for a, b in zip(got, expect))
+
+
 def one_point_partials(bar, t, Y):
     """(phi, dphi_dt, dphi_dY) at one point from a (1, d) trace and a full
     reverse sweep, parameter gradients included."""

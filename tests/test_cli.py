@@ -445,6 +445,10 @@ def test_unknown_train_key_is_an_error_naming_its_path(values, path):
     ({"operator": {"batch_trajectories": 2.5}},
      "operator.batch_trajectories: expected int"),
     ({"operator": {"activations": "relu"}}, "operator.activations"),
+    ({"bcbf": {"margin": "0.2"}}, "bcbf.margin: expected float"),
+    ({"bcbf": {"batch_samples": 2.5}}, "bcbf.batch_samples: expected int"),
+    ({"constants": {"alpha": "0.1"}}, "constants.alpha: expected float"),
+    ({"constants": {"T": True}}, "constants.T: expected float"),
     ({"lambda_S": "1"}, "lambda_S: expected float"),
     ({"lambda_S": True}, "lambda_S: expected float"),
     ({"balance_band": "(-0.1, 0.1)"}, "balance_band: expected tuple"),
