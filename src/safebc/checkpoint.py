@@ -5,13 +5,15 @@ text chunks: atomically (temp file + rename) with LF line endings. Numbers
 are decimal text: integers and booleans as integers, floats with 17
 significant digits (`fmt`), which round-trips float64 exactly.
 
-A table or a tensor is written and read whole. The writer picks one
-%-format string for a row from the dtypes of the columns (`%d` for integer
-and boolean ones, `%.17g` for float ones) and fills the rows with it, one
-pass per TABLE_ROWS rows of a table, each pass's text written before the
-next starts. The reader parses all data lines of a table or tensor in one
-`np.loadtxt` call, which rounds each decimal to the nearest float64, so a
-write/read round trip is value-exact. Only when that parse fails are the
+A table or a tensor is written and read by whole rows, not a cell at a
+time. The writer picks one %-format string for a row from the dtypes of the
+columns (`%d` for integer and boolean ones, `%.17g` for float ones) and
+fills the rows with it, one pass per TABLE_ROWS rows of a table, each
+pass's text written before the next starts. The reader parses a tensor's
+lines in one `np.loadtxt` call, and a table's rows in one call per
+TABLE_ROWS lines as it reads the file, so a table's text is never held
+whole; np.loadtxt rounds each decimal to the nearest float64, so a
+write/read round trip is value-exact. Only when a parse fails are its
 lines scanned again one by one, to name the first bad one.
 
 Checkpoints hold the tensors of the operator or the barrier. Layout::
@@ -40,6 +42,7 @@ Readers check the header and parse the integer columns they name strictly
 header or a malformed row raises DatasetFormatError with its line number.
 """
 
+import itertools
 import math
 import os
 import uuid
@@ -50,9 +53,11 @@ import numpy as np
 
 KINDS = ("operator", "bcbf")
 
-# Rows of a table formatted in one %-pass and written at once. A pass holds
+# Rows of a table formatted in one %-pass and written at once; lines of a
+# table read at once, their rows parsed in one np.loadtxt call. A pass holds
 # its cells as Python objects and its text, so the pass, not the table, sets
-# the writer's peak; at 4096 rows a table writes no slower than in one pass.
+# the writer's peak, and the reader holds one block's lines, not the table's
+# text; at 4096 a table writes and reads no slower than in one pass.
 TABLE_ROWS = 4096
 
 
@@ -263,56 +268,72 @@ class Table(NamedTuple):
     comments: list
 
 
-def _content(lines):
+def _content(lines, start=1):
     """(line number, stripped line) of each line neither blank nor a
-    comment: a table's header and then its rows."""
-    for lineno, line in enumerate(lines, start=1):
+    comment, numbering the lines from start: a table's header and then its
+    rows."""
+    for lineno, line in enumerate(lines, start=start):
         line = line.strip()
         if line and line[0] != "#":
             yield lineno, line
+
+
+def _parse_rows(path, rows, lines, first, dtype):
+    """The structured array of `rows`, the data rows among `lines` (the
+    stripped lines of a table from line number `first` on), in one parse;
+    on failure the lines are scanned one by one to name the first bad
+    row."""
+    try:
+        return _loadtxt(rows, delimiter=",", dtype=dtype, ndmin=1)
+    except _PARSE_ERRORS:
+        for lineno, line in _content(lines, first):
+            try:
+                _loadtxt([line], delimiter=",", dtype=dtype)
+            except _PARSE_ERRORS:
+                raise DatasetFormatError(path, f"bad row {line!r}",
+                                         lineno) from None
+        raise
 
 
 def read_table(path, columns=None, ints=()):
     """Read a table back as (columns, data, comments).
 
     The header must equal `columns` when given. The columns named in `ints`
-    come back as int64, every other one as float64, all rows in one parse.
-    Blank lines are skipped; comments come back without the '#' and
-    surrounding blanks. Files with CRLF line endings read the same as LF
-    ones.
+    come back as int64, every other one as float64. The lines after the
+    header are read TABLE_ROWS at a time, and the rows among them parsed in
+    one call. Blank lines are skipped; comments, before or between the
+    rows, come back without the '#' and surrounding blanks. Files with CRLF
+    line endings read the same as LF ones.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
     comments = []
-    for h, line in enumerate(lines):
-        line = line.strip()
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif line:
-            break
-    else:
-        raise DatasetFormatError(path, "missing header")
-    header = tuple(line.split(","))
-    if columns is not None and header != tuple(columns):
-        raise DatasetFormatError(
-            path, f"header {line!r}, expected {','.join(columns)!r}", h + 1)
-    body = [line.strip() for line in lines[h + 1:]]
-    comments += [line[1:].strip() for line in body if line.startswith("#")]
-    rows = [line for line in body if line and line[0] != "#"]
-    dtype = np.dtype([(f"f{j}", np.int64 if name in ints else np.float64)
-                      for j, name in enumerate(header)])
-    parsed = np.empty(0, dtype)
-    if rows:
-        try:
-            parsed = _loadtxt(rows, delimiter=",", dtype=dtype, ndmin=1)
-        except _PARSE_ERRORS:
-            for lineno, line in _content(lines[h + 1:]):
-                try:
-                    _loadtxt([line], delimiter=",", dtype=dtype)
-                except _PARSE_ERRORS:
-                    raise DatasetFormatError(path, f"bad row {line!r}",
-                                             h + 1 + lineno) from None
-            raise
+    with open(path) as fh:
+        # last: the number of the last line read
+        for last, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            elif line:
+                break
+        else:
+            raise DatasetFormatError(path, "missing header")
+        header = tuple(line.split(","))
+        if columns is not None and header != tuple(columns):
+            raise DatasetFormatError(
+                path, f"header {line!r}, expected {','.join(columns)!r}",
+                last)
+        dtype = np.dtype([(f"f{j}", np.int64 if name in ints else np.float64)
+                          for j, name in enumerate(header)])
+        blocks = []
+        while lines := [line.strip()
+                        for line in itertools.islice(fh, TABLE_ROWS)]:
+            comments += [line[1:].strip() for line in lines
+                         if line.startswith("#")]
+            rows = [line for line in lines if line and line[0] != "#"]
+            if rows:
+                blocks.append(_parse_rows(path, rows, lines, last + 1,
+                                          dtype))
+            last += len(lines)
+    parsed = np.concatenate(blocks) if blocks else np.empty(0, dtype)
     return Table(header, {name: parsed[f"f{j}"]
                           for j, name in enumerate(header)}, comments)
 
@@ -321,5 +342,5 @@ def table_row_line(path, row):
     """The line number of data row `row` (counted from 0) of a table file,
     found by scanning its lines again."""
     with open(path) as fh:
-        content = list(_content(fh.read().split("\n")))
-    return content[row + 1][0]  # content[0] is the header
+        # the header is the first content line
+        return next(itertools.islice(_content(fh), row + 1, None))[0]

@@ -10,7 +10,9 @@ at x = 1, and are observed at a single output location:
   it holds even when the control grid is coarser than the spatial grid; the
   boundary value ramps linearly across the substeps between consecutive
   control samples, which keeps the pure-transport delay identity exact for
-  ramp inputs.
+  ramp inputs. A step copies its states once into a point-major working
+  array, one contiguous row per spatial point, and runs every substep in
+  place on those rows; each state steps bitwise as it would alone.
 
 * reaction-diffusion (parabolic): u_t = eps * u_xx + lam * u with u(0, t) = 0,
   output Y = u(0.5, t). Crank-Nicolson diffusion plus trapezoidal reaction,
@@ -170,24 +172,42 @@ def step_hyperbolic(state, u_boundary, cfg):
     The step runs cfg.substeps upwind substeps
     u_i <- u_i + (dt_sub/dx)(u_{i+1} - u_i) + dt_sub * beta * u_0 for
     i = 0..N-2, writing the (linearly ramped) boundary value into the
-    rightmost point after each substep. An overflowing state comes back
-    non-finite; the caller checks for that.
+    rightmost point after each substep. The K states (K the product of the
+    leading axes) are copied once into an (n_points, K) point-major array,
+    and each substep updates its rows in place through two preallocated
+    work arrays; the boundary values of all substeps are ramped before the
+    loop. Every state goes through the same operations in the same order
+    whatever K is, so it steps bitwise as it would alone. The result is a
+    new C-contiguous array of the states' shape; the states passed in are
+    left unchanged. An overflowing state comes back non-finite; the caller
+    checks for that.
 
     Raises ConfigurationError if the states do not have cfg.n_points
     points or a boundary value is not finite.
     """
     u, b = _check_step(state, u_boundary, cfg)
+    n = cfg.n_points
     n_sub = cfg.substeps
     dt_sub = cfg.grid.dt / n_sub
     r = dt_sub / cfg.dx
-    b_prev = u[..., -1]
-    new = u.copy()
-    for j in range(1, n_sub + 1):
-        incr = r * (new[..., 1:] - new[..., :-1]) \
-            + dt_sub * cfg.beta * new[..., :1]
-        new[..., :-1] += incr
-        new[..., -1] = b_prev + (j / n_sub) * (b - b_prev)
-    return new
+    gain = dt_sub * cfg.beta
+    # the point-major working copy: row i holds point i of every state
+    new = np.empty((n, b.size))
+    new[...] = u.reshape(b.size, n).T
+    b_prev = new[-1]
+    ramp = b_prev + (np.arange(1, n_sub + 1) / n_sub)[:, None] \
+        * (b.reshape(-1) - b_prev)
+    head, tail = new[:-1], new[1:]
+    incr = np.empty_like(head)
+    recirc = np.empty_like(b_prev)
+    for j in range(n_sub):
+        np.subtract(tail, head, out=incr)
+        incr *= r
+        np.multiply(gain, new[0], out=recirc)
+        incr += recirc
+        head += incr
+        new[-1] = ramp[j]
+    return np.ascontiguousarray(new.T).reshape(u.shape)
 
 
 def step_parabolic(state, u_boundary, cfg):
@@ -538,8 +558,9 @@ def squared_norms(states):
     """||u||^2_{L2[0,1]} of each state of a (..., n_points) array, with
     trapezoidal quadrature (numpy's trapezoid arithmetic, without its
     per-call overhead); each state's value is bitwise its own, in any
-    batch."""
-    sq = np.asarray(states, dtype=np.float64)**2
+    batch and in any memory layout (a state is summed along its own
+    contiguous row)."""
+    sq = np.ascontiguousarray(states, dtype=np.float64)**2
     dx = 1.0 / (sq.shape[-1] - 1)
     return (dx * (sq[..., 1:] + sq[..., :-1]) / 2.0).sum(axis=-1)
 

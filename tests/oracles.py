@@ -3,6 +3,11 @@
 `sequential_rollout` is the rollout loop one episode at a time, raising at
 the first non-finite step; each row of a batched `rollout` must equal it.
 
+`loop_step_hyperbolic` is the transport step on one state, each upwind
+substep as whole-array expressions over its points; `step_hyperbolic`,
+which steps a point-major copy of its states in place, must equal it
+bitwise on every state.
+
 `impulse_response` gives the plant's exact linear map from two rollouts:
 both plants are linear and time-invariant, so Y = H @ U with H built from
 the response g to U[0] (which also sets the initial profile) and the
@@ -22,7 +27,9 @@ the file formats one cell at a time (an integer cell as `str(int(v))`,
 any other one as `format(float(v), ".17g")`), and `cell_read_table`,
 `cell_read_checkpoint` and `cell_read_dataset` parse them one cell at a
 time with `int` or `float`; the columnar writers of `safebc.checkpoint`
-must write the same bytes, and its one-parse readers the same values.
+must write the same bytes, and its readers, which parse a tensor, or
+the rows of a block of table lines, per `np.loadtxt` call, the same
+values.
 
 `whole_trajectory_filter` is the safety filter as a plain loop that predicts
 the whole trajectory (output and rate split at every row) before each step
@@ -252,6 +259,25 @@ def sequential_rollout(env_cfg, controller, U0, episode_seed=None):
             raise SimulationDivergedError("step diverged", step=m)
         U[m] = u_m
     return U, states[:, out].copy(), states
+
+
+def loop_step_hyperbolic(state, u_boundary, cfg):
+    """One grid step of one (n_points,) transport plant state: each of the
+    cfg.substeps upwind substeps adds r * (u_{i+1} - u_i) + dt_sub * beta
+    * u_0 to points 0..N-2, then writes the ramped boundary value into the
+    last point."""
+    u = np.asarray(state, dtype=np.float64)
+    b = float(u_boundary)
+    n_sub = cfg.substeps
+    dt_sub = cfg.grid.dt / n_sub
+    r = dt_sub / cfg.dx
+    b_prev = u[-1]
+    new = u.copy()
+    for j in range(1, n_sub + 1):
+        incr = r * (new[1:] - new[:-1]) + dt_sub * cfg.beta * new[:1]
+        new[:-1] += incr
+        new[-1] = b_prev + (j / n_sub) * (b - b_prev)
+    return new
 
 
 def impulse_response(env_cfg):

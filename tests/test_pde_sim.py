@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import sequential_rollout
+from oracles import loop_step_hyperbolic, sequential_rollout
 from safebc import pde_sim
 from safebc.pde_sim import (ConfigurationError, Constant, FromFile,
                             HyperbolicConfig, ParabolicConfig, Proportional,
@@ -106,6 +106,33 @@ class TestTransportPlant:
         with pytest.raises(ConfigurationError):
             step_hyperbolic(np.zeros(11), np.inf, cfg)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("grid", [TimeGrid(5.0, 50), TimeGrid(5.0, 30)],
+                             ids=["courant-1", "courant-0.98"])
+    @pytest.mark.parametrize("shape", [(), (1,), (50,), (2, 3), (0,)],
+                             ids=["one", "1", "50", "2x3", "0"])
+    def test_the_step_equals_the_per_state_loop_bitwise(self, beta, grid,
+                                                        shape):
+        cfg = HyperbolicConfig(beta=beta, grid=grid)
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        states = rng.normal(size=shape + (cfg.n_points,)) \
+            * 10.0 ** rng.integers(-100, 100, shape + (1,))
+        boundary = rng.normal(size=shape)
+        assert_steps_like_the_loop(states, boundary, cfg)
+
+    @pytest.mark.parametrize("grid", [TimeGrid(5.0, 50), TimeGrid(5.0, 30)],
+                             ids=["courant-1", "courant-0.98"])
+    def test_states_holding_inf_and_nan_step_like_the_loop(self, grid):
+        cfg = HyperbolicConfig(beta=0.5, grid=grid)
+        states = np.random.default_rng(6).normal(size=(5, cfg.n_points))
+        states[0, 40] = np.inf
+        states[1, -1] = -np.inf
+        states[2, 0] = np.nan
+        states[3, [10, 70]] = np.inf, np.nan
+        states[4] *= 1e307  # overflows as it steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_steps_like_the_loop(states, np.linspace(-1, 1, 5), cfg)
+
     @pytest.mark.parametrize("n_points", [201, 11])
     def test_state_length_must_match_the_config(self, n_points):
         # dx and the substep count both come from the config, so a state
@@ -114,6 +141,25 @@ class TestTransportPlant:
         with pytest.raises(ConfigurationError,
                            match=f"{n_points}.*n_points=101"):
             step_hyperbolic(np.zeros(n_points), 0.0, cfg)
+
+
+def assert_steps_like_the_loop(states, boundary, cfg):
+    """step_hyperbolic of the states is C-contiguous, leaves them as they
+    were, and holds bitwise the per-state loop's step of each, up to the
+    sign and payload of a NaN: IEEE 754 leaves open which of two NaN
+    operands an operation passes on, and numpy's loops for one state and
+    for a batch differ in that."""
+    before = states.copy()
+    stepped = step_hyperbolic(states, boundary, cfg)
+    assert stepped.flags.c_contiguous
+    assert states.tobytes() == before.tobytes()
+    expected = np.empty_like(states)
+    for idx in np.ndindex(states.shape[:-1]):
+        expected[idx] = loop_step_hyperbolic(states[idx], boundary[idx], cfg)
+    assert stepped.shape == states.shape and stepped.dtype == np.float64
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(stepped), nan)
+    assert stepped[~nan].tobytes() == expected[~nan].tobytes()
 
 
 class TestReactionDiffusionPlant:
@@ -362,6 +408,8 @@ DIVERGING = HyperbolicConfig(beta=200.0, grid=TimeGrid(10.0, 40))
 
 TRANSPORT_05 = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 50))
 TRANSPORT_5 = HyperbolicConfig(beta=5.0, grid=TimeGrid(5.0, 50))
+# 17 substeps a grid step, each at Courant number 0.98
+TRANSPORT_SUB1 = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 30))
 DIFFUSION = ParabolicConfig(grid=TimeGrid(1.0, 80))
 
 
@@ -576,10 +624,12 @@ class TestBatchedRollout:
         for key, value in vars(shared).items():
             assert np.array_equal(value, before[key]), key
 
-    @pytest.mark.parametrize("env", [TRANSPORT_5, DIFFUSION],
-                             ids=["transport-5", "diffusion"])
+    @pytest.mark.parametrize("env", [TRANSPORT_5, TRANSPORT_SUB1, DIFFUSION],
+                             ids=["transport-5", "transport-courant-0.98",
+                                  "diffusion"])
     def test_a_stacked_step_equals_the_single_steps(self, env):
-        step = step_hyperbolic if env is TRANSPORT_5 else step_parabolic
+        step = step_hyperbolic if isinstance(env, HyperbolicConfig) \
+            else step_parabolic
         states = np.random.default_rng(3).normal(size=(2, 3, env.n_points))
         boundary = np.array([[0.1, -2.0, 3.0], [0.0, 1e-3, -0.5]])
         stacked = step(states, boundary, env)
@@ -796,6 +846,17 @@ class TestReward:
         assert np.array_equal(
             squared_norms(states),
             trapezoid(states**2, dx=0.01, axis=-1))
+
+    def test_squared_norms_do_not_depend_on_memory_layout(self):
+        states = np.random.default_rng(7).normal(size=(50, 101)) \
+            * np.logspace(-8, 8, 50)[:, None]
+        fortran = np.asfortranarray(states)
+        transposed = np.ascontiguousarray(states.T).T
+        for batch in (fortran, transposed):
+            assert not batch.flags.c_contiguous
+            norms = squared_norms(batch)
+            for b in range(50):
+                assert norms[b] == squared_norms(states[b])
 
     def test_reward_is_never_positive(self):
         rng = np.random.default_rng(0)

@@ -308,7 +308,7 @@ def test_a_table_writes_the_cell_bytes_and_reads_back_bitwise(columns):
                          np.array([row[j] for row in cell_rows], dtype=dtype))
 
 
-@pytest.mark.parametrize("n", [TABLE_ROWS, TABLE_ROWS + 1,
+@pytest.mark.parametrize("n", [TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1,
                                2 * TABLE_ROWS + 5])
 def test_a_table_of_several_row_passes_writes_the_cell_bytes(tmp_path, n):
     rng = np.random.default_rng(n)
@@ -323,6 +323,59 @@ def test_a_table_of_several_row_passes_writes_the_cell_bytes(tmp_path, n):
     assert same_bits(table.data["i"], columns["i"])
     assert same_bits(table.data["b"], columns["b"].astype(np.int64))
     assert same_bits(table.data["f"], columns["f"])
+
+
+def block_table_text(rows, gaps, bad=()):
+    """A table of `rows` rows of cells (i, i + 0.25) after a comment and
+    the header; after each row in `gaps` come a blank line and a comment,
+    and each row in `bad` has the cell x for its float. Also returns each
+    row's line number."""
+    lines, row_lines = ["# a=1", "i,f"], []
+    for k in range(rows):
+        lines.append(f"{k},{'x' if k in bad else k + 0.25}")
+        row_lines.append(len(lines))
+        if k in gaps:
+            lines += ["", f"# after row {k}"]
+    return "\n".join(lines) + "\n", row_lines
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("n", [TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1,
+                               2 * TABLE_ROWS + 5])
+def test_blocks_of_rows_read_like_the_cell_reader(tmp_path, n, crlf):
+    # blank lines and comments after the first row, around the first block
+    # edge and before the last row
+    gaps = {0, TABLE_ROWS - 4, TABLE_ROWS, n - 2}
+    text, _ = block_table_text(n, gaps)
+    path = tmp_path / "t.csv"
+    path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    table = read_table(path, ("i", "f"), ints=("i",))
+    _, rows, comments = cell_read_table(path, [int, float])
+    assert len(rows) == n
+    assert table.comments == comments
+    assert len(comments) == 1 + len(gaps & set(range(n)))
+    for j, (name, dtype) in enumerate((("i", np.int64), ("f", np.float64))):
+        assert same_bits(table.data[name],
+                         np.array([row[j] for row in rows], dtype=dtype))
+
+
+@pytest.mark.parametrize("gaps", [(), (0, TABLE_ROWS - 2)],
+                         ids=["rows-only", "gaps"])
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("bad", [TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1])
+def test_a_bad_row_at_a_block_edge_is_named_by_its_line(tmp_path, bad, crlf,
+                                                         gaps):
+    # without gaps, rows TABLE_ROWS - 1 and TABLE_ROWS end and start a
+    # block; a later bad row, in the same block or the next, is not the one
+    # named
+    text, row_lines = block_table_text(2 * TABLE_ROWS + 5, set(gaps),
+                                       bad={bad, bad + 2})
+    path = tmp_path / "t.csv"
+    path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+    with pytest.raises(DatasetFormatError) as err:
+        read_table(path, ("i", "f"), ints=("i",))
+    assert err.value.line == row_lines[bad]
+    assert str(err.value) == f"{path}:{row_lines[bad]}: bad row '{bad},x'"
 
 
 @st.composite
