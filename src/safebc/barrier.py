@@ -17,7 +17,10 @@ explicit sequences, where it holds only for some of them.
 Training shapes phi with two losses, each one trace and one reverse sweep
 of its own samples: `loss_safe_set` takes the class hinges and the sublevel
 margin on labeled samples, and `loss_decrease_condition` the residual hinge
-on rate samples together with their distinct initial values.
+on rate samples together with their distinct initial values. Both take an
+optional `WorkStore` for those passes. Each consumes its trace before it
+returns, so the two can share one store, which then holds the larger of
+their passes' arrays.
 """
 
 from dataclasses import dataclass, field
@@ -129,7 +132,7 @@ class BarrierFunction:
 
 
 def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel, lambda_S,
-                  reg_weight, margin):
+                  reg_weight, margin, store=None):
     """Classification hinge and sublevel margin from one pass of the
     labeled samples.
 
@@ -141,7 +144,9 @@ def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel, lambda_S,
     the decision boundary. Returns (L_S, reg, grads) with grads the gradient
     of lambda_S * L_S + reg_weight * reg. A term whose weight is not
     positive is left out and reads 0; without L_S the unsafe samples are
-    not traced. Raises if both classes are empty.
+    not traced. Raises if both classes are empty. The pass runs in the
+    store's buffers when one is given (`nets.WorkStore`); the results are
+    the same bit for bit, and none of them aliases the store.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     Y = np.ravel(np.asarray(Y, dtype=float))
@@ -152,7 +157,7 @@ def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel, lambda_S,
     unsafe = unsafe & (lambda_S > 0)
     rows = safe | unsafe
     x, _ = bar._inputs(t[rows], Y[rows])
-    tr = bar.net.trace(x)
+    tr = bar.net.trace(x, store=store)
     phi = tr.output[:, 0]
     safe, unsafe = safe[rows], unsafe[rows]
     n_s, n_u = int(safe.sum()), int(unsafe.sum())
@@ -169,11 +174,11 @@ def loss_safe_set(bar, t, Y, suffix_safe_sel, unsafe_sel, lambda_S,
         h = phi[safe] + margin
         reg = float(np.sum(np.maximum(h, 0.0))) / n_s
         up[safe] += reg_weight * (h > 0.0) / n_s
-    grads, _ = bar.net.reverse(tr, up[:, None])
+    grads, _ = bar.net.reverse(tr, up[:, None], store=store)
     return loss, reg, grads
 
 
-def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
+def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants, store=None):
     """Hinge of the decrease-condition residual at each sample.
 
     Y0 carries the initial boundary value of the trajectory each sample came
@@ -181,7 +186,9 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
     caller (trajectory finite differences or an operator decomposition).
     The samples and the distinct (0, Y0) points are traced as one batch, the
     points with a zero direction, and swept once: each point's upstream is
-    the sum of the C-term upstreams of its samples.
+    the sum of the C-term upstreams of its samples. The pass runs in the
+    store's buffers when one is given (`nets.WorkStore`); the results are
+    the same bit for bit, and none of them aliases the store.
     """
     t = np.ravel(np.asarray(t, dtype=float))
     Y = np.ravel(np.asarray(Y, dtype=float))
@@ -197,7 +204,7 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
                        np.concatenate([Y, Y0s]))
     d = np.zeros_like(x)
     d[:n, 0], d[:n, 1] = 1.0, dY_dt
-    tr = bar.net.trace(x, d)
+    tr = bar.net.trace(x, d, store=store)
     phi = tr.output[:, 0]
     resid = constants.residual(tr.tangents[-1][:n, 0], phi[:n],
                                phi[n:][point])
@@ -209,7 +216,8 @@ def loss_decrease_condition(bar, t, Y, dY_dt, Y0, constants):
     upstream = np.concatenate([constants.alpha * up, constants.C
                                * np.bincount(point, weights=up, minlength=k)])
     grads, _ = bar.net.reverse(tr, upstream[:, None],
-                               np.concatenate([up, np.zeros(k)])[:, None])
+                               np.concatenate([up, np.zeros(k)])[:, None],
+                               store=store)
     return loss, grads
 
 

@@ -10,6 +10,7 @@ one --seed flag.
 
 import argparse
 import json
+import os
 import sys
 import typing
 from dataclasses import fields, is_dataclass, replace
@@ -210,7 +211,12 @@ def _cmd_train_bcbf(args):
         op, bar, history = train_joint(ds, cfg, seed=args.seed)
         op.save(args.operator_out)
     else:
-        op = BoundaryOperator.load(args.operator) if args.operator else None
+        if args.operator and not os.path.isfile(args.operator):
+            raise ConfigurationError(
+                f"--operator {args.operator}: no such checkpoint file")
+        # only operator rates read the operator
+        op = BoundaryOperator.load(args.operator) \
+            if args.operator and cfg.dy_dt_source == "operator" else None
         bar, history = train_bcbf(ds, op, cfg, seed=args.seed)
     bar.save(args.out)
     _finish_history(history, args.history)
@@ -272,14 +278,7 @@ def _add_env_flags(p):
     p.add_argument("--grid-M", type=int, default=None, dest="grid_M")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="safebc",
-        description="safe PDE boundary control: simulators, operator and "
-                    "barrier training, QP safety filtering, evaluation")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="roll out one closed-loop episode")
+def _simulate_flags(p):
     _add_env_flags(p)
     p.add_argument("--controller", required=True)
     p.add_argument("--U0", type=float, required=True)
@@ -287,9 +286,9 @@ def build_parser():
     p.add_argument("--out", required=True, help="state snapshot CSV")
     p.add_argument("--trajectory-out", default=None,
                    help="optional boundary trajectory CSV")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("collect", help="collect a labeled trajectory dataset")
+
+def _collect_flags(p):
     _add_env_flags(p)
     p.add_argument("--controller", action="append", required=True,
                    help="repeatable; cycled round-robin over episodes")
@@ -299,17 +298,17 @@ def build_parser():
     p.add_argument("--safe-set", default="Y<1", dest="safe_set")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_collect)
 
-    p = sub.add_parser("train-operator", help="fit the boundary operator")
+
+def _train_operator_flags(p):
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", default=None, help="JSON train config")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="operator checkpoint path")
     p.add_argument("--history", default=None, help="history CSV path")
-    p.set_defaults(func=_cmd_train_operator)
 
-    p = sub.add_parser("train-bcbf", help="fit the barrier function")
+
+def _train_bcbf_flags(p):
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", default=None, help="JSON train config")
     p.add_argument("--operator", default=None,
@@ -319,9 +318,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="barrier checkpoint path")
     p.add_argument("--history", default=None, help="history CSV path")
-    p.set_defaults(func=_cmd_train_bcbf)
 
-    p = sub.add_parser("filter", help="filter a nominal input trajectory")
+
+def _filter_flags(p):
     p.add_argument("--operator", required=True)
     p.add_argument("--bcbf", required=True)
     p.add_argument("--nominal", required=True,
@@ -334,9 +333,9 @@ def build_parser():
                    choices=INFEASIBLE_POLICIES)
     p.add_argument("--out", required=True, help="filtered trajectory CSV")
     p.add_argument("--report", default=None, help="per-step report CSV")
-    p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("evaluate", help="run one evaluation experiment")
+
+def _evaluate_flags(p):
     p.add_argument("--spec", required=True, help="JSON experiment spec")
     p.add_argument("--seed", type=int, default=None,
                    help="override the spec seed")
@@ -344,27 +343,66 @@ def build_parser():
     p.add_argument("--out", required=True, help="metrics CSV")
     p.add_argument("--episodes-out", default=None, dest="episodes_out",
                    help="per-episode CSV")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("report", help="tabulate saved metrics")
+
+def _report_flags(p):
     p.add_argument("--row", action="append", required=True,
                    help="NAME=METRICS_CSV; repeatable, order preserved")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("sweep", help="threshold sweep with shared seeds")
+
+def _sweep_flags(p):
     p.add_argument("--spec", required=True)
     p.add_argument("--etas", required=True, help="comma-separated thresholds")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="per-eta metrics CSV")
-    p.set_defaults(func=_cmd_sweep)
 
+
+# every subcommand: its help line, its body and the function that adds its
+# flags, in the order the top-level help lists them
+COMMANDS = {
+    "simulate": ("roll out one closed-loop episode", _cmd_simulate,
+                 _simulate_flags),
+    "collect": ("collect a labeled trajectory dataset", _cmd_collect,
+                _collect_flags),
+    "train-operator": ("fit the boundary operator", _cmd_train_operator,
+                       _train_operator_flags),
+    "train-bcbf": ("fit the barrier function", _cmd_train_bcbf,
+                   _train_bcbf_flags),
+    "filter": ("filter a nominal input trajectory", _cmd_filter,
+               _filter_flags),
+    "evaluate": ("run one evaluation experiment", _cmd_evaluate,
+                 _evaluate_flags),
+    "report": ("tabulate saved metrics", _cmd_report, _report_flags),
+    "sweep": ("threshold sweep with shared seeds", _cmd_sweep, _sweep_flags),
+}
+
+
+def build_parser(command=None):
+    """The command-line parser. With command, the name of a subcommand, it
+    holds that subcommand alone, which parses that subcommand's arguments
+    and prints its help as the whole parser does; otherwise it holds all of
+    them. The top-level usage names every subcommand either way."""
+    parser = argparse.ArgumentParser(
+        prog="safebc",
+        description="safe PDE boundary control: simulators, operator and "
+                    "barrier training, QP safety filtering, evaluation")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(COMMANDS))
+    for name, (help_, func, add_flags) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds the parser of the subcommand it names alone; anything
+    # else, such as --help or a missing or unknown command, gets all of them
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(name).parse_args(argv)
     try:
         args.func(args)
     except Exception as exc:  # CLI contract: nonzero exit, message on stderr

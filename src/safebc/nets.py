@@ -16,9 +16,24 @@ per stacked row, so each row is bitwise the row evaluated alone (a multi-row
 product may round differently from a one-row one). Parameter gradients sum
 over every leading axis.
 
+Both passes compute each layer in place: one product, then the bias, the
+ReLU and the mask applied to that product's own array. A caller that runs
+many passes, such as a training loop, can hand both a `WorkStore` it keeps.
+Each layer array of a pass is then written into the leading elements of the
+store's buffer for that array, which grows only for a larger batch, so the
+passes reuse their memory instead of faulting in fresh pages. The values
+are the same with a store and without one, bit for bit. A trace made with a
+store aliases it: its layer outputs (from inputs[1] on, so the output too),
+its masks and its tangents (from tangents[1] on) are store buffers, as is
+the dx of a sweep with a store. Each stays valid until the next pass with
+that store. inputs[0], tangents[0] and the parameter gradients never alias
+it. A pass without a store allocates its arrays as it goes.
+
 Everything is float64 numpy. Reductions run in fixed index order so repeated
 runs with the same seed are bitwise identical on the same machine.
 """
+
+import math
 
 import numpy as np
 
@@ -43,6 +58,27 @@ def _as_batch(x, dim, name="x"):
 def _rows(a):
     """The batch's rows as one (N, d) matrix; a (B, d) batch is itself."""
     return a.reshape(-1, a.shape[-1])
+
+
+class WorkStore:
+    """Work arrays that the passes of one caller reuse.
+
+    Each key names one flat buffer. `array(key, shape)` returns its leading
+    elements as a C-ordered array of that shape, and replaces the buffer
+    only when it is too small, so a pass over a batch no larger than an
+    earlier one allocates nothing. An array stays valid until the next
+    request of its key.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, key, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 class Trace:
@@ -110,10 +146,12 @@ class Mlp:
         """Evaluate the network on a (..., d_in) batch."""
         return self.trace(x).output
 
-    def trace(self, x, d=None):
+    def trace(self, x, d=None, store=None):
         """The one forward pass over a (..., d_in) batch x, carrying the
         tangent d (same shape as x) when given, with the activation pattern
         frozen at x. At a ReLU kink the inactive subgradient (0) is used.
+        With a store (a `WorkStore`), the layer arrays are the store's
+        buffers, valid until its next pass.
         """
         a = _as_batch(x, self.in_dim)
         tr = Trace([a], [], [])
@@ -123,16 +161,33 @@ class Mlp:
             if u.shape != a.shape:
                 raise ValueError("direction batch size does not match x")
             tr.tangents.append(u)
+        batch = a.shape[:-1]
         last = len(self.weights) - 1
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W.T + b
-            mask = z > 0.0 if k < last else None
-            a = z if mask is None else np.maximum(z, 0.0)
+            if store is None:
+                z = a @ W.T
+            else:
+                z = np.matmul(a, W.T, out=store.array(
+                    ("z", k), batch + (W.shape[0],)))
+            z += b
+            mask = None
+            if k < last:
+                if store is None:
+                    mask = z > 0.0
+                else:
+                    mask = np.greater(z, 0.0, out=store.array(
+                        ("mask", k), z.shape, bool))
+                np.maximum(z, 0.0, out=z)
+            a = z
             tr.inputs.append(a)
             tr.masks.append(mask)
             if u is not None:
-                u = u @ W.T
-                u = u if mask is None else u * mask
+                if store is None:
+                    u = u @ W.T
+                else:
+                    u = np.matmul(u, W.T, out=store.array(("u", k), z.shape))
+                if mask is not None:
+                    u *= mask
                 tr.tangents.append(u)
         return tr
 
@@ -143,7 +198,7 @@ class Mlp:
         return up
 
     def reverse(self, trace, upstream=None, tangent_upstream=None,
-                param_grads=True):
+                param_grads=True, store=None):
         """The one reverse sweep over a trace of this network.
 
         Returns (grads, dx): the parameter gradients, in params() order and
@@ -156,7 +211,9 @@ class Mlp:
         gradients. The trace's output entry is not read. With
         param_grads=False the sweep computes dx only and grads is None; a
         tangent upstream, which only reaches the parameters, is then an
-        error.
+        error. With a store, the sweep's arrays, dx among them, are the
+        store's buffers (two per upstream, used in turn), and the trace may
+        be one made with the same store.
         """
         batch = trace.inputs[0].shape[:-1]
         delta = np.zeros(batch + (self.out_dim,)) if upstream is None \
@@ -171,17 +228,28 @@ class Mlp:
         n = len(self.weights)
         grads = [None] * (2 * n) if param_grads else None
         for k in range(n - 1, -1, -1):
+            W = self.weights[k]
             # the final layer is linear, so the upstreams are dL/dz there
             if param_grads:
                 grads[2 * k] = _rows(delta).T @ _rows(trace.inputs[k])
                 grads[2 * k + 1] = _rows(delta).sum(axis=0)
-            delta = delta @ self.weights[k]
+            # from here on delta and g are the sweep's own arrays
+            if store is None:
+                delta = delta @ W
+            else:
+                delta = np.matmul(delta, W, out=store.array(
+                    ("delta", k % 2), batch + (W.shape[1],)))
             if g is not None:
                 grads[2 * k] += _rows(g).T @ _rows(trace.tangents[k])
-                g = g @ self.weights[k]
+                if store is None:
+                    g = g @ W
+                else:
+                    g = np.matmul(g, W, out=store.array(
+                        ("g", k % 2), delta.shape))
             if k > 0:
-                delta = delta * trace.masks[k - 1]
-                g = None if g is None else g * trace.masks[k - 1]
+                delta *= trace.masks[k - 1]
+                if g is not None:
+                    g *= trace.masks[k - 1]
         return grads, delta
 
     def tensors(self, prefix=""):

@@ -39,12 +39,15 @@ a training step takes the right-hand side, through the hidden features H
 which at a batch of many trajectories and a backward pass costs fewer
 multiply-adds, but never holds the whole kernel table (n*d_out, n*d_in):
 it builds the table's rows from H and W1 in blocks of KERNEL_ROWS output
-rows, applies each block and drops it, and builds each block again in the
-backward pass (rebuilding in place of storing, as in Chen et al., arXiv
-1604.06174). The hidden traces and the bias traces sit in one entry keyed
-by the exact bytes of the grid and the parameters, the same for training
-and inference; each forward cache carries its entry, so the rate split and
-the backward pass read their own pass's.
+rows, applies each block before building the next, and builds each block
+again in the backward pass (rebuilding in place of storing, as in Chen et
+al., arXiv 1604.06174). Every block of every step is written into the same
+two arrays, which the operator makes on its first training step and keeps,
+so the steps of a fit reuse their memory; no other pass touches them. The
+hidden traces and the bias traces sit in one entry keyed by the exact bytes
+of the grid and the parameters, the same for training and inference; each
+forward cache carries its entry, so the rate split and the backward pass
+read their own pass's.
 
 `forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
 only: each earlier layer runs in full, as the last one's integral reads its
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
-from .nets import Mlp, Trace, subseed
+from .nets import Mlp, Trace, WorkStore, subseed
 from .pde_sim import ConfigurationError, TimeGrid
 
 # Output rows of a layer's kernel that a training step builds at once, a
@@ -181,6 +184,7 @@ class BoundaryOperator:
         self.Q = Mlp([d_v, 1], seed=subseed(seed, 99))
         self._weights = trapezoid_weights(grid)
         self._tables = None
+        self._blocks = None  # a training step's block arrays (`_block_arrays`)
 
     # -- parameters -------------------------------------------------------
 
@@ -226,18 +230,37 @@ class BoundaryOperator:
         self._tables = TableEntry(key, layers)
         return self._tables
 
+    def _block_arrays(self, layer, rows):
+        """The two arrays that hold a block of `rows` kernel rows of a
+        layer: pair-major, (rows*n, d_out*d_in), one row per (t_m, t_j)
+        pair as the kernel network's output layer gives it, and row-major,
+        (rows*d_out, n*d_in), the block of the kernel table. They are views
+        of two buffers that the operator makes on its first training step
+        and keeps for every later block, of any layer and any step."""
+        if self._blocks is None:
+            self._blocks = WorkStore()
+        n, do, di = self.grid.M + 1, layer.dim_out, layer.dim_in
+        return (self._blocks.array("pair-major", (rows * n, do * di)),
+                self._blocks.array("row-major", (rows * do, n * di)))
+
     def _kernel_rows(self, li, tables, lo, hi):
         """Rows [lo, hi) of layer li's kernel as an ((hi-lo)*d_out, n*d_in)
         matrix: the kernel network's output layer on H's rows for them,
-        H W1^T + b1, as Mlp.trace computes it. A training step builds it a
-        block of KERNEL_ROWS rows at a time and keeps none."""
+        H W1^T + b1, as Mlp.trace computes it, written into the pair-major
+        block array and copied, transposed, into the row-major one. It
+        returns a view of the row-major array, which the next block
+        overwrites: a training step builds one block of KERNEL_ROWS rows at
+        a time and applies it before building the next."""
         layer = self.layers[li]
-        n = self.grid.M + 1
+        n, do, di = self.grid.M + 1, layer.dim_out, layer.dim_in
         _, _, W1, b1 = layer.kappa.params()
         H = tables.layers[li].kappa_trace.inputs[1][lo * n:hi * n]
-        K = (H @ W1.T + b1).reshape(hi - lo, n, layer.dim_out, layer.dim_in)
-        return K.transpose(0, 2, 1, 3).reshape((hi - lo) * layer.dim_out,
-                                               n * layer.dim_in)
+        pair_major, row_major = self._block_arrays(layer, hi - lo)
+        np.matmul(H, W1.T, out=pair_major)
+        pair_major += b1
+        np.copyto(row_major.reshape(hi - lo, do, n, di),
+                  pair_major.reshape(hi - lo, n, do, di).transpose(0, 2, 1, 3))
+        return row_major
 
     # -- forward -----------------------------------------------------------
 
@@ -406,10 +429,13 @@ class BoundaryOperator:
 
         Each layer's kernel runs as a table of rows, KERNEL_ROWS output
         rows (KERNEL_ROWS*d_out by n*d_in) at a time: the forward builds a
-        block from H's rows, applies it to the batch and drops it, and the
-        backward builds it again to carry the input gradient through it.
-        So a step holds the entry's (n*n, h) hidden features and one block,
-        never an n*n*d_out*d_in kernel."""
+        block from H's rows and applies it to the batch before building the
+        next, and the backward builds it again to carry the input gradient
+        through it. So a step holds the entry's (n*n, h) hidden features and
+        one block, never an n*n*d_out*d_in kernel. Every block, and the
+        backward's kernel-network upstream of a block, is written into the
+        operator's two block arrays (`_block_arrays`), which the first step
+        makes and every later step reuses; the results never alias them."""
         UU = np.asarray(UU, dtype=float)
         YY = np.asarray(YY, dtype=float)
         if YY.shape != UU.shape:
@@ -470,9 +496,14 @@ class BoundaryOperator:
             for lo in range(0, n, KERNEL_ROWS):
                 hi = min(lo + KERNEL_ROWS, n)
                 dz_rows = dz_flat[:, lo * do:hi * do]
-                # the kernel's gradient at the block's (t_m, t_j) pairs
-                up = (dz_rows.T @ vw).reshape(hi - lo, do, n, di)
-                up = up.transpose(0, 2, 1, 3).reshape(-1, do * di)
+                # the kernel's gradient at the block's (t_m, t_j) pairs, a
+                # block of the table's rows and then one row per pair; the
+                # sweep consumes it before the block arrays are built again
+                up, up_rows = self._block_arrays(layer, hi - lo)
+                np.matmul(dz_rows.T, vw, out=up_rows)
+                np.copyto(up.reshape(hi - lo, n, do, di),
+                          up_rows.reshape(hi - lo, do, n, di)
+                          .transpose(0, 2, 1, 3))
                 rows = slice(lo * n, hi * n)
                 block_grads, _ = layer.kappa.reverse(
                     Trace([pairs[rows], H[rows]], [hidden_mask[rows]], []), up)

@@ -6,11 +6,12 @@ regression loss L_G, the barrier lambda_S * L_S + lambda_BF * L_BF +
 reg_weight * reg under the decrease-condition constants config.constants.
 A barrier step makes two loss calls, `loss_safe_set` on labeled samples
 and `loss_decrease_condition` on rate samples, and each traces and sweeps
-the barrier network once. Each part draws from its own seeded random
-stream. Two-phase training (the default) fits the operator first with
-`train_operator`, then shapes the barrier with `train_bcbf` on the labeled
-dataset with that operator frozen. Both are presets of the loop that set
-the other part's epochs to 0, so they reduce to it by construction.
+the barrier network once, in one work store that the run keeps for both.
+Each part draws from its own seeded random stream. Two-phase training (the
+default) fits the operator first with `train_operator`, then shapes the
+barrier with `train_bcbf` on the labeled dataset with that operator
+frozen. Both are presets of the loop that set the other part's epochs to
+0, so they reduce to it by construction.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 from .barrier import (BarrierFunction, FeasibilityConstants,
                       loss_decrease_condition, loss_safe_set)
 from .checkpoint import ConfigurationError, fmt, read_table, write_table
-from .nets import Adam, subseed
+from .nets import Adam, WorkStore, subseed
 from .neural_operator import BoundaryOperator, check_architecture, mean_square
 from .trajectories import balance_near_zero, split, suffix_safe_mask
 
@@ -253,7 +254,7 @@ def _cyclic_chunk(order, start, size):
     return order[idx]
 
 
-def _barrier_epoch(bar, adam, samples, config, rng):
+def _barrier_epoch(bar, adam, samples, config, rng, store=None):
     sched = config.bcbf
     bs = sched.batch_samples
     order_bf = rng.permutation(samples.bf_t.size)
@@ -272,7 +273,8 @@ def _barrier_epoch(bar, adam, samples, config, rng):
             is_safe = np.arange(sel.size) < safe_sel.size
             ls, reg, gs = loss_safe_set(
                 bar, samples.cls_t[sel], samples.cls_Y[sel], is_safe,
-                ~is_safe, config.lambda_S, sched.reg_weight, sched.margin)
+                ~is_safe, config.lambda_S, sched.reg_weight, sched.margin,
+                store=store)
             sums["L_S"] += ls
             sums["reg"] += reg
             for g, e in zip(grads, gs):
@@ -283,7 +285,7 @@ def _barrier_epoch(bar, adam, samples, config, rng):
                 lb, gb = loss_decrease_condition(
                     bar, samples.bf_t[sel], samples.bf_Y[sel],
                     samples.bf_dY[sel], samples.bf_Y0[sel],
-                    config.constants)
+                    config.constants, store=store)
                 sums["L_BF"] += lb
                 for g, e in zip(grads, gb):
                     g += config.lambda_BF * e
@@ -366,6 +368,8 @@ def train_joint(dataset, config, seed=0, operator=None):
             raise ValueError(
                 "barrier training needs both safe and unsafe samples")
         adam_bar = Adam(bar.params(), lr=sched_bf.lr)
+        # the barrier passes' work arrays, reused by every step of the run
+        store = WorkStore()
         rng_bar = np.random.default_rng(subseed(seed, 12))
 
     history = TrainHistory(weights=_weight_record(config))
@@ -390,7 +394,7 @@ def train_joint(dataset, config, seed=0, operator=None):
                 if moving_rates and epoch < sched_op.epochs:
                     samples.set_rates(config.dy_dt_source, op)
                 means = _barrier_epoch(bar, adam_bar, samples, config,
-                                       rng_bar)
+                                       rng_bar, store)
                 row.update(L_S=means["L_S"], L_BF=means["L_BF"],
                            reg=means["reg"],
                            val_sign_err=_sign_error(bar, vsamples))

@@ -15,6 +15,7 @@ from safebc.barrier import (BarrierFunction, FeasibilityConstants,
                             loss_decrease_condition, loss_safe_set)
 from safebc.checkpoint import (ConfigurationError, read_checkpoint,
                                write_checkpoint)
+from safebc.nets import WorkStore
 
 
 def pre_activations(net, x):
@@ -296,6 +297,36 @@ def test_decrease_condition_loss_matches_the_per_sample_oracle(n_y0):
     assert ref_loss > 0.0
     assert_within_ulp(loss, ref_loss)
     assert_grads_close(grads, ref_grads)
+
+
+def test_the_losses_in_one_shared_store_are_the_losses_without_one():
+    """The two losses of a barrier step share one work store, at batch
+    sizes that shrink and grow, and give the store-less results bit for
+    bit; none of their results aliases the store."""
+    bar = small_barrier(15)
+    constants = FeasibilityConstants(alpha=0.3, T=5.0)
+    rng = np.random.default_rng(16)
+    store = WorkStore()
+    for size in (60, 17, 60):
+        t = rng.uniform(0.0, 5.0, size=size)
+        Y = rng.normal(scale=2.0, size=size)
+        bar.net.biases[-1] -= np.median(bar.value(t, Y))
+        safe = rng.random(size) < 0.5
+        dY_dt = rng.normal(scale=3.0, size=size)
+        Y0 = rng.choice(rng.normal(scale=2.0, size=5), size=size)
+        calls = [
+            lambda store: loss_safe_set(bar, t, Y, safe, ~safe, 1.0, 0.5,
+                                        0.1, store=store),
+            lambda store: loss_decrease_condition(bar, t, Y, dY_dt, Y0,
+                                                  constants, store=store)]
+        for call in calls:
+            *alone, alone_grads = call(None)
+            *stored, stored_grads = call(store)
+            assert stored == alone
+            for g, h in zip(stored_grads, alone_grads, strict=True):
+                assert g.tobytes() == h.tobytes()
+                assert not any(np.shares_memory(g, b)
+                               for b in store._buffers.values())
 
 
 def test_residual_sums_rate_alpha_and_c_terms_in_that_order():

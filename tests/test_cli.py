@@ -15,8 +15,8 @@ import pytest
 import safebc
 from safebc.barrier import BarrierFunction, FeasibilityConstants
 from safebc.checkpoint import read_checkpoint, write_checkpoint
-from safebc.cli import (build_parser, load_config, load_experiment, main,
-                        read_metrics_csv)
+from safebc.cli import (COMMANDS, build_parser, load_config, load_experiment,
+                        main, read_metrics_csv)
 from safebc.evaluation import ExperimentSpec
 from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
@@ -235,6 +235,54 @@ def test_operator_out_trains_jointly_and_writes_both_checkpoints(run,
                    for a, b in zip(saved, model.params()))
 
 
+def test_data_fd_rates_do_not_read_the_operator(run, tmp_path):
+    # a file that is no checkpoint is never opened under trajectory rates
+    (tmp_path / "not_a_checkpoint").write_text("not a checkpoint\n")
+    for name, operator in (("with.ckpt", ["--operator",
+                                          tmp_path / "not_a_checkpoint"]),
+                           ("without.ckpt", [])):
+        assert main([str(a) for a in (
+            "train-bcbf", "--dataset", run / "data.csv", "--config",
+            run / "train.json", *operator, "--out", tmp_path / name)]) == 0
+    assert (tmp_path / "with.ckpt").read_bytes() == \
+        (tmp_path / "without.ckpt").read_bytes()
+    assert (tmp_path / "with.ckpt").read_bytes() == \
+        (run / "bar.ckpt").read_bytes()
+
+
+def test_operator_rates_load_the_operator_checkpoint(run, tmp_path, capsys):
+    config = tmp_path / "rates.json"
+    config.write_text(json.dumps({"dy_dt_source": "operator",
+                                  "bcbf": {"epochs": 1,
+                                           "batch_samples": 64}}))
+    (tmp_path / "not_a_checkpoint").write_text("not a checkpoint\n")
+    rc = main([str(a) for a in (
+        "train-bcbf", "--dataset", run / "data.csv", "--config", config,
+        "--operator", tmp_path / "not_a_checkpoint",
+        "--out", tmp_path / "bar.ckpt")])
+    assert rc == 2
+    assert "not_a_checkpoint: not a CKPT v1 file" in capsys.readouterr().err
+    assert not (tmp_path / "bar.ckpt").exists()
+    assert main([str(a) for a in (
+        "train-bcbf", "--dataset", run / "data.csv", "--config", config,
+        "--operator", run / "op.ckpt", "--out", tmp_path / "bar.ckpt")]) == 0
+
+
+@pytest.mark.parametrize("rates", ["data-fd", "operator"])
+def test_a_missing_operator_checkpoint_exits_2_naming_it(run, tmp_path,
+                                                         capsys, rates):
+    config = tmp_path / "rates.json"
+    config.write_text(json.dumps({"dy_dt_source": rates}))
+    missing = tmp_path / "missing.ckpt"
+    rc = main([str(a) for a in (
+        "train-bcbf", "--dataset", run / "data.csv", "--config", config,
+        "--operator", missing, "--out", tmp_path / "bar.ckpt")])
+    assert rc == 2
+    assert f"error: --operator {missing}: no such checkpoint file" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "bar.ckpt").exists()
+
+
 @pytest.mark.parametrize("command, kind, values, key", [
     ("train-bcbf", "--config", {"mode": "joint"}, "mode"),
     ("train-operator", "--config", {"lambda_G": 0.0}, "lambda_G"),
@@ -274,6 +322,89 @@ def test_filter_flag_defaults_are_the_filter_config_defaults():
     config = FilterConfig(FeasibilityConstants(args.alpha, args.T),
                           args.eta, args.policy)
     assert config == FilterConfig()
+
+
+# one valid command line of each subcommand
+ARGV = {
+    "simulate": ["--controller", "smooth", "--U0", "1", "--out", "s.csv",
+                 "--grid-M", "30"],
+    "collect": ["--controller", "smooth", "--controller", "constant",
+                "--episodes", "2", "--u0-min", "0", "--u0-max", "1",
+                "--out", "d.csv"],
+    "train-operator": ["--dataset", "d.csv", "--out", "op.ckpt"],
+    "train-bcbf": ["--dataset", "d.csv", "--operator", "op.ckpt",
+                   "--out", "bar.ckpt", "--seed", "3"],
+    "filter": ["--operator", "o", "--bcbf", "b", "--nominal", "n",
+               "--out", "f", "--eta", "2"],
+    "evaluate": ["--spec", "s.json", "--out", "m.csv"],
+    "report": ["--row", "a=a.csv", "--row", "b=b.csv"],
+    "sweep": ["--spec", "s.json", "--etas", "0,1", "--out", "w.csv"],
+}
+
+
+def test_every_subcommand_has_a_sample_command_line():
+    assert ARGV.keys() == COMMANDS.keys()
+    assert len(COMMANDS) == 8
+
+
+@pytest.mark.parametrize("command", list(ARGV))
+def test_a_one_command_parser_reads_as_the_whole_parser(command, capsys):
+    one, whole = build_parser(command), build_parser()
+    subparsers = one._subparsers._group_actions[0]
+    assert list(subparsers.choices) == [command]
+    argv = [command] + ARGV[command]
+    assert one.parse_args(argv) == whole.parse_args(argv)
+    texts = []
+    for parser in (one, whole):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args([command, "--help"])
+        assert exit_.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(f"usage: safebc {command} ")
+    # an error names every subcommand in the usage, as the whole parser's
+    errors = []
+    for parser in (one, whole):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv + ["--no-such-flag"])
+        assert exit_.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "unrecognized arguments: --no-such-flag" in errors[0]
+
+
+def test_main_builds_the_named_subcommand_alone(monkeypatch):
+    built = []
+
+    def logged(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr("safebc.cli.build_parser", logged)
+    for argv in (["--help"], [], ["nope"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert main(["report", "--row", "x"]) == 2
+    assert built == [None, None, None, "report"]
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--out", "x", "filter"]])
+def test_no_subcommand_exits_2_listing_them_all(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "{%s}" % ",".join(COMMANDS) in err
+
+
+def test_the_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for command, (help_, _, _) in COMMANDS.items():
+        assert re.search(rf"^    {command} +{re.escape(help_)}$", out,
+                         re.MULTILINE)
 
 
 # -- JSON configs ------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from safebc.checkpoint import (CheckpointError, ConfigurationError,
                                read_checkpoint, write_checkpoint)
-from safebc.nets import Adam, Mlp, subseed
+from safebc.nets import Adam, Mlp, WorkStore, subseed
 
 
 def zeroed(mlp):
@@ -333,6 +333,80 @@ class TestStackedBatches:
         for g, h in zip(stacked, batch):
             assert g.shape == h.shape
             assert np.allclose(g, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+class TestWorkStore:
+    """A pass in a caller's work store is the pass without one, bit for bit,
+    and a batch no larger than an earlier one reuses the store's buffers."""
+
+    @staticmethod
+    def run(mlp, x, d, up, tup, store):
+        """Copies of everything a trace and a sweep return."""
+        tr = mlp.trace(x, d, store=store)
+        out = [a.copy() for a in tr.inputs + tr.tangents]
+        out += [m.copy() for m in tr.masks if m is not None]
+        grads, dx = mlp.reverse(tr, up, tup, store=store)
+        out += list(grads) + [dx.copy()]
+        _, dx_only = mlp.reverse(tr, up, param_grads=False, store=store)
+        return out + [dx_only.copy()]
+
+    @pytest.mark.parametrize("dims", [[2, 16, 64, 16, 1], [3, 8, 5, 7, 2],
+                                      [3, 2]])
+    @pytest.mark.parametrize("direction, tangent", [
+        (False, False), (True, False), (True, True)])
+    def test_a_pass_in_a_store_is_the_pass_without_one(self, dims, direction,
+                                                       tangent):
+        mlp = Mlp(dims, seed=6)
+        rng = np.random.default_rng(6)
+        store = WorkStore()
+        buffers = None
+        for rows in (64, 26, 64):
+            x = rng.normal(size=(rows, dims[0]))
+            d = rng.normal(size=x.shape) if direction else None
+            up = rng.normal(size=(rows, dims[-1]))
+            tup = rng.normal(size=up.shape) if tangent else None
+            alone = self.run(mlp, x, d, up, tup, None)
+            stored = self.run(mlp, x, d, up, tup, store)
+            assert len(stored) == len(alone)
+            assert all(same_bits(a, b) for a, b in zip(stored, alone))
+            if buffers is None:
+                buffers = dict(store._buffers)
+        # the second 64-row pass allocates no new buffer
+        assert store._buffers.keys() == buffers.keys()
+        assert all(store._buffers[k] is buffers[k] for k in buffers)
+
+    def test_a_stored_trace_lives_until_the_next_pass(self):
+        mlp = Mlp([2, 4, 3], seed=7)
+        rng = np.random.default_rng(7)
+        store = WorkStore()
+        x = rng.normal(size=(5, 2))
+        tr = mlp.trace(x, store=store)
+        assert not np.shares_memory(tr.inputs[0], tr.output)
+        again = mlp.trace(rng.normal(size=(3, 2)), store=store)
+        # every layer array of the second pass reuses the first's memory
+        for a, b in zip(tr.inputs[1:] + tr.masks[:1],
+                        again.inputs[1:] + again.masks[:1]):
+            assert np.shares_memory(a, b)
+        grads, dx = mlp.reverse(again, np.ones((3, 3)), store=store)
+        assert not any(np.shares_memory(g, b) for g in grads
+                       for b in store._buffers.values())
+        assert any(np.shares_memory(dx, b) for b in store._buffers.values())
+
+    def test_a_store_grows_only_for_a_larger_request(self):
+        store = WorkStore()
+        a = store.array("k", (4, 3))
+        assert a.shape == (4, 3) and a.flags.c_contiguous
+        assert np.shares_memory(store.array("k", (2, 5)), a)
+        assert store.array("k", (6, 2)).base is a.base
+        b = store.array("k", (5, 3))
+        assert not np.shares_memory(b, a)
+        assert store.array("m", (2,), bool).dtype == bool
 
 
 class TestAdam:

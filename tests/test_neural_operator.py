@@ -729,9 +729,9 @@ class TestInferenceContraction:
     def test_a_training_step_builds_kernel_rows_in_blocks(self, monkeypatch):
         """The forward builds every block of each layer once; the backward
         builds each later layer's blocks again, to carry the input gradient
-        through them, and none of the first layer's. Nothing is kept, so a
-        step on the same parameters builds them all again, and no inference
-        pass builds one."""
+        through them, and none of the first layer's. No block's values are
+        kept, so a step on the same parameters builds them all again, and
+        no inference pass builds one."""
         op = BoundaryOperator(self.GRID, d_v=4, n_layers=2, seed=33)
         n = self.N
         UU = np.random.default_rng(0).normal(size=(3, n)).cumsum(axis=1)
@@ -757,6 +757,39 @@ class TestInferenceContraction:
         op.complete(cache, [0, 2])
         op.predict(UU[0])
         assert built == []
+
+
+def test_training_steps_reuse_the_block_arrays_bit_for_bit():
+    """Two steps of one operator, at batches of 3 and then 2 trajectories,
+    are the same steps on fresh operators bit for bit; the second reuses
+    the two block arrays the first made, and no result aliases them."""
+    grid = TimeGrid(1.0, 20)
+
+    def fresh():
+        return BoundaryOperator(grid, d_v=4, n_layers=2, seed=34)
+
+    rng = np.random.default_rng(1)
+    batches = [(rng.normal(size=(B, 21)).cumsum(axis=1),
+                rng.normal(size=(B, 21))) for B in (3, 2)]
+    op = fresh()
+    steps, buffers = [], None
+    for UU, YY in batches:
+        steps.append(op.loss_and_grads(UU, YY, l2=1e-3))
+        if buffers is None:
+            buffers = dict(op._blocks._buffers)
+    assert sorted(buffers) == ["pair-major", "row-major"]
+    assert all(op._blocks._buffers[k] is buffers[k] for k in buffers)
+    for (loss, grads), (UU, YY) in zip(steps, batches):
+        ref_loss, ref_grads = fresh().loss_and_grads(UU, YY, l2=1e-3)
+        assert loss == ref_loss
+        for g, h in zip(grads, ref_grads, strict=True):
+            assert g.tobytes() == h.tobytes()
+            assert not any(np.shares_memory(g, b) for b in buffers.values())
+    # inference makes no block arrays
+    inferred = fresh()
+    inferred.forward_batch(batches[0][0], 5)
+    inferred.predict(batches[0][0][0])
+    assert inferred._blocks is None
 
 
 class TestBlockedTrainingStep:

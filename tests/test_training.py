@@ -257,10 +257,10 @@ class PassLog:
         self.traces, self.rows, self.reverses = [], [], []
         trace, reverse = Mlp.trace, Mlp.reverse
 
-        def counted_trace(net, x, d=None):
+        def counted_trace(net, x, d=None, **kwargs):
             self.traces.append((net, d is not None))
             self.rows.append(np.atleast_2d(x).shape[0])
-            return trace(net, x, d)
+            return trace(net, x, d, **kwargs)
 
         def counted_reverse(net, tr, *args, **kwargs):
             self.reverses.append(net)
