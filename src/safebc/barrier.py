@@ -23,11 +23,13 @@ returns, so the two can share one store, which then holds the larger of
 their passes' arrays.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
+from .checkpoint import (check_tensor_names, checkpoint_tensor,
+                         read_checkpoint, write_checkpoint)
 from .nets import Mlp
 from .pde_sim import ConfigurationError
 
@@ -123,10 +125,12 @@ class BarrierFunction:
         if reads_t != "1":
             raise ConfigurationError("checkpoint meta time_dependent must be "
                                      f"0 or 1, got {reads_t!r}")
-        n_layers = len([k for k in tensors if k.startswith("W")])
+        # the layers are W0, b0, W1, ...: the first W missing ends them
+        n_layers = next(k for k in itertools.count() if f"W{k}" not in tensors)
         hidden = [checkpoint_tensor(tensors, "W%d" % k).shape[0]
                   for k in range(n_layers - 1)]
         bar = cls(hidden=hidden)
+        check_tensor_names(path, tensors, bar.net.tensors())
         bar.net.set_tensors(tensors)
         return bar
 

@@ -1,33 +1,24 @@
 """The plain-text file formats: model checkpoints and tables.
 
 Every file the pipeline writes goes through `write_text`, as a sequence of
-text chunks: atomically (temp file + rename) with LF line endings. Numbers
-are decimal text: integers and booleans as integers, floats with 17
-significant digits (`fmt`), which round-trips float64 exactly.
-
-A table or a tensor is written and read by whole rows, not a cell at a
-time. The writer picks one %-format string for a row from the dtypes of the
-columns (`%d` for integer and boolean ones, `%.17g` for float ones) and
-fills the rows with it, one pass per TABLE_ROWS rows of a table, each
-pass's text written before the next starts. The reader parses a tensor's
-lines in one `np.loadtxt` call, and a table's rows in one call per
-TABLE_ROWS lines as it reads the file, so a table's text is never held
-whole; np.loadtxt rounds each decimal to the nearest float64, so a
-write/read round trip is value-exact. Only when a parse fails are its
-lines scanned again one by one, to name the first bad one.
+text chunks: atomically (temp file + rename) with LF line endings.
 
 Checkpoints hold the tensors of the operator or the barrier. Layout::
 
-    CKPT v1 kind=<operator|bcbf>
+    CKPT v2 kind=<operator|bcbf>
     meta <key> <value>          # zero or more
     <tensor-name> <rows> <cols>
-    <row of `cols` decimal values>
+    <row of `cols` values>
     ...
 
-1-D tensors are stored as a single row. Loaders take each tensor at the
-shape their model structure gives it (`checkpoint_tensor`) and reject any
-other shape. A tensor row of the wrong width, a bad value or a tensor cut
-short by the end of the file raises CheckpointError with its line number.
+A value is the IEEE-754 binary64 bits of a float as 16 lowercase hex
+digits, most significant byte first, with single spaces between a row's
+values, so every float reads back bit for bit. 1-D tensors are stored as a
+single row. Loaders take each tensor at the shape their model gives it
+(`checkpoint_tensor`) and reject any other shape and any tensor the model
+does not name. A row of the wrong width, a bad value, a tensor cut short or
+a file of another format version (CKPT v1 held decimals: retrain its
+model) raises CheckpointError.
 
 Tables hold everything else: datasets, state snapshots, boundary
 trajectories, training histories, filter reports, per-episode results,
@@ -37,6 +28,8 @@ metrics and sweeps. Layout::
     <column>,<column>,...
     <cell>,<cell>,...           # one line per row
 
+Cells are decimal: integers and booleans as integers (`%d`), floats with
+17 significant digits (`%.17g`, `fmt`), which round-trips float64 exactly.
 Readers check the header and parse the integer columns they name strictly
 (a cell of 1.5 in one is an error), every other column as float64; a wrong
 header or a malformed row raises DatasetFormatError with its line number.
@@ -123,17 +116,11 @@ def _loadtxt(lines, **kwargs):
 _PARSE_ERRORS = (ValueError, Warning)
 
 
-def _format_rows(formats, sep, n, cells):
-    """n lines of the cell formats joined by sep, filled from the flat,
-    row-major sequence of cells in one %-format pass."""
-    return "".join([sep.join(formats) + "\n"] * n) % tuple(cells)
-
-
 def write_checkpoint(path, kind, tensors, meta=None):
     """Write named tensors (dict name -> array of ndim <= 2) plus metadata."""
     if kind not in KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    parts = [f"CKPT v1 kind={kind}\n"]
+    parts = [f"CKPT v2 kind={kind}\n"]
     for key, value in (meta or {}).items():
         key = str(key)
         if " " in key:
@@ -148,44 +135,51 @@ def write_checkpoint(path, kind, tensors, meta=None):
             raise CheckpointError(f"tensor {name!r} has ndim {a.ndim} > 2")
         rows, cols = np.atleast_2d(a).shape
         parts.append(f"{name} {rows} {cols}\n")
-        parts.append(_format_rows(["%.17g"] * cols, " ", rows,
-                                  a.ravel().tolist()))
-    write_text(path, parts)
+        text = a.astype(">f8").tobytes().hex(" ", 8)
+        step = 17 * cols  # a row's values and the space after them
+        parts.extend(text[r * step:(r + 1) * step - 1] + "\n"
+                     for r in range(rows))
+    write_text(path, ["".join(parts)])
+
+
+def _from_hex(text):
+    """The bytes text is the hex of, as the writer spells them, or None."""
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError:
+        return None
+    return raw if len(raw) % 8 == 0 and raw.hex(" ", 8) == text else None
 
 
 def _read_tensor(path, lines, start, rows, cols):
-    """lines[start:start + rows] as a (rows, cols) array in one parse; on
-    failure the lines are scanned for the first of the wrong width or with
-    a bad value, which raises CheckpointError with its line number."""
+    """lines[start:start + rows] as a (rows, cols) array, decoded in one
+    call; the first line that is not the hex of cols values raises
+    CheckpointError with its line number."""
     block = lines[start:start + rows]
-    if rows * cols:
-        try:
-            data = _loadtxt(block, ndmin=2)
-        except _PARSE_ERRORS:
-            data = None
-        if data is not None and data.shape == (rows, cols):
-            return data
-    for lineno, line in enumerate(block, start + 1):
-        values = line.split()
-        if len(values) != cols:
-            raise CheckpointError(
-                f"{path}:{lineno}: expected {cols} values, got {len(values)}")
-        try:
-            if values:
-                _loadtxt([line])
-        except _PARSE_ERRORS:
-            raise CheckpointError(f"{path}:{lineno}: bad value") from None
-    # only a tensor with no values gets here: each of its lines is blank
-    return np.empty((rows, cols))
+    raw = _from_hex(" ".join(block)) or b""
+    width = max(17 * cols - 1, 0)
+    if (len(raw) != 8 * rows * cols
+            or any(len(line) != width for line in block)):
+        for lineno, line in enumerate(block, start + 1):
+            got = len(line.split())
+            if got != cols or _from_hex(line) is None:
+                raise CheckpointError(f"{path}:{lineno}: " + (
+                    "bad value" if got == cols
+                    else f"expected {cols} values, got {got}"))
+    return np.frombuffer(raw, ">f8").astype(np.float64).reshape(rows, cols)
 
 
 def read_checkpoint(path):
     """Read back (kind, tensors, meta); tensors come out 2-D."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("CKPT v1 kind="):
-        raise CheckpointError(f"{path}: not a CKPT v1 file")
-    kind = lines[0].split("kind=", 1)[1]
+    if not lines or not lines[0].startswith("CKPT "):
+        raise CheckpointError(f"{path}: not a CKPT v2 file")
+    version, _, kind = lines[0][5:].partition(" kind=")
+    if version != "v2":
+        raise CheckpointError(
+            f"{path}: checkpoint format CKPT {version} is not read (only "
+            "CKPT v2 is); retrain the model")
     if kind not in KINDS:
         raise CheckpointError(f"{path}: unknown kind {kind!r}")
     meta = {}
@@ -205,13 +199,10 @@ def read_checkpoint(path):
         header = lines[i].split()
         if len(header) != 3:
             raise CheckpointError(f"{path}:{i + 1}: malformed tensor header")
-        name = header[0]
-        try:
-            rows, cols = int(header[1]), int(header[2])
-        except ValueError:
-            rows = cols = -1
-        if rows < 0 or cols < 0:
+        name, rows, cols = header
+        if not (rows.isdecimal() and cols.isdecimal()):
             raise CheckpointError(f"{path}:{i + 1}: bad tensor shape")
+        rows, cols = int(rows), int(cols)
         if i + 1 + rows > n:
             raise CheckpointError(
                 f"{path}:{i + 1}: truncated tensor {name!r}: {rows} rows, "
@@ -236,6 +227,13 @@ def checkpoint_tensor(tensors, name, shape=None):
     return a.reshape(shape)
 
 
+def check_tensor_names(path, tensors, names):
+    """ConfigurationError listing the tensors that no name in names reads."""
+    if extra := [name for name in tensors if name not in names]:
+        raise ConfigurationError(f"{path}: checkpoint has tensors its model "
+                                 f"does not name: {', '.join(extra)}")
+
+
 def write_table(path, columns, comments=()):
     """Write a table: one '# <comment>' line per comment, the header, then
     one line per row. `columns` maps each column name to a 1-D array of its
@@ -248,7 +246,8 @@ def write_table(path, columns, comments=()):
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("table columns must be 1-D and of one length, got "
                          f"shapes {[a.shape for a in arrays]}")
-    formats = ["%d" if a.dtype.kind in "biu" else "%.17g" for a in arrays]
+    line = ",".join("%d" if a.dtype.kind in "biu" else "%.17g"
+                    for a in arrays) + "\n"
 
     def chunks():
         yield "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
@@ -257,7 +256,7 @@ def write_table(path, columns, comments=()):
             cells = np.empty((hi - lo, len(arrays)), dtype=object)
             for j, a in enumerate(arrays):
                 cells[:, j] = a[lo:hi]
-            yield _format_rows(formats, ",", hi - lo, cells.ravel().tolist())
+            yield line * (hi - lo) % tuple(cells.ravel().tolist())
 
     write_text(path, chunks())
 

@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import checkpoint_tensor, read_checkpoint, write_checkpoint
+from .checkpoint import (check_tensor_names, checkpoint_tensor,
+                         read_checkpoint, write_checkpoint)
 from .nets import Mlp, Trace, WorkStore, subseed
 from .pde_sim import ConfigurationError, TimeGrid
 
@@ -525,13 +526,17 @@ class BoundaryOperator:
 
     # -- serialization -----------------------------------------------------
 
-    def save(self, path):
+    def tensors(self):
+        """Every parameter array by its checkpoint name."""
         tensors = {}
         for i, layer in enumerate(self.layers):
             tensors["layer%d.W" % i] = layer.W
             tensors.update(layer.kappa.tensors("layer%d.kappa." % i))
             tensors.update(layer.b.tensors("layer%d.b." % i))
         tensors.update(self.Q.tensors("Q."))
+        return tensors
+
+    def save(self, path):
         meta = {
             "n_layers": str(self.n_layers),
             "d_v": str(self.d_v),
@@ -539,17 +544,13 @@ class BoundaryOperator:
             "grid_M": str(self.grid.M),
             "activations": ",".join(l.activation for l in self.layers),
         }
-        write_checkpoint(path, "operator", tensors, meta)
+        write_checkpoint(path, "operator", self.tensors(), meta)
 
     @classmethod
     def load(cls, path):
         kind, tensors, meta = read_checkpoint(path)
         if kind != "operator":
             raise ConfigurationError("checkpoint kind %r is not operator" % kind)
-        if any(name.startswith("P.") for name in tensors):
-            raise ConfigurationError(
-                "checkpoint holds the lift P of an older operator layout, "
-                "which this version does not read; retrain the operator")
 
         def entry(key, parse):
             if key not in meta:
@@ -574,6 +575,7 @@ class BoundaryOperator:
         b_hidden = checkpoint_tensor(tensors, "layer0.b.W0").shape[0]
         op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,
                  kappa_hidden=kappa_hidden, b_hidden=b_hidden)
+        check_tensor_names(path, tensors, op.tensors())
         for i, layer in enumerate(op.layers):
             layer.W[...] = checkpoint_tensor(tensors, "layer%d.W" % i,
                                              layer.W.shape)

@@ -23,13 +23,14 @@ whole kernel table; the step proper, which builds the table a block of rows
 at a time, must match it to round-off.
 
 `cell_table_text`, `cell_checkpoint_text` and `cell_dataset_text` write
-the file formats one cell at a time (an integer cell as `str(int(v))`,
-any other one as `format(float(v), ".17g")`), and `cell_read_table`,
-`cell_read_checkpoint` and `cell_read_dataset` parse them one cell at a
-time with `int` or `float`; the columnar writers of `safebc.checkpoint`
-must write the same bytes, and its readers, which parse a tensor, or
-the rows of a block of table lines, per `np.loadtxt` call, the same
-values.
+the file formats one cell at a time (a table's integer cell as
+`str(int(v))`, any other one as `format(float(v), ".17g")`, a checkpoint
+value as the hex of its `struct.pack(">d", v)` bytes), and
+`cell_read_table`, `cell_read_checkpoint` and `cell_read_dataset` parse
+them one cell at a time with `int`, `float` or `struct.unpack`; the
+columnar writers of `safebc.checkpoint` must write the same bytes, and its
+readers, which decode a tensor in one call and parse the rows of a block of
+table lines per `np.loadtxt` call, the same values.
 
 `whole_trajectory_filter` is the safety filter as a plain loop that predicts
 the whole trajectory (output and rate split at every row) before each step
@@ -41,6 +42,8 @@ matching finite-difference oracle therefore evaluates the operator at
 perturbed output times while keeping the integration nodes (and the layer
 activations stored at them) frozen.
 """
+
+import struct
 
 import numpy as np
 
@@ -438,12 +441,13 @@ def cell_read_table(path, types=None):
 
 
 def cell_checkpoint_text(kind, tensors, meta=None):
-    lines = [f"CKPT v1 kind={kind}"]
+    lines = [f"CKPT v2 kind={kind}"]
     lines.extend(f"meta {key} {value}" for key, value in (meta or {}).items())
     for name, arr in tensors.items():
         a = np.atleast_2d(np.asarray(arr, dtype=np.float64))
         lines.append(f"{name} {a.shape[0]} {a.shape[1]}")
-        lines.extend(" ".join(_cell(v) for v in row) for row in a)
+        lines.extend(" ".join(struct.pack(">d", v).hex() for v in row)
+                     for row in a)
     return "\n".join(lines) + "\n"
 
 
@@ -472,7 +476,8 @@ def cell_read_checkpoint(path):
             if len(values) != int(cols):
                 raise CheckpointError(f"{path}:{i + 1}: expected {cols} "
                                       f"values, got {len(values)}")
-            data[r] = [float(v) for v in values]
+            for c, v in enumerate(values):
+                data[r, c], = struct.unpack(">d", bytes.fromhex(v))
         tensors[name] = data
         i += 1
     return kind, tensors, meta

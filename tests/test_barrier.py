@@ -67,6 +67,28 @@ def test_a_barrier_file_of_y_alone_is_refused(tmp_path):
         BarrierFunction.load(tmp_path / "bar.ckpt")
 
 
+def test_a_one_column_first_layer_without_meta_is_refused_by_shape(
+        tmp_path):
+    tensors = BarrierFunction(hidden=(16, 8), seed=4).net.tensors()
+    tensors["W0"] = tensors["W0"][:, 1:]
+    write_checkpoint(tmp_path / "bar.ckpt", "bcbf", tensors)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "tensor 'W0' has shape (16, 1), expected (16, 2)")):
+        BarrierFunction.load(tmp_path / "bar.ckpt")
+
+
+def test_a_barrier_file_with_tensors_its_layers_do_not_name_is_refused(
+        tmp_path):
+    # a W after a gap in the layer numbers is no layer of the barrier
+    bar = BarrierFunction(hidden=(16, 8), seed=4)
+    write_checkpoint(tmp_path / "bar.ckpt", "bcbf",
+                     {**bar.net.tensors(), "W9": np.ones((1, 8)),
+                      "scale": np.ones(1)})
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "checkpoint has tensors its model does not name: W9, scale")):
+        BarrierFunction.load(tmp_path / "bar.ckpt")
+
+
 def test_partials_match_central_differences():
     bar = BarrierFunction(seed=3)
     rng = np.random.default_rng(4)

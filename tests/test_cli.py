@@ -261,7 +261,7 @@ def test_operator_rates_load_the_operator_checkpoint(run, tmp_path, capsys):
         "--operator", tmp_path / "not_a_checkpoint",
         "--out", tmp_path / "bar.ckpt")])
     assert rc == 2
-    assert "not_a_checkpoint: not a CKPT v1 file" in capsys.readouterr().err
+    assert "not_a_checkpoint: not a CKPT v2 file" in capsys.readouterr().err
     assert not (tmp_path / "bar.ckpt").exists()
     assert main([str(a) for a in (
         "train-bcbf", "--dataset", run / "data.csv", "--config", config,
@@ -756,7 +756,7 @@ def test_an_operator_of_the_older_lifted_layout_exits_2(run, tmp_path,
         "filter", "--operator", tmp_path / "old.ckpt", "--bcbf",
         run / "bar.ckpt", "--nominal", run / "nominal.csv", "--eta", 2,
         "--out", tmp_path / "out")]) == 2
-    assert "retrain the operator" in capsys.readouterr().err
+    assert "does not name: P.W0, P.b0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -438,13 +438,13 @@ class TestCheckpointFormat:
         tensors = {"W0": rng.normal(size=(3, 2)), "b0": rng.normal(size=3)}
         write_checkpoint(path, "bcbf", tensors, meta={"dims": "2,3"})
         first = path.read_text().splitlines()[0]
-        assert first == "CKPT v1 kind=bcbf"
+        assert first == "CKPT v2 kind=bcbf"
         kind, back, meta = read_checkpoint(path)
         assert kind == "bcbf" and meta["dims"] == "2,3"
         assert np.array_equal(back["W0"], tensors["W0"])
         assert np.array_equal(back["b0"], np.atleast_2d(tensors["b0"]))
 
-    def test_seventeen_digit_decimal_survives_tricky_floats(self, tmp_path):
+    def test_tricky_floats_read_back_exactly(self, tmp_path):
         path = tmp_path / "vals.ckpt"
         vals = np.array([np.pi, 1.0 / 3.0, 1e-300, -1e300, 0.1])
         write_checkpoint(path, "bcbf", {"v": vals})
@@ -457,13 +457,14 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="kind"):
             write_checkpoint(tmp_path / "x.ckpt", kind, {})
         path = tmp_path / "y.ckpt"
-        path.write_text(f"CKPT v1 kind={kind}\nW0 1 1\n1\n")
+        path.write_text(f"CKPT v2 kind={kind}\nW0 1 1\n3ff0000000000000\n")
         with pytest.raises(CheckpointError, match="kind"):
             read_checkpoint(path)
 
     def test_truncated_tensor_detected(self, tmp_path):
         path = tmp_path / "trunc.ckpt"
-        path.write_text("CKPT v1 kind=bcbf\nW0 2 2\n1 2\n")
+        path.write_text("CKPT v2 kind=bcbf\nW0 2 2\n"
+                        "3ff0000000000000 4000000000000000\n")
         with pytest.raises(CheckpointError, match="truncated"):
             read_checkpoint(path)
 

@@ -968,10 +968,29 @@ class TestPersistence:
         assert str(info.value).startswith(f"{path}: ")
         assert message in str(info.value)
 
+    def test_a_layer_count_below_the_tensors_names_the_unread_ones(
+            self, tmp_path):
+        # with n_layers 1 a two-layer file would load as another function
+        path = tmp_path / "op.ckpt"
+        op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=2,
+                              kappa_hidden=4, b_hidden=3, seed=1)
+        op.save(path)
+        kind, tensors, meta = read_checkpoint(path)
+        write_checkpoint(path, kind, tensors, {
+            **meta, "n_layers": "1", "activations": "relu"})
+        with pytest.raises(ConfigurationError) as info:
+            BoundaryOperator.load(path)
+        layer1 = [name for name in tensors if name.startswith("layer1.")]
+        assert layer1 == ["layer1.W"] + [
+            f"layer1.{net}.{p}{k}" for net in ("kappa", "b")
+            for k in range(2) for p in "Wb"]
+        assert str(info.value) == (f"{path}: checkpoint has tensors its "
+                                   f"model does not name: {', '.join(layer1)}")
+
     def test_a_checkpoint_with_the_old_lift_is_an_error(self, tmp_path):
         """A checkpoint of the older layout holds a lift P and a (d_v, d_v)
-        first layer; loading one says to retrain rather than reporting a
-        shape."""
+        first layer; loading one names the lift's tensors rather than
+        reporting a shape."""
         op = BoundaryOperator(TimeGrid(1.0, 4), d_v=3, n_layers=1,
                               kappa_hidden=4, b_hidden=3, seed=19)
         op.layers[0] = KernelLayer(3, 3, 4, 3, "relu", seed=20)
@@ -980,5 +999,6 @@ class TestPersistence:
         kind, tensors, meta = read_checkpoint(path)
         tensors.update({"P.W0": np.ones((3, 1)), "P.b0": np.zeros(3)})
         write_checkpoint(path, kind, tensors, meta)
-        with pytest.raises(ConfigurationError, match="retrain the operator"):
+        with pytest.raises(ConfigurationError,
+                           match="does not name: P.W0, P.b0$"):
             BoundaryOperator.load(path)

@@ -4,6 +4,7 @@ byte layout earlier versions wrote, and the errors that name their line."""
 
 import os
 import stat
+import struct
 import tempfile
 
 import numpy as np
@@ -227,19 +228,35 @@ def test_files_get_the_permissions_of_a_plain_open(tmp_path):
     assert len(modes) == 1
 
 
-CKPT_HEAD = "CKPT v1 kind=bcbf\nb0 1 2\n1 2\n\n"
+def hex_row(*values):
+    """A checkpoint row of the float values."""
+    return " ".join(struct.pack(">d", v).hex() for v in values)
 
-# a checkpoint with one bad line, that line's number, and the message
+
+CKPT_HEAD = f"CKPT v2 kind=bcbf\nb0 1 2\n{hex_row(1, 2)}\n\n"
+
+# a checkpoint with one bad line, that line's number (None for the header,
+# whose errors name no line), and the message
 CHECKPOINTS = {
-    "wide_row": (CKPT_HEAD + "W0 2 2\n1 2\n3 4 5\n", 7,
-                 "expected 2 values, got 3"),
-    "narrow_row": (CKPT_HEAD + "W0 2 2\n1 2\n3\n", 7,
+    "wide_row": (CKPT_HEAD + f"W0 2 2\n{hex_row(1, 2)}\n{hex_row(3, 4, 5)}\n",
+                 7, "expected 2 values, got 3"),
+    "narrow_row": (CKPT_HEAD + f"W0 2 2\n{hex_row(1, 2)}\n{hex_row(3)}\n", 7,
                    "expected 2 values, got 1"),
-    "blank_row": (CKPT_HEAD + "W0 2 2\n\n1 2\n", 6,
+    "blank_row": (CKPT_HEAD + f"W0 2 2\n\n{hex_row(1, 2)}\n", 6,
                   "expected 2 values, got 0"),
-    "bad_value": (CKPT_HEAD + "W0 2 2\n1 2\n3 x\n", 7, "bad value"),
-    "truncated": (CKPT_HEAD + "W0 3 2\n1 2\n3 4\n", 5,
-                  "truncated tensor 'W0'"),
+    "bad_value": (CKPT_HEAD + f"W0 2 2\n{hex_row(1, 2)}\n{hex_row(3)} x\n",
+                  7, "bad value"),
+    "truncated": (CKPT_HEAD + f"W0 3 2\n{hex_row(1, 2)}\n{hex_row(3, 4)}\n",
+                  5, "truncated tensor 'W0'"),
+    "15_digit_group": (CKPT_HEAD + f"W0 2 2\n{hex_row(1, 2)}\n"
+                       f"{hex_row(3)[1:]} {hex_row(4)}\n", 7, "bad value"),
+    "8_digit_row": (CKPT_HEAD + f"W0 2 1\n{hex_row(1)}\n{hex_row(3)[:8]}\n", 7,
+                    "bad value"),
+    "non_hex_digit": (CKPT_HEAD + f"W0 2 2\n{hex_row(1, 2)}\n"
+                      f"{hex_row(3)[:-1]}g {hex_row(4)}\n", 7, "bad value"),
+    "v1": ("CKPT v1 kind=bcbf\nb0 1 2\n1 2\n", None,
+           "checkpoint format CKPT v1 is not read (only CKPT v2 is); "
+           "retrain the model"),
 }
 
 
@@ -251,7 +268,8 @@ def test_a_malformed_checkpoint_names_its_line(tmp_path, name, crlf):
     path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
     with pytest.raises(CheckpointError) as err:
         read_checkpoint(path)
-    assert str(err.value).startswith(f"{path}:{line}: {message}")
+    where = path if line is None else f"{path}:{line}"
+    assert str(err.value).startswith(f"{where}: {message}")
 
 
 # the values a parser most easily gets wrong
@@ -418,6 +436,17 @@ def test_a_dataset_writes_the_cell_bytes_and_reads_back_bitwise(ds, rng):
                                                 (back.safe, ds.safe)))
 
 
+def bits_float(bits):
+    return struct.unpack(">d", bits.to_bytes(8, "big"))[0]
+
+
+# any float64 bit pattern, with NaNs of other payloads (quiet and
+# signalling, of either sign) and subnormals drawn on purpose
+CKPT_FLOATS = st.one_of(
+    FLOATS, st.integers(0, 2**64 - 1).map(bits_float),
+    st.sampled_from([bits_float(b) for b in (
+        0x7ff0000000000001, 0x7ff4000000000abc, 0xfff8000000000001,
+        0xffffffffffffffff, 0x000fffffffffffff, 0x8000000000000001)]))
 SHAPES = st.one_of(st.tuples(st.integers(0, 3)),
                    st.tuples(st.integers(0, 3), st.integers(0, 3)))
 
@@ -429,7 +458,7 @@ def checkpoints(draw):
     meta = draw(st.dictionaries(st.text("ab_", min_size=1, max_size=3),
                                 st.text("ab1,.", min_size=1, max_size=4),
                                 max_size=2))
-    return {name: array_of(draw, FLOATS, float, draw(SHAPES))
+    return {name: array_of(draw, CKPT_FLOATS, float, draw(SHAPES))
             for name in names}, meta
 
 
