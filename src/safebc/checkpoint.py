@@ -13,10 +13,12 @@ Checkpoints hold the tensors of the operator or the barrier. Layout::
 
 A value is the IEEE-754 binary64 bits of a float as 16 lowercase hex
 digits, most significant byte first, with single spaces between a row's
-values, so every float reads back bit for bit. 1-D tensors are stored as a
-single row. Loaders take each tensor at the shape their model gives it
-(`checkpoint_tensor`) and reject any other shape and any tensor the model
-does not name. A row of the wrong width, a bad value, a tensor cut short or
+values, so every float reads back bit for bit. Every line is read as the
+writer spells it: words separated by single spaces, with no leading or
+trailing blank and no tab; a `meta` or tensor-header line spelled any
+other way is malformed. 1-D tensors are stored as a single row. Loaders
+take each tensor at the shape their model gives it (`checkpoint_tensor`)
+and reject any other shape and any tensor the model does not name. A row of the wrong width, a bad value, a tensor cut short or
 a file of another format version (CKPT v1 held decimals: retrain its
 model) raises CheckpointError.
 
@@ -116,20 +118,31 @@ def _loadtxt(lines, **kwargs):
 _PARSE_ERRORS = (ValueError, Warning)
 
 
+def _words(line):
+    """The single-space-separated words of a line as the checkpoint writer
+    spells it, or None for a line with a tab or another blank, a leading or
+    trailing blank or two blanks in a row."""
+    words = line.split(" ")
+    return words if words == line.split() else None
+
+
 def write_checkpoint(path, kind, tensors, meta=None):
-    """Write named tensors (dict name -> array of ndim <= 2) plus metadata."""
+    """Write named tensors (dict name -> array of ndim <= 2) plus metadata.
+    A name or meta key is one word, and a meta value words separated by
+    single spaces, as the reader reads them."""
     if kind not in KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     parts = [f"CKPT v2 kind={kind}\n"]
     for key, value in (meta or {}).items():
-        key = str(key)
-        if " " in key:
-            raise CheckpointError(f"meta key {key!r} contains a space")
+        key, value = str(key), str(value)
+        if _words(key) != [key] or not _words(value):
+            raise CheckpointError(f"meta entry {key!r} {value!r} is not a "
+                                  "word and single-spaced words")
         parts.append(f"meta {key} {value}\n")
     for name, arr in tensors.items():
         name = str(name)
-        if " " in name:
-            raise CheckpointError(f"tensor name {name!r} contains a space")
+        if _words(name) != [name]:
+            raise CheckpointError(f"tensor name {name!r} is not one word")
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim > 2:
             raise CheckpointError(f"tensor {name!r} has ndim {a.ndim} > 2")
@@ -187,17 +200,17 @@ def read_checkpoint(path):
     i = 1
     n = len(lines)
     while i < n and lines[i].startswith("meta "):
-        parts = lines[i].split(" ", 2)
-        if len(parts) != 3:
+        words = _words(lines[i])
+        if not words or len(words) < 3:
             raise CheckpointError(f"{path}:{i + 1}: malformed meta line")
-        meta[parts[1]] = parts[2]
+        meta[words[1]] = " ".join(words[2:])
         i += 1
     while i < n:
-        if not lines[i].strip():
+        if not lines[i]:
             i += 1
             continue
-        header = lines[i].split()
-        if len(header) != 3:
+        header = _words(lines[i])
+        if not header or len(header) != 3:
             raise CheckpointError(f"{path}:{i + 1}: malformed tensor header")
         name, rows, cols = header
         if not (rows.isdecimal() and cols.isdecimal()):

@@ -1,79 +1,88 @@
-"""Kernel-integral neural operator mapping boundary input to boundary output.
+"""Causal kernel-integral neural operator from boundary input to output.
 
 The operator reads a scalar trajectory U sampled on a uniform time grid as
 the two channels v_0(t_m) = (U_m, 1), applies a stack of kernel integral
 layers
 
-    v_{l+1}(t_m) = sigma(W v_l(t_m) + sum_j w_j K_l(t_m, t_j) v_l(t_j) + b_l(t_m))
+    v_{l+1}(t_m) = sigma(W v_l(t_m)
+                         + sum_{j <= m} w_j K_l(t_m - t_j) v_l(t_j) + b_l(t_m))
 
 with trapezoidal quadrature weights w_j, and projects back to a scalar
-trajectory Y.  The kernel K_l and bias b_l are small MLPs evaluated on grid
-times, so the exact time derivative of the discretized operator decomposes as
+trajectory Y. The kernel K_l is a small MLP of the lag alone, evaluated at
+the n grid lags t_k = k dt (the lag of (t_m, t_j) is t_{m-j}), and it reads
+only inputs up to t_m: each layer is a causal, time-invariant (Volterra)
+convolution, as both plants are (Kovachki et al., arXiv 2108.08481). So an
+output row never depends on a later input, bit for bit: the sums over
+j <= m multiply later inputs by exact zeros, and every product and sum of
+a row runs at the same shape whatever the other rows hold. The bias b_l is
+a small MLP of t_m. Between t_m and t_{m+1} the integral extends as
+sum_{j <= m} w_j K(t - t_j) v_j + (t - t_m) K(t - t_m) v_m, the quadrature
+at the frozen nodes plus the panel that grows from t_m, so its time
+derivative at t_m is sum_{j <= m} w_j K'(t_{m-j}) v_j + K(0) v_m, the
+derivative of a Volterra integral with its boundary term. The exact time
+derivative of the operator so extended decomposes as
 
     dY/dt(t_m) = Lambda(t_m) * dU/dt(t_m) + mu(t_m)
 
 where Lambda chains the local linear routes through the activation masks and
-mu accumulates the kernel/bias time derivatives through the same masks.
+mu accumulates the kernel's lag derivative, its boundary term and the bias's
+time derivative through the same masks. Without the boundary term, mu would
+miss a term as large as itself, and Lambda * dU/dt + mu would not follow
+the grid differences of Y as dt shrinks.
 
 `predict(U)` returns (Y, Lambda, mu): one `forward_batch` pass, then
 `decomposition` over all rows. `decomposition(cache, start, stop)` gives the
 split at a row range of a pass and computes the kernel term for those rows
 only, so a caller that needs the split at one step pays for one step. The
-kernel and bias time derivatives come from the ReLU masks in the traces of
-the one-hidden-layer table networks, so no derivative table is built.
+kernel and bias derivatives come from the ReLU masks in the traces of the
+one-hidden-layer lag and time networks, so no derivative table is built.
 
-The constant channel carries the terms W p and sum_j w_j K(t_m, t_j) p of a
-constant input p, which a layer on U alone could not form. A lift
-u p_w + p_b in front would add parameters but no functions, as its weight
-and bias fold into the first layer's W and kernel.
+The constant channel carries the terms W p and sum_{j<=m} w_j
+K(t_m - t_j) p of a constant input p, which a layer on U alone could not
+form. A lift u p_w + p_b in front would add parameters but no functions,
+as its weight and bias fold into the first layer's W and kernel.
 
-The kernel network's output layer is linear, K = W1 phi + b1 with phi its
-ReLU hidden layer, so a layer integral can be contracted in either order:
+Each pass evaluates every kernel network on the n lags and every bias
+network on the n times, (n, .) arrays that it keeps in its forward cache
+(`LagArrays`); nothing is cached between passes, and no array of a pass
+has n*n rows. A sum over j <= m reads a lag array zero-padded in front to
+2n-1 lags through a strided view whose window m holds lags m-n+1..m,
+against the input reversed in time (`_windows`): one product per output
+row, each over one n-lag window of the same padded array. The kernel
+network's output layer is linear, K = W1 phi + b1 with phi its hidden
+features, so a layer integral can be contracted in either order:
 
-    sum_j w_j K(t_m, t_j) v_j = W1 (sum_j w_j phi(t_m, t_j) v_j)
-                                + b1 (sum_j w_j v_j)
+    sum_{j<=m} w_j K(t_{m-j}) v_j = W1 (sum_{j<=m} w_j phi(t_{m-j}) v_j)
+                                    + b1 (sum_{j<=m} w_j v_j)
 
-with W1 and b1 read as (d_out, d_in, h) and (d_out, d_in). Every pass but
-a training step takes the right-hand side, through the hidden features H
-(n*n, h) of the (t_m, t_j) pairs. A training step takes the left-hand side,
-which at a batch of many trajectories and a backward pass costs fewer
-multiply-adds, but never holds the whole kernel table (n*d_out, n*d_in):
-it builds the table's rows from H and W1 in blocks of KERNEL_ROWS output
-rows, applies each block before building the next, and builds each block
-again in the backward pass (rebuilding in place of storing, as in Chen et
-al., arXiv 1604.06174). Every block of every step is written into the same
-two arrays, which the operator makes on its first training step and keeps,
-so the steps of a fit reuse their memory; no other pass touches them. The
-hidden traces and the bias traces sit in one entry keyed by the exact bytes
-of the grid and the parameters, the same for training and inference; each
-forward cache carries its entry, so the rate split and the backward pass
-read their own pass's.
+with W1 and b1 read as (d_out, d_in, h) and (d_out, d_in). Every pass but a
+training step takes the right-hand side, through the hidden features, whose
+last sum is a running sum over j. A training step takes the left-hand
+side, through the lag table; its backward pass forms the kernel's gradient
+lag by lag and the input gradient through the lag table's windows, in
+reversed time, and sweeps the kernel network over the n lags.
 
 `forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
 only: each earlier layer runs in full, as the last one's integral reads its
-whole input, but the last one's integral then reads only the rows of H for
-output rows from start on, the bulk of the pass at large n. Rows before
-start read NaN until `complete(cache, trajectories)` computes them from the
-cached input of the last layer, reading only H's rows for them; it runs no
-earlier layer. A partial pass gives the rate split from row start on and
-has no backward pass; training always runs whole passes.
+input up to each row. Rows before start read NaN. Since the operator is
+causal, a caller that changed only inputs from row start on keeps its
+earlier outputs from the pass before, and given that pass as the prior
+(`forward_batch(UU, start, prior)`) every layer runs from row start on,
+taking its earlier input rows and the lag arrays from there. A partial pass
+gives the rate split from row start on and has no backward pass; training
+always runs whole passes.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .checkpoint import (check_tensor_names, checkpoint_tensor,
                          read_checkpoint, write_checkpoint)
-from .nets import Mlp, Trace, WorkStore, subseed
+from .nets import Mlp, Trace, subseed
 from .pde_sim import ConfigurationError, TimeGrid
-
-# Output rows of a layer's kernel that a training step builds at once, a
-# (KERNEL_ROWS*d_out, n*d_in) block: few enough that a block stays small at
-# any grid, enough that each block's products stay large. At d_v=16 and a
-# batch of 54, 4 and 8 rows tie on step time from M=50 to M=200, and 16 or
-# 32 rows are slower.
-KERNEL_ROWS = 8
 
 
 def trapezoid_weights(grid):
@@ -104,21 +113,86 @@ def mean_square(diff):
     return float(np.sum(diff * diff)) / diff.size
 
 
+def _windows(table):
+    """The (n, n*a, b) view of a lag table (n, a, b), zero-padded in front
+    to 2n-1 lags, whose window m holds lags m-n+1..m as n blocks of a rows;
+    a negative lag reads zero. Against x reversed in time (x_j at block
+    n-1-j), window m sums table[m - j] x_j over j <= m. Every window is a
+    slice of the one padded array, which holds (2n-1)*a*b floats."""
+    n, a, b = table.shape
+    padded = np.zeros((2 * n - 1, a, b))
+    padded[n - 1:] = table
+    return as_strided(padded, (n, n * a, b), padded.strides, writeable=False)
+
+
+class LagArrays:
+    """What one kernel layer's parameters give on the grid, (n, .) arrays
+    at the n lags or times, built once per pass or taken over from a prior
+    pass of the same parameters: the kernel network's trace up to its
+    hidden layer on the lags (features phi and masks), the bias network's
+    trace on the times, and the windows of phi. The rate split's terms and
+    the lag table are built the first time a caller reads them."""
+
+    def __init__(self, layer, t):
+        self.layer = layer
+        # the kernel network's hidden layer, as Mlp.trace computes it; the
+        # trace stops there, and Mlp.reverse reads no more of it
+        W0, b0 = layer.kappa.params()[:2]
+        phi = t @ W0.T
+        phi += b0
+        mask = phi > 0.0
+        np.maximum(phi, 0.0, out=phi)
+        self.kappa = Trace([t, phi], [mask], [])
+        self.b = layer.b.trace(t)
+        self.phi = _windows(phi[:, None])
+
+    @cached_property
+    def table(self):
+        """The kernel at the n lags, (n, d_out, d_in): the kernel network's
+        linear output layer on phi, as `Mlp.trace` computes it."""
+        _, _, W1, b1 = self.layer.kappa.params()
+        K = self.kappa.inputs[1] @ W1.T
+        K += b1
+        return K.reshape(-1, self.layer.dim_out, self.layer.dim_in)
+
+    @cached_property
+    def rates(self):
+        """(windows of phi's lag derivative, K(0)^T, the bias's time
+        derivative): phi's derivative is mask * W0[:, 0] and the bias's
+        W1 (mask * W0[:, 0]), from the masks of the traces."""
+        kW0, _, kW1, kb1 = self.layer.kappa.params()
+        bW0, _, bW1, _ = self.layer.b.params()
+        K0 = self.kappa.inputs[1][:1] @ kW1.T + kb1
+        return (_windows((self.kappa.masks[0] * kW0[:, 0])[:, None]),
+                K0.reshape(self.layer.dim_out, -1).T,
+                (self.b.masks[0] * bW0[:, 0]) @ bW1.T)
+
+
 class KernelLayer:
-    """One integral layer: local matrix W, kernel MLP, bias MLP, activation.
+    """One integral layer: local matrix W, lag-kernel MLP, bias MLP,
+    activation.
 
     The kernel and bias networks have one ReLU hidden layer each, whose
-    masks give the rate split their time derivatives.
+    masks give the rate split their derivatives. Each reads a lag or a
+    time in [0, horizon], and each hidden unit starts with its kink at a
+    point drawn uniformly there (its bias -W0 tau for a drawn tau), not at
+    0: every diagonal pair has lag 0, where zero biases put every kernel
+    unit at its kink at every step, and half the units (those with W0 < 0)
+    dead at every positive lag. So every unit starts active on part of the
+    grid, and almost surely none at a kink on it.
     """
 
     def __init__(self, dim_in, dim_out, kappa_hidden, b_hidden, activation,
-                 seed):
+                 horizon, seed):
         rng = np.random.default_rng(seed)
         bound = np.sqrt(6.0 / dim_in)
         self.W = rng.uniform(-bound, bound, size=(dim_out, dim_in))
-        self.kappa = Mlp([2, kappa_hidden, dim_out * dim_in],
+        self.kappa = Mlp([1, kappa_hidden, dim_out * dim_in],
                          seed=subseed(seed, 1))
         self.b = Mlp([1, b_hidden, dim_out], seed=subseed(seed, 2))
+        for net in (self.kappa, self.b):
+            W0, b0 = net.params()[:2]
+            b0[...] = -W0[:, 0] * rng.uniform(0.0, horizon, size=b0.shape)
         self.activation = activation
         self.dim_in = dim_in
         self.dim_out = dim_out
@@ -128,39 +202,14 @@ class KernelLayer:
 
 
 @dataclass(eq=False)
-class LayerTables:
-    """The tables of one kernel layer.
-
-    kappa_trace is the kernel network's trace up to its hidden layer on the
-    (t_m, t_j) pairs, m major: inputs [pairs, H], H (n*n, h), and masks
-    [H > 0]. It stops there, as inference applies the linear output layer
-    after the sum over j; `Mlp.reverse` reads no more of it. b_trace is the
-    bias network's trace (b_trace.output is the bias at each t_m). The
-    masks of both give the rate split its time derivatives. No kernel
-    table is kept: a training step builds its rows from H a block at a
-    time (`_kernel_rows`)."""
-    kappa_trace: Trace
-    b_trace: Trace
-
-
-@dataclass(eq=False)
-class TableEntry:
-    """The tables of one parameter state, under its key (`fingerprint()`):
-    one LayerTables per kernel layer, for training and inference alike. Its
-    largest arrays are the (n*n, h) hidden features and masks; it never
-    holds an (n*d_out, n*d_in) kernel table."""
-    key: bytes
-    layers: list
-
-
-@dataclass(eq=False)
 class OperatorCache:
-    """Activations of one forward pass and the tables it was computed with.
+    """Activations of one forward pass and the lag arrays it was computed
+    with, one `LagArrays` per kernel layer.
 
     A pass from row start > 0 ran the last layer and Q at rows [start, n)
     only: before start, the last layer's activation and Q's output read NaN
     and its mask False; every earlier layer input is whole."""
-    tables: TableEntry
+    lags: list  # per kernel layer: its LagArrays
     vs: list  # layer inputs: vs[0] the channels (U, 1), ..., vs[L] to Q
     masks: list  # per kernel layer: bool ReLU pattern, or None
     q_trace: object  # trace of the readout Q
@@ -168,7 +217,8 @@ class OperatorCache:
 
 
 class BoundaryOperator:
-    """Trajectory-to-trajectory map built from kernel integral layers."""
+    """Trajectory-to-trajectory map built from causal kernel integral
+    layers."""
 
     def __init__(self, grid, d_v, n_layers, activations=None, seed=0,
                  kappa_hidden=32, b_hidden=16):
@@ -179,13 +229,11 @@ class BoundaryOperator:
         self.n_layers = n_layers
         self.layers = [
             KernelLayer(d_v if i else 2, d_v, kappa_hidden, b_hidden,
-                        activations[i], seed=subseed(seed, 1 + i))
+                        activations[i], grid.T, seed=subseed(seed, 1 + i))
             for i in range(n_layers)
         ]
         self.Q = Mlp([d_v, 1], seed=subseed(seed, 99))
         self._weights = trapezoid_weights(grid)
-        self._tables = None
-        self._blocks = None  # a training step's block arrays (`_block_arrays`)
 
     # -- parameters -------------------------------------------------------
 
@@ -196,73 +244,6 @@ class BoundaryOperator:
         out.extend(self.Q.params())
         return out
 
-    def fingerprint(self):
-        """The table key: the bytes of the grid and of every parameter.
-        Equal keys mean equal tables, with no hash to collide."""
-        return b"".join([np.asarray([self.grid.T, self.grid.M]).tobytes()]
-                        + [p.tobytes() for p in self.params()])
-
-    # -- cached kernel and bias tables ------------------------------------
-
-    def _table_entry(self):
-        """The tables of the current parameters: the cached entry when its
-        key matches, else a fresh one that replaces it."""
-        key = self.fingerprint()
-        if self._tables is not None and self._tables.key == key:
-            return self._tables
-        # drop the stale entry before building, so the operator never
-        # holds two
-        self._tables = None
-        n = self.grid.M + 1
-        t = self.grid.times()
-        pairs = np.empty((n * n, 2))  # (t_m, t_j), m major
-        pairs[:, 0] = np.repeat(t, n)
-        pairs[:, 1] = np.tile(t, n)
-        layers = []
-        for layer in self.layers:
-            # the kernel network's hidden layer, as Mlp.trace computes it
-            W0, b0 = layer.kappa.params()[:2]
-            z = pairs @ W0.T
-            z += b0
-            mask = z > 0.0
-            np.maximum(z, 0.0, out=z)  # in place: H, with no second array
-            kappa_trace = Trace([pairs, z], [mask], [])
-            layers.append(LayerTables(kappa_trace, layer.b.trace(t[:, None])))
-        self._tables = TableEntry(key, layers)
-        return self._tables
-
-    def _block_arrays(self, layer, rows):
-        """The two arrays that hold a block of `rows` kernel rows of a
-        layer: pair-major, (rows*n, d_out*d_in), one row per (t_m, t_j)
-        pair as the kernel network's output layer gives it, and row-major,
-        (rows*d_out, n*d_in), the block of the kernel table. They are views
-        of two buffers that the operator makes on its first training step
-        and keeps for every later block, of any layer and any step."""
-        if self._blocks is None:
-            self._blocks = WorkStore()
-        n, do, di = self.grid.M + 1, layer.dim_out, layer.dim_in
-        return (self._blocks.array("pair-major", (rows * n, do * di)),
-                self._blocks.array("row-major", (rows * do, n * di)))
-
-    def _kernel_rows(self, li, tables, lo, hi):
-        """Rows [lo, hi) of layer li's kernel as an ((hi-lo)*d_out, n*d_in)
-        matrix: the kernel network's output layer on H's rows for them,
-        H W1^T + b1, as Mlp.trace computes it, written into the pair-major
-        block array and copied, transposed, into the row-major one. It
-        returns a view of the row-major array, which the next block
-        overwrites: a training step builds one block of KERNEL_ROWS rows at
-        a time and applies it before building the next."""
-        layer = self.layers[li]
-        n, do, di = self.grid.M + 1, layer.dim_out, layer.dim_in
-        _, _, W1, b1 = layer.kappa.params()
-        H = tables.layers[li].kappa_trace.inputs[1][lo * n:hi * n]
-        pair_major, row_major = self._block_arrays(layer, hi - lo)
-        np.matmul(H, W1.T, out=pair_major)
-        pair_major += b1
-        np.copyto(row_major.reshape(hi - lo, do, n, di),
-                  pair_major.reshape(hi - lo, n, do, di).transpose(0, 2, 1, 3))
-        return row_major
-
     # -- forward -----------------------------------------------------------
 
     def _check_grid(self, U):
@@ -271,99 +252,97 @@ class BoundaryOperator:
                 "trajectory length %d does not match grid M=%d"
                 % (U.shape[-1], self.grid.M))
 
-    def _preactivation(self, li, tables, v, lo, hi, blocked=False):
-        """Layer li's pre-activation at rows [lo, hi) of a batch, from its
-        whole input v (B, n, d_in). The integral runs through H and then
-        the kernel network's output layer, one product per row, and reads
-        only H's rows for rows [lo, hi); with blocked (a training step) it
-        runs through the kernel's rows for them, built and applied
-        KERNEL_ROWS rows at a time. The local term runs at every row, as a
-        product over fewer rows need not round like the same rows of the
-        whole one, so each row is the same row of the whole pass."""
+    def _preactivation(self, li, lag, v, lo, train=False):
+        """Layer li's pre-activation at rows [lo, n) of a batch, from its
+        whole input v (B, n, d_in) and its lag arrays. The integral runs
+        through the kernel network's hidden features, then its output
+        layer, one product per row over that row's window; with train (a
+        training step) it runs through the lag table instead. Every
+        row-wise term runs at every row, as a product over fewer rows need
+        not round like the same rows of the whole one, so each row is the
+        same row of the whole pass."""
         layer = self.layers[li]
-        lt = tables.layers[li]
-        do, di, B = layer.dim_out, layer.dim_in, len(v)
+        n, do, di, B = v.shape[1], layer.dim_out, layer.dim_in, len(v)
         vw = v * self._weights[None, :, None]
-        if blocked:
-            vw = vw.reshape(B, -1)
-            integ = np.concatenate(
-                [vw @ self._kernel_rows(li, tables, a,
-                                        min(a + KERNEL_ROWS, hi)).T
-                 for a in range(lo, hi, KERNEL_ROWS)],
-                axis=1).reshape(B, hi - lo, do)
+        if train:
+            # rows [lo, n) of the sum over j <= m of K(t_{m-j}) (w v)_j
+            r = vw[:, ::-1].reshape(B, n * di)
+            integ = (r @ _windows(lag.table.transpose(0, 2, 1))[lo:]) \
+                .transpose(1, 0, 2)
         else:
-            n = v.shape[1]
             _, _, W1, b1 = layer.kappa.params()
-            H = lt.kappa_trace.inputs[1].reshape(n, n, -1)[lo:hi]
-            # per row m: sum_j w_j v_j H(t_m, t_j) as (B*d_in, h), then W1
-            # as (d_in*h, d_out); the rows are stacked, one product each
-            G = vw.transpose(0, 2, 1).reshape(B * di, n) @ H
-            G = G.reshape(hi - lo, B, di * W1.shape[1]) \
+            # per row m: sum_{j<=m} w_j v_j phi(t_{m-j}) as (B*d_in, h),
+            # then W1 as (d_in*h, d_out), one product per row
+            r = vw[:, ::-1].transpose(0, 2, 1).reshape(B * di, n)
+            G = (r @ lag.phi[lo:]).reshape(n - lo, B, -1) \
                 @ W1.reshape(do, -1).T
-            # b1 as (d_out, d_in), on sum_j w_j v_j, the same at every row
-            bias = vw.sum(axis=1) @ b1.reshape(do, di).T
-            integ = G.transpose(1, 0, 2) + bias[:, None]
-        return (v @ layer.W.T)[:, lo:hi] + integ + lt.b_trace.output[lo:hi]
+            # b1 as (d_out, d_in), on the running sum over j <= m of w_j v_j
+            bias = np.cumsum(vw, axis=1) @ b1.reshape(do, di).T
+            integ = G.transpose(1, 0, 2) + bias[:, lo:]
+        return (v @ layer.W.T)[:, lo:] + integ + lag.b.output[lo:]
 
-    def forward_batch(self, UU, start=0):
+    def forward_batch(self, UU, start=0, prior=None):
         """Map a batch of input trajectories (B, M+1) to outputs (B, M+1).
 
         Returns (YY, cache); the cache stores every layer activation and
-        the table entry of the pass, so the rate split and the backward
-        pass read the tables this pass used. Every layer before the last
-        runs at all rows, as the last one's integral reads its whole
-        input; the last layer and Q run at rows [start, n) only. Earlier
-        rows of YY, and of the last activation and mask, are NaN and False;
-        `complete` computes them from the cache. The integrals run through
-        the kernel networks' hidden features; no kernel row is built.
+        the lag arrays of the pass, so the rate split and the backward
+        pass read those of this pass. The last layer and Q run at rows
+        [start, n) only, each row bitwise that row of the whole pass, and
+        earlier rows of YY, and of the last activation and mask, are NaN
+        and False. Every layer before the last runs at all rows, as the
+        last one's integral reads its input up to each row; or, given a
+        prior, from row start on too. A prior is one (cache, trajectory)
+        per row of UU, an earlier pass of this operator, with the same
+        parameters, over an input equal to that row before start: by
+        causality every layer input is then the same before start, so the
+        pass takes those rows, and its lag arrays, from there.
         """
-        return self._forward(UU, start)
+        return self._forward(UU, start, prior)
 
-    def _forward(self, UU, start=0, blocked=False):
-        """`forward_batch`, or with blocked the pass of a training step,
-        whose integrals run through blocks of the kernel's rows."""
+    def _forward(self, UU, start=0, prior=None, train=False):
+        """`forward_batch`, or with train the pass of a training step,
+        whose integrals run through the lag tables."""
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
-        tables = self._table_entry()
+        if prior is None:
+            t = self.grid.times()[:, None]  # the times, which are the lags
+            lags = [LagArrays(layer, t) for layer in self.layers]
+        else:
+            if len(prior) != B or any(
+                    not np.array_equal(c.vs[0][i, :start, 0], U[:start])
+                    for (c, i), U in zip(prior, UU)):
+                raise ValueError("a prior pass must give one trajectory per "
+                                 f"input, equal to it before row {start}")
+            lags = prior[0][0].lags
         v = np.stack([UU, np.ones_like(UU)], axis=-1)
-        vs = [v]
-        masks = []
+        vs, masks = [v], []
         for li, layer in enumerate(self.layers):
-            lo = start if li == self.n_layers - 1 else 0
-            z = self._preactivation(li, tables, v, lo, n, blocked)
-            if lo:
-                z = np.concatenate(
-                    [np.full((B, lo, layer.dim_out), np.nan), z], axis=1)
-            masks.append(z > 0.0 if layer.activation == "relu" else None)
-            v = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            last = li == self.n_layers - 1
+            lo = start if last or prior is not None else 0
+            z = self._preactivation(li, lags[li], v, lo, train)
+            relu = layer.activation == "relu"
+            mask = z > 0.0 if relu else None
+            v = np.maximum(z, 0.0) if relu else z
+            if lo:  # rows before lo: NaN in the last layer, else the prior's
+                if last:
+                    v_head = np.full((B, lo, layer.dim_out), np.nan)
+                    m_head = np.zeros(v_head.shape, dtype=bool)
+                else:
+                    v_head = np.stack([c.vs[li + 1][i, :lo] for c, i in prior])
+                    m_head = relu and np.stack(
+                        [c.masks[li][i, :lo] for c, i in prior])
+                v = np.concatenate([v_head, v], axis=1)
+                if relu:
+                    mask = np.concatenate([m_head, mask], axis=1)
+            masks.append(mask)
             vs.append(v)
         # Q maps the NaN rows to NaN, and rounds each row as a whole pass
         q_trace = self.Q.trace(v.reshape(-1, self.d_v))
         YY = q_trace.output.reshape(B, n)
         if not np.all(np.isfinite(YY[:, start:])):
             raise FloatingPointError("non-finite operator output")
-        return YY, OperatorCache(tables, vs, masks, q_trace, start)
-
-    def complete(self, cache, trajectories):
-        """Rows [0, cache.start) of the outputs of the trajectories (a
-        sequence of indices) of a forward pass, (len(trajectories),
-        cache.start): the last layer and Q at those rows, from the cached
-        input of the last layer. It runs no earlier layer and reads only
-        H's rows for them."""
-        start = cache.start
-        z = self._preactivation(self.n_layers - 1, cache.tables,
-                                np.take(cache.vs[-2], trajectories, axis=0),
-                                0, start)
-        # a copy: the cache keeps the rows the pass left NaN
-        v = np.take(cache.vs[-1], trajectories, axis=0)
-        v[:, :start] = (np.maximum(z, 0.0)
-                        if self.layers[-1].activation == "relu" else z)
-        Y = self.Q.forward(v.reshape(-1, self.d_v))
-        Y = Y.reshape(len(v), -1)[:, :start]
-        if not np.all(np.isfinite(Y)):
-            raise FloatingPointError("non-finite operator output")
-        return Y
+        return YY, OperatorCache(lags, vs, masks, q_trace, start)
 
     def forward(self, U):
         """Single-trajectory forward pass: U (M+1,) to Y (M+1,)."""
@@ -378,16 +357,19 @@ class BoundaryOperator:
 
     def decomposition(self, cache, start=0, stop=None, trajectory=0):
         """(Lambda, mu) at rows [start, stop) (default: all) of one
-        trajectory (default: 0) of a forward cache, from that pass's tables.
+        trajectory (default: 0) of a forward cache, from that pass's
+        traces.
 
-        Each table network has one ReLU hidden layer, so its time
+        Each lag or time network has one ReLU hidden layer, so its
         derivative is W1 (mask * W0[:, 0]), read from the masks of its
-        stored trace. The kernel term of row m, sum_j w_j dK(t_m, t_j) v_j,
-        runs for the rows asked for only, one row per product, so a row
-        does not depend on the range on any BLAS. The small per-row products
-        run over every row, as a one-row product need not round like the
-        same row of the n-row one; so each entry is the matching entry of
-        the split over all rows.
+        stored trace. The kernel term of row m, sum_{j<=m} w_j
+        dK(t_{m-j}) v_j, runs for the rows asked for only, one row per
+        product over the row's window of the lag masks, so a row does not
+        depend on the range on any BLAS; the boundary term K(0) v_m is
+        one of the small per-row products. The small per-row products run
+        over every row, as a one-row product need not round like the same
+        row of the n-row one; so each entry is the matching entry of the
+        split over all rows.
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
@@ -400,24 +382,22 @@ class BoundaryOperator:
         # the tangents of the channels (U, 1) along U_m and along t_m
         A = np.tile([1.0, 0.0], (n, 1))
         p = np.zeros((n, 2))
-        for layer, lt, v, mask in zip(self.layers, cache.tables.layers,
-                                      cache.vs, cache.masks):
-            kW0, _, kW1, _ = layer.kappa.params()
-            bW0, _, bW1, _ = layer.b.params()
-            vw = v[trajectory] * w[:, None]
-            # (rows, d_in, h): w v contracted over j with the hidden-layer
-            # tangent along t_m at (t_m, t_j), mask * W0[:, 0]
-            mask0 = lt.kappa_trace.masks[0].reshape(n, n, -1)
-            G = (vw.T @ mask0[start:stop]) * kW0[:, 0]
-            # then W1 as (d_in*h, d_out), row by row
-            dinteg = G.reshape(stop - start, 1, -1) \
+        for layer, lag, v, mask in zip(self.layers, cache.lags, cache.vs,
+                                       cache.masks):
+            dphi, K0T, db = lag.rates
+            kW1 = layer.kappa.params()[2]
+            # (rows, d_in, h): w v, reversed in time, against the windows
+            # of the hidden features' lag derivative, then W1 as
+            # (d_in*h, d_out), row by row
+            r = (v[trajectory] * w[:, None])[::-1].T
+            dinteg = (r @ dphi[start:stop]).reshape(stop - start, 1, -1) \
                 @ kW1.reshape(layer.dim_out, -1).T
             A = A @ layer.W.T
-            p = p @ layer.W.T
-            # rows outside [start, stop) miss their kernel term; they are
-            # never returned
+            # the boundary term K(0) v_m and the bias's time derivative;
+            # rows outside [start, stop) miss their kernel term, and they
+            # are never returned
+            p = p @ layer.W.T + v[trajectory] @ K0T + db
             p[start:stop] += dinteg[:, 0]
-            p += (lt.b_trace.masks[0] * bW0[:, 0]) @ bW1.T
             if mask is not None:
                 A, p = A * mask[trajectory], p * mask[trajectory]
         return (A @ q_vec)[start:stop], (p @ q_vec)[start:stop]
@@ -428,22 +408,17 @@ class BoundaryOperator:
         """Mean squared trajectory error with l2 weight penalty, and its
         gradients in params() order. YY must have UU's shape.
 
-        Each layer's kernel runs as a table of rows, KERNEL_ROWS output
-        rows (KERNEL_ROWS*d_out by n*d_in) at a time: the forward builds a
-        block from H's rows and applies it to the batch before building the
-        next, and the backward builds it again to carry the input gradient
-        through it. So a step holds the entry's (n*n, h) hidden features and
-        one block, never an n*n*d_out*d_in kernel. Every block, and the
-        backward's kernel-network upstream of a block, is written into the
-        operator's two block arrays (`_block_arrays`), which the first step
-        makes and every later step reuses; the results never alias them."""
+        Each layer's integral runs through its (n, d_out*d_in) lag table,
+        one product per output row over that row's window, and the
+        backward pass runs the same windows: no array of a step has n*n
+        rows."""
         UU = np.asarray(UU, dtype=float)
         YY = np.asarray(YY, dtype=float)
         if YY.shape != UU.shape:
             raise ConfigurationError(f"target shape {YY.shape} does not "
                                      f"match input shape {UU.shape}")
         UU, YY = np.atleast_2d(UU, YY)
-        Yhat, cache = self._forward(UU, blocked=True)
+        Yhat, cache = self._forward(UU, train=True)
         diff = Yhat - YY
         loss = mean_square(diff)
 
@@ -463,11 +438,14 @@ class BoundaryOperator:
 
     def _backward(self, cache, dY):
         """Reverse accumulation of d(loss)/d(params) given d(loss)/dY: one
-        sweep over the traces of the cached forward pass and of the tables;
-        no network runs forward. Each kernel network is swept once per
-        block of KERNEL_ROWS output rows, over a view of its trace at that
-        block's pairs, and its gradients are summed over the blocks. The
-        pass must have run every row."""
+        sweep over the traces of the cached forward pass; no network runs
+        forward. The pass must have run every row.
+
+        With the integral z_m = sum_{j<=m} K(t_{m-j}) (w v)_j, the kernel's
+        gradient at lag k is sum_{m>=k} dz_m (w v)_{m-k}^T, one product per
+        lag, and the gradient of (w v)_j is sum_{m>=j} K(t_{m-j})^T dz_m:
+        reversed in time, a sum of the same form as the forward's, through
+        the windows of the lag table read (d_out, d_in)."""
         if cache.start:
             raise ValueError("backward pass over a forward that ran its "
                              f"last layer from row {cache.start}")
@@ -479,44 +457,28 @@ class BoundaryOperator:
 
         layer_grads = []
         for li in range(self.n_layers - 1, -1, -1):
-            layer = self.layers[li]
-            lt = cache.tables.layers[li]
+            layer, lag = self.layers[li], cache.lags[li]
             do, di = layer.dim_out, layer.dim_in
             mask = cache.masks[li]
             v_in = cache.vs[li]
             dz = dv if mask is None else dv * mask
             dW = dz.reshape(-1, do).T @ v_in.reshape(-1, di)
-            db_rows = dz.sum(axis=0)
-            b_grads, _ = layer.b.reverse(lt.b_trace, db_rows)
-            vw = (v_in * w[None, :, None]).reshape(B, -1)
-            dz_flat = dz.reshape(B, -1)
-            pairs, H = lt.kappa_trace.inputs
-            hidden_mask = lt.kappa_trace.masks[0]
-            kappa_grads = [np.zeros_like(p) for p in layer.kappa.params()]
-            dv_kernel = np.zeros((B, n * di)) if li else None
-            for lo in range(0, n, KERNEL_ROWS):
-                hi = min(lo + KERNEL_ROWS, n)
-                dz_rows = dz_flat[:, lo * do:hi * do]
-                # the kernel's gradient at the block's (t_m, t_j) pairs, a
-                # block of the table's rows and then one row per pair; the
-                # sweep consumes it before the block arrays are built again
-                up, up_rows = self._block_arrays(layer, hi - lo)
-                np.matmul(dz_rows.T, vw, out=up_rows)
-                np.copyto(up.reshape(hi - lo, n, do, di),
-                          up_rows.reshape(hi - lo, do, n, di)
-                          .transpose(0, 2, 1, 3))
-                rows = slice(lo * n, hi * n)
-                block_grads, _ = layer.kappa.reverse(
-                    Trace([pairs[rows], H[rows]], [hidden_mask[rows]], []), up)
-                for total, g in zip(kappa_grads, block_grads):
-                    total += g
-                if li:  # the input channels (U, 1) need no gradient
-                    dv_kernel += dz_rows @ self._kernel_rows(
-                        li, cache.tables, lo, hi)
+            b_grads, _ = layer.b.reverse(lag.b, dz.sum(axis=0))
+            # lag by lag, over time-major (n*B, .) rows: dz from t_k on
+            # against w v up to t_{n-1-k}
+            vw_t = (v_in * w[None, :, None]).transpose(1, 0, 2) \
+                .reshape(n * B, di)
+            dz_t = dz.transpose(1, 0, 2).reshape(n * B, do)
+            dK = np.empty((n, do, di))
+            for k in range(n):
+                np.matmul(dz_t[k * B:].T, vw_t[:(n - k) * B], out=dK[k])
+            kappa_grads, _ = layer.kappa.reverse(lag.kappa,
+                                                 dK.reshape(n, -1))
             layer_grads.append([dW] + kappa_grads + b_grads)
-            if li:
+            if li:  # the input channels (U, 1) need no gradient
+                dvw = dz.reshape(B, n * do) @ _windows(lag.table)
                 dv = dz @ layer.W \
-                    + dv_kernel.reshape(B, n, di) * w[None, :, None]
+                    + dvw[::-1].transpose(1, 0, 2) * w[None, :, None]
 
         grads = []
         for lg in reversed(layer_grads):
@@ -571,7 +533,13 @@ class BoundaryOperator:
             check_architecture(d_v, n_layers, activations)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
-        kappa_hidden = checkpoint_tensor(tensors, "layer0.kappa.W0").shape[0]
+        kappa_hidden, kappa_in = checkpoint_tensor(tensors,
+                                                   "layer0.kappa.W0").shape
+        if kappa_in != 1:
+            raise ConfigurationError(
+                f"{path}: the operator's kernel reads {kappa_in} inputs, a "
+                "pair kernel K(t_m, t_j) of an older version; the kernel is "
+                "now causal, K(t_m - t_j), so retrain the model")
         b_hidden = checkpoint_tensor(tensors, "layer0.b.W0").shape[0]
         op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,
                  kappa_hidden=kappa_hidden, b_hidden=b_hidden)

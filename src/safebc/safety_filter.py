@@ -11,17 +11,16 @@ move to the boundary -c/a.  The trajectory-level procedure walks the grid
 left to right and only accepts a modification when the per-step input change
 stays within a threshold eta.  It walks a whole batch of trajectories at
 once: each step makes one operator forward over the rows whose input the
-step before changed.  The walk reads a prediction made at step m only from
-row m on, so such a re-forward runs the operator's last layer from row m
-only, its integral reading the kernel network's hidden features of those
-rows alone; after the walk, each final prediction's earlier rows are
-completed from its forward cache. No operator pass here builds a row of
-a kernel table: only a training step does.  A row keeps its current
-prediction, and the rate split and the barrier's partials are evaluated
-once per prediction: at its first step alone, then over the rest of its
-trajectory at its second step. So a step makes at most one barrier pass,
-over every (row, step) pair that a new or second-step prediction needs,
-and none when no prediction is new.
+step before changed.  The operator is causal, so a change at step m-1,
+which moves the input from row m-1 on, leaves every earlier row of every
+layer as it was: such a re-forward runs from row m-1 on only, taking the
+earlier rows from the prediction before, and the row keeps that
+prediction's earlier outputs.  A row keeps its current prediction, and the
+rate split and the barrier's partials are evaluated once per prediction:
+at its first step alone, then over the rest of its trajectory at its
+second step. So a step makes at most one barrier pass, over every
+(row, step) pair that a new or second-step prediction needs, and none when
+no prediction is new.
 The walk runs to the end, and the abort policy is checked after it.
 
 The condition is a forward-Euler step of the continuous one, which bounds
@@ -35,14 +34,16 @@ The walk reads an operator through this surface alone, which any operator
 class the filter runs must give:
 
 - `grid`, the `TimeGrid` of its inputs and outputs;
-- `forward_batch(UU, start)`, the outputs of a (B, M+1) batch of inputs
-  as (Y, cache), exact at rows start..M; `start` defaults to 0, and
-  `cache.start` is the start of the pass. A cache is a dict key, by
-  identity;
+- `forward_batch(UU, start, prior)`, the outputs of a (B, M+1) batch of
+  inputs as (Y, cache), exact at rows start..M; `start` defaults to 0, and
+  `cache.start` is the start of the pass. `prior` (default None) gives
+  one (cache, trajectory) per row of UU, an earlier pass over an input
+  equal to that row before `start`, which the pass may read its earlier
+  rows from. The outputs must be causal, bit for bit: rows 0..k-1 of the
+  outputs of two inputs that agree at rows 0..k-1 are equal, so the walk
+  keeps them from an earlier pass;
 - `decomposition(cache, start, stop, trajectory)`, the rate split
-  (Lambda, mu) at rows start..stop-1 of one trajectory of a cache;
-- `complete(cache, trajectories)`, the rows 0..cache.start-1 of the
-  outputs of those trajectories of a cache, with no further forward.
+  (Lambda, mu) at rows start..stop-1 of one trajectory of a cache.
 
 Evaluation's `_load_models` also reads the class's `load(path)`, and
 checks `grid` against the environment's.
@@ -169,22 +170,24 @@ def filter_batch(operator, bcbf, UU_nominal, config):
 
     Each step m = 1..M solves each row's scalar QP at its predicted output,
     accepts a row's result only if |dU_qp - dU_nominal| <= eta, and
-    rebuilds that row's input prefix. A step starts with one operator
-    forward over the rows whose input changed at the step before (all rows
-    at the first), and none when no row's did, so rows that accept nothing
-    (eta = 0 in particular) keep their nominal input bitwise. A row keeps
-    its prediction as (forward cache, trajectory in it, first step) and
-    (B, M+1) buffers of the rate split and of the barrier's partials, which
-    a prediction's first step fills for its row alone and a second step for
-    the rest of the trajectory. The step's one barrier pass covers those
+    rebuilds that row's input from row m on, accumulating the increments
+    from its row m-1, so that earlier rows keep their bits. A step starts
+    with one operator forward over the rows whose input changed at the step
+    before (all rows at the first), and none when no row's did, so rows
+    that accept nothing (eta = 0 in particular) keep their nominal input
+    bitwise. A row keeps its prediction as (forward cache, trajectory in
+    it, first step) and (B, M+1) buffers of the rate split and of the
+    barrier's partials, which a prediction's first step fills for its row
+    alone and a second step for the rest of the trajectory. The step's one barrier pass covers those
     (row, step) pairs of every row, and there is none when no row needs one
     (at eta = 0: one pass at step 1 and one at step 2). One more pass,
     before the walk, gives each row's phi(0, U0).
-    The first prediction is a whole forward; one made at step m > 1 runs
-    the operator's last layer from row m on, where the walk first reads it.
-    After the walk, one `complete` call per forward fills the earlier rows
-    of the final predictions that are partial, so each report's Y_predicted
-    is the forward of its U_safe (to the last bits in a larger batch).
+    The first prediction is a whole forward; one made at step m > 1,
+    after a change at step m-1, runs from row m-1 on with the row's
+    prediction before as its prior, and keeps the row's earlier outputs,
+    which by causality are those of the new input; so is one after a change
+    at the last step, made after the walk. Each report's Y_predicted is the
+    forward of its U_safe (to the last bits in a larger batch).
 
     Step m pairs the barrier at (t_m, Y_m) with U[m] - U[m-1], the increment
     arriving at m; the barrier is trained on forward differences there,
@@ -196,10 +199,8 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     partials do not, as each point is its own one-row product. Under the
     abort policy the error names, after the whole walk, the lowest row with
     an infeasible step at its first such step; an error the walk raises (a
-    non-finite operator output at a row it reads, or in a final
-    prediction's completed rows) comes first. The rows of a superseded
-    prediction before its first step are never computed, so they cannot
-    raise. Constants with alpha * dt >= 1 on the operator's grid raise
+    non-finite operator output at a row a forward ran) comes first.
+    Constants with alpha * dt >= 1 on the operator's grid raise
     ConfigurationError before the walk.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
@@ -219,14 +220,21 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     preds = [None] * B
     Lam, Mu, Phi, Phi_t, Phi_Y = (np.empty((B, n)) for _ in range(5))
     stale = list(range(B))  # rows whose prediction is stale, ascending
+
+    def reforward(m):
+        """New predictions for the stale rows, changed at step m - 1 (all
+        rows at m = 1): their outputs from row m - 1 on."""
+        lo = m - 1
+        prior = [preds[b][:2] for b in stale] if lo else None
+        Y, cache = operator.forward_batch(U_safe[stale], lo, prior)
+        Y_pred[stale, lo:] = Y[:, lo:]
+        for i, b in enumerate(stale):
+            preds[b] = (cache, i, m)
+        stale.clear()
+
     for m in range(1, n):
         if stale:
-            # the walk reads a re-forward from its first step on
-            Y_pred[stale], cache = operator.forward_batch(
-                U_safe[stale], start=0 if m == 1 else m)
-            for i, b in enumerate(stale):
-                preds[b] = (cache, i, m)
-            stale = []
+            reforward(m)
         fill = np.zeros((B, n), dtype=bool)
         for b in range(B):
             cache, i, first = preds[b]
@@ -257,26 +265,18 @@ def filter_batch(operator, bcbf, UU_nominal, config):
                 executed, accepted = du, False
             if executed != du_safe[b, m - 1]:
                 du_safe[b, m - 1] = executed
-                U_safe[b] = rate_to_trajectory(du_safe[b], UU_nom[b, 0])
+                # from row m on, so earlier rows keep their bits
+                U_safe[b, m:] = rate_to_trajectory(du_safe[b, m - 1:],
+                                                   U_safe[b, m - 1])[1:]
                 stale.append(b)
             records[b].append(StepRecord(m, float(du), float(du_qp), accepted,
                                          step.constraint_active,
                                          step.infeasible))
-    # the rows a final prediction skipped, one call per forward; rows stale
-    # here get a whole new prediction below
-    partial = {}
-    for b, (cache, i, _) in enumerate(preds):
-        if cache.start and b not in stale:
-            partial.setdefault(cache, []).append((b, i))
-    for cache, rows in partial.items():
-        bs, trajectories = zip(*rows)
-        Y_pred[list(bs), :cache.start] = operator.complete(
-            cache, list(trajectories))
+    if stale:  # changed at the last step
+        reforward(n)
     if config.infeasible_policy == "abort":
         for b, row in enumerate(records):
             for r in row:
                 if r.infeasible:
                     raise FilterInfeasibleError(r.step, row=b)
-    if stale:
-        Y_pred[stale] = operator.forward_batch(U_safe[stale])[0]
     return [FilterReport(r, U, Y) for r, U, Y in zip(records, U_safe, Y_pred)]

@@ -19,8 +19,8 @@ term, and one (0, Y0) row per rate sample; the one-pass losses of
 `safebc.barrier` must match them.
 
 `dense_loss_and_grads` is the operator's training step through each layer's
-whole kernel table; the step proper, which builds the table a block of rows
-at a time, must match it to round-off.
+whole causal Toeplitz kernel table; the step proper, which runs through the
+(n, d_out*d_in) lag table alone, must match it to round-off.
 
 `cell_table_text`, `cell_checkpoint_text` and `cell_dataset_text` write
 the file formats one cell at a time (a table's integer cell as
@@ -36,11 +36,12 @@ table lines per `np.loadtxt` call, the same values.
 the whole trajectory (output and rate split at every row) before each step
 it reads a changed input at; the filter proper must match it.
 
-The operator's time derivative differentiates the output-time slot only: the
-kernel's first argument, the bias, and the local path through U(t).  The
-matching finite-difference oracle therefore evaluates the operator at
-perturbed output times while keeping the integration nodes (and the layer
-activations stored at them) frozen.
+The operator's time derivative differentiates the output time only: the
+kernel's lag t - t_j, the integral's last panel, the bias, and the local
+path through U(t).  The matching finite-difference oracle therefore
+evaluates the operator at perturbed output times while keeping the
+integration nodes (and the layer activations stored at them) and the causal
+mask [j <= m] frozen, with the last panel growing from t_m.
 """
 
 import struct
@@ -98,7 +99,8 @@ def whole_trajectory_filter(operator, bcbf, U_nominal, config):
             executed, accepted = du_nom[m - 1], False
         if executed != du_safe[m - 1]:
             du_safe[m - 1] = executed
-            U_safe = rate_to_trajectory(du_safe, U_nom[0])
+            U_safe[m:] = rate_to_trajectory(du_safe[m - 1:],
+                                            U_safe[m - 1])[1:]
             stale = True
         records.append(StepRecord(m, float(du_nom[m - 1]), float(du_qp),
                                   accepted, step.constraint_active,
@@ -108,29 +110,32 @@ def whole_trajectory_filter(operator, bcbf, U_nominal, config):
     return FilterReport(records, U_safe, Y_pred)
 
 
-def frozen_quadrature_eval(op, cache, u_func, t, batch=0):
-    """Operator output at an arbitrary output time.
+def frozen_quadrature_eval(op, cache, u_func, t, m, batch=0):
+    """Operator output at an arbitrary output time t near step m.
 
+    The integration nodes t_j, the layer activations stored at them and the
+    causal mask [j <= m] stay frozen, and the last panel grows from t_m:
+    layer l's integral is sum_{j <= m} w_j K(t - t_j) v_j
+    + (t - t_m) K(t - t_m) v_m, which at t = t_m is the operator's.
     Returns (value, signs) where signs collects the sign pattern of every
     ReLU argument touched by the evaluation (layer activations and the
-    hidden layers of the table networks); comparing patterns across nearby
-    times detects kink crossings exactly.
+    hidden layers of the lag and time networks); comparing patterns across
+    nearby times detects kink crossings exactly.
     """
-    w = trapezoid_weights(op.grid)
-    nodes = op.grid.times()
-    n = nodes.size
+    w = trapezoid_weights(op.grid)[:m + 1]
+    nodes = op.grid.times()[:m + 1]
     signs = []
     v_t = np.array([float(u_func(t)), 1.0])
     for li, layer in enumerate(op.layers):
-        v_nodes = cache.vs[li][batch]
-        pairs = np.empty((n, 2))
-        pairs[:, 0] = t
-        pairs[:, 1] = nodes
-        # the table networks' one hidden layer is ReLU
+        v_nodes = cache.vs[li][batch][:m + 1]
+        lags = (t - nodes)[:, None]
+        # the lag and time networks' one hidden layer is ReLU
         W0, b0 = layer.kappa.params()[0], layer.kappa.params()[1]
-        signs.append((pairs @ W0.T + b0 > 0.0).ravel())
-        K = layer.kappa.forward(pairs).reshape(n, layer.dim_out, layer.dim_in)
-        integ = np.einsum("j,joi,ji->o", w, K, v_nodes)
+        signs.append((lags @ W0.T + b0 > 0.0).ravel())
+        K = layer.kappa.forward(lags).reshape(m + 1, layer.dim_out,
+                                              layer.dim_in)
+        integ = np.einsum("j,joi,ji->o", w, K, v_nodes) \
+            + (t - nodes[m]) * (K[m] @ v_nodes[m])
         W0, b0 = layer.b.params()[0], layer.b.params()[1]
         signs.append((np.array([[t]]) @ W0.T + b0 > 0.0).ravel())
         z = layer.W @ v_t + integ + layer.b.forward(np.array([[t]]))[0]
@@ -156,9 +161,9 @@ def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
     _, cache = op.forward_batch(U[None])
     n_pass = n_off = 0
     for m, t in enumerate(t_nodes):
-        lo, s_lo = frozen_quadrature_eval(op, cache, u_func, t - h)
-        hi, s_hi = frozen_quadrature_eval(op, cache, u_func, t + h)
-        _, s_mid = frozen_quadrature_eval(op, cache, u_func, t)
+        (lo, s_lo), (_, s_mid), (hi, s_hi) = (
+            frozen_quadrature_eval(op, cache, u_func, t + s, m)
+            for s in (-h, 0.0, h))
         if not (np.array_equal(s_lo, s_mid) and np.array_equal(s_mid, s_hi)):
             continue
         n_off += 1
@@ -170,26 +175,30 @@ def rate_identity_check(op, u_func, du_func, h=1e-5, rel_tol=1e-3):
 
 
 def dense_loss_and_grads(op, UU, YY, l2=0.0):
-    """`BoundaryOperator.loss_and_grads` through each layer's whole kernel
-    table K2 (n*d_out, n*d_in), built once from a trace of the kernel
-    network on every (t_m, t_j) pair, m major, and used in both passes.
-    `loss_and_grads` builds the same table a block of rows at a time and
-    keeps none."""
+    """`BoundaryOperator.loss_and_grads` through each layer's whole causal
+    Toeplitz kernel table K2 (n*d_out, n*d_in), whose block (m, j) is
+    K(t_{m-j}) for j <= m and zero above the diagonal, built once from a
+    trace of the kernel network on the n lags and used in both passes; the
+    kernel's gradient at lag k sums the blocks of K2's gradient on the k-th
+    block diagonal. `loss_and_grads` never builds K2."""
     UU = np.atleast_2d(np.asarray(UU, dtype=float))
     YY = np.atleast_2d(np.asarray(YY, dtype=float))
     B, n = UU.shape
     w = trapezoid_weights(op.grid)
-    t = op.grid.times()
-    pairs = np.stack([np.repeat(t, n), np.tile(t, n)], axis=1)
+    t = op.grid.times()[:, None]
 
     v = np.stack([UU, np.ones_like(UU)], axis=-1)
     vs, masks, tables = [v], [], []
     for layer in op.layers:
         do, di = layer.dim_out, layer.dim_in
-        kappa_trace = layer.kappa.trace(pairs)
-        b_trace = layer.b.trace(t[:, None])
-        K2 = kappa_trace.output.reshape(n, n, do, di).transpose(0, 2, 1, 3) \
-            .reshape(n * do, n * di)
+        kappa_trace = layer.kappa.trace(t)
+        b_trace = layer.b.trace(t)
+        K = kappa_trace.output.reshape(n, do, di)
+        K2 = np.zeros((n, do, n, di))
+        for m in range(n):
+            for j in range(m + 1):
+                K2[m, :, j] = K[m - j]
+        K2 = K2.reshape(n * do, n * di)
         tables.append((kappa_trace, b_trace, K2))
         vw = v * w[None, :, None]
         z = v @ layer.W.T + (vw.reshape(B, -1) @ K2.T).reshape(B, n, do) \
@@ -218,10 +227,12 @@ def dense_loss_and_grads(op, UU, YY, l2=0.0):
         dW = dz.reshape(-1, do).T @ v_in.reshape(-1, di)
         b_grads, _ = layer.b.reverse(b_trace, dz.sum(axis=0))
         vw = v_in * w[None, :, None]
-        dK2 = dz.reshape(B, -1).T @ vw.reshape(B, -1)
-        up = dK2.reshape(n, do, n, di).transpose(0, 2, 1, 3) \
-            .reshape(n * n, -1)
-        kappa_grads, _ = layer.kappa.reverse(kappa_trace, up)
+        dK2 = (dz.reshape(B, -1).T @ vw.reshape(B, -1)).reshape(n, do, n, di)
+        up = np.zeros((n, do, di))
+        for m in range(n):
+            for j in range(m + 1):
+                up[m - j] += dK2[m, :, j]
+        kappa_grads, _ = layer.kappa.reverse(kappa_trace, up.reshape(n, -1))
         layer_grads.append([dW] + kappa_grads + b_grads)
         dv = dz @ layer.W + (dz.reshape(B, -1) @ K2).reshape(B, n, di) \
             * w[None, :, None]

@@ -89,7 +89,7 @@ def test_history_has_one_row_per_epoch(run):
 def test_an_early_stop_is_named_on_stderr(run, tmp_path, capsys):
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"operator": {"epochs": 2, "d_v": 4,
-                                               "lr": 1e100}}))
+                                               "lr": 1e200}}))
     with np.errstate(over="ignore", invalid="ignore"):
         rc = main(["train-operator", "--dataset", str(run / "data.csv"),
                    "--config", str(config), "--out", str(tmp_path / "op")])
@@ -150,7 +150,7 @@ def test_a_dataset_without_its_grid_exits_2_naming_it(tmp_path, capsys):
 
 def test_an_abort_names_its_step_and_under_evaluate_its_episode(tmp_path,
                                                                capsys):
-    BoundaryOperator(TimeGrid(5.0, 20), d_v=4, n_layers=2, seed=1).save(
+    BoundaryOperator(TimeGrid(5.0, 20), d_v=4, n_layers=2, seed=6).save(
         tmp_path / "op.ckpt")
     BarrierFunction(seed=0).save(tmp_path / "bar.ckpt")
     assert main(["simulate", *ENV, "--controller", "smooth", "--U0", "1.5",

@@ -83,7 +83,7 @@ def test_only_changed_inputs_are_replayed_in_one_batch(spec, monkeypatch):
     calls, instances = counting(monkeypatch)
     # at this threshold the filter changes some inputs, not all
     on = dataclasses.replace(spec, filter_on=True,
-                             filter=FilterConfig(eta=8.0))
+                             filter=FilterConfig(eta=6.0))
     records = run_episodes(on)
     assert len(calls) == 2 and 0 < len(calls[1]) < spec.episodes
     # the nominal run and the replay each drive every episode with one
@@ -116,10 +116,10 @@ def counting_filter(monkeypatch):
     calls, forwards, starts = [], [], []
     forward_batch = BoundaryOperator.forward_batch
 
-    def counting_forward(self, UU, start=0):
+    def counting_forward(self, UU, start=0, prior=None):
         forwards.append(len(UU))
         starts.append(start)
-        return forward_batch(self, UU, start)
+        return forward_batch(self, UU, start, prior)
 
     def counting_batch(op, bar, UU, config):
         calls.append((UU.copy(), []))
@@ -149,18 +149,19 @@ def test_one_filter_walk_with_one_forward_per_changed_step(
     assert forwards[0] == episodes
     assert len(forwards) <= GRID.M + 1
     # the first prediction is whole; a re-forward after a change at step m
-    # starts at m + 1, where the walk first reads it, and the one after a
-    # change at the last step is whole
-    assert starts == [0] + [m + 1 if m < GRID.M else 0
-                            for m in sorted(changed_at)]
+    # starts at row m, the first row the change moved (the walk reads it
+    # from m + 1), and keeps the earlier rows of the prediction before
+    assert starts == [0] + sorted(changed_at)
 
 
 def first_infeasible_steps(spec, monkeypatch):
-    """Save a barrier and draw episodes under which episode 1 meets an
-    infeasible step before episode 0 does. Returns the filter-on spec, the
-    filter_batch calls and each episode's first infeasible step under the
-    fallback policy."""
-    BarrierFunction(seed=0).save(spec.bcbf_path)
+    """Save an operator and a barrier and draw episodes under which episode
+    1 meets an infeasible step before episode 0 does. Returns the filter-on
+    spec, the filter_batch calls and each episode's first infeasible step
+    under the fallback policy."""
+    BoundaryOperator(GRID, d_v=4, n_layers=2, seed=0).save(
+        spec.operator_path)
+    BarrierFunction(seed=4).save(spec.bcbf_path)
     calls, _, _ = counting_filter(monkeypatch)
     on = dataclasses.replace(spec, filter_on=True, seed=1)
     run_episodes(on)

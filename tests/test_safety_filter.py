@@ -9,7 +9,6 @@ to 1e-12 relative in its values, as a multi-row product need not round like
 a one-row one.
 """
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -19,8 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from safebc import safety_filter
 from safebc.barrier import BarrierFunction, FeasibilityConstants
-from safebc.nets import Trace
-from safebc.neural_operator import BoundaryOperator, TableEntry
+from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import (ConfigurationError, HyperbolicConfig,
                             ParabolicConfig, SmoothRandom, TimeGrid, rollout)
 from safebc.safety_filter import (FilterConfig, FilterInfeasibleError,
@@ -117,7 +115,14 @@ class TestFilterTrajectory:
         assert [r.step for r in rep.records] == list(range(1, GRID.M + 1))
         executed = [r.du_qp if r.active and r.accepted and not r.infeasible
                     else r.du_nom for r in rep.records]
-        assert np.array_equal(rep.U_safe, rate_to_trajectory(executed, U[0]))
+        # the nominal bits up to the first changed step, then the executed
+        # increments accumulated from the row before it
+        f = next((r.step for r in rep.records if r.du_qp != r.du_nom
+                  and r.active and r.accepted and not r.infeasible), None)
+        expected = U.copy()
+        if f is not None:
+            expected[f:] = rate_to_trajectory(executed[f - 1:], U[f - 1])[1:]
+        assert np.array_equal(rep.U_safe, expected)
 
     def test_some_fixture_modifies_steps(self):
         # keeps the test above from passing on fixtures that never act
@@ -126,11 +131,11 @@ class TestFilterTrajectory:
         assert sum(r.n_modified for r in reps) > 0
 
     def test_abort_policy_raises_on_an_infeasible_step(self):
-        op, bar = models(0)
-        rep = filter_trajectory(op, bar, nominal(0), FilterConfig(eta=1e9))
+        op, bar = models(1)
+        rep = filter_trajectory(op, bar, nominal(2), FilterConfig(eta=1e9))
         first = next(r.step for r in rep.records if r.infeasible)
         with pytest.raises(FilterInfeasibleError) as info:
-            filter_trajectory(op, bar, nominal(0),
+            filter_trajectory(op, bar, nominal(2),
                               FilterConfig(eta=1e9, infeasible_policy="abort"))
         assert info.value.step == first
 
@@ -175,7 +180,7 @@ def batch_case(case):
     nominals, or five parabolic nominals at M=80."""
     if case == "parabolic":
         return parabolic_models(U0=(1.0, 0.5, 1.5, 2.0, 0.8))
-    return models(case) + (np.array([nominal(s) for s in range(6)]),)
+    return models(case) + (np.array([nominal(s) for s in range(6, 12)]),)
 
 
 BATCH_CASES = [0, 1, 2, 3, "parabolic"]
@@ -247,8 +252,8 @@ class TestFilterBatch:
     def test_abort_names_the_lowest_row_at_its_first_infeasible_step(self):
         # row 1 meets an infeasible step before row 0 does; filtering the
         # rows in order would stop at row 0's
-        op, bar = models(0)
-        UU = np.array([nominal(s) for s in (0, 1, 3)])
+        op, bar = models(1)
+        UU = np.array([nominal(s) for s in (5, 2, 3)])
         config = FilterConfig(eta=1e9)
         first = [next(r.step for r in rep.records if r.infeasible)
                  for rep in filter_batch(op, bar, UU, config)]
@@ -263,8 +268,8 @@ class TestFilterBatch:
     def test_an_abort_is_raised_after_the_whole_walk(self, monkeypatch):
         # row 0 meets no infeasible step and row 2 meets one before row 1
         # does; every row is walked to the end, then row 1's step is raised
-        op, bar = models(0)
-        UU = np.array([nominal(s) for s in (7, 8, 3)])
+        op, bar = models(1)
+        UU = np.array([nominal(s) for s in (0, 3, 2)])
         reports = filter_batch(op, bar, UU, FilterConfig(eta=1e9))
         first = [next((r.step for r in rep.records if r.infeasible), None)
                  for rep in reports]
@@ -331,8 +336,10 @@ class OperatorSurface(Surface):
         super().__init__(op, ("grid",))
         self.__op, self.__calls, self.__caches = op, calls, {}
 
-    def forward_batch(self, UU, start=0):
-        Y, cache = self.__op.forward_batch(UU, start)
+    def forward_batch(self, UU, start=0, prior=None):
+        if prior is not None:
+            prior = [(self.__caches[cache], i) for cache, i in prior]
+        Y, cache = self.__op.forward_batch(UU, start, prior)
         surface = Surface(cache, ("start",))
         self.__caches[surface] = cache
         self.__calls.append(("forward_batch", start))
@@ -342,10 +349,6 @@ class OperatorSurface(Surface):
         self.__calls.append(("decomposition", cache.start))
         return self.__op.decomposition(self.__caches[cache], start, stop,
                                        trajectory)
-
-    def complete(self, cache, trajectories):
-        self.__calls.append(("complete", cache.start))
-        return self.__op.complete(self.__caches[cache], trajectories)
 
 
 @pytest.mark.parametrize("case, eta", [(3, 1e9), ("parabolic", 2.0)])
@@ -357,12 +360,10 @@ def test_the_walk_reads_an_operator_through_its_documented_surface(case, eta):
     with pytest.raises(AttributeError):
         surface.predict
     reports = filter_batch(surface, bar, UU, config)
-    # modified steps, re-forwards from later rows, and final predictions
-    # completed from their caches
+    # modified steps, and re-forwards from later rows
     assert all(r.n_modified > 0 for r in reports)
     assert any(name == "forward_batch" and start > 0
                for name, start in calls)
-    assert any(name == "complete" for name, _ in calls)
     for report, direct in zip(reports, filter_batch(op, bar, UU, config),
                               strict=True):
         assert_reports_match(report, direct)
@@ -404,8 +405,8 @@ def walk_log(monkeypatch, op, bar, UU, config):
     forward_batch, partials, qp = (op.forward_batch, bar.partials,
                                    safety_filter.qp_filter_step)
 
-    def logged_forward(U, start=0):
-        Y, cache = forward_batch(U, start)
+    def logged_forward(U, start=0, prior=None):
+        Y, cache = forward_batch(U, start, prior)
         events.append(("forward", Y))
         return Y, cache
 
@@ -519,10 +520,10 @@ def test_one_forward_per_prediction_and_a_split_only_where_read(
     events, starts = [], []
     forward_batch, decomposition = op.forward_batch, op.decomposition
 
-    def logged_forward(UU, start=0):
+    def logged_forward(UU, start=0, prior=None):
         events.append(None)
         starts.append(start)
-        return forward_batch(UU, start)
+        return forward_batch(UU, start, prior)
 
     def logged_split(cache, start, stop, trajectory):
         events.append((start, stop))
@@ -545,98 +546,50 @@ def test_one_forward_per_prediction_and_a_split_only_where_read(
             (start, stop), rest = splits[0], splits[1:]
             assert stop == start + 1
             assert rest in ([], [(stop, n)])
-    # a forward starts at its first split's row; the first one and the
-    # final one after a change at the last step run every row
+    # a re-forward starts one row before its first split's row, at the
+    # first row its change moved (the final one after a change at the last
+    # step, at row M); the first one runs every row
     assert starts[0] == 0
     for start, splits in zip(starts[1:], predictions[1:]):
-        assert start == (splits[0][0] if splits else 0)
+        assert start == (splits[0][0] if splits else n) - 1
 
 
+@pytest.mark.parametrize("case", [0, 2, "parabolic"])
 @pytest.mark.parametrize("eta", [2.0, 1e9])
-def test_the_reported_prediction_is_the_forward_of_the_safe_input(eta):
-    # a re-forward runs the last layer from the step it is first read at,
-    # and the walk completes the final prediction's earlier rows
-    op, bar, U = parabolic_models()
+def test_the_reported_prediction_is_the_forward_of_the_safe_input(case, eta):
+    # a re-forward runs from the first row its change moved, and the walk
+    # keeps each prediction's earlier rows, which causality leaves as they
+    # were: bitwise in a batch of one
+    op, bar, UU = batch_case(case)
     config = FilterConfig(eta=eta)
-    report = filter_trajectory(op, bar, U, config)
-    assert report.n_modified > 0
-    assert np.array_equal(report.Y_predicted, op.forward(report.U_safe))
-    op, bar, UU = batch_case("parabolic")
+    reports = [filter_trajectory(op, bar, U, config) for U in UU]
+    assert any(report.n_modified for report in reports)
+    for report in reports:
+        assert np.array_equal(report.Y_predicted, op.forward(report.U_safe))
     for report in filter_batch(op, bar, UU, config):
         assert_close(report.Y_predicted, op.forward(report.U_safe))
 
 
 @pytest.mark.parametrize("call", ["filter_trajectory", "filter_batch",
-                                  "predict", "complete"])
-def test_no_filter_or_inference_call_builds_a_dense_kernel_table(
-        call, monkeypatch):
-    """At the benchmark's parabolic size (M=80, d_v=16) a layer's kernel
-    table is (n*d_v)^2 floats, 13 MB. Inference runs through the kernel
-    networks' hidden features instead: on a fresh operator, the most memory
-    a call holds at once stays below one such array, and the call builds
-    no row of a kernel table."""
+                                  "predict"])
+def test_no_filter_or_inference_call_holds_a_dense_kernel_table(call):
+    """At the benchmark's parabolic size (M=80, d_v=16) a layer's dense
+    kernel table is (n*d_v)^2 floats, 13 MB, and the pair kernel's hidden
+    features (n^2, h) 1.7 MB. A call through the lag kernel holds less at
+    once, by tracemalloc's peak, than one eighth of the table."""
     op, bar, UU = parabolic_models(U0=(1.0, 0.6, 0.3))
     dense_bytes = ((op.grid.M + 1) * op.d_v) ** 2 * 8
-    if call == "complete":
-        _, cache = op.forward_batch(UU, 40)
     run = {"filter_trajectory": lambda: filter_trajectory(op, bar, UU[0],
                                                           FilterConfig()),
            "filter_batch": lambda: filter_batch(op, bar, UU, FilterConfig()),
-           "predict": lambda: op.predict(UU[0]),
-           "complete": lambda: op.complete(cache, [0, 2])}[call]
-    built = []
-    kernel_rows = op._kernel_rows
-
-    def logged(*args):
-        built.append(args[2:])
-        return kernel_rows(*args)
-
-    monkeypatch.setattr(op, "_kernel_rows", logged)
+           "predict": lambda: op.predict(UU[0])}[call]
     tracemalloc.start()
     try:
         run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dense_bytes
-    assert built == []
-
-
-def test_a_non_finite_completed_row_raises_before_an_abort(monkeypatch):
-    # NaN in the kernel network's hidden features at the rows that
-    # complete a final prediction: the completion raises, ahead of the
-    # abort policy's error
-    op, bar = models(0)
-    U = nominal(0)
-    config = FilterConfig(eta=1e9, infeasible_policy="abort")
-    starts, forward_batch = [], op.forward_batch
-
-    def logged_forward(UU, start=0):
-        starts.append(start)
-        return forward_batch(UU, start)
-
-    monkeypatch.setattr(op, "forward_batch", logged_forward)
-    with pytest.raises(FilterInfeasibleError):
-        filter_trajectory(op, bar, U, config)
-    assert starts[-1] > 0  # the final prediction is partial
-    complete = op.complete
-
-    def planted(cache, trajectories):
-        last = cache.tables.layers[-1]
-        pairs, H = last.kappa_trace.inputs
-        H = H.copy()
-        # the pairs (t_m, t_j) with m < start
-        H[:cache.start * (op.grid.M + 1)] = np.nan
-        kappa_trace = Trace([pairs, H], last.kappa_trace.masks, [])
-        layers = cache.tables.layers[:-1] + [
-            dataclasses.replace(last, kappa_trace=kappa_trace)]
-        return complete(dataclasses.replace(
-            cache, tables=TableEntry(cache.tables.key, layers)),
-            trajectories)
-
-    monkeypatch.setattr(op, "complete", planted)
-    with pytest.raises(FloatingPointError):
-        filter_trajectory(op, bar, U, config)
+    assert peak < dense_bytes / 8
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": -1.0},

@@ -258,6 +258,37 @@ CHECKPOINTS = {
            "checkpoint format CKPT v1 is not read (only CKPT v2 is); "
            "retrain the model"),
 }
+# header lines the writer never spells: each is rejected, not read
+TENSOR = f"1 2\n{hex_row(3, 4)}\n"
+CHECKPOINTS.update({
+    f"header_{name}": (CKPT_HEAD + header + TENSOR, 5,
+                       "malformed tensor header")
+    for name, header in (("leading_blank", " W0 "), ("tab", "W0\t"),
+                         ("two_blanks", "W0  "), ("blank_line", "  \nW0 "))})
+CHECKPOINTS["header_trailing_blank"] = (
+    CKPT_HEAD + f"W0 1 2 \n{hex_row(3, 4)}\n", 5, "malformed tensor header")
+CHECKPOINTS.update({
+    f"meta_{name}": (f"CKPT v2 kind=bcbf\n{line}\nb0 1 2\n{hex_row(1, 2)}\n",
+                     2, message)
+    for name, line, message in (
+        ("leading_blank", "meta  a 1", "malformed meta line"),
+        ("trailing_blank", "meta a 1 ", "malformed meta line"),
+        ("tab_in_value", "meta a\t1", "malformed meta line"),
+        ("two_blanks_in_value", "meta a 1  2", "malformed meta line"),
+        ("tab_after_meta", "meta\ta 1", "malformed tensor header"))})
+
+
+@pytest.mark.parametrize("meta, names", [
+    ({"a": " 1"}, ()), ({"a": "1 "}, ()), ({"a": "1\t2"}, ()), ({"a": ""}, ()),
+    ({"a\tb": "1"}, ()), ({}, ("W\t0",)), ({}, ("W0\n",))],
+    ids=["leading_blank", "trailing_blank", "tab", "empty", "tab_in_key",
+         "tab_in_name", "newline_in_name"])
+def test_the_writer_refuses_what_the_reader_would_reject(tmp_path, meta,
+                                                         names):
+    with pytest.raises(CheckpointError):
+        write_checkpoint(tmp_path / "m.ckpt", "bcbf",
+                         {name: np.zeros(1) for name in names}, meta)
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
