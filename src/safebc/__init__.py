@@ -44,7 +44,7 @@ from .nets import Adam, Mlp, subseed  # noqa: F401
 from .neural_operator import (  # noqa: F401
     BoundaryOperator,
     KernelLayer,
-    trapezoid_weights,
+    quadrature_weights,
 )
 from .barrier import (  # noqa: F401
     BarrierFunction,

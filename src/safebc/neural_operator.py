@@ -7,20 +7,23 @@ layers
     v_{l+1}(t_m) = sigma(W v_l(t_m)
                          + sum_{j <= m} w_j K_l(t_m - t_j) v_l(t_j) + b_l(t_m))
 
-with trapezoidal quadrature weights w_j, and projects back to a scalar
-trajectory Y. The kernel K_l is a small MLP of the lag alone, evaluated at
-the n grid lags t_k = k dt (the lag of (t_m, t_j) is t_{m-j}), and it reads
-only inputs up to t_m: each layer is a causal, time-invariant (Volterra)
-convolution, as both plants are (Kovachki et al., arXiv 2108.08481). So an
-output row never depends on a later input, bit for bit: the sums over
-j <= m multiply later inputs by exact zeros, and every product and sum of
-a row runs at the same shape whatever the other rows hold. The bias b_l is
-a small MLP of t_m. Between t_m and t_{m+1} the integral extends as
-sum_{j <= m} w_j K(t - t_j) v_j + (t - t_m) K(t - t_m) v_m, the quadrature
-at the frozen nodes plus the panel that grows from t_m, so its time
-derivative at t_m is sum_{j <= m} w_j K'(t_{m-j}) v_j + K(0) v_m, the
-derivative of a Volterra integral with its boundary term. The exact time
-derivative of the operator so extended decomposes as
+with quadrature weights w_j = dt [1/2, 1, ..., 1] (`quadrature_weights`),
+and projects back to a scalar trajectory Y. The weights do not depend on
+the row that reads them, and every row m >= 1 weighs its diagonal, lag 0,
+by dt, the weight the rate split's boundary term below assumes. The kernel
+K_l is a small MLP of the lag alone, evaluated at the n grid lags t_k = k
+dt (the lag of (t_m, t_j) is t_{m-j}), and it reads only inputs up to t_m:
+each layer is a causal, time-invariant (Volterra) convolution, as both
+plants are (Kovachki et al., arXiv 2108.08481). So an output row never
+depends on a later input, bit for bit: the sums over j <= m never read a
+later input, and every product and sum of a row runs at the same shape
+whatever the other rows hold. The bias b_l is a small MLP of t_m. Between
+t_m and t_{m+1} the integral extends as sum_{j <= m} w_j K(t - t_j) v_j +
+(t - t_m) K(t - t_m) v_m, the quadrature at the frozen nodes plus the panel
+that grows from t_m, so its time derivative at t_m is sum_{j <= m} w_j
+K'(t_{m-j}) v_j + K(0) v_m, the derivative of a Volterra integral with its
+boundary term. The exact time derivative of the operator so extended
+decomposes as
 
     dY/dt(t_m) = Lambda(t_m) * dU/dt(t_m) + mu(t_m)
 
@@ -35,32 +38,27 @@ the grid differences of Y as dt shrinks.
 split at a row range of a pass and computes the kernel term for those rows
 only, so a caller that needs the split at one step pays for one step. The
 kernel and bias derivatives come from the ReLU masks in the traces of the
-one-hidden-layer lag and time networks, so no derivative table is built.
+one-hidden-layer lag and time networks: the kernel's makes a lag table of
+its own, built once per pass when the split is first asked for.
 
 The constant channel carries the terms W p and sum_{j<=m} w_j
 K(t_m - t_j) p of a constant input p, which a layer on U alone could not
 form. A lift u p_w + p_b in front would add parameters but no functions,
 as its weight and bias fold into the first layer's W and kernel.
 
-Each pass evaluates every kernel network on the n lags and every bias
-network on the n times, (n, .) arrays that it keeps in its forward cache
-(`LagArrays`); nothing is cached between passes, and no array of a pass
-has n*n rows. A sum over j <= m reads a lag array zero-padded in front to
-2n-1 lags through a strided view whose window m holds lags m-n+1..m,
-against the input reversed in time (`_windows`): one product per output
-row, each over one n-lag window of the same padded array. The kernel
-network's output layer is linear, K = W1 phi + b1 with phi its hidden
-features, so a layer integral can be contracted in either order:
-
-    sum_{j<=m} w_j K(t_{m-j}) v_j = W1 (sum_{j<=m} w_j phi(t_{m-j}) v_j)
-                                    + b1 (sum_{j<=m} w_j v_j)
-
-with W1 and b1 read as (d_out, d_in, h) and (d_out, d_in). Every pass but a
-training step takes the right-hand side, through the hidden features, whose
-last sum is a running sum over j. A training step takes the left-hand
-side, through the lag table; its backward pass forms the kernel's gradient
-lag by lag and the input gradient through the lag table's windows, in
-reversed time, and sweeps the kernel network over the n lags.
+Each pass evaluates every kernel network on the n lags, whose output
+layer makes the layer's lag table of blocks K(t_k)^T, (n*d_in, d_out),
+and traces every bias network on the n times: (n, .) arrays that it keeps
+in its forward cache (`LagArrays`); nothing is cached between passes, and
+no array of a pass has n*n rows. Row m of a layer's integral is one
+product of the lag table with the history window of the weighted input,
+w_m v_m, w_{m-1} v_{m-1}, ..., w_0 v_0 and then zeros (`_history`), a
+strided view of one copy of w v reversed in time and zero-padded: no later
+input enters the row, and every row's product has the same shape. Training
+and inference run the same pass. The backward pass forms the kernel's
+gradient lag by lag, carries the input gradient through history windows
+of the same form in reversed time, and sweeps the kernel network over the
+n lags.
 
 `forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
 only: each earlier layer runs in full, as the last one's integral reads its
@@ -77,7 +75,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .checkpoint import (check_tensor_names, checkpoint_tensor,
                          read_checkpoint, write_checkpoint)
@@ -85,11 +82,15 @@ from .nets import Mlp, Trace, subseed
 from .pde_sim import ConfigurationError, TimeGrid
 
 
-def trapezoid_weights(grid):
-    """Quadrature weights for the uniform grid: dt * [1/2, 1, ..., 1, 1/2]."""
+def quadrature_weights(grid):
+    """Weights w_j of the kernel sums over j <= m on the uniform grid,
+    dt * [1/2, 1, ..., 1]: the trapezoid rule's first node, then a whole
+    panel per node. Every row m >= 1 weighs its diagonal node, lag 0, by
+    dt, the weight the rate split's boundary term K(0) v_m assumes, and no
+    weight depends on the row that reads it, so a kernel sum is the same
+    function of the input's history at every row, the last one included."""
     w = np.full(grid.M + 1, grid.dt)
     w[0] *= 0.5
-    w[-1] *= 0.5
     return w
 
 
@@ -113,58 +114,68 @@ def mean_square(diff):
     return float(np.sum(diff * diff)) / diff.size
 
 
-def _windows(table):
-    """The (n, n*a, b) view of a lag table (n, a, b), zero-padded in front
-    to 2n-1 lags, whose window m holds lags m-n+1..m as n blocks of a rows;
-    a negative lag reads zero. Against x reversed in time (x_j at block
-    n-1-j), window m sums table[m - j] x_j over j <= m. Every window is a
-    slice of the one padded array, which holds (2n-1)*a*b floats."""
-    n, a, b = table.shape
-    padded = np.zeros((2 * n - 1, a, b))
-    padded[n - 1:] = table
-    return as_strided(padded, (n, n * a, b), padded.strides, writeable=False)
+def _history(x, w=None):
+    """The history windows of a batch x (B, n, a), weighted by w along
+    time when given, an (n, B, n*a) view: window m holds w_m x_m,
+    w_{m-1} x_{m-1}, ..., w_0 x_0 and then zeros, n blocks of a. Against
+    a lag table (n*a, b) whose block k is lag t_k, window m sums
+    table[k] w_{m-k} x_{m-k} over k <= m, and no later x enters it. Every
+    window is a slice of one copy of w x, reversed in time and zero-padded
+    behind to 2n-1 blocks."""
+    B, n, a = x.shape
+    padded = np.zeros((B, 2 * n - 1, a))
+    if w is None:
+        padded[:, :n] = x[:, ::-1]
+    else:
+        np.multiply(x[:, ::-1], w[::-1, None], out=padded[:, :n])
+    step = padded.itemsize
+    # window r of this view starts at block r, which holds x_{n-1-r}
+    view = np.ndarray((n, B, n * a), padded.dtype, padded, 0,
+                      (a * step, (2 * n - 1) * a * step, step))
+    view.flags.writeable = False
+    return view[::-1]
 
 
 class LagArrays:
     """What one kernel layer's parameters give on the grid, (n, .) arrays
     at the n lags or times, built once per pass or taken over from a prior
     pass of the same parameters: the kernel network's trace up to its
-    hidden layer on the lags (features phi and masks), the bias network's
-    trace on the times, and the windows of phi. The rate split's terms and
-    the lag table are built the first time a caller reads them."""
+    hidden layer on the lags (features phi and masks), the lag table that
+    its linear output layer makes of phi, and the bias network's trace on
+    the times. The rate split's terms are built the first time a caller
+    reads them."""
 
     def __init__(self, layer, t):
         self.layer = layer
+        n, di, do = len(t), layer.dim_in, layer.dim_out
         # the kernel network's hidden layer, as Mlp.trace computes it; the
         # trace stops there, and Mlp.reverse reads no more of it
-        W0, b0 = layer.kappa.params()[:2]
+        W0, b0, W1, b1 = layer.kappa.params()
         phi = t @ W0.T
         phi += b0
         mask = phi > 0.0
         np.maximum(phi, 0.0, out=phi)
         self.kappa = Trace([t, phi], [mask], [])
+        # the output layer, its rows read (d_out, d_in), taken in the order
+        # (d_in, d_out): the table of blocks K(t_k)^T, (n*d_in, d_out),
+        # that history windows multiply
+        self.W1T = W1.reshape(do, di, -1).transpose(1, 0, 2).reshape(
+            di * do, -1).T
+        table = phi @ self.W1T
+        table += b1.reshape(do, di).T.ravel()
+        self.table = table.reshape(n * di, do)
         self.b = layer.b.trace(t)
-        self.phi = _windows(phi[:, None])
-
-    @cached_property
-    def table(self):
-        """The kernel at the n lags, (n, d_out, d_in): the kernel network's
-        linear output layer on phi, as `Mlp.trace` computes it."""
-        _, _, W1, b1 = self.layer.kappa.params()
-        K = self.kappa.inputs[1] @ W1.T
-        K += b1
-        return K.reshape(-1, self.layer.dim_out, self.layer.dim_in)
 
     @cached_property
     def rates(self):
-        """(windows of phi's lag derivative, K(0)^T, the bias's time
-        derivative): phi's derivative is mask * W0[:, 0] and the bias's
-        W1 (mask * W0[:, 0]), from the masks of the traces."""
-        kW0, _, kW1, kb1 = self.layer.kappa.params()
-        bW0, _, bW1, _ = self.layer.b.params()
-        K0 = self.kappa.inputs[1][:1] @ kW1.T + kb1
-        return (_windows((self.kappa.masks[0] * kW0[:, 0])[:, None]),
-                K0.reshape(self.layer.dim_out, -1).T,
+        """(the lag table's lag derivative, K(0)^T, the bias's time
+        derivative): a network's derivative is W1 (mask * W0[:, 0]), from
+        the mask of its trace."""
+        layer = self.layer
+        kW0 = layer.kappa.params()[0]
+        bW0, _, bW1, _ = layer.b.params()
+        dK = (self.kappa.masks[0] * kW0[:, 0]) @ self.W1T
+        return (dK.reshape(-1, layer.dim_out), self.table[:layer.dim_in],
                 (self.b.masks[0] * bW0[:, 0]) @ bW1.T)
 
 
@@ -203,14 +214,16 @@ class KernelLayer:
 
 @dataclass(eq=False)
 class OperatorCache:
-    """Activations of one forward pass and the lag arrays it was computed
-    with, one `LagArrays` per kernel layer.
+    """Activations of one forward pass, the lag arrays it was computed
+    with, one `LagArrays` per kernel layer, and the history windows its
+    integrals read.
 
     A pass from row start > 0 ran the last layer and Q at rows [start, n)
     only: before start, the last layer's activation and Q's output read NaN
     and its mask False; every earlier layer input is whole."""
     lags: list  # per kernel layer: its LagArrays
     vs: list  # layer inputs: vs[0] the channels (U, 1), ..., vs[L] to Q
+    hists: list  # per kernel layer: the `_history` windows of w v
     masks: list  # per kernel layer: bool ReLU pattern, or None
     q_trace: object  # trace of the readout Q
     start: int = 0  # first row of the last layer and Q that the pass ran
@@ -233,7 +246,7 @@ class BoundaryOperator:
             for i in range(n_layers)
         ]
         self.Q = Mlp([d_v, 1], seed=subseed(seed, 99))
-        self._weights = trapezoid_weights(grid)
+        self._weights = quadrature_weights(grid)
 
     # -- parameters -------------------------------------------------------
 
@@ -252,34 +265,20 @@ class BoundaryOperator:
                 "trajectory length %d does not match grid M=%d"
                 % (U.shape[-1], self.grid.M))
 
-    def _preactivation(self, li, lag, v, lo, train=False):
-        """Layer li's pre-activation at rows [lo, n) of a batch, from its
-        whole input v (B, n, d_in) and its lag arrays. The integral runs
-        through the kernel network's hidden features, then its output
-        layer, one product per row over that row's window; with train (a
-        training step) it runs through the lag table instead. Every
-        row-wise term runs at every row, as a product over fewer rows need
-        not round like the same rows of the whole one, so each row is the
-        same row of the whole pass."""
-        layer = self.layers[li]
-        n, do, di, B = v.shape[1], layer.dim_out, layer.dim_in, len(v)
-        vw = v * self._weights[None, :, None]
-        if train:
-            # rows [lo, n) of the sum over j <= m of K(t_{m-j}) (w v)_j
-            r = vw[:, ::-1].reshape(B, n * di)
-            integ = (r @ _windows(lag.table.transpose(0, 2, 1))[lo:]) \
-                .transpose(1, 0, 2)
-        else:
-            _, _, W1, b1 = layer.kappa.params()
-            # per row m: sum_{j<=m} w_j v_j phi(t_{m-j}) as (B*d_in, h),
-            # then W1 as (d_in*h, d_out), one product per row
-            r = vw[:, ::-1].transpose(0, 2, 1).reshape(B * di, n)
-            G = (r @ lag.phi[lo:]).reshape(n - lo, B, -1) \
-                @ W1.reshape(do, -1).T
-            # b1 as (d_out, d_in), on the running sum over j <= m of w_j v_j
-            bias = np.cumsum(vw, axis=1) @ b1.reshape(do, di).T
-            integ = G.transpose(1, 0, 2) + bias[:, lo:]
-        return (v @ layer.W.T)[:, lo:] + integ + lag.b.output[lo:]
+    def _preactivation(self, layer, lag, v, out):
+        """A layer's pre-activation at the last rows [lo, n) of a batch,
+        written to out (B, n-lo, d_out), from its whole input v
+        (B, n, d_in) and its lag arrays. Returns the history windows of
+        w v that its integral read: row m's integral is one product of
+        window m with the lag table. Every row-wise term runs at every
+        row, as a product over fewer rows need not round like the same rows
+        of the whole one, so each row is the same row of the whole pass."""
+        lo = v.shape[1] - out.shape[1]
+        hist = _history(v, self._weights)
+        np.add((v @ layer.W.T)[:, lo:],
+               (hist[lo:] @ lag.table).transpose(1, 0, 2), out=out)
+        out += lag.b.output[lo:]
+        return hist
 
     def forward_batch(self, UU, start=0, prior=None):
         """Map a batch of input trajectories (B, M+1) to outputs (B, M+1).
@@ -297,11 +296,6 @@ class BoundaryOperator:
         causality every layer input is then the same before start, so the
         pass takes those rows, and its lag arrays, from there.
         """
-        return self._forward(UU, start, prior)
-
-    def _forward(self, UU, start=0, prior=None, train=False):
-        """`forward_batch`, or with train the pass of a training step,
-        whose integrals run through the lag tables."""
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
@@ -310,39 +304,39 @@ class BoundaryOperator:
             lags = [LagArrays(layer, t) for layer in self.layers]
         else:
             if len(prior) != B or any(
-                    not np.array_equal(c.vs[0][i, :start, 0], U[:start])
+                    (c.vs[0][i, :start, 0] != U[:start]).any()
                     for (c, i), U in zip(prior, UU)):
                 raise ValueError("a prior pass must give one trajectory per "
                                  f"input, equal to it before row {start}")
             lags = prior[0][0].lags
-        v = np.stack([UU, np.ones_like(UU)], axis=-1)
-        vs, masks = [v], []
+        v = np.empty((B, n, 2))
+        v[..., 0], v[..., 1] = UU, 1.0
+        vs, hists, masks = [v], [], []
         for li, layer in enumerate(self.layers):
             last = li == self.n_layers - 1
             lo = start if last or prior is not None else 0
-            z = self._preactivation(li, lags[li], v, lo, train)
             relu = layer.activation == "relu"
-            mask = z > 0.0 if relu else None
-            v = np.maximum(z, 0.0) if relu else z
-            if lo:  # rows before lo: NaN in the last layer, else the prior's
-                if last:
-                    v_head = np.full((B, lo, layer.dim_out), np.nan)
-                    m_head = np.zeros(v_head.shape, dtype=bool)
-                else:
-                    v_head = np.stack([c.vs[li + 1][i, :lo] for c, i in prior])
-                    m_head = relu and np.stack(
-                        [c.masks[li][i, :lo] for c, i in prior])
-                v = np.concatenate([v_head, v], axis=1)
-                if relu:
-                    mask = np.concatenate([m_head, mask], axis=1)
+            z = np.empty((B, n, layer.dim_out))
+            hists.append(self._preactivation(layer, lags[li], v, z[:, lo:]))
+            v, mask = z, np.zeros(z.shape, dtype=bool) if relu else None
+            if relu:
+                np.greater(z[:, lo:], 0.0, out=mask[:, lo:])
+                np.maximum(z[:, lo:], 0.0, out=v[:, lo:])
+            if lo and last:  # rows before lo: NaN in the last layer
+                v[:, :lo] = np.nan
+            elif lo:  # else the prior's
+                for b, (c, i) in enumerate(prior):
+                    v[b, :lo] = c.vs[li + 1][i, :lo]
+                    if relu:
+                        mask[b, :lo] = c.masks[li][i, :lo]
             masks.append(mask)
             vs.append(v)
         # Q maps the NaN rows to NaN, and rounds each row as a whole pass
         q_trace = self.Q.trace(v.reshape(-1, self.d_v))
         YY = q_trace.output.reshape(B, n)
-        if not np.all(np.isfinite(YY[:, start:])):
+        if not np.isfinite(YY[:, start:]).all():
             raise FloatingPointError("non-finite operator output")
-        return YY, OperatorCache(lags, vs, masks, q_trace, start)
+        return YY, OperatorCache(lags, vs, hists, masks, q_trace, start)
 
     def forward(self, U):
         """Single-trajectory forward pass: U (M+1,) to Y (M+1,)."""
@@ -362,45 +356,44 @@ class BoundaryOperator:
 
         Each lag or time network has one ReLU hidden layer, so its
         derivative is W1 (mask * W0[:, 0]), read from the masks of its
-        stored trace. The kernel term of row m, sum_{j<=m} w_j
-        dK(t_{m-j}) v_j, runs for the rows asked for only, one row per
-        product over the row's window of the lag masks, so a row does not
-        depend on the range on any BLAS; the boundary term K(0) v_m is
-        one of the small per-row products. The small per-row products run
-        over every row, as a one-row product need not round like the same
-        row of the n-row one; so each entry is the matching entry of the
-        split over all rows.
+        stored trace. The kernel term of row m, sum_{j<=m} w_j dK(t_{m-j})
+        v_j, runs for the rows asked for only, one product per row of the
+        pass's history window of w v with the lag table's derivative, as
+        the forward's integral, so a row does not depend on the range on
+        any BLAS; the boundary term K(0) v_m is one of the small per-row
+        products. The small per-row products run over every row, as a
+        one-row product need not round like the same row of the n-row one;
+        so each entry is the matching entry of the split over all rows.
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
         if start < cache.start:
             raise ValueError(f"rows from {start} asked of a pass that ran "
                              f"its last layer from row {cache.start}")
-        w = self._weights
         q_vec = self.Q.params()[0].ravel()
 
-        # the tangents of the channels (U, 1) along U_m and along t_m
-        A = np.tile([1.0, 0.0], (n, 1))
-        p = np.zeros((n, 2))
-        for layer, lag, v, mask in zip(self.layers, cache.lags, cache.vs,
-                                       cache.masks):
-            dphi, K0T, db = lag.rates
-            kW1 = layer.kappa.params()[2]
-            # (rows, d_in, h): w v, reversed in time, against the windows
-            # of the hidden features' lag derivative, then W1 as
-            # (d_in*h, d_out), row by row
-            r = (v[trajectory] * w[:, None])[::-1].T
-            dinteg = (r @ dphi[start:stop]).reshape(stop - start, 1, -1) \
-                @ kW1.reshape(layer.dim_out, -1).T
-            A = A @ layer.W.T
+        # the tangents of the channels (U, 1) along U_m, (1, 0), and along
+        # t_m, 0: through the first W, W[:, 0] at every row and 0
+        A, p = self.layers[0].W[:, 0], 0.0
+        for li, (layer, lag, v, hist, mask) in enumerate(zip(
+                self.layers, cache.lags, cache.vs, cache.hists, cache.masks)):
+            dK, K0T, db = lag.rates
+            # per row: its history window of w v against the lag table's
+            # derivative, one product each
+            dinteg = hist[start:stop, trajectory:trajectory + 1] @ dK
+            if li:
+                A, p = A @ layer.W.T, p @ layer.W.T
             # the boundary term K(0) v_m and the bias's time derivative;
             # rows outside [start, stop) miss their kernel term, and they
             # are never returned
-            p = p @ layer.W.T + v[trajectory] @ K0T + db
+            p = p + v[trajectory] @ K0T + db
             p[start:stop] += dinteg[:, 0]
             if mask is not None:
                 A, p = A * mask[trajectory], p * mask[trajectory]
-        return (A @ q_vec)[start:stop], (p @ q_vec)[start:stop]
+        lam = A @ q_vec
+        if lam.ndim == 0:  # every layer linear: one Lambda for every row
+            lam = np.full(n, lam)
+        return lam[start:stop], (p @ q_vec)[start:stop]
 
     # -- training loss -----------------------------------------------------
 
@@ -418,7 +411,7 @@ class BoundaryOperator:
             raise ConfigurationError(f"target shape {YY.shape} does not "
                                      f"match input shape {UU.shape}")
         UU, YY = np.atleast_2d(UU, YY)
-        Yhat, cache = self._forward(UU, train=True)
+        Yhat, cache = self.forward_batch(UU)
         diff = Yhat - YY
         loss = mean_square(diff)
 
@@ -476,7 +469,8 @@ class BoundaryOperator:
                                                  dK.reshape(n, -1))
             layer_grads.append([dW] + kappa_grads + b_grads)
             if li:  # the input channels (U, 1) need no gradient
-                dvw = dz.reshape(B, n * do) @ _windows(lag.table)
+                K = lag.table.reshape(n, di, do).transpose(0, 2, 1)
+                dvw = _history(dz[:, ::-1]) @ K.reshape(n * do, di)
                 dv = dz @ layer.W \
                     + dvw[::-1].transpose(1, 0, 2) * w[None, :, None]
 

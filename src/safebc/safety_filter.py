@@ -176,12 +176,12 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     before (all rows at the first), and none when no row's did, so rows
     that accept nothing (eta = 0 in particular) keep their nominal input
     bitwise. A row keeps its prediction as (forward cache, trajectory in
-    it, first step) and (B, M+1) buffers of the rate split and of the
+    it, first step) and per-step lists of the rate split and of the
     barrier's partials, which a prediction's first step fills for its row
-    alone and a second step for the rest of the trajectory. The step's one barrier pass covers those
-    (row, step) pairs of every row, and there is none when no row needs one
-    (at eta = 0: one pass at step 1 and one at step 2). One more pass,
-    before the walk, gives each row's phi(0, U0).
+    alone and a second step for the rest of the trajectory. The step's one
+    barrier pass covers those (row, step) pairs of every row, and there is
+    none when no row needs one (at eta = 0: one pass at step 1 and one at
+    step 2). One more pass, before the walk, gives each row's phi(0, U0).
     The first prediction is a whole forward; one made at step m > 1,
     after a change at step m-1, runs from row m-1 on with the row's
     prediction before as its prior, and keeps the row's earlier outputs,
@@ -216,9 +216,10 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     phi0 = bcbf.partials(0.0, UU_nom[:, 0])[0].tolist()
 
     records = [[] for _ in range(B)]
-    # per row, the rate split and the barrier's partials at its prediction
     preds = [None] * B
-    Lam, Mu, Phi, Phi_t, Phi_Y = (np.empty((B, n)) for _ in range(5))
+    # per row, lists of its prediction's Lambda, mu, phi, dphi_dt and
+    # dphi_dY by step
+    reads = [[[0.0] * n for _ in range(5)] for _ in range(B)]
     stale = list(range(B))  # rows whose prediction is stale, ascending
 
     def reforward(m):
@@ -232,28 +233,35 @@ def filter_batch(operator, bcbf, UU_nominal, config):
             preds[b] = (cache, i, m)
         stale.clear()
 
+    du_rows = du_nom.tolist()
     for m in range(1, n):
         if stale:
             reforward(m)
-        fill = np.zeros((B, n), dtype=bool)
+        fills, bs, ks = [], [], []  # (row, stop); the pairs, row-major
         for b in range(B):
             cache, i, first = preds[b]
             if m - first < 2:  # the first step alone, then the rest once
                 stop = m + 1 if m == first else n
-                Lam[b, m:stop], Mu[b, m:stop] = operator.decomposition(
-                    cache, m, stop, trajectory=i)
-                fill[b, m:stop] = True
-        if fill.any():
-            bs, ks = np.nonzero(fill)
-            Phi[bs, ks], Phi_t[bs, ks], Phi_Y[bs, ks] = bcbf.partials(
-                times[ks], Y_pred[bs, ks])
-        phi, dphi_dt, dphi_dY = (A[:, m].tolist()
-                                 for A in (Phi, Phi_t, Phi_Y))
+                for q, a in zip(reads[b], operator.decomposition(
+                        cache, m, stop, trajectory=i)):
+                    q[m:stop] = a.tolist()
+                fills.append((b, stop))
+                bs += [b] * (stop - m)
+                ks += range(m, stop)
+        if fills:
+            out = bcbf.partials(times[ks], Y_pred[bs, ks])
+            j = 0
+            for b, stop in fills:
+                for q, a in zip(reads[b][2:], out):
+                    q[m:stop] = a[j:j + stop - m].tolist()
+                j += stop - m
         for b in range(B):
-            du = du_nom[b, m - 1]
-            step = qp_filter_step(dphi_dt[b], dphi_dY[b], phi[b], phi0[b],
-                                  (Lam[b, m], Mu[b, m]), config.constants,
-                                  du / dt)
+            Lam, Mu, Phi, Phi_t, Phi_Y = reads[b]
+            lam, mu, phi, dphi_dt, dphi_dY = (Lam[m], Mu[m], Phi[m],
+                                              Phi_t[m], Phi_Y[m])
+            du = du_rows[b][m - 1]
+            step = qp_filter_step(dphi_dt, dphi_dY, phi, phi0[b], (lam, mu),
+                                  config.constants, du / dt)
             du_qp = step.u_dot_safe * dt
             if step.infeasible:
                 executed, accepted = du, False
@@ -269,7 +277,7 @@ def filter_batch(operator, bcbf, UU_nominal, config):
                 U_safe[b, m:] = rate_to_trajectory(du_safe[b, m - 1:],
                                                    U_safe[b, m - 1])[1:]
                 stale.append(b)
-            records[b].append(StepRecord(m, float(du), float(du_qp), accepted,
+            records[b].append(StepRecord(m, du, float(du_qp), accepted,
                                          step.constraint_active,
                                          step.infeasible))
     if stale:  # changed at the last step

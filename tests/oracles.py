@@ -49,7 +49,7 @@ import struct
 import numpy as np
 
 from safebc.checkpoint import CheckpointError, DatasetFormatError
-from safebc.neural_operator import trapezoid_weights
+from safebc.neural_operator import quadrature_weights
 from safebc.pde_sim import (FromFile, HyperbolicConfig,
                             SimulationDivergedError, rollout,
                             TimeGrid, step_hyperbolic, step_parabolic)
@@ -122,7 +122,7 @@ def frozen_quadrature_eval(op, cache, u_func, t, m, batch=0):
     hidden layers of the lag and time networks); comparing patterns across
     nearby times detects kink crossings exactly.
     """
-    w = trapezoid_weights(op.grid)[:m + 1]
+    w = quadrature_weights(op.grid)[:m + 1]
     nodes = op.grid.times()[:m + 1]
     signs = []
     v_t = np.array([float(u_func(t)), 1.0])
@@ -184,7 +184,7 @@ def dense_loss_and_grads(op, UU, YY, l2=0.0):
     UU = np.atleast_2d(np.asarray(UU, dtype=float))
     YY = np.atleast_2d(np.asarray(YY, dtype=float))
     B, n = UU.shape
-    w = trapezoid_weights(op.grid)
+    w = quadrature_weights(op.grid)
     t = op.grid.times()[:, None]
 
     v = np.stack([UU, np.ones_like(UU)], axis=-1)

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import dense_loss_and_grads
 from safebc.checkpoint import read_checkpoint, write_checkpoint
 from safebc.neural_operator import (BoundaryOperator, KernelLayer,
-                                    trapezoid_weights)
+                                    _history, mean_square,
+                                    quadrature_weights)
 from safebc.pde_sim import ConfigurationError, HyperbolicConfig, \
     ParabolicConfig, TimeGrid
 
@@ -62,7 +63,7 @@ def dense_forward(op, U, lift=None, split=False):
     grid = op.grid
     n = grid.M + 1
     t = grid.times()
-    w = trapezoid_weights(grid)
+    w = quadrature_weights(grid)
     U = np.asarray(U, dtype=float)
     if lift is None:
         v, a = np.column_stack([U, np.ones(n)]), np.tile([1.0, 0.0], (n, 1))
@@ -99,12 +100,17 @@ def dense_forward(op, U, lift=None, split=False):
 
 
 class TestBasics:
-    def test_trapezoid_weights_sum_to_horizon(self):
+    def test_quadrature_weights_give_each_row_a_whole_diagonal_panel(self):
+        """dt * [1/2, 1, ..., 1]: row m's weights w_0..w_m sum to
+        t_m + dt/2, and the last row weighs its diagonal as every other
+        row does."""
         grid = TimeGrid(2.0, 10)
-        w = trapezoid_weights(grid)
+        w = quadrature_weights(grid)
         assert w.shape == (11,)
-        assert w[0] == w[-1] == grid.dt / 2.0
-        assert np.allclose(w.sum(), grid.T, rtol=1e-13)
+        assert w[0] == grid.dt / 2.0
+        assert (w[1:] == grid.dt).all()
+        assert np.allclose(np.cumsum(w), grid.times() + grid.dt / 2.0,
+                           rtol=1e-13)
 
     def test_constructor_validation(self):
         grid = TimeGrid(1.0, 4)
@@ -487,6 +493,7 @@ def test_the_split_of_one_trajectory_of_a_batch_is_its_one_row_view(
     for i in range(len(UU)):
         view = dataclasses.replace(
             cache, vs=[v[i:i + 1] for v in cache.vs],
+            hists=[h[:, i:i + 1] for h in cache.hists],
             masks=[x if x is None else x[i:i + 1] for x in cache.masks])
         for start, stop in ((0, n), (0, 1), (1, 2), (5, 6), (6, n),
                             (n - 1, n)):
@@ -549,6 +556,32 @@ def test_the_untrained_operator_of_the_benchmark_is_causal():
         assert np.any(dY[j:] != 0.0)
 
 
+def test_a_time_shifted_input_shifts_the_output():
+    """With the bias networks, the constant channel and Q's bias at zero,
+    every layer maps a zero history to zero, and its kernel sum weighs a
+    lag the same at every row: an input that starts at zero, delayed by s
+    rows, delays the output by s rows, the last row included."""
+    op = BoundaryOperator(TimeGrid(1.0, 30), d_v=4, n_layers=2, seed=11)
+    rng = np.random.default_rng(12)
+    for p in op.params():
+        p += 0.1 * rng.normal(size=p.shape)
+    first = op.layers[0]
+    first.W[:, 1] = 0.0
+    W1, b1 = first.kappa.params()[2:]
+    W1.reshape(first.dim_out, first.dim_in, -1)[:, 1] = 0.0
+    b1.reshape(first.dim_out, first.dim_in)[:, 1] = 0.0
+    for layer in op.layers:
+        zero_all(layer.b.params()[2:])
+    op.Q.params()[1][...] = 0.0
+    U = np.concatenate([[0.0], rng.normal(size=30).cumsum()])
+    Y = op.forward(U)
+    for s in (1, 7, 20):
+        YV = op.forward(np.concatenate([np.zeros(s), U[:31 - s]]))
+        assert np.all(YV[:s] == 0.0)
+        assert np.allclose(YV[s:], Y[:31 - s], rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(Y)))
+
+
 def test_a_forward_at_the_parabolic_default_holds_less_than_n_squared():
     """One forward at the parabolic default M=1000, d_v=16, as the filter
     makes it, peaks by tracemalloc below 8 n^2 bytes, one float per
@@ -570,7 +603,7 @@ def test_a_forward_at_the_parabolic_default_holds_less_than_n_squared():
 def test_a_training_step_holds_less_than_the_pair_features():
     """One training step at M=200, d_v=16, B=8 peaks by tracemalloc below
     n^2 * h floats, the kernel network's hidden features on the (t_m, t_j)
-    pairs (9.9 MiB): no array of the step has n^2 rows. It holds about 3
+    pairs (9.9 MiB): no array of the step has n^2 rows. It holds about 4
     MiB; the step through blocks of the pair kernel's rows held about 42
     MiB."""
     op = BoundaryOperator(TimeGrid(1.0, 200), d_v=16, n_layers=2, seed=0)
@@ -586,20 +619,36 @@ def test_a_training_step_holds_less_than_the_pair_features():
     assert peak < 201 * 201 * 32 * 8
 
 
-def test_the_lag_features_are_those_of_the_kernel_networks_own_trace():
-    """A pass traces each kernel network up to its hidden layer on the n
-    lags, with the arithmetic of `Mlp.trace`, and each bias network on the
-    n times."""
+def test_the_lag_table_is_the_kernel_networks_output_on_the_lags():
+    """A pass computes each kernel network's hidden layer on the n lags
+    with the arithmetic of `Mlp.trace`, and its output layer read
+    (d_out, d_in) per lag is the lag table's K(t_k), stored as K(t_k)^T
+    blocks; it traces each bias network on the n times."""
     op = BoundaryOperator(TimeGrid(1.0, 20), d_v=16, n_layers=2, seed=3)
     _, cache = op.forward_batch(np.ones((1, 21)))
     t = op.grid.times()[:, None]
     for layer, lag in zip(op.layers, cache.lags):
-        kt, bt = lag.kappa, lag.b
         ref = layer.kappa.trace(t)
-        assert np.array_equal(kt.inputs[0], t)
-        assert np.array_equal(kt.inputs[1], ref.inputs[1])
-        assert np.array_equal(kt.masks[0], ref.masks[0])
-        assert np.array_equal(bt.output, layer.b.forward(t))
+        assert np.array_equal(lag.kappa.inputs[0], t)
+        assert np.array_equal(lag.kappa.inputs[1], ref.inputs[1])
+        assert np.array_equal(lag.kappa.masks[0], ref.masks[0])
+        K = ref.output.reshape(21, layer.dim_out, layer.dim_in)
+        assert np.allclose(lag.table, K.transpose(0, 2, 1).reshape(
+            21 * layer.dim_in, layer.dim_out), rtol=1e-14,
+            atol=1e-14 * np.max(np.abs(K)))
+        assert np.array_equal(lag.b.output, layer.b.forward(t))
+
+
+def test_a_history_window_holds_the_past_and_then_zeros():
+    x = np.arange(1.0, 31.0).reshape(2, 5, 3)
+    w = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    for weights, wx in ((None, x), (w, x * w[:, None])):
+        windows = _history(x, weights)
+        assert windows.shape == (5, 2, 15)
+        for m in range(5):
+            blocks = windows[m].reshape(2, 5, 3)
+            assert np.array_equal(blocks[:, :m + 1], wx[:, m::-1])
+            assert not blocks[:, m + 1:].any()
 
 
 class TestPartialForward:
@@ -698,11 +747,11 @@ class TestPartialForward:
 
 
 class TestTrainingStep:
-    """A training step, whose integrals run through the (n, d_out*d_in)
+    """A training step, whose integrals run through the (n*d_in, d_out)
     lag table, is the step through each layer's whole causal Toeplitz
-    kernel table (`oracles.dense_loss_and_grads`) to round-off, and its
-    forward is the inference pass, through the hidden features, to
-    round-off; on grids of 6 to 81 rows."""
+    kernel table (`oracles.dense_loss_and_grads`) to round-off, on grids
+    of 6 to 81 rows, and its forward is the inference pass, bit for
+    bit."""
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("activation", ["relu", "linear"])
@@ -735,10 +784,10 @@ class TestTrainingStep:
                               seed=30 + n_layers)
         UU = np.random.default_rng(batch).normal(
             size=(batch, 21)).cumsum(axis=1)
-        trained, _ = op._forward(UU, train=True)
+        YY = np.random.default_rng(batch + 1).normal(size=UU.shape)
+        loss, _ = op.loss_and_grads(UU, YY)
         inferred, _ = op.forward_batch(UU)
-        assert np.max(np.abs(inferred - trained)) <= \
-            1e-12 * np.max(np.abs(trained))
+        assert loss == mean_square(inferred - YY)
 
     def test_two_steps_of_one_operator_are_those_of_fresh_ones(self):
         """Steps at batches of 3 and then 2 trajectories are the same
