@@ -50,15 +50,18 @@ Each pass evaluates every kernel network on the n lags, whose output
 layer makes the layer's lag table of blocks K(t_k)^T, (n*d_in, d_out),
 and traces every bias network on the n times: (n, .) arrays that it keeps
 in its forward cache (`LagArrays`); nothing is cached between passes, and
-no array of a pass has n*n rows. Row m of a layer's integral is one
+no array of a pass has n*n rows. Row m of a layer's integral is the
 product of the lag table with the history window of the weighted input,
-w_m v_m, w_{m-1} v_{m-1}, ..., w_0 v_0 and then zeros (`_history`), a
-strided view of one copy of w v reversed in time and zero-padded: no later
-input enters the row, and every row's product has the same shape. Training
-and inference run the same pass. The backward pass forms the kernel's
-gradient lag by lag, carries the input gradient through history windows
-of the same form in reversed time, and sweeps the kernel network over the
-n lags.
+w_m v_m, w_{m-1} v_{m-1}, ..., w_0 v_0 (`_history`), a strided view of one
+copy of w v reversed in time and zero-padded. The rows run in fixed blocks
+counted from row 0, and each block's windows and lag table are cut after
+the history of the block's last row (`_window_products`), so the products
+skip about half the zeros of whole windows. No later input enters a row,
+and a row's product has a shape fixed by its row alone. Training and
+inference run the same pass. The backward pass forms the kernel's gradient
+lag by lag, carries the input gradient through blocked products of history
+windows of the same form in reversed time, and sweeps the kernel network
+over the n lags.
 
 `forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
 only: each earlier layer runs in full, as the last one's integral reads its
@@ -80,6 +83,10 @@ from .checkpoint import (check_tensor_names, checkpoint_tensor,
                          read_checkpoint, write_checkpoint)
 from .nets import Mlp, Trace, subseed
 from .pde_sim import ConfigurationError, TimeGrid
+
+
+# floats of a history window per block of rows of a window product
+WINDOW_FLOATS = 256
 
 
 def quadrature_weights(grid):
@@ -117,11 +124,12 @@ def mean_square(diff):
 def _history(x, w=None):
     """The history windows of a batch x (B, n, a), weighted by w along
     time when given, an (n, B, n*a) view: window m holds w_m x_m,
-    w_{m-1} x_{m-1}, ..., w_0 x_0 and then zeros, n blocks of a. Against
-    a lag table (n*a, b) whose block k is lag t_k, window m sums
-    table[k] w_{m-k} x_{m-k} over k <= m, and no later x enters it. Every
-    window is a slice of one copy of w x, reversed in time and zero-padded
-    behind to 2n-1 blocks."""
+    w_{m-1} x_{m-1}, ..., w_0 x_0 in its first m+1 blocks of a, and zeros
+    in the rest, which `_window_products` cuts off a block of rows at a
+    time. Against a lag table (n*a, b) whose block k is lag t_k, window m
+    sums table[k] w_{m-k} x_{m-k} over k <= m, and no later x enters it.
+    Every window is a slice of one copy of w x, reversed in time and
+    zero-padded behind to 2n-1 blocks."""
     B, n, a = x.shape
     padded = np.zeros((B, 2 * n - 1, a))
     if w is None:
@@ -134,6 +142,33 @@ def _history(x, w=None):
                       (a * step, (2 * n - 1) * a * step, step))
     view.flags.writeable = False
     return view[::-1]
+
+
+def _window_products(hist, table, lo, hi):
+    """Rows [lo, hi) of hist @ table, (hi-lo, B, b), for `_history` windows
+    hist (n, B, n*a) and a lag table (n*a, b).
+
+    Window m holds zeros after its first (m+1)*a floats, so the rows run in
+    blocks of WINDOW_FLOATS // a counted from row 0, and each block's
+    windows are cut after the history of its last row: one product per
+    block, about half the multiplications of the uncut windows. Rows where
+    a cut would save less than a block of floats per window join the last
+    block, so a late row range is one product of whole windows. Row m's
+    product has a shape that depends on m (and n, a, B) alone, so a row of
+    any range is bitwise that row of the whole product, and no later input
+    enters it."""
+    n, a = len(hist), len(table) // len(hist)
+    rows = max(1, WINDOW_FLOATS // a)
+    last = max(0, (n // rows - 1) * rows)  # the last block's first row
+    out = np.empty((hi - lo, hist.shape[1], table.shape[1]))
+    s = min(lo - lo % rows, last)
+    while s < hi:
+        e = s + rows if s < last else n
+        k = e * a  # the window of the block's last row, e - 1
+        r0, r1 = max(s, lo), min(e, hi)
+        np.matmul(hist[r0:r1, :, :k], table[:k], out=out[r0 - lo:r1 - lo])
+        s = e
+    return out
 
 
 class LagArrays:
@@ -269,14 +304,18 @@ class BoundaryOperator:
         """A layer's pre-activation at the last rows [lo, n) of a batch,
         written to out (B, n-lo, d_out), from its whole input v
         (B, n, d_in) and its lag arrays. Returns the history windows of
-        w v that its integral read: row m's integral is one product of
-        window m with the lag table. Every row-wise term runs at every
-        row, as a product over fewer rows need not round like the same rows
-        of the whole one, so each row is the same row of the whole pass."""
-        lo = v.shape[1] - out.shape[1]
+        w v that its integral read: row m's integral is window m against
+        the lag table, both cut after the history of the last row of m's
+        block (`_window_products`), whatever lo is. Every other row-wise
+        term runs at every row, as a product over fewer rows need not round
+        like the same rows of the whole one, so each row is the same row of
+        the whole pass."""
+        n = v.shape[1]
+        lo = n - out.shape[1]
         hist = _history(v, self._weights)
         np.add((v @ layer.W.T)[:, lo:],
-               (hist[lo:] @ lag.table).transpose(1, 0, 2), out=out)
+               _window_products(hist, lag.table, lo, n).transpose(1, 0, 2),
+               out=out)
         out += lag.b.output[lo:]
         return hist
 
@@ -357,19 +396,23 @@ class BoundaryOperator:
         Each lag or time network has one ReLU hidden layer, so its
         derivative is W1 (mask * W0[:, 0]), read from the masks of its
         stored trace. The kernel term of row m, sum_{j<=m} w_j dK(t_{m-j})
-        v_j, runs for the rows asked for only, one product per row of the
-        pass's history window of w v with the lag table's derivative, as
-        the forward's integral, so a row does not depend on the range on
-        any BLAS; the boundary term K(0) v_m is one of the small per-row
-        products. The small per-row products run over every row, as a
-        one-row product need not round like the same row of the n-row one;
-        so each entry is the matching entry of the split over all rows.
+        v_j, runs for the rows asked for only: the pass's history windows
+        of w v against the lag table's derivative, cut per block of rows as
+        the forward's integral (`_window_products`), so a row does not
+        depend on the range on any BLAS; the boundary term K(0) v_m is one
+        of the small per-row products. The small per-row products run over
+        every row, as a one-row product need not round like the same row of
+        the n-row one; so each entry is the matching entry of the split
+        over all rows. ValueError unless cache.start <= start <= stop <= n.
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
         if start < cache.start:
             raise ValueError(f"rows from {start} asked of a pass that ran "
                              f"its last layer from row {cache.start}")
+        if not start <= stop <= n:
+            raise ValueError(f"row range [{start}, {stop}) is not a range "
+                             f"of the pass's {n} rows")
         q_vec = self.Q.params()[0].ravel()
 
         # the tangents of the channels (U, 1) along U_m, (1, 0), and along
@@ -379,8 +422,9 @@ class BoundaryOperator:
                 self.layers, cache.lags, cache.vs, cache.hists, cache.masks)):
             dK, K0T, db = lag.rates
             # per row: its history window of w v against the lag table's
-            # derivative, one product each
-            dinteg = hist[start:stop, trajectory:trajectory + 1] @ dK
+            # derivative, both cut per block of rows
+            dinteg = _window_products(hist[:, trajectory:trajectory + 1],
+                                      dK, start, stop)
             if li:
                 A, p = A @ layer.W.T, p @ layer.W.T
             # the boundary term K(0) v_m and the bias's time derivative;
@@ -402,8 +446,8 @@ class BoundaryOperator:
         gradients in params() order. YY must have UU's shape.
 
         Each layer's integral runs through its (n, d_out*d_in) lag table,
-        one product per output row over that row's window, and the
-        backward pass runs the same windows: no array of a step has n*n
+        one product per block of output rows over their cut windows, and
+        the backward pass runs the same windows: no array of a step has n*n
         rows."""
         UU = np.asarray(UU, dtype=float)
         YY = np.asarray(YY, dtype=float)
@@ -437,8 +481,9 @@ class BoundaryOperator:
         With the integral z_m = sum_{j<=m} K(t_{m-j}) (w v)_j, the kernel's
         gradient at lag k is sum_{m>=k} dz_m (w v)_{m-k}^T, one product per
         lag, and the gradient of (w v)_j is sum_{m>=j} K(t_{m-j})^T dz_m:
-        reversed in time, a sum of the same form as the forward's, through
-        the windows of the lag table read (d_out, d_in)."""
+        reversed in time, a sum of the same form as the forward's, the
+        history windows of dz against the lag table read (d_out, d_in), cut
+        per block of reversed rows (`_window_products`)."""
         if cache.start:
             raise ValueError("backward pass over a forward that ran its "
                              f"last layer from row {cache.start}")
@@ -470,7 +515,8 @@ class BoundaryOperator:
             layer_grads.append([dW] + kappa_grads + b_grads)
             if li:  # the input channels (U, 1) need no gradient
                 K = lag.table.reshape(n, di, do).transpose(0, 2, 1)
-                dvw = _history(dz[:, ::-1]) @ K.reshape(n * do, di)
+                dvw = _window_products(_history(dz[:, ::-1]),
+                                       K.reshape(n * do, di), 0, n)
                 dv = dz @ layer.W \
                     + dvw[::-1].transpose(1, 0, 2) * w[None, :, None]
 

@@ -18,9 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dense_loss_and_grads
 from safebc.checkpoint import read_checkpoint, write_checkpoint
-from safebc.neural_operator import (BoundaryOperator, KernelLayer,
-                                    _history, mean_square,
-                                    quadrature_weights)
+from safebc.neural_operator import (WINDOW_FLOATS, BoundaryOperator,
+                                    KernelLayer, _history, _window_products,
+                                    mean_square, quadrature_weights)
 from safebc.pde_sim import ConfigurationError, HyperbolicConfig, \
     ParabolicConfig, TimeGrid
 
@@ -479,6 +479,78 @@ def test_rate_split_on_a_row_range_is_those_rows_of_the_full_split(
         assert np.array_equal(a, b[start:stop])
 
 
+# at M=80, d_v=16 the kernel terms of the layers after the first run in
+# blocks of ROWS rows (16 at 256 floats, the last block from row 64 on):
+# ranges from and to a block's first row, its last row, mid-block and the
+# last block, in each trajectory of batches of 1 and 3. At M=600, d_v=1
+# (blocks of 256 rows after the first layer) each product is a dot
+# product, which rounds with the window's length on OpenBLAS
+ROWS = WINDOW_FLOATS // 16
+BLOCK_RANGES = [(80, 16, lo, hi) for lo, hi in (
+    (ROWS, ROWS + 1), (ROWS - 1, ROWS), (2 * ROWS - 1, 2 * ROWS),
+    (ROWS, 2 * ROWS), (2 * ROWS + ROWS // 2, 4 * ROWS),
+    (2 * ROWS + ROWS // 2, 81), (80 - ROWS, 81), (80, 81), (0, 81))] + [
+    (600, 1, lo, hi) for lo, hi in ((100, 101), (200, 255), (255, 256),
+                                    (300, 301), (300, 601))]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("M, d_v, start, stop", BLOCK_RANGES)
+def test_a_split_range_across_row_blocks_is_those_rows_of_the_full_split(
+        M, d_v, start, stop, batch):
+    op = BoundaryOperator(TimeGrid(1.0, M), d_v=d_v, n_layers=2, seed=16)
+    UU = np.random.default_rng(batch).normal(
+        size=(batch, M + 1)).cumsum(axis=1)
+    _, cache = op.forward_batch(UU)
+    for i in range(batch):
+        full = op.decomposition(cache, trajectory=i)
+        part = op.decomposition(cache, start, stop, trajectory=i)
+        for a, b in zip(part, full):
+            assert np.array_equal(a, b[start:stop])
+
+
+@pytest.mark.parametrize("start, stop", [(0, 22), (20, 22), (21, 22),
+                                         (5, 4), (21, 20)])
+def test_a_row_range_outside_the_pass_is_an_error(start, stop):
+    """stop past the n rows, or start after stop, names the range; neither
+    is clipped to the rows there are."""
+    op = split_operator(4)
+    _, cache = op.forward_batch(np.linspace(0.0, 1.0, 21)[None])
+    with pytest.raises(ValueError, match=rf"\[{start}, {stop}\) is not"):
+        op.decomposition(cache, start, stop)
+
+
+@given(st.integers(1, 4), st.integers(1, 90), st.integers(1, 20),
+       st.integers(1, 6), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_products_are_the_rows_of_the_uncut_product(B, n, a, b,
+                                                          weighted, data):
+    """Rows [lo, hi) of the blocked products are bitwise those rows of
+    [0, n), within 1e-12 of the uncut products relative to the sum of the
+    terms' magnitudes, and a NaN or inf in an input after row m leaves
+    every row up to m bitwise as it was."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(B, n, a))
+    w = rng.uniform(0.5, 2.0, size=n) if weighted else None
+    table = rng.normal(size=(n * a, b))
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    hist = _history(x, w)
+    whole = _window_products(hist, table, 0, n)
+    part = _window_products(hist, table, lo, hi)
+    assert part.shape == (hi - lo, B, b)
+    assert np.array_equal(part, whole[lo:hi])
+    bound = 1e-12 * (np.abs(hist) @ np.abs(table))
+    assert np.all(np.abs(whole - hist @ table) <= bound)
+
+    m = data.draw(st.integers(0, n - 1), label="m")
+    x[:, m + 1:] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with np.errstate(invalid="ignore"):
+        later = _window_products(_history(x, w), table, lo, hi)
+    assert np.array_equal(later[:max(0, m + 1 - lo)],
+                          part[:max(0, m + 1 - lo)])
+
+
 @pytest.mark.parametrize("activations", [("relu", "relu"),
                                          ("relu", "linear")])
 def test_the_split_of_one_trajectory_of_a_batch_is_its_one_row_view(
@@ -655,25 +727,33 @@ class TestPartialForward:
     """forward_batch(UU, start) runs the last layer and Q from row start
     on, each row bitwise the same row of the whole pass."""
 
-    GRID = TimeGrid(1.0, 20)
     N = 21
-    STARTS = (1, N // 2, N - 1)
+    # (M, d_v, start): at M=20, d_v=4 every window product is one block; at
+    # M=80, d_v=16 a pass from a block's first row, its last row, mid-block
+    # and the last block's first row (BLOCK_RANGES). At M=600, d_v=1 a
+    # window product is a dot product, which rounds with the window's
+    # length on OpenBLAS, so a cut that moved with start would show there
+    STARTS = [pytest.param(20, 4, s, id=str(s))
+              for s in (1, N // 2, N - 1)] + [
+        pytest.param(80, 16, s, id=f"M80-{s}")
+        for s in (ROWS, 2 * ROWS - 1, 2 * ROWS + ROWS // 2, 80 - ROWS)] + [
+        pytest.param(600, 1, s, id=f"M600-{s}") for s in (100, 255, 300)]
 
-    def case(self, n_layers, activation, batch=1):
-        op = BoundaryOperator(self.GRID, d_v=4, n_layers=n_layers,
+    def case(self, n_layers, activation, batch=1, M=20, d_v=4):
+        op = BoundaryOperator(TimeGrid(1.0, M), d_v=d_v, n_layers=n_layers,
                               activations=(activation,) * n_layers,
                               seed=7 + n_layers)
         UU = np.random.default_rng(n_layers).normal(
-            size=(batch, self.N)).cumsum(axis=1)
+            size=(batch, M + 1)).cumsum(axis=1)
         return op, UU
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("start", STARTS)
-    def test_rows_from_start_are_the_whole_pass(self, start, n_layers,
-                                                activation, batch):
-        op, UU = self.case(n_layers, activation, batch)
+    @pytest.mark.parametrize("M, d_v, start", STARTS)
+    def test_rows_from_start_are_the_whole_pass(self, M, d_v, start,
+                                                n_layers, activation, batch):
+        op, UU = self.case(n_layers, activation, batch, M, d_v)
         full, _ = op.forward_batch(UU)
         part, cache = op.forward_batch(UU, start)
         assert cache.start == start
@@ -685,14 +765,14 @@ class TestPartialForward:
 
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    @pytest.mark.parametrize("start", STARTS)
+    @pytest.mark.parametrize("M, d_v, start", STARTS)
     def test_a_pass_from_a_prior_is_the_whole_pass_from_start_on(
-            self, start, n_layers, activation):
+            self, M, d_v, start, n_layers, activation):
         """Inputs that agree with those of a prior pass before start, in a
         batch of two and in batches of one: every layer runs from start
         on, and the rows from start on of the output, of every layer input
         and of the rate split are bitwise those of the whole pass."""
-        op, UU = self.case(n_layers, activation, batch=2)
+        op, UU = self.case(n_layers, activation, 2, M, d_v)
         VV = UU[::-1].copy()
         VV[:, :start] = UU[:, :start]
         for rows in ([0, 1], [0], [1]):
@@ -724,13 +804,13 @@ class TestPartialForward:
                 op.forward_batch(VV, start, [(prior, i) for i in rows])
 
     @pytest.mark.parametrize("activation", ["relu", "linear"])
-    @pytest.mark.parametrize("start", STARTS)
-    def test_the_split_of_a_partial_pass_from_start_on(self, start,
+    @pytest.mark.parametrize("M, d_v, start", STARTS)
+    def test_the_split_of_a_partial_pass_from_start_on(self, M, d_v, start,
                                                        activation):
-        op, UU = self.case(2, activation)
+        op, UU = self.case(2, activation, 1, M, d_v)
         _, full = op.forward_batch(UU)
         _, part = op.forward_batch(UU, start)
-        for stop in (start + 1, self.N):
+        for stop in (start + 1, M + 1):
             for a, b in zip(op.decomposition(part, start, stop),
                             op.decomposition(full, start, stop)):
                 assert np.array_equal(a, b)
