@@ -63,15 +63,13 @@ lag by lag, carries the input gradient through blocked products of history
 windows of the same form in reversed time, and sweeps the kernel network
 over the n lags.
 
-`forward_batch(UU, start)` runs the last layer and Q at rows [start, n)
-only: each earlier layer runs in full, as the last one's integral reads its
-input up to each row. Rows before start read NaN. Since the operator is
+`forward_batch(UU)` runs every layer at every row. Since the operator is
 causal, a caller that changed only inputs from row start on keeps its
-earlier outputs from the pass before, and given that pass as the prior
-(`forward_batch(UU, start, prior)`) every layer runs from row start on,
-taking its earlier input rows and the lag arrays from there. A partial pass
-gives the rate split from row start on and has no backward pass; training
-always runs whole passes.
+earlier outputs from the pass before: given that pass as the prior
+(`forward_batch(UU, start, prior)`), every layer runs from row start on,
+taking its earlier rows, their masks and the lag arrays from there, and Q
+runs at every row. So every cache is bitwise that of the whole pass, with
+the rate split at any row and a backward pass.
 """
 
 from dataclasses import dataclass
@@ -251,17 +249,13 @@ class KernelLayer:
 class OperatorCache:
     """Activations of one forward pass, the lag arrays it was computed
     with, one `LagArrays` per kernel layer, and the history windows its
-    integrals read.
-
-    A pass from row start > 0 ran the last layer and Q at rows [start, n)
-    only: before start, the last layer's activation and Q's output read NaN
-    and its mask False; every earlier layer input is whole."""
+    integrals read. A pass from a prior holds the prior's rows before its
+    start, so every cache is that of a whole pass."""
     lags: list  # per kernel layer: its LagArrays
     vs: list  # layer inputs: vs[0] the channels (U, 1), ..., vs[L] to Q
     hists: list  # per kernel layer: the `_history` windows of w v
     masks: list  # per kernel layer: bool ReLU pattern, or None
     q_trace: object  # trace of the readout Q
-    start: int = 0  # first row of the last layer and Q that the pass ran
 
 
 class BoundaryOperator:
@@ -324,21 +318,21 @@ class BoundaryOperator:
 
         Returns (YY, cache); the cache stores every layer activation and
         the lag arrays of the pass, so the rate split and the backward
-        pass read those of this pass. The last layer and Q run at rows
-        [start, n) only, each row bitwise that row of the whole pass, and
-        earlier rows of YY, and of the last activation and mask, are NaN
-        and False. Every layer before the last runs at all rows, as the
-        last one's integral reads its input up to each row; or, given a
-        prior, from row start on too. A prior is one (cache, trajectory)
-        per row of UU, an earlier pass of this operator, with the same
-        parameters, over an input equal to that row before start: by
-        causality every layer input is then the same before start, so the
-        pass takes those rows, and its lag arrays, from there.
+        pass read those of this pass. A pass from row start > 0 needs a
+        prior (ValueError without one): one (cache, trajectory) per row of
+        UU, an earlier pass of this operator, with the same parameters,
+        over an input equal to that row before start. By causality every
+        layer's rows and masks are then the same before start, so the pass
+        takes those, and its lag arrays, from there, runs every layer from
+        row start on and Q at every row: each row is bitwise that row of
+        the whole pass.
         """
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)
         B, n = UU.shape
         if prior is None:
+            if start:
+                raise ValueError(f"a pass from row {start} needs a prior")
             t = self.grid.times()[:, None]  # the times, which are the lags
             lags = [LagArrays(layer, t) for layer in self.layers]
         else:
@@ -352,30 +346,26 @@ class BoundaryOperator:
         v[..., 0], v[..., 1] = UU, 1.0
         vs, hists, masks = [v], [], []
         for li, layer in enumerate(self.layers):
-            last = li == self.n_layers - 1
-            lo = start if last or prior is not None else 0
             relu = layer.activation == "relu"
             z = np.empty((B, n, layer.dim_out))
-            hists.append(self._preactivation(layer, lags[li], v, z[:, lo:]))
-            v, mask = z, np.zeros(z.shape, dtype=bool) if relu else None
+            hists.append(self._preactivation(layer, lags[li], v,
+                                             z[:, start:]))
+            v, mask = z, np.empty(z.shape, dtype=bool) if relu else None
             if relu:
-                np.greater(z[:, lo:], 0.0, out=mask[:, lo:])
-                np.maximum(z[:, lo:], 0.0, out=v[:, lo:])
-            if lo and last:  # rows before lo: NaN in the last layer
-                v[:, :lo] = np.nan
-            elif lo:  # else the prior's
-                for b, (c, i) in enumerate(prior):
-                    v[b, :lo] = c.vs[li + 1][i, :lo]
-                    if relu:
-                        mask[b, :lo] = c.masks[li][i, :lo]
+                np.greater(z[:, start:], 0.0, out=mask[:, start:])
+                np.maximum(z[:, start:], 0.0, out=v[:, start:])
+            for b, (c, i) in enumerate(prior if start else ()):
+                v[b, :start] = c.vs[li + 1][i, :start]
+                if relu:
+                    mask[b, :start] = c.masks[li][i, :start]
             masks.append(mask)
             vs.append(v)
-        # Q maps the NaN rows to NaN, and rounds each row as a whole pass
+        # Q at every row, so each rounds as in the whole pass
         q_trace = self.Q.trace(v.reshape(-1, self.d_v))
         YY = q_trace.output.reshape(B, n)
-        if not np.isfinite(YY[:, start:]).all():
+        if not np.isfinite(YY).all():
             raise FloatingPointError("non-finite operator output")
-        return YY, OperatorCache(lags, vs, hists, masks, q_trace, start)
+        return YY, OperatorCache(lags, vs, hists, masks, q_trace)
 
     def forward(self, U):
         """Single-trajectory forward pass: U (M+1,) to Y (M+1,)."""
@@ -403,14 +393,11 @@ class BoundaryOperator:
         of the small per-row products. The small per-row products run over
         every row, as a one-row product need not round like the same row of
         the n-row one; so each entry is the matching entry of the split
-        over all rows. ValueError unless cache.start <= start <= stop <= n.
+        over all rows. ValueError unless 0 <= start <= stop <= n.
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
-        if start < cache.start:
-            raise ValueError(f"rows from {start} asked of a pass that ran "
-                             f"its last layer from row {cache.start}")
-        if not start <= stop <= n:
+        if not 0 <= start <= stop <= n:
             raise ValueError(f"row range [{start}, {stop}) is not a range "
                              f"of the pass's {n} rows")
         q_vec = self.Q.params()[0].ravel()
@@ -476,7 +463,7 @@ class BoundaryOperator:
     def _backward(self, cache, dY):
         """Reverse accumulation of d(loss)/d(params) given d(loss)/dY: one
         sweep over the traces of the cached forward pass; no network runs
-        forward. The pass must have run every row.
+        forward.
 
         With the integral z_m = sum_{j<=m} K(t_{m-j}) (w v)_j, the kernel's
         gradient at lag k is sum_{m>=k} dz_m (w v)_{m-k}^T, one product per
@@ -484,9 +471,6 @@ class BoundaryOperator:
         reversed in time, a sum of the same form as the forward's, the
         history windows of dz against the lag table read (d_out, d_in), cut
         per block of reversed rows (`_window_products`)."""
-        if cache.start:
-            raise ValueError("backward pass over a forward that ran its "
-                             f"last layer from row {cache.start}")
         B, n = dY.shape
         w = self._weights
 

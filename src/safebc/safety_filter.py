@@ -35,13 +35,13 @@ class the filter runs must give:
 
 - `grid`, the `TimeGrid` of its inputs and outputs;
 - `forward_batch(UU, start, prior)`, the outputs of a (B, M+1) batch of
-  inputs as (Y, cache), exact at rows start..M; `start` defaults to 0, and
-  `cache.start` is the start of the pass. `prior` (default None) gives
-  one (cache, trajectory) per row of UU, an earlier pass over an input
-  equal to that row before `start`, which the pass may read its earlier
-  rows from. The outputs must be causal, bit for bit: rows 0..k-1 of the
-  outputs of two inputs that agree at rows 0..k-1 are equal, so the walk
-  keeps them from an earlier pass;
+  inputs as (Y, cache), exact at rows start..M. `start` defaults to 0;
+  from a later start, `prior` gives one (cache, trajectory) per row of
+  UU, an earlier pass over an input equal to that row before `start`,
+  which the pass may read its earlier rows from. The outputs must be
+  causal, bit for bit: rows 0..k-1 of the outputs of two inputs that
+  agree at rows 0..k-1 are equal, so the walk keeps them from an earlier
+  pass;
 - `decomposition(cache, start, stop, trajectory)`, the rate split
   (Lambda, mu) at rows start..stop-1 of one trajectory of a cache.
 

@@ -510,10 +510,10 @@ def test_a_split_range_across_row_blocks_is_those_rows_of_the_full_split(
 
 
 @pytest.mark.parametrize("start, stop", [(0, 22), (20, 22), (21, 22),
-                                         (5, 4), (21, 20)])
+                                         (5, 4), (21, 20), (-3, 5)])
 def test_a_row_range_outside_the_pass_is_an_error(start, stop):
-    """stop past the n rows, or start after stop, names the range; neither
-    is clipped to the rows there are."""
+    """stop past the n rows, start after stop, or a negative start names
+    the range; none is clipped to the rows there are."""
     op = split_operator(4)
     _, cache = op.forward_batch(np.linspace(0.0, 1.0, 21)[None])
     with pytest.raises(ValueError, match=rf"\[{start}, {stop}\) is not"):
@@ -655,17 +655,18 @@ def test_a_time_shifted_input_shifts_the_output():
 
 
 def test_a_forward_at_the_parabolic_default_holds_less_than_n_squared():
-    """One forward at the parabolic default M=1000, d_v=16, as the filter
-    makes it, peaks by tracemalloc below 8 n^2 bytes, one float per
-    (t_m, t_j) pair: so no array of the pass has n^2 rows. The pair kernel
-    held (n^2, h) hidden features and masks, 581 MiB."""
+    """A whole forward and one from a prior at row 500 at the parabolic
+    default M=1000, d_v=16, as the filter makes them, peak by tracemalloc
+    below 8 n^2 bytes, one float per (t_m, t_j) pair: so no array of a
+    pass has n^2 rows. The pair kernel held (n^2, h) hidden features and
+    masks, 581 MiB."""
     op = BoundaryOperator(TimeGrid(1.0, 1000), d_v=16, n_layers=2, seed=0)
     n = 1001
     U = np.linspace(0.0, 1.0, n)
     tracemalloc.start()
     try:
-        op.forward_batch(U[None])
-        op.forward_batch(U[None], start=500)
+        _, prior = op.forward_batch(U[None])
+        op.forward_batch(U[None], start=500, prior=[(prior, 0)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -724,8 +725,9 @@ def test_a_history_window_holds_the_past_and_then_zeros():
 
 
 class TestPartialForward:
-    """forward_batch(UU, start) runs the last layer and Q from row start
-    on, each row bitwise the same row of the whole pass."""
+    """forward_batch(UU, start, prior) runs every layer from row start on
+    and takes the earlier rows from the prior, so its cache is bitwise
+    that of the whole pass at every row."""
 
     N = 21
     # (M, d_v, start): at M=20, d_v=4 every window product is one block; at
@@ -747,22 +749,6 @@ class TestPartialForward:
             size=(batch, M + 1)).cumsum(axis=1)
         return op, UU
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("activation", ["relu", "linear"])
-    @pytest.mark.parametrize("n_layers", [1, 2])
-    @pytest.mark.parametrize("M, d_v, start", STARTS)
-    def test_rows_from_start_are_the_whole_pass(self, M, d_v, start,
-                                                n_layers, activation, batch):
-        op, UU = self.case(n_layers, activation, batch, M, d_v)
-        full, _ = op.forward_batch(UU)
-        part, cache = op.forward_batch(UU, start)
-        assert cache.start == start
-        assert np.array_equal(part[:, start:], full[:, start:])
-        assert np.isnan(part[:, :start]).all()
-        assert np.isnan(cache.vs[-1][:, :start]).all()
-        assert not cache.masks[-1][:, :start].any() \
-            if activation == "relu" else cache.masks[-1] is None
-
     @pytest.mark.parametrize("activation", ["relu", "linear"])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("M, d_v, start", STARTS)
@@ -770,28 +756,93 @@ class TestPartialForward:
             self, M, d_v, start, n_layers, activation):
         """Inputs that agree with those of a prior pass before start, in a
         batch of two and in batches of one: every layer runs from start
-        on, and the rows from start on of the output, of every layer input
-        and of the rate split are bitwise those of the whole pass."""
+        on, and at every row the output, every layer input, every mask,
+        the rate split and the backward pass's gradients are bitwise those
+        of the whole pass."""
         op, UU = self.case(n_layers, activation, 2, M, d_v)
         VV = UU[::-1].copy()
         VV[:, :start] = UU[:, :start]
+        dY = np.random.default_rng(start).normal(size=(2, M + 1))
         for rows in ([0, 1], [0], [1]):
             _, prior = op.forward_batch(UU[rows])
             full, whole = op.forward_batch(VV[rows])
             part, cache = op.forward_batch(
                 VV[rows], start, [(prior, i) for i in range(len(rows))])
             assert cache.lags is prior.lags
-            assert np.array_equal(part[:, start:], full[:, start:])
-            assert np.isnan(part[:, :start]).all()
-            for a, b in zip(cache.vs[:-1], whole.vs[:-1]):
+            assert np.array_equal(part, full)
+            for a, b in zip(cache.vs, whole.vs, strict=True):
                 assert np.array_equal(a, b)
-            assert np.array_equal(cache.vs[-1][:, start:],
-                                  whole.vs[-1][:, start:])
+            for a, b in zip(cache.masks, whole.masks, strict=True):
+                assert a is b is None if activation == "linear" \
+                    else np.array_equal(a, b)
             for i in range(len(rows)):
-                for a, b in zip(
-                        op.decomposition(cache, start, trajectory=i),
-                        op.decomposition(whole, start, trajectory=i)):
+                for a, b in zip(op.decomposition(cache, trajectory=i),
+                                op.decomposition(whole, trajectory=i)):
                     assert np.array_equal(a, b)
+            for a, b in zip(op._backward(cache, dY[rows]),
+                            op._backward(whole, dY[rows]), strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("batch", [2, 3])
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("M, d_v, start", STARTS)
+    def test_a_pass_from_priors_of_several_passes_is_the_whole_pass(
+            self, M, d_v, start, n_layers, activation, batch):
+        """Each row's prior is its own earlier pass, as the filter keeps one
+        per row: the prior of row b is trajectory b of a pass over a batch
+        of the same size, equal to row b before start, whose other rows are
+        other inputs. (A trajectory's rows can round differently at another
+        place in a batch: at M=600, d_v=1 in a batch of three.) Only that
+        trajectory of each prior is read: at every row the output, every
+        layer input, every mask, the rate split and the backward pass's
+        gradients are bitwise those of the whole pass."""
+        op, UU = self.case(n_layers, activation, batch, M, d_v)
+        rng = np.random.default_rng(start)
+        VV = UU.copy()
+        VV[:, start:] = rng.normal(size=(batch, M + 1 - start)).cumsum(axis=1)
+        prior = []
+        for b in range(batch):
+            WW = rng.normal(size=UU.shape).cumsum(axis=1)
+            WW[b] = UU[b]
+            prior.append((op.forward_batch(WW)[1], b))
+        full, whole = op.forward_batch(VV)
+        part, cache = op.forward_batch(VV, start, prior)
+        assert np.array_equal(part, full)
+        for a, b in zip(cache.vs, whole.vs, strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(cache.masks, whole.masks, strict=True):
+            assert a is b is None if activation == "linear" \
+                else np.array_equal(a, b)
+        for i in range(batch):
+            for a, b in zip(op.decomposition(cache, trajectory=i),
+                            op.decomposition(whole, trajectory=i)):
+                assert np.array_equal(a, b)
+        dY = rng.normal(size=(batch, M + 1))
+        for a, b in zip(op._backward(cache, dY), op._backward(whole, dY),
+                        strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("activation", ["relu", "linear"])
+    @pytest.mark.parametrize("M, d_v, start", STARTS)
+    def test_the_split_of_a_pass_from_a_prior_on_a_row_range(
+            self, M, d_v, start, activation):
+        """The split of a prior pass over a range that ends at start, one
+        that crosses it, one that begins there and one to the last row is
+        those rows of the whole pass's split: the rows before start, which
+        the pass took from the prior, read as those it ran."""
+        op, UU = self.case(2, activation, 1, M, d_v)
+        _, prior = op.forward_batch(UU)
+        VV = UU.copy()
+        VV[:, start:] += 1.0
+        _, whole = op.forward_batch(VV)
+        _, cache = op.forward_batch(VV, start, [(prior, 0)])
+        full = op.decomposition(whole)
+        for lo, hi in ((0, start), (start - 1, start + 1),
+                       (start, start + 1), (start, M + 1)):
+            for a, b in zip(op.decomposition(cache, lo, hi), full,
+                            strict=True):
+                assert np.array_equal(a, b[lo:hi])
 
     def test_a_prior_over_another_input_is_refused(self):
         op, UU = self.case(2, "relu", batch=2)
@@ -803,27 +854,10 @@ class TestPartialForward:
             with pytest.raises(ValueError, match=f"before row {start}"):
                 op.forward_batch(VV, start, [(prior, i) for i in rows])
 
-    @pytest.mark.parametrize("activation", ["relu", "linear"])
-    @pytest.mark.parametrize("M, d_v, start", STARTS)
-    def test_the_split_of_a_partial_pass_from_start_on(self, M, d_v, start,
-                                                       activation):
-        op, UU = self.case(2, activation, 1, M, d_v)
-        _, full = op.forward_batch(UU)
-        _, part = op.forward_batch(UU, start)
-        for stop in (start + 1, M + 1):
-            for a, b in zip(op.decomposition(part, start, stop),
-                            op.decomposition(full, start, stop)):
-                assert np.array_equal(a, b)
-        with pytest.raises(ValueError, match="from row %d" % start):
-            op.decomposition(part, start - 1, start)
-        with pytest.raises(ValueError):
-            op.decomposition(part)
-
-    def test_a_partial_pass_has_no_backward(self):
+    def test_a_pass_from_a_later_row_needs_a_prior(self):
         op, UU = self.case(2, "relu")
-        _, cache = op.forward_batch(UU, 3)
-        with pytest.raises(ValueError, match="from row 3"):
-            op._backward(cache, np.ones_like(UU))
+        with pytest.raises(ValueError, match="from row 3 needs a prior"):
+            op.forward_batch(UU, 3)
 
 
 class TestTrainingStep:

@@ -329,8 +329,8 @@ class Surface:
 
 class OperatorSurface(Surface):
     """A BoundaryOperator seen through the surface the safety_filter module
-    docstring lists, whose caches show `start` alone; calls logs each
-    method call with the start of its cache."""
+    docstring lists, whose caches show nothing; calls logs each method
+    call with its start argument."""
 
     def __init__(self, op, calls):
         super().__init__(op, ("grid",))
@@ -340,13 +340,13 @@ class OperatorSurface(Surface):
         if prior is not None:
             prior = [(self.__caches[cache], i) for cache, i in prior]
         Y, cache = self.__op.forward_batch(UU, start, prior)
-        surface = Surface(cache, ("start",))
+        surface = Surface(cache, ())
         self.__caches[surface] = cache
         self.__calls.append(("forward_batch", start))
         return Y, surface
 
     def decomposition(self, cache, start, stop, trajectory):
-        self.__calls.append(("decomposition", cache.start))
+        self.__calls.append(("decomposition", start))
         return self.__op.decomposition(self.__caches[cache], start, stop,
                                        trajectory)
 
