@@ -68,8 +68,11 @@ causal, a caller that changed only inputs from row start on keeps its
 earlier outputs from the pass before: given that pass as the prior
 (`forward_batch(UU, start, prior)`), every layer runs from row start on,
 taking its earlier rows, their masks and the lag arrays from there, and Q
-runs at every row. So every cache is bitwise that of the whole pass, with
-the rate split at any row and a backward pass.
+runs at every row. So every cache is that of the whole pass, with the rate
+split at any row and a backward pass: bitwise when each row's prior is that
+row's own index of a pass over a batch of the same size, and otherwise
+equal only to rounding (a trajectory's rows can round differently at
+another place in a batch, as at M=600, d_v=1 in a batch of three).
 """
 
 from dataclasses import dataclass
@@ -324,8 +327,10 @@ class BoundaryOperator:
         over an input equal to that row before start. By causality every
         layer's rows and masks are then the same before start, so the pass
         takes those, and its lag arrays, from there, runs every layer from
-        row start on and Q at every row: each row is bitwise that row of
-        the whole pass.
+        row start on and Q at every row: each row is that row of the whole
+        pass, bitwise when row i's prior is trajectory i of a pass over B
+        rows, and otherwise only to rounding, since a trajectory's rows can
+        round differently at another place in a batch.
         """
         UU = np.atleast_2d(np.asarray(UU, dtype=float))
         self._check_grid(UU)

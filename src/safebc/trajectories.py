@@ -1,16 +1,16 @@
 """Trajectory dataset collection, safety labeling, balancing, splitting, and
 serialization.
 
-A dataset holds K labeled boundary input/output trajectories on one time
-grid as three (K, M+1) arrays: the inputs U, the outputs Y and the per-step
-safety labels; row k is trajectory k, and its initial condition is U[k, 0].
-On disk it is a table (see `checkpoint`) with columns
-traj_id,step,t,U,Y,safe, preceded by one '# key=value' comment per metadata
-entry and the grid_T / grid_M comments that fix the time grid; a file
-without them is rejected. A write/read round trip is value-exact.
+A dataset holds K boundary input/output trajectories on one time grid as
+two (K, M+1) arrays, the inputs U and the outputs Y, with trajectory k (and
+its initial condition U[k, 0]) in row k, and the safe set whose value on Y
+is the per-step labels. On disk it is a table (see `checkpoint`) with
+columns traj_id,step,U,Y, rows in the order written, after one '# key=value'
+comment per metadata entry and the safe_set, grid_T and grid_M comments; a
+file without them is rejected. A write/read round trip is value-exact.
 """
-
-from dataclasses import dataclass, field
+import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .checkpoint import (ConfigurationError, DatasetFormatError,
                          finite_float, fmt, read_table, table_row_line,
                          write_table)
 from .nets import subseed
-from .pde_sim import TimeGrid, rollout
+from .pde_sim import ENVIRONMENTS, TimeGrid, rollout
 
-DATASET_COLUMNS = ("traj_id", "step", "t", "U", "Y", "safe")
+DATASET_COLUMNS = ("traj_id", "step", "U", "Y")
 
 
 class CollectionError(RuntimeError):
@@ -97,28 +97,29 @@ def suffix_safe_mask(labels):
 
 @dataclass
 class Dataset:
-    """K trajectories on one time grid: U, Y (float) and safe (bool) are
-    (K, M+1) arrays with trajectory k in row k."""
+    """K trajectories on one time grid: U and Y are (K, M+1) float arrays
+    with trajectory k in row k, and safe, their (K, M+1) bool labels, is
+    safe_set applied to Y."""
 
     grid: TimeGrid
     U: np.ndarray
     Y: np.ndarray
-    safe: np.ndarray
+    safe_set: OneSidedSet | TwoSidedSet
     meta: dict = field(default_factory=dict)
+    safe: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=np.float64)
         self.Y = np.asarray(self.Y, dtype=np.float64)
-        self.safe = np.asarray(self.safe, dtype=bool)
-        if self.U.ndim != 2 or \
-                not self.U.shape == self.Y.shape == self.safe.shape:
+        if self.U.ndim != 2 or self.U.shape != self.Y.shape:
             raise ConfigurationError(
-                f"U, Y and safe must share one 2-D shape, got {self.U.shape}"
-                f", {self.Y.shape} and {self.safe.shape}")
+                f"U and Y must share one 2-D shape, got {self.U.shape} and "
+                f"{self.Y.shape}")
         if self.U.shape[1] != self.grid.M + 1:
             raise ConfigurationError(
                 f"trajectories have {self.U.shape[1]} steps, the grid "
                 f"{self.grid.M + 1}")
+        self.safe = self.safe_set.contains(self.Y)
 
     def __len__(self):
         return self.U.shape[0]
@@ -147,16 +148,15 @@ def collect_dataset(env_cfg, controllers, K, U0_range, safe_set, seed=0):
     skipped = K - int(kept.sum())
     if 2 * skipped > K:
         raise CollectionError(f"{skipped} of {K} rollouts diverged")
+    name = next(k for k, cls in ENVIRONMENTS.items() if type(env_cfg) is cls)
     meta = {
-        "env": type(env_cfg).__name__,
+        "env": json.dumps({"name": name, **asdict(env_cfg)}),
         "controllers": ";".join(c.describe() for c in controllers),
-        "safe_set": safe_set.describe(),
         "seed": str(int(seed)),
         "K": str(K),
         "skipped": str(skipped),
     }
-    Y = run.Y[kept]
-    return Dataset(env_cfg.grid, run.U[kept], Y, safe_set.contains(Y), meta)
+    return Dataset(env_cfg.grid, run.U[kept], run.Y[kept], safe_set, meta)
 
 
 def balance_near_zero(dataset, band, keep_fraction, seed=0):
@@ -194,63 +194,57 @@ def split(dataset, train_fraction, seed=0):
 
 
 def write_dataset(path, dataset):
-    """Dataset table: '# key=value' metadata and grid comments, then one
-    traj_id,step,t,U,Y,safe row per step of every trajectory."""
+    """Dataset table: '# key=value' metadata, safe-set and grid comments,
+    then one traj_id,step,U,Y row per step, trajectory after trajectory."""
     comments = [f"{key}={value}" for key, value in dataset.meta.items()]
-    comments += [f"grid_T={fmt(dataset.grid.T)}", f"grid_M={dataset.grid.M}"]
+    comments += [f"safe_set={dataset.safe_set.describe()}",
+                 f"grid_T={fmt(dataset.grid.T)}", f"grid_M={dataset.grid.M}"]
     K, width = dataset.U.shape
-    steps = np.arange(width)
     write_table(path, dict(zip(DATASET_COLUMNS, (
-        np.repeat(np.arange(K), width), np.tile(steps, K),
-        np.tile(steps * dataset.grid.dt, K), dataset.U.ravel(),
-        dataset.Y.ravel(), dataset.safe.ravel()))), comments)
+        np.repeat(np.arange(K), width), np.tile(np.arange(width), K),
+        dataset.U.ravel(), dataset.Y.ravel()))), comments)
+
+
+def _from_comments(path, meta, keys, parse):
+    """parse of the values of the comments keys, taken out of meta; a
+    missing or bad one raises DatasetFormatError naming them."""
+    if not all(key in meta for key in keys):
+        raise DatasetFormatError(path, f"missing {'/'.join(keys)} comments")
+    values = [meta.pop(key) for key in keys]
+    try:
+        return parse(*values)
+    except ValueError as exc:
+        named = ", ".join(f"{k}={v}" for k, v in zip(keys, values))
+        raise DatasetFormatError(path, f"bad comment {named}: {exc}") from None
 
 
 def read_dataset(path):
     """Read a dataset table back; value-exact for finite inputs.
 
-    Rows may come in any order. They are sorted by (traj_id, step), and each
-    trajectory must then hold steps 0..M once each: a gap, a duplicate or a
-    step past M names the line of the first row out of place, a trajectory
-    cut short the line of its last row. A row whose t is not step * dt
-    (beyond rounding, 1e-9 T) is named by its line too."""
-    table = read_table(path, DATASET_COLUMNS, ints=("traj_id", "step", "safe"))
+    Row r must be step r % (M+1) of trajectory r // (M+1), as the writer
+    writes it: the first row out of place is named by its line, and a last
+    trajectory cut short by its last row's."""
+    table = read_table(path, DATASET_COLUMNS, ints=("traj_id", "step"))
     meta = {}
     for comment in table.comments:
         key, sep, value = comment.partition("=")
         if sep:
             meta[key.strip()] = value
-    if "grid_T" not in meta or "grid_M" not in meta:
-        raise DatasetFormatError(path, "missing grid_T/grid_M comments")
-    grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
+    grid = _from_comments(path, meta, ("grid_T", "grid_M"),
+                          lambda T, M: TimeGrid(float(T), int(M)))
+    safe_set = _from_comments(path, meta, ("safe_set",), parse_safe_set)
     cols = table.data
-    order = np.lexsort((cols["step"], cols["traj_id"]))
-    traj, step = cols["traj_id"][order], cols["step"][order]
-    starts = np.ones(traj.size, dtype=bool)
-    starts[1:] = traj[1:] != traj[:-1]
-    first = np.flatnonzero(starts)  # each trajectory's first sorted row
-    counts = np.diff(np.append(first, traj.size))
-    pos = np.arange(traj.size) - np.repeat(first, counts)
+    traj, step = cols["traj_id"], cols["step"]
     width = grid.M + 1
-    bad = (step != pos) | (pos >= width)
-    bad[(first + counts - 1)[counts < width]] = True
-    if bad.any():
-        j = int(np.argmax(bad))
-        lo = first[np.searchsorted(first, j, side="right") - 1]
+    row = np.arange(traj.size)
+    bad = np.flatnonzero((traj != row // width) | (step != row % width))
+    if bad.size or traj.size % width:
+        j = int(bad[0]) if bad.size else traj.size - 1
         raise DatasetFormatError(
-            path, f"trajectory {traj[j]} has steps "
-            f"{tuple(step[lo:lo + 3].tolist())}..., expected 0..{grid.M}",
-            table_row_line(path, order[j]))
-    expected_t = cols["step"] * grid.dt
-    off_grid = np.flatnonzero(~(np.abs(cols["t"] - expected_t)
-                                <= 1e-9 * grid.T))
-    if off_grid.size:
-        j = int(off_grid[0])
-        raise DatasetFormatError(
-            path, f"row at step {cols['step'][j]} has t={cols['t'][j]:.17g}"
-            f", the grid's t is {expected_t[j]:.17g}",
+            path, f"row at step {step[j]} of trajectory {traj[j]}: rows must "
+            f"run trajectory after trajectory, steps 0..{grid.M} in order",
             table_row_line(path, j))
-    shape = (first.size, width)
-    return Dataset(grid, cols["U"][order].reshape(shape),
-                   cols["Y"][order].reshape(shape),
-                   cols["safe"][order].reshape(shape) != 0, meta)
+    shape = (traj.size // width, width)
+    return Dataset(grid, np.ascontiguousarray(cols["U"].reshape(shape)),
+                   np.ascontiguousarray(cols["Y"].reshape(shape)), safe_set,
+                   meta)

@@ -56,6 +56,7 @@ from safebc.pde_sim import (FromFile, HyperbolicConfig,
 from safebc.safety_filter import (FilterInfeasibleError, FilterReport,
                                   StepRecord, qp_filter_step,
                                   rate_to_trajectory)
+from safebc.trajectories import parse_safe_set
 
 
 def whole_trajectory_filter(operator, bcbf, U_nominal, config):
@@ -494,38 +495,35 @@ def cell_read_checkpoint(path):
     return kind, tensors, meta
 
 
-DATASET_TYPES = (int, int, float, float, float, int)
+DATASET_TYPES = (int, int, float, float)
 
 
 def cell_dataset_text(dataset):
     comments = [f"{key}={value}" for key, value in dataset.meta.items()]
-    comments += [f"grid_T={_cell(dataset.grid.T)}",
+    comments += [f"safe_set={dataset.safe_set.describe()}",
+                 f"grid_T={_cell(dataset.grid.T)}",
                  f"grid_M={dataset.grid.M}"]
-    dt = dataset.grid.dt
-    rows = [(k, m, m * dt, u, y, safe) for k, cols in
-            enumerate(zip(dataset.U, dataset.Y, dataset.safe))
-            for m, (u, y, safe) in enumerate(zip(*cols))]
-    return cell_table_text(("traj_id", "step", "t", "U", "Y", "safe"), rows,
-                           comments)
+    rows = [(k, m, u, y) for k, cols in enumerate(zip(dataset.U, dataset.Y))
+            for m, (u, y) in enumerate(zip(*cols))]
+    return cell_table_text(("traj_id", "step", "U", "Y"), rows, comments)
 
 
 def cell_read_dataset(path):
-    """(grid, U, Y, safe, meta) of a dataset file, grouping its rows by
-    trajectory in a dict."""
+    """(grid, U, Y, safe_set, meta) of a dataset file, its rows read one at
+    a time, each at the (trajectory, step) its place in the file gives."""
     _, rows, comments = cell_read_table(path, DATASET_TYPES)
     meta = dict(c.split("=", 1) for c in comments if "=" in c)
     grid = TimeGrid(float(meta.pop("grid_T")), int(meta.pop("grid_M")))
-    by_traj = {}
-    for traj_id, step, _, U, Y, safe in rows:
-        by_traj.setdefault(traj_id, []).append((step, U, Y, safe))
+    safe_set = parse_safe_set(meta.pop("safe_set"))
     width = grid.M + 1
-    U = np.empty((len(by_traj), width))
+    if len(rows) % width:
+        raise DatasetFormatError(path, f"{len(rows)} rows, not whole "
+                                 f"trajectories of {width} steps")
+    U = np.empty((len(rows) // width, width))
     Y = np.empty_like(U)
-    safe = np.empty(U.shape, dtype=bool)
-    for k, traj_id in enumerate(sorted(by_traj)):
-        steps, *cols = zip(*sorted(by_traj[traj_id]))
-        if steps != tuple(range(width)):
-            raise DatasetFormatError(path, f"trajectory {traj_id} has steps "
-                                     f"{steps[:3]}..., expected 0..{grid.M}")
-        U[k], Y[k], safe[k] = cols
-    return grid, U, Y, safe, meta
+    for r, (traj_id, step, u, y) in enumerate(rows):
+        if (traj_id, step) != divmod(r, width):
+            raise DatasetFormatError(path, f"row {r} is step {step} of "
+                                     f"trajectory {traj_id}")
+        U[traj_id, step], Y[traj_id, step] = u, y
+    return grid, U, Y, safe_set, meta

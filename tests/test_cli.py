@@ -140,11 +140,36 @@ def test_a_nonfinite_controller_setting_is_named_in_one_line(tmp_path,
 
 def test_a_dataset_without_its_grid_exits_2_naming_it(tmp_path, capsys):
     path = tmp_path / "data.csv"
-    path.write_text("traj_id,step,t,U,Y,safe\n")
+    path.write_text("# safe_set=Y<1\ntraj_id,step,U,Y\n")
     rc = main(["train-operator", "--dataset", str(path),
                "--out", str(tmp_path / "op.ckpt")])
     assert rc == 2
     assert "missing grid_T/grid_M comments" in capsys.readouterr().err
+    assert not (tmp_path / "op.ckpt").exists()
+
+
+@pytest.mark.parametrize("comment, reason", [
+    ("grid_M=abc", "invalid literal for int() with base 10: 'abc'"),
+    ("grid_M=1", "need at least 2 steps, got M=1"),
+    ("grid_T=nan", "horizon T must be positive, got nan"),
+    ("grid_T=x", "could not convert string to float: 'x'"),
+    ("safe_set=Y<one", "cannot parse safe set 'Y<one'"),
+    ("safe_set=Y=1", "cannot parse safe set 'Y=1'"),
+    ("safe_set=abs:halfwidth=-1", "halfwidth must be positive")])
+def test_a_bad_dataset_comment_exits_2_naming_the_file_and_comment(
+        tmp_path, capsys, comment, reason):
+    key, value = comment.split("=", 1)
+    good = {"safe_set": "Y<1", "grid_T": "1", "grid_M": "2"}
+    good[key] = value
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"# {k}={v}\n" for k, v in good.items())
+                    + "traj_id,step,U,Y\n0,0,1,1\n0,1,1,1\n0,2,1,1\n")
+    rc = main(["train-operator", "--dataset", str(path),
+               "--out", str(tmp_path / "op.ckpt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad comment ")
+    assert comment in err and reason in err
     assert not (tmp_path / "op.ckpt").exists()
 
 

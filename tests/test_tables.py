@@ -23,19 +23,21 @@ from safebc.evaluation import read_episode_csv
 from safebc.pde_sim import TimeGrid, read_trajectory_csv
 from safebc.safety_filter import FilterReport, StepRecord
 from safebc.training import TrainHistory
-from safebc.trajectories import Dataset, read_dataset, write_dataset
+from safebc.trajectories import (Dataset, OneSidedSet, TwoSidedSet,
+                                 read_dataset, write_dataset)
 
-# Files as earlier versions wrote them: the dataset and trajectory writers
-# ended table lines with CRLF (comment lines with LF).
+# Files with table lines ended by CRLF (comment lines by LF), as earlier
+# versions of the dataset and trajectory writers ended them.
 CRLF_DATASET = (
-    b"# origin=synthetic\n# grid_T=1\n# grid_M=2\n"
-    b"traj_id,step,t,U,Y,safe\r\n"
-    b"0,0,0,2.5,2.5,0\r\n"
-    b"0,1,0.5,-1,0.10000000000000001,1\r\n"
-    b"0,2,1,-1,-0.29999999999999999,1\r\n"
-    b"1,0,0,0.10000000000000001,1.0000000000000001e+300,1\r\n"
-    b"1,1,0.5,0.20000000000000001,-0,1\r\n"
-    b"1,2,1,9.9999999999999995e-21,7,0\r\n")
+    b"# origin=synthetic\n# safe_set=abs:center=0.0,halfwidth=3.0\n"
+    b"# grid_T=1\n# grid_M=2\n"
+    b"traj_id,step,U,Y\r\n"
+    b"0,0,2.5,2.5\r\n"
+    b"0,1,-1,0.10000000000000001\r\n"
+    b"0,2,-1,-0.29999999999999999\r\n"
+    b"1,0,0.10000000000000001,1.0000000000000001e+300\r\n"
+    b"1,1,0.20000000000000001,-0\r\n"
+    b"1,2,9.9999999999999995e-21,7\r\n")
 CRLF_TRAJECTORY = (
     b"step,t,U,Y\r\n"
     b"0,0,0.10000000000000001,1\r\n"
@@ -57,7 +59,9 @@ def test_crlf_dataset_reads_back_and_rewrites_with_lf(tmp_path):
     assert np.array_equal(ds.U, [[2.5, -1.0, -1.0], [0.1, 0.2, 1e-20]])
     assert np.array_equal(ds.Y, [[2.5, 0.1, -0.3], [1e300, -0.0, 7.0]])
     assert np.signbit(ds.Y[1, 1])
-    assert np.array_equal(ds.safe[1], [True, True, False])
+    assert ds.safe_set == TwoSidedSet(0.0, 3.0)
+    assert np.array_equal(ds.safe, [[True, True, True],
+                                    [False, True, False]])
     write_dataset(tmp_path / "again.csv", ds)
     assert (tmp_path / "again.csv").read_bytes() \
         == CRLF_DATASET.replace(b"\r", b"")
@@ -82,23 +86,20 @@ def test_history_with_weights_comment_reads_back(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == HISTORY
 
 
-DATASET_HEAD = "# grid_T=1\n# grid_M=2\ntraj_id,step,t,U,Y,safe\n"
+DATASET_HEAD = "# safe_set=Y<1\n# grid_T=1\n# grid_M=2\ntraj_id,step,U,Y\n"
 HISTORY_HEAD = "# lambda_G=1\nepoch,L_G,L_S,L_BF,reg,val_LG,val_sign_err\n"
 
 # reader, a file with one bad line, and that line's number
 READERS = {
-    "dataset": (read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,x,1,1\n", 5),
+    "dataset": (read_dataset, DATASET_HEAD + "0,0,1,1\n0,1,x,1\n", 6),
     "dataset_float_traj_id": (
-        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n1.5,1,1,1,1,1\n", 5),
+        read_dataset, DATASET_HEAD + "0,0,1,1\n1.5,1,1,1\n", 6),
     "dataset_float_step": (
-        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1.5,1,1,1,1\n", 5),
-    "dataset_float_safe": (
-        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,1,1,1.5\n", 5),
+        read_dataset, DATASET_HEAD + "0,0,1,1\n0,1.5,1,1\n", 6),
     "dataset_duplicate_row": (
-        read_dataset,
-        DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,1,1,1\n0,1,1,1,1,1\n", 6),
+        read_dataset, DATASET_HEAD + "0,0,1,1\n0,1,1,1\n0,1,1,1\n", 7),
     "dataset_extra_cell": (
-        read_dataset, DATASET_HEAD + "0,0,0,1,1,1\n0,1,1,1,1,1,7\n", 5),
+        read_dataset, DATASET_HEAD + "0,0,1,1\n0,1,1,1,7\n", 6),
     "trajectory": (read_trajectory_csv, "step,t,U\n0,0,1\n1,1\n", 3),
     "episodes": (read_episode_csv,
                  "episode,U0,reward,feasible,feasible_steps\n"
@@ -154,7 +155,7 @@ def test_wrong_header_is_rejected(tmp_path, name):
 
 def test_dataset_rows_without_grid_comments_are_rejected(tmp_path):
     path = tmp_path / "nogrid.csv"
-    path.write_text("traj_id,step,t,U,Y,safe\n0,0,0,1,1,1\n0,1,1,1,1,1\n")
+    path.write_text("# safe_set=Y<1\ntraj_id,step,U,Y\n0,0,1,1\n0,1,1,1\n")
     with pytest.raises(DatasetFormatError, match="grid"):
         read_dataset(path)
 
@@ -427,6 +428,15 @@ def test_a_bad_row_at_a_block_edge_is_named_by_its_line(tmp_path, bad, crlf,
     assert str(err.value) == f"{path}:{row_lines[bad]}: bad row '{bad},x'"
 
 
+# any valid one- or two-sided safe set
+SAFE_SETS = st.one_of(
+    st.builds(OneSidedSet, sign=st.sampled_from([1, -1]),
+              bound=st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(TwoSidedSet,
+              center=st.floats(allow_nan=False, allow_infinity=False),
+              halfwidth=st.floats(min_value=0.0, exclude_min=True)))
+
+
 @st.composite
 def datasets(draw):
     K, M = draw(st.integers(0, 3)), draw(st.integers(2, 5))
@@ -435,36 +445,32 @@ def datasets(draw):
                                 st.text("xyz=;", max_size=4), max_size=2))
     return Dataset(grid, array_of(draw, FINITE_FLOATS, float, (K, M + 1)),
                    array_of(draw, FINITE_FLOATS, float, (K, M + 1)),
-                   array_of(draw, st.booleans(), bool, (K, M + 1)), meta)
+                   draw(SAFE_SETS), meta)
 
 
-@given(datasets(), st.randoms(use_true_random=False))
+@given(datasets())
 @settings(max_examples=100, deadline=None)
-def test_a_dataset_writes_the_cell_bytes_and_reads_back_bitwise(ds, rng):
+def test_a_dataset_writes_the_cell_bytes_and_reads_back_bitwise(ds):
+    """U, Y and the labels read back bitwise, for any valid safe set, and
+    the dataset read back writes the same bytes again."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ds.csv")
         write_dataset(path, ds)
         with open(path, "rb") as fh:
             text = fh.read()
         assert text == cell_dataset_text(ds).encode()
-        backs = [read_dataset(path)]
-        grid, U, Y, safe, meta = cell_read_dataset(path)
-        # rows in any order read back the same
-        lines = text.decode().splitlines(keepends=True)
-        head = len(ds.meta) + 3
-        rows = lines[head:]
-        rng.shuffle(rows)
-        with open(path, "w") as fh:
-            fh.write("".join(lines[:head] + rows))
-        backs.append(read_dataset(path))
-    assert grid == ds.grid and meta == ds.meta
-    assert all(same_bits(a, b) for a, b in ((U, ds.U), (Y, ds.Y),
-                                            (safe, ds.safe)))
-    for back in backs:
-        assert back.grid == ds.grid and back.meta == ds.meta
-        assert all(same_bits(a, b) for a, b in ((back.U, ds.U),
-                                                (back.Y, ds.Y),
-                                                (back.safe, ds.safe)))
+        back = read_dataset(path)
+        grid, U, Y, safe_set, meta = cell_read_dataset(path)
+        again = os.path.join(d, "again.csv")
+        write_dataset(again, back)
+        with open(again, "rb") as fh:
+            assert fh.read() == text
+    assert grid == ds.grid and meta == ds.meta and safe_set == ds.safe_set
+    assert same_bits(U, ds.U) and same_bits(Y, ds.Y)
+    assert back.grid == ds.grid and back.meta == ds.meta
+    assert back.safe_set == ds.safe_set
+    assert all(same_bits(a, b) for a, b in ((back.U, ds.U), (back.Y, ds.Y),
+                                            (back.safe, ds.safe)))
 
 
 def bits_float(bits):

@@ -1,12 +1,15 @@
 """Tests for dataset collection, labeling, balancing, splitting, and CSV IO."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from safebc import trajectories
+from safebc.cli import load_env
 from safebc.pde_sim import (ConfigurationError, Constant, HyperbolicConfig,
-                            TimeGrid, rollout)
+                            ParabolicConfig, TimeGrid, rollout)
 from safebc.trajectories import (CollectionError, Dataset,
                                  DatasetFormatError, OneSidedSet,
                                  TwoSidedSet, balance_near_zero,
@@ -22,7 +25,8 @@ def make_dataset(n=10, M=4, seed=0):
     for k in range(n):
         U[k] = rng.normal(size=M + 1)
         Y[k] = rng.normal(size=M + 1)
-    return Dataset(TimeGrid(1.0, M), U, Y, Y < 1.0, {"origin": "synthetic"})
+    return Dataset(TimeGrid(1.0, M), U, Y, OneSidedSet(1, 1.0),
+                   {"origin": "synthetic"})
 
 
 def datasets_equal(a, b):
@@ -35,7 +39,7 @@ def datasets_equal(a, b):
 def empty_dataset(grid):
     width = grid.M + 1
     return Dataset(grid, np.empty((0, width)), np.empty((0, width)),
-                   np.empty((0, width), dtype=bool))
+                   OneSidedSet())
 
 
 class TestSafeSets:
@@ -212,12 +216,43 @@ class TestCollection:
                              Constant(1e200)], 3, (0.0, 0.0), ss)
 
     def test_metadata_records_provenance(self):
-        env = HyperbolicConfig(beta=0.0)
+        env = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 50))
         ss = parse_safe_set("Y<1")
         ds = collect_dataset(env, [Constant()], 2, (0.1, 0.9), ss, seed=3)
-        assert ds.meta["env"] == "HyperbolicConfig"
+        assert ds.meta["env"] == ('{"name": "hyperbolic", "beta": 0.5, '
+                                  '"n_points": 101, "grid": {"T": 5.0, '
+                                  '"M": 50}}')
+        assert ds.meta["controllers"] == "constant:hold-U0"
         assert ds.meta["seed"] == "3" and ds.meta["K"] == "2"
         assert ds.meta["skipped"] == "0"
+        # the safe set labels the dataset; it is not a metadata entry
+        assert "safe_set" not in ds.meta and ds.safe_set == ss
+
+    @pytest.mark.parametrize("env", [
+        HyperbolicConfig(beta=0.5, n_points=41, grid=TimeGrid(2.0, 20)),
+        ParabolicConfig(eps=0.07, lam=0.3, n_points=21, x_out=0.25,
+                        grid=TimeGrid(0.5, 20))], ids=["hyperbolic",
+                                                       "parabolic"])
+    def test_the_env_comment_loads_back_as_the_collecting_plant(self, env,
+                                                                tmp_path):
+        ds = collect_dataset(env, [Constant(0.1)], 2, (0.1, 0.2),
+                             parse_safe_set("Y<1"), seed=0)
+        assert load_env(json.loads(ds.meta["env"])) == env
+        write_dataset(tmp_path / "ds.csv", ds)
+        back = read_dataset(tmp_path / "ds.csv")
+        assert load_env(json.loads(back.meta["env"])) == env
+
+    def test_labels_are_the_safe_set_on_Y_and_read_back_equal(self,
+                                                             tmp_path):
+        env = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 50))
+        ss = TwoSidedSet(center=0.5, halfwidth=0.4)
+        ds = collect_dataset(env, [Constant(0.3), Constant(1.2)], 6,
+                             (0.1, 1.5), ss, seed=2)
+        assert np.array_equal(ds.safe, ss.contains(ds.Y))
+        assert ds.safe.any() and not ds.safe.all()
+        write_dataset(tmp_path / "ds.csv", ds)
+        back = read_dataset(tmp_path / "ds.csv")
+        assert back.safe_set == ss and datasets_equal(back, ds)
 
 
 class TestBalance:
@@ -237,7 +272,7 @@ class TestBalance:
         # 10000 in-band samples at keep 0.2 should retain 2000 +- 200.
         grid = TimeGrid(1.0, 99)
         ds = Dataset(grid, np.zeros((100, 100)), np.zeros((100, 100)),
-                     np.ones((100, 100), dtype=bool))
+                     OneSidedSet())
         kept = int(balance_near_zero(ds, band=(-0.1, 0.1),
                                      keep_fraction=0.2, seed=0).sum())
         assert 1800 <= kept <= 2200
@@ -245,7 +280,7 @@ class TestBalance:
     def test_no_in_band_samples_leaves_dataset_unchanged(self):
         grid = TimeGrid(1.0, 4)
         ds = Dataset(grid, np.full((1, 5), 3.0), np.full((1, 5), 3.0),
-                     np.zeros((1, 5), dtype=bool))
+                     OneSidedSet())
         assert balance_near_zero(ds, band=(-0.1, 0.1),
                                  keep_fraction=0.2).all()
         assert np.array_equal(ds.Y, np.full((1, 5), 3.0))
@@ -284,27 +319,30 @@ class TestSplit:
 
 
 class TestDatasetCsv:
+    HEAD = "# safe_set=Y<1\n# grid_T=1\n# grid_M=2\ntraj_id,step,U,Y\n"
+
     def test_round_trip_is_value_exact(self, tmp_path):
         ds = make_dataset(4, M=6, seed=3)
         path = tmp_path / "ds.csv"
         write_dataset(path, ds)
         back = read_dataset(path)
         assert datasets_equal(ds, back)
-        assert back.meta["origin"] == "synthetic"
+        assert back.safe_set == ds.safe_set
+        assert back.meta == {"origin": "synthetic"}
 
     def test_header_line_and_comment_metadata(self, tmp_path):
         ds = make_dataset(1)
         path = tmp_path / "ds.csv"
         write_dataset(path, ds)
         lines = path.read_text().splitlines()
-        comments = [ln for ln in lines if ln.startswith("#")]
-        headers = [ln for ln in lines if ln.startswith("traj_id")]
-        assert headers == ["traj_id,step,t,U,Y,safe"]
-        assert any("origin=synthetic" in c for c in comments)
+        assert lines[:5] == ["# origin=synthetic", "# safe_set=Y<1.0",
+                             "# grid_T=1", "# grid_M=4", "traj_id,step,U,Y"]
+        assert len(lines) == 5 + 5
 
     @pytest.mark.parametrize("text", [
-        "traj_id,step,t,U,Y,safe\n",
-        "# grid_T=1\ntraj_id,step,t,U,Y,safe\n"])
+        "# safe_set=Y<1\ntraj_id,step,U,Y\n",
+        "# safe_set=Y<1\n# grid_T=1\ntraj_id,step,U,Y\n"],
+        ids=["no-grid", "no-grid_M"])
     def test_a_file_without_its_grid_is_rejected(self, tmp_path, text):
         # a header-only file once read back as a dataset with no grid
         path = tmp_path / "nogrid.csv"
@@ -312,106 +350,106 @@ class TestDatasetCsv:
         with pytest.raises(DatasetFormatError, match="grid_T/grid_M"):
             read_dataset(path)
 
+    def test_a_file_without_its_safe_set_is_rejected(self, tmp_path):
+        # the labels come from the spec alone
+        path = tmp_path / "noset.csv"
+        path.write_text("# grid_T=1\n# grid_M=2\ntraj_id,step,U,Y\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}: missing safe_set comments"
+
+    def test_a_file_of_the_older_layout_is_rejected_with_the_header(
+            self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("# safe_set=Y<1.0\n# grid_T=1\n# grid_M=2\n"
+                        "traj_id,step,t,U,Y,safe\n0,0,0,1,1,0\n"
+                        "0,1,0.5,1,1,0\n0,2,1,1,1,0\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert str(err.value) == (
+            f"{path}:4: header 'traj_id,step,t,U,Y,safe', expected "
+            "'traj_id,step,U,Y'")
+
     def test_an_empty_dataset_round_trips_with_its_grid(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_dataset(path, empty_dataset(TimeGrid(1.0, 2)))
         back = read_dataset(path)
-        assert len(back) == 0 and back.U.shape == (0, 3)
+        assert len(back) == 0 and back.U.shape == back.safe.shape == (0, 3)
         assert back.grid == TimeGrid(1.0, 2)
 
     def test_hand_written_two_row_fixture(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text(
-            "# grid_T=1\n# grid_M=2\n"
-            "traj_id,step,t,U,Y,safe\n"
-            "0,0,0,2.5,2.5,0\n"
-            "0,1,0.5,-1,0.25,1\n"
-            "0,2,1,-1,0.1,1\n")
+            "# safe_set=Y<0.3\n# grid_T=1\n# grid_M=2\n"
+            "traj_id,step,U,Y\n"
+            "0,0,2.5,2.5\n"
+            "0,1,-1,0.25\n"
+            "0,2,-1,0.1\n")
         ds = read_dataset(path)
-        assert len(ds) == 1
+        assert len(ds) == 1 and ds.safe_set == OneSidedSet(1, 0.3)
         assert np.array_equal(ds.U, [[2.5, -1.0, -1.0]])
         assert np.array_equal(ds.Y, [[2.5, 0.25, 0.1]])
         assert np.array_equal(ds.safe, [[False, True, True]])
 
-    @pytest.mark.parametrize("times, line", [
-        ((7, -3, 99), 4), ((0, 0.5, 99), 6), ((0, 0.5000001, 1), 5),
-        ((0, "nan", 1), 5)], ids=["all-off", "last-off", "off-by-1e-7",
-                                  "nan"])
-    def test_a_time_off_the_grid_is_named(self, tmp_path, times, line):
-        path = tmp_path / "times.csv"
-        path.write_text(
-            "# grid_T=1\n# grid_M=2\ntraj_id,step,t,U,Y,safe\n" + "".join(
-                f"0,{k},{t},1,1,1\n" for k, t in enumerate(times)))
-        with pytest.raises(DatasetFormatError, match="the grid's t is") \
-                as err:
-            read_dataset(path)
-        assert err.value.line == line
-        if times == (7, -3, 99):
-            assert str(err.value) == \
-                f"{path}:4: row at step 0 has t=7, the grid's t is 0"
-
-    def test_times_within_rounding_of_the_grid_are_read(self, tmp_path):
-        # a t written by another program may differ from step * dt in its
-        # last bits; 1e-9 T is the tolerance
-        path = tmp_path / "times.csv"
-        path.write_text(
-            "# grid_T=3\n# grid_M=3\ntraj_id,step,t,U,Y,safe\n"
-            "0,0,0,1,1,1\n0,1,1.0000000000000002,1,1,1\n"
-            "0,2,1.9999999999,1,1,1\n0,3,3,1,1,1\n")
-        assert read_dataset(path).U.shape == (1, 4)
-
     def test_malformed_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("traj_id,step,t,U,Y,safe\n0,0,0,oops,1,1\n")
+        path.write_text("traj_id,step,U,Y\n0,0,oops,1\n")
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(path)
         assert err.value.line == 2
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.csv"
-        path.write_text("0,0,0,1,1,1\n")
+        path.write_text("0,0,1,1\n")
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
 
+    def test_rows_out_of_order_are_rejected_naming_the_line(self, tmp_path):
+        # every row is there once, but steps 0 and 1 are swapped
+        path = tmp_path / "swapped.csv"
+        path.write_text(self.HEAD + "0,0,1,1\n0,1,1,1\n0,2,1,1\n"
+                        "1,1,1,1\n1,0,1,1\n1,2,1,1\n")
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(path)
+        assert str(err.value) == (
+            f"{path}:8: row at step 1 of trajectory 1: rows must run "
+            "trajectory after trajectory, steps 0..2 in order")
+
     def test_incomplete_trajectory_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
-        path.write_text(
-            "# grid_T=1\n# grid_M=2\n"
-            "traj_id,step,t,U,Y,safe\n"
-            "0,0,0,1,1,1\n"
-            "0,2,1,1,1,1\n")
-        with pytest.raises(DatasetFormatError, match=r"steps \(0, 2\)") \
-                as err:
+        path.write_text(self.HEAD + "0,0,1,1\n0,2,1,1\n")
+        with pytest.raises(DatasetFormatError,
+                           match="row at step 2 of trajectory 0") as err:
             read_dataset(path)
-        assert err.value.line == 5
+        assert err.value.line == 6
 
-    HEAD = "# grid_T=1\n# grid_M=2\ntraj_id,step,t,U,Y,safe\n"
-    # rows of trajectory 1 (steps 0..2 at lines 4-6, in file order) and
-    # trajectory 0, with the line that must be named
+    # rows after the header (data from line 5 on), with the line that must
+    # be named
     BAD_ROWS = {
-        "float_traj_id": ("1,0,0,1,1,1\n1.5,1,1,1,1,1\n", 5),
-        "float_step": ("1,0,0,1,1,1\n1,0.5,1,1,1,1\n", 5),
-        "float_safe": ("1,0,0,1,1,1\n1,1,1,1,1,1.5\n", 5),
-        "extra_cell": ("1,0,0,1,1,1\n1,1,1,1,1,1,7\n", 5),
-        "duplicate": ("1,2,1,1,1,1\n0,0,0,1,1,1\n1,0,0,1,1,1\n"
-                      "0,1,1,1,1,1\n1,2,1,1,1,1\n1,1,1,1,1,1\n"
-                      "0,2,1,1,1,1\n", 8),
-        "gap": ("0,2,1,1,1,1\n0,0,0,1,1,1\n0,3,1,1,1,1\n", 4),
-        "past_M": ("0,3,1,1,1,1\n0,0,0,1,1,1\n0,1,1,1,1,1\n"
-                   "0,2,1,1,1,1\n", 4),
-        "short": ("1,0,0,1,1,1\n0,1,1,1,1,1\n0,0,0,1,1,1\n"
-                  "1,1,1,1,1,1\n1,2,1,1,1,1\n", 5),
+        "float_traj_id": ("0,0,1,1\n0.5,1,1,1\n", 6),
+        "float_step": ("0,0,1,1\n0,0.5,1,1\n", 6),
+        "extra_cell": ("0,0,1,1\n0,1,1,1,7\n", 6),
+        "missing_cell": ("0,0,1,1\n0,1,1\n", 6),
+        "duplicate": ("0,0,1,1\n0,1,1,1\n0,1,1,1\n0,2,1,1\n", 7),
+        "gap": ("0,0,1,1\n0,2,1,1\n0,3,1,1\n", 6),
+        "past_M": ("0,0,1,1\n0,1,1,1\n0,2,1,1\n0,3,1,1\n", 8),
+        "short": ("0,0,1,1\n0,1,1,1\n1,0,1,1\n1,1,1,1\n1,2,1,1\n", 7),
+        "short_last": ("0,0,1,1\n0,1,1,1\n0,2,1,1\n1,0,1,1\n1,1,1,1\n",
+                       9),
+        "trajectories_swapped": ("1,0,1,1\n1,1,1,1\n1,2,1,1\n0,0,1,1\n"
+                                 "0,1,1,1\n0,2,1,1\n", 5),
+        "first_trajectory_not_0": ("1,0,1,1\n1,1,1,1\n1,2,1,1\n", 5),
     }
 
     @pytest.mark.parametrize("layout", ["lf", "crlf", "blank"])
     @pytest.mark.parametrize("case", sorted(BAD_ROWS))
     def test_a_bad_row_names_its_line(self, tmp_path, case, layout):
-        """Cells that are no integer, a row of the wrong width, a duplicate
-        (traj_id, step), a gap, a step past M and a trajectory cut short
-        each name their line: the row out of place once each trajectory's
-        rows are sorted by step, or a short trajectory's last row; also
-        with CRLF endings and with a blank line after every line (line k
-        is then 2k - 1)."""
+        """Cells that are no integer, a row of the wrong width, a duplicate,
+        a gap, a step past M, a trajectory cut short and rows in another
+        order each name their line: the first row that is not where the
+        writer puts it, or a last trajectory's last row when it ends short;
+        also with CRLF endings and with a blank line after every line (line
+        k is then 2k - 1)."""
         rows, line = self.BAD_ROWS[case]
         text = self.HEAD + rows
         if layout == "crlf":
@@ -430,12 +468,11 @@ class TestPairValidation:
     def test_shapes_must_agree(self):
         grid = TimeGrid(1.0, 2)
         with pytest.raises(ValueError):
-            Dataset(grid, np.zeros((1, 3)), np.zeros((1, 4)),
-                    np.zeros((1, 3), dtype=bool))
+            Dataset(grid, np.zeros((1, 3)), np.zeros((1, 4)), OneSidedSet())
         with pytest.raises(ValueError):
-            Dataset(grid, np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool))
+            Dataset(grid, np.zeros(3), np.zeros(3), OneSidedSet())
 
     def test_width_must_match_the_grid(self):
         with pytest.raises(ConfigurationError, match="steps"):
             Dataset(TimeGrid(1.0, 3), np.zeros((2, 3)), np.zeros((2, 3)),
-                    np.zeros((2, 3), dtype=bool))
+                    OneSidedSet())
