@@ -56,12 +56,17 @@ w_m v_m, w_{m-1} v_{m-1}, ..., w_0 v_0 (`_history`), a strided view of one
 copy of w v reversed in time and zero-padded. The rows run in fixed blocks
 counted from row 0, and each block's windows and lag table are cut after
 the history of the block's last row (`_window_products`), so the products
-skip about half the zeros of whole windows. No later input enters a row,
-and a row's product has a shape fixed by its row alone. Training and
-inference run the same pass. The backward pass forms the kernel's gradient
-lag by lag, carries the input gradient through blocked products of history
-windows of the same form in reversed time, and sweeps the kernel network
-over the n lags.
+skip about half the zeros of whole windows. A batch of two or more
+trajectories multiplies the strided windows in place, one small product
+per row; one trajectory (a one-row re-forward, every rate split) copies
+each block's windows into one array and makes one GEMM of it, always over
+the whole block, which reads the lag table once per block instead of once
+per row. No later input enters a row, and a row's product has a shape
+fixed by its row and the batch size alone. Training and inference run the
+same pass. The backward pass forms the kernel's gradient lag by lag,
+carries the input gradient through blocked products of history windows of
+the same form in reversed time, and sweeps the kernel network over the n
+lags.
 
 `forward_batch(UU)` runs every layer at every row. Since the operator is
 causal, a caller that changed only inputs from row start on keeps its
@@ -152,22 +157,43 @@ def _window_products(hist, table, lo, hi):
     Window m holds zeros after its first (m+1)*a floats, so the rows run in
     blocks of WINDOW_FLOATS // a counted from row 0, and each block's
     windows are cut after the history of its last row: one product per
-    block, about half the multiplications of the uncut windows. Rows where
-    a cut would save less than a block of floats per window join the last
-    block, so a late row range is one product of whole windows. Row m's
-    product has a shape that depends on m (and n, a, B) alone, so a row of
-    any range is bitwise that row of the whole product, and no later input
-    enters it."""
-    n, a = len(hist), len(table) // len(hist)
+    block, about half the multiplications of the uncut windows. The
+    product takes one of two forms, chosen by the batch size B:
+
+    - B >= 2: a stack of one (B, k) by (k, b) product per row over the
+      rows asked for, which reads the strided windows in place. Rows where
+      a cut would save less than a block of floats per window join the
+      last block, so a late row range is one product of whole windows.
+    - B = 1: the windows of the whole block are copied into one contiguous
+      (rows, k) array and multiplied by the table in one GEMM, which reads
+      each panel of the table once for all of the block's rows instead of
+      once per row (a stack of GEMVs); the rows asked for are taken from
+      it. The copy pays off for one trajectory alone: at B = 2 it breaks
+      even, and at a training batch of 54 it takes twice the stack. The
+      last block is the rows left over, with no join, so that no copy
+      holds more than a block of whole windows.
+
+    Either way row m's product has a shape that depends on m (and n, a, B)
+    alone, so a row of any range is bitwise that row of the whole product,
+    and no later input enters it."""
+    n, B = hist.shape[:2]
+    a = len(table) // n
     rows = max(1, WINDOW_FLOATS // a)
-    last = max(0, (n // rows - 1) * rows)  # the last block's first row
-    out = np.empty((hi - lo, hist.shape[1], table.shape[1]))
+    # the last block's first row: a batch's last block takes the rows a
+    # cut saves little on, one trajectory's is the rows left over
+    last = n if B == 1 else max(0, (n // rows - 1) * rows)
+    out = np.empty((hi - lo, B, table.shape[1]))
     s = min(lo - lo % rows, last)
     while s < hi:
-        e = s + rows if s < last else n
+        e = min(s + rows, n) if s < last else n
         k = e * a  # the window of the block's last row, e - 1
         r0, r1 = max(s, lo), min(e, hi)
-        np.matmul(hist[r0:r1, :, :k], table[:k], out=out[r0 - lo:r1 - lo])
+        if B == 1:
+            block = np.ascontiguousarray(hist[s:e, 0, :k]) @ table[:k]
+            out[r0 - lo:r1 - lo, 0] = block[r0 - s:r1 - s]
+        else:
+            np.matmul(hist[r0:r1, :, :k], table[:k],
+                      out=out[r0 - lo:r1 - lo])
         s = e
     return out
 
@@ -391,20 +417,28 @@ class BoundaryOperator:
         Each lag or time network has one ReLU hidden layer, so its
         derivative is W1 (mask * W0[:, 0]), read from the masks of its
         stored trace. The kernel term of row m, sum_{j<=m} w_j dK(t_{m-j})
-        v_j, runs for the rows asked for only: the pass's history windows
-        of w v against the lag table's derivative, cut per block of rows as
-        the forward's integral (`_window_products`), so a row does not
-        depend on the range on any BLAS; the boundary term K(0) v_m is one
-        of the small per-row products. The small per-row products run over
-        every row, as a one-row product need not round like the same row of
-        the n-row one; so each entry is the matching entry of the split
-        over all rows. ValueError unless 0 <= start <= stop <= n.
+        v_j, runs for the blocks of rows that hold the rows asked for only:
+        the trajectory's history windows of w v against the lag table's
+        derivative, cut per block of rows as the forward's integral and,
+        as it reads one trajectory, one GEMM per block over the block's
+        copied windows (`_window_products`), so a row does not depend on
+        the range on any BLAS. A one-row split thus pays for the row's whole block, and a
+        split over many rows reads each panel of the table once per block;
+        the boundary term K(0) v_m is one of the small per-row products.
+        The small per-row products run over every row, as a one-row product
+        need not round like the same row of the n-row one; so each entry is
+        the matching entry of the split over all rows. ValueError unless
+        0 <= start <= stop <= n and 0 <= trajectory < B, the pass's batch.
         """
         n = self.grid.M + 1
         stop = n if stop is None else stop
         if not 0 <= start <= stop <= n:
             raise ValueError(f"row range [{start}, {stop}) is not a range "
                              f"of the pass's {n} rows")
+        B = len(cache.vs[0])
+        if not 0 <= trajectory < B:
+            raise ValueError(f"trajectory {trajectory} is not one of the "
+                             f"pass's {B} trajectories")
         q_vec = self.Q.params()[0].ravel()
 
         # the tangents of the channels (U, 1) along U_m, (1, 0), and along

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import dense_loss_and_grads
 from safebc.checkpoint import read_checkpoint, write_checkpoint
@@ -479,12 +479,17 @@ def test_rate_split_on_a_row_range_is_those_rows_of_the_full_split(
         assert np.array_equal(a, b[start:stop])
 
 
-# at M=80, d_v=16 the kernel terms of the layers after the first run in
-# blocks of ROWS rows (16 at 256 floats, the last block from row 64 on):
-# ranges from and to a block's first row, its last row, mid-block and the
-# last block, in each trajectory of batches of 1 and 3. At M=600, d_v=1
-# (blocks of 256 rows after the first layer) each product is a dot
-# product, which rounds with the window's length on OpenBLAS
+# a split reads one trajectory, so at M=80, d_v=16 the kernel terms of the
+# layers after the first run in blocks of ROWS rows (16 at 256 floats; the
+# last block is row 80 alone), each one GEMM over its copied windows, in
+# any batch: ranges from and to a block's first row, its last row,
+# mid-block and the last block, in each trajectory of batches of 1 and 3.
+# A GEMM's rows can round with its row count, so a block counted from the
+# range's first row, or made of the rows asked for alone, shows at M=80;
+# but on OpenBLAS it adds a window's trailing zeros exactly. At M=600,
+# d_v=1 (blocks of 256 rows after the first layer) the table has one
+# column, so each block is a matrix-vector product, whose rows round with
+# the window's length: a cut that followed the range's end shows there
 ROWS = WINDOW_FLOATS // 16
 BLOCK_RANGES = [(80, 16, lo, hi) for lo, hi in (
     (ROWS, ROWS + 1), (ROWS - 1, ROWS), (2 * ROWS - 1, 2 * ROWS),
@@ -520,21 +525,46 @@ def test_a_row_range_outside_the_pass_is_an_error(start, stop):
         op.decomposition(cache, start, stop)
 
 
-@given(st.integers(1, 4), st.integers(1, 90), st.integers(1, 20),
-       st.integers(1, 6), st.booleans(), st.data())
+@pytest.mark.parametrize("trajectory", [-1, 2])
+def test_a_trajectory_outside_the_pass_is_an_error(trajectory):
+    """A negative trajectory or one past the batch names the trajectory
+    and the batch size; neither reaches the window product as an empty
+    slice or an IndexError."""
+    op = split_operator(4)
+    _, cache = op.forward_batch(np.ones((2, 21)))
+    with pytest.raises(ValueError, match=rf"trajectory {trajectory} is not "
+                                         r"one of the pass's 2 trajectories"):
+        op.decomposition(cache, 3, 5, trajectory=trajectory)
+
+
+# one trajectory, whose blocks are GEMVs at b=1, which round with the
+# window's length on OpenBLAS: a range from mid-block (a=5, blocks of 51
+# rows), one to mid-block (a=3, blocks of 85 rows) and one inside the last
+# block, rows 85..89
+@given(B=st.integers(1, 4), n=st.integers(1, 90), a=st.integers(1, 20),
+       b=st.integers(1, 6), weighted=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), lo=st.integers(0, 90),
+       hi=st.integers(0, 90), m=st.integers(0, 89),
+       fill=st.sampled_from([np.nan, np.inf, -np.inf]))
+@example(B=1, n=90, a=5, b=1, weighted=False, seed=1, lo=17, hi=54, m=30,
+         fill=np.nan)
+@example(B=1, n=90, a=3, b=1, weighted=False, seed=1, lo=0, hi=42, m=20,
+         fill=np.inf)
+@example(B=1, n=90, a=3, b=1, weighted=True, seed=1, lo=87, hi=88, m=87,
+         fill=-np.inf)
 @settings(max_examples=100, deadline=None)
-def test_window_products_are_the_rows_of_the_uncut_product(B, n, a, b,
-                                                          weighted, data):
+def test_window_products_are_the_rows_of_the_uncut_product(
+        B, n, a, b, weighted, seed, lo, hi, m, fill):
     """Rows [lo, hi) of the blocked products are bitwise those rows of
     [0, n), within 1e-12 of the uncut products relative to the sum of the
     terms' magnitudes, and a NaN or inf in an input after row m leaves
     every row up to m bitwise as it was."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo = min(lo, n)
+    hi, m = min(max(hi, lo), n), min(m, n - 1)
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(B, n, a))
     w = rng.uniform(0.5, 2.0, size=n) if weighted else None
     table = rng.normal(size=(n * a, b))
-    lo = data.draw(st.integers(0, n), label="lo")
-    hi = data.draw(st.integers(lo, n), label="hi")
     hist = _history(x, w)
     whole = _window_products(hist, table, 0, n)
     part = _window_products(hist, table, lo, hi)
@@ -543,8 +573,7 @@ def test_window_products_are_the_rows_of_the_uncut_product(B, n, a, b,
     bound = 1e-12 * (np.abs(hist) @ np.abs(table))
     assert np.all(np.abs(whole - hist @ table) <= bound)
 
-    m = data.draw(st.integers(0, n - 1), label="m")
-    x[:, m + 1:] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    x[:, m + 1:] = fill
     with np.errstate(invalid="ignore"):
         later = _window_products(_history(x, w), table, lo, hi)
     assert np.array_equal(later[:max(0, m + 1 - lo)],
@@ -673,6 +702,25 @@ def test_a_forward_at_the_parabolic_default_holds_less_than_n_squared():
     assert peak < 8 * n * n
 
 
+@pytest.mark.parametrize("start", [1000, 500])
+def test_a_split_at_the_parabolic_default_holds_less_than_n_squared(start):
+    """The rate split of one trajectory at M=1000, d_v=16, over the last
+    row alone and over rows 500..1000, as the filter asks for it, peaks by
+    tracemalloc below 8 n^2 bytes, the bound of the forward above: each
+    block of rows copies its cut windows whole, and no copy holds more than
+    a block's (2 MB)."""
+    op = BoundaryOperator(TimeGrid(1.0, 1000), d_v=16, n_layers=2, seed=0)
+    n = 1001
+    _, cache = op.forward_batch(np.linspace(0.0, 1.0, n)[None])
+    tracemalloc.start()
+    try:
+        op.decomposition(cache, start, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
+
 def test_a_training_step_holds_less_than_the_pair_features():
     """One training step at M=200, d_v=16, B=8 peaks by tracemalloc below
     n^2 * h floats, the kernel network's hidden features on the (t_m, t_j)
@@ -732,9 +780,10 @@ class TestPartialForward:
     N = 21
     # (M, d_v, start): at M=20, d_v=4 every window product is one block; at
     # M=80, d_v=16 a pass from a block's first row, its last row, mid-block
-    # and the last block's first row (BLOCK_RANGES). At M=600, d_v=1 a
-    # window product is a dot product, which rounds with the window's
-    # length on OpenBLAS, so a cut that moved with start would show there
+    # and row 64, the first row of a batch's last block (BLOCK_RANGES). At
+    # M=600, d_v=1 a window product is a matrix-vector product, whose rows
+    # round with the window's length on OpenBLAS, so a cut that moved with
+    # start would show there
     STARTS = [pytest.param(20, 4, s, id=str(s))
               for s in (1, N // 2, N - 1)] + [
         pytest.param(80, 16, s, id=f"M80-{s}")
