@@ -164,6 +164,10 @@ def _window_products(hist, table, lo, hi):
       rows asked for, which reads the strided windows in place. Rows where
       a cut would save less than a block of floats per window join the
       last block, so a late row range is one product of whole windows.
+      Training runs here, and a per-row product can round with its
+      window's length: without the join the last rows' windows would be
+      shorter, and a trained checkpoint can change in its last bits (the
+      diffusion-long benchmark's operator checkpoint does).
     - B = 1: the windows of the whole block are copied into one contiguous
       (rows, k) array and multiplied by the table in one GEMM, which reads
       each panel of the table once for all of the block's rows instead of
@@ -422,9 +426,10 @@ class BoundaryOperator:
         derivative, cut per block of rows as the forward's integral and,
         as it reads one trajectory, one GEMM per block over the block's
         copied windows (`_window_products`), so a row does not depend on
-        the range on any BLAS. A one-row split thus pays for the row's whole block, and a
-        split over many rows reads each panel of the table once per block;
-        the boundary term K(0) v_m is one of the small per-row products.
+        the range on any BLAS. A one-row split thus pays for the row's
+        whole block, and a split over many rows reads each panel of the
+        table once per block; the boundary term K(0) v_m is one of the
+        small per-row products.
         The small per-row products run over every row, as a one-row product
         need not round like the same row of the n-row one; so each entry is
         the matching entry of the split over all rows. ValueError unless

@@ -537,30 +537,40 @@ def test_a_trajectory_outside_the_pass_is_an_error(trajectory):
         op.decomposition(cache, 3, 5, trajectory=trajectory)
 
 
-# one trajectory, whose blocks are GEMVs at b=1, which round with the
-# window's length on OpenBLAS: a range from mid-block (a=5, blocks of 51
-# rows), one to mid-block (a=3, blocks of 85 rows) and one inside the last
-# block, rows 85..89
-@given(B=st.integers(1, 4), n=st.integers(1, 90), a=st.integers(1, 20),
+@st.composite
+def window_ranges(draw):
+    """(n, lo, hi, m): n rows, a range [lo, hi) of them and a row m, each
+    drawn inside n."""
+    n = draw(st.integers(1, 90), label="n")
+    lo = draw(st.integers(0, n), label="lo")
+    hi = draw(st.integers(lo, n), label="hi")
+    return n, lo, hi, draw(st.integers(0, n - 1), label="m")
+
+
+# at b=1 every product is a GEMV, which rounds with the window's length
+# on OpenBLAS: a range from mid-block (a=5, blocks of 51 rows) in one
+# trajectory and in a batch of two, one to mid-block (a=3, blocks of 85
+# rows) and one inside one trajectory's last block, rows 85..89
+@given(B=st.integers(1, 4), rows=window_ranges(), a=st.integers(1, 20),
        b=st.integers(1, 6), weighted=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1), lo=st.integers(0, 90),
-       hi=st.integers(0, 90), m=st.integers(0, 89),
+       seed=st.integers(0, 2 ** 32 - 1),
        fill=st.sampled_from([np.nan, np.inf, -np.inf]))
-@example(B=1, n=90, a=5, b=1, weighted=False, seed=1, lo=17, hi=54, m=30,
+@example(B=1, rows=(90, 17, 54, 30), a=5, b=1, weighted=False, seed=1,
          fill=np.nan)
-@example(B=1, n=90, a=3, b=1, weighted=False, seed=1, lo=0, hi=42, m=20,
+@example(B=2, rows=(90, 17, 54, 30), a=5, b=1, weighted=False, seed=1,
+         fill=np.nan)
+@example(B=1, rows=(90, 0, 42, 20), a=3, b=1, weighted=False, seed=1,
          fill=np.inf)
-@example(B=1, n=90, a=3, b=1, weighted=True, seed=1, lo=87, hi=88, m=87,
+@example(B=1, rows=(90, 87, 88, 87), a=3, b=1, weighted=True, seed=1,
          fill=-np.inf)
 @settings(max_examples=100, deadline=None)
 def test_window_products_are_the_rows_of_the_uncut_product(
-        B, n, a, b, weighted, seed, lo, hi, m, fill):
+        B, rows, a, b, weighted, seed, fill):
     """Rows [lo, hi) of the blocked products are bitwise those rows of
     [0, n), within 1e-12 of the uncut products relative to the sum of the
     terms' magnitudes, and a NaN or inf in an input after row m leaves
     every row up to m bitwise as it was."""
-    lo = min(lo, n)
-    hi, m = min(max(hi, lo), n), min(m, n - 1)
+    n, lo, hi, m = rows
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(B, n, a))
     w = rng.uniform(0.5, 2.0, size=n) if weighted else None
