@@ -116,15 +116,11 @@ class BarrierFunction:
         kind, tensors, meta = read_checkpoint(path)
         if kind != "bcbf":
             raise ConfigurationError("checkpoint kind %r is not bcbf" % kind)
-        # files of older versions say whether the barrier reads t
-        reads_t = meta.get("time_dependent", "1")
-        if reads_t == "0":
+        # a barrier always reads (t, Y), so no writer puts meta in its file
+        if meta:
             raise ConfigurationError(
-                f"{path}: checkpoint holds a barrier of Y alone, which this "
-                "version does not read; retrain the barrier")
-        if reads_t != "1":
-            raise ConfigurationError("checkpoint meta time_dependent must be "
-                                     f"0 or 1, got {reads_t!r}")
+                f"{path}: a barrier checkpoint has no meta entries, got "
+                f"{', '.join(meta)}; retrain the barrier")
         # the layers are W0, b0, W1, ...: the first W missing ends them
         n_layers = next(k for k in itertools.count() if f"W{k}" not in tensors)
         hidden = [checkpoint_tensor(tensors, "W%d" % k).shape[0]

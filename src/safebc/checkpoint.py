@@ -18,9 +18,10 @@ writer spells it: words separated by single spaces, with no leading or
 trailing blank and no tab; a `meta` or tensor-header line spelled any
 other way is malformed. 1-D tensors are stored as a single row. Loaders
 take each tensor at the shape their model gives it (`checkpoint_tensor`)
-and reject any other shape and any tensor the model does not name. A row of the wrong width, a bad value, a tensor cut short or
-a file of another format version (CKPT v1 held decimals: retrain its
-model) raises CheckpointError.
+and reject any other shape and any tensor the model does not name. A row
+of the wrong width, a bad value, a tensor cut short or a file of another
+format version (CKPT v1 held decimals: retrain its model) raises
+CheckpointError.
 
 Tables hold everything else: datasets, state snapshots, boundary
 trajectories, training histories, filter reports, per-episode results,

@@ -47,7 +47,8 @@ def _load_value(value, kind, where):
         if isinstance(value, list) and items[-1] is Ellipsis:
             items = items[:1] * len(value)
         if not isinstance(value, list) or len(value) != len(items):
-            raise ConfigurationError(f"{where}: expected {kind}, got {value!r}")
+            raise ConfigurationError(
+                f"{where}: expected {kind}, got {value!r}")
         return tuple(_load_value(v, k, f"{where}[{i}]")
                      for i, (v, k) in enumerate(zip(value, items)))
     if not isinstance(value, _JSON_TYPES.get(kind, object)) or \

@@ -17,17 +17,18 @@ product may round differently from a one-row one). Parameter gradients sum
 over every leading axis.
 
 Both passes compute each layer in place: one product, then the bias, the
-ReLU and the mask applied to that product's own array. A caller that runs
-many passes, such as a training loop, can hand both a `WorkStore` it keeps.
-Each layer array of a pass is then written into the leading elements of the
-store's buffer for that array, which grows only for a larger batch, so the
-passes reuse their memory instead of faulting in fresh pages. The values
-are the same with a store and without one, bit for bit. A trace made with a
-store aliases it: its layer outputs (from inputs[1] on, so the output too),
-its masks and its tangents (from tangents[1] on) are store buffers, as is
-the dx of a sweep with a store. Each stays valid until the next pass with
-that store. inputs[0], tangents[0] and the parameter gradients never alias
-it. A pass without a store allocates its arrays as it goes.
+ReLU and the mask applied to that product's own array. Each product and
+mask is written through an `out=` array, and that is all a `WorkStore`
+changes: a caller that runs many passes, such as a training loop, can hand
+both passes a store it keeps, and `out=` is then the leading elements of
+the store's buffer for that array, which grows only for a larger batch, so
+the passes reuse their memory instead of faulting in fresh pages. Without
+a store `out=` is None and numpy allocates the array. Both run the same
+code, so the values are the same, bit for bit. A trace made with a store
+aliases it: its layer outputs (from inputs[1] on, so the output too), its
+masks and its tangents (from tangents[1] on) are store buffers, as is the
+dx of a sweep with a store. Each stays valid until the next pass with that
+store. inputs[0], tangents[0] and the parameter gradients never alias it.
 
 Everything is float64 numpy. Reductions run in fixed index order so repeated
 runs with the same seed are bitwise identical on the same machine.
@@ -58,6 +59,12 @@ def _as_batch(x, dim, name="x"):
 def _rows(a):
     """The batch's rows as one (N, d) matrix; a (B, d) batch is itself."""
     return a.reshape(-1, a.shape[-1])
+
+
+def _out(store, key, shape, dtype=np.float64):
+    """The `out=` array of a pass: the store's buffer for key, or None
+    (numpy allocates) without a store."""
+    return None if store is None else store.array(key, shape, dtype)
 
 
 class WorkStore:
@@ -123,7 +130,8 @@ class Mlp:
         self.biases = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+            self.weights.append(
+                rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             self.biases.append(np.zeros(fan_out))
 
     @property
@@ -135,7 +143,8 @@ class Mlp:
         return self.layer_dims[-1]
 
     def params(self):
-        """Parameter arrays in fixed order [W0, b0, W1, b1, ...] (live views)."""
+        """Parameter arrays in fixed order [W0, b0, W1, b1, ...] (live
+        views)."""
         out = []
         for W, b in zip(self.weights, self.biases):
             out.append(W)
@@ -164,28 +173,19 @@ class Mlp:
         batch = a.shape[:-1]
         last = len(self.weights) - 1
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
-            if store is None:
-                z = a @ W.T
-            else:
-                z = np.matmul(a, W.T, out=store.array(
-                    ("z", k), batch + (W.shape[0],)))
+            z = np.matmul(a, W.T, out=_out(store, ("z", k),
+                                           batch + (W.shape[0],)))
             z += b
             mask = None
             if k < last:
-                if store is None:
-                    mask = z > 0.0
-                else:
-                    mask = np.greater(z, 0.0, out=store.array(
-                        ("mask", k), z.shape, bool))
+                mask = np.greater(z, 0.0,
+                                  out=_out(store, ("mask", k), z.shape, bool))
                 np.maximum(z, 0.0, out=z)
             a = z
             tr.inputs.append(a)
             tr.masks.append(mask)
             if u is not None:
-                if store is None:
-                    u = u @ W.T
-                else:
-                    u = np.matmul(u, W.T, out=store.array(("u", k), z.shape))
+                u = np.matmul(u, W.T, out=_out(store, ("u", k), z.shape))
                 if mask is not None:
                     u *= mask
                 tr.tangents.append(u)
@@ -234,18 +234,12 @@ class Mlp:
                 grads[2 * k] = _rows(delta).T @ _rows(trace.inputs[k])
                 grads[2 * k + 1] = _rows(delta).sum(axis=0)
             # from here on delta and g are the sweep's own arrays
-            if store is None:
-                delta = delta @ W
-            else:
-                delta = np.matmul(delta, W, out=store.array(
-                    ("delta", k % 2), batch + (W.shape[1],)))
+            delta = np.matmul(delta, W, out=_out(store, ("delta", k % 2),
+                                                 batch + (W.shape[1],)))
             if g is not None:
                 grads[2 * k] += _rows(g).T @ _rows(trace.tangents[k])
-                if store is None:
-                    g = g @ W
-                else:
-                    g = np.matmul(g, W, out=store.array(
-                        ("g", k % 2), delta.shape))
+                g = np.matmul(g, W, out=_out(store, ("g", k % 2),
+                                             delta.shape))
             if k > 0:
                 delta *= trace.masks[k - 1]
                 if g is not None:

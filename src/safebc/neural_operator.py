@@ -152,44 +152,37 @@ def _history(x, w=None):
 
 def _window_products(hist, table, lo, hi):
     """Rows [lo, hi) of hist @ table, (hi-lo, B, b), for `_history` windows
-    hist (n, B, n*a) and a lag table (n*a, b).
+    hist (n, B, n*a) and a lag table (n*a, b); a range that is not inside
+    the n rows is a ValueError.
 
     Window m holds zeros after its first (m+1)*a floats, so the rows run in
-    blocks of WINDOW_FLOATS // a counted from row 0, and each block's
-    windows are cut after the history of its last row: one product per
-    block, about half the multiplications of the uncut windows. The
-    product takes one of two forms, chosen by the batch size B:
+    blocks of WINDOW_FLOATS // a counted from row 0, the last block being
+    the rows left over, and each block's windows are cut after the history
+    of its last row: one product per block, about half the multiplications
+    of the uncut windows. The product takes one of two forms, chosen by the
+    batch size B:
 
     - B >= 2: a stack of one (B, k) by (k, b) product per row over the
-      rows asked for, which reads the strided windows in place. Rows where
-      a cut would save less than a block of floats per window join the
-      last block, so a late row range is one product of whole windows.
-      Training runs here, and a per-row product can round with its
-      window's length: without the join the last rows' windows would be
-      shorter, and a trained checkpoint can change in its last bits (the
-      diffusion-long benchmark's operator checkpoint does).
+      rows asked for, which reads the strided windows in place. Training
+      runs here.
     - B = 1: the windows of the whole block are copied into one contiguous
       (rows, k) array and multiplied by the table in one GEMM, which reads
       each panel of the table once for all of the block's rows instead of
       once per row (a stack of GEMVs); the rows asked for are taken from
       it. The copy pays off for one trajectory alone: at B = 2 it breaks
-      even, and at a training batch of 54 it takes twice the stack. The
-      last block is the rows left over, with no join, so that no copy
-      holds more than a block of whole windows.
+      even, and at a training batch of 54 it takes twice the stack.
 
     Either way row m's product has a shape that depends on m (and n, a, B)
     alone, so a row of any range is bitwise that row of the whole product,
     and no later input enters it."""
     n, B = hist.shape[:2]
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"rows [{lo}, {hi}) are not inside the {n} rows")
     a = len(table) // n
     rows = max(1, WINDOW_FLOATS // a)
-    # the last block's first row: a batch's last block takes the rows a
-    # cut saves little on, one trajectory's is the rows left over
-    last = n if B == 1 else max(0, (n // rows - 1) * rows)
     out = np.empty((hi - lo, B, table.shape[1]))
-    s = min(lo - lo % rows, last)
-    while s < hi:
-        e = min(s + rows, n) if s < last else n
+    for s in range(lo - lo % rows, hi, rows):
+        e = min(s + rows, n)
         k = e * a  # the window of the block's last row, e - 1
         r0, r1 = max(s, lo), min(e, hi)
         if B == 1:
@@ -198,7 +191,6 @@ def _window_products(hist, table, lo, hi):
         else:
             np.matmul(hist[r0:r1, :, :k], table[:k],
                       out=out[r0 - lo:r1 - lo])
-        s = e
     return out
 
 
@@ -580,7 +572,8 @@ class BoundaryOperator:
     def load(cls, path):
         kind, tensors, meta = read_checkpoint(path)
         if kind != "operator":
-            raise ConfigurationError("checkpoint kind %r is not operator" % kind)
+            raise ConfigurationError(
+                "checkpoint kind %r is not operator" % kind)
 
         def entry(key, parse):
             if key not in meta:

@@ -63,7 +63,8 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ConfigurationError(f"horizon T must be positive, got {self.T}")
+            raise ConfigurationError(
+                f"horizon T must be positive, got {self.T}")
         if self.M < 2:
             raise ConfigurationError(f"need at least 2 steps, got M={self.M}")
 
@@ -259,7 +260,8 @@ def _stepper(cfg):
         return step_hyperbolic
     if isinstance(cfg, ParabolicConfig):
         return step_parabolic
-    raise ConfigurationError(f"unknown environment config {type(cfg).__name__}")
+    raise ConfigurationError(
+        f"unknown environment config {type(cfg).__name__}")
 
 
 class Controller:

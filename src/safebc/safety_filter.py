@@ -75,7 +75,8 @@ class FilterInfeasibleError(RuntimeError):
 
 @dataclass
 class FilterConfig:
-    constants: FeasibilityConstants = field(default_factory=FeasibilityConstants)
+    constants: FeasibilityConstants = field(
+        default_factory=FeasibilityConstants)
     eta: float = 2.0
     infeasible_policy: str = "fallback-nominal"
 

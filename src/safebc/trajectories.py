@@ -63,7 +63,10 @@ class TwoSidedSet:
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     def contains(self, Y):
-        return np.abs(np.asarray(Y, dtype=np.float64) - self.center) < self.halfwidth
+        # a distance that overflows lies beyond any finite halfwidth
+        with np.errstate(over="ignore"):
+            distance = np.abs(np.asarray(Y, dtype=np.float64) - self.center)
+        return distance < self.halfwidth
 
     def describe(self):
         return f"abs:center={self.center!r},halfwidth={self.halfwidth!r}"

@@ -47,12 +47,20 @@ def test_a_saved_barrier_loads_bitwise(tmp_path, hidden):
     assert_same_barrier(BarrierFunction.load(tmp_path / "bar.ckpt"), bar)
 
 
-def test_a_barrier_file_that_says_it_reads_t_loads_bitwise(tmp_path):
-    # earlier versions wrote `meta time_dependent 1` into every file
-    bar = BarrierFunction(seed=4)
-    write_checkpoint(tmp_path / "bar.ckpt", "bcbf", bar.net.tensors(),
-                     {"time_dependent": "1"})
-    assert_same_barrier(BarrierFunction.load(tmp_path / "bar.ckpt"), bar)
+@pytest.mark.parametrize("meta, names", [
+    ({"time_dependent": "1"}, "time_dependent"),
+    ({"time_dependent": "1", "scale": "2"}, "time_dependent, scale")],
+    ids=["one", "two"])
+def test_a_barrier_file_with_meta_is_refused_naming_it(tmp_path, meta,
+                                                       names):
+    # earlier versions wrote `meta time_dependent 1` into every file; no
+    # writer puts meta in a barrier file now
+    write_checkpoint(tmp_path / "bar.ckpt", "bcbf",
+                     BarrierFunction(seed=4).net.tensors(), meta)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"bar.ckpt: a barrier checkpoint has no meta entries, got "
+            f"{names}; retrain the barrier")):
+        BarrierFunction.load(tmp_path / "bar.ckpt")
 
 
 def test_a_barrier_file_of_y_alone_is_refused(tmp_path):
@@ -62,7 +70,7 @@ def test_a_barrier_file_of_y_alone_is_refused(tmp_path):
     write_checkpoint(tmp_path / "bar.ckpt", "bcbf", tensors,
                      {"time_dependent": "0"})
     with pytest.raises(ConfigurationError, match=re.escape(
-            "holds a barrier of Y alone, which this version does not read; "
+            "a barrier checkpoint has no meta entries, got time_dependent; "
             "retrain the barrier")):
         BarrierFunction.load(tmp_path / "bar.ckpt")
 

@@ -688,7 +688,8 @@ def test_tuple_items_are_checked_and_the_error_names_the_key(load, values,
      "lr must be finite and positive"),
     (load_train_config, '{"bcbf": {"lr": Infinity}}',
      "lr must be finite and positive"),
-    (load_train_config, '{"lambda_S": NaN}', "lambda_S must be finite and >= 0"),
+    (load_train_config, '{"lambda_S": NaN}',
+     "lambda_S must be finite and >= 0"),
     (load_train_config, '{"lambda_BF": -0.5}',
      "lambda_BF must be finite and >= 0"),
     (load_train_config, '{"lambda_BF": Infinity}',

@@ -511,7 +511,8 @@ class TestSeeding:
     def test_same_seed_same_init(self):
         a = Mlp([2, 4, 1], seed=subseed(3, 1))
         b = Mlp([2, 4, 1], seed=subseed(3, 1))
-        assert all(np.array_equal(x, y) for x, y in zip(a.params(), b.params()))
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(a.params(), b.params()))
 
     def test_subseed_flattens_tuples(self):
         assert subseed((1, 2), 3) == (1, 2, 3)

@@ -254,7 +254,8 @@ class TestForwardOracles:
 
 class TestDecomposition:
     def test_lambda_constant_without_kernel(self):
-        """With the kernel tables zeroed, Lambda is the static chain product."""
+        """With the kernel tables zeroed, Lambda is the static chain
+        product."""
         op = BoundaryOperator(TimeGrid(1.0, 8), d_v=4, n_layers=2,
                               activations=("linear", "linear"),
                               kappa_hidden=4, b_hidden=3, seed=9)
@@ -551,7 +552,7 @@ def window_ranges(draw):
 # on OpenBLAS: a range from mid-block (a=5, blocks of 51 rows) in one
 # trajectory and in a batch of two, one to mid-block (a=3, blocks of 85
 # rows) and one inside one trajectory's last block, rows 85..89
-@given(B=st.integers(1, 4), rows=window_ranges(), a=st.integers(1, 20),
+@given(B=st.integers(1, 3), rows=window_ranges(), a=st.integers(1, 20),
        b=st.integers(1, 6), weighted=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1),
        fill=st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -569,7 +570,11 @@ def test_window_products_are_the_rows_of_the_uncut_product(
     """Rows [lo, hi) of the blocked products are bitwise those rows of
     [0, n), within 1e-12 of the uncut products relative to the sum of the
     terms' magnitudes, and a NaN or inf in an input after row m leaves
-    every row up to m bitwise as it was."""
+    every row up to m bitwise as it was. Every batch size cuts row m's
+    window and the lag table at the end of m's block, one partition
+    counted from row 0 whose last block is the rows left over: row m is
+    bitwise that cut's product, one GEMM of the copied block at B = 1 and
+    a product of the row's windows at B >= 2."""
     n, lo, hi, m = rows
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(B, n, a))
@@ -582,12 +587,32 @@ def test_window_products_are_the_rows_of_the_uncut_product(
     assert np.array_equal(part, whole[lo:hi])
     bound = 1e-12 * (np.abs(hist) @ np.abs(table))
     assert np.all(np.abs(whole - hist @ table) <= bound)
+    block = WINDOW_FLOATS // a
+    for r in range(n):
+        s, e = r - r % block, min((r // block + 1) * block, n)
+        k = e * a
+        if B == 1:
+            row = (np.ascontiguousarray(hist[s:e, 0, :k]) @ table[:k])[r - s]
+        else:
+            row = np.matmul(hist[r:r + 1, :, :k], table[:k])[0]
+        assert np.array_equal(whole[r], row.reshape(B, b))
 
     x[:, m + 1:] = fill
     with np.errstate(invalid="ignore"):
         later = _window_products(_history(x, w), table, lo, hi)
     assert np.array_equal(later[:max(0, m + 1 - lo)],
                           part[:max(0, m + 1 - lo)])
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 6), (5, 7), (6, 6), (-1, 3),
+                                    (4, 3)])
+def test_a_window_range_outside_the_rows_is_an_error(lo, hi):
+    """A range past the n rows, reversed or from a negative row names the
+    range; one past the rows used to loop without end."""
+    hist = _history(np.ones((1, 5, 2)))
+    with pytest.raises(ValueError, match=rf"rows \[{lo}, {hi}\) are not "
+                                         r"inside the 5 rows"):
+        _window_products(hist, np.ones((10, 3)), lo, hi)
 
 
 @pytest.mark.parametrize("activations", [("relu", "relu"),

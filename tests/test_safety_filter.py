@@ -126,8 +126,8 @@ class TestFilterTrajectory:
 
     def test_some_fixture_modifies_steps(self):
         # keeps the test above from passing on fixtures that never act
-        reps = [filter_trajectory(*models(s), nominal(s), FilterConfig(eta=1e9))
-                for s in range(4)]
+        reps = [filter_trajectory(*models(s), nominal(s),
+                                  FilterConfig(eta=1e9)) for s in range(4)]
         assert sum(r.n_modified for r in reps) > 0
 
     def test_abort_policy_raises_on_an_infeasible_step(self):

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (cell_checkpoint_text, cell_dataset_text,
                      cell_read_checkpoint, cell_read_dataset,
@@ -449,6 +449,10 @@ def datasets(draw):
 
 
 @given(datasets())
+# a Y whose distance to the band's center overflows is labelled unsafe
+@example(Dataset(TimeGrid(1.0, 2), np.zeros((1, 3)),
+                 np.array([[0.0, 0.0, 1e308]]),
+                 TwoSidedSet(center=-7.976931348623158e+307, halfwidth=1.0)))
 @settings(max_examples=100, deadline=None)
 def test_a_dataset_writes_the_cell_bytes_and_reads_back_bitwise(ds):
     """U, Y and the labels read back bitwise, for any valid safe set, and

@@ -67,6 +67,17 @@ class TestSafeSets:
         s = OneSidedSet(sign=1, bound=-np.finfo(float).max)
         assert not s.contains([-1e30, 0.0, 1e30]).any()
 
+    @pytest.mark.parametrize("center, y", [
+        (-7.976931348623158e+307, 1e308), (1e308, -1e308),
+        (-np.finfo(float).max, np.finfo(float).max)])
+    @pytest.mark.parametrize("halfwidth", [1.0, np.finfo(float).max])
+    def test_a_distance_that_overflows_is_unsafe(self, center, y,
+                                                 halfwidth):
+        # |y - center| is past the largest float, so past any halfwidth;
+        # the overflow is no error
+        s = TwoSidedSet(center=center, halfwidth=halfwidth)
+        assert np.array_equal(s.contains([y, center]), [False, True])
+
     def test_boundary_is_unsafe(self):
         s = parse_safe_set("Y<1")
         assert not s.contains([1.0])[0]
