@@ -551,7 +551,7 @@ def window_ranges(draw):
 # at b=1 every product is a GEMV, which rounds with the window's length
 # on OpenBLAS: a range from mid-block (a=5, blocks of 51 rows) in one
 # trajectory and in a batch of two, one to mid-block (a=3, blocks of 85
-# rows) and one inside one trajectory's last block, rows 85..89
+# rows) and one inside the last block, rows 85..89
 @given(B=st.integers(1, 3), rows=window_ranges(), a=st.integers(1, 20),
        b=st.integers(1, 6), weighted=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1),
@@ -815,7 +815,7 @@ class TestPartialForward:
     N = 21
     # (M, d_v, start): at M=20, d_v=4 every window product is one block; at
     # M=80, d_v=16 a pass from a block's first row, its last row, mid-block
-    # and row 64, the first row of a batch's last block (BLOCK_RANGES). At
+    # and row 64, a block's first row near the end (BLOCK_RANGES). At
     # M=600, d_v=1 a window product is a matrix-vector product, whose rows
     # round with the window's length on OpenBLAS, so a cut that moved with
     # start would show there
