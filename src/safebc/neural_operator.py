@@ -158,9 +158,10 @@ def _window_products(hist, table, lo, hi):
     Window m holds zeros after its first (m+1)*a floats, so the rows run in
     blocks of WINDOW_FLOATS // a counted from row 0, the last block being
     the rows left over, and each block's windows are cut after the history
-    of its last row: one product per block, about half the multiplications
-    of the uncut windows. The product takes one of two forms, chosen by the
-    batch size B:
+    of its last row: one product per block that holds a row asked for
+    (none for an empty range), about half the multiplications of the uncut
+    windows. The product takes one of two forms, chosen by the batch size
+    B:
 
     - B >= 2: a stack of one (B, k) by (k, b) product per row over the
       rows asked for, which reads the strided windows in place. Training
@@ -181,7 +182,8 @@ def _window_products(hist, table, lo, hi):
     a = len(table) // n
     rows = max(1, WINDOW_FLOATS // a)
     out = np.empty((hi - lo, B, table.shape[1]))
-    for s in range(lo - lo % rows, hi, rows):
+    # from the block that holds row lo; an empty range runs no block
+    for s in range(lo - lo % rows if lo < hi else hi, hi, rows):
         e = min(s + rows, n)
         k = e * a  # the window of the block's last row, e - 1
         r0, r1 = max(s, lo), min(e, hi)

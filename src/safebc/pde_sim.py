@@ -19,18 +19,25 @@ at x = 1, and are observed at a single output location:
   unconditionally stable in dt. The step's matrix inverse is built once per
   config; each state's step is one product of its right-hand side with it.
 
+Each plant's step is a kernel built from its config with the config's
+constants bound in; a rollout builds it once and calls it at every grid
+step with no check, and the public step_hyperbolic and step_parabolic
+check their arguments and then run the same kernel.
+
 A plant state is the (n_points,) array of samples of u(., t) on the uniform
 spatial grid over [0, 1]. A rollout runs B episodes side by side, and its
 controllers act on batches: the episodes are grouped by controller
 instance, and each grid step makes one control call per instance, on its
-episodes still running, and one step call that advances the running
-episodes' (B, n_points) states. It returns every state's squared L2 norm,
-which the stabilization reward sums, and keeps the (B, M+1, n_points)
-state histories only when asked. Each episode starts from the constant
-profile u(x, 0) = U0 and is a pure function of (config, controller, U0,
-grid, episode_seed), bitwise the same in any batch. A recorded input, or a
-stack of them, is replayed by a rollout with a FromFile controller, which
-reproduces the recorded runs' states bitwise.
+episodes still running, and one kernel call that advances the running
+episodes' (B, n_points) states, then one finiteness test of the new
+states: a non-finite input lands in its new state, so that test finds a
+diverged input and a diverged state alike. It returns every state's
+squared L2 norm, which the stabilization reward sums, and keeps the
+(B, M+1, n_points) state histories only when asked. Each episode starts
+from the constant profile u(x, 0) = U0 and is a pure function of (config,
+controller, U0, grid, episode_seed), bitwise the same in any batch. A
+recorded input, or a stack of them, is replayed by a rollout with a
+FromFile controller, which reproduces the recorded runs' states bitwise.
 """
 
 import functools
@@ -168,76 +175,104 @@ def _check_step(state, u_boundary, cfg):
 
 def step_hyperbolic(state, u_boundary, cfg):
     """Advance (..., n_points) transport plant states, each with its own
-    boundary value, by one grid step dt.
-
-    The step runs cfg.substeps upwind substeps
-    u_i <- u_i + (dt_sub/dx)(u_{i+1} - u_i) + dt_sub * beta * u_0 for
-    i = 0..N-2, writing the (linearly ramped) boundary value into the
-    rightmost point after each substep. The K states (K the product of the
-    leading axes) are copied once into an (n_points, K) point-major array,
-    and each substep updates its rows in place through two preallocated
-    work arrays; the boundary values of all substeps are ramped before the
-    loop. Every state goes through the same operations in the same order
-    whatever K is, so it steps bitwise as it would alone. The result is a
-    new C-contiguous array of the states' shape; the states passed in are
-    left unchanged. An overflowing state comes back non-finite; the caller
+    boundary value, by one grid step dt: cfg's `_transport_kernel`, once
+    the states and boundary values are checked. The result is a new
+    C-contiguous array of the states' shape; the states passed in are left
+    unchanged. An overflowing state comes back non-finite; the caller
     checks for that.
 
     Raises ConfigurationError if the states do not have cfg.n_points
     points or a boundary value is not finite.
     """
-    u, b = _check_step(state, u_boundary, cfg)
+    return _transport_kernel(cfg)(*_check_step(state, u_boundary, cfg))
+
+
+def step_parabolic(state, u_boundary, cfg):
+    """Advance (..., n_points) reaction-diffusion plant states, each with its
+    own boundary value, by one grid step dt: cfg's `_diffusion_kernel`,
+    once the states and boundary values are checked. `u_boundary` is the
+    Dirichlet value at x = 1 at the new time level; the old level's value
+    is read from the state. An overflowing state comes back non-finite;
+    the caller checks for that.
+
+    Raises ConfigurationError if the states do not have cfg.n_points
+    points or a boundary value is not finite.
+    """
+    return _diffusion_kernel(cfg)(*_check_step(state, u_boundary, cfg))
+
+
+def _transport_kernel(cfg):
+    """The transport plant's grid step with cfg's constants bound in: a
+    function of float (..., n_points) states and their (...) boundary
+    values that checks neither.
+
+    The step runs cfg.substeps upwind substeps
+    u_i <- u_i + (dt_sub/dx)(u_{i+1} - u_i) + dt_sub * beta * u_0 for
+    i = 0..N-2, writing the (linearly ramped) boundary value into the
+    rightmost point after each substep, so a non-finite boundary value
+    reaches the new state at the last substep. The K states (K the product
+    of the leading axes) are copied once into an (n_points, K) point-major
+    array, and each substep updates its rows in place through two
+    preallocated work arrays; the boundary values of all substeps are
+    ramped before the loop. Every state goes through the same operations in
+    the same order whatever K is, so it steps bitwise as it would alone."""
     n = cfg.n_points
     n_sub = cfg.substeps
     dt_sub = cfg.grid.dt / n_sub
     r = dt_sub / cfg.dx
     gain = dt_sub * cfg.beta
-    # the point-major working copy: row i holds point i of every state
-    new = np.empty((n, b.size))
-    new[...] = u.reshape(b.size, n).T
-    b_prev = new[-1]
-    ramp = b_prev + (np.arange(1, n_sub + 1) / n_sub)[:, None] \
-        * (b.reshape(-1) - b_prev)
-    head, tail = new[:-1], new[1:]
-    incr = np.empty_like(head)
-    recirc = np.empty_like(b_prev)
-    for j in range(n_sub):
-        np.subtract(tail, head, out=incr)
-        incr *= r
-        np.multiply(gain, new[0], out=recirc)
-        incr += recirc
-        head += incr
-        new[-1] = ramp[j]
-    return np.ascontiguousarray(new.T).reshape(u.shape)
+    fractions = (np.arange(1, n_sub + 1) / n_sub)[:, None]
+
+    def step(u, b):
+        # the point-major working copy: row i holds point i of every state
+        new = np.empty((n, b.size))
+        new[...] = u.reshape(b.size, n).T
+        b_prev = new[-1]
+        ramp = b_prev + fractions * (b.reshape(-1) - b_prev)
+        head, tail = new[:-1], new[1:]
+        incr = np.empty_like(head)
+        recirc = np.empty_like(b_prev)
+        for j in range(n_sub):
+            np.subtract(tail, head, out=incr)
+            incr *= r
+            np.multiply(gain, new[0], out=recirc)
+            incr += recirc
+            head += incr
+            new[-1] = ramp[j]
+        return np.ascontiguousarray(new.T).reshape(u.shape)
+
+    return step
 
 
-def step_parabolic(state, u_boundary, cfg):
-    """Advance (..., n_points) reaction-diffusion plant states, each with its
-    own boundary value, by one grid step dt.
+def _diffusion_kernel(cfg):
+    """The reaction-diffusion plant's grid step with cfg's constants bound
+    in: a function of float (..., n_points) states and their (...) boundary
+    values that checks neither.
 
     Crank-Nicolson in the diffusion term and trapezoidal treatment of the
     reaction term: each state's right-hand side is multiplied by the
-    inverse of the interior tridiagonal matrix, built once per config, as
-    its own (1, n_int) row product, so every state steps bitwise as it
-    would alone. `u_boundary` is the Dirichlet value at x = 1 at the new
-    time level; the old level's value is read from the state. An
-    overflowing state comes back non-finite; the caller checks for that.
-
-    Raises ConfigurationError if the states do not have cfg.n_points
-    points or a boundary value is not finite.
-    """
-    u, b = _check_step(state, u_boundary, cfg)
-    dt = cfg.grid.dt
+    inverse of the interior tridiagonal matrix, looked up once per kernel,
+    as its own (1, n_int) row product written into the new state, so every
+    state steps bitwise as it would alone. The boundary value is written
+    into the new state's last point, a non-finite one included."""
+    half_dt = 0.5 * cfg.grid.dt
     a = cfg.eps / cfg.dx**2
-    lap = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
-    rhs = u[..., 1:-1] + 0.5 * dt * (a * lap + cfg.lam * u[..., 1:-1])
-    rhs[..., -1] += 0.5 * dt * a * b  # new-time right boundary
+    # 0.5 * dt * a * b is evaluated left to right, so this is its prefix
+    half_dt_a = half_dt * a
+    lam = cfg.lam
     inv_T = _crank_nicolson_inverse_T(cfg)
-    new = np.empty_like(u)
-    new[..., 0] = 0.0
-    new[..., 1:-1] = (rhs[..., None, :] @ inv_T)[..., 0, :]
-    new[..., -1] = b
-    return new
+
+    def step(u, b):
+        lap = u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]
+        rhs = u[..., 1:-1] + half_dt * (a * lap + lam * u[..., 1:-1])
+        rhs[..., -1] += half_dt_a * b  # new-time right boundary
+        new = np.empty_like(u)
+        new[..., 0] = 0.0
+        np.matmul(rhs[..., None, :], inv_T, out=new[..., None, 1:-1])
+        new[..., -1] = b
+        return new
+
+    return step
 
 
 @functools.lru_cache(maxsize=16)
@@ -255,11 +290,11 @@ def _crank_nicolson_inverse_T(cfg):
     return inv_T
 
 
-def _stepper(cfg):
+def _kernel(cfg):
     if isinstance(cfg, HyperbolicConfig):
-        return step_hyperbolic
+        return _transport_kernel(cfg)
     if isinstance(cfg, ParabolicConfig):
-        return step_parabolic
+        return _diffusion_kernel(cfg)
     raise ConfigurationError(
         f"unknown environment config {type(cfg).__name__}")
 
@@ -471,10 +506,12 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
 
     The episodes are grouped by controller instance: each instance starts
     once on the episodes it drives, and each grid step makes one control
-    call per instance, on its episodes still running, then one step call
-    on the running episodes' (B, n_points) states. An episode whose input
-    (an overflowing feedback, say) or state turns non-finite is marked in
-    `diverged` and dropped; the others run on. The state histories are
+    call per instance, on its episodes still running, then one call of the
+    plant's step kernel, built once per rollout, on the running episodes'
+    (B, n_points) states. A non-finite input (an overflowing feedback, say)
+    lands in its new state, so one finiteness test of the new states per
+    step finds every episode that diverged there; it is marked in
+    `diverged` and dropped, and the others run on. The state histories are
     kept only with keep_states."""
     U0 = np.asarray(U0, dtype=np.float64)
     B = len(controllers)
@@ -488,7 +525,8 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
         raise ConfigurationError(
             f"{B} controllers but {len(seeds)} episode seeds")
     grid = env_cfg.grid
-    step = _stepper(env_cfg)
+    dt = grid.dt
+    step = _kernel(env_cfg)
     out = env_cfg.output_index
     # each episode's controller instance, numbered in order of appearance,
     # and its index among the episodes of that instance
@@ -522,6 +560,9 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
         states[:, 0] = state
     diverged = np.zeros(B, dtype=int)
     live = np.arange(B)
+    # the running rows of the results: all of them, as a slice, until an
+    # episode diverges, and the index `live` from then on
+    at = slice(None)
     groups = driven(live)
     with np.errstate(over="ignore", invalid="ignore"):
         U[:, 0], Y[:, 0], sq_norms[:, 0] = U0, U0, squared_norms(state)
@@ -530,29 +571,25 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
                 break
             u = np.empty(live.size)
             for c, episodes, rows, pos in groups:
-                u[pos] = c.control(episodes, rows, m, m * grid.dt,
+                u[pos] = c.control(episodes, rows, m, m * dt,
                                    state[pos, out])
-            U[live, m] = u
-            stepped = np.isfinite(u)
-            run = slice(None) if stepped.all() else stepped
-            new = step(state[run], u[run], env_cfg)
-            # a row runs on while its input and its new state are finite
-            ok = stepped.copy()
-            ok[stepped] = np.isfinite(new).all(axis=1)
-            if not ok.all():
+            U[at, m] = u
+            state = step(state, u)
+            finite = np.isfinite(state)
+            if not finite.all():
+                ok = finite.all(axis=1)
                 dead = live[~ok]
                 diverged[dead] = m
                 U[dead, m:] = Y[dead, m:] = sq_norms[dead, m:] = np.nan
                 if keep_states:
                     states[dead, m:] = np.nan
-                new = new[ok[stepped]]
-                live = live[ok]
+                state = state[ok]
+                at = live = live[ok]
                 groups = driven(live)
-            state = new
-            Y[live, m] = state[:, out]
-            sq_norms[live, m] = squared_norms(state)
+            Y[at, m] = state[:, out]
+            sq_norms[at, m] = squared_norms(state)
             if keep_states:
-                states[live, m] = state
+                states[at, m] = state
     return RolloutResult(U, Y, sq_norms, diverged, states)
 
 

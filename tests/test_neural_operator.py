@@ -604,6 +604,34 @@ def test_window_products_are_the_rows_of_the_uncut_product(
                           part[:max(0, m + 1 - lo)])
 
 
+class CountedTable(np.ndarray):
+    """A lag table that records each cut `_window_products` takes of it:
+    every block product multiplies one cut, table[:k], a plain array."""
+
+    def __getitem__(self, key):
+        self.cuts.append(key)
+        return super().__getitem__(key).view(np.ndarray)
+
+
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("lo", [0, 17, 85, 90],
+                         ids=["row-0", "mid-block", "block-start", "n"])
+def test_an_empty_window_range_runs_no_block_product(B, lo):
+    # n=90, a=3: blocks of 85 rows, so rows 17 and 90 are off a block's
+    # first row, and 0 and 85 on it
+    x = np.random.default_rng(B).normal(size=(B, 90, 3))
+    hist = _history(x)
+    table = np.random.default_rng(7).normal(size=(270, 4)).view(
+        CountedTable)
+    table.cuts = []
+    assert _window_products(hist, table, lo, lo).shape == (0, B, 4)
+    assert table.cuts == []
+    # a range of one row runs its block's one product
+    if lo < 90:
+        _window_products(hist, table, lo, lo + 1)
+        assert len(table.cuts) == 1
+
+
 @pytest.mark.parametrize("lo, hi", [(0, 6), (5, 7), (6, 6), (-1, 3),
                                     (4, 3)])
 def test_a_window_range_outside_the_rows_is_an_error(lo, hi):

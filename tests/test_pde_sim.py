@@ -143,6 +143,22 @@ class TestTransportPlant:
             step_hyperbolic(np.zeros(n_points), 0.0, cfg)
 
 
+@pytest.mark.parametrize("step, cfg", [
+    (step_hyperbolic, HyperbolicConfig(n_points=11, grid=TimeGrid(5.0, 50))),
+    (step_parabolic, ParabolicConfig(n_points=11, grid=TimeGrid(1.0, 10)))],
+    ids=["transport", "diffusion"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_a_public_step_rejects_a_nonfinite_boundary_value(step, cfg, value):
+    # a rollout leaves the check to its one test of the new states; a
+    # caller of the public steps still gets the typed error, for one state
+    # and for one bad value in a batch
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        step(np.zeros(11), value, cfg)
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        step(np.zeros((3, 11)), np.array([0.0, value, 1.0]), cfg)
+
+
 def assert_steps_like_the_loop(states, boundary, cfg):
     """step_hyperbolic of the states is C-contiguous, leaves them as they
     were, and holds bitwise the per-state loop's step of each, up to the
@@ -270,6 +286,19 @@ class TestReactionDiffusionPlant:
         # an equal config, built anew, finds the same entry
         rollout(replace(cfg, grid=TimeGrid(1.0, 5)), [Constant()], [2.0])
         assert calls == [(7, 7)]
+
+    def test_a_rollout_looks_up_its_inverse_once(self):
+        # the rollout builds its step kernel once, so M steps make one
+        # lookup; the public step, which the oracle calls, makes one a step
+        cache = pde_sim._crank_nicolson_inverse_T
+        cache.cache_clear()
+        cfg = ParabolicConfig(n_points=9, grid=TimeGrid(1.0, 40))
+        rollout(cfg, [Constant(), Proportional(0.5)], [1.0, -0.5])
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (0, 1)
+        sequential_rollout(cfg, Constant(), 1.0)
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (40, 1)
 
 
 class TestRollout:
@@ -411,6 +440,10 @@ TRANSPORT_5 = HyperbolicConfig(beta=5.0, grid=TimeGrid(5.0, 50))
 # 17 substeps a grid step, each at Courant number 0.98
 TRANSPORT_SUB1 = HyperbolicConfig(beta=0.5, grid=TimeGrid(5.0, 30))
 DIFFUSION = ParabolicConfig(grid=TimeGrid(1.0, 80))
+# dt = dx: one substep a grid step, whose ramp writes the boundary value
+# into the last point alone
+TRANSPORT_ONE_SUBSTEP = HyperbolicConfig(beta=0.5, n_points=11,
+                                         grid=TimeGrid(5.0, 50))
 
 
 class TestPlantOracle:
@@ -464,6 +497,23 @@ class Counting(pde_sim.Controller):
     def control(self, episodes, rows, m, t, y_prev):
         self.calls.append((m, rows.tolist()))
         return self.inner.control(episodes, rows, m, t, y_prev)
+
+
+class Spoils(pde_sim.Controller):
+    """Wraps a controller and gives its episode `row` (an index into the
+    episodes it drives) the input `value` at step `at`."""
+
+    def __init__(self, inner, row, at, value):
+        self.inner, self.row, self.at, self.value = inner, row, at, value
+
+    def start(self, U0, grid, episode_seeds):
+        return self.inner.start(U0, grid, episode_seeds)
+
+    def control(self, episodes, rows, m, t, y_prev):
+        u = np.array(self.inner.control(episodes, rows, m, t, y_prev))
+        if m == self.at:
+            u[rows == self.row] = self.value
+        return u
 
 
 class TestBatchedRollout:
@@ -610,6 +660,47 @@ class TestBatchedRollout:
         alone = rollout(DIVERGING, controllers[::3], U0[::3],
                         keep_states=True)
         assert np.array_equal(alone.states, res.states[::3])
+
+    @pytest.mark.parametrize("env", [TRANSPORT_05, TRANSPORT_SUB1,
+                                     TRANSPORT_ONE_SUBSTEP, DIFFUSION],
+                             ids=["transport-0.5", "transport-courant-0.98",
+                                  "transport-one-substep", "diffusion"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [1, 17, "M"])
+    def test_a_nonfinite_input_diverges_its_episode_at_that_step(
+            self, env, value, at):
+        # the input lands in the new state (its last point, or the last
+        # substep's ramp), so the one test of the new states finds it; a
+        # shared instance spoils its second episode, episode 3 of 7
+        assert env is not TRANSPORT_ONE_SUBSTEP or env.substeps == 1
+        at = env.grid.M if at == "M" else at
+        controllers, U0 = mixed_batch(env)
+        smooth = controllers[0]
+        spoiled = Spoils(smooth, 1, at, value)
+        controllers[0] = controllers[3] = controllers[5] = spoiled
+        res = rollout(env, controllers, U0, episode_seeds=range(7),
+                      keep_states=True)
+        assert res.diverged.tolist() == [at if b == 3 else 0
+                                         for b in range(7)]
+        with pytest.raises(SimulationDivergedError) as err:
+            sequential_rollout(env, Spoils(smooth, 0, at, value), U0[3],
+                               episode_seed=3)
+        assert err.value.step == at
+        U, Y, states = sequential_rollout(env, smooth, U0[3], episode_seed=3)
+        got = (res.U[3], res.Y[3], res.sq_norms[3], res.states[3])
+        for g, want in zip(got, (U, Y, squared_norms(states), states)):
+            assert np.array_equal(g[:at], want[:at])
+            assert np.isnan(g[at:]).all()
+        for b, (c, u0) in enumerate(zip(controllers, U0)):
+            if b == 3:
+                continue
+            U, Y, states = sequential_rollout(
+                env, smooth if c is spoiled else c, u0, episode_seed=b)
+            assert np.array_equal(res.U[b], U)
+            assert np.array_equal(res.Y[b], Y)
+            assert np.array_equal(res.states[b], states)
+            assert np.array_equal(res.sq_norms[b], squared_norms(states))
 
     def test_a_shared_controller_runs_as_separate_instances(self):
         shared = SmoothRandom(seed=4)
