@@ -27,20 +27,23 @@ check their arguments and then run the same kernel.
 A plant state is the (n_points,) array of samples of u(., t) on the uniform
 spatial grid over [0, 1]. A rollout runs B episodes side by side, and its
 controllers act on batches: the episodes are grouped by controller
-instance, and each grid step makes one control call per instance, on its
-episodes still running, and one kernel call that advances the running
-episodes' (B, n_points) states, then one finiteness test of the new
-states: a non-finite input lands in its new state, so that test finds a
-diverged input and a diverged state alike. It returns every state's
-squared L2 norm, which the stabilization reward sums, and keeps the
-(B, M+1, n_points) state histories only when asked. Each episode starts
-from the constant profile u(x, 0) = U0 and is a pure function of (config,
-controller, U0, grid, episode_seed), bitwise the same in any batch. A
-recorded input, or a stack of them, is replayed by a rollout with a
-FromFile controller, which reproduces the recorded runs' states bitwise.
+instance, and each grid step makes one control call per instance, on all
+of its episodes, and one kernel call that advances all B episodes'
+(B, n_points) states, then one finiteness test of the new states: a
+non-finite input lands in its new state, and a non-finite state stays
+non-finite, so that test finds a diverged input and a diverged state
+alike. A diverged episode steps on with the others and is set to NaN from
+its step on after the loop. It returns every state's squared L2 norm,
+which the stabilization reward sums, and keeps the (B, M+1, n_points)
+state histories only when asked. Each episode starts from the constant
+profile u(x, 0) = U0 and is a pure function of (config, controller, U0,
+grid, episode_seed), bitwise the same in any batch. A recorded input, or
+a stack of them, is replayed by a rollout with a FromFile controller,
+which reproduces the recorded runs' states bitwise.
 """
 
 import functools
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -306,10 +309,14 @@ class Controller:
     seeds of the k episodes an instance drives; it returns their
     per-episode arrays, which the instance does not keep. At each grid
     step m >= 1 the rollout then makes one `control` call with those
-    arrays, the indices `rows` (into the k) of the episodes still running
-    and their latest measured outputs Y_{m-1}, and gets back their U_m.
-    U_0 is always each episode's U0. So an instance holds settings only:
-    one shared by many episodes, or by several rollouts, is never changed.
+    arrays and the k episodes' latest measured outputs Y_{m-1}, and gets
+    back their (k,) U_m. U_0 is always each episode's U0. So an instance
+    holds settings only: one shared by many episodes, or by several
+    rollouts, is never changed.
+
+    A diverged episode is still asked at every later step (a rollout stops
+    early only once all its episodes have diverged): its Y_{m-1} is not
+    finite, and its U_m is discarded.
     """
 
     # (spec name, {spec key: (constructor parameter, type)}) of the spec
@@ -319,7 +326,7 @@ class Controller:
     def start(self, U0, grid, episode_seeds):
         return None
 
-    def control(self, episodes, rows, m, t, y_prev):
+    def control(self, episodes, m, t, y_prev):
         raise NotImplementedError
 
     def describe(self):
@@ -340,7 +347,7 @@ class Proportional(Controller):
     def __init__(self, gain):
         self.gain = finite_float(gain, "gain")
 
-    def control(self, episodes, rows, m, t, y_prev):
+    def control(self, episodes, m, t, y_prev):
         return -self.gain * y_prev
 
 
@@ -358,8 +365,8 @@ class Constant(Controller):
             held[:] = self.value
         return held
 
-    def control(self, held, rows, m, t, y_prev):
-        return held[rows]
+    def control(self, held, m, t, y_prev):
+        return held
 
     def describe(self):
         return "constant:hold-U0" if self.value is None \
@@ -407,10 +414,9 @@ class SmoothRandom(Controller):
                                    self.num_modes)
         return U0, amps, freqs
 
-    def control(self, episodes, rows, m, t, y_prev):
+    def control(self, episodes, m, t, y_prev):
         U0, amps, freqs = episodes
-        return U0[rows] + np.sum(amps[rows] * np.sin(freqs[rows] * t),
-                                 axis=1)
+        return U0 + np.sum(amps * np.sin(freqs * t), axis=1)
 
 
 class FromFile(Controller):
@@ -445,8 +451,8 @@ class FromFile(Controller):
                 f"{shape}")
         return np.broadcast_to(self._U, shape)
 
-    def control(self, inputs, rows, m, t, y_prev):
-        return inputs[rows, m]
+    def control(self, inputs, m, t, y_prev):
+        return inputs[:, m]
 
     def describe(self):
         return f"file:{self.path}" if self.path else "replay"
@@ -468,6 +474,8 @@ def parse_controller(text):
         return Constant()
     specs = {c.SPEC[0]: c for c in (Constant, Proportional, SmoothRandom)}
     try:
+        if name == "file":
+            raise ValueError("missing path, as in file:PATH")
         if name not in specs:
             raise ValueError(f"unknown controller {name!r}")
         cls, kwargs = specs[name], {}
@@ -477,6 +485,11 @@ def parse_controller(text):
                 raise ValueError(f"unknown key {key!r} for {name}")
             param, kind = cls.SPEC[1][key]
             kwargs[param] = kind(val)
+        defaults = inspect.signature(cls).parameters
+        for key, (param, _) in cls.SPEC[1].items():
+            if param not in kwargs and \
+                    defaults[param].default is inspect.Parameter.empty:
+                raise ValueError(f"missing key {key!r} for {name}")
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(
@@ -506,13 +519,15 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
 
     The episodes are grouped by controller instance: each instance starts
     once on the episodes it drives, and each grid step makes one control
-    call per instance, on its episodes still running, then one call of the
-    plant's step kernel, built once per rollout, on the running episodes'
-    (B, n_points) states. A non-finite input (an overflowing feedback, say)
-    lands in its new state, so one finiteness test of the new states per
-    step finds every episode that diverged there; it is marked in
-    `diverged` and dropped, and the others run on. The state histories are
-    kept only with keep_states."""
+    call per instance, on all of its episodes, then one call of the
+    plant's step kernel, built once per rollout, on the (B, n_points)
+    states. Every episode steps at every grid step, a diverged one too. A
+    non-finite input (an overflowing feedback, say) lands in its new state,
+    and a non-finite state never turns finite again, so one finiteness test
+    of the new states per step finds the step where each episode diverged;
+    it is marked in `diverged`. The loop stops once every episode has
+    diverged, and after it a diverged episode's results are set to NaN from
+    its step on. The state histories are kept only with keep_states."""
     U0 = np.asarray(U0, dtype=np.float64)
     B = len(controllers)
     if U0.shape != (B,):
@@ -528,27 +543,13 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
     dt = grid.dt
     step = _kernel(env_cfg)
     out = env_cfg.output_index
-    # each episode's controller instance, numbered in order of appearance,
-    # and its index among the episodes of that instance
-    number = {}
-    owner = np.array([number.setdefault(id(c), len(number))
-                      for c in controllers], dtype=int)
-    local = np.empty(B, dtype=int)
-    started = []
-    for g in range(len(number)):
-        members = np.flatnonzero(owner == g)
-        local[members] = np.arange(members.size)
-        c = controllers[members[0]]
-        started.append((c, c.start(U0[members], grid,
-                                   [seeds[b] for b in members])))
-
-    def driven(live):
-        """(controller, its start arrays, rows, positions in `live`) of
-        every instance with an episode in `live`."""
-        at = owner[live]
-        return [(c, episodes, local[live[pos]], pos)
-                for g, (c, episodes) in enumerate(started)
-                if (pos := np.flatnonzero(at == g)).size]
+    # (controller, its start arrays, the rows of its episodes) per instance,
+    # in order of appearance; the rows are a slice when it drives them all
+    groups = []
+    for c in {id(c): c for c in controllers}.values():
+        rows = np.flatnonzero([d is c for d in controllers])
+        episodes = c.start(U0[rows], grid, [seeds[b] for b in rows])
+        groups.append((c, episodes, slice(None) if rows.size == B else rows))
 
     U = np.empty((B, grid.M + 1))
     Y = np.empty((B, grid.M + 1))
@@ -559,37 +560,28 @@ def rollout(env_cfg, controllers, U0, episode_seeds=None, keep_states=False):
         states = np.empty((B, grid.M + 1, env_cfg.n_points))
         states[:, 0] = state
     diverged = np.zeros(B, dtype=int)
-    live = np.arange(B)
-    # the running rows of the results: all of them, as a slice, until an
-    # episode diverges, and the index `live` from then on
-    at = slice(None)
-    groups = driven(live)
     with np.errstate(over="ignore", invalid="ignore"):
         U[:, 0], Y[:, 0], sq_norms[:, 0] = U0, U0, squared_norms(state)
         for m in range(1, grid.M + 1):
-            if not live.size:
-                break
-            u = np.empty(live.size)
-            for c, episodes, rows, pos in groups:
-                u[pos] = c.control(episodes, rows, m, m * dt,
-                                   state[pos, out])
-            U[at, m] = u
-            state = step(state, u)
+            for c, episodes, rows in groups:
+                U[rows, m] = c.control(episodes, m, m * dt, state[rows, out])
+            state = step(state, U[:, m])
+            Y[:, m] = state[:, out]
+            sq_norms[:, m] = squared_norms(state)
+            if keep_states:
+                states[:, m] = state
             finite = np.isfinite(state)
             if not finite.all():
-                ok = finite.all(axis=1)
-                dead = live[~ok]
-                diverged[dead] = m
-                U[dead, m:] = Y[dead, m:] = sq_norms[dead, m:] = np.nan
-                if keep_states:
-                    states[dead, m:] = np.nan
-                state = state[ok]
-                at = live = live[ok]
-                groups = driven(live)
-            Y[at, m] = state[:, out]
-            sq_norms[at, m] = squared_norms(state)
-            if keep_states:
-                states[at, m] = state
+                diverged[(diverged == 0) & ~finite.all(axis=1)] = m
+                if diverged.all():
+                    break
+    if diverged.any():
+        # each diverged episode reads NaN from its step on
+        dead = np.arange(grid.M + 1) >= np.where(
+            diverged, diverged, grid.M + 1)[:, None]
+        U[dead] = Y[dead] = sq_norms[dead] = np.nan
+        if keep_states:
+            states[dead] = np.nan
     return RolloutResult(U, Y, sq_norms, diverged, states)
 
 

@@ -202,13 +202,19 @@ def filter_batch(operator, bcbf, UU_nominal, config):
     an infeasible step at its first such step; an error the walk raises (a
     non-finite operator output at a row a forward ran) comes first.
     Constants with alpha * dt >= 1 on the operator's grid raise
-    ConfigurationError before the walk.
+    ConfigurationError before the walk, and a nominal value that is not
+    finite raises ValueError there, naming the lowest such row and its
+    first such step.
     """
     UU_nom = np.asarray(UU_nominal, dtype=float)
     grid, n = operator.grid, operator.grid.M + 1
     if UU_nom.ndim != 2 or UU_nom.shape[1] != n:
         raise ValueError(f"nominal batch has shape {UU_nom.shape}, operator "
                          f"grid needs (B, {n})")
+    if not np.isfinite(UU_nom).all():
+        row, step = np.argwhere(~np.isfinite(UU_nom))[0]
+        raise ValueError(f"nominal input row {row} is not finite at step "
+                         f"{step} (U = {UU_nom[row, step]})")
     config.constants.check_step(grid.dt)
     B, dt, times = len(UU_nom), grid.dt, grid.times()
     du_nom = np.diff(UU_nom, axis=1)

@@ -262,10 +262,9 @@ def sequential_rollout(env_cfg, controller, U0, episode_seed=None):
     U[0] = float(U0)
     # the controller drives a batch of one
     episodes = controller.start(np.array([float(U0)]), grid, [episode_seed])
-    rows = np.array([0])
     for m in range(1, grid.M + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            u_m = float(controller.control(episodes, rows, m, m * grid.dt,
+            u_m = float(controller.control(episodes, m, m * grid.dt,
                                            states[m - 1, [out]])[0])
             if not np.isfinite(u_m):
                 raise SimulationDivergedError("input diverged", step=m)

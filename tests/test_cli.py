@@ -73,6 +73,22 @@ def test_zero_threshold_filter_writes_the_nominal_input(run):
     assert len((run / "report.csv").read_text().splitlines()) == 21
 
 
+def test_a_nonfinite_nominal_is_named_by_its_step(run, tmp_path, capsys):
+    lines = (run / "nominal.csv").read_text().splitlines()
+    step, t, _, y = lines[8].split(",")
+    lines[8] = ",".join((step, t, "nan", y))
+    (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["filter", "--operator", str(run / "op.ckpt"), "--bcbf",
+               str(run / "bar.ckpt"), "--nominal", str(tmp_path / "nan.csv"),
+               "--eta", "2", "--out", str(tmp_path / "out.csv"),
+               "--report", str(tmp_path / "report.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: nominal input row 0 is not finite at step 7 (U = nan)\n"
+    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_sweep_at_zero_threshold_matches_filter_off(run):
     off = (run / "off.csv").read_text().splitlines()[1]
     rows = (run / "sweep.csv").read_text().splitlines()

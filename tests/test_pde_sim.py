@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import loop_step_hyperbolic, sequential_rollout
 from safebc import pde_sim
@@ -27,19 +28,19 @@ def one(env, controller, U0, episode_seed=None):
 
 
 def control_once(controller, U0, m, t, y_prev, episode_seeds=None):
-    """U_m of a batch of episodes started from U0, all running."""
+    """U_m of a batch of episodes started from U0."""
     U0 = np.atleast_1d(np.asarray(U0, dtype=float))
     seeds = [None] * U0.size if episode_seeds is None else episode_seeds
     episodes = controller.start(U0, TimeGrid(5.0, 50), seeds)
-    return controller.control(episodes, np.arange(U0.size), m, t,
+    return controller.control(episodes, m, t,
                               np.broadcast_to(y_prev, U0.shape))
 
 
 class Ramp(pde_sim.Controller):
     """Open-loop ramp U(t) = t, used for the transport-delay check."""
 
-    def control(self, episodes, rows, m, t, y_prev):
-        return np.full(len(rows), t)
+    def control(self, episodes, m, t, y_prev):
+        return np.full(len(y_prev), t)
 
     def describe(self):
         return "ramp"
@@ -485,7 +486,8 @@ def mixed_batch(env):
 
 
 class Counting(pde_sim.Controller):
-    """Wraps a controller and records each control call's step and rows."""
+    """Wraps a controller and records each control call's step and number
+    of episodes."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -494,9 +496,9 @@ class Counting(pde_sim.Controller):
     def start(self, U0, grid, episode_seeds):
         return self.inner.start(U0, grid, episode_seeds)
 
-    def control(self, episodes, rows, m, t, y_prev):
-        self.calls.append((m, rows.tolist()))
-        return self.inner.control(episodes, rows, m, t, y_prev)
+    def control(self, episodes, m, t, y_prev):
+        self.calls.append((m, len(y_prev)))
+        return self.inner.control(episodes, m, t, y_prev)
 
 
 class Spoils(pde_sim.Controller):
@@ -509,10 +511,10 @@ class Spoils(pde_sim.Controller):
     def start(self, U0, grid, episode_seeds):
         return self.inner.start(U0, grid, episode_seeds)
 
-    def control(self, episodes, rows, m, t, y_prev):
-        u = np.array(self.inner.control(episodes, rows, m, t, y_prev))
+    def control(self, episodes, m, t, y_prev):
+        u = np.array(self.inner.control(episodes, m, t, y_prev))
         if m == self.at:
-            u[rows == self.row] = self.value
+            u[self.row] = self.value
         return u
 
 
@@ -542,7 +544,7 @@ class TestBatchedRollout:
         # one shared smooth instance drives 13 of 20 episodes; the 7
         # feedback episodes between them gain 1e100 per delay, so they
         # overflow at steps that their initial values set, and the smooth
-        # rows shift as they drop
+        # rows run on beside them
         smooth, feedback = SmoothRandom(seed=5), Proportional(1e100)
         controllers = [feedback if b % 3 == 1 else smooth for b in range(20)]
         U0 = np.linspace(0.1, 2.0, 20)
@@ -592,10 +594,11 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("shape", ["evaluation", "collection"])
     def test_one_control_call_per_instance_per_step(self, shape):
         # evaluation drives every episode with one instance, collection
-        # cycles its instances; a row is passed at every step up to the one
-        # where its episode diverged, and never after. At a gain of 1e100
-        # per delay, episodes from 1 .. 1e-84 overflow at step 34 and those
-        # from 1e-96 on at step 45, so rows drop while others run on.
+        # cycles its instances; each call is on all of the instance's
+        # episodes, diverged ones included. At a gain of 1e100 per delay,
+        # episodes from 1 .. 1e-84 overflow at step 34 and those from 1e-96
+        # on at step 45: when every episode is feedback, the rollout stops
+        # at step 45, and otherwise it runs to the end.
         feedback = Counting(Proportional(1e100))
         if shape == "evaluation":
             instances = [feedback]
@@ -606,13 +609,10 @@ class TestBatchedRollout:
         res = rollout(TRANSPORT_05, controllers,
                       10.0 ** (-12.0 * np.arange(12)),
                       episode_seeds=range(12))
-        M = TRANSPORT_05.grid.M
-        for i, c in enumerate(instances):
-            last = res.diverged[i::len(instances)]
-            running = [[r for r, d in enumerate(last) if d == 0 or d >= m]
-                       for m in range(1, M + 1)]
-            assert c.calls == [(m, rows) for m, rows
-                               in enumerate(running, start=1) if rows]
+        last = 45 if shape == "evaluation" else TRANSPORT_05.grid.M
+        for c in instances:
+            k = sum(d is c for d in controllers)
+            assert c.calls == [(m, k) for m in range(1, last + 1)]
         steps = set(res.diverged[controllers.index(feedback)::
                                  len(instances)].tolist())
         assert steps == {34, 45}
@@ -633,14 +633,10 @@ class TestBatchedRollout:
     def test_a_diverged_row_leaves_its_neighbours_unchanged(self):
         # the episode of test_divergence_names_the_first_nonfinite_step,
         # one that overflows later from a tiny profile, and two that stay 0
-        counted = Counting(Proportional(0.5))
-        controllers = [Constant(0.0), counted, Proportional(0.5),
+        controllers = [Constant(0.0), Proportional(0.5), Proportional(0.5),
                        Proportional(0.5)]
         U0 = [0.0, 1.0, 1e-100, 0.0]
         res = rollout(DIVERGING, controllers, U0, keep_states=True)
-        # a diverged episode's controller is not asked again
-        assert [m for m, _ in counted.calls] == \
-            list(range(1, res.diverged[1] + 1))
         steps = []
         for b, (c, u0) in enumerate(zip(controllers, U0)):
             try:
@@ -732,6 +728,97 @@ class TestBatchedRollout:
             step(states, boundary[0], env)
 
 
+# small grids, so a drawn batch and its oracle runs take milliseconds
+SMALL_TRANSPORT = HyperbolicConfig(beta=0.5, n_points=11,
+                                   grid=TimeGrid(5.0, 20))
+SMALL_DIFFUSION = ParabolicConfig(n_points=11, grid=TimeGrid(1.0, 20))
+
+
+def check_against_oracle(env, controllers, U0, seeds):
+    """Roll out a batch and check it row by row against the sequential
+    oracle: a finite row is bitwise its oracle run, and a diverged one has
+    the oracle's step and NaN from then on. Each instance must be called
+    once per step, on all of its episodes, up to the step where the last
+    episode diverged when every episode does, and to M otherwise. Returns
+    the rollout's result."""
+    counted = {id(c): Counting(c) for c in controllers}
+    res = rollout(env, [counted[id(c)] for c in controllers], U0,
+                  episode_seeds=seeds, keep_states=True)
+    last = res.diverged.max() if res.diverged.all() else env.grid.M
+    for c in counted.values():
+        k = sum(d is c.inner for d in controllers)
+        assert c.calls == [(m, k) for m in range(1, last + 1)]
+    for b, (c, u0, seed) in enumerate(zip(controllers, U0, seeds)):
+        got = (res.U[b], res.Y[b], res.sq_norms[b], res.states[b])
+        try:
+            U, Y, states = sequential_rollout(env, c, u0, episode_seed=seed)
+        except SimulationDivergedError as err:
+            assert res.diverged[b] == err.step
+            for g in got:
+                assert np.isnan(g[err.step:]).all()
+            assert np.isfinite(res.states[b, :err.step]).all()
+            # the same prefix as the episode run alone in a batch of one
+            alone = rollout(env, [c], [u0], episode_seeds=[seed],
+                            keep_states=True)
+            assert np.array_equal(alone.states[0], res.states[b],
+                                  equal_nan=True)
+        else:
+            assert res.diverged[b] == 0
+            # a finite state past 1e154 has an infinite squared norm
+            with np.errstate(over="ignore"):
+                sq_norms = squared_norms(states)
+            for g, want in zip(got, (U, Y, sq_norms, states)):
+                assert np.array_equal(g, want)
+    return res
+
+
+@st.composite
+def mixed_rollout_batches(draw):
+    """(env, controllers, U0, episode seeds) of a batch of 1..6 episodes
+    on a small transport or diffusion grid, driven by 1..3 instances of
+    proportional feedback (some gains overflow), constant holds and smooth
+    signals, shared by several episodes or not."""
+    env = draw(st.sampled_from([SMALL_TRANSPORT, SMALL_DIFFUSION]))
+    instance = st.one_of(
+        st.builds(Proportional,
+                  st.sampled_from([0.5, -1.5, 1e100, -1e200, 1e300])),
+        st.builds(Constant, st.none() | st.floats(-2.0, 2.0)),
+        st.builds(SmoothRandom, seed=st.integers(0, 9)))
+    pool = draw(st.lists(instance, min_size=1, max_size=3))
+    B = draw(st.integers(1, 6))
+    controllers = draw(st.lists(st.sampled_from(pool), min_size=B,
+                                max_size=B))
+    # tiny initial values make overflowing feedback diverge late
+    U0 = draw(st.lists(st.builds(lambda sign, e, x: sign * x * 10.0 ** e,
+                                 st.sampled_from([-1.0, 1.0]),
+                                 st.integers(-300, 0), st.floats(0.0, 2.0)),
+                       min_size=B, max_size=B))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=B, max_size=B))
+    return env, controllers, U0, seeds
+
+
+def every_episode_diverging():
+    """A diffusion batch whose four episodes overflow at steps 4, 6, 5 and
+    7 of 20, two of them on one shared instance."""
+    shared = Proportional(1e100)
+    return (SMALL_DIFFUSION,
+            [shared, shared, Proportional(1e100), Proportional(1e100)],
+            [1.0, 1e-200, 1e-100, 1e-300], [0, 1, 2, 3])
+
+
+@given(mixed_rollout_batches())
+@example(every_episode_diverging())
+@settings(max_examples=60, deadline=None)
+def test_a_mixed_batch_equals_the_oracle_row_by_row(batch):
+    check_against_oracle(*batch)
+
+
+def test_a_batch_that_all_diverges_stops_at_its_last_divergence():
+    # the controllers' calls stop at step 7 of 20, the largest of the four
+    res = check_against_oracle(*every_episode_diverging())
+    assert res.diverged.tolist() == [4, 6, 5, 7]
+
+
 class TestControllers:
     def test_proportional_is_output_feedback(self):
         assert control_once(Proportional(2.0), [0.0, 1.0], 1, 0.1,
@@ -770,18 +857,18 @@ class TestControllers:
                     f = rng.uniform(0.2, 1.5, modes)
                     assert value == u0 + float(np.sum(a * np.sin(f * t)))
 
-    def test_a_controller_answers_for_the_rows_it_is_given(self):
-        # rows index the episodes that start saw, in any subset
+    def test_a_controller_answers_for_every_episode_it_started(self):
+        # one value per episode that start saw, each as it would be alone
         c = SmoothRandom(seed=0)
         grid = TimeGrid(5.0, 50)
-        episodes = c.start(np.array([0.5, 1.0, 1.5]), grid, [7, 8, 9])
-        every = c.control(episodes, np.arange(3), 10, 1.0, np.zeros(3))
-        assert np.array_equal(
-            c.control(episodes, np.array([0, 2]), 10, 1.0, np.zeros(2)),
-            every[[0, 2]])
-        alone = c.control(c.start(np.array([1.5]), grid, [9]), np.array([0]),
-                          10, 1.0, np.zeros(1))
-        assert np.array_equal(alone, every[2:])
+        U0, seeds = [0.5, 1.0, 1.5], [7, 8, 9]
+        every = c.control(c.start(np.array(U0), grid, seeds), 10, 1.0,
+                          np.zeros(3))
+        assert every.shape == (3,)
+        for b in range(3):
+            alone = c.control(c.start(np.array(U0[b:b + 1]), grid,
+                                      seeds[b:b + 1]), 10, 1.0, np.zeros(1))
+            assert np.array_equal(alone, every[b:b + 1])
 
     def test_smooth_random_validates_configuration(self):
         with pytest.raises(ConfigurationError):
@@ -823,8 +910,8 @@ class TestControllers:
         c = FromFile(path)
         assert c.describe() == f"file:{path}"
         inputs = c.start(U[:2], grid, [None, None])
-        assert c.control(inputs, np.arange(2), 7, 0.7,
-                         np.zeros(2)).tolist() == [U[7], U[7]]
+        assert c.control(inputs, 7, 0.7, np.zeros(2)).tolist() \
+            == [U[7], U[7]]
         with pytest.raises(ConfigurationError):
             c.start(U[:1], TimeGrid(5.0, 10), [None])
 
@@ -833,7 +920,7 @@ class TestControllers:
         c = FromFile(U)
         U[7] = 99.0
         inputs = c.start([0.0], TimeGrid(5.0, 50), [None])
-        assert c.control(inputs, np.array([0]), 7, 0.7, np.zeros(1))[0] \
+        assert c.control(inputs, 7, 0.7, np.zeros(1))[0] \
             == np.linspace(0.0, 2.0, 51)[7]
         assert c.describe() == "replay"
 
@@ -842,8 +929,8 @@ class TestControllers:
         stack = np.arange(33.0).reshape(3, 11)
         c = FromFile(stack)
         inputs = c.start(stack[:, 0], grid, [None] * 3)
-        assert c.control(inputs, np.array([0, 2]), 4, 2.0,
-                         np.zeros(2)).tolist() == [4.0, 26.0]
+        assert c.control(inputs, 4, 2.0, np.zeros(3)).tolist() \
+            == [4.0, 15.0, 26.0]
         with pytest.raises(ConfigurationError, match=r"\(2, 11\)"):
             c.start(stack[:2, 0], grid, [None] * 2)
 
@@ -885,8 +972,13 @@ class TestControllers:
         ("proportional:gain=nan", "gain must be a finite number, got nan"),
         ("proportional:gian=1", "unknown key 'gian' for proportional"),
         ("smooth:modes=abc",
-         "invalid literal for int() with base 10: 'abc'")],
-        ids=["nan-gain", "unknown-key", "non-integer-modes"])
+         "invalid literal for int() with base 10: 'abc'"),
+        ("proportional", "missing key 'gain' for proportional"),
+        ("proportional:", "missing key 'gain' for proportional"),
+        ("file", "missing path, as in file:PATH"),
+        ("file:", "missing path, as in file:PATH")],
+        ids=["nan-gain", "unknown-key", "non-integer-modes", "no-gain",
+             "no-gain-after-colon", "no-path", "no-path-after-colon"])
     def test_a_bad_spec_is_named_with_its_reason(self, text, reason):
         # the reason as a sentence, not the repr of the error behind it
         with pytest.raises(ConfigurationError) as info:

@@ -299,6 +299,29 @@ class TestFilterBatch:
         with pytest.raises(ValueError):
             filter_batch(op, bar, np.zeros((2, 7)), FilterConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("step", [0, 9, GRID.M])
+    def test_a_nonfinite_nominal_is_named_before_the_walk(
+            self, monkeypatch, value, step):
+        # no forward runs and no RuntimeWarning is raised: the check comes
+        # before the walk, and names the lowest such row at its first step
+        op, bar = models(0)
+        monkeypatch.setattr(op, "forward_batch", None)
+        U = nominal(0)
+        U[step] = value
+        with pytest.raises(ValueError) as info:
+            filter_trajectory(op, bar, U, FilterConfig())
+        assert str(info.value) == \
+            f"nominal input row 0 is not finite at step {step} (U = {value})"
+        UU = np.array([nominal(seed) for seed in range(3)])
+        UU[1, [step, GRID.M]] = value
+        UU[2, 0] = np.nan
+        with pytest.raises(ValueError) as info:
+            filter_batch(op, bar, UU, FilterConfig())
+        assert str(info.value) == \
+            f"nominal input row 1 is not finite at step {step} (U = {value})"
+
     def test_constants_with_alpha_dt_of_1_are_rejected(self, monkeypatch):
         # GRID has dt = 0.25, and 4 * 0.25 = 1
         op, bar = models(0)
