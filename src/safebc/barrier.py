@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import (check_tensor_names, checkpoint_tensor,
-                         read_checkpoint, write_checkpoint)
+from .checkpoint import load_tensors, read_checkpoint, write_checkpoint
 from .nets import Mlp
 from .pde_sim import ConfigurationError
 
@@ -78,8 +77,12 @@ class BarrierFunction:
     def __init__(self, hidden=(16, 64, 16), seed=0):
         self.net = Mlp([2] + list(hidden) + [1], seed=seed)
 
+    def tensors(self):
+        """Every parameter array by its checkpoint name: the network's."""
+        return self.net.tensors()
+
     def params(self):
-        return self.net.params()
+        return list(self.tensors().values())
 
     def _inputs(self, t, Y):
         shape = np.broadcast_shapes(np.shape(t), np.shape(Y))
@@ -109,13 +112,11 @@ class BarrierFunction:
         return float(phi), float(dt_), float(dY_)
 
     def save(self, path):
-        write_checkpoint(path, "bcbf", self.net.tensors())
+        write_checkpoint(path, "bcbf", self.tensors())
 
     @classmethod
     def load(cls, path):
-        kind, tensors, meta = read_checkpoint(path)
-        if kind != "bcbf":
-            raise ConfigurationError("checkpoint kind %r is not bcbf" % kind)
+        _, tensors, meta = read_checkpoint(path, "bcbf")
         # a barrier always reads (t, Y), so no writer puts meta in its file
         if meta:
             raise ConfigurationError(
@@ -123,11 +124,9 @@ class BarrierFunction:
                 f"{', '.join(meta)}; retrain the barrier")
         # the layers are W0, b0, W1, ...: the first W missing ends them
         n_layers = next(k for k in itertools.count() if f"W{k}" not in tensors)
-        hidden = [checkpoint_tensor(tensors, "W%d" % k).shape[0]
-                  for k in range(n_layers - 1)]
+        hidden = [tensors[f"W{k}"].shape[0] for k in range(n_layers - 1)]
         bar = cls(hidden=hidden)
-        check_tensor_names(path, tensors, bar.net.tensors())
-        bar.net.set_tensors(tensors)
+        load_tensors(path, tensors, bar.tensors())
         return bar
 
 

@@ -16,12 +16,17 @@ digits, most significant byte first, with single spaces between a row's
 values, so every float reads back bit for bit. Every line is read as the
 writer spells it: words separated by single spaces, with no leading or
 trailing blank and no tab; a `meta` or tensor-header line spelled any
-other way is malformed. 1-D tensors are stored as a single row. Loaders
-take each tensor at the shape their model gives it (`checkpoint_tensor`)
-and reject any other shape and any tensor the model does not name. A row
-of the wrong width, a bad value, a tensor cut short or a file of another
+other way is malformed. 1-D tensors are stored as a single row. A row of
+the wrong width, a bad value, a tensor cut short or a file of another
 format version (CKPT v1 held decimals: retrain its model) raises
 CheckpointError.
+
+A model's `tensors()`, its parameter arrays by name, is the one list of
+its parameters: `params()` is its values, `save` writes it, and `load`
+reads the file as its kind (`read_checkpoint(path, kind)`), builds the
+model the file describes and fills its `tensors()` through `load_tensors`,
+which refuses a tensor the model does not name or of another shape. Every
+refusal names the file.
 
 Tables hold everything else: datasets, state snapshots, boundary
 trajectories, training histories, filter reports, per-episode results,
@@ -73,6 +78,13 @@ def finite_float(value, name):
         raise ConfigurationError(f"{name} must be a finite number, "
                                  f"got {value!r}")
     return float(value)
+
+
+def check_integer(value, name):
+    """ConfigurationError unless value is one integer, a Python or a NumPy
+    one; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 class CheckpointError(ValueError):
@@ -183,19 +195,23 @@ def _read_tensor(path, lines, start, rows, cols):
     return np.frombuffer(raw, ">f8").astype(np.float64).reshape(rows, cols)
 
 
-def read_checkpoint(path):
-    """Read back (kind, tensors, meta); tensors come out 2-D."""
+def read_checkpoint(path, kind=None):
+    """Read back (kind, tensors, meta); tensors come out 2-D. Given a kind,
+    a file of another kind is a ConfigurationError naming the path."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("CKPT "):
         raise CheckpointError(f"{path}: not a CKPT v2 file")
-    version, _, kind = lines[0][5:].partition(" kind=")
+    version, _, got = lines[0][5:].partition(" kind=")
     if version != "v2":
         raise CheckpointError(
             f"{path}: checkpoint format CKPT {version} is not read (only "
             "CKPT v2 is); retrain the model")
-    if kind not in KINDS:
-        raise CheckpointError(f"{path}: unknown kind {kind!r}")
+    if got not in KINDS:
+        raise CheckpointError(f"{path}: unknown kind {got!r}")
+    if kind is not None and got != kind:
+        raise ConfigurationError(
+            f"{path}: checkpoint kind {got!r} is not {kind}")
     meta = {}
     tensors = {}
     i = 1
@@ -223,29 +239,35 @@ def read_checkpoint(path):
                 f"{n - i - 1} lines left")
         tensors[name] = _read_tensor(path, lines, i + 1, rows, cols)
         i += 1 + rows
-    return kind, tensors, meta
+    return got, tensors, meta
 
 
-def checkpoint_tensor(tensors, name, shape=None):
-    """tensors[name]; with a shape, at that shape, which a 1-D tensor may
-    also have as the one row it is stored as. A missing tensor, or one of
-    another shape, is a ConfigurationError naming it (and both shapes)."""
+def checkpoint_tensor(path, tensors, name, shape=None):
+    """tensors[name], read from the checkpoint at path; with a shape, at
+    that shape, which a 1-D tensor may also have as the one row it is
+    stored as. A missing tensor, or one of another shape, is a
+    ConfigurationError naming the path and the tensor (and both shapes)."""
     if name not in tensors:
-        raise ConfigurationError(f"checkpoint has no tensor {name!r}")
+        raise ConfigurationError(f"{path}: checkpoint has no tensor {name!r}")
     a = np.asarray(tensors[name], dtype=np.float64)
     if shape is None:
         return a
     if a.shape != shape and not (len(shape) == 1 and a.shape == (1,) + shape):
         raise ConfigurationError(
-            f"tensor {name!r} has shape {a.shape}, expected {shape}")
+            f"{path}: tensor {name!r} has shape {a.shape}, expected {shape}")
     return a.reshape(shape)
 
 
-def check_tensor_names(path, tensors, names):
-    """ConfigurationError listing the tensors that no name in names reads."""
-    if extra := [name for name in tensors if name not in names]:
+def load_tensors(path, tensors, named):
+    """Copy the tensors read from the checkpoint at path into the arrays of
+    named, a model's `tensors()` (name -> live array), each at its array's
+    shape (`checkpoint_tensor`). A tensor that no name in named reads is a
+    ConfigurationError listing them all, before anything is copied."""
+    if extra := [name for name in tensors if name not in named]:
         raise ConfigurationError(f"{path}: checkpoint has tensors its model "
                                  f"does not name: {', '.join(extra)}")
+    for name, array in named.items():
+        array[...] = checkpoint_tensor(path, tensors, name, array.shape)
 
 
 def write_table(path, columns, comments=()):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .barrier import BarrierFunction
-from .checkpoint import read_table, write_table
+from .checkpoint import check_integer, read_table, write_table
 from .nets import subseed
 from .neural_operator import BoundaryOperator
 from .pde_sim import (ConfigurationError, FromFile, rollout,
@@ -98,6 +98,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer(self.episodes, "episodes")
         if not self.episodes >= 1:
             raise ConfigurationError(
                 f"episodes must be >= 1, got {self.episodes!r}")

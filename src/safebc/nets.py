@@ -38,8 +38,6 @@ import math
 
 import numpy as np
 
-from .checkpoint import checkpoint_tensor
-
 
 def subseed(seed, k):
     """Derive a child seed: flattens tuple seeds so numpy accepts them."""
@@ -143,13 +141,9 @@ class Mlp:
         return self.layer_dims[-1]
 
     def params(self):
-        """Parameter arrays in fixed order [W0, b0, W1, b1, ...] (live
-        views)."""
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        """The parameter arrays (live views) in `tensors()` order: W0, b0,
+        W1, b1, ..."""
+        return list(self.tensors().values())
 
     def forward(self, x):
         """Evaluate the network on a (..., d_in) batch."""
@@ -247,18 +241,13 @@ class Mlp:
         return grads, delta
 
     def tensors(self, prefix=""):
+        """Every parameter array (a live view) by its checkpoint name:
+        {prefix}W0, {prefix}b0, {prefix}W1, ..."""
         out = {}
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
             out[f"{prefix}W{k}"] = W
             out[f"{prefix}b{k}"] = b
         return out
-
-    def set_tensors(self, tensors, prefix=""):
-        """Copy in the tensors that `tensors(prefix)` names, each at its
-        own shape (`checkpoint_tensor`)."""
-        for k, (W, b) in enumerate(zip(self.weights, self.biases)):
-            W[...] = checkpoint_tensor(tensors, f"{prefix}W{k}", W.shape)
-            b[...] = checkpoint_tensor(tensors, f"{prefix}b{k}", b.shape)
 
 
 class Adam:

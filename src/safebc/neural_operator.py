@@ -85,7 +85,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .checkpoint import (check_tensor_names, checkpoint_tensor,
+from .checkpoint import (check_integer, checkpoint_tensor, load_tensors,
                          read_checkpoint, write_checkpoint)
 from .nets import Mlp, Trace, subseed
 from .pde_sim import ConfigurationError, TimeGrid
@@ -108,9 +108,11 @@ def quadrature_weights(grid):
 
 
 def check_architecture(d_v, n_layers, activations=None):
-    """ConfigurationError unless d_v and n_layers are >= 1 and activations,
-    when given, names "relu" or "linear" (an affine layer) per layer."""
+    """ConfigurationError unless d_v and n_layers are integers >= 1 and
+    activations, when given, names "relu" or "linear" (an affine layer) per
+    layer."""
     for name, value in (("d_v", d_v), ("n_layers", n_layers)):
+        check_integer(value, name)
         if not value >= 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
     if activations is not None and len(activations) != n_layers:
@@ -268,9 +270,6 @@ class KernelLayer:
         self.dim_in = dim_in
         self.dim_out = dim_out
 
-    def params(self):
-        return [self.W] + self.kappa.params() + self.b.params()
-
 
 @dataclass(eq=False)
 class OperatorCache:
@@ -307,11 +306,8 @@ class BoundaryOperator:
     # -- parameters -------------------------------------------------------
 
     def params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        out.extend(self.Q.params())
-        return out
+        """The parameter arrays (live views) in `tensors()` order."""
+        return list(self.tensors().values())
 
     # -- forward -----------------------------------------------------------
 
@@ -572,10 +568,7 @@ class BoundaryOperator:
 
     @classmethod
     def load(cls, path):
-        kind, tensors, meta = read_checkpoint(path)
-        if kind != "operator":
-            raise ConfigurationError(
-                "checkpoint kind %r is not operator" % kind)
+        _, tensors, meta = read_checkpoint(path, "operator")
 
         def entry(key, parse):
             if key not in meta:
@@ -591,26 +584,19 @@ class BoundaryOperator:
         T, M = entry("grid_T", float), entry("grid_M", int)
         n_layers, d_v = entry("n_layers", int), entry("d_v", int)
         activations = entry("activations", lambda s: tuple(s.split(",")))
-        try:
-            grid = TimeGrid(T, M)
-            check_architecture(d_v, n_layers, activations)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
-        kappa_hidden, kappa_in = checkpoint_tensor(tensors,
+        kappa_hidden, kappa_in = checkpoint_tensor(path, tensors,
                                                    "layer0.kappa.W0").shape
         if kappa_in != 1:
             raise ConfigurationError(
                 f"{path}: the operator's kernel reads {kappa_in} inputs, a "
                 "pair kernel K(t_m, t_j) of an older version; the kernel is "
                 "now causal, K(t_m - t_j), so retrain the model")
-        b_hidden = checkpoint_tensor(tensors, "layer0.b.W0").shape[0]
-        op = cls(grid, d_v=d_v, n_layers=n_layers, activations=activations,
-                 kappa_hidden=kappa_hidden, b_hidden=b_hidden)
-        check_tensor_names(path, tensors, op.tensors())
-        for i, layer in enumerate(op.layers):
-            layer.W[...] = checkpoint_tensor(tensors, "layer%d.W" % i,
-                                             layer.W.shape)
-            layer.kappa.set_tensors(tensors, "layer%d.kappa." % i)
-            layer.b.set_tensors(tensors, "layer%d.b." % i)
-        op.Q.set_tensors(tensors, "Q.")
+        b_hidden = checkpoint_tensor(path, tensors, "layer0.b.W0").shape[0]
+        try:
+            op = cls(TimeGrid(T, M), d_v=d_v, n_layers=n_layers,
+                     activations=activations, kappa_hidden=kappa_hidden,
+                     b_hidden=b_hidden)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+        load_tensors(path, tensors, op.tensors())
         return op

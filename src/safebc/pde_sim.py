@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import (ConfigurationError, DatasetFormatError,
-                         finite_float, read_table, table_row_line,
-                         write_table)
+                         check_integer, finite_float, read_table,
+                         table_row_line, write_table)
 
 
 class SimulationDivergedError(RuntimeError):
@@ -75,6 +75,7 @@ class TimeGrid:
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ConfigurationError(
                 f"horizon T must be positive, got {self.T}")
+        check_integer(self.M, "M")
         if self.M < 2:
             raise ConfigurationError(f"need at least 2 steps, got M={self.M}")
 
@@ -110,6 +111,7 @@ class HyperbolicConfig:
     grid: TimeGrid = field(default_factory=_default_hyperbolic_grid)
 
     def __post_init__(self):
+        check_integer(self.n_points, "n_points")
         if self.n_points < 3:
             raise ConfigurationError("need at least 3 spatial points")
         if not math.isfinite(self.beta):
@@ -144,6 +146,7 @@ class ParabolicConfig:
                                      f"positive, got {self.eps!r}")
         if not math.isfinite(self.lam):
             raise ConfigurationError(f"lam must be finite, got {self.lam!r}")
+        check_integer(self.n_points, "n_points")
         if self.n_points < 3:
             raise ConfigurationError("need at least 3 spatial points")
         if not 0.0 <= self.x_out <= 1.0:
@@ -480,10 +483,14 @@ def parse_controller(text):
             raise ValueError(f"unknown controller {name!r}")
         cls, kwargs = specs[name], {}
         for item in rest.split(",") if rest else ():
-            key, _, val = item.partition("=")
+            key, eq, val = item.partition("=")
+            if not eq:
+                raise ValueError(f"item {item!r} is not key=value for {name}")
             if key not in cls.SPEC[1]:
                 raise ValueError(f"unknown key {key!r} for {name}")
             param, kind = cls.SPEC[1][key]
+            if param in kwargs:
+                raise ValueError(f"repeated key {key!r} for {name}")
             kwargs[param] = kind(val)
         defaults = inspect.signature(cls).parameters
         for key, (param, _) in cls.SPEC[1].items():

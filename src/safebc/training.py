@@ -21,7 +21,8 @@ import numpy as np
 
 from .barrier import (BarrierFunction, FeasibilityConstants,
                       loss_decrease_condition, loss_safe_set)
-from .checkpoint import ConfigurationError, fmt, read_table, write_table
+from .checkpoint import (ConfigurationError, check_integer, fmt,
+                         read_table, write_table)
 from .nets import Adam, WorkStore, subseed
 from .neural_operator import BoundaryOperator, check_architecture, mean_square
 from .trajectories import balance_near_zero, split, suffix_safe_mask
@@ -31,8 +32,11 @@ HISTORY_COLUMNS = ("epoch", "L_G", "L_S", "L_BF", "reg", "val_LG",
 
 
 def _check_schedule(schedule, batch):
-    """ConfigurationError unless the schedule can run: epochs >= 0, the
-    batch size named batch >= 1, and a finite positive learning rate."""
+    """ConfigurationError unless the schedule can run: integer epochs >= 0,
+    an integer batch size named batch >= 1, and a finite positive learning
+    rate."""
+    check_integer(schedule.epochs, "epochs")
+    check_integer(getattr(schedule, batch), batch)
     if not schedule.epochs >= 0:
         raise ConfigurationError(
             f"epochs must be >= 0, got {schedule.epochs!r}")

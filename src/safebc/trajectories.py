@@ -74,13 +74,23 @@ class TwoSidedSet:
 
 def parse_safe_set(text):
     """Parse 'Y<b' / 'Y>b' / 'abs:center=c,halfwidth=h' safe-set specs;
-    keys left out of an 'abs:' spec keep the TwoSidedSet defaults."""
+    keys left out of an 'abs:' spec keep the TwoSidedSet defaults. An item
+    that is not key=value, an unknown key and a repeated one are named."""
     text = text.strip()
     try:
         if text.startswith("abs:"):
-            kv = dict(part.split("=", 1) for part in text[4:].split(",")
-                      if part)
-            return TwoSidedSet(**{k: float(v) for k, v in kv.items()})
+            kwargs = {}
+            for item in filter(None, text[4:].split(",")):
+                key, eq, val = item.partition("=")
+                if not eq:
+                    raise ValueError(f"item {item!r} is not key=value for "
+                                     "abs")
+                if key not in ("center", "halfwidth"):
+                    raise ValueError(f"unknown key {key!r} for abs")
+                if key in kwargs:
+                    raise ValueError(f"repeated key {key!r} for abs")
+                kwargs[key] = float(val)
+            return TwoSidedSet(**kwargs)
         if text.startswith("Y<"):
             return OneSidedSet(sign=1, bound=float(text[2:]))
         if text.startswith("Y>"):

@@ -749,6 +749,44 @@ def test_a_setting_that_cannot_run_is_an_error(load, text, message):
         load(values)
 
 
+# each integer setting, built from a value through the Python API, where
+# no JSON type check stands in front of it
+INTEGER_SETTINGS = {
+    "TimeGrid.M": lambda value: TimeGrid(1.0, value),
+    "HyperbolicConfig.n_points":
+        lambda value: HyperbolicConfig(n_points=value),
+    "ParabolicConfig.n_points": lambda value: ParabolicConfig(n_points=value),
+    "OperatorSchedule.epochs": lambda value: OperatorSchedule(epochs=value),
+    "OperatorSchedule.batch_trajectories":
+        lambda value: OperatorSchedule(batch_trajectories=value),
+    "OperatorSchedule.d_v": lambda value: OperatorSchedule(d_v=value),
+    "OperatorSchedule.n_layers":
+        lambda value: OperatorSchedule(n_layers=value),
+    "BarrierSchedule.epochs": lambda value: BarrierSchedule(epochs=value),
+    "BarrierSchedule.batch_samples":
+        lambda value: BarrierSchedule(batch_samples=value),
+    "ExperimentSpec.episodes": lambda value: replace(BASE, episodes=value),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, float("inf"), float("nan"), True],
+                         ids=["fraction", "inf", "nan", "bool"])
+@pytest.mark.parametrize("setting", INTEGER_SETTINGS)
+def test_an_integer_setting_refuses_a_non_integer(setting, value):
+    # 2.5 steps would give a grid 4 points, and 2.5 epochs fail in numpy
+    field = setting.split(".")[1]
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{field} must be an integer, got "
+                                       f"{value!r}")):
+        INTEGER_SETTINGS[setting](value)
+
+
+@pytest.mark.parametrize("setting", INTEGER_SETTINGS)
+def test_an_integer_setting_takes_a_numpy_integer(setting):
+    made = INTEGER_SETTINGS[setting](np.int64(3))
+    assert getattr(made, setting.split(".")[1]) == 3
+
+
 def test_a_setting_that_cannot_run_exits_2(run, tmp_path, capsys):
     def fails(argv, message):
         assert main([str(a) for a in argv]) == 2

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safebc.checkpoint import (CheckpointError, ConfigurationError,
-                               read_checkpoint, write_checkpoint)
+                               load_tensors, read_checkpoint,
+                               write_checkpoint)
 from safebc.nets import Adam, Mlp, WorkStore, subseed
 
 
@@ -474,14 +475,15 @@ class TestCheckpointFormat:
         write_checkpoint(path, "bcbf", mlp.tensors())
         clone = Mlp([2, 4, 1], seed=99)
         _, tensors, _ = read_checkpoint(path)
-        clone.set_tensors(tensors)
+        load_tensors(path, tensors, clone.tensors())
         x = np.array([[0.2, -0.9]])
         assert np.array_equal(clone.forward(x), mlp.forward(x))
 
     def test_set_tensors_takes_biases_as_vectors_or_rows(self):
+        # a model's own tensors, whose biases are vectors; a file's are rows
         mlp = Mlp([2, 4, 1], seed=5)
         clone = Mlp([2, 4, 1], seed=99)
-        clone.set_tensors(mlp.tensors())
+        load_tensors("net.ckpt", mlp.tensors(), clone.tensors())
         assert all(np.array_equal(a, b)
                    for a, b in zip(clone.params(), mlp.params()))
 
@@ -493,13 +495,13 @@ class TestCheckpointFormat:
         tensors["net." + name] = np.zeros(shape)
         with pytest.raises(ConfigurationError,
                            match=re.escape(f"'net.{name}' has shape {shape}")):
-            Mlp([2, 4, 1]).set_tensors(tensors, "net.")
+            load_tensors("net.ckpt", tensors, Mlp([2, 4, 1]).tensors("net."))
 
     def test_set_tensors_names_a_missing_tensor(self):
         tensors = Mlp([2, 4, 1], seed=5).tensors()
         del tensors["W1"]
         with pytest.raises(ConfigurationError, match="no tensor 'W1'"):
-            Mlp([2, 4, 1]).set_tensors(tensors)
+            load_tensors("net.ckpt", tensors, Mlp([2, 4, 1]).tensors())
 
 
 class TestSeeding:

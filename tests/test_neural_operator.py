@@ -446,7 +446,9 @@ class TestDecomposition:
         U = np.linspace(-1.0, 1.5, 6)
         op.predict(U)
         # the first layer alone first, then every parameter
-        for update in (op.layers[0].params(), op.params()):
+        first = [p for name, p in op.tensors().items()
+                 if name.startswith("layer0.")]
+        for update in (first, op.params()):
             for p in update:
                 p += 0.01
             fresh = BoundaryOperator(grid, d_v=3, n_layers=2, kappa_hidden=4,

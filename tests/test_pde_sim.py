@@ -976,9 +976,14 @@ class TestControllers:
         ("proportional", "missing key 'gain' for proportional"),
         ("proportional:", "missing key 'gain' for proportional"),
         ("file", "missing path, as in file:PATH"),
-        ("file:", "missing path, as in file:PATH")],
+        ("file:", "missing path, as in file:PATH"),
+        ("proportional:gain=1,gain=2", "repeated key 'gain' for proportional"),
+        ("smooth:seed=1,seed=5", "repeated key 'seed' for smooth"),
+        ("proportional:gain",
+         "item 'gain' is not key=value for proportional")],
         ids=["nan-gain", "unknown-key", "non-integer-modes", "no-gain",
-             "no-gain-after-colon", "no-path", "no-path-after-colon"])
+             "no-gain-after-colon", "no-path", "no-path-after-colon",
+             "repeated-gain", "repeated-seed", "item-without-value"])
     def test_a_bad_spec_is_named_with_its_reason(self, text, reason):
         # the reason as a sentence, not the repr of the error behind it
         with pytest.raises(ConfigurationError) as info:

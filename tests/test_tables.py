@@ -1,6 +1,8 @@
 """Tests for the one table format and the checkpoint format: the shared
 writers and readers against the per-cell ones of `oracles`, files in the
-byte layout earlier versions wrote, and the errors that name their line."""
+byte layout earlier versions wrote, and the errors that name their line;
+and the models' checkpoints, whose `tensors()` save, load and `params()`
+all read."""
 
 import os
 import stat
@@ -14,12 +16,14 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (cell_checkpoint_text, cell_dataset_text,
                      cell_read_checkpoint, cell_read_dataset,
                      cell_read_table, cell_table_text)
+from safebc.barrier import BarrierFunction, loss_safe_set
 from safebc.checkpoint import (TABLE_ROWS, CheckpointError,
                                ConfigurationError, DatasetFormatError,
                                read_checkpoint, read_table, write_checkpoint,
                                write_table)
 from safebc.cli import read_metrics_csv
 from safebc.evaluation import read_episode_csv
+from safebc.neural_operator import BoundaryOperator
 from safebc.pde_sim import TimeGrid, read_trajectory_csv
 from safebc.safety_filter import FilterReport, StepRecord
 from safebc.training import TrainHistory
@@ -520,3 +524,98 @@ def test_a_checkpoint_writes_the_cell_bytes_and_reads_back_bitwise(ckpt):
     for name, a in tensors.items():
         assert same_bits(back[name], np.atleast_2d(a))
         assert same_bits(back[name], cell_back[name])
+
+
+@st.composite
+def operators(draw):
+    n_layers = draw(st.integers(1, 3))
+    activations = draw(st.lists(st.sampled_from(["relu", "linear"]),
+                                min_size=n_layers, max_size=n_layers))
+    return BoundaryOperator(
+        TimeGrid(1.0, draw(st.integers(2, 12))), d_v=draw(st.integers(1, 4)),
+        n_layers=n_layers, activations=tuple(activations),
+        kappa_hidden=draw(st.integers(1, 6)), b_hidden=draw(st.integers(1, 6)),
+        seed=draw(st.integers(1, 2**32 - 1)))
+
+
+barriers = st.builds(
+    lambda hidden, seed: BarrierFunction(hidden=hidden, seed=seed),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+    st.integers(1, 2**32 - 1))
+
+
+def assert_named_round_trip(model, grads):
+    """model saved and loaded has the same tensors() names, in the same
+    order, with bitwise-equal arrays; each model's params() is its
+    tensors()' arrays, and grads line up with them shape by shape."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.ckpt")
+        model.save(path)
+        back = type(model).load(path)
+    named, again = model.tensors(), back.tensors()
+    assert list(again) == list(named)
+    assert all(same_bits(again[name], a) for name, a in named.items())
+    for m in (model, back):
+        params, arrays = m.params(), list(m.tensors().values())
+        assert len(params) == len(arrays)
+        assert all(p is a for p, a in zip(params, arrays))
+    assert [g.shape for g in grads] == [a.shape for a in named.values()]
+
+
+@given(operators(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_an_operator_checkpoint_round_trips_by_name(op, seed):
+    rng = np.random.default_rng(seed)
+    UU, YY = rng.normal(size=(2, 2, op.grid.M + 1))
+    _, grads = op.loss_and_grads(UU, YY, l2=1e-3)
+    assert_named_round_trip(op, grads)
+
+
+@given(barriers)
+@settings(max_examples=40, deadline=None)
+def test_a_barrier_checkpoint_round_trips_by_name(bar):
+    _, _, grads = loss_safe_set(bar, [0.0, 0.5], [0.1, -0.2], [True, False],
+                                [False, True], 1.0, 1.0, 0.1)
+    assert_named_round_trip(bar, grads)
+
+
+MODELS = {
+    "operator": lambda: BoundaryOperator(TimeGrid(1.0, 4), d_v=3,
+                                         n_layers=2, kappa_hidden=4,
+                                         b_hidden=3, seed=1),
+    "bcbf": lambda: BarrierFunction(hidden=(4, 3), seed=1),
+}
+
+
+@pytest.mark.parametrize("kind, fault, name, message", [
+    ("operator", "missing", "layer1.b.W1",
+     "checkpoint has no tensor 'layer1.b.W1'"),
+    ("operator", "missing", "layer0.kappa.W0",
+     "checkpoint has no tensor 'layer0.kappa.W0'"),
+    ("operator", "shape", "layer1.kappa.b0",
+     "tensor 'layer1.kappa.b0' has shape (1, 5), expected (4,)"),
+    ("operator", "unnamed", "extra",
+     "checkpoint has tensors its model does not name: extra"),
+    ("operator", "kind", None, "checkpoint kind 'bcbf' is not operator"),
+    ("bcbf", "missing", "b2", "checkpoint has no tensor 'b2'"),
+    ("bcbf", "shape", "b0", "tensor 'b0' has shape (1, 5), expected (4,)"),
+    ("bcbf", "unnamed", "extra",
+     "checkpoint has tensors its model does not name: extra"),
+    ("bcbf", "kind", None, "checkpoint kind 'operator' is not bcbf"),
+])
+def test_a_refused_model_checkpoint_names_the_file_and_the_tensor(
+        tmp_path, kind, fault, name, message):
+    path = tmp_path / "model.ckpt"
+    model = MODELS[kind]()
+    model.save(path)
+    written, tensors, meta = read_checkpoint(path)
+    if fault == "missing":
+        del tensors[name]
+    elif fault in ("shape", "unnamed"):
+        tensors[name] = np.zeros(5 if fault == "shape" else 1)
+    else:
+        written = "bcbf" if kind == "operator" else "operator"
+    write_checkpoint(path, written, tensors, meta)
+    with pytest.raises(ConfigurationError) as info:
+        type(model).load(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -92,6 +92,20 @@ class TestSafeSets:
         with pytest.raises(ConfigurationError):
             parse_safe_set(text)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("abs:center=1,center=2", "repeated key 'center' for abs"),
+        ("abs:halfwidth=1,halfwidth=1", "repeated key 'halfwidth' for abs"),
+        ("abs:halfwidth", "item 'halfwidth' is not key=value for abs"),
+        ("abs:width=2", "unknown key 'width' for abs"),
+        ("abs:halfwidth=-1", "halfwidth must be positive")],
+        ids=["repeated-center", "repeated-halfwidth", "item-without-value",
+             "unknown-key", "negative-halfwidth"])
+    def test_a_bad_spec_is_named_with_its_reason(self, text, reason):
+        # the reason as a sentence, not the text of an error behind it
+        with pytest.raises(ConfigurationError) as info:
+            parse_safe_set(text)
+        assert str(info.value) == f"cannot parse safe set {text!r}: {reason}"
+
     def test_abs_spec_keeps_the_default_center(self):
         assert parse_safe_set("abs:halfwidth=0.5") == TwoSidedSet(0.0, 0.5)
 
